@@ -8,7 +8,7 @@ SHELL := bash
 
 GO ?= go
 
-.PHONY: all build test vet race fmt-check lint smoke bench bench-smoke bench-mem bench-compare chaos chaos-smoke e8 e8-smoke e11 e11-smoke e12 obs-smoke tables tables-quick tables-big examples clean
+.PHONY: all build test vet race fmt-check lint fuzz-smoke smoke bench bench-repo bench-smoke bench-mem bench-compare chaos chaos-smoke e8 e8-smoke e11 e11-smoke e12 obs-smoke tables tables-quick tables-big examples clean
 
 all: build vet test
 
@@ -37,6 +37,17 @@ lint: vet
 	else \
 		echo "staticcheck not installed; skipped"; fi
 
+# Short coverage-guided runs of every fuzz target (one -fuzz per go test
+# invocation): the wire codec, the predicate language, and the NITF codec
+# against its encoding/xml oracle.
+FUZZTIME ?= 20s
+fuzz-smoke:
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParsePredicate -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzPredicateRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/news -run '^$$' -fuzz FuzzNITFDifferential -fuzztime $(FUZZTIME)
+
 # Quick experiment smoke: the scale (E1), robustness/retry (E6), and
 # convergence (E7) tables at reduced size, saved for artifact upload.
 smoke: bin/newswire-bench
@@ -46,6 +57,13 @@ smoke: bin/newswire-bench
 # Quick-size experiment tables + hot-path micro-benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The repository benchmark's harness (bench/ is a module of its own, so
+# `go test ./...` from the root never reaches it): its tests, then five
+# seconds of the fanout workload, which must deliver every body intact.
+bench-repo:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload fanout --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 
 # Parallel-executor smoke: regenerate E1 (largest standard point: 4096
 # nodes) under the parallel executor, gating on the serial-vs-parallel
@@ -199,4 +217,4 @@ examples:
 	$(GO) run ./examples/monitor
 
 clean:
-	rm -rf bin
+	rm -rf bin .bench_build bench/out

@@ -12,6 +12,9 @@ package newswire_test
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +29,7 @@ import (
 	"newswire/internal/value"
 	"newswire/internal/vtime"
 	"newswire/internal/wire"
+	"newswire/internal/workload"
 )
 
 // benchOpts returns distinct-seed quick options per iteration so repeated
@@ -239,24 +243,134 @@ func BenchmarkCachePut(b *testing.B) {
 	}
 }
 
-func BenchmarkNITFRoundTrip(b *testing.B) {
-	it := &news.Item{
-		Publisher: "reuters", ID: "item", Headline: "headline",
-		Abstract: "abstract", Body: "body text of moderate length for the benchmark",
-		Subjects: []string{"world/asia"}, Urgency: 4,
+// benchArticle is a wire-service revision: about 1.8 KB of body ending in
+// the "\n[updated]" every second article of the fan-out workload carries.
+func benchArticle() *news.Item {
+	return &news.Item{
+		Publisher: "reuters", ID: "art-000042", Revision: 1,
+		Headline: "reuters story 42 about world/asia", Byline: "By Staff Writer",
+		Abstract: "Abstract of story 42.", Body: strings.Repeat("x", 1800) + "\n[updated]",
+		Subjects: []string{"world/asia"}, Urgency: 4, Geography: "asia",
 		Published: time.Unix(1017619200, 0).UTC(),
 	}
+}
+
+func BenchmarkNITFMarshal(b *testing.B) {
+	it := benchArticle()
+	data, err := news.MarshalNITF(it)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := news.MarshalNITF(it)
-		if err != nil {
+		if _, err := news.MarshalNITF(it); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkNITFUnmarshal(b *testing.B) {
+	data, err := news.MarshalNITF(benchArticle())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := news.UnmarshalNITF(data); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkLiveFanout is the delivery side of one item on real sockets: 16
+// live nodes over loopback TCP, four leaf zones of four under two regions,
+// every node subscribed to the subject of every wire-service article (some
+// of them revisions). One op is one item published and delivered to all 16,
+// so allocs/op is heap objects per item across the whole process, gossip
+// included. It is the repository benchmark's fanout workload reduced to a
+// `go test` name, and with -memprofile it regenerates the fan-out
+// allocation ledger in EXPERIMENTS.md.
+func BenchmarkLiveFanout(b *testing.B) {
+	const nodes, members = 16, 4
+	const subject = "bench/fanout"
+	var delivered atomic.Int64
+	allIn := make(chan struct{}, 1) // the item in flight reached every node
+	cluster := make([]*newswire.LiveNode, nodes)
+	for i := range cluster {
+		zone := i / members
+		cfg := newswire.LiveConfig{Node: newswire.Config{
+			Name:           fmt.Sprintf("n%02d", i),
+			ZonePath:       fmt.Sprintf("/r%d/z%d", zone/2, zone%2),
+			GossipInterval: 200 * time.Millisecond,
+			Rand:           rand.New(rand.NewSource(int64(i + 1))),
+			OnItem: func(*news.Item, *wire.ItemEnvelope) {
+				if delivered.Add(1)%nodes == 0 {
+					allIn <- struct{}{}
+				}
+			},
+		}}
+		// Introduce each node to the first member of every zone so far:
+		// gossip with one foreign zone never reveals a third.
+		for first := 0; first < i; first += members {
+			cfg.Peers = append(cfg.Peers, cluster[first].Addr())
+		}
+		ln, err := newswire.StartLive(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ln.Close()
+		if err := ln.Node().Subscribe(subject); err != nil {
+			b.Fatal(err)
+		}
+		cluster[i] = ln
+	}
+	profile := workload.WireServiceProfile("wire")
+	profile.Subjects = []string{subject}
+	gen, err := workload.NewArticleGen(profile, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	publish := func(it *news.Item) {
+		if err := cluster[rand.Intn(members)*members].Node().PublishItem(it, "", ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Ready when a probe reaches all 16; until then probes reach fewer, and
+	// the count is reset between tries.
+	for try := 0; ; try++ {
+		if try == 100 {
+			b.Fatal("cluster never converged")
+		}
+		time.Sleep(gossipSettle)
+		delivered.Store(0)
+		publish(&news.Item{
+			Publisher: "probe", ID: fmt.Sprintf("p%d", try), Headline: "h", Body: "b",
+			Subjects: []string{subject}, Published: time.Now(),
+		})
+		time.Sleep(gossipSettle)
+		if delivered.Load() == nodes {
+			<-allIn
+			break
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		publish(gen.Next(time.Now()))
+		select {
+		case <-allIn:
+		case <-time.After(10 * time.Second):
+			b.Fatalf("item %d reached %d of %d nodes", i, delivered.Load()%nodes, nodes)
+		}
+	}
+}
+
+// gossipSettle is the pause around a readiness probe of BenchmarkLiveFanout.
+const gossipSettle = 400 * time.Millisecond
 
 // BenchmarkGossipRound measures one full gossip round of a 64-node
 // cluster (ticks plus message drain) in the simulator, comparing the

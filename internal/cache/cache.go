@@ -9,6 +9,7 @@ package cache
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -89,7 +90,7 @@ func New(cfg Config) (*Cache, error) {
 // node. Put enforces MaxItems immediately.
 func (c *Cache) Put(env wire.ItemEnvelope) bool {
 	key := env.Key()
-	seriesKey := env.Publisher + "/" + env.ItemID
+	seriesKey := key[:lastHash(key)] // the key is the series key, '#', the revision
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -109,7 +110,7 @@ func (c *Cache) Put(env wire.ItemEnvelope) bool {
 				return false
 			}
 			// Newer revision: fuse the older one out.
-			oldKey := fmt.Sprintf("%s#%d", seriesKey, newest)
+			oldKey := seriesKey + "#" + strconv.Itoa(newest)
 			if _, ok := c.entries[oldKey]; ok {
 				delete(c.entries, oldKey)
 				c.stats.Fused++

@@ -301,9 +301,10 @@ func (r *Router) Publish(env wire.ItemEnvelope, scope string) error {
 	// The trace ID is a pure function of the envelope key, so stamping it
 	// unconditionally keeps traced and untraced runs byte-identical on the
 	// wire while letting spans from different processes join on it.
-	tid := trace.DeriveTraceID(env.Key())
+	key := env.Key()
+	tid := trace.DeriveTraceID(key)
 	if r.cfg.Tracer != nil {
-		r.traceSpan(trace.Span{Kind: trace.KindPublish, Key: env.Key(), TraceID: tid, Zone: scope})
+		r.traceSpan(trace.Span{Kind: trace.KindPublish, Key: key, TraceID: tid, Zone: scope})
 	}
 	r.route(&wire.Multicast{TargetZone: scope, TraceID: tid, Envelope: env})
 	return nil
@@ -893,17 +894,24 @@ func (r *Router) send(addr string, m *wire.Multicast) {
 	r.stats.Forwarded++
 	r.mu.Unlock()
 	if r.cfg.Tracer != nil {
-		note := ""
-		if m.Deliver {
-			note = "deliver-copy"
-		}
-		r.traceSpan(trace.Span{
-			Kind: trace.KindForward, Key: m.Envelope.Key(),
-			TraceID: m.TraceID,
-			Zone:    m.TargetZone, To: addr, Hop: m.Hops, Note: note,
-		})
+		span := forwardSpan(m)
+		span.To = addr
+		r.traceSpan(span)
 	}
 	_ = r.cfg.Sender(addr, &wire.Message{Kind: wire.KindMulticast, Multicast: m})
+}
+
+// forwardSpan is the forward span of m less its destination: everything a
+// fan-out's recipients share.
+func forwardSpan(m *wire.Multicast) trace.Span {
+	span := trace.Span{
+		Kind: trace.KindForward, Key: m.Envelope.Key(), TraceID: m.TraceID,
+		Zone: m.TargetZone, Hop: m.Hops,
+	}
+	if m.Deliver {
+		span.Note = "deliver-copy"
+	}
+	return span
 }
 
 // sendShared transmits one message to every addr via the transport's
@@ -947,17 +955,14 @@ func (r *Router) sendShared(zone string, addrs, rowNames []string, m *wire.Multi
 	r.mu.Lock()
 	r.stats.Forwarded += int64(len(addrs))
 	r.mu.Unlock()
-	note := ""
-	if m.Deliver {
-		note = "deliver-copy"
+	var span trace.Span
+	if r.cfg.Tracer != nil {
+		span = forwardSpan(m)
 	}
 	for _, addr := range addrs {
 		if r.cfg.Tracer != nil {
-			r.traceSpan(trace.Span{
-				Kind: trace.KindForward, Key: m.Envelope.Key(),
-				TraceID: m.TraceID,
-				Zone:    m.TargetZone, To: addr, Hop: m.Hops, Note: note,
-			})
+			span.To = addr
+			r.traceSpan(span)
 		}
 		_ = r.frames.SendFrame(addr, f)
 	}

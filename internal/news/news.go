@@ -6,7 +6,6 @@
 package news
 
 import (
-	"encoding/xml"
 	"fmt"
 	"sort"
 	"strings"
@@ -105,152 +104,6 @@ func (it *Item) Size() int {
 		n += len(s)
 	}
 	return n
-}
-
-// nitfDoc is the XML schema, shaped after NITF 3.0's structure (head with
-// docdata, body with body.head and body.content).
-type nitfDoc struct {
-	XMLName xml.Name `xml:"nitf"`
-	Version string   `xml:"version,attr"`
-	Head    nitfHead `xml:"head"`
-	Body    nitfBody `xml:"body"`
-}
-
-type nitfHead struct {
-	DocData nitfDocData `xml:"docdata"`
-	PubData nitfPubData `xml:"pubdata"`
-}
-
-type nitfDocData struct {
-	DocID     nitfDocID     `xml:"doc-id"`
-	Urgency   nitfUrgency   `xml:"urgency"`
-	DateIssue nitfDateIssue `xml:"date.issue"`
-	DuKey     nitfDuKey     `xml:"du-key"`
-	KeyList   nitfKeyList   `xml:"key-list"`
-	Location  nitfLocation  `xml:"location,omitempty"`
-}
-
-type nitfDocID struct {
-	IDString string `xml:"id-string,attr"`
-}
-
-type nitfUrgency struct {
-	EdUrg int `xml:"ed-urg,attr"`
-}
-
-type nitfDateIssue struct {
-	Norm string `xml:"norm,attr"`
-}
-
-// nitfDuKey carries the revision number (NITF uses du-key for update
-// chains).
-type nitfDuKey struct {
-	Version int `xml:"version,attr"`
-}
-
-type nitfKeyList struct {
-	Keywords []nitfKeyword `xml:"keyword"`
-}
-
-type nitfKeyword struct {
-	Key string `xml:"key,attr"`
-}
-
-type nitfLocation struct {
-	Region string `xml:"region,attr,omitempty"`
-}
-
-type nitfPubData struct {
-	Name string `xml:"name,attr"`
-}
-
-type nitfBody struct {
-	Head    nitfBodyHead `xml:"body.head"`
-	Content string       `xml:"body.content"`
-}
-
-type nitfBodyHead struct {
-	Hedline  nitfHedline `xml:"hedline"`
-	Byline   string      `xml:"byline,omitempty"`
-	Abstract string      `xml:"abstract,omitempty"`
-}
-
-type nitfHedline struct {
-	HL1 string `xml:"hl1"`
-}
-
-// nitfVersion is the DTD identifier stamped on encoded items.
-const nitfVersion = "-//IPTC//DTD NITF 3.0//EN"
-
-// MarshalNITF encodes the item as NITF-like XML.
-func MarshalNITF(it *Item) ([]byte, error) {
-	if err := it.Validate(); err != nil {
-		return nil, err
-	}
-	doc := nitfDoc{
-		Version: nitfVersion,
-		Head: nitfHead{
-			DocData: nitfDocData{
-				DocID:     nitfDocID{IDString: it.ID},
-				Urgency:   nitfUrgency{EdUrg: it.Urgency},
-				DateIssue: nitfDateIssue{Norm: it.Published.UTC().Format(time.RFC3339Nano)},
-				DuKey:     nitfDuKey{Version: it.Revision},
-				Location:  nitfLocation{Region: it.Geography},
-			},
-			PubData: nitfPubData{Name: it.Publisher},
-		},
-		Body: nitfBody{
-			Head: nitfBodyHead{
-				Hedline:  nitfHedline{HL1: it.Headline},
-				Byline:   it.Byline,
-				Abstract: it.Abstract,
-			},
-			Content: it.Body,
-		},
-	}
-	for _, s := range it.Subjects {
-		doc.Head.DocData.KeyList.Keywords = append(doc.Head.DocData.KeyList.Keywords,
-			nitfKeyword{Key: s})
-	}
-	out, err := xml.Marshal(&doc)
-	if err != nil {
-		return nil, fmt.Errorf("news: marshal %s: %w", it.Key(), err)
-	}
-	return append([]byte(xml.Header), out...), nil
-}
-
-// UnmarshalNITF decodes an item from NITF-like XML produced by
-// MarshalNITF (or hand-written equivalents).
-func UnmarshalNITF(data []byte) (*Item, error) {
-	var doc nitfDoc
-	if err := xml.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("news: unmarshal: %w", err)
-	}
-	it := &Item{
-		Publisher: doc.Head.PubData.Name,
-		ID:        doc.Head.DocData.DocID.IDString,
-		Revision:  doc.Head.DocData.DuKey.Version,
-		Headline:  doc.Body.Head.Hedline.HL1,
-		Byline:    doc.Body.Head.Byline,
-		Abstract:  doc.Body.Head.Abstract,
-		Body:      doc.Body.Content,
-		Urgency:   doc.Head.DocData.Urgency.EdUrg,
-		Geography: doc.Head.DocData.Location.Region,
-	}
-	for _, kw := range doc.Head.DocData.KeyList.Keywords {
-		it.Subjects = append(it.Subjects, kw.Key)
-	}
-	if norm := doc.Head.DocData.DateIssue.Norm; norm != "" {
-		ts, err := time.Parse(time.RFC3339Nano, norm)
-		if err != nil {
-			return nil, fmt.Errorf("news: bad date.issue %q: %w", norm, err)
-		}
-		it.Published = ts
-	}
-	if err := it.Validate(); err != nil {
-		return nil, err
-	}
-	return it, nil
 }
 
 // Standard subject vocabulary used by the examples and workload

@@ -847,6 +847,7 @@ func EncodeItem(it *news.Item, mode Mode, geo Geometry, vocabulary []string) (wi
 		Published: it.Published,
 		Payload:   payload,
 	}
+	env.SealKey()
 	switch mode {
 	case ModeCategoryMask:
 		if vocabulary == nil {

@@ -792,6 +792,7 @@ func (d *binDecoder) envelope(env *ItemEnvelope) {
 	env.Payload = d.byteSlice()
 	env.Signer = d.str()
 	env.Sig = d.byteSlice()
+	env.SealKey()
 }
 
 func decodeBinary(data []byte) (*Message, error) {

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,14 +208,34 @@ type ItemEnvelope struct {
 	// Signer and Sig authenticate the envelope.
 	Signer string
 	Sig    []byte
+
+	// key is Key() computed once, by SealKey; struct copies carry it. A
+	// plain field, never filled lazily: envelopes are read concurrently
+	// (shared fan-out frames, the cache).
+	key string
 }
 
 // Key returns the deduplication key for the envelope: publisher, item and
 // revision ("News items are uniquely identified by the publisher as part of
 // the news item meta-data; this can be used to remove duplicates", §9).
+// On a sealed envelope it costs nothing.
 func (e *ItemEnvelope) Key() string {
-	return fmt.Sprintf("%s/%s#%d", e.Publisher, e.ItemID, e.Revision)
+	if e.key != "" {
+		return e.key
+	}
+	return e.buildKey()
 }
+
+func (e *ItemEnvelope) buildKey() string {
+	var rev [20]byte
+	return e.Publisher + "/" + e.ItemID + "#" + string(strconv.AppendInt(rev[:0], int64(e.Revision), 10))
+}
+
+// SealKey computes the key once and stores it in the envelope. The two
+// places that create envelopes call it — the binary decoder and
+// pubsub.EncodeItem — after which Publisher, ItemID and Revision must not
+// change: to edit an identity, build a new envelope.
+func (e *ItemEnvelope) SealKey() { e.key = e.buildKey() }
 
 // SignedPayload renders the envelope fields covered by the publisher
 // signature.

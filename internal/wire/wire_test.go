@@ -114,6 +114,13 @@ func TestEncodeDecodeMulticast(t *testing.T) {
 	if env.Key() != "reuters/item-42#1" {
 		t.Fatalf("Key() = %q", env.Key())
 	}
+	// The decoder sealed the key: reading it is free, on copies too.
+	if n := testing.AllocsPerRun(100, func() { _ = env.Key() }); n != 0 {
+		t.Fatalf("Key() on a wire-decoded envelope allocates %v objects, want 0", n)
+	}
+	if unsealed := m.Multicast.Envelope.Key(); unsealed != env.Key() {
+		t.Fatalf("unsealed Key() = %q, sealed %q", unsealed, env.Key())
+	}
 	if env.Predicate != "premium" || env.ScopeZone != "/asia" {
 		t.Fatalf("envelope fields lost: %+v", env)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"time"
 
 	"newswire/internal/core"
@@ -28,7 +29,8 @@ const (
 // clock (cmd/newswired).
 type LiveConfig struct {
 	// Node is the node configuration. Transport and Clock are filled in
-	// by StartLive; Rand defaults to a time-seeded source if nil.
+	// by StartLive; Rand defaults to a time-seeded source if nil, and is
+	// wrapped so that the node's goroutines can share it.
 	Node Config
 	// ListenAddr is the TCP address to listen on, e.g. "127.0.0.1:0".
 	ListenAddr string
@@ -85,6 +87,11 @@ func StartLive(cfg LiveConfig) (*LiveNode, error) {
 	if nodeCfg.Rand == nil {
 		nodeCfg.Rand = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
+	// A live node draws from several goroutines at once: the gossip ticker,
+	// one reader per inbound connection (representative choice, recovery)
+	// and whoever calls PublishItem. The draws of a seeded source are
+	// unchanged.
+	nodeCfg.Rand = rand.New(&lockedSource{src: nodeCfg.Rand})
 	var ring *trace.Ring
 	if nodeCfg.Tracer == nil && !cfg.DisableTrace {
 		ring = trace.NewRing(defaultLiveTraceCap)
@@ -149,6 +156,30 @@ func (ln *LiveNode) run(interval time.Duration) {
 			return
 		}
 	}
+}
+
+// lockedSource serialises a random source shared between goroutines.
+type lockedSource struct {
+	mu  sync.Mutex
+	src rand.Source64
+}
+
+func (s *lockedSource) Int63() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Int63()
+}
+
+func (s *lockedSource) Uint64() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Uint64()
+}
+
+func (s *lockedSource) Seed(seed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.src.Seed(seed)
 }
 
 // liveHeapInUse samples the process's heap for the health digest. One

@@ -2,6 +2,8 @@ package newswire_test
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -129,6 +131,71 @@ func TestLiveClusterOverTCP(t *testing.T) {
 			t.Fatalf("live delivery incomplete: seed=%d second=%d", got1.Load(), got2.Load())
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestLiveNodeSharesRandAcrossGoroutines publishes through three live nodes
+// in two zones while gossip ticks every few milliseconds: representative
+// choice on the publishing goroutines and partner choice on the tickers
+// draw from the one Config.Rand of each node. Under -race this fails if
+// StartLive hands the node an unguarded source.
+func TestLiveNodeSharesRandAcrossGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP test")
+	}
+	var crossed [3]atomic.Int64 // per node, deliveries of items published in the other zone
+	var nodes []*newswire.LiveNode
+	for i, zone := range []string{"/a", "/a", "/b"} {
+		cfg := newswire.LiveConfig{Node: newswire.Config{
+			Name:           fmt.Sprintf("n%d", i),
+			ZonePath:       zone,
+			GossipInterval: 5 * time.Millisecond,
+			Rand:           rand.New(rand.NewSource(int64(i + 1))),
+			OnItem: func(it *news.Item, _ *wire.ItemEnvelope) {
+				if it.Publisher != zone[1:] {
+					crossed[i].Add(1)
+				}
+			},
+		}}
+		for _, n := range nodes {
+			cfg.Peers = append(cfg.Peers, n.Addr())
+		}
+		ln, err := newswire.StartLive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		if err := ln.Node().Subscribe("tech/linux"); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, ln)
+	}
+	// Publish from every node, four goroutines each, until items have
+	// crossed between the zones in both directions, which takes a few gossip
+	// rounds to set up; /b's node then picks among /a's two representatives
+	// per item. 200 rounds showed the race on most runs before the fix.
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 0; round < 200 || crossed[0].Load() < 20 || crossed[1].Load() < 20 || crossed[2].Load() < 20; round++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("cross-zone deliveries after %d rounds: %d %d %d", round,
+				crossed[0].Load(), crossed[1].Load(), crossed[2].Load())
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4*len(nodes); g++ {
+			wg.Add(1)
+			go func(g int, ln *newswire.LiveNode) {
+				defer wg.Done()
+				err := ln.Node().PublishItem(&newswire.Item{
+					Publisher: ln.Node().Agent().ZonePath()[1:], ID: fmt.Sprintf("g%d-r%d", g, round),
+					Headline: "h", Body: "b", Subjects: []string{"tech/linux"},
+					Published: time.Now(),
+				}, "", "")
+				if err != nil {
+					t.Error(err)
+				}
+			}(g, nodes[g%len(nodes)])
+		}
+		wg.Wait()
 	}
 }
 
