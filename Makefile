@@ -60,10 +60,13 @@ bench:
 
 # The repository benchmark's harness (bench/ is a module of its own, so
 # `go test ./...` from the root never reaches it): its tests, then five
-# seconds of the fanout workload, which must deliver every body intact.
+# seconds each of the fanout workload (the data path on live sockets) and
+# of sim_churn (the control plane on 1,024 simulated nodes), which must
+# deliver every body intact.
 bench-repo:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload fanout --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
+	bash bench/run.sh --workload sim_churn --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 
 # Parallel-executor smoke: regenerate E1 (largest standard point: 4096
 # nodes) under the parallel executor, gating on the serial-vs-parallel

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -220,12 +221,12 @@ type Row struct {
 	Sig    []byte
 }
 
-// snapshotRow renders a stored shared row as a public Row snapshot.
-func snapshotRow(r *wire.SharedRow) Row {
+// snapshotRow renders a stored row as a public Row snapshot.
+func snapshotRow(r entry) Row {
 	return Row{
 		Name:   r.Name,
 		Attrs:  r.Attrs,
-		Issued: r.Issued,
+		Issued: r.stamp(),
 		Owner:  r.Owner,
 		Signer: r.Signer,
 		Sig:    r.Sig,
@@ -273,12 +274,44 @@ type Stats struct {
 	AggEvals int64
 }
 
-// table is one replicated zone table. Rows are immutable shared values
+// entry is one replica's copy of a row: the immutable content, shared by
+// pointer with every agent that holds the same row, and this replica's own
+// issue stamp. Freshness is the only thing a heartbeat changes, so keeping
+// it beside the pointer instead of inside the row makes every re-stamp — a
+// peer's stamp, a digest that proves equal bytes, the owner's heartbeat, a
+// clean zone's aggregate — a map store that allocates nothing and leaves
+// the row shared. Entries live in the table by value, so they are kept
+// small: the stamp is stored as the wire carries it, Unix seconds and
+// nanoseconds with neither location nor monotonic reading (24 bytes an
+// entry, where a time.Time alone is 24).
+//
+// A signature covers the issue time, so a signed row's stamp is never
+// moved: it is always the time its content was signed at, and re-issuing
+// it builds and signs a new row (reissueLocked).
+type entry struct {
+	*wire.SharedRow
+	sec  int64 // issue stamp, Unix seconds
+	nsec int32 // issue stamp, nanoseconds within the second
+	// named equals Agent.diffSeq when the digest being diffed has named
+	// this row (diffDigestLocked's record of what the peer already holds).
+	named uint32
+}
+
+func newEntry(r *wire.SharedRow, issued time.Time) entry {
+	return entry{SharedRow: r, sec: issued.Unix(), nsec: int32(issued.Nanosecond())}
+}
+
+// stamp returns the time this replica holds the row as issued at.
+func (e entry) stamp() time.Time { return time.Unix(e.sec, int64(e.nsec)).UTC() }
+
+// table is one replicated zone table. Row content is immutable and shared
 // (wire.SharedRow): merging a gossiped row installs the sender's pointer,
 // so the table is copy-on-write — writers never modify a stored row, they
-// replace the map entry with a freshly built one.
+// replace the map entry.
 type table struct {
-	rows map[string]*wire.SharedRow
+	rows map[string]entry
+	// named counts the rows the digest being diffed has named.
+	named int
 	// dirty records that the attribute *content* of this table changed
 	// (row added, removed, or attributes replaced) since the zone's
 	// aggregate was last computed. Timestamp-only refreshes — the
@@ -313,7 +346,8 @@ type Agent struct {
 
 	mu      sync.Mutex
 	tables  map[string]*table
-	ownRow  *wire.SharedRow
+	ownRow  *wire.SharedRow // content of the agent's own leaf row
+	diffSeq uint32          // generation of entry.named marks
 	stats   Stats
 	started time.Time
 }
@@ -365,21 +399,13 @@ func NewAgent(cfg Config) (*Agent, error) {
 		stampLag: cfg.FailTimeout / 5,
 	}
 	for _, z := range a.chain {
-		a.tables[z] = &table{rows: make(map[string]*wire.SharedRow), dirty: true}
+		a.tables[z] = &table{rows: make(map[string]entry), dirty: true}
 	}
-	now := cfg.Clock.Now()
-	a.started = now
-	a.ownRow = &wire.SharedRow{
-		Name: a.name,
-		Attrs: value.Map{
-			AttrAddr: value.String(a.addr),
-			AttrLoad: value.Float(0),
-		},
-		Issued: now,
-		Owner:  a.addr,
-	}
-	a.signRowLocked(a.ownRow, a.leaf)
-	a.tables[a.leaf].rows[a.name] = a.ownRow
+	a.started = cfg.Clock.Now()
+	a.setOwnAttrsLocked(value.Map{
+		AttrAddr: value.String(a.addr),
+		AttrLoad: value.Float(0),
+	})
 	a.recomputeAggregatesLocked()
 	return a, nil
 }
@@ -416,7 +442,7 @@ func (a *Agent) SetAttr(name string, v value.Value) {
 	} else {
 		delete(attrs, name)
 	}
-	a.reissueOwnRowLocked(attrs, true)
+	a.setOwnAttrsLocked(attrs)
 	a.recomputeAggregatesLocked()
 }
 
@@ -432,7 +458,7 @@ func (a *Agent) SetAttrs(m value.Map) {
 			delete(attrs, name)
 		}
 	}
-	a.reissueOwnRowLocked(attrs, true)
+	a.setOwnAttrsLocked(attrs)
 	a.recomputeAggregatesLocked()
 }
 
@@ -443,30 +469,37 @@ func (a *Agent) Attr(name string) value.Value {
 	return a.ownRow.Attrs[name]
 }
 
-// reissueOwnRowLocked replaces the agent's own row with a freshly built
-// shared row (the stored one is immutable and may be referenced by every
-// peer that merged it). contentChanged reports whether attrs differ from
-// the current row: heartbeats pass false, which both keeps the leaf table
-// clean for the incremental-aggregation fast path and carries the cached
-// encoding/digest over to the new row.
-func (a *Agent) reissueOwnRowLocked(attrs value.Map, contentChanged bool) {
-	row := &wire.SharedRow{
-		Name:   a.name,
-		Attrs:  attrs,
-		Issued: a.cfg.Clock.Now(),
-		Owner:  a.addr,
-	}
-	if contentChanged {
-		a.tables[a.leaf].dirty = true
-	} else if old := a.ownRow; old != nil {
-		row.AdoptCache(old)
-	}
-	a.signRowLocked(row, a.leaf)
+// setOwnAttrsLocked replaces the agent's own row with a freshly built
+// shared row holding attrs (the stored one is immutable and may be
+// referenced by every peer that merged it), issued now.
+func (a *Agent) setOwnAttrsLocked(attrs value.Map) {
+	now := a.cfg.Clock.Now()
+	row := &wire.SharedRow{Name: a.name, Attrs: attrs, Owner: a.addr}
+	a.signRowLocked(row, a.leaf, now)
 	a.ownRow = row
-	a.tables[a.leaf].rows[a.name] = row
+	t := a.tables[a.leaf]
+	t.rows[a.name] = newEntry(row, now)
+	t.dirty = true
 }
 
-func (a *Agent) signRowLocked(r *wire.SharedRow, zone string) {
+// reissueLocked re-issues, at time at and with unchanged content, a row
+// this agent owns in zone's table t, and returns the content now stored:
+// the heartbeat on the agent's own row and on the aggregates of clean
+// zones. It never marks the table dirty. For an unsigned row it moves this
+// replica's stamp. A signature covers the issue time, so under SignRow the
+// row is rebuilt and signed again, keeping the encoding caches.
+func (a *Agent) reissueLocked(t *table, zone string, r *wire.SharedRow, at time.Time) *wire.SharedRow {
+	if a.cfg.SignRow != nil {
+		old := r
+		r = &wire.SharedRow{Name: old.Name, Attrs: old.Attrs, Owner: old.Owner}
+		r.AdoptCache(old)
+		a.signRowLocked(r, zone, at)
+	}
+	t.rows[r.Name] = newEntry(r, at)
+	return r
+}
+
+func (a *Agent) signRowLocked(r *wire.SharedRow, zone string, issued time.Time) {
 	if a.cfg.SignRow == nil {
 		return
 	}
@@ -474,7 +507,7 @@ func (a *Agent) signRowLocked(r *wire.SharedRow, zone string) {
 		Zone:   zone,
 		Name:   r.Name,
 		Attrs:  r.Attrs,
-		Issued: r.Issued,
+		Issued: issued,
 		Owner:  r.Owner,
 	}
 	a.cfg.SignRow(&u)
@@ -487,18 +520,25 @@ func (a *Agent) signRowLocked(r *wire.SharedRow, zone string) {
 // read-only. The second result reports whether the agent replicates the
 // zone at all.
 func (a *Agent) Table(zone string) ([]Row, bool) {
+	return a.AppendTable(nil, zone)
+}
+
+// AppendTable is Table appending the snapshot to dst, for callers that
+// read tables often enough to bring their own buffer.
+func (a *Agent) AppendTable(dst []Row, zone string) ([]Row, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	t, ok := a.tables[zone]
 	if !ok {
-		return nil, false
+		return dst, false
 	}
-	rows := make([]Row, 0, len(t.rows))
+	start := len(dst)
+	dst = slices.Grow(dst, len(t.rows))
 	for _, r := range t.rows {
-		rows = append(rows, snapshotRow(r))
+		dst = append(dst, snapshotRow(r))
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	return rows, true
+	slices.SortFunc(dst[start:], func(x, y Row) int { return strings.Compare(x.Name, y.Name) })
+	return dst, true
 }
 
 // Row returns one row of a replicated zone table.
@@ -540,16 +580,8 @@ func (a *Agent) isRepresentativeLocked(zone string) bool {
 	if !ok {
 		return false
 	}
-	reps, ok := row.Attrs[AttrReps].AsStrings()
-	if !ok {
-		return false
-	}
-	for _, r := range reps {
-		if r == a.addr {
-			return true
-		}
-	}
-	return false
+	reps, _ := row.Attrs[AttrReps].RawStrings()
+	return slices.Contains(reps, a.addr)
 }
 
 // OwnRowUpdate returns the agent's current leaf row as a RowUpdate, for
@@ -557,7 +589,11 @@ func (a *Agent) isRepresentativeLocked(zone string) bool {
 func (a *Agent) OwnRowUpdate() wire.RowUpdate {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.ownRow.Update(a.leaf)
+	return a.ownUpdateLocked()
+}
+
+func (a *Agent) ownUpdateLocked() wire.RowUpdate {
+	return a.ownRow.Update(a.leaf, a.tables[a.leaf].rows[a.name].stamp())
 }
 
 // ChainRowUpdates returns the agent's own leaf row plus the aggregate row
@@ -569,12 +605,12 @@ func (a *Agent) OwnRowUpdate() wire.RowUpdate {
 func (a *Agent) ChainRowUpdates() []wire.RowUpdate {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := []wire.RowUpdate{a.ownRow.Update(a.leaf)}
+	out := []wire.RowUpdate{a.ownUpdateLocked()}
 	for i := len(a.chain) - 1; i >= 1; i-- {
 		child := a.chain[i]
 		parent := a.chain[i-1]
 		if r, ok := a.tables[parent].rows[ZoneName(child)]; ok {
-			out = append(out, r.Update(parent))
+			out = append(out, r.Update(parent, r.stamp()))
 		}
 	}
 	return out
@@ -597,7 +633,7 @@ func (a *Agent) Tick() {
 	now := a.cfg.Clock.Now()
 
 	// Heartbeat: re-issue own row so peers' failure detectors stay quiet.
-	a.reissueOwnRowLocked(a.ownRow.Attrs, false)
+	a.ownRow = a.reissueLocked(a.tables[a.leaf], a.leaf, a.ownRow, now)
 
 	// Failure detection: evict rows that have not been refreshed.
 	a.expireLocked(now)
@@ -605,16 +641,21 @@ func (a *Agent) Tick() {
 	// Recompute the aggregate rows along this agent's chain.
 	a.recomputeAggregatesLocked()
 
-	// Choose gossip partners under the lock, send after releasing it.
+	// Choose gossip partners under the lock, send after releasing it. The
+	// partner lists are a few entries long and die with this call, so they
+	// live on the stack (a larger fanout or table spills to the heap).
 	type dest struct {
 		addr  string
 		level string // deepest shared zone
+		msg   *wire.Message
 	}
-	var dests []dest
+	var destBuf [8]dest
+	var candBuf [64]string
+	dests := destBuf[:0]
 	for i := len(a.chain) - 1; i >= 0; i-- {
 		zone := a.chain[i]
 		if zone == a.leaf {
-			for _, addr := range a.pickLeafPartnersLocked(a.cfg.Fanout) {
+			for _, addr := range a.pickLeafPartnersLocked(candBuf[:0], a.cfg.Fanout) {
 				dests = append(dests, dest{addr: addr, level: zone})
 			}
 			continue
@@ -622,14 +663,13 @@ func (a *Agent) Tick() {
 		if !a.isRepresentativeLocked(zone) {
 			continue
 		}
-		for _, addr := range a.pickZonePartnersLocked(zone, a.cfg.Fanout) {
+		for _, addr := range a.pickZonePartnersLocked(candBuf[:0], zone, a.cfg.Fanout) {
 			dests = append(dests, dest{addr: addr, level: zone})
 		}
 	}
 
-	msgs := make([]*wire.Message, 0, len(dests))
-	addrs := make([]string, 0, len(dests))
-	for _, d := range dests {
+	for i := range dests {
+		d := &dests[i]
 		var m *wire.Message
 		var payload, overhead int
 		if a.cfg.DisableDeltaGossip {
@@ -651,17 +691,16 @@ func (a *Agent) Tick() {
 			payload = wire.UvarintLen(uint64(len(digests))) + size
 			overhead = digestMsgOverhead
 		}
-		msgs = append(msgs, m)
-		addrs = append(addrs, d.addr)
+		d.msg = m
 		a.stats.GossipsSent++
 		a.stats.GossipBytesSent += int64(overhead + len(a.addr) + payload)
 	}
 	tr := a.cfg.Transport
 	a.mu.Unlock()
 
-	for i, m := range msgs {
+	for _, d := range dests {
 		// Best-effort: the epidemic tolerates loss.
-		_ = tr.Send(addrs[i], m)
+		_ = tr.Send(d.addr, d.msg)
 	}
 }
 
@@ -803,7 +842,7 @@ func (a *Agent) sharedRowsLocked(deepest string) ([]wire.RowUpdate, int) {
 		}
 		t := a.tables[zone]
 		for _, r := range t.rows {
-			out = append(out, r.Update(zone))
+			out = append(out, r.Update(zone, r.stamp()))
 			size += wire.RowSize(&out[len(out)-1], r.WireAttrsSize())
 		}
 	}
@@ -831,7 +870,7 @@ func (a *Agent) digestLocked(deepest string) ([]wire.RowDigest, int) {
 			out = append(out, wire.RowDigest{
 				Zone:   zone,
 				Name:   r.Name,
-				Issued: r.Issued,
+				Issued: r.stamp(),
 				Hash:   r.AttrsHash(),
 			})
 		}
@@ -864,41 +903,68 @@ func (a *Agent) diffDigestLocked(fromZone string, digests []wire.RowDigest) ([]w
 	var stamps []wire.RowDigest
 	size := 0
 
-	sendRow := func(zone string, r *wire.SharedRow) {
-		rows = append(rows, r.Update(zone))
+	// Each result is sized once, at its first entry, for the digest entries
+	// still to come (the push pass below knows its exact count).
+	left := len(digests)
+	sendRow := func(zone string, r entry) {
+		if rows == nil {
+			rows = make([]wire.RowUpdate, 0, left)
+		}
+		rows = append(rows, r.Update(zone, r.stamp()))
 		size += wire.RowSize(&rows[len(rows)-1], r.WireAttrsSize())
 	}
 	wantRow := func(zone, name string) {
+		if want == nil {
+			want = make([]wire.RowRef, 0, left)
+		}
 		want = append(want, wire.RowRef{Zone: zone, Name: name})
 		size += wire.RefSize(&want[len(want)-1])
 	}
-	stampRow := func(zone string, r *wire.SharedRow) {
+	stampRow := func(zone string, r entry) {
+		if stamps == nil {
+			stamps = make([]wire.RowDigest, 0, left)
+		}
 		stamps = append(stamps, wire.RowDigest{
-			Zone: zone, Name: r.Name, Issued: r.Issued, Hash: r.AttrsHash(),
+			Zone: zone, Name: r.Name, Issued: r.stamp(), Hash: r.AttrsHash(),
 		})
 	}
 
-	// digested tracks which of our rows the initiator mentioned, so the
-	// second pass can push the rows it has never seen.
-	digested := make(map[string]map[string]bool, len(a.chain))
+	// Mark which of our rows the initiator named and count them per table,
+	// so the second pass can push the rows it has never seen — and skip a
+	// table it named in full, the steady state. The mark makes the count
+	// exact even if a hostile digest repeats a name.
+	a.diffSeq++
+	for _, zone := range a.chain {
+		t := a.tables[zone]
+		t.named = 0
+		if a.diffSeq == 0 { // the generation wrapped: forget every mark
+			for name, r := range t.rows {
+				r.named = 0
+				t.rows[name] = r
+			}
+		}
+	}
+	if a.diffSeq == 0 {
+		a.diffSeq = 1
+	}
 
 	for i := range digests {
 		d := &digests[i]
+		left = len(digests) - i
 		t, ok := a.tables[d.Zone]
 		if !ok {
 			continue // we do not replicate that table
 		}
-		seen := digested[d.Zone]
-		if seen == nil {
-			seen = make(map[string]bool)
-			digested[d.Zone] = seen
-		}
-		seen[d.Name] = true
 		r, ok := t.rows[d.Name]
 		if !ok {
 			// The initiator has a row we lack: ask for it.
 			wantRow(d.Zone, d.Name)
 			continue
+		}
+		if r.named != a.diffSeq {
+			r.named = a.diffSeq
+			t.rows[d.Name] = r
+			t.named++
 		}
 		// Leaf member rows take the full stampLag: their owners re-issue
 		// every Tick, so replicas may run a couple of rounds stale with
@@ -914,8 +980,9 @@ func (a *Agent) diffDigestLocked(fromZone string, digests []wire.RowDigest) ([]w
 		if d.Zone != a.leaf {
 			lag = 0
 		}
+		held := r.stamp()
 		switch {
-		case r.Issued.After(d.Issued):
+		case held.After(d.Issued):
 			if len(r.Sig) == 0 && r.AttrsHash() == d.Hash {
 				// Same bytes both sides, ours fresher. Below the stamp
 				// lag the initiator's copy is fresh enough to need
@@ -924,20 +991,20 @@ func (a *Agent) diffDigestLocked(fromZone string, digests []wire.RowDigest) ([]w
 				// freshness in stampLag-sized jumps instead of every
 				// round is what keeps steady-state heartbeat traffic —
 				// bytes and allocations both — near zero.
-				if r.Issued.Sub(d.Issued) >= lag {
+				if held.Sub(d.Issued) >= lag {
 					stampRow(d.Zone, r)
 				}
 			} else {
 				sendRow(d.Zone, r)
 			}
-		case d.Issued.After(r.Issued):
+		case d.Issued.After(held):
 			if len(r.Sig) == 0 && r.AttrsHash() == d.Hash &&
 				!(d.Zone == a.leaf && d.Name == a.name) {
 				// The initiator is fresher but holds the very bytes we
 				// store: re-issue our copy locally at its stamp. No want
 				// ref, no reply bytes, no final-leg row. Below the stamp
 				// lag our copy is fresh enough as-is.
-				if d.Issued.Sub(r.Issued) >= lag {
+				if d.Issued.Sub(held) >= lag {
 					a.restampLocked(t, r, d.Issued)
 				}
 			} else {
@@ -952,13 +1019,23 @@ func (a *Agent) diffDigestLocked(fromZone string, digests []wire.RowDigest) ([]w
 	}
 
 	// Push every shared-table row the initiator did not digest at all.
+	left = 0
 	for _, zone := range a.chain {
-		if !ZoneContains(zone, common) {
+		if t := a.tables[zone]; ZoneContains(zone, common) {
+			left += len(t.rows) - t.named
+		}
+	}
+	if left == 0 {
+		return rows, want, stamps, size
+	}
+	rows = slices.Grow(rows, left)
+	for _, zone := range a.chain {
+		t := a.tables[zone]
+		if !ZoneContains(zone, common) || t.named == len(t.rows) {
 			continue
 		}
-		seen := digested[zone]
-		for name, r := range a.tables[zone].rows {
-			if !seen[name] {
+		for _, r := range t.rows {
+			if r.named != a.diffSeq {
 				sendRow(zone, r)
 			}
 		}
@@ -966,20 +1043,13 @@ func (a *Agent) diffDigestLocked(fromZone string, digests []wire.RowDigest) ([]w
 	return rows, want, stamps, size
 }
 
-// restampLocked replaces a stored row with a copy re-issued at `at`,
-// carrying the attribute map and the encoding/digest caches over. The
-// caller has proven the content identical on both sides (equal attrs
-// hash) and the row unsigned; re-stamping never marks a zone dirty —
-// it is the wire-free equivalent of a heartbeat re-delivery.
-func (a *Agent) restampLocked(t *table, r *wire.SharedRow, at time.Time) {
-	row := &wire.SharedRow{
-		Name:   r.Name,
-		Attrs:  r.Attrs,
-		Issued: at,
-		Owner:  r.Owner,
-	}
-	row.AdoptCache(r)
-	t.rows[r.Name] = row
+// restampLocked moves a stored row's stamp to `at`, leaving the shared
+// content where it is. The caller has proven the content identical on both
+// sides (equal attrs hash) and the row unsigned; re-stamping never marks a
+// zone dirty — it is the wire-free equivalent of a heartbeat re-delivery.
+func (a *Agent) restampLocked(t *table, r entry, at time.Time) {
+	r.sec, r.nsec = at.Unix(), int32(at.Nanosecond())
+	t.rows[r.Name] = r
 	a.stats.StampsApplied++
 }
 
@@ -998,7 +1068,7 @@ func (a *Agent) applyStampsLocked(stamps []wire.RowDigest) {
 			continue // authoritative for our own row
 		}
 		r, ok := t.rows[s.Name]
-		if !ok || !s.Issued.After(r.Issued) {
+		if !ok || !s.Issued.After(r.stamp()) {
 			continue
 		}
 		if len(r.Sig) != 0 || r.AttrsHash() != s.Hash {
@@ -1012,7 +1082,7 @@ func (a *Agent) applyStampsLocked(stamps []wire.RowDigest) {
 // leg of a delta exchange, skipping rows that expired or were superseded
 // since the digest was built.
 func (a *Agent) rowsForRefsLocked(refs []wire.RowRef) ([]wire.RowUpdate, int) {
-	var out []wire.RowUpdate
+	out := make([]wire.RowUpdate, 0, len(refs))
 	size := 0
 	for i := range refs {
 		ref := &refs[i]
@@ -1024,7 +1094,7 @@ func (a *Agent) rowsForRefsLocked(refs []wire.RowRef) ([]wire.RowUpdate, int) {
 		if !ok {
 			continue
 		}
-		out = append(out, r.Update(ref.Zone))
+		out = append(out, r.Update(ref.Zone, r.stamp()))
 		size += wire.RowSize(&out[len(out)-1], r.WireAttrsSize())
 	}
 	return out, size
@@ -1041,11 +1111,16 @@ func (a *Agent) mergeRowsLocked(rows []wire.RowUpdate) {
 			continue // we are authoritative for our own row
 		}
 		existing, exists := t.rows[u.Name]
-		if exists && existing == u.Shared() {
-			continue // re-delivery of the very row we store
+		held := existing.stamp()
+		if exists && existing.SharedRow == u.Shared() && held.Equal(u.Issued) {
+			// Re-delivery of the very row we store, at the stamp we store
+			// it at. The stamp is part of the test: the same content at a
+			// newer stamp is a peer's re-stamp and must move ours (below,
+			// as a timestamp-only refresh), or failure detectors starve.
+			continue
 		}
-		if exists && !u.Issued.After(existing.Issued) {
-			if !u.Issued.Equal(existing.Issued) {
+		if exists && !u.Issued.After(held) {
+			if !u.Issued.Equal(held) {
 				continue
 			}
 			// Same timestamp. The overwhelmingly common case in steady
@@ -1078,7 +1153,7 @@ func (a *Agent) mergeRowsLocked(rows []wire.RowUpdate) {
 		// foreign row replicated across the whole system stays one
 		// allocation, and its encoding/digest caches are computed once,
 		// not once per replica.
-		t.rows[u.Name] = u.AsShared()
+		t.rows[u.Name] = newEntry(u.AsShared(), u.Issued)
 		a.stats.RowsMerged++
 	}
 }
@@ -1095,7 +1170,7 @@ func (a *Agent) expireLocked(now time.Time) {
 			if zone == a.leaf && name == a.name {
 				continue
 			}
-			if r.Issued.Before(cutoff) {
+			if r.stamp().Before(cutoff) {
 				if _, virt := r.Attrs[AttrVirtual]; virt {
 					// Virtual leaves have no agent reissuing their row;
 					// the template is live for the whole run.
@@ -1135,8 +1210,8 @@ func (a *Agent) recomputeAggregatesLocked() {
 
 		var latest time.Time
 		for _, r := range ct.rows {
-			if r.Issued.After(latest) {
-				latest = r.Issued
+			if at := r.stamp(); at.After(latest) {
+				latest = at
 			}
 		}
 
@@ -1144,23 +1219,14 @@ func (a *Agent) recomputeAggregatesLocked() {
 			existing, exists := pt.rows[name]
 			switch {
 			case exists && existing.Owner == a.addr && existing.AttrsHash() == ct.aggHash:
-				// Same content, fresher inputs: re-stamp our aggregate
-				// so peers' failure detectors see it refreshed. The Attrs
-				// map is unchanged, so the fresh row adopts the old row's
-				// caches instead of re-encoding. The hash check keeps this
-				// path honest: re-stamping is only sound for content this
-				// agent actually computed — a row mutated behind our back
-				// must not be relaunched with a fresh stamp and signature.
-				if latest.After(existing.Issued) {
-					row := &wire.SharedRow{
-						Name:   name,
-						Attrs:  existing.Attrs,
-						Issued: latest,
-						Owner:  a.addr,
-					}
-					row.AdoptCache(existing)
-					a.signRowLocked(row, parent)
-					pt.rows[name] = row
+				// Same content, fresher inputs: re-issue our aggregate
+				// so peers' failure detectors see it refreshed. The hash
+				// check keeps this path honest: re-issuing is only sound
+				// for content this agent actually computed — a row mutated
+				// behind our back must not be relaunched with a fresh stamp
+				// and signature.
+				if latest.After(existing.stamp()) {
+					a.reissueLocked(pt, parent, existing.SharedRow, latest)
 				}
 				continue
 			case exists && existing.Owner != a.addr:
@@ -1175,17 +1241,17 @@ func (a *Agent) recomputeAggregatesLocked() {
 
 		rows := make([]*wire.SharedRow, 0, len(ct.rows))
 		for _, r := range ct.rows {
-			rows = append(rows, r)
+			rows = append(rows, r.SharedRow)
 		}
 		// Deterministic input order (map iteration is random), compared
 		// on cached encodings so no map is re-encoded per comparison.
-		sort.Slice(rows, func(x, y int) bool {
-			ax, _ := rows[x].Attrs[AttrAddr].AsString()
-			ay, _ := rows[y].Attrs[AttrAddr].AsString()
-			if ax != ay {
-				return ax < ay
+		slices.SortFunc(rows, func(x, y *wire.SharedRow) int {
+			ax, _ := x.Attrs[AttrAddr].AsString()
+			ay, _ := y.Attrs[AttrAddr].AsString()
+			if c := strings.Compare(ax, ay); c != 0 {
+				return c
 			}
-			return rows[x].EncLess(rows[y])
+			return bytes.Compare(x.Encoding(), y.Encoding())
 		})
 		inputs := make([]value.Map, len(rows))
 		for x, r := range rows {
@@ -1212,24 +1278,19 @@ func (a *Agent) recomputeAggregatesLocked() {
 			ct.aggHash = existing.AttrsHash()
 			continue
 		}
-		if exists && existing.Issued.After(latest) {
+		if exists && existing.stamp().After(latest) {
 			continue // a peer computed from fresher inputs
 		}
-		candidate := &wire.SharedRow{
-			Name:   name,
-			Attrs:  out,
-			Issued: latest,
-			Owner:  a.addr,
-		}
-		if exists && existing.Issued.Equal(latest) &&
+		candidate := &wire.SharedRow{Name: name, Attrs: out, Owner: a.addr}
+		if exists && existing.stamp().Equal(latest) &&
 			bytes.Compare(existing.Encoding(), candidate.Encoding()) >= 0 {
 			continue // lost the deterministic tie-break at this stamp
 		}
-		a.signRowLocked(candidate, parent)
+		a.signRowLocked(candidate, parent, latest)
 		ct.dirty = false
 		ct.aggHash = candidate.AttrsHash()
 		pt.dirty = true
-		pt.rows[name] = candidate
+		pt.rows[name] = newEntry(candidate, latest)
 	}
 }
 
@@ -1330,14 +1391,14 @@ func mergePrefixValue(op PrefixOp, acc, v value.Value) value.Value {
 }
 
 // pickLeafPartnersLocked selects up to n random gossip partners from the
-// agent's leaf table (excluding itself). A joining agent placed into a
-// zone whose members it does not know yet has an empty leaf table; it
-// falls back to the representatives its parent-table replica lists for
-// the zone, whose gossip replies then carry the full leaf table (the
-// join path of §8).
-func (a *Agent) pickLeafPartnersLocked(n int) []string {
+// agent's leaf table (excluding itself), building the list in buf. A
+// joining agent placed into a zone whose members it does not know yet has
+// an empty leaf table; it falls back to the representatives its
+// parent-table replica lists for the zone, whose gossip replies then carry
+// the full leaf table (the join path of §8).
+func (a *Agent) pickLeafPartnersLocked(buf []string, n int) []string {
 	t := a.tables[a.leaf]
-	candidates := make([]string, 0, len(t.rows))
+	candidates := buf[:0]
 	for name, r := range t.rows {
 		if name == a.name {
 			continue
@@ -1353,11 +1414,10 @@ func (a *Agent) pickLeafPartnersLocked(n int) []string {
 		if parent, ok := ParentZone(a.leaf); ok {
 			if pt, ok := a.tables[parent]; ok {
 				if row, ok := pt.rows[ZoneName(a.leaf)]; ok {
-					if reps, ok := row.Attrs[AttrReps].AsStrings(); ok {
-						for _, rep := range reps {
-							if rep != a.addr {
-								candidates = append(candidates, rep)
-							}
+					reps, _ := row.Attrs[AttrReps].RawStrings()
+					for _, rep := range reps {
+						if rep != a.addr {
+							candidates = append(candidates, rep)
 						}
 					}
 				}
@@ -1368,25 +1428,28 @@ func (a *Agent) pickLeafPartnersLocked(n int) []string {
 }
 
 // pickZonePartnersLocked selects up to n partner addresses among the
-// representatives of sibling child zones in `zone`'s table.
-func (a *Agent) pickZonePartnersLocked(zone string, n int) []string {
+// representatives of sibling child zones in `zone`'s table, building the
+// list in buf.
+func (a *Agent) pickZonePartnersLocked(buf []string, zone string, n int) []string {
 	child, _ := ChildToward(zone, a.leaf)
 	ownName := ZoneName(child)
 	t := a.tables[zone]
 	// Visit rows in sorted name order: the rep draw below consumes the
 	// seeded rand stream, and pairing draws with rows in map order would
 	// make identically-seeded runs diverge.
-	names := make([]string, 0, len(t.rows))
+	names := buf[:0]
 	for name := range t.rows {
 		if name != ownName {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	var candidates []string
+	// Each name yields at most one candidate, so the candidates overwrite
+	// the names already visited.
+	candidates := names[:0]
 	for _, name := range names {
 		r := t.rows[name]
-		if reps, ok := r.Attrs[AttrReps].AsStrings(); ok && len(reps) > 0 {
+		if reps, ok := r.Attrs[AttrReps].RawStrings(); ok && len(reps) > 0 {
 			candidates = append(candidates, reps[a.cfg.Rand.Intn(len(reps))])
 		} else if addr, ok := r.Attrs[AttrAddr].AsString(); ok {
 			candidates = append(candidates, addr)
@@ -1452,12 +1515,12 @@ func (a *Agent) ScrambleRows(rng *rand.Rand, frac float64) int {
 			mutated := &wire.SharedRow{
 				Name:   r.Name,
 				Attrs:  attrs,
-				Issued: r.Issued, // stale stamp: the owner's next issue wins
 				Owner:  r.Owner,
 				Signer: r.Signer, // stale signature: fails verification
 				Sig:    r.Sig,
 			}
-			t.rows[name] = mutated
+			// Stale stamp: the owner's next issue wins.
+			t.rows[name] = newEntry(mutated, r.stamp())
 			victims = append(victims, mutated)
 			total++
 		}
@@ -1514,7 +1577,7 @@ func (a *Agent) FingerprintTables() uint64 {
 		mixString(zone)
 		for _, name := range names {
 			mixString(name)
-			mixUint64(fingerprintAttrsHash(t.rows[name]))
+			mixUint64(fingerprintAttrsHash(t.rows[name].SharedRow))
 		}
 	}
 	return h

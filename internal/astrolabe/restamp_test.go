@@ -1,0 +1,374 @@
+package astrolabe
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"newswire/internal/value"
+	"newswire/internal/wire"
+)
+
+// These tests pin the row model of DESIGN.md §8: a table entry is shared
+// immutable content plus this replica's own stamp, a heartbeat moves the
+// stamp and nothing else, and a signed row's stamp never leaves the time
+// its content was signed at.
+
+// sharedPeerRow returns updates of one third-party row at two issue times
+// that carry the same shared content pointer — what two agents of one
+// simulation hold after a peer re-stamped the row.
+func sharedPeerRow(at, later time.Time) (old, fresh wire.RowUpdate) {
+	row := &wire.SharedRow{
+		Name:  "peer",
+		Attrs: value.Map{AttrAddr: value.String("n9"), AttrLoad: value.Float(0)},
+		Owner: "n9",
+	}
+	return row.Update("/z", at), row.Update("/z", later)
+}
+
+func contentOf(a *Agent, zone, name string) *wire.SharedRow {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.tables[zone].rows[name].SharedRow
+}
+
+// setDirty overwrites a table's content-changed flag and returns what it
+// held.
+func setDirty(a *Agent, zone string, dirty bool) (was bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	was, a.tables[zone].dirty = a.tables[zone].dirty, dirty
+	return was
+}
+
+// TestRestampIsAStampMove: the same content pointer at a newer stamp
+// merges as a timestamp-only refresh — counted in RowsMerged as a row
+// delivery always was, never dirtying the zone — an older or equal stamp
+// is ignored, and the move stays local to the replica that merged it.
+func TestRestampIsAStampMove(t *testing.T) {
+	c := newTestCluster(t, []string{"/z", "/z"}, nil)
+	a, b := c.agents[0], c.agents[1]
+	t0 := c.eng.Now()
+	t1 := t0.Add(3 * time.Second)
+	old, fresh := sharedPeerRow(t0, t1)
+	a.MergeRows([]wire.RowUpdate{old})
+	b.MergeRows([]wire.RowUpdate{old})
+	if contentOf(a, "/z", "peer") != old.Shared() || contentOf(b, "/z", "peer") != old.Shared() {
+		t.Fatal("merging a shared update did not install its content pointer")
+	}
+
+	setDirty(b, "/z", false)
+	before := b.Stats()
+	b.MergeRows([]wire.RowUpdate{fresh})
+	after := b.Stats()
+	if got := after.RowsMerged - before.RowsMerged; got != 1 {
+		t.Fatalf("newer stamp on the stored content merged %d rows, want 1", got)
+	}
+	if setDirty(b, "/z", false) || after.AggEvals != before.AggEvals {
+		t.Fatalf("a stamp move dirtied the zone (%d aggregation evals)", after.AggEvals-before.AggEvals)
+	}
+	if contentOf(b, "/z", "peer") != old.Shared() {
+		t.Fatal("a stamp move replaced the shared content")
+	}
+	if row, _ := b.Row("/z", "peer"); !row.Issued.Equal(t1) {
+		t.Fatalf("stamp = %v after the move, want %v", row.Issued, t1)
+	}
+	if row, _ := a.Row("/z", "peer"); !row.Issued.Equal(t0) {
+		t.Fatalf("a replica's stamp moved with another's: %v, want %v", row.Issued, t0)
+	}
+
+	// Re-delivery at the stored stamp, and the older stamp, change nothing.
+	b.MergeRows([]wire.RowUpdate{fresh, old})
+	if got := b.Stats().RowsMerged; got != after.RowsMerged {
+		t.Fatalf("equal/older stamps merged %d rows, want 0", got-after.RowsMerged)
+	}
+	if row, _ := b.Row("/z", "peer"); !row.Issued.Equal(t1) {
+		t.Fatalf("an older stamp moved the row back to %v", row.Issued)
+	}
+
+	// What b now says about the row carries the new stamp.
+	b.mu.Lock()
+	digests, _ := b.digestLocked("/z")
+	rows, _ := b.sharedRowsLocked("/z")
+	b.mu.Unlock()
+	for _, d := range digests {
+		if d.Zone == "/z" && d.Name == "peer" && !d.Issued.Equal(t1) {
+			t.Fatalf("digest carries stamp %v, want %v", d.Issued, t1)
+		}
+	}
+	for i := range rows {
+		if u := &rows[i]; u.Zone == "/z" && u.Name == "peer" && (!u.Issued.Equal(t1) || u.Shared() != old.Shared()) {
+			t.Fatalf("update carries stamp %v / content %p, want %v / %p", u.Issued, u.Shared(), t1, old.Shared())
+		}
+	}
+}
+
+// TestHeartbeatMovesStampUnlessSigned: an unsigned agent's Tick keeps its
+// own row's content and moves the stamp; a signing agent builds a new row
+// whose signature covers the new issue time, and no path ever moves a
+// signed row's stamp.
+func TestHeartbeatMovesStampUnlessSigned(t *testing.T) {
+	plain := newTestCluster(t, []string{"/z"}, nil)
+	a := plain.agents[0]
+	content := contentOf(a, "/z", a.Name())
+	plain.eng.Clock().Advance(time.Second)
+	a.Tick()
+	if contentOf(a, "/z", a.Name()) != content {
+		t.Fatal("unsigned heartbeat rebuilt the row instead of moving its stamp")
+	}
+	if row, _ := a.Row("/z", a.Name()); !row.Issued.Equal(plain.eng.Now()) {
+		t.Fatalf("heartbeat left the stamp at %v, want %v", row.Issued, plain.eng.Now())
+	}
+
+	verify := func(r *wire.RowUpdate) error {
+		if want := append([]byte("sig:"), r.SignedPayload()...); !bytes.Equal(r.Sig, want) {
+			return fmt.Errorf("signature does not cover %s/%s at %v", r.Zone, r.Name, r.Issued)
+		}
+		return nil
+	}
+	signed := newTestCluster(t, []string{"/z", "/z"}, func(i int, cfg *Config) {
+		cfg.SignRow = func(r *wire.RowUpdate) {
+			r.Signer, r.Sig = "ca", append([]byte("sig:"), r.SignedPayload()...)
+		}
+		cfg.VerifyRow = verify
+	})
+	s, peer := signed.agents[0], signed.agents[1]
+	content = contentOf(s, "/z", s.Name())
+	signed.eng.Clock().Advance(time.Second)
+	s.Tick()
+	if contentOf(s, "/z", s.Name()) == content {
+		t.Fatal("signed heartbeat moved the stamp of a row signed at another time")
+	}
+	for _, u := range s.ChainRowUpdates() {
+		if err := verify(&u); err != nil {
+			t.Fatalf("after a heartbeat: %v", err)
+		}
+	}
+
+	// The peer holds s's row as signed a second ago. Neither a stamp nor a
+	// digest proving equal bytes may move it: only the newly signed row.
+	held, _ := peer.Row("/z", s.Name())
+	own := s.OwnRowUpdate()
+	hash := own.AsShared().AttrsHash()
+	peer.mu.Lock()
+	peer.applyStampsLocked([]wire.RowDigest{{Zone: "/z", Name: s.Name(), Issued: own.Issued, Hash: hash}})
+	_, want, _, _ := peer.diffDigestLocked("/z", []wire.RowDigest{{Zone: "/z", Name: s.Name(), Issued: own.Issued, Hash: hash}})
+	peer.mu.Unlock()
+	if now, _ := peer.Row("/z", s.Name()); !now.Issued.Equal(held.Issued) {
+		t.Fatalf("signed row re-stamped from %v to %v", held.Issued, now.Issued)
+	}
+	if len(want) != 1 || want[0].Name != s.Name() {
+		t.Fatalf("fresher signed digest must be wanted whole, got %+v", want)
+	}
+	peer.MergeRows([]wire.RowUpdate{own})
+	if now, _ := peer.Row("/z", s.Name()); !now.Issued.Equal(own.Issued) {
+		t.Fatalf("newly signed row did not merge: stamp %v, want %v", now.Issued, own.Issued)
+	}
+	if st := peer.Stats(); st.StampsApplied != 0 || st.RowsRejected != 0 {
+		t.Fatalf("signed cluster applied %d stamps, rejected %d rows", st.StampsApplied, st.RowsRejected)
+	}
+}
+
+// TestSharedRowConcurrentRestamps runs two agents that hold one SharedRow
+// through stamp moves at the same time — each under its own lock, as the
+// parallel executor does — while a third goroutine reads the shared
+// content. Meaningful under -race: the stamps are per replica and the
+// content is never written, so there is nothing to race on.
+func TestSharedRowConcurrentRestamps(t *testing.T) {
+	c := newTestCluster(t, []string{"/z", "/z"}, nil)
+	t0 := c.eng.Now()
+	old, _ := sharedPeerRow(t0, t0)
+	shared := old.Shared()
+	hash := shared.AttrsHash()
+	for _, a := range c.agents {
+		a.MergeRows([]wire.RowUpdate{old})
+	}
+	const moves = 500
+	var wg sync.WaitGroup
+	for _, a := range c.agents {
+		wg.Add(1)
+		go func(a *Agent) {
+			defer wg.Done()
+			for i := 1; i <= moves; i++ {
+				at := t0.Add(time.Duration(i) * time.Minute)
+				switch i % 3 {
+				case 0: // a peer's stamp
+					a.HandleMessage(&wire.Message{Kind: wire.KindGossipDelta, GossipDelta: &wire.GossipDelta{
+						FromZone: "/z", Stamps: []wire.RowDigest{{Zone: "/z", Name: "peer", Issued: at, Hash: hash}},
+					}})
+				case 1: // a digest proving the peer holds the same bytes, fresher
+					a.mu.Lock()
+					a.diffDigestLocked("/z", []wire.RowDigest{{Zone: "/z", Name: "peer", Issued: at, Hash: hash}})
+					a.mu.Unlock()
+				default: // the row itself, re-delivered at a newer stamp
+					a.MergeRows([]wire.RowUpdate{shared.Update("/z", at)})
+				}
+				if row, _ := a.Row("/z", "peer"); !row.Issued.Equal(at) {
+					t.Errorf("move %d: stamp %v, want %v", i, row.Issued, at)
+					return
+				}
+			}
+		}(a)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < moves; i++ {
+			_, _, _ = shared.Encoding(), shared.AttrsHash(), shared.WireAttrsSize()
+		}
+	}()
+	wg.Wait()
+	for _, a := range c.agents {
+		if contentOf(a, "/z", "peer") != shared {
+			t.Fatal("a stamp move replaced the shared content")
+		}
+	}
+}
+
+// TestDigestDiffExactUnderRepeatedNames: the push pass skips a table the
+// digest named in full, by count. A digest that names one row twice must
+// not count as naming two — the row it left out still has to be pushed.
+func TestDigestDiffExactUnderRepeatedNames(t *testing.T) {
+	c := newTestCluster(t, []string{"/z", "/z", "/z"}, nil)
+	a := c.agents[0]
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	full, _ := a.digestLocked("/z")
+	if rows, want, _, _ := a.diffDigestLocked("/z", full); len(rows) != 0 || len(want) != 0 {
+		t.Fatalf("own digest diffed to %d rows, %d wants", len(rows), len(want))
+	}
+	// Replace node-2's entry by a second copy of node-1's: same length.
+	var dup wire.RowDigest
+	for _, d := range full {
+		if d.Zone == "/z" && d.Name == "node-1" {
+			dup = d
+		}
+	}
+	hostile := append([]wire.RowDigest(nil), full...)
+	for i, d := range hostile {
+		if d.Zone == "/z" && d.Name == "node-2" {
+			hostile[i] = dup
+		}
+	}
+	// Run it as the diff on which the mark generation wraps back to the
+	// one the diff above marked every row with: stale marks must not count.
+	a.diffSeq = ^uint32(0)
+	rows, _, _, _ := a.diffDigestLocked("/z", hostile)
+	if len(rows) != 1 || rows[0].Name != "node-2" {
+		t.Fatalf("digest repeating a name hid the row it omitted: pushed %+v", rows)
+	}
+}
+
+// captureTransport hands an agent's sends to a function, so two agents can
+// run a gossip exchange synchronously with no simulator in between.
+type captureTransport struct {
+	addr string
+	send func(to string, m *wire.Message)
+}
+
+func (c *captureTransport) Addr() string { return c.addr }
+func (c *captureTransport) Close() error { return nil }
+func (c *captureTransport) Send(to string, m *wire.Message) error {
+	m.From = c.addr
+	c.send(to, m)
+	return nil
+}
+
+// TestHeartbeatPathsAllocateNothing is the allocation contract of the row
+// model. Between converged agents whose rows differ only in stamps,
+// applying a peer's stamps and re-stamping from a digest allocate no
+// objects, and a whole digest→delta exchange allocates only its three
+// messages' worth: the digest list, the stamp list, and the two message
+// structs each leg is made of.
+func TestHeartbeatPathsAllocateNothing(t *testing.T) {
+	zones := []string{"/r/a", "/r/a", "/r/a", "/r/b", "/r/b"}
+	c := newTestCluster(t, zones, nil)
+	c.runRounds(12)
+	a, b := c.agents[0], c.agents[1]
+
+	// The digest of a's own state, every row but a's own pushed an hour
+	// ahead per run: each is the very bytes a holds, fresher, past any lag.
+	a.mu.Lock()
+	digests, _ := a.digestLocked(a.leaf)
+	a.mu.Unlock()
+	movable := 0
+	advance := func() {
+		for i := range digests {
+			if d := &digests[i]; d.Zone != a.leaf || d.Name != a.name {
+				d.Issued = d.Issued.Add(time.Hour)
+			}
+		}
+	}
+	for _, d := range digests {
+		if d.Zone != a.leaf || d.Name != a.name {
+			movable++
+		}
+	}
+	if movable < 5 {
+		t.Fatalf("only %d movable rows; the cluster did not converge", movable)
+	}
+
+	const runs = 50
+	before := a.Stats().StampsApplied
+	if n := testing.AllocsPerRun(runs, func() {
+		advance()
+		a.mu.Lock()
+		a.applyStampsLocked(digests)
+		a.mu.Unlock()
+	}); n != 0 {
+		t.Errorf("applyStampsLocked allocates %v objects per call, want 0", n)
+	}
+	if got, want := a.Stats().StampsApplied-before, int64((runs+1)*movable); got != want {
+		t.Fatalf("applyStampsLocked moved %d stamps, want %d: the measured path did not run", got, want)
+	}
+
+	before = a.Stats().StampsApplied
+	if n := testing.AllocsPerRun(runs, func() {
+		advance()
+		a.mu.Lock()
+		rows, want, stamps, _ := a.diffDigestLocked(a.leaf, digests)
+		a.mu.Unlock()
+		if len(rows)+len(want)+len(stamps) != 0 {
+			t.Fatalf("re-stamp diff produced %d rows, %d wants, %d stamps", len(rows), len(want), len(stamps))
+		}
+	}); n != 0 {
+		t.Errorf("diffDigestLocked's re-stamp branch allocates %v objects per call, want 0", n)
+	}
+	if got, want := a.Stats().StampsApplied-before, int64((runs+1)*movable); got != want {
+		t.Fatalf("diffDigestLocked moved %d stamps, want %d: the measured path did not run", got, want)
+	}
+
+	// A whole exchange between a and b over a synchronous transport, with
+	// one heartbeat on b between exchanges so there is always news.
+	byAddr := map[string]*Agent{a.addr: a, b.addr: b}
+	for _, ag := range byAddr {
+		ag := ag
+		ag.cfg.Transport = &captureTransport{addr: ag.addr, send: func(to string, m *wire.Message) {
+			byAddr[to].HandleMessage(m)
+		}}
+	}
+	clock := c.eng.Clock()
+	clock.Advance(1000 * time.Hour) // past every stamp pushed ahead above
+	exchange := func() {
+		clock.Advance(time.Hour)
+		b.mu.Lock()
+		b.reissueLocked(b.tables[b.leaf], b.leaf, b.ownRow, clock.Now())
+		digests, _ := b.digestLocked(b.leaf)
+		b.mu.Unlock()
+		a.HandleMessage(&wire.Message{
+			Kind: wire.KindGossipDigest, From: b.addr,
+			GossipDigest: &wire.GossipDigest{FromZone: b.leaf, Digests: digests},
+		})
+	}
+	const budget = 6
+	if n := testing.AllocsPerRun(runs, exchange); n > budget {
+		t.Errorf("a digest→delta exchange allocates %v objects, budget %d", n, budget)
+	} else {
+		t.Logf("digest→delta exchange: %v objects (budget %d)", n, budget)
+	}
+	if row, _ := a.Row(b.leaf, b.name); !row.Issued.Equal(clock.Now()) {
+		t.Fatalf("the exchange did not carry b's heartbeat to a: stamp %v, want %v", row.Issued, clock.Now())
+	}
+}

@@ -89,33 +89,38 @@ func AncestorChain(path string) []string {
 	return chain
 }
 
-// ZoneContains reports whether zone ancestor contains (or equals) path.
+// ZoneContains reports whether zone ancestor contains (or equals) path:
+// whether ancestor is on AncestorChain(path).
 func ZoneContains(ancestor, path string) bool {
-	if ancestor == RootZone {
+	if ancestor == RootZone || ancestor == path {
 		return true
 	}
-	if ancestor == path {
-		return true
-	}
-	return strings.HasPrefix(path, ancestor+"/")
+	return len(path) > len(ancestor) && path[len(ancestor)] == '/' &&
+		path[:len(ancestor)] == ancestor
 }
 
-// CommonAncestor returns the deepest zone containing both paths.
+// CommonAncestor returns the deepest zone containing both paths: the last
+// zone AncestorChain(a) and AncestorChain(b) share. It scans the two
+// strings in place — every gossip exchange asks it.
 func CommonAncestor(a, b string) string {
-	ca := AncestorChain(a)
-	cb := AncestorChain(b)
-	n := len(ca)
-	if len(cb) < n {
-		n = len(cb)
+	if len(a) > len(b) {
+		a, b = b, a
 	}
-	common := RootZone
-	for i := 0; i < n; i++ {
-		if ca[i] != cb[i] {
-			break
+	// end is the length of the longest common prefix that ends on a
+	// segment boundary of both paths.
+	end, i := 0, 0
+	for ; i < len(a) && a[i] == b[i]; i++ {
+		if a[i] == '/' {
+			end = i
 		}
-		common = ca[i]
 	}
-	return common
+	if i == len(a) && (len(b) == len(a) || b[i] == '/') {
+		end = i // a itself contains b
+	}
+	if end == 0 {
+		return RootZone
+	}
+	return a[:end]
 }
 
 // ChildToward returns the child of ancestor that lies on the path toward
@@ -125,16 +130,16 @@ func ChildToward(ancestor, descendant string) (string, bool) {
 	if !ZoneContains(ancestor, descendant) || ancestor == descendant {
 		return "", false
 	}
-	rest := descendant
-	if ancestor != RootZone {
-		rest = descendant[len(ancestor):]
+	// The child is the prefix of descendant one segment longer than
+	// ancestor ("/" already ends in the separator).
+	start := len(ancestor) + 1
+	if ancestor == RootZone {
+		start = 1
 	}
-	// rest starts with "/segment...".
-	rest = rest[1:]
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
+	if i := strings.IndexByte(descendant[start:], '/'); i >= 0 {
+		return descendant[:start+i], true
 	}
-	return JoinZone(ancestor, rest), true
+	return descendant, true
 }
 
 // ZoneDepth returns the number of segments below the root (root = 0).

@@ -117,6 +117,44 @@ func TestCommonAncestor(t *testing.T) {
 	}
 }
 
+// TestZoneScansMatchAncestorChain holds the string-scanning ZoneContains,
+// CommonAncestor and ChildToward to their definitions over AncestorChain,
+// for every pair of a path set chosen for its traps: a sibling whose name
+// extends another's ("/a/b" vs "/a/bc"), the root, equal paths, and
+// ancestors at every depth.
+func TestZoneScansMatchAncestorChain(t *testing.T) {
+	paths := []string{
+		"/", "/a", "/ab", "/b", "/a/b", "/a/bc", "/a/b/c", "/a/b/cd", "/a/bc/c",
+		"/ab/b", "/a/b/c/d", "/usa/ny", "/usa/nyc", "/usa/ny/ithaca",
+	}
+	for _, a := range paths {
+		for _, b := range paths {
+			ca, cb := AncestorChain(a), AncestorChain(b)
+			wantContains := false
+			for _, z := range cb {
+				wantContains = wantContains || z == a
+			}
+			if got := ZoneContains(a, b); got != wantContains {
+				t.Errorf("ZoneContains(%q, %q) = %v, want %v", a, b, got, wantContains)
+			}
+			wantCommon := RootZone
+			for i := 0; i < len(ca) && i < len(cb) && ca[i] == cb[i]; i++ {
+				wantCommon = ca[i]
+			}
+			if got := CommonAncestor(a, b); got != wantCommon {
+				t.Errorf("CommonAncestor(%q, %q) = %q, want %q", a, b, got, wantCommon)
+			}
+			wantChild, wantOK := "", wantContains && a != b
+			if wantOK {
+				wantChild = cb[len(ca)]
+			}
+			if got, ok := ChildToward(a, b); got != wantChild || ok != wantOK {
+				t.Errorf("ChildToward(%q, %q) = %q, %v; want %q, %v", a, b, got, ok, wantChild, wantOK)
+			}
+		}
+	}
+}
+
 func TestChildToward(t *testing.T) {
 	tests := []struct {
 		ancestor, descendant, want string

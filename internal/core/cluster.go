@@ -193,7 +193,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				if first+size > cfg.N {
 					size = cfg.N - first
 				}
-				vz = newVirtualZone(zone, ordinal, first, size, cfg.VirtualSubjects)
+				vz = newVirtualZone(zone, ordinal, first, size, cfg.VirtualSubjects, issued)
 				if c.exec != nil {
 					// One sink owner per zone serializes the zone's
 					// virtual delivery events and buffers their acks,
@@ -213,7 +213,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				c.exec.Adopt(ep, vz.owner)
 				c.exec.SetShard(ep, vz.ordinal)
 			}
-			vz.template(pos, fmt.Sprintf("node-%d", i), addr, subsVal, loadVal, virtVal, issued)
+			vz.template(pos, fmt.Sprintf("node-%d", i), addr, subsVal, loadVal, virtVal)
 			c.Nodes = append(c.Nodes, nil)
 			continue
 		}

@@ -582,7 +582,9 @@ func (n *Node) publishHealth() {
 // dedup against the cache, so a fully caught-up node pays one small
 // round trip.
 func (n *Node) antiEntropyStep() {
-	peers := n.recoveryCandidates()
+	sc := candidatePool.Get().(*candidateScratch)
+	defer sc.release()
+	peers := n.recoveryCandidates(sc)
 	if len(peers) == 0 {
 		return
 	}
@@ -851,7 +853,9 @@ func (n *Node) Resync(maxItems int) error {
 }
 
 func (n *Node) recoverSince(since time.Time, maxItems int) error {
-	peers := n.recoveryCandidates()
+	sc := candidatePool.Get().(*candidateScratch)
+	defer sc.release()
+	peers := n.recoveryCandidates(sc)
 	if len(peers) == 0 {
 		return fmt.Errorf("core: no peers to recover from")
 	}
@@ -868,20 +872,47 @@ func (n *Node) recoverSince(since time.Time, maxItems int) error {
 	return firstErr
 }
 
+// candidateScratch is the working memory of one recoveryCandidates call.
+// It is pooled, not kept per node: a node draws candidates every few
+// ticks, which is often enough that building a ~70-entry set and three
+// table snapshots from nothing dominated the control plane's allocations,
+// and rarely enough that a thousand nodes each retaining their own would
+// only grow the heap. A pool is also safe when a caller's
+// RecoverFromZonePeer overlaps the node's own ticker.
+type candidateScratch struct {
+	seen  map[string]struct{}
+	rows  []astrolabe.Row
+	peers []string
+}
+
+var candidatePool = sync.Pool{
+	New: func() any { return &candidateScratch{seen: make(map[string]struct{})} },
+}
+
+// release returns sc to the pool, dropping what it references; the peers
+// slice recoveryCandidates returned from it is dead after this.
+func (sc *candidateScratch) release() {
+	clear(sc.seen)
+	clear(sc.rows[:cap(sc.rows)])
+	clear(sc.peers[:cap(sc.peers)])
+	sc.rows, sc.peers = sc.rows[:0], sc.peers[:0]
+	candidatePool.Put(sc)
+}
+
 // recoveryCandidates lists peer addresses whose caches may hold missed
 // items: leaf-zone members, then sibling-zone representatives at every
-// level.
-func (n *Node) recoveryCandidates() []string {
-	seen := map[string]bool{n.Addr(): true}
-	var out []string
+// level. The list lives in sc.
+func (n *Node) recoveryCandidates(sc *candidateScratch) []string {
+	sc.seen[n.Addr()] = struct{}{}
 	add := func(addr string) {
-		if addr != "" && !seen[addr] {
-			seen[addr] = true
-			out = append(out, addr)
+		if _, dup := sc.seen[addr]; addr != "" && !dup {
+			sc.seen[addr] = struct{}{}
+			sc.peers = append(sc.peers, addr)
 		}
 	}
-	if rows, ok := n.agent.Table(n.agent.ZonePath()); ok {
-		for _, r := range rows {
+	var ok bool
+	if sc.rows, ok = n.agent.AppendTable(sc.rows[:0], n.agent.ZonePath()); ok {
+		for _, r := range sc.rows {
 			if r.Name == n.agent.Name() {
 				continue
 			}
@@ -895,20 +926,17 @@ func (n *Node) recoveryCandidates() []string {
 	}
 	chain := n.agent.Chain()
 	for i := len(chain) - 2; i >= 0; i-- {
-		zone := chain[i]
-		rows, ok := n.agent.Table(zone)
-		if !ok {
+		if sc.rows, ok = n.agent.AppendTable(sc.rows[:0], chain[i]); !ok {
 			continue
 		}
-		for _, r := range rows {
-			if reps, ok := r.Attrs[astrolabe.AttrReps].AsStrings(); ok {
-				for _, rep := range reps {
-					add(rep)
-				}
+		for _, r := range sc.rows {
+			reps, _ := r.Attrs[astrolabe.AttrReps].RawStrings()
+			for _, rep := range reps {
+				add(rep)
 			}
 		}
 	}
-	return out
+	return sc.peers
 }
 
 func (n *Node) handleStateRequest(msg *wire.Message) {

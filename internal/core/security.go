@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"newswire/internal/cert"
@@ -52,9 +53,35 @@ func NewSecurity(s Security) (*Security, error) {
 	return &s, nil
 }
 
+// payloadPool recycles the buffers signed payloads are rendered into:
+// every hop of every signed row and item renders one only to hash it, and
+// neither signing nor verifying keeps the bytes.
+var payloadPool = sync.Pool{
+	New: func() any { b := make([]byte, 0, 4096); return &b },
+}
+
+// maxPooledPayload keeps one huge item from pinning its size in the pool.
+const maxPooledPayload = 1 << 20
+
+// signedPayload renders what p's signature covers into a pooled buffer;
+// the caller hands it back with putPayload once it has been hashed.
+func signedPayload(p interface{ AppendSignedPayload([]byte) []byte }) *[]byte {
+	buf := payloadPool.Get().(*[]byte)
+	*buf = p.AppendSignedPayload((*buf)[:0])
+	return buf
+}
+
+func putPayload(buf *[]byte) {
+	if cap(*buf) <= maxPooledPayload {
+		payloadPool.Put(buf)
+	}
+}
+
 // signRow signs a gossiped row with the node's member key.
 func (s *Security) signRow(r *wire.RowUpdate) {
-	blob := cert.SignBlob(s.CertName, s.Key, r.SignedPayload())
+	buf := signedPayload(r)
+	defer putPayload(buf)
+	blob := cert.SignBlob(s.CertName, s.Key, *buf)
 	r.Signer = blob.Signer
 	r.Sig = blob.Signature
 }
@@ -66,7 +93,9 @@ func (s *Security) verifyRow(r *wire.RowUpdate) error {
 		return fmt.Errorf("core: unsigned row %s/%s", r.Zone, r.Name)
 	}
 	sig := cert.SignedBlob{Signer: r.Signer, Signature: r.Sig}
-	return s.Store.VerifySigned(sig, r.SignedPayload(), s.AuthorityPub, s.now(),
+	buf := signedPayload(r)
+	defer putPayload(buf)
+	return s.Store.VerifySigned(sig, *buf, s.AuthorityPub, s.now(),
 		cert.RoleMember, cert.RoleAuthority)
 }
 
@@ -79,7 +108,9 @@ func (s *Security) signEnvelope(env *wire.ItemEnvelope) error {
 	if name == "" {
 		name = env.Publisher
 	}
-	blob := cert.SignBlob(name, *s.PublisherKey, env.SignedPayload())
+	buf := signedPayload(env)
+	defer putPayload(buf)
+	blob := cert.SignBlob(name, *s.PublisherKey, *buf)
 	env.Signer = blob.Signer
 	env.Sig = blob.Signature
 	return nil
@@ -94,7 +125,9 @@ func (s *Security) verifyEnvelope(env *wire.ItemEnvelope) error {
 		return fmt.Errorf("core: unsigned item %s", env.Key())
 	}
 	sig := cert.SignedBlob{Signer: env.Signer, Signature: env.Sig}
-	return s.Store.VerifySigned(sig, env.SignedPayload(), s.AuthorityPub, s.now(),
+	buf := signedPayload(env)
+	defer putPayload(buf)
+	return s.Store.VerifySigned(sig, *buf, s.AuthorityPub, s.now(),
 		cert.RolePublisher)
 }
 

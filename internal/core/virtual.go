@@ -57,8 +57,9 @@ type virtualZone struct {
 	owner    int // parallel-executor sink owner (unused when serial)
 
 	// templates[pos] is the shared row standing in for member pos, nil
-	// for materialized members.
+	// for materialized members; all were issued at construction time.
 	templates []*wire.SharedRow
+	issued    time.Time
 	subjects  map[string]bool
 
 	// mu guards the delivery bitsets. Within a run all of the zone's
@@ -158,7 +159,7 @@ func (vz *virtualZone) templateUpdates() []wire.RowUpdate {
 	var out []wire.RowUpdate
 	for _, t := range vz.templates {
 		if t != nil {
-			out = append(out, t.Update(vz.zone))
+			out = append(out, t.Update(vz.zone, vz.issued))
 		}
 	}
 	return out
@@ -177,9 +178,10 @@ func virtualSubsBloom(subjects []string) value.Value {
 }
 
 // newVirtualZone packs the members [firstIdx, firstIdx+size) of zone.
-func newVirtualZone(zone string, ordinal, firstIdx, size int, subjects []string) *virtualZone {
+func newVirtualZone(zone string, ordinal, firstIdx, size int, subjects []string, issued time.Time) *virtualZone {
 	vz := &virtualZone{
 		zone:      zone,
+		issued:    issued,
 		ordinal:   ordinal,
 		firstIdx:  firstIdx,
 		size:      size,
@@ -195,7 +197,7 @@ func newVirtualZone(zone string, ordinal, firstIdx, size int, subjects []string)
 }
 
 // template builds (and remembers) the row standing in for member pos.
-func (vz *virtualZone) template(pos int, name, addr string, subsVal, loadVal, virtVal value.Value, issued time.Time) *wire.SharedRow {
+func (vz *virtualZone) template(pos int, name, addr string, subsVal, loadVal, virtVal value.Value) *wire.SharedRow {
 	row := &wire.SharedRow{
 		Name: name,
 		Attrs: value.Map{
@@ -204,8 +206,7 @@ func (vz *virtualZone) template(pos int, name, addr string, subsVal, loadVal, vi
 			astrolabe.AttrSubs:    subsVal,
 			astrolabe.AttrVirtual: virtVal,
 		},
-		Issued: issued,
-		Owner:  addr,
+		Owner: addr,
 	}
 	vz.templates[pos] = row
 	return row

@@ -549,6 +549,8 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 // forwardToRow sends m toward the zone summarized by row, via up to
 // RepCount of its representatives.
 func (r *Router) forwardToRow(zone string, row astrolabe.Row, m *wire.Multicast, nextTarget string) {
+	// A copy: the list is shuffled below, and the row's own is shared with
+	// every replica of the row.
 	reps, ok := row.Attrs[astrolabe.AttrReps].AsStrings()
 	if !ok || len(reps) == 0 {
 		if addr, ok := row.Attrs[astrolabe.AttrAddr].AsString(); ok {
@@ -734,7 +736,7 @@ func (r *Router) failoverAddr(p *pendingForward) string {
 	if !ok {
 		return p.addr
 	}
-	reps, ok := row.Attrs[astrolabe.AttrReps].AsStrings()
+	reps, ok := row.Attrs[astrolabe.AttrReps].RawStrings() // read only
 	if !ok || len(reps) == 0 {
 		if addr, ok := row.Attrs[astrolabe.AttrAddr].AsString(); ok {
 			reps = []string{addr}

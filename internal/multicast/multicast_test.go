@@ -682,3 +682,106 @@ func TestReliableRetriesHealLinkLoss(t *testing.T) {
 		t.Error("lost first copy should have been retried")
 	}
 }
+
+// TestRoutingLeavesSharedRepListsIntact guards the no-copy read accessor
+// (value.RawStrings) that gossip, failover and recovery use on `reps`
+// lists. A row's attribute values are shared by every replica of the row —
+// in a simulation, by every agent in the process — and forwardToRow
+// shuffles the list it forwards by, so it must shuffle a copy. Routing
+// 1,000 items from a representative, with a reader on the shared lists the
+// whole time, must leave every list in place and bit-identical; under
+// -race an in-place shuffle is also a reported write/read race.
+func TestRoutingLeavesSharedRepListsIntact(t *testing.T) {
+	zones := []string{
+		"/usa/ny", "/usa/ny", "/usa/ny", "/usa/ca", "/usa/ca", "/usa/ca",
+		"/asia/jp", "/asia/jp", "/asia/jp", "/asia/cn", "/asia/cn", "/asia/cn",
+	}
+	c := newMCCluster(t, zones, 2, nil)
+
+	type repList struct {
+		where string
+		list  []string // the shared slice itself
+		want  []string // its content before routing
+	}
+	var lists []repList
+	for i, n := range c.nodes {
+		for _, zone := range n.agent.Chain() {
+			rows, _ := n.agent.Table(zone)
+			for _, row := range rows {
+				if reps, ok := row.Attrs[astrolabe.AttrReps].RawStrings(); ok {
+					lists = append(lists, repList{
+						where: fmt.Sprintf("node %d table %s row %s", i, zone, row.Name),
+						list:  reps,
+						want:  append([]string(nil), reps...),
+					})
+				}
+			}
+		}
+	}
+	multi := 0
+	for _, l := range lists {
+		if len(l.list) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no row lists more than one representative: nothing a shuffle could reorder")
+	}
+	var publisher *mcNode
+	for _, n := range c.nodes {
+		if n.agent.IsRepresentative("/") {
+			publisher = n
+			break
+		}
+	}
+	if publisher == nil {
+		t.Fatal("no root-level representative elected")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, l := range lists {
+				for i := range l.list {
+					if l.list[i] != l.want[i] {
+						t.Errorf("%s: reps[%d] read as %q mid-routing, want %q", l.where, i, l.list[i], l.want[i])
+						return
+					}
+				}
+			}
+		}
+	}()
+	const items = 1000
+	for i := 0; i < items; i++ {
+		if err := publisher.router.Publish(envelope(fmt.Sprintf("story-%d", i)), "/"); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			c.eng.RunFor(time.Second)
+		}
+	}
+	c.eng.RunFor(5 * time.Second)
+	close(stop)
+	wg.Wait()
+
+	for i, n := range c.nodes {
+		if got := len(n.deliveredKeys()); got != items {
+			t.Errorf("node %d delivered %d of %d items: the routing under test did not run", i, got, items)
+		}
+	}
+	for _, l := range lists {
+		for i := range l.list {
+			if l.list[i] != l.want[i] {
+				t.Fatalf("%s: reps = %v after routing, want %v", l.where, l.list, l.want)
+			}
+		}
+	}
+}

@@ -3,7 +3,9 @@ package sqlagg
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"newswire/internal/value"
 )
@@ -296,7 +298,7 @@ func (a *repsAgg) add(args []value.Value) {
 		s, _ := args[2].AsString()
 		vals = []string{s}
 	case value.KindStrings:
-		vals, _ = args[2].AsStrings()
+		vals, _ = args[2].RawStrings() // only read: result copies what it picks
 	default:
 		return
 	}
@@ -311,12 +313,11 @@ func (a *repsAgg) result() value.Value {
 		return value.Invalid()
 	}
 	rows := a.rows
-	sort.SliceStable(rows, func(i, j int) bool {
-		c, err := rows[i].order.Compare(rows[j].order)
-		if err != nil || c == 0 {
-			return rows[i].vals[0] < rows[j].vals[0]
+	slices.SortStableFunc(rows, func(x, y repsRow) int {
+		if c, err := x.order.Compare(y.order); err == nil && c != 0 {
+			return c
 		}
-		return c < 0
+		return strings.Compare(x.vals[0], y.vals[0])
 	})
 	seen := make(map[string]bool, a.k)
 	out := make([]string, 0, a.k)

@@ -44,6 +44,20 @@ func Intern(s string) string {
 	return s
 }
 
+// InternBytes is Intern for a name still sitting in a decode buffer. A hit
+// — every name of every frame once a system has warmed up — allocates
+// nothing: the map lookup reads b in place, and only a name not seen
+// before is copied out into a string.
+func InternBytes(b []byte) string {
+	internMu.RLock()
+	c, ok := interned[string(b)] // no copy: the compiler reads b for a lookup key
+	internMu.RUnlock()
+	if ok {
+		return c
+	}
+	return Intern(string(b))
+}
+
 // InternKeys re-keys m through the intern table so the map retains one
 // shared instance of each attribute name instead of per-message copies.
 // Values are untouched. Callers must own m (decode paths do).

@@ -18,6 +18,31 @@ func TestInternReturnsCanonicalInstance(t *testing.T) {
 	}
 }
 
+func TestInternBytes(t *testing.T) {
+	canon := Intern("nmembers")
+	buf := []byte("xxnmembersyy")
+	got := InternBytes(buf[2:10])
+	if got != canon || unsafe.StringData(got) != unsafe.StringData(canon) {
+		t.Fatalf("InternBytes hit = %q, want the canonical instance of %q", got, canon)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = InternBytes(buf[2:10]) }); n != 0 {
+		t.Fatalf("InternBytes hit allocates %v objects, want 0", n)
+	}
+	// A miss registers a copy, not a view of the caller's buffer.
+	miss := []byte("intern-bytes-first-sighting")
+	first := InternBytes(miss)
+	miss[0] = 'X'
+	if first != "intern-bytes-first-sighting" {
+		t.Fatalf("interned name aliases the decode buffer: %q", first)
+	}
+	if again := Intern("intern-bytes-first-sighting"); unsafe.StringData(again) != unsafe.StringData(first) {
+		t.Fatal("InternBytes miss did not register the name")
+	}
+	if got := InternBytes(nil); got != "" {
+		t.Fatalf("InternBytes(nil) = %q", got)
+	}
+}
+
 func TestInternKeysDropsPerMessageCopies(t *testing.T) {
 	canon := Intern("load")
 	// Simulate a decoded message: the key is a fresh heap copy.

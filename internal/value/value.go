@@ -14,7 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -167,8 +167,11 @@ func (v Value) RawBytes() ([]byte, bool) {
 	return v.by, true
 }
 
-// RawStrings returns the string-list payload without copying. The caller
-// must not mutate the result. ok is false if v is not a string list.
+// RawStrings returns the string-list payload without copying, for callers
+// that only read it: nobody may mutate the result. A Value inside a gossiped
+// row is shared by every replica of that row — in the simulator, by every
+// agent in the process — so writing through this slice would corrupt them
+// all. ok is false if v is not a string list.
 func (v Value) RawStrings() ([]string, bool) {
 	if v.kind != KindStrings {
 		return nil, false
@@ -179,8 +182,9 @@ func (v Value) RawStrings() ([]string, bool) {
 // AsTime returns the timestamp payload. ok is false if v is not a time.
 func (v Value) AsTime() (time.Time, bool) { return v.t, v.kind == KindTime }
 
-// AsStrings returns a copy of the string-list payload. ok is false if v is
-// not a string list.
+// AsStrings returns a copy of the string-list payload, which the caller
+// owns and may reorder, edit or return to its own callers; readers that do
+// none of that use RawStrings. ok is false if v is not a string list.
 func (v Value) AsStrings() ([]string, bool) {
 	if v.kind != KindStrings {
 		return nil, false
@@ -454,17 +458,21 @@ func (m Map) Clone() Map {
 
 // Keys returns the attribute names in sorted order.
 func (m Map) Keys() []string {
-	keys := make([]string, 0, len(m))
+	return m.appendSortedKeys(make([]string, 0, len(m)))
+}
+
+func (m Map) appendSortedKeys(dst []string) []string {
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(dst)
+	return dst
 }
 
 // AppendBinary appends a deterministic (sorted-key) encoding of m to dst.
 func (m Map) AppendBinary(dst []byte) []byte {
-	keys := m.Keys()
+	var scratch [16]string // rows hold a handful of attributes: sort them on the stack
+	keys := m.appendSortedKeys(scratch[:0])
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		dst = binary.AppendUvarint(dst, uint64(len(k)))

@@ -537,14 +537,17 @@ func (d *binDecoder) count(what string) int {
 	return int(c)
 }
 
-func (d *binDecoder) str() string {
+func (d *binDecoder) str() string { return string(d.rawStr()) }
+
+// rawStr returns the next string's bytes in place, a view of the frame.
+func (d *binDecoder) rawStr() []byte {
 	n := d.count("string length")
-	if d.err != nil || n == 0 {
-		return ""
+	if d.err != nil {
+		return nil
 	}
-	s := string(d.data[d.pos : d.pos+n])
+	b := d.data[d.pos : d.pos+n]
 	d.pos += n
-	return s
+	return b
 }
 
 func (d *binDecoder) byteSlice() []byte {
@@ -587,7 +590,10 @@ func (d *binDecoder) table() {
 		if d.err != nil {
 			return
 		}
-		d.tbl = append(d.tbl, value.Intern(d.str()))
+		// Interned straight from the frame: a table entry is a zone path
+		// or attribute name seen on every earlier frame, and a hit must
+		// not allocate the string only to drop it.
+		d.tbl = append(d.tbl, value.InternBytes(d.rawStr()))
 	}
 }
 

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -92,6 +94,26 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 		}
 		seeds = append(seeds, data)
 	}
+	// Hand-built digest frames for the string table, which the encoder
+	// never emits in these shapes: one that repeats a name, and one with
+	// more distinct names than value's intern table holds (1<<14), so the
+	// decoder crosses from interned hits to first sightings to the
+	// pass-through beyond the cap.
+	tableFrame := func(names []string) []byte {
+		b := []byte{codecMagic, byte(KindGossipDigest), 2, 'n', '1'}
+		b = binary.AppendUvarint(b, uint64(len(names)))
+		for _, s := range names {
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
+		}
+		return append(b, 0, 0) // FromZone = entry 0, no digests
+	}
+	seeds = append(seeds, tableFrame([]string{"/usa/ny", "subs", "/usa/ny", "subs", ""}))
+	capNames := make([]string, 1<<14+2)
+	for i := range capNames {
+		capNames[i] = "fz" + strconv.Itoa(i)
+	}
+	seeds = append(seeds, tableFrame(capNames))
 	// One gob frame so the fallback decoder is in the corpus too.
 	SetGobFallback(true)
 	data, err := Encode(sampleGossipMessage())

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,13 +8,20 @@ import (
 	"newswire/internal/value"
 )
 
-// SharedRow is one immutable MIB row shared by reference. An agent that
-// merges a gossiped row installs a pointer to the sender's SharedRow
-// instead of deep-copying the attributes, so an identical foreign row
-// replicated across a hundred thousand agents costs one allocation, not
+// SharedRow is the immutable content of one MIB row, shared by reference.
+// An agent that merges a gossiped row installs a pointer to the sender's
+// SharedRow instead of deep-copying the attributes, so an identical foreign
+// row replicated across a hundred thousand agents costs one allocation, not
 // one per replica.
 //
-// The invariant that makes this safe: rows are immutable once shared.
+// The row's issue time is deliberately not part of it: freshness is the
+// one thing about a row that changes every gossip round and differs
+// between replicas, so each replica keeps its own stamp beside the shared
+// pointer (astrolabe's table entry) and a heartbeat moves that stamp
+// without building a row. A signed row's signature covers the issue time
+// it was signed at, so its stamp never moves apart from its content.
+//
+// The invariant that makes sharing safe: rows are immutable once shared.
 // Nobody mutates a SharedRow's fields after it becomes reachable by a
 // second goroutine; writers build a fresh SharedRow (cloning the Attrs
 // map if they change it) and swap the pointer. The derived caches below
@@ -27,8 +33,6 @@ type SharedRow struct {
 	Name string
 	// Attrs is the row's attribute map. Read-only once the row is built.
 	Attrs value.Map
-	// Issued is when the row owner last wrote the row.
-	Issued time.Time
 	// Owner is the address of the issuing agent or aggregating
 	// representative.
 	Owner string
@@ -97,30 +101,25 @@ func (r *SharedRow) AttrsHash() uint64 { return r.ensure().hash }
 // canonical encoding).
 func (r *SharedRow) WireAttrsSize() int { return int(r.ensure().wireAttrs) }
 
-// EncLess orders two rows by their canonical encodings — the
-// deterministic tie-break every replica agrees on.
-func (r *SharedRow) EncLess(o *SharedRow) bool {
-	return bytes.Compare(r.Encoding(), o.Encoding()) < 0
-}
-
 // AdoptCache carries o's computed caches over to r. Valid only when r's
-// Attrs hold exactly the same content as o's (timestamp-only re-issues of
-// an unchanged row: the steady-state heartbeat path).
+// Attrs hold exactly the same content as o's (a signed row re-issued at a
+// new time with unchanged attributes needs a new signature, hence a new
+// row, but not a new encoding).
 func (r *SharedRow) AdoptCache(o *SharedRow) {
 	if c := o.cache.Load(); c != nil {
 		r.cache.CompareAndSwap(nil, c)
 	}
 }
 
-// Update renders the row as a RowUpdate for the given zone, carrying the
-// shared pointer so receivers on the in-memory transport can install it
-// without copying.
-func (r *SharedRow) Update(zone string) RowUpdate {
+// Update renders the row as a RowUpdate for the given zone as issued at
+// the holder's stamp, carrying the shared pointer so receivers on the
+// in-memory transport can install it without copying.
+func (r *SharedRow) Update(zone string, issued time.Time) RowUpdate {
 	return RowUpdate{
 		Zone:   zone,
 		Name:   r.Name,
 		Attrs:  r.Attrs,
-		Issued: r.Issued,
+		Issued: issued,
 		Owner:  r.Owner,
 		Signer: r.Signer,
 		Sig:    r.Sig,
@@ -132,10 +131,10 @@ func (r *SharedRow) Update(zone string) RowUpdate {
 // updates built field-by-field (decoded messages, tests).
 func (u *RowUpdate) Shared() *SharedRow { return u.shared }
 
-// AsShared returns a SharedRow holding this update's content: the carried
-// pointer when present, otherwise a freshly built row that takes
-// ownership of u.Attrs (decode paths hand the map over; it is not
-// aliased elsewhere).
+// AsShared returns a SharedRow holding this update's content (everything
+// but Zone and Issued): the carried pointer when present, otherwise a
+// freshly built row that takes ownership of u.Attrs (decode paths hand the
+// map over; it is not aliased elsewhere).
 func (u *RowUpdate) AsShared() *SharedRow {
 	if u.shared != nil {
 		return u.shared
@@ -143,7 +142,6 @@ func (u *RowUpdate) AsShared() *SharedRow {
 	return &SharedRow{
 		Name:   u.Name,
 		Attrs:  u.Attrs,
-		Issued: u.Issued,
 		Owner:  u.Owner,
 		Signer: u.Signer,
 		Sig:    u.Sig,

@@ -132,8 +132,7 @@ func TestSharedRowEncodingInArena(t *testing.T) {
 			"load": value.Float(0.25),
 			"subs": value.Bytes(bytes.Repeat([]byte{0x5A}, 128)),
 		},
-		Issued: time.Unix(1017619200, 0),
-		Owner:  "n1",
+		Owner: "n1",
 	}
 	want := row.Attrs.AppendBinary(nil)
 	const goroutines = 8

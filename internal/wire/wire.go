@@ -101,17 +101,19 @@ type RowUpdate struct {
 
 // SignedPayload renders the row fields covered by the owner's signature:
 // everything except the signature fields themselves.
-func (r *RowUpdate) SignedPayload() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(r.Zone)
-	buf.WriteByte(0)
-	buf.WriteString(r.Name)
-	buf.WriteByte(0)
-	buf.Write(r.Attrs.AppendBinary(nil))
-	fmt.Fprintf(&buf, "%d", r.Issued.UnixNano())
-	buf.WriteByte(0)
-	buf.WriteString(r.Owner)
-	return buf.Bytes()
+func (r *RowUpdate) SignedPayload() []byte { return r.AppendSignedPayload(nil) }
+
+// AppendSignedPayload appends SignedPayload's bytes to dst, so the sign
+// and verify paths can render into a reused buffer.
+func (r *RowUpdate) AppendSignedPayload(dst []byte) []byte {
+	dst = append(dst, r.Zone...)
+	dst = append(dst, 0)
+	dst = append(dst, r.Name...)
+	dst = append(dst, 0)
+	dst = r.Attrs.AppendBinary(dst)
+	dst = strconv.AppendInt(dst, r.Issued.UnixNano(), 10)
+	dst = append(dst, 0)
+	return append(dst, r.Owner...)
 }
 
 // Gossip is the request leg of a push-pull anti-entropy exchange: the
@@ -239,26 +241,28 @@ func (e *ItemEnvelope) SealKey() { e.key = e.buildKey() }
 
 // SignedPayload renders the envelope fields covered by the publisher
 // signature.
-func (e *ItemEnvelope) SignedPayload() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(e.Publisher)
-	buf.WriteByte(0)
-	buf.WriteString(e.ItemID)
-	buf.WriteByte(0)
-	fmt.Fprintf(&buf, "%d", e.Revision)
-	buf.WriteByte(0)
+func (e *ItemEnvelope) SignedPayload() []byte { return e.AppendSignedPayload(nil) }
+
+// AppendSignedPayload appends SignedPayload's bytes to dst, so the sign
+// and verify paths can render into a reused buffer.
+func (e *ItemEnvelope) AppendSignedPayload(dst []byte) []byte {
+	dst = append(dst, e.Publisher...)
+	dst = append(dst, 0)
+	dst = append(dst, e.ItemID...)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(e.Revision), 10)
+	dst = append(dst, 0)
 	for _, s := range e.Subjects {
-		buf.WriteString(s)
-		buf.WriteByte(0)
+		dst = append(dst, s...)
+		dst = append(dst, 0)
 	}
-	buf.WriteString(e.ScopeZone)
-	buf.WriteByte(0)
-	buf.WriteString(e.Predicate)
-	buf.WriteByte(0)
-	fmt.Fprintf(&buf, "%d", e.Published.UnixNano())
-	buf.WriteByte(0)
-	buf.Write(e.Payload)
-	return buf.Bytes()
+	dst = append(dst, e.ScopeZone...)
+	dst = append(dst, 0)
+	dst = append(dst, e.Predicate...)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, e.Published.UnixNano(), 10)
+	dst = append(dst, 0)
+	return append(dst, e.Payload...)
 }
 
 // Multicast is a SendToZone forward: deliver the envelope to every
