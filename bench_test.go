@@ -427,7 +427,10 @@ func BenchmarkGossipRound(b *testing.B) {
 // exchanges, aggregation, recovery-peer draws, the simulator's timers — so
 // allocs/op ÷ 1,024 is what a node allocates per round, and with
 // -memprofile (and -memprofilerate 1 for exact counts) it regenerates the
-// control-plane allocation ledger in EXPERIMENTS.md.
+// control-plane allocation ledger in EXPERIMENTS.md. Beside bytes/round it
+// reports where those bytes went (the network's per-kind ledger): item
+// forwards, state transfer (requests and replies), gossip digests and
+// gossip deltas — the rows of EXPERIMENTS.md's sim_churn byte ledger.
 func BenchmarkChurnRound(b *testing.B) {
 	const nodes, branching, subjects, itemsPerRound, downRounds = 1024, 16, 16, 4, 3
 	const interval = 2 * time.Second
@@ -453,6 +456,25 @@ func BenchmarkChurnRound(b *testing.B) {
 	defer cluster.StopTicking()
 	rng := rand.New(rand.NewSource(1))
 	var down []int // victims, oldest first
+	ledger := []struct {
+		unit  string
+		kinds []wire.Kind
+		start int64
+	}{
+		{unit: "multicast-KB/round", kinds: []wire.Kind{wire.KindMulticast}},
+		{unit: "state-KB/round", kinds: []wire.Kind{wire.KindStateRequest, wire.KindStateReply}},
+		{unit: "digest-KB/round", kinds: []wire.Kind{wire.KindGossipDigest}},
+		{unit: "delta-KB/round", kinds: []wire.Kind{wire.KindGossipDelta}},
+	}
+	kindBytes := func(kinds []wire.Kind) (sum int64) {
+		for _, k := range kinds {
+			sum += cluster.Net.SentByKind(k).Bytes
+		}
+		return sum
+	}
+	for i := range ledger {
+		ledger[i].start = kindBytes(ledger[i].kinds)
+	}
 	startBytes, _ := cluster.Net.BytesTotals()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -485,6 +507,9 @@ func BenchmarkChurnRound(b *testing.B) {
 	b.StopTimer()
 	endBytes, _ := cluster.Net.BytesTotals()
 	b.ReportMetric(float64(endBytes-startBytes)/float64(b.N), "bytes/round")
+	for _, row := range ledger {
+		b.ReportMetric(float64(kindBytes(row.kinds)-row.start)/1000/float64(b.N), row.unit)
+	}
 }
 
 // TestGossipRoundTraceOverheadGuard is the CI gate on the disabled-tracing

@@ -349,7 +349,6 @@ type Agent struct {
 	ownRow  *wire.SharedRow // content of the agent's own leaf row
 	diffSeq uint32          // generation of entry.named marks
 	stats   Stats
-	started time.Time
 }
 
 // NewAgent validates cfg and returns an agent with its own row issued
@@ -401,7 +400,6 @@ func NewAgent(cfg Config) (*Agent, error) {
 	for _, z := range a.chain {
 		a.tables[z] = &table{rows: make(map[string]entry), dirty: true}
 	}
-	a.started = cfg.Clock.Now()
 	a.setOwnAttrsLocked(value.Map{
 		AttrAddr: value.String(a.addr),
 		AttrLoad: value.Float(0),

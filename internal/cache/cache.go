@@ -7,8 +7,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -217,27 +218,73 @@ func (c *Cache) Stats() Stats {
 // Since returns up to max envelopes published at or after t (all of them
 // when max <= 0), optionally restricted to items matching any of the given
 // subjects, ordered by publication time. truncated reports whether max cut
-// the result short. This is the state-transfer query (§9): joining nodes
-// and recovering subscribers call it on a peer.
+// the result short. It is the local form of the state-transfer query.
 func (c *Cache) Since(t time.Time, subjects []string, max int) (envs []wire.ItemEnvelope, truncated bool) {
+	return c.SinceExcept(t, subjects, 0, nil, max)
+}
+
+// Have lists what the cache holds from t on, in the form a state request
+// carries it (wire.StateRequest.Have): the wire.ItemHash under salt of
+// every cached envelope key published at or after t, ascending. Nil when
+// there is nothing to list.
+func (c *Cache) Have(t time.Time, salt uint64) []uint64 {
+	c.mu.Lock()
+	n := 0
+	for _, e := range c.entries {
+		if !e.env.Published.Before(t) {
+			n++
+		}
+	}
+	if n == 0 {
+		c.mu.Unlock()
+		return nil
+	}
+	have := make([]uint64, 0, n)
+	for key, e := range c.entries {
+		if !e.env.Published.Before(t) {
+			have = append(have, wire.ItemHash(salt, key))
+		}
+	}
+	c.mu.Unlock()
+	slices.Sort(have)
+	return have
+}
+
+// SinceExcept is Since without the envelopes a requester already holds:
+// have is the requester's Have list under salt, and every envelope whose
+// salted key hash is on it is left out before max is applied, so a
+// truncated transfer continues where the last one stopped once the
+// requester lists what arrived. This is the state-transfer query (§9):
+// joining nodes, recovering subscribers and item anti-entropy run it on a
+// peer. have must be ascending; out of order it only makes the search miss
+// entries, which sends an envelope the requester has and never hides one.
+func (c *Cache) SinceExcept(t time.Time, subjects []string, salt uint64, have []uint64, max int) (envs []wire.ItemEnvelope, truncated bool) {
 	c.mu.Lock()
 	var matched []*entry
-	for _, e := range c.entries {
+	for key, e := range c.entries {
 		if e.env.Published.Before(t) {
 			continue
 		}
 		if len(subjects) > 0 && !matchesAny(e.env.Subjects, subjects) {
 			continue
 		}
+		if len(have) > 0 {
+			if _, held := slices.BinarySearch(have, wire.ItemHash(salt, key)); held {
+				continue
+			}
+		}
 		matched = append(matched, e)
 	}
 	c.mu.Unlock()
+	if len(matched) == 0 {
+		return nil, false
+	}
 
-	sort.Slice(matched, func(i, j int) bool {
-		if !matched[i].env.Published.Equal(matched[j].env.Published) {
-			return matched[i].env.Published.Before(matched[j].env.Published)
+	slices.SortFunc(matched, func(a, b *entry) int {
+		if byTime := a.env.Published.Compare(b.env.Published); byTime != 0 {
+			return byTime
 		}
-		return matched[i].seq < matched[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	if max > 0 && len(matched) > max {
 		matched = matched[:max]

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -302,4 +304,181 @@ func TestEvictionQueueCompaction(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 fused entry", c.Len())
 	}
+}
+
+func TestHaveListsTheWindowUnderTheSalt(t *testing.T) {
+	c, clock := newTestCache(t, Config{})
+	t0 := clock.Now()
+	if have := c.Have(t0, 1); have != nil {
+		t.Fatalf("Have on an empty cache = %v, want nil", have)
+	}
+	c.Put(env("p", "old", 0, t0.Add(-time.Minute)))
+	var want []uint64
+	for i := 0; i < 40; i++ {
+		e := env("p", fmt.Sprintf("it-%d", i), i%3, t0.Add(time.Duration(i)*time.Second))
+		c.Put(e)
+		want = append(want, wire.ItemHash(77, e.Key()))
+	}
+	slices.Sort(want)
+	have := c.Have(t0, 77)
+	if !slices.Equal(have, want) {
+		t.Fatalf("Have = %v\nwant %v", have, want)
+	}
+	if other := c.Have(t0, 78); slices.Equal(other, have) {
+		t.Fatal("a different salt produced the same summary")
+	}
+	if all := c.Have(time.Time{}, 77); len(all) != 41 {
+		t.Fatalf("Have since the epoch lists %d entries, want 41", len(all))
+	}
+	if none := c.Have(t0.Add(time.Hour), 77); none != nil {
+		t.Fatalf("Have past the newest item = %v, want nil", none)
+	}
+}
+
+func TestSinceExceptServesOnlyTheDifference(t *testing.T) {
+	peer, clock := newTestCache(t, Config{})
+	mine, _ := newTestCache(t, Config{})
+	t0 := clock.Now()
+	const n = 30
+	missing := map[string]bool{}
+	for i := 0; i < n; i++ {
+		e := env("p", fmt.Sprintf("it-%d", i), 0, t0.Add(time.Duration(i)*time.Second))
+		peer.Put(e)
+		if i%4 == 1 { // 7 of the 30
+			missing[e.ItemID] = true
+		} else {
+			mine.Put(e)
+		}
+	}
+	const salt = 0xabcdef
+	envs, truncated := peer.SinceExcept(t0, nil, salt, mine.Have(t0, salt), 0)
+	if truncated || len(envs) != len(missing) {
+		t.Fatalf("got %d envelopes (truncated=%v), want the %d missing ones", len(envs), truncated, len(missing))
+	}
+	for i, e := range envs {
+		if !missing[e.ItemID] {
+			t.Errorf("served %s, which the requester holds", e.ItemID)
+		}
+		if i > 0 && e.Published.Before(envs[i-1].Published) {
+			t.Errorf("envelope %d out of publication order", i)
+		}
+	}
+	// The subject filter still applies on top of the summary.
+	if envs, _ := peer.SinceExcept(t0, []string{"sports/soccer"}, salt, mine.Have(t0, salt), 0); len(envs) != 0 {
+		t.Fatalf("subject filter ignored: %d envelopes", len(envs))
+	}
+	// A summary hashed under another salt matches nothing: everything is
+	// served, as if there were no summary. A wrong salt cannot hide items.
+	if envs, _ := peer.SinceExcept(t0, nil, salt+1, mine.Have(t0, salt), 0); len(envs) != n {
+		t.Fatalf("summary under the wrong salt served %d envelopes, want all %d", len(envs), n)
+	}
+	// Caught up: nothing to send, and not truncated even with max below
+	// the window's size.
+	for _, e := range envs {
+		mine.Put(e)
+	}
+	if envs, truncated := peer.SinceExcept(t0, nil, salt, mine.Have(t0, salt), 5); envs != nil || truncated {
+		t.Fatalf("caught-up requester got %d envelopes, truncated=%v", len(envs), truncated)
+	}
+}
+
+// TestSinceExceptTruncationMakesProgress: max applies after the summary, so
+// a requester that lists what it received gets the next batch, not the
+// same one.
+func TestSinceExceptTruncationMakesProgress(t *testing.T) {
+	peer, clock := newTestCache(t, Config{})
+	mine, _ := newTestCache(t, Config{})
+	t0 := clock.Now()
+	for i := 0; i < 9; i++ {
+		peer.Put(env("p", fmt.Sprintf("it-%d", i), 0, t0.Add(time.Duration(i)*time.Second)))
+	}
+	for round, wantTruncated := range []bool{true, true, false} {
+		salt := uint64(100 + round)
+		envs, truncated := peer.SinceExcept(time.Time{}, nil, salt, mine.Have(time.Time{}, salt), 3)
+		if len(envs) != 3 || truncated != wantTruncated {
+			t.Fatalf("round %d: %d envelopes, truncated=%v; want 3, %v", round, len(envs), truncated, wantTruncated)
+		}
+		for i, e := range envs {
+			if want := fmt.Sprintf("it-%d", 3*round+i); e.ItemID != want {
+				t.Fatalf("round %d: envelope %d is %s, want %s", round, i, e.ItemID, want)
+			}
+			mine.Put(e)
+		}
+	}
+	if mine.Len() != 9 {
+		t.Fatalf("requester holds %d of 9 after three rounds", mine.Len())
+	}
+}
+
+// Property: whatever list arrives as a summary — unsorted, repeated, random
+// — SinceExcept serves a subset of what Since serves.
+func TestQuickSinceExceptNeverServesMore(t *testing.T) {
+	c, clock := newTestCache(t, Config{})
+	t0 := clock.Now()
+	keys := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		e := env("p", fmt.Sprintf("it-%d", i), 0, t0.Add(time.Duration(i)*time.Second))
+		c.Put(e)
+		keys[e.Key()] = true
+	}
+	f := func(salt uint64, junk []uint64, held []uint8, max uint8) bool {
+		have := junk
+		for _, i := range held {
+			have = append(have, wire.ItemHash(salt, fmt.Sprintf("p/it-%d#0", i%50)))
+		}
+		envs, _ := c.SinceExcept(t0, nil, salt, have, int(max))
+		all, _ := c.Since(t0, nil, 0)
+		if len(envs) > len(all) || (max > 0 && len(envs) > int(max)) {
+			return false
+		}
+		for _, e := range envs {
+			if !keys[e.Key()] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentPutAndStateTransfer runs the state-transfer queries against
+// a cache that is being filled, the way live nodes do (transport goroutines
+// serve requests while deliveries arrive). Meaningful under -race.
+func TestConcurrentPutAndStateTransfer(t *testing.T) {
+	c, clock := newTestCache(t, Config{MaxItems: 64})
+	t0 := clock.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				c.Put(env(fmt.Sprintf("p%d", w), fmt.Sprintf("it-%d", i), 0, t0.Add(time.Duration(i)*time.Millisecond)))
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				salt := uint64(r*1000 + i)
+				have := c.Have(t0, salt)
+				if !slices.IsSorted(have) {
+					t.Error("Have returned an unsorted summary")
+					return
+				}
+				// Entries may be evicted between the two calls, never
+				// added twice: the difference against itself is at most
+				// what was put in between.
+				if envs, _ := c.SinceExcept(t0, nil, salt, have, 0); len(envs) > 64 {
+					t.Errorf("SinceExcept served %d envelopes from a 64-item cache", len(envs))
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"newswire/internal/news"
+	"newswire/internal/wire"
 )
 
 // fingerprint digests every node's entire replicated state — every row of
@@ -36,6 +37,20 @@ func fingerprint(t *testing.T, c *Cluster) string {
 	sent, delivered, dropped := c.Net.Totals()
 	fmt.Fprintf(h, "net=%d/%d/%d", sent, delivered, dropped)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// scenarioFingerprint is fingerprint plus the network's byte totals and its
+// per-kind ledger, which the serial engine counts in transmit and the
+// parallel executor at commit. (fingerprint itself stays as recorded in
+// TestGossipGoldenBytes.)
+func scenarioFingerprint(t *testing.T, c *Cluster) string {
+	t.Helper()
+	sent, delivered := c.Net.BytesTotals()
+	fp := fingerprint(t, c) + fmt.Sprintf("|bytes=%d/%d", sent, delivered)
+	for k := wire.KindInvalid; k <= wire.KindClockPong; k++ {
+		fp += fmt.Sprintf("|%s=%+v", k, c.Net.SentByKind(k))
+	}
+	return fp
 }
 
 // runScenario drives a representative workload: gossip rounds (tick
@@ -69,7 +84,7 @@ func runScenario(t *testing.T, n int, seed int64, workers int) string {
 		t.Fatalf("publish: %v", err)
 	}
 	cluster.RunFor(20 * time.Second)
-	return fingerprint(t, cluster)
+	return scenarioFingerprint(t, cluster)
 }
 
 // TestParallelMatchesSerialTables is the tentpole's determinism gate: for

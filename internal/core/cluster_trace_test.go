@@ -40,7 +40,7 @@ func runTracedScenario(t *testing.T, n int, seed int64, workers int) (string, []
 		t.Fatalf("publish: %v", err)
 	}
 	cluster.RunFor(20 * time.Second)
-	return fingerprint(t, cluster), cluster.TraceSpans()
+	return scenarioFingerprint(t, cluster), cluster.TraceSpans()
 }
 
 // TestTracedRunMatchesUntraced is the observability layer's determinism

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -104,12 +105,15 @@ type Config struct {
 	PublishRate  float64
 	PublishBurst float64
 
-	// AntiEntropyEvery, when positive, makes the node exchange recent
-	// cache contents with one random zone peer every that-many Ticks —
-	// the background repair phase that gives the dissemination protocol
-	// "many of the properties of Bimodal Multicast" (§5): items missed
-	// by the best-effort multicast are recovered automatically without
-	// an explicit RecoverFromZonePeer call. 0 disables it.
+	// AntiEntropyEvery, when positive, makes the node compare recent cache
+	// contents with one random zone peer every that-many Ticks — the
+	// background repair phase that gives the dissemination protocol "many
+	// of the properties of Bimodal Multicast" (§5). The node sends a
+	// summary of what it holds inside the window (8 bytes an item) and the
+	// peer returns only the envelopes missing from it, so items missed by
+	// the best-effort multicast are recovered automatically, without an
+	// explicit RecoverFromZonePeer call, and a caught-up node pays for the
+	// summary and an empty reply. 0 disables it.
 	AntiEntropyEvery int
 	// AntiEntropyWindow bounds how far back each exchange looks.
 	// Default 10×GossipInterval.
@@ -194,6 +198,7 @@ type Node struct {
 	recovered  int64     // items obtained via state transfer, not multicast
 	lastSeen   time.Time // newest Published among delivered items
 	gcCounter  int
+	exchanges  uint64          // state-transfer exchanges begun (stateRequest's salt)
 	publishers map[string]bool // publishers this node announced
 	// preDelivered marks item keys already counted as delivered before
 	// this node existed as a real agent (its virtual-leaf phase, tracked
@@ -577,10 +582,11 @@ func (n *Node) publishHealth() {
 	n.agent.SetAttrs(published)
 }
 
-// antiEntropyStep asks one random zone peer for items published inside
-// the anti-entropy window that match this node's subscriptions. Replies
-// dedup against the cache, so a fully caught-up node pays one small
-// round trip.
+// antiEntropyStep asks one random zone peer for the items published inside
+// the anti-entropy window that match this node's subscriptions and that it
+// does not hold: the request lists what the node has (stateRequest), the
+// reply carries the rest. A fully caught-up node pays 8 bytes per windowed
+// item out and an empty reply back.
 func (n *Node) antiEntropyStep() {
 	sc := candidatePool.Get().(*candidateScratch)
 	defer sc.release()
@@ -810,9 +816,26 @@ func (n *Node) ZoneRepresentatives(zone string) []string {
 	return nil
 }
 
-// RequestStateTransfer asks a peer's cache for items published since t
-// that match this node's subscriptions — the joining/recovery path of §9.
+// RequestStateTransfer asks a peer's cache for the items published since t
+// that match this node's subscriptions and that it does not already hold —
+// the joining/recovery path of §9. One round trip: the request carries a
+// summary of the node's own cache from t on, the reply only what is
+// missing from it, oldest first and at most maxItems.
 func (n *Node) RequestStateTransfer(peer string, since time.Time, maxItems int) error {
+	return n.sendStateRequest(peer, n.stateRequest(since, maxItems))
+}
+
+// stateRequest builds the payload of one state-transfer exchange. It may be
+// sent to several peers; it is not written to again.
+//
+// The summary's salt is the exchange count hashed with the node's address:
+// different for every exchange of a node and for the same count on two
+// nodes, and drawn without touching cfg.Rand, whose stream decides gossip
+// partners and must not depend on how often a node recovers. Should two
+// keys collide under a salt — by accident, or because another publisher
+// crafted an ID to shadow an item — the peer withholds an item this node
+// lacks for that exchange only; the next one hashes under a new salt.
+func (n *Node) stateRequest(since time.Time, maxItems int) *wire.StateRequest {
 	subjects := n.sub.Subjects()
 	if n.cfg.Mode == pubsub.ModePredicate && len(n.sub.Queries()) > 0 {
 		// Predicate subscriptions can match items outside the plain
@@ -820,14 +843,21 @@ func (n *Node) RequestStateTransfer(peer string, since time.Time, maxItems int) 
 		// filter the reply exactly.
 		subjects = nil
 	}
-	return n.cfg.Transport.Send(peer, &wire.Message{
-		Kind: wire.KindStateRequest,
-		StateRequest: &wire.StateRequest{
-			Since:    since,
-			MaxItems: maxItems,
-			Subjects: subjects,
-		},
-	})
+	n.mu.Lock()
+	n.exchanges++
+	salt := wire.ItemHash(n.exchanges, n.agent.Addr())
+	n.mu.Unlock()
+	return &wire.StateRequest{
+		Since:    since,
+		MaxItems: maxItems,
+		Subjects: subjects,
+		Salt:     salt,
+		Have:     n.cache.Have(since, salt),
+	}
+}
+
+func (n *Node) sendStateRequest(peer string, req *wire.StateRequest) error {
+	return n.cfg.Transport.Send(peer, &wire.Message{Kind: wire.KindStateRequest, StateRequest: req})
 }
 
 // RecoverFromZonePeer requests the items published after the newest item
@@ -848,6 +878,11 @@ func (n *Node) RecoverFromZonePeer(maxItems int) error {
 // older than the newest delivered item — a zone that exhausted its
 // retransmit budget on one mid-partition item but kept receiving later
 // publications is permanently stuck under RecoverFromZonePeer alone.
+//
+// A peer holding more than maxItems missing items answers with the oldest
+// maxItems. Because each request lists what the node already holds, calling
+// Resync again once those arrived fetches the next maxItems, not the same
+// ones: ceil(missing/maxItems) calls converge.
 func (n *Node) Resync(maxItems int) error {
 	return n.recoverSince(time.Time{}, maxItems)
 }
@@ -863,9 +898,10 @@ func (n *Node) recoverSince(since time.Time, maxItems int) error {
 	if len(peers) > 3 {
 		peers = peers[:3]
 	}
+	req := n.stateRequest(since, maxItems)
 	var firstErr error
 	for _, peer := range peers {
-		if err := n.RequestStateTransfer(peer, since, maxItems); err != nil && firstErr == nil {
+		if err := n.sendStateRequest(peer, req); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -939,13 +975,23 @@ func (n *Node) recoveryCandidates(sc *candidateScratch) []string {
 	return sc.peers
 }
 
+// handleStateRequest answers with the cached envelopes the request asks for
+// minus those its summary lists. The summary is outside input: a list that
+// is not ascending is sorted in a copy (the message may be shared), repeats
+// are harmless to a binary search, and no list can make the reply larger
+// than it would be without one.
 func (n *Node) handleStateRequest(msg *wire.Message) {
 	req := msg.StateRequest
 	maxItems := req.MaxItems
 	if maxItems <= 0 || maxItems > 4096 {
 		maxItems = 4096
 	}
-	envs, truncated := n.cache.Since(req.Since, req.Subjects, maxItems)
+	have := req.Have
+	if !slices.IsSorted(have) {
+		have = slices.Clone(have)
+		slices.Sort(have)
+	}
+	envs, truncated := n.cache.SinceExcept(req.Since, req.Subjects, req.Salt, have, maxItems)
 	if n.cfg.Tracer != nil && len(envs) > 0 {
 		n.traceSpan(trace.Span{
 			Kind: trace.KindCacheServe, Zone: n.agent.ZonePath(),

@@ -58,6 +58,21 @@ type Network struct {
 	totalDropped    int64
 	totalBytesSent  int64
 	totalBytesDeliv int64
+	// sentByKind splits totalSent and totalBytesSent by message kind.
+	sentByKind [wire.KindClockPong + 1]KindStats
+}
+
+// KindStats counts the messages of one kind handed to the network, and
+// their estimated wire bytes, whether or not they were delivered.
+type KindStats struct {
+	Msgs  int64
+	Bytes int64
+}
+
+// add counts one message. Callers hold the network mutex.
+func (k *KindStats) add(size int64) {
+	k.Msgs++
+	k.Bytes += size
 }
 
 type linkKey struct{ from, to string }
@@ -193,6 +208,7 @@ func (ep *Endpoint) transmit(to string, msg *wire.Message) {
 	st.BytesSent += size
 	n.totalSent++
 	n.totalBytesSent += size
+	n.sentByKind[msg.Kind].add(size)
 
 	dropped := n.crashed[ep.addr] || n.crashed[to] || n.blocked[linkKey{ep.addr, to}]
 	loss := n.link.LossRate
@@ -398,4 +414,16 @@ func (n *Network) BytesTotals() (sent, delivered int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.totalBytesSent, n.totalBytesDeliv
+}
+
+// SentByKind returns the share of Totals' sent count and BytesTotals' sent
+// bytes that messages of the given kind account for: the byte ledger that
+// says which protocol a change to the wire should go after.
+func (n *Network) SentByKind(kind wire.Kind) KindStats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if int(kind) >= len(n.sentByKind) {
+		return KindStats{}
+	}
+	return n.sentByKind[kind]
 }

@@ -208,6 +208,40 @@ func TestNetworkStats(t *testing.T) {
 	}
 }
 
+// TestNetworkSentByKind: the per-kind ledger splits the sent totals, counts
+// a message whether or not the link drops it, and adds up to them.
+func TestNetworkSentByKind(t *testing.T) {
+	e, n := newTestNet(t, LinkModel{})
+	n.Attach("b", func(*wire.Message) {})
+	a := n.Attach("a", nil)
+	ack := &wire.Message{Kind: wire.KindMulticastAck, MulticastAck: &wire.MulticastAck{Seq: 1, Key: "p/i#0"}}
+	gsp := gossipMsg()
+	a.Send("b", gsp)
+	a.Send("b", ack)
+	a.Send("nowhere", ack)
+	e.RunUntilIdle(0)
+
+	// Sizes are read after Send stamped the sender address.
+	gossip, acks := n.SentByKind(wire.KindGossip), n.SentByKind(wire.KindMulticastAck)
+	if gossip.Msgs != 1 || gossip.Bytes != int64(gsp.EstimateSize()) {
+		t.Fatalf("gossip ledger = %+v", gossip)
+	}
+	if acks.Msgs != 2 || acks.Bytes != 2*int64(ack.EstimateSize()) {
+		t.Fatalf("ack ledger = %+v", acks)
+	}
+	sent, _, _ := n.Totals()
+	bytesSent, _ := n.BytesTotals()
+	if gossip.Msgs+acks.Msgs != sent || gossip.Bytes+acks.Bytes != bytesSent {
+		t.Fatalf("ledger %+v + %+v does not add up to totals %d msgs / %d bytes", gossip, acks, sent, bytesSent)
+	}
+	if other := n.SentByKind(wire.KindStateReply); other != (KindStats{}) {
+		t.Fatalf("unused kind ledger = %+v", other)
+	}
+	if bogus := n.SentByKind(wire.Kind(200)); bogus != (KindStats{}) {
+		t.Fatalf("out-of-range kind ledger = %+v", bogus)
+	}
+}
+
 func TestEndpointClose(t *testing.T) {
 	_, n := newTestNet(t, LinkModel{})
 	a := n.Attach("a", nil)

@@ -404,6 +404,7 @@ func (x *Executor) commitWindow(each func(func(at time.Time, owner int, effs []e
 					// touching stats; senders treat gossip as best-effort.
 					continue
 				}
+				n.sentByKind[eff.msg.Kind].add(eff.size)
 				rs := resolvedSend{eff: eff, dropped: eff.preDropped, dstOwner: noOwner}
 				if !rs.dropped && eff.lossRate > 0 && e.rng.Float64() < eff.lossRate {
 					rs.dropped = true

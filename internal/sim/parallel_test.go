@@ -131,6 +131,10 @@ func TestExecutorRunOwnersCommitsInOwnerOrder(t *testing.T) {
 	if sent != n {
 		t.Fatalf("sent %d messages, want %d", sent, n)
 	}
+	bytesSent, _ := net.BytesTotals()
+	if got := net.SentByKind(wire.KindGossip); got != (KindStats{Msgs: n, Bytes: bytesSent}) {
+		t.Fatalf("per-kind ledger after a parallel commit = %+v, want %d msgs / %d bytes", got, n, bytesSent)
+	}
 
 	// Determinism: the same fan-out on a fresh engine with the same seed
 	// must leave the engine RNG in the same state (commit order fixed),

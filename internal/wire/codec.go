@@ -376,6 +376,16 @@ func encodeBinary(m *Message, from string, prefix int) ([]byte, error) {
 			for _, s := range r.Subjects {
 				e.body = appendString(e.body, s)
 			}
+			// Like a delta's stamps, the summary section is appended only
+			// when non-empty: a request without one is byte-identical to the
+			// pre-summary format, and the decoder reads it iff bytes remain.
+			if len(r.Have) > 0 {
+				e.body = binary.LittleEndian.AppendUint64(e.body, r.Salt)
+				e.body = binary.AppendUvarint(e.body, uint64(len(r.Have)))
+				for _, h := range r.Have {
+					e.body = binary.LittleEndian.AppendUint64(e.body, h)
+				}
+			}
 		}
 	case KindStateReply:
 		if r := m.StateReply; r != nil {
@@ -744,13 +754,41 @@ func (d *binDecoder) digestList() []RowDigest {
 		g.Zone = d.ref()
 		g.Name = d.str()
 		g.Issued = d.time()
-		if d.remaining() < 8 {
-			d.fail("truncated digest hash")
-			return nil
-		}
-		g.Hash = binary.LittleEndian.Uint64(d.data[d.pos:])
-		d.pos += 8
+		g.Hash = d.u64()
 		out = append(out, g)
+	}
+	return out
+}
+
+// u64 reads one fixed-width little-endian 64-bit value.
+func (d *binDecoder) u64() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if d.remaining() < 8 {
+		d.fail("truncated 64-bit value")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(d.data[d.pos:])
+	d.pos += 8
+	return v
+}
+
+// hashList reads a state request's summary hashes as sent: order and
+// repeats are the responder's to tolerate (core.handleStateRequest), so a
+// relayed frame keeps its bytes.
+func (d *binDecoder) hashList() []uint64 {
+	n := d.uvarint()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	if n > uint64(d.remaining())/8 {
+		d.fail("summary hash count %d exceeds input", n)
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = d.u64()
 	}
 	return out
 }
@@ -860,6 +898,10 @@ func decodeBinary(data []byte) (*Message, error) {
 		n := d.count("subject")
 		for i := 0; i < n && d.err == nil; i++ {
 			r.Subjects = append(r.Subjects, d.str())
+		}
+		if d.err == nil && d.remaining() > 0 {
+			r.Salt = d.u64()
+			r.Have = d.hashList()
 		}
 		m.StateRequest = r
 	case KindStateReply:

@@ -71,6 +71,18 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 				MaxItems: 64,
 			},
 		},
+		// Summaries the decoder must pass through as sent and the responder
+		// must survive: out of order, and with repeats.
+		{
+			Kind:         KindStateRequest,
+			From:         "n9:9000",
+			StateRequest: &StateRequest{MaxItems: 256, Salt: 0xfeedface, Have: []uint64{9, 3, 1 << 63, 1}},
+		},
+		{
+			Kind:         KindStateRequest,
+			From:         "n9:9000",
+			StateRequest: &StateRequest{Subjects: []string{"world"}, Salt: 7, Have: []uint64{4, 4, 4, 8, 8}},
+		},
 		{
 			Kind: KindStateReply,
 			From: "n2:9000",
@@ -114,6 +126,8 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 		capNames[i] = "fz" + strconv.Itoa(i)
 	}
 	seeds = append(seeds, tableFrame(capNames))
+	// A summary whose count runs past the input.
+	seeds = append(seeds, overlongSummaryFrame())
 	// One gob frame so the fallback decoder is in the corpus too.
 	SetGobFallback(true)
 	data, err := Encode(sampleGossipMessage())

@@ -322,14 +322,43 @@ type ClockSync struct {
 	T2 int64
 }
 
-// StateRequest asks a peer's cache for items published since a time, used
-// by joining nodes and for end-to-end recovery after forwarder failures.
+// StateRequest asks a peer's cache for the items published since a time
+// that the requester does not already hold. Joining nodes, end-to-end
+// recovery after forwarder failures and the periodic item anti-entropy all
+// send it; the reply carries only the difference, so a caught-up requester
+// costs one summary and an empty reply.
 type StateRequest struct {
 	Since    time.Time
 	MaxItems int
 	// Subjects restricts the transfer to items matching the requester's
 	// subscriptions (empty means all cached items).
 	Subjects []string
+	// Have summarizes what the requester already caches from Since on: the
+	// ItemHash under Salt of every such envelope key, ascending, 8 bytes an
+	// item and never more entries than the requester's cache holds. The
+	// responder leaves out every envelope whose hash is listed before it
+	// applies MaxItems. Two keys that collide under one salt would hide an
+	// item the requester lacks, so requesters draw a fresh Salt for every
+	// exchange: the same pair does not collide under the next. Empty means
+	// "send everything in the window"; Salt travels only with a non-empty
+	// Have.
+	Salt uint64
+	Have []uint64
+}
+
+// ItemHash is the summary hash of an envelope key under a request's salt:
+// FNV-1a over the key, started from the salted offset basis so the salt
+// steers every step and a collision under one salt says nothing about the
+// next.
+func ItemHash(salt uint64, key string) uint64 {
+	const offset64 = 14695981039346656037
+	const prime64 = 1099511628211
+	h := offset64 ^ salt
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return h
 }
 
 // StateReply returns the requested cache contents.
@@ -550,6 +579,7 @@ func (m *Message) EstimateSize() int {
 		for _, s := range r.Subjects {
 			n += sizeStr(s)
 		}
+		n += haveSize(r.Have)
 	case m.StateReply != nil:
 		n += uvarintLen(uint64(len(m.StateReply.Envelopes))) + 1
 		for i := range m.StateReply.Envelopes {
@@ -617,6 +647,17 @@ func StampsSize(stamps []RowDigest) int {
 		return 0
 	}
 	return uvarintLen(uint64(len(stamps))) + DigestsSize(stamps)
+}
+
+// haveSize returns the wire size of a state request's summary section:
+// the salt, a count and 8 bytes per hash. Like the stamp section it is
+// present only when non-empty, so a request without a summary costs what it
+// did before summaries existed.
+func haveSize(have []uint64) int {
+	if len(have) == 0 {
+		return 0
+	}
+	return 8 + uvarintLen(uint64(len(have))) + 8*len(have)
 }
 
 // RefSize returns the wire size of one row ref (zone-table reference plus

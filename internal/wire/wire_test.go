@@ -2,8 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"fmt"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -221,6 +226,174 @@ func TestEncodeDecodeStateTransfer(t *testing.T) {
 	}
 	if !got.StateReply.Truncated || len(got.StateReply.Envelopes) != 1 {
 		t.Fatalf("state reply lost: %+v", got.StateReply)
+	}
+}
+
+// summaryHashes returns n distinct ascending hashes that use all 8 bytes.
+func summaryHashes(n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = ItemHash(0x5a17, "pub/item-"+strconv.Itoa(i)+"#0")
+	}
+	slices.Sort(out)
+	return out
+}
+
+func TestStateRequestSummaryCodec(t *testing.T) {
+	plain := &Message{
+		Kind: KindStateRequest,
+		From: "n9:9000",
+		StateRequest: &StateRequest{
+			Since:    time.Unix(1017619200, 0).UTC(),
+			Subjects: []string{"tech/linux", "world"},
+			MaxItems: 64,
+		},
+	}
+	// Recorded from the commit before requests carried a summary: a request
+	// without one must not change by a byte, so old and new nodes agree on
+	// it.
+	const golden = "b704076e393a39303030808cbdca07008001020a746563682f6c696e757805776f726c64"
+	data, err := Encode(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("summary-free request encodes as\n %s, want\n %s", got, golden)
+	}
+	// A salt alone is not a summary: it does not travel.
+	salted := *plain.StateRequest
+	salted.Salt = 99
+	data, err = Encode(&Message{Kind: KindStateRequest, From: plain.From, StateRequest: &salted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("request with a salt but no hashes encodes as\n %s, want\n %s", got, golden)
+	}
+
+	for _, gob := range []bool{false, true} {
+		for _, n := range []int{1, 3, 1024} {
+			want := *plain.StateRequest
+			want.Salt = 0xfeedfacecafebeef
+			want.Have = summaryHashes(n)
+			SetGobFallback(gob)
+			data, err := Encode(&Message{Kind: KindStateRequest, From: "n9:9000", StateRequest: &want})
+			SetGobFallback(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Decode(data)
+			if err != nil {
+				t.Fatalf("gob=%v n=%d: %v", gob, n, err)
+			}
+			if !reflect.DeepEqual(*got.StateRequest, want) {
+				t.Fatalf("gob=%v n=%d: round trip lost the request:\n got  %+v\n want %+v", gob, n, *got.StateRequest, want)
+			}
+		}
+	}
+}
+
+// TestStateRequestSummaryDecodeTolerance: the decoder hands the responder
+// whatever order and repeats the sender chose, and refuses a count the
+// frame cannot hold before allocating for it.
+func TestStateRequestSummaryDecodeTolerance(t *testing.T) {
+	for name, have := range map[string][]uint64{
+		"unsorted": {9, 3, 7, 1},
+		"repeated": {4, 4, 4, 8, 8},
+	} {
+		data, err := Encode(&Message{Kind: KindStateRequest, From: "a",
+			StateRequest: &StateRequest{Salt: 1, Have: have}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s summary rejected: %v", name, err)
+		}
+		if !slices.Equal(got.StateRequest.Have, have) {
+			t.Fatalf("%s summary decoded as %v, want %v", name, got.StateRequest.Have, have)
+		}
+	}
+	if _, err := Decode(overlongSummaryFrame()); err == nil {
+		t.Fatal("summary count past the input accepted")
+	}
+	// One hash cut short.
+	data, err := Encode(&Message{Kind: KindStateRequest, From: "a",
+		StateRequest: &StateRequest{Salt: 1, Have: []uint64{1, 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data[:len(data)-3]); err == nil {
+		t.Fatal("truncated summary accepted")
+	}
+}
+
+// overlongSummaryFrame is a state request whose summary claims 2^40 hashes
+// and carries two.
+func overlongSummaryFrame() []byte {
+	b := []byte{codecMagic, byte(KindStateRequest), 1, 'a'}
+	b = appendTime(b, time.Time{})
+	b = append(b, 0, 0)                        // MaxItems 0, no subjects
+	b = binary.LittleEndian.AppendUint64(b, 7) // salt
+	b = binary.AppendUvarint(b, 1<<40)         // count
+	return append(b, make([]byte, 16)...)
+}
+
+// TestEstimateSizeExact pins the byte meter to the codec for every kind
+// whose frame has no interned string table: the simulator's wire bytes (and
+// the benchmark's wire_kb_per_item) are EstimateSize sums, so for these
+// kinds they are what TCP would carry, to the byte.
+func TestEstimateSizeExact(t *testing.T) {
+	env := ItemEnvelope{
+		Publisher: "reuters", ItemID: "item-42", Revision: 3,
+		Subjects: []string{"world/asia", "business"}, SubjectBits: []uint32{17, 403, 70000},
+		ScopeZone: "/asia", Predicate: "premium", Urgency: 2,
+		Published: time.Unix(1017619300, 999).UTC(),
+		Payload:   bytes.Repeat([]byte("<nitf/>"), 40),
+		Signer:    "reuters", Sig: bytes.Repeat([]byte{9}, 64),
+	}
+	full := make([]ItemEnvelope, 300)
+	for i := range full {
+		full[i] = env
+		full[i].ItemID = "item-" + strconv.Itoa(i)
+	}
+	request := func(n int) *Message {
+		return &Message{Kind: KindStateRequest, From: "n9:9000", StateRequest: &StateRequest{
+			Since: time.Unix(1017619200, 5).UTC(), MaxItems: 256,
+			Subjects: []string{"tech/linux", "world"},
+			Salt:     0xfeedfacecafebeef, Have: summaryHashes(n),
+		}}
+	}
+	tests := []struct {
+		name string
+		msg  *Message
+	}{
+		{"state request, no summary", request(0)},
+		{"state request, 1 hash", request(1)},
+		{"state request, 1024 hashes", request(1024)},
+		{"state request, zero value", &Message{Kind: KindStateRequest, StateRequest: &StateRequest{}}},
+		{"state reply, empty", &Message{Kind: KindStateReply, From: "n2:9000", StateReply: &StateReply{}}},
+		{"state reply, full", &Message{Kind: KindStateReply, From: "n2:9000",
+			StateReply: &StateReply{Envelopes: full, Truncated: true}}},
+		{"multicast", &Message{Kind: KindMulticast, From: "rep-1:9000", Multicast: &Multicast{
+			TargetZone: "/asia", Hops: 2, Deliver: true, AckSeq: 1 << 40,
+			TraceID: 0xabcdef0123456789, Envelope: env}}},
+		{"multicast, bare", &Message{Kind: KindMulticast, Multicast: &Multicast{}}},
+		{"multicast ack", &Message{Kind: KindMulticastAck, From: "leaf-3:9000",
+			MulticastAck: &MulticastAck{Seq: 300, Key: "reuters/item-42#3", TargetZone: "/asia"}}},
+		{"clock pong", &Message{Kind: KindClockPong, From: "n1:9000",
+			ClockSync: &ClockSync{Seq: 42, T1: 1017619200123456789, T2: -5}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			data, err := Encode(tt.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est := tt.msg.EstimateSize(); est != len(data) {
+				t.Errorf("EstimateSize = %d, Encode wrote %d bytes", est, len(data))
+			}
+		})
 	}
 }
 

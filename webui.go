@@ -86,10 +86,10 @@ func (ui *WebUI) Handler() http.Handler {
 
 // statusDoc is the /status.json schema.
 type statusDoc struct {
-	Name       string   `json:"name"`
-	Addr       string   `json:"addr"`
-	Zone       string   `json:"zone"`
-	Subjects   []string `json:"subjects"`
+	Name     string   `json:"name"`
+	Addr     string   `json:"addr"`
+	Zone     string   `json:"zone"`
+	Subjects []string `json:"subjects"`
 	// Queries are the node's predicate subscriptions in canonical form
 	// (ModePredicate; empty otherwise).
 	Queries    []string             `json:"queries,omitempty"`
