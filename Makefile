@@ -30,8 +30,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Vet plus staticcheck when available (CI installs it; local runs skip
-# silently if absent, keeping lint dependency-free).
+# silently if absent, keeping lint dependency-free). The wire has one
+# codec: no command may link encoding/gob again.
 lint: vet
+	@! $(GO) list -deps ./cmd/... | grep -x encoding/gob
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -153,22 +155,19 @@ e8-smoke: bin/newswire-bench
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_E8.baseline.json -current artifacts/e8-smoke/BENCH_E8.json | tee artifacts/e8-smoke-gate.txt
 
 # Live-transport fan-out benchmark (E11): 10,000 loopback subscriber
-# connections against one hub over real sockets, the asynchronous writer
-# path against the legacy synchronous ablation, plus a both-codec
-# full-decode verification phase. Hard gates: zero frame corruption, a
-# sustained-throughput floor and clean-p99 ceiling on the async arm, and
-# the async/sync speedup the tentpole claims. Baseline deltas are
+# connections against one hub over real sockets, plus a full-decode
+# verification phase. Hard gates: zero frame corruption, a
+# sustained-throughput floor and a clean-p99 ceiling. Baseline deltas are
 # informational (wall-clock socket numbers vary per machine).
 e11: bin/newswire-loadgen
 	mkdir -p artifacts
 	git show HEAD:artifacts/BENCH_E11.json > artifacts/BENCH_E11.baseline.json 2>/dev/null || echo '{}' > artifacts/BENCH_E11.baseline.json
 	bin/newswire-loadgen -subs 10000 -json artifacts | tee artifacts/e11.txt
-	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_E11.baseline.json -current artifacts/BENCH_E11.json -min-msgs-per-sec 100000 -max-p99-ms 1500 -min-speedup 5 | tee artifacts/e11-gate.txt
+	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_E11.baseline.json -current artifacts/BENCH_E11.json -min-msgs-per-sec 100000 -max-p99-ms 1500 | tee artifacts/e11-gate.txt
 
 # PR-sized live-transport gate: 2,000 subscriber connections with short
 # steps. Floors are sized for noisy shared CI runners; corruption stays a
-# hard zero. The speedup ratio is informational at this size — the sync
-# arm only separates cleanly near full scale.
+# hard zero.
 e11-smoke: bin/newswire-loadgen
 	mkdir -p artifacts
 	git show HEAD:artifacts/BENCH_E11.json > artifacts/BENCH_E11.baseline.json 2>/dev/null || echo '{}' > artifacts/BENCH_E11.baseline.json

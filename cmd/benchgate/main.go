@@ -57,9 +57,8 @@ func run(args []string) error {
 		maxHeap    = fs.Float64("max-heap-regress", 0.10, "allowed fractional peak_heap_bytes_per_node regression")
 		maxConv    = fs.Int("max-convergence-rounds", 0, "chaos: max rounds back to 100% delivery (0 = each scenario's own max_rounds)")
 		minDeliver = fs.Float64("min-delivery", 1.0, "chaos: required final delivery fraction per scenario")
-		minMsgsSec = fs.Float64("min-msgs-per-sec", 0, "live transport: sustained msgs/sec floor for the async arm (0 = off)")
-		maxP99     = fs.Float64("max-p99-ms", 0, "live transport: clean-p99 latency ceiling in ms for the async arm (0 = off)")
-		minSpeedup = fs.Float64("min-speedup", 0, "live transport: required async/sync sustained-throughput ratio (0 = off)")
+		minMsgsSec = fs.Float64("min-msgs-per-sec", 0, "live transport: sustained msgs/sec floor per arm (0 = off)")
+		maxP99     = fs.Float64("max-p99-ms", 0, "live transport: clean-p99 latency ceiling in ms per arm (0 = off)")
 		maxObs     = fs.Float64("max-obs-overhead", 0.05, "observability: allowed fractional bytes/round and ns/round overhead of the health+trace arm over off (E12)")
 		minRecall  = fs.Float64("min-recall", 0.999, "precision: required delivery recall per arm (E8)")
 		maxFPRatio = fs.Float64("max-fp-ratio", 0.5, "precision: allowed predicate/bloom false-positive-drop ratio per subscription count (E8)")
@@ -79,7 +78,7 @@ func run(args []string) error {
 		return fmt.Errorf("need -baseline and -current (or -compare old.txt new.txt)")
 	}
 	return gate(*baseline, *current, *maxRegress, *maxHeap, *maxConv, *minDeliver,
-		*minMsgsSec, *maxP99, *minSpeedup, *maxObs, *minRecall, *maxFPRatio, *maxBytes)
+		*minMsgsSec, *maxP99, *maxObs, *minRecall, *maxFPRatio, *maxBytes)
 }
 
 // benchArtifact is the slice of the BENCH_<ID>.json schema the gate needs.
@@ -97,11 +96,9 @@ type benchArtifact struct {
 	// during-fault delivery floor and convergence-round budget.
 	Chaos []chaosRow `json:"chaos"`
 	// Live-transport arms (BENCH_E11.json) are gated on hard bounds:
-	// sustained throughput floor, clean-p99 ceiling, zero corruption, and
-	// optionally the async/sync speedup.
-	Arms    []e11Arm    `json:"arms"`
-	Verify  []e11Verify `json:"verify"`
-	Speedup float64     `json:"speedup_async_over_sync"`
+	// sustained throughput floor, clean-p99 ceiling and zero corruption.
+	Arms   []e11Arm    `json:"arms"`
+	Verify []e11Verify `json:"verify"`
 	// Observability arms (BENCH_E12.json) are gated on the overhead
 	// ratio of the fully-enabled arm over the disabled one.
 	Obs []obsArm `json:"obs"`
@@ -139,7 +136,6 @@ type obsArm struct {
 
 type e11Arm struct {
 	Label               string  `json:"label"`
-	SyncWrites          bool    `json:"sync_writes"`
 	SustainedMsgsPerSec float64 `json:"sustained_msgs_per_sec"`
 	CleanP99Ms          float64 `json:"clean_p99_ms"`
 	TotalDrops          int64   `json:"total_drops"`
@@ -163,7 +159,7 @@ type chaosRow struct {
 	MaxRounds           int     `json:"max_rounds"`
 }
 
-func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv int, minDeliver, minMsgsSec, maxP99, minSpeedup, maxObs, minRecall, maxFPRatio, maxBytesRatio float64) error {
+func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv int, minDeliver, minMsgsSec, maxP99, maxObs, minRecall, maxFPRatio, maxBytesRatio float64) error {
 	var base, cur benchArtifact
 	if err := readJSON(baselinePath, &base); err != nil {
 		return err
@@ -175,7 +171,7 @@ func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv
 		return gateChaos(baselinePath, base, cur, maxConv, minDeliver)
 	}
 	if len(cur.Arms) > 0 || len(base.Arms) > 0 {
-		return gateE11(baselinePath, base, cur, minMsgsSec, maxP99, minSpeedup)
+		return gateE11(baselinePath, base, cur, minMsgsSec, maxP99)
 	}
 	if len(cur.Obs) > 0 || len(base.Obs) > 0 {
 		return gateObs(baselinePath, base, cur, maxObs)
@@ -460,13 +456,11 @@ func gateE8(baselinePath string, base, cur benchArtifact, minRecall, maxFPRatio,
 
 // gateE11 enforces the live-transport hard bounds on the current
 // artifact: zero frame corruption everywhere (load arms and the
-// both-codec verification phase), a sustained-throughput floor and a
-// clean-p99 ceiling on the asynchronous arm, and optionally the
-// async/sync speedup ratio. Throughput deltas against the baseline are
-// reported but never gated — wall-clock socket numbers are too
-// machine-dependent for a fractional regression bound; the floor is the
-// contract.
-func gateE11(baselinePath string, base, cur benchArtifact, minMsgsSec, maxP99, minSpeedup float64) error {
+// full-decode verification phase), a sustained-throughput floor and a
+// clean-p99 ceiling. Throughput deltas against the baseline are reported
+// but never gated — wall-clock socket numbers are too machine-dependent
+// for a fractional regression bound; the floor is the contract.
+func gateE11(baselinePath string, base, cur benchArtifact, minMsgsSec, maxP99 float64) error {
 	if len(cur.Arms) == 0 {
 		return fmt.Errorf("current artifact has no live-transport arms")
 	}
@@ -486,9 +480,6 @@ func gateE11(baselinePath string, base, cur benchArtifact, minMsgsSec, maxP99, m
 		if a.TotalCorrupt != 0 {
 			problems = append(problems, fmt.Sprintf("arm %s saw %d corrupt frames", a.Label, a.TotalCorrupt))
 		}
-		if a.SyncWrites {
-			continue // floors apply to the default path, not the ablation
-		}
 		if minMsgsSec > 0 && a.SustainedMsgsPerSec < minMsgsSec {
 			problems = append(problems, fmt.Sprintf("arm %s sustained %.0f msgs/sec < floor %.0f",
 				a.Label, a.SustainedMsgsPerSec, minMsgsSec))
@@ -507,12 +498,6 @@ func gateE11(baselinePath string, base, cur benchArtifact, minMsgsSec, maxP99, m
 		if v.Decoded != v.Frames {
 			problems = append(problems, fmt.Sprintf("codec %s decoded %d of %d frames", v.Codec, v.Decoded, v.Frames))
 		}
-	}
-	if cur.Speedup > 0 {
-		fmt.Printf("benchgate: speedup async/sync %.2fx\n", cur.Speedup)
-	}
-	if minSpeedup > 0 && cur.Speedup < minSpeedup {
-		problems = append(problems, fmt.Sprintf("async/sync speedup %.2fx < required %.2fx", cur.Speedup, minSpeedup))
 	}
 	if len(problems) > 0 {
 		return fmt.Errorf("live-transport gate failed: %s (baseline %s)",

@@ -2,14 +2,12 @@
 // throughput over real loopback sockets (experiment E11): one hub
 // publishes news frames to thousands of subscriber connections and the
 // tool reports sustained messages/sec, bytes/sec, delivery latency
-// percentiles and drops, for the asynchronous writer path and the legacy
-// synchronous ablation.
+// percentiles and drops.
 //
 // Usage:
 //
-//	newswire-loadgen -subs 10000                 # full E11 point, both arms
+//	newswire-loadgen -subs 10000                 # full E11 point
 //	newswire-loadgen -subs 2000 -step 2s         # CI smoke size
-//	newswire-loadgen -sync-transport             # ablation arm only
 //	newswire-loadgen -json artifacts/            # write BENCH_E11.json
 //
 // The subscriber sockets live in a child process (the binary re-executes
@@ -21,10 +19,10 @@
 //
 // The sink cheaply validates framing on every frame and fully decodes
 // every -decode-every'th one (checksum + delivery latency); a separate
-// moderate-rate verification phase decodes every frame under both wire
-// codecs, which is where the zero-corruption figure comes from.
+// moderate-rate verification phase decodes every frame, which is where
+// the zero-corruption figure comes from.
 //
-// Latency percentiles are clock-offset corrected: before each arm the
+// Latency percentiles are clock-offset corrected: before the load arm the
 // sink runs the transport's NTP-style ping/pong handshake against the
 // hub and adds the estimated offset to every delivery-latency sample, so
 // the reported p50/p99 survive publisher/subscriber clock skew (the two
@@ -83,7 +81,6 @@ type options struct {
 	decodeEvery int
 	verifyItems int
 	jsonDir     string
-	syncOnly    bool
 	log         *slog.Logger
 }
 
@@ -113,9 +110,8 @@ func run(args []string) error {
 		step        = fs.Duration("step", 3*time.Second, "duration of each rate step")
 		queue       = fs.Int("queue", 0, "per-peer send queue length (0 = transport default)")
 		decodeEvery = fs.Int("decode-every", 16, "sink fully decodes every Nth frame (latency+checksum); framing is checked on all")
-		verifyItems = fs.Int("verify-items", 256, "items per codec in the full-decode verification phase (0 = skip)")
+		verifyItems = fs.Int("verify-items", 256, "items in the full-decode verification phase (0 = skip)")
 		jsonDir     = fs.String("json", "", "directory to write BENCH_E11.json into")
-		syncOnly    = fs.Bool("sync-transport", false, "measure only the legacy synchronous-writes arm (ablation)")
 		sink        = fs.Bool("sink", false, "internal: run as the subscriber sink child process")
 		logJSON     = fs.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
 		logLevel    = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -158,7 +154,7 @@ func run(args []string) error {
 	return loadgen(options{
 		subs: *subs, payload: *payload, pubRates: pubRates, step: *step,
 		queue: *queue, decodeEvery: *decodeEvery, verifyItems: *verifyItems,
-		jsonDir: *jsonDir, syncOnly: *syncOnly, log: logger,
+		jsonDir: *jsonDir, log: logger,
 	})
 }
 
@@ -188,9 +184,8 @@ type stepResult struct {
 }
 
 type armResult struct {
-	Label      string       `json:"label"`
-	SyncWrites bool         `json:"sync_writes"`
-	Steps      []stepResult `json:"steps"`
+	Label string       `json:"label"`
+	Steps []stepResult `json:"steps"`
 	// Sustained figures come from the best step: what the path delivered
 	// to subscribers, not what the publisher offered.
 	SustainedMsgsPerSec  float64 `json:"sustained_msgs_per_sec"`
@@ -211,8 +206,7 @@ type armResult struct {
 	ClockOffsetMs float64 `json:"clock_offset_ms"`
 	ClockRTTMs    float64 `json:"clock_rtt_ms"`
 	// Hub-side syscall accounting: frames per writev under the heaviest
-	// step (async arm only; the sync arm always writes one frame per two
-	// syscalls).
+	// step.
 	MeanFramesPerFlush float64 `json:"mean_frames_per_flush,omitempty"`
 }
 
@@ -224,20 +218,19 @@ type verifyResult struct {
 }
 
 type report struct {
-	ID                   string         `json:"id"`
-	Title                string         `json:"title"`
-	Subs                 int            `json:"subs"`
-	PayloadBytes         int            `json:"payload_bytes"`
-	QueueLen             int            `json:"queue_len"`
-	StepSeconds          float64        `json:"step_seconds"`
-	PubRates             []int          `json:"pub_rates"`
-	DecodeEvery          int            `json:"decode_every"`
-	Arms                 []armResult    `json:"arms"`
-	SpeedupAsyncOverSync float64        `json:"speedup_async_over_sync,omitempty"`
-	Verify               []verifyResult `json:"verify,omitempty"`
-	GOMAXPROCS           int            `json:"gomaxprocs"`
-	NumCPU               int            `json:"num_cpu"`
-	WallSeconds          float64        `json:"wall_seconds"`
+	ID           string         `json:"id"`
+	Title        string         `json:"title"`
+	Subs         int            `json:"subs"`
+	PayloadBytes int            `json:"payload_bytes"`
+	QueueLen     int            `json:"queue_len"`
+	StepSeconds  float64        `json:"step_seconds"`
+	PubRates     []int          `json:"pub_rates"`
+	DecodeEvery  int            `json:"decode_every"`
+	Arms         []armResult    `json:"arms"`
+	Verify       []verifyResult `json:"verify,omitempty"`
+	GOMAXPROCS   int            `json:"gomaxprocs"`
+	NumCPU       int            `json:"num_cpu"`
+	WallSeconds  float64        `json:"wall_seconds"`
 }
 
 // --- parent: hub + orchestration ---
@@ -265,49 +258,21 @@ func loadgen(o options) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 	}
 
-	arms := []struct {
-		label string
-		sync  bool
-	}{{"async", false}, {"sync", true}}
-	if o.syncOnly {
-		arms = arms[1:]
+	o.log.Info("arm start", "arm", armLabel, "subs", o.subs, "payload_bytes", o.payload)
+	arm, err := runArm(o, sink, addrs)
+	if err != nil {
+		return fmt.Errorf("arm %s: %w", armLabel, err)
 	}
-	for _, arm := range arms {
-		o.log.Info("arm start", "arm", arm.label, "subs", o.subs, "payload_bytes", o.payload)
-		res, err := runArm(o, sink, addrs, arm.label, arm.sync)
-		if err != nil {
-			return fmt.Errorf("arm %s: %w", arm.label, err)
-		}
-		rep.Arms = append(rep.Arms, res)
-	}
-	var asyncSust, syncSust float64
-	for _, a := range rep.Arms {
-		if a.SyncWrites {
-			syncSust = a.SustainedMsgsPerSec
-		} else {
-			asyncSust = a.SustainedMsgsPerSec
-		}
-	}
-	if asyncSust > 0 && syncSust > 0 {
-		rep.SpeedupAsyncOverSync = asyncSust / syncSust
-		o.log.Info("speedup async over sync",
-			"speedup", fmt.Sprintf("%.2fx", rep.SpeedupAsyncOverSync),
-			"async_msgs_per_sec", int64(asyncSust), "sync_msgs_per_sec", int64(syncSust))
-	}
+	rep.Arms = []armResult{arm}
 
 	if o.verifyItems > 0 {
-		for _, codec := range []struct {
-			name string
-			gob  bool
-		}{{"binary", false}, {"gob", true}} {
-			vr, err := runVerify(o, sink, addrs, codec.name, codec.gob)
-			if err != nil {
-				return fmt.Errorf("verify %s: %w", codec.name, err)
-			}
-			o.log.Info("verify", "codec", vr.Codec,
-				"frames", vr.Frames, "decoded", vr.Decoded, "corrupt", vr.Corrupt)
-			rep.Verify = append(rep.Verify, vr)
+		vr, err := runVerify(o, sink, addrs)
+		if err != nil {
+			return fmt.Errorf("verify: %w", err)
 		}
+		o.log.Info("verify", "codec", vr.Codec,
+			"frames", vr.Frames, "decoded", vr.Decoded, "corrupt", vr.Corrupt)
+		rep.Verify = []verifyResult{vr}
 	}
 
 	rep.WallSeconds = time.Since(start).Seconds()
@@ -339,11 +304,15 @@ func subscriberAddrs(n, port int) []string {
 	return addrs
 }
 
-func runArm(o options, sink *sinkProc, addrs []string, label string, syncWrites bool) (armResult, error) {
-	res := armResult{Label: label, SyncWrites: syncWrites}
+// armLabel names the one load arm in BENCH_E11.json; artifacts recorded
+// while a second, synchronous arm existed carry the same label for this
+// path, so baselines stay comparable.
+const armLabel = "async"
+
+func runArm(o options, sink *sinkProc, addrs []string) (armResult, error) {
+	res := armResult{Label: armLabel}
 	tr, err := transport.ListenTCPWith("127.0.0.1:0", func(*wire.Message) {}, transport.TCPOptions{
-		SyncWrites: syncWrites,
-		QueueLen:   o.queue,
+		QueueLen: o.queue,
 		// The periodic re-probe must not fire mid-step: its frames would
 		// pollute the delivered-frame accounting. Dial-time probes land in
 		// the warm-up window; the sink runs its own handshake below.
@@ -372,11 +341,11 @@ func runArm(o options, sink *sinkProc, addrs []string, label string, syncWrites 
 	// Clock-offset handshake before anything is timed: the sink probes the
 	// hub and corrects every latency sample it takes this arm.
 	if off, rtt, err := sink.clockSync(tr.Addr()); err != nil {
-		o.log.Warn("clock sync failed; latencies uncorrected", "arm", label, "err", err)
+		o.log.Warn("clock sync failed; latencies uncorrected", "arm", armLabel, "err", err)
 	} else {
 		res.ClockOffsetMs = float64(off) / 1e6
 		res.ClockRTTMs = float64(rtt) / 1e6
-		o.log.Info("clock offset estimated", "arm", label,
+		o.log.Info("clock offset estimated", "arm", armLabel,
 			"offset_ms", res.ClockOffsetMs, "rtt_ms", res.ClockRTTMs)
 	}
 
@@ -398,18 +367,12 @@ func runArm(o options, sink *sinkProc, addrs []string, label string, syncWrites 
 			msg := buildItem(seq, o.payload)
 			seq++
 			published++
-			if syncWrites {
-				for _, addr := range addrs {
-					_ = tr.Send(addr, msg)
-				}
-			} else {
-				f, err := tr.NewFrame(msg)
-				if err != nil {
-					return res, err
-				}
-				for _, addr := range addrs {
-					_ = tr.SendFrame(addr, f)
-				}
+			f, err := tr.NewFrame(msg)
+			if err != nil {
+				return res, err
+			}
+			for _, addr := range addrs {
+				_ = tr.SendFrame(addr, f)
 			}
 			next = next.Add(interval)
 			if d := time.Until(next); d > 0 {
@@ -467,27 +430,23 @@ func runArm(o options, sink *sinkProc, addrs []string, label string, syncWrites 
 			res.CleanP50Ms, res.CleanP99Ms = st.P50Ms, st.P99Ms
 		}
 	}
-	if !syncWrites {
-		res.MeanFramesPerFlush = bestFlushMean
-	}
+	res.MeanFramesPerFlush = bestFlushMean
 	if res.CleanP50Ms == 0 && res.CleanP99Ms == 0 && len(res.Steps) > 0 {
 		res.CleanP50Ms, res.CleanP99Ms = res.Steps[0].P50Ms, res.Steps[0].P99Ms
 	}
 	if err := tr.Close(); err != nil {
 		return res, err
 	}
-	// Wait for the sink to see every connection go away, so arms don't
-	// bleed into each other.
+	// Wait for the sink to see every connection go away, so the load arm
+	// doesn't bleed into the verification phase.
 	return res, sink.waitConns(0, 30*time.Second)
 }
 
-// runVerify publishes a moderate full-decode workload under one codec to
-// a subset of subscribers: every frame is decoded and checksummed, which
-// is where the zero-corruption claim is measured.
-func runVerify(o options, sink *sinkProc, addrs []string, codec string, gob bool) (verifyResult, error) {
-	res := verifyResult{Codec: codec}
-	wire.SetGobFallback(gob)
-	defer wire.SetGobFallback(false)
+// runVerify publishes a moderate full-decode workload to a subset of
+// subscribers: every frame is decoded and checksummed, which is where the
+// zero-corruption claim is measured.
+func runVerify(o options, sink *sinkProc, addrs []string) (verifyResult, error) {
+	res := verifyResult{Codec: "binary"}
 	if err := sink.mode("full"); err != nil {
 		return res, err
 	}
@@ -868,8 +827,7 @@ func (s *sinkState) readConn(c net.Conn) {
 			return
 		}
 		// Transport-internal clock-sync frames ride the same sockets; keep
-		// them out of the delivery accounting. (The sniff covers the binary
-		// codec; gob-fallback clock frames are caught in verify instead.)
+		// them out of the delivery accounting.
 		if k, ok := wire.SniffKind(b); ok && (k == wire.KindClockPing || k == wire.KindClockPong) {
 			if k == wire.KindClockPong {
 				if msg, err := wire.Decode(b); err == nil {
@@ -894,16 +852,6 @@ func (s *sinkState) verify(b []byte) {
 	msg, err := wire.Decode(b)
 	if err != nil {
 		s.corrupt.Add(1)
-		return
-	}
-	switch msg.Kind {
-	case wire.KindClockPing, wire.KindClockPong:
-		// A gob-encoded clock frame slipped past the binary-codec sniff:
-		// uncount it rather than calling it corruption.
-		if msg.Kind == wire.KindClockPong {
-			s.handleClockPong(msg.ClockSync)
-		}
-		s.frames.Add(-1)
 		return
 	}
 	if msg.Kind != wire.KindMulticast || msg.Multicast == nil {

@@ -73,8 +73,6 @@ func run(args []string) error {
 		predicate = fs.String("predicate", "", "SQL selection predicate over item metadata")
 		interval  = fs.Duration("interval", 2*time.Second, "gossip interval")
 		httpAddr  = fs.String("http", "", "serve the status web interface on this address (e.g. 127.0.0.1:8080)")
-		gobWire   = fs.Bool("gob-wire", false, "encode outbound frames with the legacy gob codec (transition aid; inbound frames are auto-detected either way)")
-		syncWr    = fs.Bool("sync-transport", false, "use the legacy synchronous transport writes (ablation; one mutex serializes all peers)")
 		queueLen  = fs.Int("send-queue", 0, "per-peer outbound queue length in frames (0 = default)")
 		logJSON   = fs.Bool("log-json", false, "emit structured logs as JSON lines instead of text")
 		logLevel  = fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -84,7 +82,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	wire.SetGobFallback(*gobWire)
 
 	logger, err := newLogger(*logJSON, *logLevel)
 	if err != nil {
@@ -101,10 +98,7 @@ func run(args []string) error {
 
 	cfg := newswire.LiveConfig{
 		ListenAddr: *listen,
-		Transport: transport.TCPOptions{
-			SyncWrites: *syncWr,
-			QueueLen:   *queueLen,
-		},
+		Transport:  transport.TCPOptions{QueueLen: *queueLen},
 		Node: newswire.Config{
 			Name:           *name,
 			ZonePath:       *zone,

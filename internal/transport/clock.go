@@ -70,11 +70,8 @@ func (t *TCP) clockLoop() {
 		case <-ticker.C:
 		}
 		t.mu.Lock()
-		addrs := make([]string, 0, len(t.peers)+len(t.conns))
+		addrs := make([]string, 0, len(t.peers))
 		for addr := range t.peers {
-			addrs = append(addrs, addr)
-		}
-		for addr := range t.conns {
 			addrs = append(addrs, addr)
 		}
 		t.mu.Unlock()

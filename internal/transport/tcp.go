@@ -48,12 +48,6 @@ var ioSync atomic.Int64
 
 // TCPOptions tunes the TCP transport's data path.
 type TCPOptions struct {
-	// SyncWrites restores the legacy synchronous write path — one global
-	// mutex serializing every write to every peer, two unbuffered
-	// conn.Write calls per frame. Kept as the E11 ablation arm
-	// (-sync-transport); the default asynchronous path is strictly
-	// better.
-	SyncWrites bool
 	// QueueLen bounds each peer's outbound queue in frames; <= 0 means
 	// defaultQueueLen.
 	QueueLen int
@@ -79,8 +73,7 @@ type TCP struct {
 	addr    string // cached ln.Addr().String(); stamped into every frame
 
 	mu      sync.Mutex
-	peers   map[string]*peer    // async mode: writer per peer
-	conns   map[string]net.Conn // sync mode: bare cached connections
+	peers   map[string]*peer // one writer per outbound peer
 	inbound map[net.Conn]bool
 	closed  bool
 
@@ -124,7 +117,6 @@ func ListenTCPWith(addr string, h Handler, opts TCPOptions) (*TCP, error) {
 		opts:      opts,
 		addr:      ln.Addr().String(),
 		peers:     make(map[string]*peer),
-		conns:     make(map[string]net.Conn),
 		inbound:   make(map[net.Conn]bool),
 		stop:      make(chan struct{}),
 		flushHist: &metrics.Histogram{},
@@ -158,16 +150,13 @@ func (t *TCP) NewFrame(msg *wire.Message) (wire.Frame, error) {
 	return wire.NewFrame(msg, t.addr)
 }
 
-// SendFrame implements FrameSender. In the default asynchronous mode it
-// enqueues the frame on the peer's writer (dialing synchronously if the
-// peer is new, so an unreachable address still surfaces as an error) and
-// never blocks on the socket: a full queue drops the frame and counts it.
+// SendFrame implements FrameSender. It enqueues the frame on the peer's
+// writer (dialing synchronously if the peer is new, so an unreachable
+// address still surfaces as an error) and never blocks on the socket: a
+// full queue drops the frame and counts it.
 func (t *TCP) SendFrame(to string, f wire.Frame) error {
 	if f.PayloadLen() > maxFrame {
 		return fmt.Errorf("transport: message of %d bytes exceeds frame limit", f.PayloadLen())
-	}
-	if t.opts.SyncWrites {
-		return t.sendSync(to, f)
 	}
 	for attempt := 0; ; attempt++ {
 		p, err := t.peer(to)
@@ -297,10 +286,6 @@ func (t *TCP) Close() error {
 		peers = append(peers, p)
 		delete(t.peers, to)
 	}
-	for to, c := range t.conns {
-		c.Close()
-		delete(t.conns, to)
-	}
 	// Inbound connections must be closed too, or their read goroutines
 	// would block in ReadFull until the remote side goes away and
 	// wg.Wait below would hang.
@@ -318,7 +303,7 @@ func (t *TCP) Close() error {
 	return err
 }
 
-// --- per-peer writer (default asynchronous mode) ---
+// --- per-peer writer ---
 
 type enqueueResult uint8
 
@@ -506,83 +491,7 @@ func (p *peer) shutdown() int {
 	return n
 }
 
-// --- legacy synchronous mode (TCPOptions.SyncWrites) ---
-
-// sendSync writes one frame on a cached connection to the peer, dialing
-// on demand and retrying once on a stale connection — the original
-// prototype data path, preserved as the E11 ablation baseline.
-func (t *TCP) sendSync(to string, f wire.Frame) error {
-	if err := t.writeFrameSync(to, f); err != nil {
-		// The cached connection may have gone stale; dial fresh and retry
-		// once.
-		t.st.staleRetries.Add(1)
-		t.dropConn(to)
-		return t.writeFrameSync(to, f)
-	}
-	return nil
-}
-
-func (t *TCP) writeFrameSync(to string, f wire.Frame) error {
-	conn, err := t.connSync(to)
-	if err != nil {
-		return err
-	}
-	b := f.Bytes()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// A peer that stops reading must not wedge every sender behind the
-	// mutex: bound the write.
-	_ = conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	if _, err := conn.Write(b[:wire.FramePrefixLen]); err != nil {
-		return fmt.Errorf("transport: write to %s: %w", to, err)
-	}
-	if _, err := conn.Write(b[wire.FramePrefixLen:]); err != nil {
-		return fmt.Errorf("transport: write to %s: %w", to, err)
-	}
-	t.st.framesSent.Add(1)
-	t.st.bytesSent.Add(int64(len(b)))
-	return nil
-}
-
-func (t *TCP) connSync(to string) (net.Conn, error) {
-	t.mu.Lock()
-	if c, ok := t.conns[to]; ok {
-		t.mu.Unlock()
-		return c, nil
-	}
-	t.mu.Unlock()
-
-	t.st.dials.Add(1)
-	c, err := net.DialTimeout("tcp", to, dialTimeout)
-	if err != nil {
-		t.st.dialErrors.Add(1)
-		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		c.Close()
-		return nil, errClosed
-	}
-	if existing, ok := t.conns[to]; ok {
-		// Lost the race; use the existing connection.
-		c.Close()
-		return existing, nil
-	}
-	t.conns[to] = c
-	return c, nil
-}
-
-func (t *TCP) dropConn(to string) {
-	t.mu.Lock()
-	if c, ok := t.conns[to]; ok {
-		c.Close()
-		delete(t.conns, to)
-	}
-	t.mu.Unlock()
-}
-
-// --- inbound path (both modes) ---
+// --- inbound path ---
 
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()

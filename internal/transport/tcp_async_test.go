@@ -170,82 +170,73 @@ func TestTCPSlowConsumerIsolation(t *testing.T) {
 // TestTCPWritevBatchRoundTrip queues one message of every kind on a
 // peer's writer before waking it, so the whole set is flushed in a
 // single writev, and verifies every frame survives the vectored write
-// intact — under the binary codec and the gob fallback. White-box: it
-// loads the queue directly to make the single-batch flush
-// deterministic.
+// intact. White-box: it loads the queue directly to make the
+// single-batch flush deterministic. The "binary" subtest keeps the name
+// it had while a second codec existed.
 func TestTCPWritevBatchRoundTrip(t *testing.T) {
-	for _, gobWire := range []bool{false, true} {
-		name := "binary"
-		if gobWire {
-			name = "gob-fallback"
+	t.Run("binary", func(t *testing.T) {
+		col := newCollector()
+		b, err := ListenTCP("127.0.0.1:0", col.handle)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			wire.SetGobFallback(gobWire)
-			defer wire.SetGobFallback(false)
+		defer b.Close()
+		a, err := ListenTCP("127.0.0.1:0", func(*wire.Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
 
-			col := newCollector()
-			b, err := ListenTCP("127.0.0.1:0", col.handle)
-			if err != nil {
-				t.Fatal(err)
+		sent := allKindMessages()
+		frames := make([]wire.Frame, len(sent))
+		for i, m := range sent {
+			if frames[i], err = a.NewFrame(m); err != nil {
+				t.Fatalf("frame %v: %v", m.Kind, err)
 			}
-			defer b.Close()
-			a, err := ListenTCP("127.0.0.1:0", func(*wire.Message) {})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
+		}
 
-			sent := allKindMessages()
-			frames := make([]wire.Frame, len(sent))
-			for i, m := range sent {
-				if frames[i], err = a.NewFrame(m); err != nil {
-					t.Fatalf("frame %v: %v", m.Kind, err)
-				}
-			}
+		p, err := a.peer(b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Load the whole set while the writer sleeps, then wake it once:
+		// everything drains as one batch, one writev.
+		p.mu.Lock()
+		p.queue = append(p.queue, frames...)
+		p.mu.Unlock()
+		p.cond.Signal()
 
-			p, err := a.peer(b.Addr())
-			if err != nil {
-				t.Fatal(err)
+		got := col.waitFor(t, len(sent))
+		for i, m := range got {
+			if m.Kind != sent[i].Kind {
+				t.Fatalf("frame %d arrived as %v, want %v", i, m.Kind, sent[i].Kind)
 			}
-			// Load the whole set while the writer sleeps, then wake it once:
-			// everything drains as one batch, one writev.
-			p.mu.Lock()
-			p.queue = append(p.queue, frames...)
-			p.mu.Unlock()
-			p.cond.Signal()
+			if m.From != a.Addr() {
+				t.Fatalf("frame %d: From = %q, want %q", i, m.From, a.Addr())
+			}
+		}
+		env := got[4].Multicast.Envelope
+		if env.Key() != "reuters/item-42#1" || string(env.Payload) != "<nitf/>" {
+			t.Fatalf("multicast envelope corrupted by vectored write: %+v", env)
+		}
 
-			got := col.waitFor(t, len(sent))
-			for i, m := range got {
-				if m.Kind != sent[i].Kind {
-					t.Fatalf("frame %d arrived as %v, want %v", i, m.Kind, sent[i].Kind)
-				}
-				if m.From != a.Addr() {
-					t.Fatalf("frame %d: From = %q, want %q", i, m.From, a.Addr())
-				}
-			}
-			env := got[4].Multicast.Envelope
-			if env.Key() != "reuters/item-42#1" || string(env.Payload) != "<nitf/>" {
-				t.Fatalf("multicast envelope corrupted by vectored write: %+v", env)
-			}
-
-			// The dial-time clock probe rides the same queue, and b probes
-			// back: its pong dials a fresh b→a connection carrying b's own
-			// ping, which a answers with a pong. Wait for that reverse
-			// handshake to quiesce so the counters are deterministic:
-			// ping + the batch + the reply pong.
-			want := int64(len(sent) + 2)
-			deadline := time.Now().Add(2 * time.Second)
-			st := a.TransportStats()
-			for st.FramesSent < want && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-				st = a.TransportStats()
-			}
-			if st.FramesSent != want {
-				t.Errorf("frames sent = %d, want %d (clock ping + batch + reply pong)", st.FramesSent, want)
-			}
-			if st.FlushBatches > 3 {
-				t.Errorf("flush batches = %d, want <= 3 (clock probes, then the whole set in one writev)", st.FlushBatches)
-			}
-		})
-	}
+		// The dial-time clock probe rides the same queue, and b probes
+		// back: its pong dials a fresh b→a connection carrying b's own
+		// ping, which a answers with a pong. Wait for that reverse
+		// handshake to quiesce so the counters are deterministic:
+		// ping + the batch + the reply pong.
+		want := int64(len(sent) + 2)
+		deadline := time.Now().Add(2 * time.Second)
+		st := a.TransportStats()
+		for st.FramesSent < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			st = a.TransportStats()
+		}
+		if st.FramesSent != want {
+			t.Errorf("frames sent = %d, want %d (clock ping + batch + reply pong)", st.FramesSent, want)
+		}
+		if st.FlushBatches > 3 {
+			t.Errorf("flush batches = %d, want <= 3 (clock probes, then the whole set in one writev)", st.FlushBatches)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -435,69 +436,134 @@ func allKindMessages() []*wire.Message {
 }
 
 // TestTCPAllKindsBothCodecs pushes one message of every kind through a
-// real TCP connection under the binary codec and again under the gob
-// fallback, checking the payloads survive either wire format. The
-// receiver auto-detects the codec per frame, so a mixed cluster keeps
-// interoperating during the transition release.
+// real TCP connection and checks the payloads survive. The test and its
+// "binary" subtest keep the names they had while a second codec existed.
 func TestTCPAllKindsBothCodecs(t *testing.T) {
-	for _, gobWire := range []bool{false, true} {
-		name := "binary"
-		if gobWire {
-			name = "gob-fallback"
+	t.Run("binary", func(t *testing.T) {
+		col := newCollector()
+		b, err := ListenTCP("127.0.0.1:0", col.handle)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			wire.SetGobFallback(gobWire)
-			defer wire.SetGobFallback(false)
+		defer b.Close()
+		a, err := ListenTCP("127.0.0.1:0", func(*wire.Message) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
 
-			col := newCollector()
-			b, err := ListenTCP("127.0.0.1:0", col.handle)
-			if err != nil {
-				t.Fatal(err)
+		sent := allKindMessages()
+		for _, m := range sent {
+			if err := a.Send(b.Addr(), m); err != nil {
+				t.Fatalf("send %v: %v", m.Kind, err)
 			}
-			defer b.Close()
-			a, err := ListenTCP("127.0.0.1:0", func(*wire.Message) {})
-			if err != nil {
-				t.Fatal(err)
+		}
+		got := col.waitFor(t, len(sent))
+		for i, m := range got {
+			if m.Kind != sent[i].Kind {
+				t.Fatalf("message %d arrived as %v, want %v", i, m.Kind, sent[i].Kind)
 			}
-			defer a.Close()
+		}
+		// Spot-check deep payload fields survived the round trip.
+		if rows := got[0].Gossip.Rows; len(rows) != 1 ||
+			!rows[0].Attrs.Equal(sent[0].Gossip.Rows[0].Attrs) {
+			t.Fatalf("gossip row attrs corrupted: %+v", rows)
+		}
+		if d := got[2].GossipDigest.Digests[0]; d.Hash != 0xdeadbeef {
+			t.Fatalf("digest hash = %x", d.Hash)
+		}
+		if w := got[3].GossipDelta.Want; len(w) != 1 || w[0].Name != "asia" {
+			t.Fatalf("delta want corrupted: %+v", w)
+		}
+		env := got[4].Multicast.Envelope
+		if env.Key() != "reuters/item-42#1" || string(env.Payload) != "<nitf/>" {
+			t.Fatalf("multicast envelope corrupted: %+v", env)
+		}
+		if got[5].MulticastAck.Seq != 7 {
+			t.Fatalf("ack seq = %d", got[5].MulticastAck.Seq)
+		}
+		if got[6].StateRequest.MaxItems != 64 {
+			t.Fatalf("state request corrupted: %+v", got[6].StateRequest)
+		}
+		sr := got[7].StateReply
+		if !sr.Truncated || len(sr.Envelopes) != 1 || sr.Envelopes[0].ItemID != "it-1" {
+			t.Fatalf("state reply corrupted: %+v", sr)
+		}
+	})
+}
 
-			sent := allKindMessages()
-			for _, m := range sent {
-				if err := a.Send(b.Addr(), m); err != nil {
-					t.Fatalf("send %v: %v", m.Kind, err)
-				}
-			}
-			got := col.waitFor(t, len(sent))
-			for i, m := range got {
-				if m.Kind != sent[i].Kind {
-					t.Fatalf("message %d arrived as %v, want %v", i, m.Kind, sent[i].Kind)
-				}
-			}
-			// Spot-check deep payload fields survived the round trip.
-			if rows := got[0].Gossip.Rows; len(rows) != 1 ||
-				!rows[0].Attrs.Equal(sent[0].Gossip.Rows[0].Attrs) {
-				t.Fatalf("gossip row attrs corrupted: %+v", rows)
-			}
-			if d := got[2].GossipDigest.Digests[0]; d.Hash != 0xdeadbeef {
-				t.Fatalf("digest hash = %x", d.Hash)
-			}
-			if w := got[3].GossipDelta.Want; len(w) != 1 || w[0].Name != "asia" {
-				t.Fatalf("delta want corrupted: %+v", w)
-			}
-			env := got[4].Multicast.Envelope
-			if env.Key() != "reuters/item-42#1" || string(env.Payload) != "<nitf/>" {
-				t.Fatalf("multicast envelope corrupted: %+v", env)
-			}
-			if got[5].MulticastAck.Seq != 7 {
-				t.Fatalf("ack seq = %d", got[5].MulticastAck.Seq)
-			}
-			if got[6].StateRequest.MaxItems != 64 {
-				t.Fatalf("state request corrupted: %+v", got[6].StateRequest)
-			}
-			sr := got[7].StateReply
-			if !sr.Truncated || len(sr.Envelopes) != 1 || sr.Envelopes[0].ItemID != "it-1" {
-				t.Fatalf("state reply corrupted: %+v", sr)
-			}
-		})
+// TestTCPMalformedInputDropsConnection writes bad frames on raw sockets:
+// each must cost its sender the connection — before the well-formed frame
+// queued behind it is dispatched — and nothing else. The listener keeps
+// serving the next connection.
+func TestTCPMalformedInputDropsConnection(t *testing.T) {
+	col := newCollector()
+	srv, err := ListenTCP("127.0.0.1:0", col.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	good, err := wire.NewFrame(gossipMsg("/ok"), "raw:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	notMagic := append([]byte(nil), good.Bytes()...)
+	notMagic[wire.FramePrefixLen] = 0x03 // what a gob stream could open with
+	truncated := good.Bytes()[:good.Len()-3]
+
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+	}{
+		{"first payload byte is not the codec magic", append(notMagic, good.Bytes()...)},
+		{"zero-length frame", append([]byte{0, 0, 0, 0}, good.Bytes()...)},
+		{"truncated frame", truncated},
+	} {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(tc.bytes); err != nil {
+			t.Fatalf("%s: write: %v", tc.name, err)
+		}
+		// End of input: the truncated frame can only be told from a slow
+		// one once no more bytes can come.
+		if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatalf("%s: CloseWrite: %v", tc.name, err)
+		}
+		// The transport never writes on an inbound connection, so the read
+		// returns only when it has closed its end (EOF, or a reset if it
+		// left our trailing frame unread).
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var one [1]byte
+		if n, err := c.Read(one[:]); n != 0 || err == nil {
+			t.Fatalf("%s: read %d bytes from a connection that should be closed", tc.name, n)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s: connection still open after 5s", tc.name)
+		}
+		c.Close()
+		col.mu.Lock()
+		n := len(col.msgs)
+		col.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("%s: handler was called %d times", tc.name, n)
+		}
+	}
+
+	c, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(good.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	msgs := col.waitFor(t, 1)
+	if len(msgs) != 1 || msgs[0].Gossip.FromZone != "/ok" || msgs[0].From != "raw:1" {
+		t.Fatalf("well-formed connection after the bad ones delivered %+v", msgs)
+	}
+	if st := srv.TransportStats(); st.FramesReceived != 1 {
+		t.Fatalf("FramesReceived = %d, want 1 (malformed frames are not counted)", st.FramesReceived)
 	}
 }

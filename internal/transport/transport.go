@@ -3,9 +3,9 @@
 // Two implementations exist: the discrete-event simulated network in
 // internal/sim (virtual time, configurable latency/loss/partitions, scales
 // to ~10⁵ nodes in one process) and the TCP transport in this package
-// (length-prefixed gob frames, for live multi-process clusters). Protocol
-// code sees only this interface, so the same agent runs unchanged in both
-// worlds.
+// (length-prefixed frames of the wire package's binary codec, for live
+// multi-process clusters). Protocol code sees only this interface, so the
+// same agent runs unchanged in both worlds.
 package transport
 
 import (

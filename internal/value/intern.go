@@ -57,22 +57,3 @@ func InternBytes(b []byte) string {
 	}
 	return Intern(string(b))
 }
-
-// InternKeys re-keys m through the intern table so the map retains one
-// shared instance of each attribute name instead of per-message copies.
-// Values are untouched. Callers must own m (decode paths do).
-func (m Map) InternKeys() {
-	var scratch [16]string
-	keys := scratch[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
-		v := m[k]
-		// Delete before re-inserting: assigning to an existing key keeps
-		// the key instance already in the map, which is exactly the
-		// per-message copy we want to drop.
-		delete(m, k)
-		m[Intern(k)] = v
-	}
-}

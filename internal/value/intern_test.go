@@ -43,24 +43,6 @@ func TestInternBytes(t *testing.T) {
 	}
 }
 
-func TestInternKeysDropsPerMessageCopies(t *testing.T) {
-	canon := Intern("load")
-	// Simulate a decoded message: the key is a fresh heap copy.
-	m := Map{string([]byte("load")): Float(0.5)}
-	m.InternKeys()
-	if len(m) != 1 {
-		t.Fatalf("InternKeys changed map size: %d", len(m))
-	}
-	if v, ok := m["load"]; !ok || !v.Equal(Float(0.5)) {
-		t.Fatalf("InternKeys lost the value: %v %v", v, ok)
-	}
-	for k := range m {
-		if unsafe.StringData(k) != unsafe.StringData(canon) {
-			t.Fatal("map key is not the interned instance after InternKeys")
-		}
-	}
-}
-
 func TestInternCapStopsGrowth(t *testing.T) {
 	// Saturate the table; strings past the cap must still round-trip by
 	// value even though they are not retained.

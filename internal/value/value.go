@@ -523,22 +523,3 @@ func (m Map) Equal(o Map) bool {
 	}
 	return true
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler so Values (and Maps of
-// them) can travel through encoding/gob on the TCP transport.
-func (v Value) MarshalBinary() ([]byte, error) {
-	return v.AppendBinary(nil), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (v *Value) UnmarshalBinary(data []byte) error {
-	decoded, n, err := DecodeBinary(data)
-	if err != nil {
-		return err
-	}
-	if n != len(data) {
-		return fmt.Errorf("value: %d trailing bytes after value", len(data)-n)
-	}
-	*v = decoded
-	return nil
-}

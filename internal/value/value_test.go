@@ -415,24 +415,6 @@ func TestQuickMapRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryMarshalerRoundTrip(t *testing.T) {
-	v := String("hello")
-	data, err := v.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Value
-	if err := got.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(v) {
-		t.Fatalf("round trip: %v != %v", got, v)
-	}
-	if err := got.UnmarshalBinary(append(data, 0xFF)); err == nil {
-		t.Fatal("trailing bytes should be rejected")
-	}
-}
-
 func TestRawBytes(t *testing.T) {
 	v := Bytes([]byte{1, 2, 3})
 	raw, ok := v.RawBytes()

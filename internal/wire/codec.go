@@ -22,11 +22,6 @@ import (
 // nanoseconds, and byte-array attribute values (the dominant row weight:
 // 128-byte subscription Bloom filters that are mostly zero) switch to a
 // zero-run packing whenever that is smaller than the raw bytes.
-//
-// The first byte disambiguates against the legacy gob codec: a gob stream
-// begins with a small uvarint segment length (< 0x80) or a byte-count
-// marker (>= 0xF8), never 0xB7, so Decode can route old frames to gob for
-// the one-release fallback window (SetGobFallback).
 const (
 	codecMagic     = 0xB7
 	packedBytesTag = 0xF0 // distinct from every value.Kind byte
@@ -43,12 +38,11 @@ const (
 // to the zero Time so IsZero survives a round trip (StateRequest.Since).
 const zeroTimeUnixSec = -62135596800
 
-// SniffKind reports a binary-codec frame payload's kind without decoding
-// it: the codec leads every frame with its magic byte and the kind. It
-// returns false for gob-fallback frames (which never start with the
-// magic), so callers that must classify those still need a full Decode.
-// Raw-socket consumers (the loadgen sink) use it to separate
-// transport-internal clock-sync frames from the news stream cheaply.
+// SniffKind reports a frame payload's kind without decoding it: the codec
+// leads every frame with its magic byte and the kind. It returns false for
+// a payload Decode would reject on those two bytes alone. Raw-socket
+// consumers (the loadgen sink) use it to separate transport-internal
+// clock-sync frames from the news stream cheaply.
 func SniffKind(payload []byte) (Kind, bool) {
 	if len(payload) < 2 || payload[0] != codecMagic {
 		return KindInvalid, false
@@ -254,6 +248,10 @@ type binEncoder struct {
 var binEncPool = sync.Pool{
 	New: func() any { return &binEncoder{tblIdx: make(map[string]uint32, 16)} },
 }
+
+// maxPooledBuf caps the size of buffers returned to the pool so one huge
+// state transfer does not pin its worth of memory forever.
+const maxPooledBuf = 1 << 20
 
 func (e *binEncoder) reset() {
 	e.head = e.head[:0]

@@ -28,13 +28,7 @@ func NewFrame(m *Message, from string) (Frame, error) {
 	if err := m.Validate(); err != nil {
 		return Frame{}, err
 	}
-	var data []byte
-	var err error
-	if gobFallback.Load() {
-		data, err = encodeGob(m, from, FramePrefixLen)
-	} else {
-		data, err = encodeBinary(m, from, FramePrefixLen)
-	}
+	data, err := encodeBinary(m, from, FramePrefixLen)
 	if err != nil {
 		return Frame{}, err
 	}

@@ -29,54 +29,50 @@ func sampleMulticastMessage() *Message {
 	}
 }
 
+// TestFrameRoundTripBothCodecs keeps the name it had while a gob fallback
+// was the second codec; it checks the one codec there is.
 func TestFrameRoundTripBothCodecs(t *testing.T) {
-	for _, gob := range []bool{false, true} {
-		SetGobFallback(gob)
-		t.Cleanup(func() { SetGobFallback(false) })
+	m := sampleMulticastMessage()
+	f, err := NewFrame(m, "hub:1")
+	if err != nil {
+		t.Fatalf("NewFrame: %v", err)
+	}
+	if f.IsZero() {
+		t.Fatal("frame is zero")
+	}
+	if f.Len() != FramePrefixLen+f.PayloadLen() {
+		t.Fatalf("Len %d != prefix %d + payload %d", f.Len(), FramePrefixLen, f.PayloadLen())
+	}
+	size := binary.BigEndian.Uint32(f.Bytes()[:FramePrefixLen])
+	if int(size) != f.PayloadLen() {
+		t.Fatalf("prefix says %d bytes, payload is %d", size, f.PayloadLen())
+	}
 
-		m := sampleMulticastMessage()
-		f, err := NewFrame(m, "hub:1")
-		if err != nil {
-			t.Fatalf("gob=%v: NewFrame: %v", gob, err)
-		}
-		if f.IsZero() {
-			t.Fatalf("gob=%v: frame is zero", gob)
-		}
-		if f.Len() != FramePrefixLen+f.PayloadLen() {
-			t.Fatalf("gob=%v: Len %d != prefix %d + payload %d",
-				gob, f.Len(), FramePrefixLen, f.PayloadLen())
-		}
-		size := binary.BigEndian.Uint32(f.Bytes()[:FramePrefixLen])
-		if int(size) != f.PayloadLen() {
-			t.Fatalf("gob=%v: prefix says %d bytes, payload is %d", gob, size, f.PayloadLen())
-		}
+	got, err := Decode(f.Payload())
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if got.From != "hub:1" {
+		t.Errorf("From = %q, want the stamped sender %q", got.From, "hub:1")
+	}
+	if got.Multicast == nil || got.Multicast.Envelope.Key() != m.Multicast.Envelope.Key() {
+		t.Error("envelope did not round-trip")
+	}
+	if !bytes.Equal(got.Multicast.Envelope.Payload, m.Multicast.Envelope.Payload) {
+		t.Error("payload did not round-trip")
+	}
 
-		got, err := Decode(f.Payload())
-		if err != nil {
-			t.Fatalf("gob=%v: Decode: %v", gob, err)
-		}
-		if got.From != "hub:1" {
-			t.Errorf("gob=%v: From = %q, want the stamped sender %q", gob, got.From, "hub:1")
-		}
-		if got.Multicast == nil || got.Multicast.Envelope.Key() != m.Multicast.Envelope.Key() {
-			t.Errorf("gob=%v: envelope did not round-trip", gob)
-		}
-		if !bytes.Equal(got.Multicast.Envelope.Payload, m.Multicast.Envelope.Payload) {
-			t.Errorf("gob=%v: payload did not round-trip", gob)
-		}
-
-		// The frame payload must equal what the peer-facing Encode path
-		// would produce for the stamped sender, so readers cannot tell
-		// the shared-frame and per-peer-encode paths apart.
-		mm := *m
-		mm.From = "hub:1"
-		want, err := Encode(&mm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(f.Payload(), want) {
-			t.Errorf("gob=%v: frame payload differs from Encode output", gob)
-		}
+	// The frame payload must equal what the peer-facing Encode path
+	// would produce for the stamped sender, so readers cannot tell
+	// the shared-frame and per-peer-encode paths apart.
+	mm := *m
+	mm.From = "hub:1"
+	want, err := Encode(&mm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.Payload(), want) {
+		t.Error("frame payload differs from Encode output")
 	}
 }
 
@@ -85,59 +81,49 @@ func TestFrameRoundTripBothCodecs(t *testing.T) {
 // msg.From before encoding, racing when one message fanned out to many
 // peers. NewFrame must stamp the sender into the encoded bytes only.
 func TestFrameStampsWithoutMutatingSource(t *testing.T) {
-	for _, gob := range []bool{false, true} {
-		SetGobFallback(gob)
-		t.Cleanup(func() { SetGobFallback(false) })
-
-		m := sampleMulticastMessage()
-		m.From = "original-sender"
-		f, err := NewFrame(m, "hub:1")
-		if err != nil {
-			t.Fatalf("gob=%v: NewFrame: %v", gob, err)
-		}
-		if m.From != "original-sender" {
-			t.Fatalf("gob=%v: NewFrame mutated msg.From to %q", gob, m.From)
-		}
-		got, err := Decode(f.Payload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.From != "hub:1" {
-			t.Errorf("gob=%v: decoded From = %q, want %q", gob, got.From, "hub:1")
-		}
+	m := sampleMulticastMessage()
+	m.From = "original-sender"
+	f, err := NewFrame(m, "hub:1")
+	if err != nil {
+		t.Fatalf("NewFrame: %v", err)
+	}
+	if m.From != "original-sender" {
+		t.Fatalf("NewFrame mutated msg.From to %q", m.From)
+	}
+	got, err := Decode(f.Payload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.From != "hub:1" {
+		t.Errorf("decoded From = %q, want %q", got.From, "hub:1")
 	}
 }
 
 // TestFrameConcurrentEncodeSameMessage fans one shared message out to
-// many concurrent NewFrame calls; run with -race it proves the encoders
-// never write to the source message.
+// many concurrent NewFrame calls; run with -race it proves the encoder
+// never writes to the source message.
 func TestFrameConcurrentEncodeSameMessage(t *testing.T) {
-	for _, gob := range []bool{false, true} {
-		SetGobFallback(gob)
-		t.Cleanup(func() { SetGobFallback(false) })
-
-		m := sampleMulticastMessage()
-		want, err := NewFrame(m, "hub:1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < 16; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f, err := NewFrame(m, "hub:1")
-				if err != nil {
-					t.Errorf("gob=%v: NewFrame: %v", gob, err)
-					return
-				}
-				if !bytes.Equal(f.Bytes(), want.Bytes()) {
-					t.Errorf("gob=%v: concurrent NewFrame produced different bytes", gob)
-				}
-			}()
-		}
-		wg.Wait()
+	m := sampleMulticastMessage()
+	want, err := NewFrame(m, "hub:1")
+	if err != nil {
+		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := NewFrame(m, "hub:1")
+			if err != nil {
+				t.Errorf("NewFrame: %v", err)
+				return
+			}
+			if !bytes.Equal(f.Bytes(), want.Bytes()) {
+				t.Error("concurrent NewFrame produced different bytes")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFrameRejectsInvalidMessage(t *testing.T) {

@@ -6,18 +6,13 @@
 // The same Message structs travel over both transports. The in-memory
 // simulated transport passes them by value — payload fields must therefore
 // be treated as immutable once sent. The TCP transport serializes them with
-// the compact binary codec in codec.go; SetGobFallback restores the legacy
-// encoding/gob framing for one release, and Decode auto-detects either
-// format, so mixed clusters interoperate during the transition.
+// the compact binary codec in codec.go, the only wire format.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"newswire/internal/value"
@@ -94,8 +89,7 @@ type RowUpdate struct {
 	// when it was (see SharedRow.Update). It lets receivers on the
 	// in-memory transport install the sender's row by reference instead
 	// of copying. Unexported on purpose: it never travels over a real
-	// wire (gob and the binary codec both skip it), and decoded messages
-	// leave it nil.
+	// wire (the codec skips it), and decoded messages leave it nil.
 	shared *SharedRow
 }
 
@@ -418,114 +412,23 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// encBufPool recycles the scratch buffers Encode serializes into, and
-// readerPool the bytes.Reader Decode drains from. Gossip messages at the
-// paper's 64-row table size encode to tens of KB; without pooling every
-// Encode re-grows a fresh buffer through several doublings, which is pure
-// garbage on the TCP hot path.
-var encBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
-var readerPool = sync.Pool{
-	New: func() any { return new(bytes.Reader) },
-}
-
-// maxPooledBuf caps the size of buffers returned to the pool so one huge
-// state transfer does not pin its worth of memory forever.
-const maxPooledBuf = 1 << 20
-
-// gobFallback, when set, makes Encode emit the legacy encoding/gob
-// framing instead of the binary codec. Kept for one release so a cluster
-// can be upgraded node by node: Decode always accepts both formats.
-var gobFallback atomic.Bool
-
-// SetGobFallback switches Encode between the binary codec (default) and
-// the legacy gob framing.
-func SetGobFallback(on bool) { gobFallback.Store(on) }
-
-// GobFallback reports whether the legacy gob encoder is active.
-func GobFallback() bool { return gobFallback.Load() }
-
 // Encode serializes the message for the TCP transport. The returned slice
 // is freshly allocated and owned by the caller; scratch buffers behind it
 // are pooled.
 func Encode(m *Message) ([]byte, error) {
-	if gobFallback.Load() {
-		return encodeGob(m, m.From, 0)
-	}
 	return encodeBinary(m, m.From, 0)
 }
 
-// encodeGob serializes m under the legacy gob framing with the sender
-// address stamped as from. Gob has no way to substitute a single field
-// mid-stream, so a differing from encodes a stack-local shallow copy — the
-// shared Message is never written to. prefix unwritten bytes are reserved
-// up front, mirroring encodeBinary.
-func encodeGob(m *Message, from string, prefix int) ([]byte, error) {
-	if m.From != from {
-		mm := *m
-		mm.From = from
-		m = &mm
-	}
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(m); err != nil {
-		encBufPool.Put(buf)
-		return nil, fmt.Errorf("wire: encode: %w", err)
-	}
-	out := make([]byte, prefix+buf.Len())
-	copy(out[prefix:], buf.Bytes())
-	if buf.Cap() <= maxPooledBuf {
-		encBufPool.Put(buf)
-	}
-	return out, nil
-}
+var errBadMagic = errors.New("wire: decode: frame does not start with the codec magic byte")
 
-// Decode deserializes a message produced by Encode and validates it. The
-// codec is detected from the first byte: binary frames start with the
-// magic byte, which no gob stream begins with.
+// Decode deserializes a message produced by Encode and validates it.
+// Anything that does not start with the codec's magic byte — empty input
+// included — is rejected before a byte of it is parsed.
 func Decode(data []byte) (*Message, error) {
-	if len(data) > 0 && data[0] == codecMagic {
-		return decodeBinary(data)
+	if len(data) == 0 || data[0] != codecMagic {
+		return nil, errBadMagic
 	}
-	return decodeGob(data)
-}
-
-func decodeGob(data []byte) (*Message, error) {
-	r := readerPool.Get().(*bytes.Reader)
-	r.Reset(data)
-	var m Message
-	err := gob.NewDecoder(r).Decode(&m)
-	r.Reset(nil) // drop the reference to data before pooling
-	readerPool.Put(r)
-	if err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	internAttrs(&m)
-	return &m, nil
-}
-
-// internAttrs re-keys every decoded row's attribute map through the
-// value intern table: gob gives each message private copies of the same
-// few attribute names, and merged rows would otherwise retain those
-// copies for as long as they sit in a table.
-func internAttrs(m *Message) {
-	var rows []RowUpdate
-	switch {
-	case m.Gossip != nil:
-		rows = m.Gossip.Rows
-	case m.GossipReply != nil:
-		rows = m.GossipReply.Rows
-	case m.GossipDelta != nil:
-		rows = m.GossipDelta.Rows
-	}
-	for i := range rows {
-		rows[i].Attrs.InternKeys()
-	}
+	return decodeBinary(data)
 }
 
 // GossipTableOverhead approximates the interned string table a row-bearing

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"newswire/internal/core"
@@ -50,8 +51,8 @@ type LiveConfig struct {
 	// cluster.
 	DisableHealth bool
 	// Transport tunes the TCP data path (per-peer queue length, write
-	// timeout, the legacy synchronous-writes ablation). The zero value is
-	// the recommended default.
+	// timeout, clock-probe interval). The zero value is the recommended
+	// default.
 	Transport transport.TCPOptions
 }
 
@@ -71,10 +72,14 @@ func StartLive(cfg LiveConfig) (*LiveNode, error) {
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
-	var node *core.Node
+	// The listener accepts from here on, and connection goroutines read
+	// node while this function is still building it: a node restarting on
+	// a known address is gossiped to at once. Frames that arrive before the
+	// node exists are dropped, like any frame lost on the way.
+	var node atomic.Pointer[core.Node]
 	tr, err := transport.ListenTCPWith(cfg.ListenAddr, func(m *wire.Message) {
-		if node != nil {
-			node.HandleMessage(m)
+		if n := node.Load(); n != nil {
+			n.HandleMessage(m)
 		}
 	}, cfg.Transport)
 	if err != nil {
@@ -121,7 +126,7 @@ func StartLive(cfg LiveConfig) (*LiveNode, error) {
 		tr.Close()
 		return nil, err
 	}
-	node = n
+	node.Store(n)
 
 	ln := &LiveNode{
 		node: n,

@@ -3,6 +3,7 @@ package newswire_test
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,6 +197,80 @@ func TestLiveNodeSharesRandAcrossGoroutines(t *testing.T) {
 			}(g, nodes[g%len(nodes)])
 		}
 		wg.Wait()
+	}
+}
+
+// TestStartLiveWhilePeersSend restarts a node on an address its peers
+// already know: they stream frames at the listener while StartLive is
+// still building the node behind it. Under -race this fails if the
+// transport's handler reads the node without synchronization.
+func TestStartLiveWhilePeersSend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP test")
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	// An ack for a forward the node never sent: valid, handled, ignored.
+	f, err := wire.NewFrame(&wire.Message{
+		Kind:         wire.KindMulticastAck,
+		MulticastAck: &wire.MulticastAck{Seq: 1, Key: "p/x#0", TargetZone: "/live"},
+	}, "127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var peers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		peers.Add(1)
+		go func() {
+			defer peers.Done()
+			for {
+				if c, err := net.Dial("tcp", addr); err == nil {
+					for err == nil {
+						select {
+						case <-stop:
+							c.Close()
+							return
+						default:
+							_, err = c.Write(f.Bytes())
+						}
+					}
+					c.Close()
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(50 * time.Microsecond): // not listening yet
+				}
+			}
+		}()
+	}
+
+	ln, err := newswire.StartLive(newswire.LiveConfig{
+		ListenAddr: addr,
+		Node:       newswire.Config{Name: "restarted", ZonePath: "/live"},
+	})
+	if err != nil {
+		close(stop)
+		peers.Wait()
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for ln.Transport().TransportStats().FramesReceived < 1000 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	peers.Wait()
+	if got := ln.Transport().TransportStats().FramesReceived; got < 1000 {
+		t.Errorf("received %d frames, want 1000", got)
+	}
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
