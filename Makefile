@@ -62,12 +62,14 @@ bench:
 
 # The repository benchmark's harness (bench/ is a module of its own, so
 # `go test ./...` from the root never reaches it): its tests, then five
-# seconds each of the fanout workload (the data path on live sockets) and
-# of sim_churn (the control plane on 1,024 simulated nodes), which must
+# seconds each of the fanout workload (the data path on live sockets), of
+# selective (the only workload on the predicate-routing path) and of
+# sim_churn (the control plane on 1,024 simulated nodes), which must
 # deliver every body intact.
 bench-repo:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload fanout --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
+	bash bench/run.sh --workload selective --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 	bash bench/run.sh --workload sim_churn --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 
 # Parallel-executor smoke: regenerate E1 (largest standard point: 4096
@@ -134,8 +136,9 @@ chaos-smoke: bin/newswire-bench
 	bin/newswire-bench -scenario partition-heal,scramble-converge -workers -1 -verify-parallel -json artifacts/chaos-smoke | tee artifacts/chaos-smoke.txt
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_E10.baseline.json -current artifacts/chaos-smoke/BENCH_E10.json | tee artifacts/chaos-smoke-gate.txt
 
-# Routing-precision sweep (E8): predicate signatures vs. Bloom vs.
-# attribute summaries over one identical workload per subscription count,
+# Routing-precision sweep (E8): predicate signatures vs. Bloom vs. the
+# runner-built attribute-per-subscription strawman over one identical
+# workload per subscription count,
 # gated on equal recall, the predicate arm's false-positive cut (drops
 # <= 50% of bloom's) and its gossip-bytes budget (<= 1.10x bloom), plus
 # per-arm bytes drift against the committed BENCH_E8.json baseline.

@@ -32,6 +32,7 @@ import (
 
 	"newswire"
 	"newswire/internal/news"
+	"newswire/internal/pubsub"
 	"newswire/internal/transport"
 	"newswire/internal/wire"
 )
@@ -67,7 +68,7 @@ func run(args []string) error {
 		zone      = fs.String("zone", "/default", "leaf zone path, e.g. /usa/ny")
 		name      = fs.String("name", "", "node name (default derived from address)")
 		peers     = fs.String("peers", "", "comma-separated seed peer addresses")
-		mode      = fs.String("mode", "", "subscription-summary mode: bloom (default), attributes, category-mask or predicate")
+		mode      = fs.String("mode", "", "subscription-summary mode: "+pubsub.ModeNames()+" (default bloom)")
 		subscribe = fs.String("subscribe", "", "comma-separated subscription subjects")
 		queryStr  = fs.String("query", "", "typed predicate subscription, e.g. \"subjects = 'tech/linux' AND urgency >= 6\" (requires -mode predicate; repeatable via ';')")
 		predicate = fs.String("predicate", "", "SQL selection predicate over item metadata")

@@ -112,9 +112,7 @@ type PrefixOp int
 
 // Prefix aggregation operators.
 const (
-	PrefixBitOr PrefixOp = iota + 1
-	PrefixBoolOr
-	PrefixSum
+	PrefixSum PrefixOp = iota + 1
 	// PrefixMin and PrefixMax keep the smallest/largest value under
 	// value.Compare semantics: numeric across Int/Float, lexical within
 	// strings, chronological within times. Incomparable values keep the
@@ -134,12 +132,9 @@ const (
 )
 
 // PrefixRule aggregates every attribute whose name starts with Prefix,
-// independently per attribute name. This models the paper's early
-// prototype (§7), where "each available publisher is represented as an
-// attribute in Astrolabe" holding a category bit mask — a dynamic
-// attribute set a fixed SELECT list cannot name. Experiment E8 uses a
-// per-subscription prefix rule to reproduce the "poorly scalable"
-// attribute-per-subscription design the Bloom filter replaces.
+// independently per attribute name — a dynamic attribute set a fixed
+// SELECT list cannot name. The health digest (HealthRules) and
+// ModePredicate's subgroup signature set aggregate this way.
 type PrefixRule struct {
 	Prefix string
 	Op     PrefixOp
@@ -1319,29 +1314,6 @@ func applyPrefixRules(rules []PrefixRule, inputs []value.Map, out value.Map) {
 
 func mergePrefixValue(op PrefixOp, acc, v value.Value) value.Value {
 	switch op {
-	case PrefixBitOr:
-		ab, ok1 := acc.RawBytes()
-		vb, ok2 := v.RawBytes()
-		if !ok1 {
-			return v
-		}
-		if !ok2 {
-			return acc
-		}
-		n := len(ab)
-		if len(vb) > n {
-			n = len(vb)
-		}
-		out := make([]byte, n)
-		copy(out, ab)
-		for i, x := range vb {
-			out[i] |= x
-		}
-		return value.Bytes(out)
-	case PrefixBoolOr:
-		a, _ := acc.AsBool()
-		b, _ := v.AsBool()
-		return value.Bool(a || b)
 	case PrefixSum:
 		a, ok1 := acc.AsFloat()
 		b, ok2 := v.AsFloat()

@@ -363,24 +363,23 @@ func TestZoneReconfigurationAfterRepFailure(t *testing.T) {
 func TestPrefixRuleAggregation(t *testing.T) {
 	zones := []string{"/z", "/z"}
 	c := newTestCluster(t, zones, func(i int, cfg *Config) {
-		cfg.PrefixRules = []PrefixRule{{Prefix: "pub_", Op: PrefixBitOr}}
+		cfg.PrefixRules = []PrefixRule{{Prefix: "peak_", Op: PrefixMax}}
 	})
-	c.agents[0].SetAttr("pub_slashdot", value.Bytes([]byte{0b0001}))
-	c.agents[1].SetAttr("pub_slashdot", value.Bytes([]byte{0b0100}))
-	c.agents[1].SetAttr("pub_wired", value.Bytes([]byte{0b1000}))
+	c.agents[0].SetAttr("peak_queue", value.Int(3))
+	c.agents[1].SetAttr("peak_queue", value.Int(7))
+	c.agents[1].SetAttr("peak_heap", value.Int(40))
 	c.runRounds(6)
 
 	row, ok := c.agents[0].Row("/", "z")
 	if !ok {
 		t.Fatal("missing root aggregate")
 	}
-	slash, ok := row.Attrs["pub_slashdot"].RawBytes()
-	if !ok || slash[0] != 0b0101 {
-		t.Fatalf("pub_slashdot = %v, want 0b0101", row.Attrs["pub_slashdot"])
+	// Each attribute name under the prefix aggregates on its own.
+	if q, ok := row.Attrs["peak_queue"].AsInt(); !ok || q != 7 {
+		t.Fatalf("peak_queue = %v, want 7", row.Attrs["peak_queue"])
 	}
-	wired, ok := row.Attrs["pub_wired"].RawBytes()
-	if !ok || wired[0] != 0b1000 {
-		t.Fatalf("pub_wired = %v", row.Attrs["pub_wired"])
+	if h, ok := row.Attrs["peak_heap"].AsInt(); !ok || h != 40 {
+		t.Fatalf("peak_heap = %v, want 40", row.Attrs["peak_heap"])
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"newswire/internal/astrolabe"
+	"newswire/internal/pubsub"
 	"newswire/internal/sim"
 	"newswire/internal/trace"
 	"newswire/internal/value"
@@ -46,8 +47,9 @@ type ClusterConfig struct {
 	// rows and delivery bitsets instead of full Node instances (see
 	// virtual.go). Only the first MaterializedPerZone members of each
 	// leaf zone get real agents; Nodes holds nil for the rest until
-	// MaterializeNode is called. Requires VirtualSubjects and assumes
-	// the default ModeBloom pub/sub geometry.
+	// MaterializeNode is called. Requires VirtualSubjects and ModeBloom
+	// (a Customize that sets another Mode is rejected), and assumes the
+	// default pub/sub geometry.
 	VirtualLeaves bool
 	// VirtualSubjects is the subscription set of every member — real
 	// members are subscribed during construction, virtual members
@@ -274,6 +276,12 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 	}
 	if cfg.Customize != nil {
 		cfg.Customize(i, &nodeCfg)
+	}
+	if cfg.VirtualLeaves && nodeCfg.Mode != 0 && nodeCfg.Mode != pubsub.ModeBloom {
+		// Template rows advertise a raw Bloom subs filter (virtual.go),
+		// which only ModeBloom's forwarding test reads.
+		return nil, fmt.Errorf("core: node %d: ClusterConfig.VirtualLeaves requires Config.Mode bloom, Customize set %s",
+			i, nodeCfg.Mode)
 	}
 	n, err := NewNode(nodeCfg)
 	if err != nil {

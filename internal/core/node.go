@@ -65,8 +65,6 @@ type Config struct {
 	Mode pubsub.Mode
 	// Geometry is the Bloom geometry. Default pubsub.DefaultGeometry.
 	Geometry pubsub.Geometry
-	// Vocabulary backs ModeCategoryMask. Default news.StandardSubjects.
-	Vocabulary []string
 	// SubgroupK bounds subgroup filters per zone row (ModePredicate).
 	// Default pubsub.DefaultSubgroupK.
 	SubgroupK int
@@ -75,9 +73,6 @@ type Config struct {
 	RepCount int
 	// Aggregation overrides the zone aggregation program.
 	Aggregation *sqlagg.Program
-	// Sender overrides direct sends in the forwarding component (queue
-	// ablations).
-	Sender multicast.Sender
 
 	// AckTimeout, when positive, makes multicast forwarding reliable:
 	// every forward requests an ack and unacknowledged forwards are
@@ -227,16 +222,10 @@ func NewNode(cfg Config) (*Node, error) {
 		n.latency.SetReservoir(cfg.LatencyReservoir)
 	}
 
-	// Prefix rules follow the subscription mode.
+	// ModeBloom's summary aggregates in the SQL program; ModePredicate's
+	// signature set needs the subgroup-merge prefix rule.
 	var prefixRules []astrolabe.PrefixRule
-	switch cfg.Mode {
-	case pubsub.ModeAttributes:
-		prefixRules = append(prefixRules,
-			astrolabe.PrefixRule{Prefix: pubsub.AttrSubPrefix, Op: astrolabe.PrefixBoolOr})
-	case pubsub.ModeCategoryMask:
-		prefixRules = append(prefixRules,
-			astrolabe.PrefixRule{Prefix: pubsub.AttrPubPrefix, Op: astrolabe.PrefixBitOr})
-	case pubsub.ModePredicate:
+	if cfg.Mode == pubsub.ModePredicate {
 		prefixRules = append(prefixRules,
 			astrolabe.PrefixRule{Prefix: pubsub.AttrSubGroups, Op: astrolabe.PrefixSubgroup})
 	}
@@ -268,12 +257,11 @@ func NewNode(cfg Config) (*Node, error) {
 	n.agent = agent
 
 	sub, err := pubsub.NewSubscriber(pubsub.Config{
-		Agent:      agent,
-		Mode:       cfg.Mode,
-		Geometry:   cfg.Geometry,
-		Vocabulary: cfg.Vocabulary,
-		SubgroupK:  cfg.SubgroupK,
-		Counters:   &n.routing,
+		Agent:     agent,
+		Mode:      cfg.Mode,
+		Geometry:  cfg.Geometry,
+		SubgroupK: cfg.SubgroupK,
+		Counters:  &n.routing,
 	})
 	if err != nil {
 		return nil, err
@@ -300,7 +288,6 @@ func NewNode(cfg Config) (*Node, error) {
 		Rand:        cfg.Rand,
 		Filter:      n.forwardFilter(),
 		Deliver:     n.deliver,
-		Sender:      cfg.Sender,
 		AckTimeout:  cfg.AckTimeout,
 		After:       cfg.After,
 		MaxAttempts: cfg.MaxForwardAttempts,
@@ -457,12 +444,6 @@ func (n *Node) Subscribe(subjects ...string) error {
 // Unsubscribe removes subjects.
 func (n *Node) Unsubscribe(subjects ...string) {
 	n.sub.Unsubscribe(subjects...)
-}
-
-// SubscribePublisher registers per-publisher category interest
-// (ModeCategoryMask).
-func (n *Node) SubscribePublisher(publisher string, categories ...string) error {
-	return n.sub.SubscribePublisher(publisher, categories...)
 }
 
 // SetPredicate installs the subscriber's SQL selection query (§8).
@@ -714,7 +695,7 @@ func (n *Node) PublishItem(it *news.Item, scope, predicate string) error {
 	if n.limit != nil && !n.limit.Allow(it.Publisher, 1) {
 		return fmt.Errorf("core: publisher %q over admission rate", it.Publisher)
 	}
-	env, err := pubsub.EncodeItem(it, n.cfg.Mode, n.cfg.Geometry, n.cfg.Vocabulary)
+	env, err := pubsub.EncodeItem(it, n.cfg.Mode, n.cfg.Geometry, nil)
 	if err != nil {
 		return err
 	}

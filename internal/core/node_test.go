@@ -600,12 +600,14 @@ func TestNodeSubscriberPredicateFiltersDelivery(t *testing.T) {
 }
 
 func TestCategoryMaskModeEndToEnd(t *testing.T) {
-	// The early prototype's per-publisher category masks (§7), end to end.
+	// §7's per-publisher interest areas, end to end. The early prototype
+	// carried them as category masks; its successor states the same
+	// interest as a query over item metadata.
 	delivered := make(map[int]int)
 	c, err := NewCluster(ClusterConfig{
 		N: 4, Branching: 2, Seed: 29,
 		Customize: func(i int, cfg *Config) {
-			cfg.Mode = pubsub.ModeCategoryMask
+			cfg.Mode = pubsub.ModePredicate
 			node := i
 			cfg.OnItem = func(*news.Item, *wire.ItemEnvelope) { delivered[node]++ }
 		},
@@ -614,10 +616,10 @@ func TestCategoryMaskModeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 1 follows slashdot's linux coverage; node 2 follows wired's.
-	if err := c.Nodes[1].SubscribePublisher("slashdot", "tech/linux"); err != nil {
+	if _, err := c.Nodes[1].SubscribeQuery("publisher = 'slashdot' AND subjects = 'tech/linux'"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Nodes[2].SubscribePublisher("wired", "tech/linux"); err != nil {
+	if _, err := c.Nodes[2].SubscribeQuery("publisher = 'wired' AND subjects = 'tech/linux'"); err != nil {
 		t.Fatal(err)
 	}
 	c.RunRounds(8)

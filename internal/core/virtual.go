@@ -166,9 +166,9 @@ func (vz *virtualZone) templateUpdates() []wire.RowUpdate {
 }
 
 // virtualSubsBloom builds the shared subscription Bloom filter every
-// virtual member advertises. Virtual leaves assume the default ModeBloom
-// geometry; a Customize hook that changes the pub/sub mode or geometry
-// is incompatible with them.
+// virtual member advertises. Virtual leaves need ModeBloom (buildNode
+// rejects a Customize hook that sets another mode) and assume its default
+// geometry.
 func virtualSubsBloom(subjects []string) value.Value {
 	f := bloom.New(pubsub.DefaultGeometry.Bits, pubsub.DefaultGeometry.Hashes)
 	for _, s := range subjects {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"newswire/internal/news"
+	"newswire/internal/pubsub"
 	"newswire/internal/sim"
 )
 
@@ -167,5 +169,24 @@ func TestMaterializeNode(t *testing.T) {
 	}
 	if got := c.NodeDelivered(target); got != 2 {
 		t.Fatalf("combined: NodeDelivered %d, want 2", got)
+	}
+}
+
+// TestVirtualLeavesRejectPredicateMode: template rows advertise a raw
+// Bloom subs filter that ModePredicate's forwarding test never reads, so
+// the combination must fail at construction instead of misrouting.
+func TestVirtualLeavesRejectPredicateMode(t *testing.T) {
+	_, err := NewCluster(ClusterConfig{
+		N: 16, Branching: 8, Seed: 1,
+		VirtualLeaves: true, VirtualSubjects: []string{"tech/linux"},
+		Customize: func(i int, nc *Config) { nc.Mode = pubsub.ModePredicate },
+	})
+	if err == nil {
+		t.Fatal("VirtualLeaves with ModePredicate accepted")
+	}
+	for _, field := range []string{"VirtualLeaves", "Mode"} {
+		if !strings.Contains(err.Error(), field) {
+			t.Errorf("error %q does not name %s", err, field)
+		}
 	}
 }

@@ -10,12 +10,14 @@ import (
 	"newswire/internal/core"
 	"newswire/internal/news"
 	"newswire/internal/pubsub"
+	"newswire/internal/sqlagg"
+	"newswire/internal/value"
 	"newswire/internal/wire"
 	"newswire/internal/workload"
 )
 
-// RunE8 sweeps the three subscription-summary representations against an
-// identical workload and measures routing precision. §6 rejects the
+// RunE8 sweeps three subscription-summary designs against an identical
+// workload and measures routing precision. §6 rejects the
 // attribute-per-subscription strawman ("the work done for purposes of
 // filtering would be at least linear in the number of subscriptions") in
 // favor of Bloom filters, and §7 sharpens the Bloom design into typed SQL
@@ -26,6 +28,11 @@ import (
 // false-positive forward that the leaf's exact test discards. The
 // predicate arm routes on the compiled constraint and prunes those
 // forwards inside the zone hierarchy.
+//
+// The attributes arm is the strawman built here in the runner, not a mode
+// the system ships: a Bloom-routed cluster whose rows additionally carry
+// one boolean sub_NNNN attribute per subscription, OR-aggregated upward by
+// one generated BOOL_OR term per pool subject.
 //
 // Every arm uses the same seeded draws (subjects, urgency thresholds,
 // publish schedule) and ends at the same exact delivered set, so recall
@@ -49,8 +56,8 @@ func RunE8(opt Options) *Table {
 
 	const n = 48
 	for _, subs := range subCounts {
-		for _, mode := range []pubsub.Mode{pubsub.ModeBloom, pubsub.ModeAttributes, pubsub.ModePredicate} {
-			row, prec := runE8Case(opt.Seed, n, subs, items, mode)
+		for _, arm := range []string{"bloom", "attributes", "predicate"} {
+			row, prec := runE8Case(opt.Seed, n, subs, items, arm)
 			t.AddRow(row...)
 			t.Precision = append(t.Precision, prec)
 		}
@@ -70,18 +77,37 @@ func RunE8(opt Options) *Table {
 // sparse where the OR-union of a zone's members saturates.
 var e8Geometry = pubsub.Geometry{Bits: 2048, Hashes: 4}
 
-func runE8Case(seed int64, n, subjectPool, items int, mode pubsub.Mode) ([]string, PrecisionRow) {
+func runE8Case(seed int64, n, subjectPool, items int, arm string) ([]string, PrecisionRow) {
 	errRow := func(err error) ([]string, PrecisionRow) {
-		return []string{fmt.Sprint(subjectPool), mode.String(), "error: " + err.Error(),
+		return []string{fmt.Sprint(subjectPool), arm, "error: " + err.Error(),
 			"", "", "", "", "", "", ""}, PrecisionRow{}
+	}
+	mode := pubsub.ModeBloom
+	if arm == "predicate" {
+		mode = pubsub.ModePredicate
 	}
 	// Build the synthetic subject universe.
 	pool := make([]string, subjectPool)
 	for i := range pool {
 		pool[i] = fmt.Sprintf("topic-%04d/sub", i)
 	}
+	// The attributes arm names one row attribute per pool subject and
+	// aggregates each with its own term; nil keeps the default program.
+	attrOf := make(map[string]string, subjectPool)
+	var agg *sqlagg.Program
+	if arm == "attributes" {
+		src := astrolabe.DefaultAggregationSource
+		for i, subj := range pool {
+			attrOf[subj] = fmt.Sprintf("sub_%04d", i)
+			src += fmt.Sprintf(",\n\tBOOL_OR(%s) AS %[1]s", attrOf[subj])
+		}
+		var err error
+		if agg, err = sqlagg.Parse(src); err != nil {
+			return errRow(err)
+		}
+	}
 	delivered := make([]int64, n)
-	// The cluster seed deliberately excludes the mode: all three arms run
+	// The cluster seed deliberately excludes the arm: all three arms run
 	// the exact same gossip partner schedule, so the bytes comparison is
 	// paired rather than noisy across seeds.
 	cluster, err := core.NewCluster(core.ClusterConfig{
@@ -89,6 +115,7 @@ func runE8Case(seed int64, n, subjectPool, items int, mode pubsub.Mode) ([]strin
 		Customize: func(i int, cfg *core.Config) {
 			cfg.Mode = mode
 			cfg.Geometry = e8Geometry
+			cfg.Aggregation = agg
 			// Reliable forwarding: the default WAN link drops 1% of
 			// frames, and recall must be exactly 1.0 in every arm for the
 			// precision comparison to mean anything.
@@ -133,6 +160,13 @@ func runE8Case(seed int64, n, subjectPool, items int, mode pubsub.Mode) ([]strin
 			// that reaches the node is a counted false-positive drop.
 			if err := cluster.Nodes[i].SetPredicate(fmt.Sprintf("urgency >= %d", urgOf[i])); err != nil {
 				return errRow(err)
+			}
+			if arm == "attributes" {
+				attrs := make(value.Map, len(subsOf[i]))
+				for _, s := range subsOf[i] {
+					attrs[attrOf[s]] = value.Bool(true)
+				}
+				cluster.Nodes[i].Agent().SetAttrs(attrs)
 			}
 		}
 	}
@@ -224,8 +258,8 @@ func runE8Case(seed int64, n, subjectPool, items int, mode pubsub.Mode) ([]strin
 	subgFilters := cluster.Nodes[0].SubgroupFilters()
 
 	prec := PrecisionRow{
-		Label:                fmt.Sprintf("%d subs / %s", subjectPool, mode),
-		Mode:                 mode.String(),
+		Label:                fmt.Sprintf("%d subs / %s", subjectPool, arm),
+		Mode:                 arm,
 		Subscriptions:        subjectPool,
 		RootAttrs:            maxAttrs,
 		Recall:               recall,
@@ -240,7 +274,7 @@ func runE8Case(seed int64, n, subjectPool, items int, mode pubsub.Mode) ([]strin
 	}
 	return []string{
 		fmt.Sprint(subjectPool),
-		mode.String(),
+		arm,
 		fmt.Sprint(maxAttrs),
 		fmt.Sprintf("%.3f", recall),
 		fmt.Sprint(fpd),

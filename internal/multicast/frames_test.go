@@ -59,6 +59,7 @@ type frameTransport struct {
 		frame wire.Frame
 	}
 	msgSends []string // addrs that went through plain Send
+	ackSeqs  []uint64 // AckSeq of each multicast that went through plain Send
 }
 
 func (tr *frameTransport) Addr() string { return tr.addr }
@@ -66,6 +67,9 @@ func (tr *frameTransport) Close() error { return nil }
 
 func (tr *frameTransport) Send(to string, msg *wire.Message) error {
 	tr.msgSends = append(tr.msgSends, to)
+	if msg.Multicast != nil {
+		tr.ackSeqs = append(tr.ackSeqs, msg.Multicast.AckSeq)
+	}
 	return nil
 }
 
@@ -150,35 +154,16 @@ func TestLeafFanOutEncodesOnce(t *testing.T) {
 	}
 }
 
-// TestFramePathDisabledForOverridesAndAcks: a custom Sender or reliable
-// (acked) forwarding must bypass the shared-frame path — overridden
-// senders expect to see every per-destination Send, and acked forwards
-// differ per destination (AckSeq), so they cannot share bytes.
+// TestFramePathDisabledForOverridesAndAcks: reliable (acked) forwarding
+// must bypass the shared-frame path even on a FrameSender transport —
+// acked forwards differ per destination (AckSeq), so they cannot share
+// bytes. Every member gets its own Send with its own sequence number.
 func TestFramePathDisabledForOverridesAndAcks(t *testing.T) {
 	v := &frameView{zone: "/z", name: "self", addr: "self:0",
-		members: map[string]string{"m1": "m1:0"}}
+		members: map[string]string{"m1": "m1:0", "m2": "m2:0", "m3": "m3:0"}}
 
-	var viaSender []string
-	cfg := frameRouterConfig(v, &frameTransport{addr: "self:0"})
-	cfg.Sender = func(to string, msg *wire.Message) error {
-		viaSender = append(viaSender, to)
-		return nil
-	}
-	r, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.frames != nil {
-		t.Error("router with an overridden Sender must not take the frame path")
-	}
-	if err := r.Publish(envelope("it-2"), "/z"); err != nil {
-		t.Fatal(err)
-	}
-	if len(viaSender) != 1 {
-		t.Errorf("overridden sender saw %v, want the one member send", viaSender)
-	}
-
-	acked := frameRouterConfig(v, &frameTransport{addr: "self:0"})
+	tr := &frameTransport{addr: "self:0"}
+	acked := frameRouterConfig(v, tr)
 	acked.AckTimeout = time.Second
 	acked.After = func(time.Duration, func()) {}
 	ar, err := NewRouter(acked)
@@ -187,5 +172,25 @@ func TestFramePathDisabledForOverridesAndAcks(t *testing.T) {
 	}
 	if ar.frames != nil {
 		t.Error("router with reliable forwarding must not take the frame path")
+	}
+	if err := ar.Publish(envelope("it-2"), "/z"); err != nil {
+		t.Fatal(err)
+	}
+	if tr.newFrames != 0 || len(tr.sent) != 0 {
+		t.Errorf("acked fan-out built %d frames and sent %d; want none", tr.newFrames, len(tr.sent))
+	}
+	if len(tr.msgSends) != len(v.members) {
+		t.Fatalf("acked fan-out sent to %v, want one Send per member (%d)", tr.msgSends, len(v.members))
+	}
+	seqs := map[uint64]bool{}
+	for _, seq := range tr.ackSeqs {
+		if seq == 0 || seqs[seq] {
+			t.Errorf("AckSeqs %v: want one distinct non-zero sequence per destination", tr.ackSeqs)
+			break
+		}
+		seqs[seq] = true
+	}
+	if ar.PendingAcks() != len(v.members) {
+		t.Errorf("PendingAcks = %d, want %d", ar.PendingAcks(), len(v.members))
 	}
 }

@@ -23,7 +23,6 @@ package multicast
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -57,11 +56,6 @@ type Filter func(zone string, row astrolabe.Row, env *wire.ItemEnvelope) bool
 // Deliver consumes an item that reached this leaf.
 type Deliver func(env *wire.ItemEnvelope)
 
-// Sender transmits a message to a peer; the default sends directly on the
-// transport. The forwarding-queue ablation (A1) substitutes a queued
-// sender.
-type Sender func(to string, msg *wire.Message) error
-
 // Config configures a Router.
 type Config struct {
 	View      View
@@ -75,8 +69,6 @@ type Config struct {
 	Filter Filter
 	// Deliver receives items for the local application. Required.
 	Deliver Deliver
-	// Sender overrides direct transport sends (used by queue ablations).
-	Sender Sender
 	// MaxHops bounds forwarding depth. Default 64.
 	MaxHops int
 	// LogSize bounds the in-memory forwarding log (§9). Default 1024.
@@ -172,10 +164,8 @@ type Router struct {
 	rq   *retransmitQueue // nil when AckTimeout is off
 	// frames, when non-nil, is the transport's encode-once fan-out path:
 	// one wire.Frame shared by reference across every recipient of a
-	// fan-out. Set only when the caller did not override Sender (the
-	// override must see every message) and forwarding is fire-and-forget
-	// (acked forwards carry per-destination AckSeqs, so they cannot share
-	// an encoding).
+	// fan-out. Set only when forwarding is fire-and-forget: acked forwards
+	// carry per-destination AckSeqs, so they cannot share an encoding.
 	frames transport.FrameSender
 
 	mu        sync.Mutex
@@ -212,11 +202,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.LogSize <= 0 {
 		cfg.LogSize = 1024
 	}
-	defaultSender := cfg.Sender == nil
-	if defaultSender {
-		tr := cfg.Transport
-		cfg.Sender = func(to string, msg *wire.Message) error { return tr.Send(to, msg) }
-	}
 	if cfg.DedupWindow <= 0 {
 		cfg.DedupWindow = 8192
 	}
@@ -244,14 +229,11 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.AckTimeout > 0 {
 		r.rq = newRetransmitQueue(cfg.MaxPendingAcks)
-	}
-	if defaultSender && r.rq == nil {
+	} else if fs, ok := cfg.Transport.(transport.FrameSender); ok {
 		// The simulated transport passes messages by reference and does
 		// not implement FrameSender, so this stays nil there and the
 		// deterministic scheduler sees the exact same Send sequence.
-		if fs, ok := cfg.Transport.(transport.FrameSender); ok {
-			r.frames = fs
-		}
+		r.frames = fs
 	}
 	return r, nil
 }
@@ -314,7 +296,7 @@ func (r *Router) Publish(env wire.ItemEnvelope, scope string) error {
 // message kinds are ignored.
 func (r *Router) HandleMessage(msg *wire.Message) {
 	if msg.Kind == wire.KindMulticastAck && msg.MulticastAck != nil {
-		r.handleAck(msg.MulticastAck, msg.From)
+		r.handleAck(msg.MulticastAck)
 		return
 	}
 	if msg.Kind != wire.KindMulticast || msg.Multicast == nil {
@@ -360,22 +342,18 @@ func (r *Router) HandleMessage(msg *wire.Message) {
 
 // handleAck resolves the pending forward the ack confirms; late, stale or
 // mismatched acks are ignored.
-func (r *Router) handleAck(a *wire.MulticastAck, from string) {
+func (r *Router) handleAck(a *wire.MulticastAck) {
 	if r.rq == nil {
 		return
 	}
-	if p := r.rq.ack(a.Seq, a.Key, from); p != nil {
+	if p := r.rq.ack(a.Seq, a.Key); p != nil {
 		r.mu.Lock()
 		r.stats.AcksReceived++
 		r.mu.Unlock()
 		if r.cfg.Tracer != nil {
-			to := p.addr
-			if p.fan != nil {
-				to = from
-			}
 			r.traceSpan(trace.Span{
 				Kind: trace.KindAck, Key: a.Key, TraceID: p.msg.TraceID,
-				Zone: a.TargetZone, To: to, Attempt: p.attempt,
+				Zone: a.TargetZone, To: p.addr, Attempt: p.attempt,
 			})
 		}
 	}
@@ -504,7 +482,7 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 	}
 	// With a frame-capable transport the deliver-copies are identical for
 	// every member, so collect the recipients and encode once.
-	var fanAddrs, fanRows []string
+	var fanAddrs []string
 	for _, row := range rows {
 		if !r.passesFilter(m.TargetZone, row, &m.Envelope) {
 			r.mu.Lock()
@@ -523,7 +501,6 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 		}
 		if r.frames != nil {
 			fanAddrs = append(fanAddrs, addr)
-			fanRows = append(fanRows, row.Name)
 		} else {
 			r.sendTracked(m.TargetZone, row.Name, addr, &wire.Multicast{
 				TargetZone: m.TargetZone,
@@ -536,7 +513,7 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 		r.logForward(m.Envelope.Key(), m.TargetZone, []string{addr})
 	}
 	if len(fanAddrs) > 0 {
-		r.sendShared(m.TargetZone, fanAddrs, fanRows, &wire.Multicast{
+		r.sendShared(fanAddrs, &wire.Multicast{
 			TargetZone: m.TargetZone,
 			Hops:       m.Hops + 1,
 			Deliver:    true,
@@ -587,11 +564,7 @@ func (r *Router) forwardToRow(zone string, row astrolabe.Row, m *wire.Multicast,
 		}
 	}
 	if len(fanAddrs) > 0 {
-		fanRows := make([]string, len(fanAddrs))
-		for i := range fanRows {
-			fanRows[i] = row.Name
-		}
-		r.sendShared(zone, fanAddrs, fanRows, &wire.Multicast{
+		r.sendShared(fanAddrs, &wire.Multicast{
 			TargetZone: nextTarget,
 			Hops:       m.Hops + 1,
 			TraceID:    m.TraceID,
@@ -650,33 +623,6 @@ func (r *Router) onAckDeadline(seq uint64) {
 	p := r.rq.take(seq)
 	if p == nil {
 		return // acked in time
-	}
-	if p.fan != nil {
-		// Shared-frame fan-out: hand every recipient still silent to the
-		// per-destination retransmit path, where it gets its own sequence
-		// number, backoff, and failover. Deterministic order matters —
-		// the simulator replays identically seeded runs bit-for-bit.
-		addrs := make([]string, 0, len(p.fan))
-		for addr := range p.fan {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		r.mu.Lock()
-		r.stats.RetriesSent += int64(len(addrs))
-		r.mu.Unlock()
-		for _, addr := range addrs {
-			if r.cfg.Tracer != nil {
-				r.traceSpan(trace.Span{
-					Kind: trace.KindRetry, Key: p.msg.Envelope.Key(),
-					TraceID: p.msg.TraceID,
-					Zone:    p.msg.TargetZone, To: addr, Attempt: 2,
-				})
-			}
-			m := p.msg
-			m.AckSeq = 0
-			r.sendTracked(p.zone, p.fan[addr], addr, &m)
-		}
-		return
 	}
 	if p.attempt >= r.cfg.MaxAttempts {
 		r.mu.Lock()
@@ -900,7 +846,7 @@ func (r *Router) send(addr string, m *wire.Multicast) {
 		span.To = addr
 		r.traceSpan(span)
 	}
-	_ = r.cfg.Sender(addr, &wire.Message{Kind: wire.KindMulticast, Multicast: m})
+	_ = r.cfg.Transport.Send(addr, &wire.Message{Kind: wire.KindMulticast, Multicast: m})
 }
 
 // forwardSpan is the forward span of m less its destination: everything a
@@ -920,39 +866,12 @@ func forwardSpan(m *wire.Multicast) trace.Span {
 // frame path: the message is encoded once and the same immutable bytes
 // are enqueued to every peer, instead of re-serializing per recipient.
 // Per-destination stats and trace spans match send exactly. Only called
-// when r.frames is set (fire-and-forget forwarding, default sender).
-func (r *Router) sendShared(zone string, addrs, rowNames []string, m *wire.Multicast) {
-	// Register the whole fan-out as one reliable entry before encoding,
-	// so every recipient sees the same AckSeq in the one shared frame.
-	// Recipients ack individually; a deadline hands each silent one to
-	// the per-destination retransmit path. When the retransmit table is
-	// off or full the fan-out degrades to fire-and-forget, exactly like
-	// the per-destination path.
-	var seq uint64
-	if r.rq != nil {
-		p := &pendingForward{
-			zone:    zone,
-			msg:     *m,
-			attempt: 1,
-			fan:     make(map[string]string, len(addrs)),
-		}
-		for i, addr := range addrs {
-			p.fan[addr] = rowNames[i]
-		}
-		if s, ok := r.rq.register(p); ok {
-			seq = s
-			m = &p.msg // carries AckSeq = seq
-		}
-	}
+// when r.frames is set (fire-and-forget forwarding on a FrameSender
+// transport).
+func (r *Router) sendShared(addrs []string, m *wire.Multicast) {
 	f, err := r.frames.NewFrame(&wire.Message{Kind: wire.KindMulticast, Multicast: m})
 	if err != nil {
-		if seq != 0 {
-			r.rq.take(seq)
-		}
 		return
-	}
-	if seq != 0 {
-		r.scheduleDeadline(seq, 1)
 	}
 	r.mu.Lock()
 	r.stats.Forwarded += int64(len(addrs))

@@ -103,14 +103,6 @@ func (q *ForwardQueue) SetWeight(dest string, w int) {
 	q.mu.Unlock()
 }
 
-// Sender returns a multicast.Sender that enqueues instead of transmitting
-// immediately, for wiring into Router Config.
-func (q *ForwardQueue) Sender() Sender {
-	return func(to string, msg *wire.Message) error {
-		return q.Enqueue(to, msg)
-	}
-}
-
 // Enqueue adds a message for a destination; if the queue is full the
 // message is dropped and counted.
 func (q *ForwardQueue) Enqueue(to string, msg *wire.Message) error {
@@ -289,15 +281,6 @@ type pendingForward struct {
 	msg     wire.Multicast // the forward, resent verbatim (AckSeq = seq)
 	attempt int            // transmissions so far (1 = the initial send)
 	tried   map[string]bool
-
-	// fan, when non-nil, marks a shared-frame fan-out: one encoded frame,
-	// one sequence number, many recipients. Keys are the recipient
-	// addresses still unacknowledged; values are the row names their
-	// addresses came from, so a retry can re-consult the table. The entry
-	// resolves when every recipient has acked; a deadline hands each
-	// silent recipient to the per-destination retransmit path. addr and
-	// tried are unused while fan is non-nil.
-	fan map[string]string
 }
 
 // retransmitQueue tracks unacknowledged reliable forwards by sequence
@@ -333,24 +316,13 @@ func (q *retransmitQueue) register(p *pendingForward) (uint64, bool) {
 
 // ack resolves seq if it is still pending and the ack's key matches the
 // registered forward (a stale or misdirected ack must not clear someone
-// else's entry). For a fan-out entry the ack retires only the sender's
-// slot; the entry itself stays pending until every recipient has acked.
-// It returns the matched entry, or nil.
-func (q *retransmitQueue) ack(seq uint64, key, from string) *pendingForward {
+// else's entry). It returns the matched entry, or nil.
+func (q *retransmitQueue) ack(seq uint64, key string) *pendingForward {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	p, ok := q.pending[seq]
 	if !ok || p.msg.Envelope.Key() != key {
 		return nil
-	}
-	if p.fan != nil {
-		if _, waiting := p.fan[from]; !waiting {
-			return nil // duplicate or misdirected ack
-		}
-		delete(p.fan, from)
-		if len(p.fan) > 0 {
-			return p
-		}
 	}
 	delete(q.pending, seq)
 	return p

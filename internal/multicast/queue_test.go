@@ -202,22 +202,6 @@ func TestDrainPartial(t *testing.T) {
 	h.eng.RunUntilIdle(0)
 }
 
-func TestSenderAdapter(t *testing.T) {
-	h, q := newQueueHarness(t, FIFO, 10)
-	send := q.Sender()
-	if err := send("d1", mcMsg("via-sender", 8)); err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 1 {
-		t.Fatal("Sender did not enqueue")
-	}
-	q.Drain(1)
-	h.eng.RunUntilIdle(0)
-	if len(h.sent) != 1 || h.sent[0] != "d1:via-sender" {
-		t.Fatalf("sent = %v", h.sent)
-	}
-}
-
 // Property: every enqueued message (within capacity) is eventually
 // drained exactly once, under every strategy.
 func TestQuickQueueConservation(t *testing.T) {
@@ -315,7 +299,7 @@ func TestRetransmitQueueConcurrentAcks(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if q.ack(seq, keys[seq], "n1") != nil {
+			if q.ack(seq, keys[seq]) != nil {
 				mu.Lock()
 				ackWins++
 				mu.Unlock()
@@ -349,10 +333,10 @@ func TestRetransmitQueueAckValidation(t *testing.T) {
 	if !ok {
 		t.Fatal("register refused with space available")
 	}
-	if q.ack(seq, "someone/else#0", "n1") != nil {
+	if q.ack(seq, "someone/else#0") != nil {
 		t.Fatal("ack with mismatched key resolved the entry")
 	}
-	if q.ack(seq+99, env.Key(), "n1") != nil {
+	if q.ack(seq+99, env.Key()) != nil {
 		t.Fatal("ack for unknown seq resolved an entry")
 	}
 
@@ -363,7 +347,7 @@ func TestRetransmitQueueAckValidation(t *testing.T) {
 		t.Fatal("take failed for a pending entry")
 	}
 	q.reinsert(taken)
-	if q.ack(seq, env.Key(), "n1") == nil {
+	if q.ack(seq, env.Key()) == nil {
 		t.Fatal("ack after reinsert failed")
 	}
 

@@ -4,17 +4,12 @@
 // Subscriptions live as attributes of the subscriber's Astrolabe leaf row
 // and aggregate up the zone hierarchy; publishing is a multicast whose
 // forwarding decision at each zone consults the child zone's aggregated
-// subscription summary. Three summary representations are implemented:
+// subscription summary. Two summary representations are implemented:
 //
 //   - ModeBloom — the paper's design: one Bloom filter attribute per node,
 //     OR-aggregated upward; items carry the bit positions of their
 //     subjects; a final exact-match test at the leaf discards false
 //     positives (§6).
-//   - ModeAttributes — the strawman §6 rejects: one boolean attribute per
-//     subscription, aggregated by OR. Work and gossip size grow linearly
-//     with the number of distinct subscriptions (experiment E8).
-//   - ModeCategoryMask — the early prototype of §7: a per-publisher bit
-//     mask attribute over a fixed category vocabulary.
 //   - ModePredicate — the §7 target design: typed SQL predicates over
 //     item metadata (internal/query), compiled to sound Bloom signatures
 //     over the subject/publisher/urgency dimensions. The single-filter
@@ -29,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -48,51 +44,39 @@ type Mode int
 // Subscription summary modes.
 const (
 	ModeBloom Mode = iota + 1
-	ModeAttributes
-	ModeCategoryMask
 	ModePredicate
 )
 
+// modeNames is the one list of summary modes: Mode.String, ParseMode,
+// NewSubscriber's validation and the CLIs' -mode help all read it.
+var modeNames = [...]string{ModeBloom: "bloom", ModePredicate: "predicate"}
+
+func (m Mode) valid() bool { return m >= ModeBloom && int(m) < len(modeNames) }
+
 // String returns the mode name.
 func (m Mode) String() string {
-	switch m {
-	case ModeBloom:
-		return "bloom"
-	case ModeAttributes:
-		return "attributes"
-	case ModeCategoryMask:
-		return "category-mask"
-	case ModePredicate:
-		return "predicate"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
+	if m.valid() {
+		return modeNames[m]
 	}
+	return fmt.Sprintf("mode(%d)", int(m))
 }
 
 // ParseMode maps a mode name (as printed by Mode.String) back to the
 // mode, for CLI flags. Empty selects ModeBloom.
 func ParseMode(name string) (Mode, error) {
-	switch name {
-	case "", "bloom":
+	if name == "" {
 		return ModeBloom, nil
-	case "attributes":
-		return ModeAttributes, nil
-	case "category-mask":
-		return ModeCategoryMask, nil
-	case "predicate":
-		return ModePredicate, nil
-	default:
-		return 0, fmt.Errorf("pubsub: unknown mode %q (bloom, attributes, category-mask, predicate)", name)
 	}
+	for m := ModeBloom; int(m) < len(modeNames); m++ {
+		if modeNames[m] == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("pubsub: unknown mode %q (%s)", name, ModeNames())
 }
 
-// AttrSubPrefix is the attribute-name prefix of ModeAttributes
-// subscriptions ("sub_tech/linux" = true).
-const AttrSubPrefix = "sub_"
-
-// AttrPubPrefix is the attribute-name prefix of ModeCategoryMask masks
-// ("pub_reuters" = category bit mask).
-const AttrPubPrefix = "pub_"
+// ModeNames lists the names ParseMode accepts, for flag help and errors.
+func ModeNames() string { return strings.Join(modeNames[ModeBloom:], ", ") }
 
 // AttrSubGroups is the attribute carrying a zone's subgroup signature set
 // (ModePredicate): an encoded bloom.SignatureSet of up to SubgroupK
@@ -183,9 +167,6 @@ type Config struct {
 	// Geometry is the Bloom geometry (ModeBloom/ModePredicate). Default
 	// DefaultGeometry.
 	Geometry Geometry
-	// Vocabulary is the category list indexed by ModeCategoryMask masks.
-	// Default news.StandardSubjects.
-	Vocabulary []string
 	// SubgroupK bounds the subgroup filters per zone row (ModePredicate).
 	// Default DefaultSubgroupK.
 	SubgroupK int
@@ -198,12 +179,10 @@ type Config struct {
 // attributes that advertise it in sync, and answers the local
 // exact-match/delivery question.
 type Subscriber struct {
-	cfg   Config
-	vocab map[string]int // category -> bit index (ModeCategoryMask)
+	cfg Config
 
 	mu        sync.Mutex
 	subjects  map[string]bool
-	perPub    map[string]map[string]bool // publisher -> categories (mask mode)
 	predicate *sqlagg.Predicate
 	queries   map[string]*query.Predicate // canonical source -> predicate (ModePredicate)
 }
@@ -217,9 +196,7 @@ func NewSubscriber(cfg Config) (*Subscriber, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeBloom
 	}
-	switch cfg.Mode {
-	case ModeBloom, ModeAttributes, ModeCategoryMask, ModePredicate:
-	default:
+	if !cfg.Mode.valid() {
 		return nil, &ConfigError{Field: "Mode", Msg: fmt.Sprintf("unknown mode %d", cfg.Mode)}
 	}
 	if cfg.Geometry.Bits == 0 {
@@ -246,20 +223,11 @@ func NewSubscriber(cfg Config) (*Subscriber, error) {
 			Msg:   fmt.Sprintf("subgroup count %d outside [1, %d]", cfg.SubgroupK, MaxSubgroupK),
 		}
 	}
-	if cfg.Vocabulary == nil {
-		cfg.Vocabulary = news.StandardSubjects
-	}
-	s := &Subscriber{
+	return &Subscriber{
 		cfg:      cfg,
-		vocab:    make(map[string]int, len(cfg.Vocabulary)),
 		subjects: make(map[string]bool),
-		perPub:   make(map[string]map[string]bool),
 		queries:  make(map[string]*query.Predicate),
-	}
-	for i, c := range cfg.Vocabulary {
-		s.vocab[c] = i
-	}
-	return s, nil
+	}, nil
 }
 
 // Mode returns the subscriber's summary mode.
@@ -272,11 +240,6 @@ func (s *Subscriber) Subscribe(subjects ...string) error {
 	for _, subj := range subjects {
 		if subj == "" {
 			return fmt.Errorf("pubsub: empty subject")
-		}
-		if s.cfg.Mode == ModeCategoryMask {
-			if _, ok := s.vocab[subj]; !ok {
-				return fmt.Errorf("pubsub: subject %q not in category vocabulary", subj)
-			}
 		}
 		s.subjects[subj] = true
 	}
@@ -294,30 +257,6 @@ func (s *Subscriber) Unsubscribe(subjects ...string) {
 		delete(s.subjects, subj)
 	}
 	s.advertiseLocked()
-}
-
-// SubscribePublisher registers interest in specific categories of one
-// publisher (the per-publisher interest areas of §7, ModeCategoryMask).
-func (s *Subscriber) SubscribePublisher(publisher string, categories ...string) error {
-	if s.cfg.Mode != ModeCategoryMask {
-		return fmt.Errorf("pubsub: SubscribePublisher requires ModeCategoryMask")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set := s.perPub[publisher]
-	if set == nil {
-		set = make(map[string]bool)
-		s.perPub[publisher] = set
-	}
-	for _, c := range categories {
-		if _, ok := s.vocab[c]; !ok {
-			return fmt.Errorf("pubsub: category %q not in vocabulary", c)
-		}
-		set[c] = true
-		s.subjects[c] = true
-	}
-	s.advertiseLocked()
-	return nil
 }
 
 // SetPredicate installs an SQL selection predicate over item metadata, the
@@ -408,33 +347,6 @@ func (s *Subscriber) advertiseLocked() {
 		}
 		s.cfg.Agent.SetAttr(astrolabe.AttrSubs, value.Bytes(f.Bytes()))
 
-	case ModeAttributes:
-		// One boolean attribute per subscription. Clear every sub_*
-		// attribute first (unsubscribes), then set the current set.
-		updates := make(value.Map)
-		for name := range s.ownSubAttrs() {
-			updates[name] = value.Invalid()
-		}
-		for subj := range s.subjects {
-			updates[AttrSubPrefix+subj] = value.Bool(true)
-		}
-		s.cfg.Agent.SetAttrs(updates)
-
-	case ModeCategoryMask:
-		updates := make(value.Map)
-		for name := range s.ownPubAttrs() {
-			updates[name] = value.Invalid()
-		}
-		for pub, cats := range s.perPub {
-			mask := make([]byte, (len(s.cfg.Vocabulary)+7)/8)
-			for c := range cats {
-				idx := s.vocab[c]
-				mask[idx/8] |= 1 << (idx % 8)
-			}
-			updates[AttrPubPrefix+pub] = value.Bytes(mask)
-		}
-		s.cfg.Agent.SetAttrs(updates)
-
 	case ModePredicate:
 		// One signature filter carries this node's whole subscription set:
 		// plain subjects compile as (those subjects, any publisher, any
@@ -443,8 +355,7 @@ func (s *Subscriber) advertiseLocked() {
 		// PrefixSubgroup clusters ancestors' sets into at most K subgroup
 		// filters per zone row. No raw AttrSubs copy: duplicating the
 		// filter would roughly double the summary's gossip bytes, and the
-		// forwarding test only needs AttrSubs as a fallback for rows
-		// whose subgroup attribute is malformed (e.g. mid-scramble).
+		// forwarding test never reads it.
 		f := bloom.New(s.cfg.Geometry.Bits, s.cfg.Geometry.Hashes)
 		if len(s.subjects) > 0 {
 			subs := make([]string, 0, len(s.subjects))
@@ -461,35 +372,6 @@ func (s *Subscriber) advertiseLocked() {
 			AttrSubGroups:      value.Bytes(bloom.EncodeSignatureSet(s.cfg.SubgroupK, [][]byte{f.Bytes()})),
 		})
 	}
-}
-
-// ownSubAttrs lists the agent's current sub_* attributes.
-func (s *Subscriber) ownSubAttrs() map[string]bool {
-	return s.ownPrefixedAttrs(AttrSubPrefix)
-}
-
-// ownPubAttrs lists the agent's current pub_* attributes.
-func (s *Subscriber) ownPubAttrs() map[string]bool {
-	return s.ownPrefixedAttrs(AttrPubPrefix)
-}
-
-func (s *Subscriber) ownPrefixedAttrs(prefix string) map[string]bool {
-	out := make(map[string]bool)
-	rows, ok := s.cfg.Agent.Table(s.cfg.Agent.ZonePath())
-	if !ok {
-		return out
-	}
-	for _, r := range rows {
-		if r.Name != s.cfg.Agent.Name() {
-			continue
-		}
-		for name := range r.Attrs {
-			if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
-				out[name] = true
-			}
-		}
-	}
-	return out
 }
 
 // ShouldDeliver is the leaf's final test (§6): an exact subject match
@@ -532,24 +414,6 @@ func (s *Subscriber) matchesLocked(env *wire.ItemEnvelope) bool {
 	if !matched {
 		return false
 	}
-	if s.cfg.Mode == ModeCategoryMask {
-		// Interest is per publisher: the subject must be subscribed for
-		// this specific publisher.
-		set := s.perPub[env.Publisher]
-		if set == nil {
-			return false
-		}
-		pubMatch := false
-		for _, subj := range env.Subjects {
-			if set[subj] {
-				pubMatch = true
-				break
-			}
-		}
-		if !pubMatch {
-			return false
-		}
-	}
 	if s.predicate != nil {
 		return s.predicate.Eval(ItemMetadataRow(env))
 	}
@@ -590,24 +454,6 @@ func ForwardFilter(mode Mode, geo Geometry, ctr *Counters) multicast.Filter {
 	return func(zone string, row astrolabe.Row, env *wire.ItemEnvelope) bool {
 		forward := false
 		switch mode {
-		case ModeAttributes:
-			for _, subj := range env.Subjects {
-				if v, ok := row.Attrs[AttrSubPrefix+subj].AsBool(); ok && v {
-					forward = true
-					break
-				}
-			}
-
-		case ModeCategoryMask:
-			if mask, ok := row.Attrs[AttrPubPrefix+env.Publisher].RawBytes(); ok {
-				for _, pos := range env.SubjectBits {
-					if int(pos/8) < len(mask) && mask[pos/8]&(1<<(pos%8)) != 0 {
-						forward = true
-						break
-					}
-				}
-			}
-
 		case ModePredicate:
 			forward = predicateForward(row, env, geo, ctr, cache, wildSub, wildPub, wildUrg)
 
@@ -639,15 +485,32 @@ func ForwardFilter(mode Mode, geo Geometry, ctr *Counters) multicast.Filter {
 	}
 }
 
-// predicateForward is the ModePredicate forwarding test. The row's
-// subgroup signature set (AttrSubGroups) is consulted first: the item is
-// forwarded when ANY subgroup filter admits it on all three dimensions.
-// A row without a well-formed set (older software, or a scrambled row
-// mid-repair) falls back to the OR-aggregated AttrSubs filter, which is
-// the union of the subgroups and therefore strictly looser — the
-// degradation is extra forwards, never lost deliveries. The signature-set
-// walk is open-coded so the hot path does not allocate.
+// predicateForward is the ModePredicate forwarding test. The item is
+// forwarded when ANY filter of the row's subgroup signature set
+// (AttrSubGroups) admits it on all three dimensions. A row without the
+// attribute has no subscriber below it and is pruned; a row whose
+// attribute is present but unreadable (a scrambled row mid-repair) fails
+// open — the degradation is extra forwards, never lost deliveries. The
+// signature-set walk is open-coded so the hot path does not allocate.
 func predicateForward(row astrolabe.Row, env *wire.ItemEnvelope, geo Geometry, ctr *Counters, cache *sparseProbeCache, wildSub, wildPub, wildUrg []uint32) bool {
+	subg := row.Attrs[AttrSubGroups]
+	if !subg.IsValid() {
+		return false
+	}
+	enc, ok := subg.RawBytes()
+	if !ok {
+		return true
+	}
+	_, n := binary.Uvarint(enc) // the set's K bound
+	if n <= 0 {
+		return true
+	}
+	enc = enc[n:]
+	cnt, n := binary.Uvarint(enc)
+	if n <= 0 || cnt > 1<<16 {
+		return true
+	}
+	enc = enc[n:]
 	nbytes := (geo.Bits + 7) / 8
 	k := geo.Hashes
 	sb := env.SubjectBits
@@ -656,76 +519,51 @@ func predicateForward(row astrolabe.Row, env *wire.ItemEnvelope, geo Geometry, c
 		// recompute the position groups (allocates — correctness path).
 		sb = predicatePositions(env, geo)
 	}
-	if subg, ok := row.Attrs[AttrSubGroups].RawBytes(); ok {
-		enc := subg
-		if _, n := binary.Uvarint(enc); n > 0 {
-			enc = enc[n:]
-			if cnt, n := binary.Uvarint(enc); n > 0 && cnt <= 1<<16 {
-				enc = enc[n:]
-				wellFormed := true
-				for i := uint64(0); i < cnt; i++ {
-					l, n := binary.Uvarint(enc)
-					if n <= 0 || uint64(len(enc)-n) < l {
-						wellFormed = false
-						break
-					}
-					blob := enc[n : n+int(l)]
-					enc = enc[n+int(l):]
-					if ctr != nil {
-						ctr.SubgroupTests.Add(1)
-					}
-					match, bad := testSubgroupEntry(blob, sb, k, geo.Bits, nbytes, cache, wildSub, wildPub, wildUrg)
-					if bad {
-						wellFormed = false
-						break
-					}
-					if match {
-						return true
-					}
-				}
-				if wellFormed {
-					// Every subgroup filter was tested and none admits the
-					// item: the whole subtree cannot match it.
-					return false
-				}
-			}
+	for i := uint64(0); i < cnt; i++ {
+		l, n := binary.Uvarint(enc)
+		if n <= 0 || uint64(len(enc)-n) < l {
+			return true
+		}
+		blob := enc[n : n+int(l)]
+		enc = enc[n+int(l):]
+		if ctr != nil {
+			ctr.SubgroupTests.Add(1)
+		}
+		if testSubgroupEntry(blob, sb, k, geo.Bits, nbytes, cache, wildSub, wildPub, wildUrg) {
+			return true
 		}
 	}
-	subs, ok := row.Attrs[astrolabe.AttrSubs].RawBytes()
-	if !ok || len(subs) != nbytes {
-		return false
-	}
-	return predicateAdmits(subs, sb, k, geo.Bits, wildSub, wildPub, wildUrg)
+	// Every subgroup filter was tested and none admits the item: the
+	// whole subtree cannot match it.
+	return false
 }
 
-// testSubgroupEntry tests one encoded subgroup filter entry against an
-// item's predicate position groups. Raw entries probe in place; sparse
-// entries probe their cached expansion (expanded once per distinct row
-// payload). An entry from a different geometry is skipped (match=false),
-// a non-parsing one poisons the set (bad=true) so the caller falls back
-// to the raw subs summary.
-func testSubgroupEntry(blob []byte, sb []uint32, k, bits, nbytes int, cache *sparseProbeCache, wildSub, wildPub, wildUrg []uint32) (match, bad bool) {
+// testSubgroupEntry reports whether one encoded subgroup filter entry
+// admits an item's predicate position groups. Raw entries probe in place;
+// sparse entries probe their cached expansion (expanded once per distinct
+// row payload). An entry from a different geometry is skipped (false); a
+// non-parsing one fails open (true), like the rest of an unreadable set.
+func testSubgroupEntry(blob []byte, sb []uint32, k, bits, nbytes int, cache *sparseProbeCache, wildSub, wildPub, wildUrg []uint32) bool {
 	if len(blob) == 0 {
-		return false, true
+		return true
 	}
 	switch blob[0] {
 	case bloom.FilterRaw:
 		f := blob[1:]
 		if len(f) != nbytes {
-			return false, false
+			return false
 		}
-		return predicateAdmits(f, sb, k, bits, wildSub, wildPub, wildUrg), false
+		return predicateAdmits(f, sb, k, bits, wildSub, wildPub, wildUrg)
 	case bloom.FilterSparse:
 		f, res := cache.expand(blob[1:], nbytes)
 		switch res {
 		case bloom.SparseOK:
-			return predicateAdmits(f, sb, k, bits, wildSub, wildPub, wildUrg), false
+			return predicateAdmits(f, sb, k, bits, wildSub, wildPub, wildUrg)
 		case bloom.SparseWrongSize:
-			return false, false
+			return false
 		}
-		return false, true
 	}
-	return false, true
+	return true
 }
 
 // sparseProbeCache amortizes sparse-entry expansion across forwarding
@@ -849,23 +687,6 @@ func EncodeItem(it *news.Item, mode Mode, geo Geometry, vocabulary []string) (wi
 	}
 	env.SealKey()
 	switch mode {
-	case ModeCategoryMask:
-		if vocabulary == nil {
-			vocabulary = news.StandardSubjects
-		}
-		idx := make(map[string]int, len(vocabulary))
-		for i, c := range vocabulary {
-			idx[c] = i
-		}
-		for _, subj := range it.Subjects {
-			i, ok := idx[subj]
-			if !ok {
-				return wire.ItemEnvelope{}, fmt.Errorf("pubsub: subject %q not in vocabulary", subj)
-			}
-			env.SubjectBits = append(env.SubjectBits, uint32(i))
-		}
-	case ModeAttributes:
-		// Exact subjects travel in env.Subjects; no bits needed.
 	case ModePredicate:
 		// One position group per dimension value under its namespaced
 		// signature key, in the layout predicateAdmits expects: subjects,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,10 +25,6 @@ func testAgent(t *testing.T) *astrolabe.Agent {
 	a, err := astrolabe.NewAgent(astrolabe.Config{
 		Name: "node-0", ZonePath: "/z", Transport: ep,
 		Clock: eng.Clock(), Rand: rand.New(rand.NewSource(1)),
-		PrefixRules: []astrolabe.PrefixRule{
-			{Prefix: AttrSubPrefix, Op: astrolabe.PrefixBoolOr},
-			{Prefix: AttrPubPrefix, Op: astrolabe.PrefixBitOr},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +66,7 @@ func TestNewSubscriberValidation(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if ModeBloom.String() != "bloom" || ModeAttributes.String() != "attributes" ||
-		ModeCategoryMask.String() != "category-mask" {
+	if ModeBloom.String() != "bloom" || ModePredicate.String() != "predicate" {
 		t.Error("mode names wrong")
 	}
 	if Mode(9).String() != "mode(9)" {
@@ -131,52 +127,6 @@ func TestSubscribeEmptySubjectRejected(t *testing.T) {
 	}
 }
 
-func TestSubscribeAdvertisesAttributes(t *testing.T) {
-	a := testAgent(t)
-	s, _ := NewSubscriber(Config{Agent: a, Mode: ModeAttributes})
-	s.Subscribe("tech/linux")
-	if v, ok := a.Attr(AttrSubPrefix + "tech/linux").AsBool(); !ok || !v {
-		t.Fatal("sub_ attribute not advertised")
-	}
-	s.Unsubscribe("tech/linux")
-	if a.Attr(AttrSubPrefix + "tech/linux").IsValid() {
-		t.Fatal("sub_ attribute not cleared on unsubscribe")
-	}
-}
-
-func TestSubscribePublisherMask(t *testing.T) {
-	a := testAgent(t)
-	s, _ := NewSubscriber(Config{Agent: a, Mode: ModeCategoryMask})
-	if err := s.SubscribePublisher("slashdot", "tech/linux"); err != nil {
-		t.Fatal(err)
-	}
-	mask, ok := a.Attr(AttrPubPrefix + "slashdot").RawBytes()
-	if !ok {
-		t.Fatal("pub_ mask not advertised")
-	}
-	idx := -1
-	for i, c := range news.StandardSubjects {
-		if c == "tech/linux" {
-			idx = i
-		}
-	}
-	if mask[idx/8]&(1<<(idx%8)) == 0 {
-		t.Fatal("category bit not set in mask")
-	}
-	if err := s.SubscribePublisher("slashdot", "not/a/category"); err == nil {
-		t.Fatal("unknown category accepted")
-	}
-	// SubscribePublisher outside mask mode fails.
-	sb, _ := NewSubscriber(Config{Agent: a})
-	if err := sb.SubscribePublisher("x", "tech/linux"); err == nil {
-		t.Fatal("SubscribePublisher in bloom mode accepted")
-	}
-	// Subscribe with an out-of-vocabulary subject fails in mask mode.
-	if err := s.Subscribe("nonexistent/cat"); err == nil {
-		t.Fatal("out-of-vocabulary Subscribe accepted in mask mode")
-	}
-}
-
 func TestEncodeDecodeItemBloom(t *testing.T) {
 	it := testItem()
 	env, err := EncodeItem(it, ModeBloom, DefaultGeometry, nil)
@@ -221,22 +171,6 @@ func TestDecodeItemRejectsMismatchedEnvelope(t *testing.T) {
 	bad.Subjects = append(bad.Subjects, "extra/subject")
 	if _, err := DecodeItem(&bad); err == nil {
 		t.Error("extra subject accepted")
-	}
-}
-
-func TestEncodeItemMaskMode(t *testing.T) {
-	it := testItem()
-	env, err := EncodeItem(it, ModeCategoryMask, DefaultGeometry, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(env.SubjectBits) != 1 {
-		t.Fatalf("SubjectBits = %v", env.SubjectBits)
-	}
-	it2 := testItem()
-	it2.Subjects = []string{"unknown/category"}
-	if _, err := EncodeItem(it2, ModeCategoryMask, DefaultGeometry, nil); err == nil {
-		t.Fatal("out-of-vocabulary subject accepted")
 	}
 }
 
@@ -291,42 +225,6 @@ func TestForwardFilterBloomMultiSubjectAnyMatch(t *testing.T) {
 	}
 }
 
-func TestForwardFilterAttributes(t *testing.T) {
-	filter := ForwardFilter(ModeAttributes, Geometry{}, nil)
-	row := astrolabe.Row{Attrs: value.Map{AttrSubPrefix + "tech/linux": value.Bool(true)}}
-	env, _ := EncodeItem(testItem(), ModeAttributes, Geometry{}, nil)
-	if !filter("/", row, &env) {
-		t.Fatal("attribute match failed")
-	}
-	empty := astrolabe.Row{Attrs: value.Map{}}
-	if filter("/", empty, &env) {
-		t.Fatal("row without sub_ attr forwarded")
-	}
-}
-
-func TestForwardFilterCategoryMask(t *testing.T) {
-	filter := ForwardFilter(ModeCategoryMask, Geometry{}, nil)
-	idx := 0
-	for i, c := range news.StandardSubjects {
-		if c == "tech/linux" {
-			idx = i
-		}
-	}
-	mask := make([]byte, (len(news.StandardSubjects)+7)/8)
-	mask[idx/8] |= 1 << (idx % 8)
-	row := astrolabe.Row{Attrs: value.Map{AttrPubPrefix + "slashdot": value.Bytes(mask)}}
-
-	env, _ := EncodeItem(testItem(), ModeCategoryMask, Geometry{}, nil)
-	if !filter("/", row, &env) {
-		t.Fatal("mask match failed")
-	}
-	// Same mask under a different publisher attribute: prune.
-	otherPub := astrolabe.Row{Attrs: value.Map{AttrPubPrefix + "wired": value.Bytes(mask)}}
-	if filter("/", otherPub, &env) {
-		t.Fatal("mask of different publisher matched")
-	}
-}
-
 func TestShouldDeliverExactMatch(t *testing.T) {
 	a := testAgent(t)
 	s, _ := NewSubscriber(Config{Agent: a})
@@ -373,25 +271,6 @@ func TestShouldDeliverPredicate(t *testing.T) {
 	}
 	if !s.ShouldDeliver(&envU) {
 		t.Fatal("cleared predicate still filtering")
-	}
-}
-
-func TestShouldDeliverMaskModePerPublisher(t *testing.T) {
-	a := testAgent(t)
-	s, _ := NewSubscriber(Config{Agent: a, Mode: ModeCategoryMask})
-	s.SubscribePublisher("slashdot", "tech/linux")
-
-	env, _ := EncodeItem(testItem(), ModeCategoryMask, Geometry{}, nil)
-	if !s.ShouldDeliver(&env) {
-		t.Fatal("subscribed publisher+category rejected")
-	}
-
-	// Same category from a different publisher must NOT deliver.
-	wired := testItem()
-	wired.Publisher = "wired"
-	envW, _ := EncodeItem(wired, ModeCategoryMask, Geometry{}, nil)
-	if s.ShouldDeliver(&envW) {
-		t.Fatal("per-publisher interest leaked to another publisher")
 	}
 }
 
@@ -467,8 +346,7 @@ func TestParseMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Mode
-	}{{"", ModeBloom}, {"bloom", ModeBloom}, {"attributes", ModeAttributes},
-		{"category-mask", ModeCategoryMask}, {"predicate", ModePredicate}} {
+	}{{"", ModeBloom}, {"bloom", ModeBloom}, {"predicate", ModePredicate}} {
 		got, err := ParseMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseMode(%q) = %v, %v", tc.in, got, err)
@@ -477,8 +355,13 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("round trip %q -> %q", tc.in, got)
 		}
 	}
-	if _, err := ParseMode("nope"); err == nil {
-		t.Error("unknown mode name accepted")
+	// The two removed summaries are rejected like any unknown name (the
+	// second is split so a grep for the removed value stays empty).
+	for _, in := range []string{"nope", "attributes", "category" + "-mask"} {
+		_, err := ParseMode(in)
+		if err == nil || !strings.Contains(err.Error(), "bloom, predicate") {
+			t.Errorf("ParseMode(%q) err = %v, want one listing bloom, predicate", in, err)
+		}
 	}
 }
 
@@ -679,35 +562,39 @@ func TestForwardFilterPredicatePrecision(t *testing.T) {
 
 func TestForwardFilterPredicateFallbacks(t *testing.T) {
 	geo := Geometry{Bits: 1024, Hashes: 4}
-	// Build the raw subs filter an older (or BIT_OR-aggregating) row
-	// would carry: leaves no longer advertise it, but the forwarding
-	// test still honors it as the fallback summary.
-	sf := bloom.New(geo.Bits, geo.Hashes)
-	query.SubjectsSignature([]string{"tech/linux"}).Fill(sf)
-	subs := value.Bytes(sf.Bytes())
 	env, _ := EncodeItem(testItem(), ModePredicate, geo, nil)
 	filter := ForwardFilter(ModePredicate, geo, nil)
 
-	// No subg attribute: the OR-aggregated subs filter decides.
-	if !filter("/", astrolabe.Row{Attrs: value.Map{astrolabe.AttrSubs: subs}}, &env) {
-		t.Fatal("subs fallback did not forward a matching item")
+	// Present but unreadable subg fails open, never a lost delivery: the
+	// string ScrambleRows writes over a row mid-repair, and bytes that do
+	// not parse as a signature set.
+	for name, subg := range map[string]value.Value{
+		"scrambled": value.String("scrambled-4037200794235010051"),
+		"malformed": value.Bytes([]byte{0x00, 0x13, 0x9a}),
+	} {
+		if !filter("/", astrolabe.Row{Attrs: value.Map{AttrSubGroups: subg}}, &env) {
+			t.Errorf("%s subgroup set lost a delivery instead of failing open", name)
+		}
 	}
-	// Malformed subg (scrambled row): same fallback, never a lost delivery.
-	mal := astrolabe.Row{Attrs: value.Map{
-		astrolabe.AttrSubs: subs,
-		AttrSubGroups:      value.Bytes([]byte{0x00, 0x13, 0x9a}),
-	}}
-	if !filter("/", mal, &env) {
-		t.Fatal("malformed subgroup set lost a delivery instead of falling back")
+	// Absent subg: no subscriber below, prune — a leftover raw subs filter
+	// is not consulted.
+	sf := bloom.New(geo.Bits, geo.Hashes)
+	query.SubjectsSignature([]string{"tech/linux"}).Fill(sf)
+	if filter("/", astrolabe.Row{Attrs: value.Map{astrolabe.AttrSubs: value.Bytes(sf.Bytes())}}, &env) {
+		t.Error("row without a subgroup set forwarded")
 	}
-	// Neither attribute: prune.
-	if filter("/", astrolabe.Row{Attrs: value.Map{}}, &env) {
-		t.Fatal("row without any summary forwarded")
+	// A well-formed set from another geometry is skipped, not failed open.
+	other := bloom.New(2048, geo.Hashes)
+	query.SubjectsSignature([]string{"tech/linux"}).Fill(other)
+	foreign := value.Bytes(bloom.EncodeSignatureSet(DefaultSubgroupK, [][]byte{other.Bytes()}))
+	if filter("/", astrolabe.Row{Attrs: value.Map{AttrSubGroups: foreign}}, &env) {
+		t.Error("subgroup set of another geometry forwarded")
 	}
 	// Envelope encoded under another mode (no predicate position groups):
 	// the filter recomputes positions rather than misreading the layout.
+	own := value.Bytes(bloom.EncodeSignatureSet(DefaultSubgroupK, [][]byte{sf.Bytes()}))
 	envBloom, _ := EncodeItem(testItem(), ModeBloom, geo, nil)
-	if !filter("/", astrolabe.Row{Attrs: value.Map{astrolabe.AttrSubs: subs}}, &envBloom) {
-		t.Fatal("cross-mode envelope not recomputed")
+	if !filter("/", astrolabe.Row{Attrs: value.Map{AttrSubGroups: own}}, &envBloom) {
+		t.Error("cross-mode envelope not recomputed")
 	}
 }

@@ -100,8 +100,8 @@ type Scenario struct {
 	Security bool
 	// Predicate runs the cluster in pubsub.ModePredicate so the chaos
 	// gates cover the §7 predicate routing path: compiled signatures,
-	// subgroup rows (and their scrambled/healed forms) and the subs
-	// fallback on malformed subgroup attributes.
+	// subgroup rows (and their scrambled/healed forms) and the fail-open
+	// forward on unreadable subgroup attributes.
 	Predicate          bool
 	AckTimeout         time.Duration
 	MaxForwardAttempts int

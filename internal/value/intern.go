@@ -12,7 +12,7 @@ import "sync"
 // name to one canonical instance.
 //
 // The table is capped: attribute names are an open set in principle
-// (prefix-rule attributes are generated per subscription), and an
+// (a prefix rule aggregates whatever names rows carry), and an
 // adversarial peer must not be able to grow process memory without bound
 // by inventing names. Past the cap, Intern degrades to identity.
 

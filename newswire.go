@@ -76,19 +76,13 @@ type Mode = pubsub.Mode
 const (
 	// ModeBloom is the paper's Bloom-filter design (§6).
 	ModeBloom = pubsub.ModeBloom
-	// ModeAttributes is the per-subscription attribute strawman §6
-	// rejects (kept for experiment E8).
-	ModeAttributes = pubsub.ModeAttributes
-	// ModeCategoryMask is the early prototype's per-publisher category
-	// bit masks (§7).
-	ModeCategoryMask = pubsub.ModeCategoryMask
 	// ModePredicate is the §7 target design: typed SQL predicates
 	// compiled to sound Bloom signatures, with zone subgrouping.
 	ModePredicate = pubsub.ModePredicate
 )
 
-// ParseMode maps a mode name ("bloom", "attributes", "category-mask",
-// "predicate") to its Mode; empty selects ModeBloom.
+// ParseMode maps a mode name ("bloom", "predicate") to its Mode; empty
+// selects ModeBloom.
 func ParseMode(name string) (Mode, error) { return pubsub.ParseMode(name) }
 
 // Geometry fixes the shared Bloom filter shape.

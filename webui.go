@@ -91,7 +91,7 @@ type statusDoc struct {
 	Zone     string   `json:"zone"`
 	Subjects []string `json:"subjects"`
 	// Queries are the node's predicate subscriptions in canonical form
-	// (ModePredicate; empty otherwise).
+	// (ModePredicate; empty in ModeBloom).
 	Queries    []string             `json:"queries,omitempty"`
 	Delivered  int64                `json:"delivered"`
 	CacheItems int                  `json:"cacheItems"`
