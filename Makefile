@@ -77,13 +77,16 @@ bench-repo:
 # table equality check, and record wall/alloc numbers as BENCH_E1.json.
 # The equality check is the gate; the timing numbers are informational.
 # With -trace the gate also covers span-set equality (fingerprints),
-# and the slowest deliveries' hop paths land in the JSON artifact.
+# and the slowest deliveries' hop paths land in the JSON artifact. The
+# gossip budget holds digest + delta bytes per round of the sim_churn
+# schedule to within 2 % of the recorded count.
 bench-smoke: bin/newswire-bench
 	mkdir -p artifacts
 	git show HEAD:artifacts/BENCH_E1.json > artifacts/BENCH_E1.baseline.json 2>/dev/null || echo '{}' > artifacts/BENCH_E1.baseline.json
 	bin/newswire-bench -run E1 -workers -1 -verify-parallel -speedup -trace -json artifacts | tee artifacts/bench-smoke.txt
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_E1.baseline.json -current artifacts/BENCH_E1.json | tee artifacts/bytes-gate.txt
 	$(GO) test . -run TestGossipRoundTraceOverheadGuard -count=1 -v | tee artifacts/trace-guard.txt
+	$(GO) test . -run TestChurnGossipBytesBudget -count=1 -v | tee artifacts/gossip-budget.txt
 	bin/newswire-bench -run E6 -quick -trace -json artifacts | tee artifacts/trace-smoke.txt
 
 # Memory smoke: one virtual-leaf E1 row at 65,536 nodes with the heap

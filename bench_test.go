@@ -432,30 +432,8 @@ func BenchmarkGossipRound(b *testing.B) {
 // forwards, state transfer (requests and replies), gossip digests and
 // gossip deltas — the rows of EXPERIMENTS.md's sim_churn byte ledger.
 func BenchmarkChurnRound(b *testing.B) {
-	const nodes, branching, subjects, itemsPerRound, downRounds = 1024, 16, 16, 4, 3
-	const interval = 2 * time.Second
-	subject := func(k int) string { return fmt.Sprintf("bench/c%02d", k%subjects) }
-	cluster, err := newswire.NewCluster(newswire.ClusterConfig{
-		N: nodes, Branching: branching, Seed: 1, GossipInterval: interval,
-		Customize: func(i int, cfg *newswire.Config) {
-			cfg.AckTimeout = time.Second
-			cfg.AntiEntropyEvery = 3
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, n := range cluster.Nodes {
-		zone := i / branching
-		if err := n.Subscribe(subject(zone), subject(zone+1+zone/subjects)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cluster.RunRounds(10)
-	cluster.StartTicking()
-	defer cluster.StopTicking()
-	rng := rand.New(rand.NewSource(1))
-	var down []int // victims, oldest first
+	c := newChurnCluster(b)
+	defer c.StopTicking()
 	ledger := []struct {
 		unit  string
 		kinds []wire.Kind
@@ -466,49 +444,121 @@ func BenchmarkChurnRound(b *testing.B) {
 		{unit: "digest-KB/round", kinds: []wire.Kind{wire.KindGossipDigest}},
 		{unit: "delta-KB/round", kinds: []wire.Kind{wire.KindGossipDelta}},
 	}
-	kindBytes := func(kinds []wire.Kind) (sum int64) {
-		for _, k := range kinds {
-			sum += cluster.Net.SentByKind(k).Bytes
-		}
-		return sum
-	}
 	for i := range ledger {
-		ledger[i].start = kindBytes(ledger[i].kinds)
+		ledger[i].start = c.kindBytes(ledger[i].kinds...)
 	}
-	startBytes, _ := cluster.Net.BytesTotals()
+	startBytes, _ := c.Net.BytesTotals()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := 1 + rng.Intn(nodes-1) // node 0 publishes
-		for cluster.Net.Crashed(cluster.Nodes[v].Addr()) {
-			v = 1 + rng.Intn(nodes-1)
-		}
-		cluster.Net.Crash(cluster.Nodes[v].Addr())
-		if down = append(down, v); len(down) > downRounds {
-			back := cluster.Nodes[down[0]]
-			down = down[1:]
-			cluster.Net.Restore(back.Addr())
-			if err := back.RecoverFromZonePeer(64); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for k := 0; k < itemsPerRound; k++ {
-			g := i*itemsPerRound + k
-			it := &news.Item{
-				Publisher: "bench", ID: fmt.Sprintf("it-%d", g), Headline: "h", Body: "b",
-				Subjects: []string{subject(g)}, Urgency: 5, Published: cluster.Eng.Now(),
-			}
-			if err := cluster.Nodes[0].PublishItem(it, "", ""); err != nil {
-				b.Fatal(err)
-			}
-			cluster.RunFor(interval / itemsPerRound)
-		}
+		c.round(b, i)
 	}
 	b.StopTimer()
-	endBytes, _ := cluster.Net.BytesTotals()
+	endBytes, _ := c.Net.BytesTotals()
 	b.ReportMetric(float64(endBytes-startBytes)/float64(b.N), "bytes/round")
 	for _, row := range ledger {
-		b.ReportMetric(float64(kindBytes(row.kinds)-row.start)/1000/float64(b.N), row.unit)
+		b.ReportMetric(float64(c.kindBytes(row.kinds...)-row.start)/1000/float64(b.N), row.unit)
+	}
+}
+
+// churnCluster is BenchmarkChurnRound's cluster and churn state.
+type churnCluster struct {
+	*newswire.Cluster
+	rng  *rand.Rand
+	down []int // victims, oldest first
+}
+
+const (
+	churnNodes, churnBranching, churnSubjects = 1024, 16, 16
+	churnItemsPerRound, churnDownRounds       = 4, 3
+	churnInterval                             = 2 * time.Second
+)
+
+func churnSubject(k int) string { return fmt.Sprintf("bench/c%02d", k%churnSubjects) }
+
+// newChurnCluster boots the cluster for ten rounds and starts its tickers;
+// the caller stops them.
+func newChurnCluster(tb testing.TB) *churnCluster {
+	cluster, err := newswire.NewCluster(newswire.ClusterConfig{
+		N: churnNodes, Branching: churnBranching, Seed: 1, GossipInterval: churnInterval,
+		Customize: func(i int, cfg *newswire.Config) {
+			cfg.AckTimeout = time.Second
+			cfg.AntiEntropyEvery = 3
+		},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, n := range cluster.Nodes {
+		zone := i / churnBranching
+		if err := n.Subscribe(churnSubject(zone), churnSubject(zone+1+zone/churnSubjects)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cluster.RunRounds(10)
+	cluster.StartTicking()
+	return &churnCluster{Cluster: cluster, rng: rand.New(rand.NewSource(1))}
+}
+
+// round is the i-th gossip interval of the schedule: one crash, one return
+// once three are down, four items.
+func (c *churnCluster) round(tb testing.TB, i int) {
+	v := 1 + c.rng.Intn(churnNodes-1) // node 0 publishes
+	for c.Net.Crashed(c.Nodes[v].Addr()) {
+		v = 1 + c.rng.Intn(churnNodes-1)
+	}
+	c.Net.Crash(c.Nodes[v].Addr())
+	if c.down = append(c.down, v); len(c.down) > churnDownRounds {
+		back := c.Nodes[c.down[0]]
+		c.down = c.down[1:]
+		c.Net.Restore(back.Addr())
+		if err := back.RecoverFromZonePeer(64); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for k := 0; k < churnItemsPerRound; k++ {
+		g := i*churnItemsPerRound + k
+		it := &news.Item{
+			Publisher: "bench", ID: fmt.Sprintf("it-%d", g), Headline: "h", Body: "b",
+			Subjects: []string{churnSubject(g)}, Urgency: 5, Published: c.Eng.Now(),
+		}
+		if err := c.Nodes[0].PublishItem(it, "", ""); err != nil {
+			tb.Fatal(err)
+		}
+		c.RunFor(churnInterval / churnItemsPerRound)
+	}
+}
+
+// kindBytes sums the network's ledger over kinds.
+func (c *churnCluster) kindBytes(kinds ...wire.Kind) (sum int64) {
+	for _, k := range kinds {
+		sum += c.Net.SentByKind(k).Bytes
+	}
+	return sum
+}
+
+// TestChurnGossipBytesBudget holds the gossip share of sim_churn's wire
+// bytes to what zone sections brought it down to. It runs the first ten
+// rounds of BenchmarkChurnRound's schedule — a fixed seed, so the count
+// repeats to the byte — and fails if digests and deltas together cost over
+// 2 % more per round than recorded. A protocol change that means to move
+// these bytes records the new figure here with its reason, as for
+// TestGossipGoldenBytes; per-row digests (through PR 23) cost 1,323,900.
+func TestChurnGossipBytesBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots 1,024 simulated nodes")
+	}
+	const rounds, recorded = 10, 465493 // digest + delta bytes per round
+	c := newChurnCluster(t)
+	defer c.StopTicking()
+	start := c.kindBytes(wire.KindGossipDigest, wire.KindGossipDelta)
+	for i := 0; i < rounds; i++ {
+		c.round(t, i)
+	}
+	got := (c.kindBytes(wire.KindGossipDigest, wire.KindGossipDelta) - start) / rounds
+	t.Logf("digest + delta: %d bytes/round (recorded %d)", got, recorded)
+	if got > recorded+recorded/50 {
+		t.Errorf("gossip digests and deltas cost %d bytes/round, over 2 %% above the recorded %d", got, recorded)
 	}
 }
 

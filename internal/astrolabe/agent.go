@@ -140,19 +140,6 @@ type PrefixRule struct {
 	Op     PrefixOp
 }
 
-// msgOverhead mirrors the fixed per-message envelope cost wire's
-// EstimateSize charges for row-bearing gossip kinds — magic, kind, the
-// From-address and zone-ref framing bytes, and the interned-table
-// allowance — excluding the From address itself, which the transport
-// stamps at send time. (Assumes addresses shorter than 128 bytes, so
-// their length prefix is one byte; the accounting parity test pins this.)
-// Digest-only frames carry a much smaller table (zone paths only, no
-// attribute names), so they get their own constant.
-const (
-	msgOverhead       = 4 + wire.GossipTableOverhead
-	digestMsgOverhead = 4 + wire.DigestTableOverhead
-)
-
 // Config configures an Agent.
 type Config struct {
 	// Name is the agent's row name, unique within its leaf zone.
@@ -247,12 +234,13 @@ type Stats struct {
 	RowsRejected    int64
 	RowsExpired     int64
 	// GossipBytesSent estimates the wire bytes of all anti-entropy
-	// traffic this agent initiated or answered, using the same size
-	// model as wire.Message.EstimateSize.
+	// traffic this agent initiated or answered: the sum of
+	// wire.Message.EstimateSize over the messages it sent.
 	GossipBytesSent int64
 	// RowsSent counts full row updates shipped in gossip messages.
 	RowsSent int64
-	// DigestsSent counts digest entries shipped in GossipDigest messages.
+	// DigestsSent counts the rows summarized in the zone sections this
+	// agent shipped, in digests and in answers to mismatching ones.
 	DigestsSent int64
 	// StampsSent counts re-issue stamps shipped in delta replies in place
 	// of full rows (identical content on both sides, only the issue time
@@ -287,9 +275,6 @@ type entry struct {
 	*wire.SharedRow
 	sec  int64 // issue stamp, Unix seconds
 	nsec int32 // issue stamp, nanoseconds within the second
-	// named equals Agent.diffSeq when the digest being diffed has named
-	// this row (diffDigestLocked's record of what the peer already holds).
-	named uint32
 }
 
 func newEntry(r *wire.SharedRow, issued time.Time) entry {
@@ -303,10 +288,18 @@ func (e entry) stamp() time.Time { return time.Unix(e.sec, int64(e.nsec)).UTC() 
 // (wire.SharedRow): merging a gossiped row installs the sender's pointer,
 // so the table is copy-on-write — writers never modify a stored row, they
 // replace the map entry.
+//
+// Content changes go through put and del, which keep names and hash true
+// to rows; a write that only moves a stamp stores into rows directly.
 type table struct {
 	rows map[string]entry
-	// named counts the rows the digest being diffed has named.
-	named int
+	// names lists the row names in ascending order. A row's index in it is
+	// its position in every zone section and stamp this agent exchanges.
+	names []string
+	// hash is the table's content hash: the sum of rowHash over its rows.
+	// Two tables with equal hash and row count hold the same names with
+	// the same attribute bytes, so a peer can read either from its own.
+	hash uint64
 	// dirty records that the attribute *content* of this table changed
 	// (row added, removed, or attributes replaced) since the zone's
 	// aggregate was last computed. Timestamp-only refreshes — the
@@ -320,6 +313,78 @@ type table struct {
 	// behind the agent's back (corruption, a buggy merge) must be
 	// recomputed from inputs, never re-stamped and re-signed as-is.
 	aggHash uint64
+}
+
+// rowHash is one row's term of a table's content hash: FNV-1a over the
+// name, a separator and the attrs hash, put through a 64-bit finalizer so
+// that the terms of a table add up without structure. The sum does not
+// depend on the order rows were written in and follows a put or del in
+// constant time. It is as strong as the per-row hashes it is built from: an
+// accidental collision between two different tables needs their differing
+// terms to cancel, which for mixed 64-bit terms is as likely as two
+// attribute encodings sharing an FNV hash.
+func rowHash(name string, attrs uint64) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	h ^= 0xff // no name contains it: "ab"+hash never reads as "a"+hash
+	h *= prime64
+	for i := 0; i < 8; i++ {
+		h ^= attrs >> (8 * i) & 0xff
+		h *= prime64
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// put stores e, a row that is new to the table or whose content may differ
+// from the stored one.
+func (t *table) put(e entry) {
+	old, ok := t.rows[e.Name]
+	switch {
+	case !ok:
+		i, _ := slices.BinarySearch(t.names, e.Name)
+		t.names = slices.Insert(t.names, i, e.Name)
+		t.hash += rowHash(e.Name, e.AttrsHash())
+	case old.SharedRow != e.SharedRow:
+		// A signed row re-issued with the attributes it had hashes alike.
+		if was, is := old.AttrsHash(), e.AttrsHash(); was != is {
+			t.hash += rowHash(e.Name, is) - rowHash(e.Name, was)
+		}
+	}
+	t.rows[e.Name] = e
+}
+
+// del removes the row called name, if there is one.
+func (t *table) del(name string) {
+	old, ok := t.rows[name]
+	if !ok {
+		return
+	}
+	i, _ := slices.BinarySearch(t.names, name)
+	t.names = slices.Delete(t.names, i, i+1)
+	t.hash -= rowHash(name, old.AttrsHash())
+	delete(t.rows, name)
+}
+
+// newest returns the latest issue stamp in the table.
+func (t *table) newest() time.Time {
+	var latest time.Time
+	for _, r := range t.rows {
+		if at := r.stamp(); at.After(latest) {
+			latest = at
+		}
+	}
+	return latest
 }
 
 // Agent is one Astrolabe participant: it owns a row in its leaf zone,
@@ -339,11 +404,10 @@ type Agent struct {
 	// this, so the margin before spurious expiry stays wide.
 	stampLag time.Duration
 
-	mu      sync.Mutex
-	tables  map[string]*table
-	ownRow  *wire.SharedRow // content of the agent's own leaf row
-	diffSeq uint32          // generation of entry.named marks
-	stats   Stats
+	mu     sync.Mutex
+	tables map[string]*table
+	ownRow *wire.SharedRow // content of the agent's own leaf row
+	stats  Stats
 }
 
 // NewAgent validates cfg and returns an agent with its own row issued
@@ -471,7 +535,7 @@ func (a *Agent) setOwnAttrsLocked(attrs value.Map) {
 	a.signRowLocked(row, a.leaf, now)
 	a.ownRow = row
 	t := a.tables[a.leaf]
-	t.rows[a.name] = newEntry(row, now)
+	t.put(newEntry(row, now))
 	t.dirty = true
 }
 
@@ -487,6 +551,8 @@ func (a *Agent) reissueLocked(t *table, zone string, r *wire.SharedRow, at time.
 		r = &wire.SharedRow{Name: old.Name, Attrs: old.Attrs, Owner: old.Owner}
 		r.AdoptCache(old)
 		a.signRowLocked(r, zone, at)
+		t.put(newEntry(r, at))
+		return r
 	}
 	t.rows[r.Name] = newEntry(r, at)
 	return r
@@ -525,12 +591,10 @@ func (a *Agent) AppendTable(dst []Row, zone string) ([]Row, bool) {
 	if !ok {
 		return dst, false
 	}
-	start := len(dst)
-	dst = slices.Grow(dst, len(t.rows))
-	for _, r := range t.rows {
-		dst = append(dst, snapshotRow(r))
+	dst = slices.Grow(dst, len(t.names))
+	for _, name := range t.names {
+		dst = append(dst, snapshotRow(t.rows[name]))
 	}
-	slices.SortFunc(dst[start:], func(x, y Row) int { return strings.Compare(x.Name, y.Name) })
 	return dst, true
 }
 
@@ -638,9 +702,9 @@ func (a *Agent) Tick() {
 	// partner lists are a few entries long and die with this call, so they
 	// live on the stack (a larger fanout or table spills to the heap).
 	type dest struct {
-		addr  string
-		level string // deepest shared zone
-		msg   *wire.Message
+		addr   string
+		shared int // tables the two agents share: the chain down to the gossip level
+		msg    *wire.Message
 	}
 	var destBuf [8]dest
 	var candBuf [64]string
@@ -649,7 +713,7 @@ func (a *Agent) Tick() {
 		zone := a.chain[i]
 		if zone == a.leaf {
 			for _, addr := range a.pickLeafPartnersLocked(candBuf[:0], a.cfg.Fanout) {
-				dests = append(dests, dest{addr: addr, level: zone})
+				dests = append(dests, dest{addr: addr, shared: i + 1})
 			}
 			continue
 		}
@@ -657,36 +721,25 @@ func (a *Agent) Tick() {
 			continue
 		}
 		for _, addr := range a.pickZonePartnersLocked(candBuf[:0], zone, a.cfg.Fanout) {
-			dests = append(dests, dest{addr: addr, level: zone})
+			dests = append(dests, dest{addr: addr, shared: i + 1})
 		}
 	}
 
 	for i := range dests {
 		d := &dests[i]
-		var m *wire.Message
-		var payload, overhead int
 		if a.cfg.DisableDeltaGossip {
-			rows, size := a.sharedRowsLocked(d.level)
-			m = &wire.Message{
+			rows := a.sharedRowsLocked(d.shared)
+			d.msg = &wire.Message{
 				Kind:   wire.KindGossip,
+				From:   a.addr,
 				Gossip: &wire.Gossip{FromZone: a.leaf, Rows: rows},
 			}
 			a.stats.RowsSent += int64(len(rows))
-			payload = wire.UvarintLen(uint64(len(rows))) + size
-			overhead = msgOverhead
 		} else {
-			digests, size := a.digestLocked(d.level)
-			m = &wire.Message{
-				Kind:         wire.KindGossipDigest,
-				GossipDigest: &wire.GossipDigest{FromZone: a.leaf, Digests: digests},
-			}
-			a.stats.DigestsSent += int64(len(digests))
-			payload = wire.UvarintLen(uint64(len(digests))) + size
-			overhead = digestMsgOverhead
+			d.msg = a.digestLocked(d.shared)
 		}
-		d.msg = m
 		a.stats.GossipsSent++
-		a.stats.GossipBytesSent += int64(overhead + len(a.addr) + payload)
+		a.stats.GossipBytesSent += int64(d.msg.EstimateSize())
 	}
 	tr := a.cfg.Transport
 	a.mu.Unlock()
@@ -713,6 +766,12 @@ func (a *Agent) HandleMessage(msg *wire.Message) {
 	}
 }
 
+// sharedTablesLocked returns how many tables this agent shares with an
+// agent whose leaf zone is fromZone: the chain's first that-many zones.
+func (a *Agent) sharedTablesLocked(fromZone string) int {
+	return ZoneDepth(CommonAncestor(a.leaf, fromZone)) + 1
+}
+
 func (a *Agent) handleGossip(msg *wire.Message) {
 	g := msg.Gossip
 	a.mu.Lock()
@@ -725,18 +784,17 @@ func (a *Agent) handleGossip(msg *wire.Message) {
 	a.mergeRowsLocked(g.Rows)
 
 	// Reply with our rows of the tables the two agents share.
-	common := CommonAncestor(a.leaf, g.FromZone)
-	rows, size := a.sharedRowsLocked(common)
+	rows := a.sharedRowsLocked(a.sharedTablesLocked(g.FromZone))
 	reply := &wire.Message{
 		Kind: wire.KindGossipReply,
+		From: a.addr,
 		GossipReply: &wire.GossipReply{
 			FromZone: a.leaf,
 			Rows:     rows,
 		},
 	}
 	a.stats.RowsSent += int64(len(rows))
-	a.stats.GossipBytesSent += int64(msgOverhead + len(a.addr) +
-		wire.UvarintLen(uint64(len(rows))) + size)
+	a.stats.GossipBytesSent += int64(reply.EstimateSize())
 	tr := a.cfg.Transport
 	a.mu.Unlock()
 
@@ -750,333 +808,372 @@ func (a *Agent) handleGossipReply(msg *wire.Message) {
 	a.mu.Unlock()
 }
 
-// handleGossipDigest serves the request leg of a delta exchange: diff
-// the initiator's digest against local state and reply with the rows the
-// initiator is missing or stale on, plus refs of the rows this agent
-// wants back.
+// handleGossipDigest serves the request leg of a delta exchange. A
+// section that describes the content this agent holds too is diffed row by
+// row, by position; one that does not is answered with this agent's own
+// section for the zone, names attached, for the initiator to diff.
 func (a *Agent) handleGossipDigest(msg *wire.Message) {
 	g := msg.GossipDigest
 	a.mu.Lock()
 	a.stats.GossipsReceived++
-	rows, want, stamps, size := a.diffDigestLocked(g.FromZone, g.Digests)
-	reply := &wire.Message{
-		Kind: wire.KindGossipDelta,
-		GossipDelta: &wire.GossipDelta{
-			FromZone: a.leaf,
-			Rows:     rows,
-			Want:     want,
-			Stamps:   stamps,
-		},
-	}
-	a.stats.RowsSent += int64(len(rows))
-	a.stats.StampsSent += int64(len(stamps))
-	a.stats.GossipBytesSent += int64(msgOverhead + len(a.addr) +
-		wire.UvarintLen(uint64(len(rows))) + wire.UvarintLen(uint64(len(want))) +
-		size + wire.StampsSize(stamps))
+	// The answer is sent whatever the diff finds, so its stamps collect in
+	// the message from the start.
+	frame := &deltaFrame{}
+	out := delta{stamps: frame.zones[:0]}
+	a.diffSectionsLocked(&out, g.FromZone, g.Sections, true)
+	reply := a.deltaLocked(frame, &out)
 	tr := a.cfg.Transport
 	a.mu.Unlock()
 
 	_ = tr.Send(msg.From, reply)
 }
 
-// handleGossipDelta merges the rows of a delta reply and, if the sender
-// asked for rows back, answers with a final one-way delta (empty Want),
-// which completes the exchange.
+// handleGossipDelta takes what a delta carries — stamps, rows, and the
+// sender's sections of the zones a digest of ours mismatched on — and, if
+// that leaves the sender owed anything (the rows it asked for, or whatever
+// diffing its sections turns up), answers with one more delta. Only a
+// section makes a delta ask for rows, and the answer carries none, so the
+// exchange ends with that answer or the rows-only delta that serves it.
 func (a *Agent) handleGossipDelta(msg *wire.Message) {
 	g := msg.GossipDelta
 	a.mu.Lock()
 	a.stats.RepliesReceived++
-	a.mergeRowsLocked(g.Rows)
+	// Stamps first: they refer to the tables as this agent described
+	// them, before the rows of the same delta change any.
 	a.applyStampsLocked(g.Stamps)
-	if len(g.Want) == 0 {
+	a.mergeRowsLocked(g.Rows)
+	var out delta
+	a.rowsForRefsLocked(&out, g.Want)
+	a.diffSectionsLocked(&out, g.FromZone, g.Sections, false)
+	if len(out.rows)+len(out.want)+len(out.stamps) == 0 {
 		a.mu.Unlock()
 		return
 	}
-	rows, size := a.rowsForRefsLocked(g.Want)
-	if len(rows) == 0 {
-		a.mu.Unlock()
-		return
-	}
-	final := &wire.Message{
-		Kind: wire.KindGossipDelta,
-		GossipDelta: &wire.GossipDelta{
-			FromZone: a.leaf,
-			Rows:     rows,
-		},
-	}
-	a.stats.RowsSent += int64(len(rows))
-	// +1: the final delta's empty Want still costs a count byte.
-	a.stats.GossipBytesSent += int64(msgOverhead + len(a.addr) +
-		wire.UvarintLen(uint64(len(rows))) + 1 + size)
+	reply := a.deltaLocked(&deltaFrame{}, &out)
 	tr := a.cfg.Transport
 	a.mu.Unlock()
 
-	_ = tr.Send(msg.From, final)
+	_ = tr.Send(msg.From, reply)
 }
 
-// sharedRowsLocked collects every row of the tables from `deepest` up to
-// the root, along with the estimated wire size of the collected rows
-// (computed from the cached encodings, so nothing is re-encoded). When
-// deepest is the agent's leaf zone the whole chain is sent.
-func (a *Agent) sharedRowsLocked(deepest string) ([]wire.RowUpdate, int) {
+// sharedRowsLocked collects every row of the chain's first `shared`
+// tables, root first. When shared is the whole chain everything is sent.
+func (a *Agent) sharedRowsLocked(shared int) []wire.RowUpdate {
 	total := 0
-	for _, zone := range a.chain {
-		if ZoneContains(zone, deepest) {
-			total += len(a.tables[zone].rows)
-		}
+	for _, zone := range a.chain[:shared] {
+		total += len(a.tables[zone].rows)
 	}
 	out := make([]wire.RowUpdate, 0, total)
-	size := 0
-	for _, zone := range a.chain {
-		// Include zone if it is an ancestor-or-equal of the deepest
-		// shared zone.
-		if !ZoneContains(zone, deepest) {
-			continue
-		}
-		t := a.tables[zone]
-		for _, r := range t.rows {
+	for _, zone := range a.chain[:shared] {
+		for _, r := range a.tables[zone].rows {
 			out = append(out, r.Update(zone, r.stamp()))
-			size += wire.RowSize(&out[len(out)-1], r.WireAttrsSize())
 		}
 	}
-	return out, size
+	return out
 }
 
-// digestLocked summarizes every row of the tables from `deepest` up to
-// the root as RowDigest entries, plus their estimated wire size. Row
-// hashes come from the per-row cache, so steady-state digests cost no
-// encoding work.
-func (a *Agent) digestLocked(deepest string) ([]wire.RowDigest, int) {
-	total := 0
-	for _, zone := range a.chain {
-		if ZoneContains(zone, deepest) {
-			total += len(a.tables[zone].rows)
-		}
+// inlineZones is how many tables' worth of sections or stamps a gossip
+// message carries in the allocation of the message itself; a deeper chain
+// spills into an array of its own.
+const inlineZones = 4
+
+// digestLocked builds the request leg of a delta exchange: one bare
+// section for each of the chain's first `shared` tables. The message, its
+// payload and the sections are one allocation and the sections' lags share
+// another, so a digest is two heap objects.
+func (a *Agent) digestLocked(shared int) *wire.Message {
+	rows := 0
+	for _, zone := range a.chain[:shared] {
+		rows += len(a.tables[zone].names)
 	}
-	out := make([]wire.RowDigest, 0, total)
-	for _, zone := range a.chain {
-		if !ZoneContains(zone, deepest) {
-			continue
-		}
-		t := a.tables[zone]
-		for _, r := range t.rows {
-			out = append(out, wire.RowDigest{
-				Zone:   zone,
-				Name:   r.Name,
-				Issued: r.stamp(),
-				Hash:   r.AttrsHash(),
-			})
-		}
+	frame := &struct {
+		msg      wire.Message
+		body     wire.GossipDigest
+		sections [inlineZones]wire.ZoneSection
+	}{}
+	lags := make([]time.Duration, rows)
+	sections := frame.sections[:0]
+	for depth := 0; depth < shared; depth++ {
+		n := len(a.tables[a.chain[depth]].names)
+		sections = append(sections, a.sectionLocked(depth, lags[:n:n], false))
+		lags = lags[n:]
 	}
-	return out, wire.DigestsSize(out)
+	a.stats.DigestsSent += int64(rows)
+	frame.body = wire.GossipDigest{FromZone: a.leaf, Sections: sections}
+	frame.msg = wire.Message{Kind: wire.KindGossipDigest, From: a.addr, GossipDigest: &frame.body}
+	return &frame.msg
 }
 
-// diffDigestLocked compares an initiator's digest against local state.
-// It returns the rows the initiator needs (missing rows, rows we hold
-// fresher with changed content, and the same-timestamp hash-mismatch
-// case, where both sides exchange full rows so the encoded tie-break
-// converges them), the refs of rows the initiator advertised fresher
-// changed copies of, re-issue stamps for rows we hold fresher whose
-// bytes the initiator already stores, and the estimated wire size of the
-// rows and refs (stamps are sized separately via wire.StampsSize).
+// sectionLocked describes the chain's table at depth: its content hash,
+// its newest stamp, and each row's lag behind that in name order, written
+// into lags when the caller brings room for them. A named section also
+// lists every row's name and attrs hash, from the per-row cache.
+func (a *Agent) sectionLocked(depth int, lags []time.Duration, named bool) wire.ZoneSection {
+	t := a.tables[a.chain[depth]]
+	if lags == nil {
+		lags = make([]time.Duration, len(t.names))
+	}
+	s := wire.ZoneSection{Depth: depth, Hash: t.hash, Newest: t.newest(), Lags: lags}
+	if named {
+		s.Named = make([]wire.RowSummary, len(t.names))
+	}
+	for i, name := range t.names {
+		r := t.rows[name]
+		lags[i] = s.Newest.Sub(r.stamp())
+		if named {
+			s.Named[i] = wire.RowSummary{Name: name, Hash: r.AttrsHash()}
+		}
+	}
+	return s
+}
+
+// delta accumulates what one leg of a delta exchange answers with.
+type delta struct {
+	rows     []wire.RowUpdate
+	want     []wire.RowRef
+	stamps   []wire.ZoneStamps
+	sections []wire.ZoneSection
+	// rowStamps backs the Rows of every entry of stamps.
+	rowStamps []wire.RowStamp
+}
+
+// deltaFrame is a delta message, its payload and room for its stamped
+// zones in one allocation.
+type deltaFrame struct {
+	msg   wire.Message
+	body  wire.GossipDelta
+	zones [inlineZones]wire.ZoneStamps
+}
+
+// deltaLocked fills frame with out and counts it as sent.
+func (a *Agent) deltaLocked(frame *deltaFrame, out *delta) *wire.Message {
+	frame.body = wire.GossipDelta{
+		FromZone: a.leaf,
+		Rows:     out.rows,
+		Want:     out.want,
+		Stamps:   out.stamps,
+		Sections: out.sections,
+	}
+	frame.msg = wire.Message{Kind: wire.KindGossipDelta, From: a.addr, GossipDelta: &frame.body}
+	a.stats.RowsSent += int64(len(out.rows))
+	a.stats.StampsSent += int64(len(out.rowStamps))
+	a.stats.GossipBytesSent += int64(frame.msg.EstimateSize())
+	return &frame.msg
+}
+
+// diffSectionsLocked diffs each of the sections an agent of fromZone sent
+// against the table it describes, leaving out tables the two agents do not
+// share. With answer set, a section this agent cannot read is answered in
+// out with its own section for the zone, names attached.
+func (a *Agent) diffSectionsLocked(out *delta, fromZone string, sections []wire.ZoneSection, answer bool) {
+	shared := a.sharedTablesLocked(fromZone)
+	left := 0
+	for i := range sections {
+		left += len(sections[i].Lags)
+	}
+	for i := range sections {
+		s := &sections[i]
+		if s.Depth < shared && !a.diffSectionLocked(out, s, left) && answer {
+			named := a.sectionLocked(s.Depth, nil, true)
+			a.stats.DigestsSent += int64(len(named.Lags))
+			out.sections = append(out.sections, named)
+		}
+		left -= len(s.Lags)
+	}
+}
+
+// diffSectionLocked compares a peer's section against the table it
+// describes and adds to out what the peer needs: the rows it lacks or
+// holds staler with other content, refs of the rows it holds fresher (or
+// that this agent lacks), both at once for a row whose two copies share a
+// stamp but not their bytes (each side then runs the encoded tie-break on
+// the full rows), and a stamp for each row this agent holds fresher whose
+// bytes the peer already stores. left is how many rows the sections still
+// to be diffed summarize, this one included; each result is sized once, at
+// its first entry, for that many.
+//
+// A named section is walked against the table's own sorted names. A bare
+// one can only be read by an agent that holds the same names with the same
+// attribute bytes — equal content hash and row count — which takes names
+// and hashes from its own table by position; otherwise nothing is diffed
+// and the result is false.
 //
 // The stamp paths are the steady-state optimization: once a cluster
-// converges, nearly every row differs between peers only by its
-// heartbeat issue time while the attribute bytes — provably identical
-// when the digest hashes match — are already on both sides. Shipping a
-// ~25-byte stamp (or, when the initiator is the fresher side, re-issuing
-// the stored copy locally with no wire traffic at all) instead of the
-// full row removes the dominant share of anti-entropy bytes. Signed rows
-// are excluded: a re-stamped row carries an issue time its owner never
-// signed, so they always travel whole.
-func (a *Agent) diffDigestLocked(fromZone string, digests []wire.RowDigest) ([]wire.RowUpdate, []wire.RowRef, []wire.RowDigest, int) {
-	common := CommonAncestor(a.leaf, fromZone)
-	var rows []wire.RowUpdate
-	var want []wire.RowRef
-	var stamps []wire.RowDigest
-	size := 0
-
-	// Each result is sized once, at its first entry, for the digest entries
-	// still to come (the push pass below knows its exact count).
-	left := len(digests)
-	sendRow := func(zone string, r entry) {
-		if rows == nil {
-			rows = make([]wire.RowUpdate, 0, left)
+// converges, nearly every row differs between peers only by its heartbeat
+// issue time. Shipping a position and a lag (or, when the peer is the
+// fresher side, re-issuing the stored copy locally with no wire traffic at
+// all) instead of the full row removes the dominant share of anti-entropy
+// bytes. Signed rows are excluded: a re-stamped row carries an issue time
+// its owner never signed, so they always travel whole.
+func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection, left int) bool {
+	zone := a.chain[s.Depth]
+	t := a.tables[zone]
+	named := len(s.Named) > 0
+	if named {
+		if len(s.Named) != len(s.Lags) {
+			return false // no codec writes or reads this
 		}
-		rows = append(rows, r.Update(zone, r.stamp()))
-		size += wire.RowSize(&rows[len(rows)-1], r.WireAttrsSize())
-	}
-	wantRow := func(zone, name string) {
-		if want == nil {
-			want = make([]wire.RowRef, 0, left)
-		}
-		want = append(want, wire.RowRef{Zone: zone, Name: name})
-		size += wire.RefSize(&want[len(want)-1])
-	}
-	stampRow := func(zone string, r entry) {
-		if stamps == nil {
-			stamps = make([]wire.RowDigest, 0, left)
-		}
-		stamps = append(stamps, wire.RowDigest{
-			Zone: zone, Name: r.Name, Issued: r.stamp(), Hash: r.AttrsHash(),
-		})
+	} else if len(s.Lags) != len(t.names) || s.Hash != t.hash {
+		return false
 	}
 
-	// Mark which of our rows the initiator named and count them per table,
-	// so the second pass can push the rows it has never seen — and skip a
-	// table it named in full, the steady state. The mark makes the count
-	// exact even if a hostile digest repeats a name.
-	a.diffSeq++
-	for _, zone := range a.chain {
-		t := a.tables[zone]
-		t.named = 0
-		if a.diffSeq == 0 { // the generation wrapped: forget every mark
-			for name, r := range t.rows {
-				r.named = 0
-				t.rows[name] = r
+	sendRow := func(r entry) {
+		if out.rows == nil {
+			out.rows = make([]wire.RowUpdate, 0, left)
+		}
+		out.rows = append(out.rows, r.Update(zone, r.stamp()))
+	}
+	wantRow := func(name string) {
+		if out.want == nil {
+			out.want = make([]wire.RowRef, 0, left)
+		}
+		out.want = append(out.want, wire.RowRef{Zone: zone, Name: name})
+	}
+	// Stamps count back from this table's newest stamp, found when the
+	// first one is written.
+	firstStamp := len(out.rowStamps)
+	var newest time.Time
+	stampRow := func(pos int, held time.Time) {
+		if out.rowStamps == nil {
+			out.rowStamps = make([]wire.RowStamp, 0, left)
+		}
+		if len(out.rowStamps) == firstStamp {
+			newest = t.newest()
+		}
+		out.rowStamps = append(out.rowStamps, wire.RowStamp{Pos: uint32(pos), Lag: newest.Sub(held)})
+	}
+
+	// Leaf member rows take the full stampLag: their owners re-issue
+	// every Tick, so replicas may run a couple of rounds stale with
+	// no consequence beyond failure-detection slack. Aggregate rows
+	// (every non-leaf table) are exempt: their stamps advance with
+	// the freshest child heartbeat, so a transiently-wrong aggregate
+	// always carries a fresher stamp than lagging replicas of the
+	// corrected content and would keep winning exchanges for a full
+	// stampLag — stretching chaos-suite self-healing past its round
+	// budget. There are only a handful of aggregate rows per table,
+	// so stamping them every exchange costs a few dozen bytes.
+	lag := a.stampLag
+	if zone != a.leaf {
+		lag = 0
+	}
+
+	ours := 0 // next of our names the section has not passed yet
+	for pos := range s.Lags {
+		name := ""
+		if named {
+			name = s.Named[pos].Name
+			// Push the rows of ours that sort before it: the peer lacks them.
+			for ; ours < len(t.names) && t.names[ours] < name; ours++ {
+				sendRow(t.rows[t.names[ours]])
 			}
+			if ours == len(t.names) || t.names[ours] != name {
+				wantRow(name) // the peer has a row we lack: ask for it
+				continue
+			}
+			ours++
+		} else {
+			name = t.names[pos]
 		}
-	}
-	if a.diffSeq == 0 {
-		a.diffSeq = 1
-	}
-
-	for i := range digests {
-		d := &digests[i]
-		left = len(digests) - i
-		t, ok := a.tables[d.Zone]
-		if !ok {
-			continue // we do not replicate that table
-		}
-		r, ok := t.rows[d.Name]
-		if !ok {
-			// The initiator has a row we lack: ask for it.
-			wantRow(d.Zone, d.Name)
-			continue
-		}
-		if r.named != a.diffSeq {
-			r.named = a.diffSeq
-			t.rows[d.Name] = r
-			t.named++
-		}
-		// Leaf member rows take the full stampLag: their owners re-issue
-		// every Tick, so replicas may run a couple of rounds stale with
-		// no consequence beyond failure-detection slack. Aggregate rows
-		// (every non-leaf table) are exempt: their stamps advance with
-		// the freshest child heartbeat, so a transiently-wrong aggregate
-		// always carries a fresher stamp than lagging replicas of the
-		// corrected content and would keep winning exchanges for a full
-		// stampLag — stretching chaos-suite self-healing past its round
-		// budget. There are only a handful of aggregate rows per table,
-		// so stamping them every exchange costs a few dozen bytes.
-		lag := a.stampLag
-		if d.Zone != a.leaf {
-			lag = 0
-		}
+		r := t.rows[name]
+		same := !named || r.AttrsHash() == s.Named[pos].Hash
+		issued := s.Newest.Add(-s.Lags[pos])
 		held := r.stamp()
 		switch {
-		case held.After(d.Issued):
-			if len(r.Sig) == 0 && r.AttrsHash() == d.Hash {
+		case held.After(issued):
+			if len(r.Sig) == 0 && same {
 				// Same bytes both sides, ours fresher. Below the stamp
-				// lag the initiator's copy is fresh enough to need
-				// nothing at all; past it, a ~25-byte stamp refreshes
-				// the replica without shipping the row. Propagating
-				// freshness in stampLag-sized jumps instead of every
-				// round is what keeps steady-state heartbeat traffic —
-				// bytes and allocations both — near zero.
-				if held.Sub(d.Issued) >= lag {
-					stampRow(d.Zone, r)
+				// lag the peer's copy is fresh enough to need nothing at
+				// all; past it, a few bytes of stamp refresh the replica
+				// without shipping the row. Propagating freshness in
+				// stampLag-sized jumps instead of every round is what
+				// keeps steady-state heartbeat traffic — bytes and
+				// allocations both — near zero.
+				if held.Sub(issued) >= lag {
+					stampRow(pos, held)
 				}
 			} else {
-				sendRow(d.Zone, r)
+				sendRow(r)
 			}
-		case d.Issued.After(held):
-			if len(r.Sig) == 0 && r.AttrsHash() == d.Hash &&
-				!(d.Zone == a.leaf && d.Name == a.name) {
-				// The initiator is fresher but holds the very bytes we
-				// store: re-issue our copy locally at its stamp. No want
-				// ref, no reply bytes, no final-leg row. Below the stamp
-				// lag our copy is fresh enough as-is.
-				if d.Issued.Sub(held) >= lag {
-					a.restampLocked(t, r, d.Issued)
+		case issued.After(held):
+			if len(r.Sig) == 0 && same && !(zone == a.leaf && name == a.name) {
+				// The peer is fresher but holds the very bytes we store:
+				// re-issue our copy locally at its stamp. No want ref, no
+				// reply bytes, no row on a later leg. Below the stamp lag
+				// our copy is fresh enough as-is.
+				if issued.Sub(held) >= lag {
+					a.restampLocked(t, r, issued)
 				}
 			} else {
-				wantRow(d.Zone, d.Name)
+				wantRow(name)
 			}
-		case r.AttrsHash() != d.Hash:
+		case !same:
 			// Same issue time, different content: both sides need the
 			// full rows to run the deterministic encoded tie-break.
-			sendRow(d.Zone, r)
-			wantRow(d.Zone, d.Name)
+			sendRow(r)
+			wantRow(name)
 		}
 	}
-
-	// Push every shared-table row the initiator did not digest at all.
-	left = 0
-	for _, zone := range a.chain {
-		if t := a.tables[zone]; ZoneContains(zone, common) {
-			left += len(t.rows) - t.named
+	if named {
+		for ; ours < len(t.names); ours++ {
+			sendRow(t.rows[t.names[ours]])
 		}
 	}
-	if left == 0 {
-		return rows, want, stamps, size
+	if n := len(out.rowStamps); n > firstStamp {
+		out.stamps = append(out.stamps, wire.ZoneStamps{
+			Depth: s.Depth, Hash: s.Hash, Newest: newest, Rows: out.rowStamps[firstStamp:n:n],
+		})
 	}
-	rows = slices.Grow(rows, left)
-	for _, zone := range a.chain {
-		t := a.tables[zone]
-		if !ZoneContains(zone, common) || t.named == len(t.rows) {
-			continue
-		}
-		for _, r := range t.rows {
-			if r.named != a.diffSeq {
-				sendRow(zone, r)
-			}
-		}
-	}
-	return rows, want, stamps, size
+	return true
 }
 
 // restampLocked moves a stored row's stamp to `at`, leaving the shared
 // content where it is. The caller has proven the content identical on both
-// sides (equal attrs hash) and the row unsigned; re-stamping never marks a
-// zone dirty — it is the wire-free equivalent of a heartbeat re-delivery.
+// sides and the row unsigned; re-stamping never marks a zone dirty — it is
+// the wire-free equivalent of a heartbeat re-delivery.
 func (a *Agent) restampLocked(t *table, r entry, at time.Time) {
 	r.sec, r.nsec = at.Unix(), int32(at.Nanosecond())
 	t.rows[r.Name] = r
 	a.stats.StampsApplied++
 }
 
-// applyStampsLocked re-issues stored rows from a peer's stamps. Rows
-// that expired, drifted (hash mismatch), went stale-side, or are signed
-// are skipped — the epidemic's full-row path repairs those on a later
-// exchange.
-func (a *Agent) applyStampsLocked(stamps []wire.RowDigest) {
+// applyStampsLocked re-issues stored rows from a peer's stamps. They name
+// rows by position in a section this agent sent, so they are applied only
+// to a table that still hashes to what that section said: after any change
+// a position may mean another row, and a stamp that landed on it would keep
+// a dead member's row alive. Dropped stamps cost nothing but time — the
+// next exchange repeats them. Rows that are signed, this agent's own, or
+// already as fresh are skipped.
+func (a *Agent) applyStampsLocked(stamps []wire.ZoneStamps) {
 	for i := range stamps {
-		s := &stamps[i]
-		t, ok := a.tables[s.Zone]
-		if !ok {
+		z := &stamps[i]
+		if z.Depth >= len(a.chain) {
+			continue // we do not replicate that table
+		}
+		zone := a.chain[z.Depth]
+		t := a.tables[zone]
+		if t.hash != z.Hash {
 			continue
 		}
-		if s.Zone == a.leaf && s.Name == a.name {
-			continue // authoritative for our own row
+		for _, s := range z.Rows {
+			if int(s.Pos) >= len(t.names) {
+				continue
+			}
+			name := t.names[s.Pos]
+			if zone == a.leaf && name == a.name {
+				continue // authoritative for our own row
+			}
+			r := t.rows[name]
+			if at := z.Newest.Add(-s.Lag); len(r.Sig) == 0 && at.After(r.stamp()) {
+				a.restampLocked(t, r, at)
+			}
 		}
-		r, ok := t.rows[s.Name]
-		if !ok || !s.Issued.After(r.stamp()) {
-			continue
-		}
-		if len(r.Sig) != 0 || r.AttrsHash() != s.Hash {
-			continue
-		}
-		a.restampLocked(t, r, s.Issued)
 	}
 }
 
-// rowsForRefsLocked resolves Want refs to full row updates for the final
-// leg of a delta exchange, skipping rows that expired or were superseded
-// since the digest was built.
-func (a *Agent) rowsForRefsLocked(refs []wire.RowRef) ([]wire.RowUpdate, int) {
-	out := make([]wire.RowUpdate, 0, len(refs))
-	size := 0
+// rowsForRefsLocked adds to out the full rows a peer's Want refs name,
+// skipping rows that expired since the peer learned of them.
+func (a *Agent) rowsForRefsLocked(out *delta, refs []wire.RowRef) {
 	for i := range refs {
 		ref := &refs[i]
 		t, ok := a.tables[ref.Zone]
@@ -1087,10 +1184,11 @@ func (a *Agent) rowsForRefsLocked(refs []wire.RowRef) ([]wire.RowUpdate, int) {
 		if !ok {
 			continue
 		}
-		out = append(out, r.Update(ref.Zone, r.stamp()))
-		size += wire.RowSize(&out[len(out)-1], r.WireAttrsSize())
+		if out.rows == nil {
+			out.rows = make([]wire.RowUpdate, 0, len(refs)-i)
+		}
+		out.rows = append(out.rows, r.Update(ref.Zone, r.stamp()))
 	}
-	return out, size
 }
 
 func (a *Agent) mergeRowsLocked(rows []wire.RowUpdate) {
@@ -1137,16 +1235,21 @@ func (a *Agent) mergeRowsLocked(rows []wire.RowUpdate) {
 				continue
 			}
 		}
-		if !exists || !(sameAttrs(existing.Attrs, u.Attrs) || existing.Attrs.Equal(u.Attrs)) {
-			// Content changed (timestamp-only refreshes leave the zone
-			// clean, so heartbeats do not trigger re-aggregation).
-			t.dirty = true
-		}
 		// Install the sender's shared row by reference: an identical
 		// foreign row replicated across the whole system stays one
 		// allocation, and its encoding/digest caches are computed once,
 		// not once per replica.
-		t.rows[u.Name] = newEntry(u.AsShared(), u.Issued)
+		row := u.AsShared()
+		if exists && (sameAttrs(existing.Attrs, u.Attrs) || existing.Attrs.Equal(u.Attrs)) {
+			// The content we hold under a newer stamp or signature: its
+			// encoding and hash are the ones already computed.
+			row.AdoptCache(existing.SharedRow)
+		} else {
+			// Content changed (timestamp-only refreshes leave the zone
+			// clean, so heartbeats do not trigger re-aggregation).
+			t.dirty = true
+		}
+		t.put(newEntry(row, u.Issued))
 		a.stats.RowsMerged++
 	}
 }
@@ -1169,7 +1272,7 @@ func (a *Agent) expireLocked(now time.Time) {
 					// the template is live for the whole run.
 					continue
 				}
-				delete(t.rows, name)
+				t.del(name)
 				t.dirty = true
 				a.stats.RowsExpired++
 			}
@@ -1201,12 +1304,7 @@ func (a *Agent) recomputeAggregatesLocked() {
 		name := ZoneName(child)
 		pt := a.tables[parent]
 
-		var latest time.Time
-		for _, r := range ct.rows {
-			if at := r.stamp(); at.After(latest) {
-				latest = at
-			}
-		}
+		latest := ct.newest()
 
 		if !ct.dirty {
 			existing, exists := pt.rows[name]
@@ -1283,7 +1381,7 @@ func (a *Agent) recomputeAggregatesLocked() {
 		ct.dirty = false
 		ct.aggHash = candidate.AttrsHash()
 		pt.dirty = true
-		pt.rows[name] = newEntry(candidate, latest)
+		pt.put(newEntry(candidate, latest))
 	}
 }
 
@@ -1407,17 +1505,11 @@ func (a *Agent) pickZonePartnersLocked(buf []string, zone string, n int) []strin
 	// Visit rows in sorted name order: the rep draw below consumes the
 	// seeded rand stream, and pairing draws with rows in map order would
 	// make identically-seeded runs diverge.
-	names := buf[:0]
-	for name := range t.rows {
-		if name != ownName {
-			names = append(names, name)
+	candidates := buf[:0]
+	for _, name := range t.names {
+		if name == ownName {
+			continue
 		}
-	}
-	sort.Strings(names)
-	// Each name yields at most one candidate, so the candidates overwrite
-	// the names already visited.
-	candidates := names[:0]
-	for _, name := range names {
 		r := t.rows[name]
 		if reps, ok := r.Attrs[AttrReps].RawStrings(); ok && len(reps) > 0 {
 			candidates = append(candidates, reps[a.cfg.Rand.Intn(len(reps))])
@@ -1455,13 +1547,8 @@ func (a *Agent) ScrambleRows(rng *rand.Rand, frac float64) int {
 	total := 0
 	for _, zone := range a.chain {
 		t := a.tables[zone]
-		names := make([]string, 0, len(t.rows))
-		for name := range t.rows {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var victims []*wire.SharedRow
-		for _, name := range names {
+		var victims []entry
+		for _, name := range t.names {
 			r := t.rows[name]
 			if zone == a.leaf && name == a.name {
 				continue
@@ -1490,19 +1577,20 @@ func (a *Agent) ScrambleRows(rng *rand.Rand, frac float64) int {
 				Sig:    r.Sig,
 			}
 			// Stale stamp: the owner's next issue wins.
-			t.rows[name] = newEntry(mutated, r.stamp())
-			victims = append(victims, mutated)
-			total++
+			victims = append(victims, newEntry(mutated, r.stamp()))
 		}
 		if len(victims) >= 2 {
 			// Permute: swap the attribute maps of the first two victims.
-			// Both are freshly built rows not yet shared with any peer, so
-			// mutating them here is still within the COW discipline.
+			// Both are freshly built rows, neither stored nor shared with any
+			// peer yet, so mutating them here is still within the COW
+			// discipline.
 			victims[0].Attrs, victims[1].Attrs = victims[1].Attrs, victims[0].Attrs
 		}
-		if len(victims) > 0 {
+		for _, v := range victims {
+			t.put(v)
 			t.dirty = true
 		}
+		total += len(victims)
 	}
 	if total > 0 {
 		a.recomputeAggregatesLocked()
@@ -1511,12 +1599,14 @@ func (a *Agent) ScrambleRows(rng *rand.Rand, frac float64) int {
 }
 
 // FingerprintTables digests the attribute content of every replicated
-// table: zones in chain order, rows in sorted name order, each mixed as
-// (zone, name, canonical-attrs hash). Issue stamps, owners, and signatures
-// are deliberately excluded — two runs that converged to the same content
-// through different gossip histories must fingerprint equal. This is the
-// convergence oracle of the chaos suite: a scrambled run has self-healed
-// exactly when its fingerprint matches a never-scrambled twin's.
+// table: per zone in chain order its path, row count and content hash —
+// the very hash gossip compares to decide that two replicas hold the same
+// rows. Issue stamps, owners, and signatures are no part of it: two runs
+// that converged to the same content through different gossip histories
+// must fingerprint equal. This is the convergence oracle of the chaos
+// suite: a scrambled run has self-healed exactly when its fingerprint
+// matches a never-scrambled twin's. Rows that carry sys$health attributes
+// enter with those left out (fingerprintAttrsHash).
 func (a *Agent) FingerprintTables() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -1526,12 +1616,6 @@ func (a *Agent) FingerprintTables() uint64 {
 	)
 	h := uint64(offset64)
 	mixByte := func(b byte) { h ^= uint64(b); h *= prime64 }
-	mixString := func(s string) {
-		for i := 0; i < len(s); i++ {
-			mixByte(s[i])
-		}
-		mixByte(0xff) // separator
-	}
 	mixUint64 := func(v uint64) {
 		for i := 0; i < 8; i++ {
 			mixByte(byte(v >> (8 * i)))
@@ -1539,16 +1623,18 @@ func (a *Agent) FingerprintTables() uint64 {
 	}
 	for _, zone := range a.chain {
 		t := a.tables[zone]
-		names := make([]string, 0, len(t.rows))
-		for name := range t.rows {
-			names = append(names, name)
+		content := t.hash
+		for name, r := range t.rows {
+			if all, clean := r.AttrsHash(), fingerprintAttrsHash(r.SharedRow); clean != all {
+				content += rowHash(name, clean) - rowHash(name, all)
+			}
 		}
-		sort.Strings(names)
-		mixString(zone)
-		for _, name := range names {
-			mixString(name)
-			mixUint64(fingerprintAttrsHash(t.rows[name].SharedRow))
+		for i := 0; i < len(zone); i++ {
+			mixByte(zone[i])
 		}
+		mixByte(0xff) // separator
+		mixUint64(uint64(len(t.rows)))
+		mixUint64(content)
 	}
 	return h
 }

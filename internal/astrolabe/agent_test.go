@@ -25,6 +25,26 @@ type testCluster struct {
 // inbound messages to HandleMessage.
 func newTestCluster(t *testing.T, zones []string, opts func(i int, cfg *Config)) *testCluster {
 	t.Helper()
+	c := newStrangerCluster(t, zones, opts)
+	// Bootstrap: every agent is introduced to every other agent's chain
+	// rows (same-zone peers contribute leaf rows; distant peers
+	// contribute the aggregated zone rows of the tables they share).
+	for _, a := range c.agents {
+		var seeds []wire.RowUpdate
+		for _, b := range c.agents {
+			if b != a {
+				seeds = append(seeds, b.ChainRowUpdates()...)
+			}
+		}
+		a.MergeRows(seeds)
+	}
+	return c
+}
+
+// newStrangerCluster is newTestCluster before the introductions: every
+// agent knows only itself.
+func newStrangerCluster(t *testing.T, zones []string, opts func(i int, cfg *Config)) *testCluster {
+	t.Helper()
 	eng := sim.NewEngine(12345)
 	net := sim.NewNetwork(eng, sim.LinkModel{
 		LatencyMin: 5 * time.Millisecond,
@@ -52,18 +72,6 @@ func newTestCluster(t *testing.T, zones []string, opts func(i int, cfg *Config))
 		}
 		agent = a
 		c.agents = append(c.agents, a)
-	}
-	// Bootstrap: every agent is introduced to every other agent's chain
-	// rows (same-zone peers contribute leaf rows; distant peers
-	// contribute the aggregated zone rows of the tables they share).
-	for _, a := range c.agents {
-		var seeds []wire.RowUpdate
-		for _, b := range c.agents {
-			if b != a {
-				seeds = append(seeds, b.ChainRowUpdates()...)
-			}
-		}
-		a.MergeRows(seeds)
 	}
 	return c
 }

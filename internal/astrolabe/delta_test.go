@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,7 +61,57 @@ func TestQuiescentTickZeroAggEvals(t *testing.T) {
 	}
 }
 
-// TestDigestDiff exercises every branch of the digest diff rules
+// digestRow is one row as a peer's section describes it.
+type digestRow struct {
+	name   string
+	issued time.Time
+	hash   uint64
+}
+
+// namedSection is the section a peer holding rows in its table at depth
+// would answer a mismatching digest with.
+func namedSection(depth int, rows ...digestRow) wire.ZoneSection {
+	slices.SortFunc(rows, func(x, y digestRow) int { return strings.Compare(x.name, y.name) })
+	s := wire.ZoneSection{Depth: depth}
+	for _, r := range rows {
+		if r.issued.After(s.Newest) {
+			s.Newest = r.issued
+		}
+	}
+	for _, r := range rows {
+		s.Lags = append(s.Lags, s.Newest.Sub(r.issued))
+		s.Named = append(s.Named, wire.RowSummary{Name: r.name, Hash: r.hash})
+	}
+	return s
+}
+
+// diffSections runs sections sent by an agent of fromZone through a's diff,
+// as the handler of a digest does.
+func diffSections(a *Agent, fromZone string, sections ...wire.ZoneSection) delta {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var out delta
+	a.diffSectionsLocked(&out, fromZone, sections, true)
+	return out
+}
+
+// stampedNames resolves the stamps of a diff against the section they
+// answer: the name each one moves, and the time it moves it to.
+func stampedNames(t *testing.T, out delta, s wire.ZoneSection) map[string]time.Time {
+	t.Helper()
+	got := map[string]time.Time{}
+	for _, z := range out.stamps {
+		if z.Depth != s.Depth || z.Hash != s.Hash {
+			t.Fatalf("stamps for depth %d echo %x, want depth %d hash %x", z.Depth, z.Hash, s.Depth, s.Hash)
+		}
+		for _, r := range z.Rows {
+			got[s.Named[r.Pos].Name] = z.Newest.Add(-r.Lag)
+		}
+	}
+	return got
+}
+
+// TestDigestDiff exercises every branch of the section diff rules
 // directly against one agent's tables.
 func TestDigestDiff(t *testing.T) {
 	c := newTestCluster(t, []string{"/z", "/z"}, nil)
@@ -75,38 +127,31 @@ func TestDigestDiff(t *testing.T) {
 	})
 
 	tiedHash := (&wire.SharedRow{Attrs: value.Map{"x": value.Int(3)}}).AttrsHash()
-	digests := []wire.RowDigest{
-		// We lack this row entirely → should land in Want.
-		{Zone: "/z", Name: "unknown", Issued: now},
-		// Initiator's copy is fresher than ours → Want.
-		{Zone: "/z", Name: "stale-here", Issued: now},
-		// Initiator's copy is staler than ours → Rows.
-		{Zone: "/z", Name: "fresh-here", Issued: now},
-		// Same stamp, same content → neither.
-		{Zone: "/z", Name: "tied", Issued: now, Hash: tiedHash},
-		// A zone we do not replicate → ignored.
-		{Zone: "/asia", Name: "x", Issued: now},
-	}
-
-	a.mu.Lock()
-	rows, want, _, size := a.diffDigestLocked("/z", digests)
-	a.mu.Unlock()
-	if size <= 0 {
-		t.Fatalf("size = %d", size)
-	}
+	out := diffSections(a, "/z",
+		namedSection(1,
+			// We lack this row entirely → should land in Want.
+			digestRow{name: "unknown", issued: now},
+			// Initiator's copy is fresher than ours → Want.
+			digestRow{name: "stale-here", issued: now},
+			// Initiator's copy is staler than ours → Rows.
+			digestRow{name: "fresh-here", issued: now},
+			// Same stamp, same content → neither.
+			digestRow{name: "tied", issued: now, hash: tiedHash}),
+		// A table the two agents do not share → ignored.
+		namedSection(2, digestRow{name: "x", issued: now}))
 
 	wantSet := map[string]bool{}
-	for _, w := range want {
+	for _, w := range out.want {
 		wantSet[w.Zone+"|"+w.Name] = true
 	}
 	rowSet := map[string]bool{}
-	for i := range rows {
-		rowSet[rows[i].Zone+"|"+rows[i].Name] = true
+	for i := range out.rows {
+		rowSet[out.rows[i].Zone+"|"+out.rows[i].Name] = true
 	}
 
 	for _, k := range []string{"/z|unknown", "/z|stale-here"} {
 		if !wantSet[k] {
-			t.Errorf("want set missing %s: %v", k, want)
+			t.Errorf("want set missing %s: %v", k, out.want)
 		}
 	}
 	if !rowSet["/z|fresh-here"] {
@@ -115,29 +160,25 @@ func TestDigestDiff(t *testing.T) {
 	if wantSet["/z|tied"] || rowSet["/z|tied"] {
 		t.Error("identical row exchanged despite matching digest")
 	}
-	if wantSet["/asia|x"] || rowSet["/asia|x"] {
-		t.Error("unreplicated zone leaked into the diff")
+	if len(wantSet) != 2 || len(out.sections) != 0 {
+		t.Errorf("unshared table leaked into the diff: want %v, sections %v", out.want, out.sections)
 	}
-	// Rows the initiator never digested (our own row, its peer rows)
-	// must be pushed.
-	if !rowSet["/z|node-0"] {
-		t.Errorf("undigested local rows not pushed: %v", rowSet)
+	// Rows the initiator's section does not name (our own row, its peer
+	// rows) must be pushed.
+	if !rowSet["/z|node-0"] || !rowSet["/z|node-1"] {
+		t.Errorf("unnamed local rows not pushed: %v", rowSet)
 	}
 
 	// Same stamp + different hash → both directions, so the encoded
 	// tie-break can run on both sides.
-	a.mu.Lock()
-	rows, want, _, _ = a.diffDigestLocked("/z", []wire.RowDigest{
-		{Zone: "/z", Name: "tied", Issued: now, Hash: tiedHash + 1},
-	})
-	a.mu.Unlock()
+	out = diffSections(a, "/z", namedSection(1, digestRow{name: "tied", issued: now, hash: tiedHash + 1}))
 	foundRow, foundWant := false, false
-	for i := range rows {
-		if rows[i].Name == "tied" {
+	for i := range out.rows {
+		if out.rows[i].Name == "tied" {
 			foundRow = true
 		}
 	}
-	for _, w := range want {
+	for _, w := range out.want {
 		if w.Name == "tied" {
 			foundWant = true
 		}
@@ -145,6 +186,21 @@ func TestDigestDiff(t *testing.T) {
 	if !foundRow || !foundWant {
 		t.Fatalf("hash mismatch at equal stamps must exchange both ways (row=%v want=%v)",
 			foundRow, foundWant)
+	}
+
+	// A bare section of other content cannot be read: it is answered with
+	// our own section for the zone, every row named.
+	a.mu.Lock()
+	bare := a.sectionLocked(1, nil, false)
+	a.mu.Unlock()
+	bare.Hash++
+	out = diffSections(a, "/z", bare)
+	if len(out.rows)+len(out.want)+len(out.stamps) != 0 || len(out.sections) != 1 {
+		t.Fatalf("mismatching bare section diffed to %+v", out)
+	}
+	if s := out.sections[0]; s.Depth != 1 || s.Hash != bare.Hash-1 || len(s.Named) != len(bare.Lags) ||
+		!slices.IsSortedFunc(s.Named, func(x, y wire.RowSummary) int { return strings.Compare(x.Name, y.Name) }) {
+		t.Fatalf("answering section = %+v", s)
 	}
 }
 
@@ -241,9 +297,10 @@ func TestDeltaGossipByteSavings(t *testing.T) {
 	}
 }
 
-// TestGossipByteAccountingMatchesWire cross-checks the agents'
-// hand-rolled size accounting against the wire package's EstimateSize
-// as charged by the simulated network.
+// TestGossipByteAccountingMatchesWire cross-checks the agents' byte
+// counter against what the simulated network charged for the same
+// messages: both read wire.Message.EstimateSize, so a difference means a
+// message was sent and not counted, or counted and not sent.
 func TestGossipByteAccountingMatchesWire(t *testing.T) {
 	zones := []string{"/z", "/z", "/z"}
 	c := newTestCluster(t, zones, nil)
@@ -340,9 +397,9 @@ func BenchmarkDigestBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.mu.Lock()
-		digests, _ := a.digestLocked("/z")
+		m := a.digestLocked(len(a.chain))
 		a.mu.Unlock()
-		if len(digests) == 0 {
+		if len(m.GossipDigest.Sections) == 0 {
 			b.Fatal("empty digest")
 		}
 	}
@@ -366,48 +423,42 @@ func TestDigestDiffStamps(t *testing.T) {
 	})
 
 	// Initiator lags by a minute but already holds the bytes → stamp.
-	a.mu.Lock()
-	rows, want, stamps, _ := a.diffDigestLocked("/z", []wire.RowDigest{
-		{Zone: "/z", Name: "peer", Issued: now.Add(-time.Minute), Hash: hash},
-		{Zone: "/z", Name: "signed", Issued: now.Add(-time.Minute), Hash: hash},
-		// Cover the rest of the table so nothing is "undigested".
-		{Zone: "/z", Name: "node-0", Issued: now.Add(time.Hour)},
-		{Zone: "/z", Name: "node-1", Issued: now.Add(time.Hour)},
-		{Zone: "/", Name: "z", Issued: now.Add(time.Hour)},
-	})
-	a.mu.Unlock()
-	if len(stamps) != 1 || stamps[0].Name != "peer" || !stamps[0].Issued.Equal(now) || stamps[0].Hash != hash {
-		t.Fatalf("expected one stamp for peer, got %+v", stamps)
+	section := namedSection(1,
+		digestRow{name: "peer", issued: now.Add(-time.Minute), hash: hash},
+		digestRow{name: "signed", issued: now.Add(-time.Minute), hash: hash},
+		// Cover the rest of the table so nothing is left unnamed.
+		digestRow{name: "node-0", issued: now.Add(time.Hour)},
+		digestRow{name: "node-1", issued: now.Add(time.Hour)})
+	section.Hash = 0xfeed
+	out := diffSections(a, "/z", section)
+	if got := stampedNames(t, out, section); len(got) != 1 || !got["peer"].Equal(now) {
+		t.Fatalf("expected one stamp moving peer to %v, got %v", now, got)
 	}
-	for i := range rows {
-		if rows[i].Name == "peer" {
-			t.Fatalf("hash-equal unsigned row travelled whole: %+v", rows[i])
+	for i := range out.rows {
+		if out.rows[i].Name == "peer" {
+			t.Fatalf("hash-equal unsigned row travelled whole: %+v", out.rows[i])
 		}
 	}
 	foundSigned := false
-	for i := range rows {
-		if rows[i].Name == "signed" {
+	for i := range out.rows {
+		if out.rows[i].Name == "signed" {
 			foundSigned = true
 		}
 	}
 	if !foundSigned {
-		t.Fatalf("signed row must travel whole, rows=%v want=%v", rows, want)
+		t.Fatalf("signed row must travel whole, rows=%v want=%v", out.rows, out.want)
 	}
 
 	// Initiator fresher + hash equal → local re-stamp, no want ref.
 	fresher := now.Add(time.Minute)
-	a.mu.Lock()
-	_, want, stamps, _ = a.diffDigestLocked("/z", []wire.RowDigest{
-		{Zone: "/z", Name: "peer", Issued: fresher, Hash: hash},
-	})
-	a.mu.Unlock()
-	for _, w := range want {
+	out = diffSections(a, "/z", namedSection(1, digestRow{name: "peer", issued: fresher, hash: hash}))
+	for _, w := range out.want {
 		if w.Name == "peer" {
-			t.Fatalf("hash-equal fresher digest should re-stamp locally, not want: %+v", want)
+			t.Fatalf("hash-equal fresher digest should re-stamp locally, not want: %+v", out.want)
 		}
 	}
-	if len(stamps) != 0 {
-		t.Fatalf("unexpected stamps: %+v", stamps)
+	if len(out.stamps) != 0 {
+		t.Fatalf("unexpected stamps: %+v", out.stamps)
 	}
 	got, ok := a.Row("/z", "peer")
 	if !ok || !got.Issued.Equal(fresher) {
@@ -422,13 +473,9 @@ func TestDigestDiffStamps(t *testing.T) {
 
 	// Signed row with a fresher digest must produce a want, never a
 	// local re-stamp.
-	a.mu.Lock()
-	_, want, _, _ = a.diffDigestLocked("/z", []wire.RowDigest{
-		{Zone: "/z", Name: "signed", Issued: fresher, Hash: hash},
-	})
-	a.mu.Unlock()
+	out = diffSections(a, "/z", namedSection(1, digestRow{name: "signed", issued: fresher, hash: hash}))
 	foundWant := false
-	for _, w := range want {
+	for _, w := range out.want {
 		if w.Name == "signed" {
 			foundWant = true
 		}
@@ -445,21 +492,27 @@ func TestApplyStamps(t *testing.T) {
 	now := c.eng.Now()
 
 	attrs := value.Map{"x": value.Int(5)}
-	hash := (&wire.SharedRow{Attrs: attrs}).AttrsHash()
 	a.MergeRows([]wire.RowUpdate{
 		{Zone: "/z", Name: "peer", Attrs: attrs, Issued: now},
 	})
 	ownIssued, _ := a.Row("/z", "node-0")
 
+	// The leaf table is node-0 (a itself), node-1, peer, in that order.
+	const own, peer = 0, 2
 	later := now.Add(30 * time.Second)
+	newest := later.Add(time.Hour)
+	lagTo := func(at time.Time) time.Duration { return newest.Sub(at) }
 	a.mu.Lock()
-	a.applyStampsLocked([]wire.RowDigest{
-		{Zone: "/z", Name: "peer", Issued: later, Hash: hash},                      // applies
-		{Zone: "/z", Name: "peer", Issued: now, Hash: hash},                        // stale: no-op
-		{Zone: "/z", Name: "gone", Issued: later, Hash: hash},                      // unknown row
-		{Zone: "/z", Name: "node-0", Issued: later.Add(time.Hour)},                 // own row: never
-		{Zone: "/nope", Name: "peer", Issued: later, Hash: hash},                   // unreplicated zone
-		{Zone: "/z", Name: "peer", Issued: later.Add(time.Second), Hash: hash + 1}, // drifted hash
+	echo := a.tables["/z"].hash
+	a.applyStampsLocked([]wire.ZoneStamps{
+		{Depth: 1, Hash: echo, Newest: newest, Rows: []wire.RowStamp{
+			{Pos: peer, Lag: lagTo(later)}, // applies
+			{Pos: peer, Lag: lagTo(now)},   // stale: no-op
+			{Pos: 3, Lag: lagTo(later)},    // past the table
+			{Pos: own, Lag: 0},             // own row: never
+		}},
+		{Depth: 2, Hash: echo, Newest: newest, Rows: []wire.RowStamp{{Pos: peer}}},     // unreplicated zone
+		{Depth: 1, Hash: echo + 1, Newest: newest, Rows: []wire.RowStamp{{Pos: peer}}}, // another table's positions
 	})
 	a.mu.Unlock()
 
@@ -467,12 +520,76 @@ func TestApplyStamps(t *testing.T) {
 	if !got.Issued.Equal(later) {
 		t.Fatalf("peer row Issued = %v, want %v", got.Issued, later)
 	}
-	own, _ := a.Row("/z", "node-0")
-	if !own.Issued.Equal(ownIssued.Issued) {
+	own1, _ := a.Row("/z", "node-0")
+	if !own1.Issued.Equal(ownIssued.Issued) {
 		t.Fatal("own row must never be re-stamped from a peer's stamp")
 	}
-	if _, ok := a.Row("/z", "gone"); ok {
-		t.Fatal("stamp materialized a row out of nothing")
+	if rows, _ := a.Table("/z"); len(rows) != 3 {
+		t.Fatalf("stamps changed the table to %d rows", len(rows))
+	}
+}
+
+// TestStampsDroppedWhenTableChangedBetweenLegs: stamps name rows by their
+// position in the digest they answer. If the table gains or loses a row
+// while the answer is in flight, a position means another row — here the
+// stale row of a member that left — and a stamp landing on it would keep
+// that row from ever expiring. The echoed hash no longer matches, so the
+// whole zone's stamps are dropped, and the next exchange carries them.
+func TestStampsDroppedWhenTableChangedBetweenLegs(t *testing.T) {
+	c := newTestCluster(t, []string{"/z", "/z", "/z"}, nil)
+	c.runRounds(8)
+	a, b := c.agents[0], c.agents[1]
+
+	// Leg 1: a describes its tables to b, who holds the same content with
+	// node-2's row a minute fresher (past any stamp lag).
+	a.mu.Lock()
+	digest := a.digestLocked(len(a.chain))
+	a.mu.Unlock()
+	row, _ := b.Row("/z", "node-2")
+	fresh := row.Issued.Add(time.Minute)
+	b.mu.Lock()
+	b.restampLocked(b.tables["/z"], b.tables["/z"].rows["node-2"], fresh)
+	b.mu.Unlock()
+	// Leg 2: b's answer, captured in flight.
+	var answer *wire.Message
+	b.cfg.Transport = &captureTransport{addr: b.addr, send: func(_ string, m *wire.Message) { answer = m }}
+	b.HandleMessage(digest)
+	if answer == nil || len(answer.GossipDelta.Stamps) == 0 {
+		t.Fatalf("b answered %+v, want stamps", answer)
+	}
+	moves := false
+	for _, z := range answer.GossipDelta.Stamps {
+		for _, s := range z.Rows {
+			moves = moves || (z.Depth == 1 && s.Pos == 2) // node-0, node-1, node-2
+		}
+	}
+	if !moves {
+		t.Fatalf("no stamp for node-2 at position 2: %+v", answer.GossipDelta.Stamps)
+	}
+
+	// Meanwhile a learns of node-15, long gone: its row sorts into node-2's
+	// position.
+	dead := c.eng.Now().Add(-time.Hour)
+	a.MergeRows([]wire.RowUpdate{{
+		Zone: "/z", Name: "node-15", Issued: dead,
+		Attrs: value.Map{AttrAddr: value.String("n15")}, Owner: "n15",
+	}})
+	before, _ := a.Row("/z", "node-2")
+	a.HandleMessage(answer)
+	if got, _ := a.Row("/z", "node-15"); !got.Issued.Equal(dead) {
+		t.Fatalf("a stamp for node-2 landed on node-15: issued %v, want %v", got.Issued, dead)
+	}
+	if got, _ := a.Row("/z", "node-2"); !got.Issued.Equal(before.Issued) {
+		t.Fatalf("a stamp was applied to a table that changed since it was described")
+	}
+
+	// Unchanged, the same answer applies.
+	a.mu.Lock()
+	a.tables["/z"].del("node-15")
+	a.mu.Unlock()
+	a.HandleMessage(answer)
+	if got, _ := a.Row("/z", "node-2"); !got.Issued.Equal(fresh) {
+		t.Fatalf("stamp not applied to the table it was made for: issued %v, want %v", got.Issued, fresh)
 	}
 }
 

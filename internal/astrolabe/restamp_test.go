@@ -3,6 +3,7 @@ package astrolabe
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -90,12 +91,12 @@ func TestRestampIsAStampMove(t *testing.T) {
 
 	// What b now says about the row carries the new stamp.
 	b.mu.Lock()
-	digests, _ := b.digestLocked("/z")
-	rows, _ := b.sharedRowsLocked("/z")
+	section := b.sectionLocked(1, nil, true)
+	rows := b.sharedRowsLocked(len(b.chain))
 	b.mu.Unlock()
-	for _, d := range digests {
-		if d.Zone == "/z" && d.Name == "peer" && !d.Issued.Equal(t1) {
-			t.Fatalf("digest carries stamp %v, want %v", d.Issued, t1)
+	for i, r := range section.Named {
+		if at := section.Newest.Add(-section.Lags[i]); r.Name == "peer" && !at.Equal(t1) {
+			t.Fatalf("section carries stamp %v, want %v", at, t1)
 		}
 	}
 	for i := range rows {
@@ -153,9 +154,12 @@ func TestHeartbeatMovesStampUnlessSigned(t *testing.T) {
 	own := s.OwnRowUpdate()
 	hash := own.AsShared().AttrsHash()
 	peer.mu.Lock()
-	peer.applyStampsLocked([]wire.RowDigest{{Zone: "/z", Name: s.Name(), Issued: own.Issued, Hash: hash}})
-	_, want, _, _ := peer.diffDigestLocked("/z", []wire.RowDigest{{Zone: "/z", Name: s.Name(), Issued: own.Issued, Hash: hash}})
+	pos := uint32(slices.Index(peer.tables["/z"].names, s.Name()))
+	peer.applyStampsLocked([]wire.ZoneStamps{{
+		Depth: 1, Hash: peer.tables["/z"].hash, Newest: own.Issued, Rows: []wire.RowStamp{{Pos: pos}},
+	}})
 	peer.mu.Unlock()
+	want := diffSections(peer, "/z", namedSection(1, digestRow{name: s.Name(), issued: own.Issued, hash: hash})).want
 	if now, _ := peer.Row("/z", s.Name()); !now.Issued.Equal(held.Issued) {
 		t.Fatalf("signed row re-stamped from %v to %v", held.Issued, now.Issued)
 	}
@@ -185,6 +189,8 @@ func TestSharedRowConcurrentRestamps(t *testing.T) {
 	for _, a := range c.agents {
 		a.MergeRows([]wire.RowUpdate{old})
 	}
+	// Both leaf tables are node-0, node-1, peer.
+	const peerPos = 2
 	const moves = 500
 	var wg sync.WaitGroup
 	for _, a := range c.agents {
@@ -195,12 +201,19 @@ func TestSharedRowConcurrentRestamps(t *testing.T) {
 				at := t0.Add(time.Duration(i) * time.Minute)
 				switch i % 3 {
 				case 0: // a peer's stamp
-					a.HandleMessage(&wire.Message{Kind: wire.KindGossipDelta, GossipDelta: &wire.GossipDelta{
-						FromZone: "/z", Stamps: []wire.RowDigest{{Zone: "/z", Name: "peer", Issued: at, Hash: hash}},
-					}})
-				case 1: // a digest proving the peer holds the same bytes, fresher
 					a.mu.Lock()
-					a.diffDigestLocked("/z", []wire.RowDigest{{Zone: "/z", Name: "peer", Issued: at, Hash: hash}})
+					echo := a.tables["/z"].hash
+					a.mu.Unlock()
+					a.HandleMessage(&wire.Message{Kind: wire.KindGossipDelta, GossipDelta: &wire.GossipDelta{
+						FromZone: "/z", Stamps: []wire.ZoneStamps{{
+							Depth: 1, Hash: echo, Newest: at, Rows: []wire.RowStamp{{Pos: peerPos}},
+						}},
+					}})
+				case 1: // a section proving the peer holds the same bytes, fresher
+					a.mu.Lock()
+					var out delta
+					s := namedSection(1, digestRow{name: "peer", issued: at, hash: hash})
+					a.diffSectionLocked(&out, &s, 1)
 					a.mu.Unlock()
 				default: // the row itself, re-delivered at a newer stamp
 					a.MergeRows([]wire.RowUpdate{shared.Update("/z", at)})
@@ -227,37 +240,31 @@ func TestSharedRowConcurrentRestamps(t *testing.T) {
 	}
 }
 
-// TestDigestDiffExactUnderRepeatedNames: the push pass skips a table the
-// digest named in full, by count. A digest that names one row twice must
-// not count as naming two — the row it left out still has to be pushed.
+// TestDigestDiffExactUnderRepeatedNames: the diff walks a named section
+// against the table's own sorted names and pushes every row of ours the
+// section passes over. A section that names one row twice in place of
+// another (the decoder refuses it; an in-process sender could build it)
+// must not hide the row it left out — that row still has to be pushed.
 func TestDigestDiffExactUnderRepeatedNames(t *testing.T) {
 	c := newTestCluster(t, []string{"/z", "/z", "/z"}, nil)
 	a := c.agents[0]
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	full, _ := a.digestLocked("/z")
-	if rows, want, _, _ := a.diffDigestLocked("/z", full); len(rows) != 0 || len(want) != 0 {
-		t.Fatalf("own digest diffed to %d rows, %d wants", len(rows), len(want))
+	full := a.sectionLocked(1, nil, true)
+	a.mu.Unlock()
+	if out := diffSections(a, "/z", full); len(out.rows) != 0 || len(out.want) != 0 {
+		t.Fatalf("own section diffed to %d rows, %d wants", len(out.rows), len(out.want))
 	}
 	// Replace node-2's entry by a second copy of node-1's: same length.
-	var dup wire.RowDigest
-	for _, d := range full {
-		if d.Zone == "/z" && d.Name == "node-1" {
-			dup = d
+	hostile := full
+	hostile.Named = slices.Clone(full.Named)
+	for i, r := range hostile.Named {
+		if r.Name == "node-2" {
+			hostile.Named[i] = hostile.Named[i-1]
 		}
 	}
-	hostile := append([]wire.RowDigest(nil), full...)
-	for i, d := range hostile {
-		if d.Zone == "/z" && d.Name == "node-2" {
-			hostile[i] = dup
-		}
-	}
-	// Run it as the diff on which the mark generation wraps back to the
-	// one the diff above marked every row with: stale marks must not count.
-	a.diffSeq = ^uint32(0)
-	rows, _, _, _ := a.diffDigestLocked("/z", hostile)
-	if len(rows) != 1 || rows[0].Name != "node-2" {
-		t.Fatalf("digest repeating a name hid the row it omitted: pushed %+v", rows)
+	out := diffSections(a, "/z", hostile)
+	if len(out.rows) != 1 || out.rows[0].Name != "node-2" {
+		t.Fatalf("section repeating a name hid the row it omitted: pushed %+v", out.rows)
 	}
 }
 
@@ -279,32 +286,37 @@ func (c *captureTransport) Send(to string, m *wire.Message) error {
 // TestHeartbeatPathsAllocateNothing is the allocation contract of the row
 // model. Between converged agents whose rows differ only in stamps,
 // applying a peer's stamps and re-stamping from a digest allocate no
-// objects, and a whole digest→delta exchange allocates only its three
-// messages' worth: the digest list, the stamp list, and the two message
-// structs each leg is made of.
+// objects, and a whole digest→delta exchange allocates only its two
+// messages' worth: per leg one object for the message and its payload, and
+// the two arrays behind its sections or stamps.
 func TestHeartbeatPathsAllocateNothing(t *testing.T) {
 	zones := []string{"/r/a", "/r/a", "/r/a", "/r/b", "/r/b"}
 	c := newTestCluster(t, zones, nil)
 	c.runRounds(12)
 	a, b := c.agents[0], c.agents[1]
 
-	// The digest of a's own state, every row but a's own pushed an hour
-	// ahead per run: each is the very bytes a holds, fresher, past any lag.
+	// The digest of a's own state, pushed an hour ahead per run: every row
+	// but a's own is the very bytes a holds, fresher, past any lag.
 	a.mu.Lock()
-	digests, _ := a.digestLocked(a.leaf)
-	a.mu.Unlock()
-	movable := 0
-	advance := func() {
-		for i := range digests {
-			if d := &digests[i]; d.Zone != a.leaf || d.Name != a.name {
-				d.Issued = d.Issued.Add(time.Hour)
-			}
-		}
-	}
-	for _, d := range digests {
-		if d.Zone != a.leaf || d.Name != a.name {
+	digest := a.digestLocked(len(a.chain)).GossipDigest
+	stamps := make([]wire.ZoneStamps, len(digest.Sections))
+	movable := -1 // a's own row never moves
+	for i, s := range digest.Sections {
+		stamps[i] = wire.ZoneStamps{Depth: s.Depth, Hash: s.Hash, Newest: s.Newest}
+		for pos, lag := range s.Lags {
+			stamps[i].Rows = append(stamps[i].Rows, wire.RowStamp{Pos: uint32(pos), Lag: lag})
 			movable++
 		}
+	}
+	a.mu.Unlock()
+	leaf := &digest.Sections[len(digest.Sections)-1]
+	own := slices.Index(a.tables[a.leaf].names, a.name)
+	advance := func() {
+		for i := range stamps {
+			stamps[i].Newest = stamps[i].Newest.Add(time.Hour)
+			digest.Sections[i].Newest = stamps[i].Newest
+		}
+		leaf.Lags[own] += time.Hour // a's own row stays where a issued it
 	}
 	if movable < 5 {
 		t.Fatalf("only %d movable rows; the cluster did not converge", movable)
@@ -315,7 +327,7 @@ func TestHeartbeatPathsAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, func() {
 		advance()
 		a.mu.Lock()
-		a.applyStampsLocked(digests)
+		a.applyStampsLocked(stamps)
 		a.mu.Unlock()
 	}); n != 0 {
 		t.Errorf("applyStampsLocked allocates %v objects per call, want 0", n)
@@ -327,17 +339,16 @@ func TestHeartbeatPathsAllocateNothing(t *testing.T) {
 	before = a.Stats().StampsApplied
 	if n := testing.AllocsPerRun(runs, func() {
 		advance()
-		a.mu.Lock()
-		rows, want, stamps, _ := a.diffDigestLocked(a.leaf, digests)
-		a.mu.Unlock()
-		if len(rows)+len(want)+len(stamps) != 0 {
-			t.Fatalf("re-stamp diff produced %d rows, %d wants, %d stamps", len(rows), len(want), len(stamps))
+		out := diffSections(a, a.leaf, digest.Sections...)
+		if len(out.rows)+len(out.want)+len(out.stamps)+len(out.sections) != 0 {
+			t.Fatalf("re-stamp diff produced %d rows, %d wants, %d stamps, %d sections",
+				len(out.rows), len(out.want), len(out.stamps), len(out.sections))
 		}
 	}); n != 0 {
-		t.Errorf("diffDigestLocked's re-stamp branch allocates %v objects per call, want 0", n)
+		t.Errorf("the diff's re-stamp branch allocates %v objects per call, want 0", n)
 	}
 	if got, want := a.Stats().StampsApplied-before, int64((runs+1)*movable); got != want {
-		t.Fatalf("diffDigestLocked moved %d stamps, want %d: the measured path did not run", got, want)
+		t.Fatalf("the diff moved %d stamps, want %d: the measured path did not run", got, want)
 	}
 
 	// A whole exchange between a and b over a synchronous transport, with
@@ -355,14 +366,11 @@ func TestHeartbeatPathsAllocateNothing(t *testing.T) {
 		clock.Advance(time.Hour)
 		b.mu.Lock()
 		b.reissueLocked(b.tables[b.leaf], b.leaf, b.ownRow, clock.Now())
-		digests, _ := b.digestLocked(b.leaf)
+		m := b.digestLocked(len(b.chain))
 		b.mu.Unlock()
-		a.HandleMessage(&wire.Message{
-			Kind: wire.KindGossipDigest, From: b.addr,
-			GossipDigest: &wire.GossipDigest{FromZone: b.leaf, Digests: digests},
-		})
+		a.HandleMessage(m)
 	}
-	const budget = 6
+	const budget = 3
 	if n := testing.AllocsPerRun(runs, exchange); n > budget {
 		t.Errorf("a digest→delta exchange allocates %v objects, budget %d", n, budget)
 	} else {

@@ -11,26 +11,32 @@ import (
 )
 
 // TestGossipGoldenBytes pins the control plane's observable behaviour to
-// constants recorded before the row model split freshness from content:
-// the bytes the simulated network carried, every node's table content
-// fingerprint, and the full table state including issue stamps and owners.
-// The scenario crosses every path that reads or moves a stamp — heartbeats,
-// digest/delta exchanges with re-stamps, expiry after a crash, aggregate
-// re-stamps, recovery-peer draws on restore and item anti-entropy — so a
-// change that alters one byte sent, one RNG draw or one stamp fails here.
+// recorded constants: the bytes the simulated network carried, every node's
+// table content fingerprint, and the full table state including issue
+// stamps and owners. The scenario crosses every path that reads or moves a
+// stamp — heartbeats, digest/delta exchanges with re-stamps, expiry after a
+// crash, aggregate re-stamps, recovery-peer draws on restore and item
+// anti-entropy — so a change that alters one byte sent, one RNG draw or one
+// stamp fails here. A change that means to alter the protocol records the
+// constants again and says here what moved and why.
 //
-// wantSent and wantDelivered were recorded again (from 10749160/10604584)
-// when state requests began to carry a summary of what the requester holds
-// and replies only the envelopes missing from it: requests grew by 8 bytes
-// a held item, replies lost the envelopes nobody needed. wantContent and
-// wantState stayed: no message was added or dropped, no RNG draw moved and
-// every delivery happened at the same instant.
+// History: 10749160/10604584 bytes before the row model split freshness
+// from content; 10385468/10243562 once state requests summarized what the
+// requester holds (fingerprints unchanged: no message added, no RNG draw
+// moved). All four constants were recorded again when gossip digests became
+// one section per zone table — a content hash and a positional lag vector —
+// with stamps that index the section they answer: a third fewer bytes; a
+// table whose hash mismatches is now described by name on the answering
+// leg and diffed by the initiator, one message later than before, so the
+// engine's RNG pairs its draws with other messages and stamps land at other
+// instants; and FingerprintTables folds the tables' content hashes where it
+// used to hash each row.
 func TestGossipGoldenBytes(t *testing.T) {
 	const (
-		wantSent      = int64(10385468)
-		wantDelivered = int64(10243562)
-		wantContent   = "ce367f0b6ad5870fad7430859c5e3b50be441a56756dc34307f8a1127cf0a733"
-		wantState     = "4d340beaed342e4b7fc8e0a0d08654eec73ced6eb42640db7baa58575d928805"
+		wantSent      = int64(6789695)
+		wantDelivered = int64(6699318)
+		wantContent   = "009c4a5e49bff2204bbbcf57c7d06e5e4ba4e299cfb7d8b7859d307971645c0d"
+		wantState     = "2df9e2adf8a02a12dcb9aa014162c2f4c416e18f29bc7c549c116356229b858f"
 	)
 	c, err := NewCluster(ClusterConfig{
 		N:         256,

@@ -397,8 +397,8 @@ func allKindMessages() []*wire.Message {
 		}},
 		{Kind: wire.KindGossipDigest, GossipDigest: &wire.GossipDigest{
 			FromZone: "/usa/ny",
-			Digests: []wire.RowDigest{
-				{Zone: "/usa/ny", Name: "node-1", Issued: issued, Hash: 0xdeadbeef},
+			Sections: []wire.ZoneSection{
+				{Depth: 2, Hash: 0xdeadbeef, Newest: issued, Lags: []time.Duration{0, time.Second}},
 			},
 		}},
 		{Kind: wire.KindGossipDelta, GossipDelta: &wire.GossipDelta{
@@ -469,8 +469,8 @@ func TestTCPAllKindsBothCodecs(t *testing.T) {
 			!rows[0].Attrs.Equal(sent[0].Gossip.Rows[0].Attrs) {
 			t.Fatalf("gossip row attrs corrupted: %+v", rows)
 		}
-		if d := got[2].GossipDigest.Digests[0]; d.Hash != 0xdeadbeef {
-			t.Fatalf("digest hash = %x", d.Hash)
+		if d := got[2].GossipDigest.Sections[0]; d.Hash != 0xdeadbeef || len(d.Lags) != 2 {
+			t.Fatalf("digest section = %+v", d)
 		}
 		if w := got[3].GossipDelta.Want; len(w) != 1 || w[0].Name != "asia" {
 			t.Fatalf("delta want corrupted: %+v", w)

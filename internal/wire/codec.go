@@ -14,11 +14,13 @@ import (
 // Binary wire codec (DESIGN.md §8).
 //
 // Layout: every frame starts with codecMagic and the kind byte, then the
-// sender address, then — for the four gossip kinds — an interned string
-// table holding each distinct zone path and attribute name once, then the
-// kind's payload. Payload fields reference table entries by index, so a
-// 64-row gossip exchange carries "/usa/ny" and "subs" one time each
-// instead of 64. Integers travel as varints, times as Unix seconds +
+// sender address, then — for the three gossip kinds that can carry rows —
+// an interned string table holding each distinct zone path and attribute
+// name once, then the kind's payload. Payload fields reference table
+// entries by index, so a 64-row gossip exchange carries "/usa/ny" and
+// "subs" one time each instead of 64. A digest needs no table: its sections
+// name their zones by depth below the sender's FromZone, and their rows by
+// position. Integers travel as varints, times as Unix seconds +
 // nanoseconds, and byte-array attribute values (the dominant row weight:
 // 128-byte subscription Bloom filters that are mostly zero) switch to a
 // zero-run packing whenever that is smaller than the raw bytes.
@@ -72,11 +74,6 @@ func varintLen(x int64) int {
 	}
 	return uvarintLen(ux)
 }
-
-// UvarintLen returns the encoded size of x as a uvarint. The gossip agent
-// uses it to account count prefixes exactly as EstimateSize will charge
-// them.
-func UvarintLen(x uint64) int { return uvarintLen(x) }
 
 func sizeStr(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
@@ -240,6 +237,7 @@ func packedBytesSize(raw []byte) int {
 type binEncoder struct {
 	head    []byte // magic, kind, from, string table
 	body    []byte // payload, encoded against the table
+	err     error  // a payload the codec cannot represent
 	keys    []string
 	tblList []string
 	tblIdx  map[string]uint32
@@ -256,6 +254,7 @@ const maxPooledBuf = 1 << 20
 func (e *binEncoder) reset() {
 	e.head = e.head[:0]
 	e.body = e.body[:0]
+	e.err = nil
 	for _, s := range e.tblList {
 		delete(e.tblIdx, s)
 	}
@@ -309,17 +308,10 @@ func encodeBinary(m *Message, from string, prefix int) ([]byte, error) {
 			e.rows(g.Rows)
 		}
 	case KindGossipDigest:
+		// A digest names its zones by depth, so it carries no string table.
 		if g := m.GossipDigest; g != nil {
-			usesTable = true
-			e.body = binary.AppendUvarint(e.body, e.ref(g.FromZone))
-			e.body = binary.AppendUvarint(e.body, uint64(len(g.Digests)))
-			for i := range g.Digests {
-				d := &g.Digests[i]
-				e.body = binary.AppendUvarint(e.body, e.ref(d.Zone))
-				e.body = appendString(e.body, d.Name)
-				e.body = appendTime(e.body, d.Issued)
-				e.body = binary.LittleEndian.AppendUint64(e.body, d.Hash)
-			}
+			e.body = appendString(e.body, g.FromZone)
+			e.sections(g.Sections)
 		}
 	case KindGossipDelta:
 		if g := m.GossipDelta; g != nil {
@@ -331,18 +323,25 @@ func encodeBinary(m *Message, from string, prefix int) ([]byte, error) {
 				e.body = binary.AppendUvarint(e.body, e.ref(g.Want[i].Zone))
 				e.body = appendString(e.body, g.Want[i].Name)
 			}
-			// The stamp section is appended only when non-empty, so a
-			// stamp-free delta is byte-identical to the pre-stamp format
-			// (the decoder reads stamps iff bytes remain after Want).
-			if len(g.Stamps) > 0 {
+			// Stamps, then sections, each written only when there is
+			// something to write after Want (the decoder reads each iff bytes
+			// remain), so the common rows-and-wants delta pays for neither.
+			if len(g.Stamps) > 0 || len(g.Sections) > 0 {
 				e.body = binary.AppendUvarint(e.body, uint64(len(g.Stamps)))
 				for i := range g.Stamps {
-					s := &g.Stamps[i]
-					e.body = binary.AppendUvarint(e.body, e.ref(s.Zone))
-					e.body = appendString(e.body, s.Name)
-					e.body = appendTime(e.body, s.Issued)
-					e.body = binary.LittleEndian.AppendUint64(e.body, s.Hash)
+					z := &g.Stamps[i]
+					e.body = binary.AppendUvarint(e.body, uint64(z.Depth))
+					e.body = binary.LittleEndian.AppendUint64(e.body, z.Hash)
+					e.body = appendTime(e.body, z.Newest)
+					e.body = binary.AppendUvarint(e.body, uint64(len(z.Rows)))
+					for _, r := range z.Rows {
+						e.body = binary.AppendUvarint(e.body, uint64(r.Pos))
+						e.body = binary.AppendUvarint(e.body, uint64(r.Lag))
+					}
 				}
+			}
+			if len(g.Sections) > 0 {
+				e.sections(g.Sections)
 			}
 		}
 	case KindMulticast:
@@ -397,6 +396,9 @@ func encodeBinary(m *Message, from string, prefix int) ([]byte, error) {
 		// Unknown kind: emit no payload; Decode rejects the frame.
 	}
 
+	if e.err != nil {
+		return nil, e.err
+	}
 	e.head = append(e.head, codecMagic, byte(m.Kind))
 	e.head = appendString(e.head, from)
 	if usesTable {
@@ -430,6 +432,33 @@ func (e *binEncoder) rows(rows []RowUpdate) {
 		e.body = appendByteSlice(e.body, r.Sig)
 		e.attrs(r.Attrs)
 	}
+}
+
+// sections writes a section list: per section its head (depth and whether
+// names follow), content hash, newest stamp, and per row the lag behind it
+// and, in a named section, the row's name and attrs hash.
+func (e *binEncoder) sections(sections []ZoneSection) {
+	b := binary.AppendUvarint(e.body, uint64(len(sections)))
+	for i := range sections {
+		s := &sections[i]
+		named := len(s.Named) > 0
+		if named && len(s.Named) != len(s.Lags) {
+			e.err = fmt.Errorf("wire: encode: section names %d rows and stamps %d", len(s.Named), len(s.Lags))
+			return
+		}
+		b = binary.AppendUvarint(b, sectionHead(s))
+		b = binary.LittleEndian.AppendUint64(b, s.Hash)
+		b = appendTime(b, s.Newest)
+		b = binary.AppendUvarint(b, uint64(len(s.Lags)))
+		for j, lag := range s.Lags {
+			b = binary.AppendUvarint(b, uint64(lag))
+			if named {
+				b = appendString(b, s.Named[j].Name)
+				b = binary.LittleEndian.AppendUint64(b, s.Named[j].Hash)
+			}
+		}
+	}
+	e.body = b
 }
 
 func (e *binEncoder) attrs(m value.Map) {
@@ -734,26 +763,93 @@ func (d *binDecoder) rowList() []RowUpdate {
 	return out
 }
 
-func (d *binDecoder) digestList() []RowDigest {
-	n := d.count("digest")
+// lag reads one row's distance behind its section's newest stamp.
+func (d *binDecoder) lag() time.Duration {
+	v := d.uvarint()
+	if v > math.MaxInt64 {
+		d.fail("stamp lag %d out of range", v)
+		return 0
+	}
+	return time.Duration(v)
+}
+
+// depth reads a zone's index in its sender's ancestor chain.
+func (d *binDecoder) depth(v uint64) int {
+	if v > math.MaxInt32 {
+		d.fail("zone depth %d out of range", v)
+		return 0
+	}
+	return int(v)
+}
+
+// sectionList reads a section list. A named section must list its rows in
+// strictly ascending name order: positions in that order are what the
+// answering stamps refer to, and the receiver walks it against its own
+// sorted table. It must also have rows to name (ZoneSection).
+func (d *binDecoder) sectionList() []ZoneSection {
+	n := d.count("section")
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	c := n
-	if c > 4096 {
-		c = 4096
-	}
-	out := make([]RowDigest, 0, c)
-	for i := 0; i < n; i++ {
+	out := make([]ZoneSection, 0, min(n, 64))
+	for i := 0; i < n && d.err == nil; i++ {
+		var s ZoneSection
+		head := d.uvarint()
+		named := head&1 != 0
+		s.Depth = d.depth(head >> 1)
+		s.Hash = d.u64()
+		s.Newest = d.time()
+		rows := d.count("section row")
+		if named && rows == 0 && d.err == nil {
+			d.fail("named section without rows")
+		}
 		if d.err != nil {
 			return nil
 		}
-		var g RowDigest
-		g.Zone = d.ref()
-		g.Name = d.str()
-		g.Issued = d.time()
-		g.Hash = d.u64()
-		out = append(out, g)
+		if rows > 0 {
+			s.Lags = make([]time.Duration, 0, min(rows, 1024))
+			if named {
+				s.Named = make([]RowSummary, 0, min(rows, 1024))
+			}
+		}
+		for j := 0; j < rows && d.err == nil; j++ {
+			s.Lags = append(s.Lags, d.lag())
+			if named {
+				r := RowSummary{Name: d.str(), Hash: d.u64()}
+				if j > 0 && r.Name <= s.Named[j-1].Name {
+					d.fail("section names out of order at %q", r.Name)
+				}
+				s.Named = append(s.Named, r)
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+func (d *binDecoder) zoneStampsList() []ZoneStamps {
+	n := d.count("stamped zone")
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]ZoneStamps, 0, min(n, 64))
+	for i := 0; i < n && d.err == nil; i++ {
+		z := ZoneStamps{Depth: d.depth(d.uvarint()), Hash: d.u64(), Newest: d.time()}
+		rows := d.count("stamp")
+		if d.err != nil {
+			return nil
+		}
+		if rows > 0 {
+			z.Rows = make([]RowStamp, 0, min(rows, 1024))
+		}
+		for j := 0; j < rows && d.err == nil; j++ {
+			pos := d.uvarint()
+			if pos > math.MaxUint32 {
+				d.fail("stamp position %d out of range", pos)
+			}
+			z.Rows = append(z.Rows, RowStamp{Pos: uint32(pos), Lag: d.lag()})
+		}
+		out = append(out, z)
 	}
 	return out
 }
@@ -853,9 +949,10 @@ func decodeBinary(data []byte) (*Message, error) {
 		g.Rows = d.rowList()
 		m.GossipReply = g
 	case KindGossipDigest:
-		d.table()
-		g := &GossipDigest{FromZone: d.ref()}
-		g.Digests = d.digestList()
+		// Interned straight from the frame, as a table entry would be: a
+		// zone path seen on every earlier digest must not allocate.
+		g := &GossipDigest{FromZone: value.InternBytes(d.rawStr())}
+		g.Sections = d.sectionList()
 		m.GossipDigest = g
 	case KindGossipDelta:
 		d.table()
@@ -863,7 +960,10 @@ func decodeBinary(data []byte) (*Message, error) {
 		g.Rows = d.rowList()
 		g.Want = d.refList()
 		if d.err == nil && d.remaining() > 0 {
-			g.Stamps = d.digestList()
+			g.Stamps = d.zoneStampsList()
+		}
+		if d.err == nil && d.remaining() > 0 {
+			g.Sections = d.sectionList()
 		}
 		m.GossipDelta = g
 	case KindMulticast:

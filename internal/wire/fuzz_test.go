@@ -25,6 +25,7 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 		sampleDigestMessage(),
 		sampleDeltaMessage(),
 		sampleStampedDeltaMessage(),
+		sampleSectionDeltaMessage(),
 		{
 			Kind:      KindClockPing,
 			From:      "n1:9000",
@@ -115,19 +116,19 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 		}
 		seeds = append(seeds, data)
 	}
-	// Hand-built digest frames for the string table, which the encoder
+	// Hand-built delta frames for the string table, which the encoder
 	// never emits in these shapes: one that repeats a name, and one with
 	// more distinct names than value's intern table holds (1<<14), so the
 	// decoder crosses from interned hits to first sightings to the
 	// pass-through beyond the cap.
 	tableFrame := func(names []string) []byte {
-		b := []byte{codecMagic, byte(KindGossipDigest), 2, 'n', '1'}
+		b := []byte{codecMagic, byte(KindGossipDelta), 2, 'n', '1'}
 		b = binary.AppendUvarint(b, uint64(len(names)))
 		for _, s := range names {
 			b = binary.AppendUvarint(b, uint64(len(s)))
 			b = append(b, s...)
 		}
-		return append(b, 0, 0) // FromZone = entry 0, no digests
+		return append(b, 0, 0, 0) // FromZone = entry 0, no rows, no wants
 	}
 	seeds = append(seeds, tableFrame([]string{"/usa/ny", "subs", "/usa/ny", "subs", ""}))
 	capNames := make([]string, 1<<14+2)
@@ -137,7 +138,88 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 	seeds = append(seeds, tableFrame(capNames))
 	// A summary whose count runs past the input.
 	seeds = append(seeds, overlongSummaryFrame())
+	for _, frame := range append(hostileSectionFrames(), oddSectionFrames()...) {
+		seeds = append(seeds, frame.data)
+	}
 	return append(seeds, []byte(gobStreamHead))
+}
+
+type namedFrame struct {
+	name string
+	data []byte
+}
+
+// sectionFrame is a digest of one section built by hand: head, hash 7,
+// newest 1000 s, then whatever rows writes.
+func sectionFrame(head uint64, rows func(b []byte) []byte) []byte {
+	b := []byte{codecMagic, byte(KindGossipDigest), 2, 'n', '1', 2, '/', 'z'}
+	b = append(b, 1) // one section
+	b = binary.AppendUvarint(b, head)
+	b = binary.LittleEndian.AppendUint64(b, 7)
+	b = appendTime(b, time.Unix(1000, 0))
+	return rows(b)
+}
+
+// stampFrame is a rowless delta with one stamped zone built by hand.
+func stampFrame(depth uint64, stamps func(b []byte) []byte) []byte {
+	b := []byte{codecMagic, byte(KindGossipDelta), 2, 'n', '1', 1, 2, '/', 'z', 0, 0, 0}
+	b = append(b, 1) // one stamped zone
+	b = binary.AppendUvarint(b, depth)
+	b = binary.LittleEndian.AppendUint64(b, 7)
+	b = appendTime(b, time.Unix(1000, 0))
+	return stamps(b)
+}
+
+func namedRow(b []byte, lag uint64, name string) []byte {
+	b = binary.AppendUvarint(b, lag)
+	b = appendString(b, name)
+	return binary.LittleEndian.AppendUint64(b, 9)
+}
+
+// hostileSectionFrames are sections and stamps no encoder writes and the
+// decoder must refuse.
+func hostileSectionFrames() []namedFrame {
+	return []namedFrame{
+		{"row count larger than the bytes left", sectionFrame(2, func(b []byte) []byte {
+			b = binary.AppendUvarint(b, 1<<30)
+			return append(b, 0, 0, 0)
+		})},
+		{"lag beyond any duration", sectionFrame(2, func(b []byte) []byte {
+			return binary.AppendUvarint(append(b, 1), 1<<63)
+		})},
+		{"duplicate names in a named section", sectionFrame(3, func(b []byte) []byte {
+			return namedRow(namedRow(append(b, 2), 0, "node-1"), 5, "node-1")
+		})},
+		{"names out of order", sectionFrame(3, func(b []byte) []byte {
+			return namedRow(namedRow(append(b, 2), 0, "node-2"), 5, "node-1")
+		})},
+		{"named section without rows", sectionFrame(3, func(b []byte) []byte {
+			return append(b, 0)
+		})},
+		{"stamp position beyond 32 bits", stampFrame(1, func(b []byte) []byte {
+			return append(binary.AppendUvarint(append(b, 1), 1<<32), 0)
+		})},
+		{"zone depth beyond 31 bits", stampFrame(1<<31, func(b []byte) []byte {
+			return append(b, 0)
+		})},
+	}
+}
+
+// oddSectionFrames decode, and it is the agent that must make nothing of
+// them: a stamp older than the epoch, a position past any table, a zone
+// nobody replicates.
+func oddSectionFrames() []namedFrame {
+	return []namedFrame{
+		{"lag larger than newest", sectionFrame(2, func(b []byte) []byte {
+			return binary.AppendUvarint(append(b, 1), uint64(5000*time.Second))
+		})},
+		{"stamp position out of range", stampFrame(1, func(b []byte) []byte {
+			return append(binary.AppendUvarint(append(b, 1), 1<<20), 0)
+		})},
+		{"hash echo for a zone forty levels down", stampFrame(40, func(b []byte) []byte {
+			return append(b, 1, 0, 0)
+		})},
+	}
 }
 
 // FuzzDecode feeds arbitrary bytes to Decode: it must never panic, never

@@ -125,53 +125,97 @@ type GossipReply struct {
 	Rows     []RowUpdate
 }
 
-// RowDigest summarizes one stored row for delta anti-entropy: enough for
-// a peer to decide per row which side is fresher without seeing the
-// attributes. Hash is an FNV-64a hash of the row's canonical attribute
-// encoding; it detects same-timestamp divergence so the encoded
-// tie-break can run on the full rows.
-type RowDigest struct {
-	Zone   string
-	Name   string
-	Issued time.Time
-	Hash   uint64
-}
-
 // RowRef names one row the sender wants the full update for.
 type RowRef struct {
 	Zone string
 	Name string
 }
 
+// ZoneSection summarizes one replicated zone table for delta anti-entropy:
+// what the sender holds, in a form a peer holding the same content can read
+// against its own table. Rows appear in ascending name order, and a row's
+// position in that order is how the rest of the exchange refers to it.
+//
+// A bare section (Named empty) carries only freshness: a receiver whose own
+// table has the same Hash and row count holds the same names and attribute
+// bytes, so it reads both from its own table by position. A named section
+// attaches every row's name and attrs hash; it answers a bare section whose
+// Hash did not match. The section of an empty table has nothing to name and
+// is bare: whether Named is empty is the one thing that tells the two kinds
+// apart, in the codec and in the agent alike, and a frame that marks a
+// section named and gives it no rows is refused.
+type ZoneSection struct {
+	// Depth selects the table: the index of its zone in the ancestor chain
+	// of the sender's FromZone, 0 being the root. Only tables both agents
+	// replicate are exchanged, and for those the two chains agree.
+	Depth int
+	// Hash is the sender's content hash of the table: a 64-bit hash of its
+	// (row name, attrs hash) set. Issue stamps, owners and signatures are
+	// not part of it.
+	Hash uint64
+	// Newest is the latest issue stamp in the table; Lags holds, per row,
+	// how far the row's stamp lies behind it.
+	Newest time.Time
+	Lags   []time.Duration
+	// Named is empty, or one entry per row of Lags in strictly ascending
+	// name order.
+	Named []RowSummary
+}
+
+// RowSummary is one row of a named ZoneSection: its name and the FNV-64a
+// hash of its canonical attribute encoding.
+type RowSummary struct {
+	Name string
+	Hash uint64
+}
+
+// ZoneStamps re-issues rows of one zone table whose attribute bytes the
+// receiver already holds: both sides store the same content and only the
+// receiver's issue time lags. It answers a ZoneSection the receiver sent
+// and names rows by their position in it. Hash echoes that section's Hash;
+// the positions mean what they meant only while the receiver's table still
+// hashes to it, so a receiver whose table has changed since drops the
+// stamps. Only unsigned rows may be stamped: re-stamping a signed row would
+// fabricate a row state the owner never signed.
+type ZoneStamps struct {
+	Depth  int
+	Hash   uint64
+	Newest time.Time
+	Rows   []RowStamp
+}
+
+// RowStamp moves the row at position Pos of the answered section to the
+// issue time Lag before the ZoneStamps' Newest.
+type RowStamp struct {
+	Pos uint32
+	Lag time.Duration
+}
+
 // GossipDigest is the request leg of a delta anti-entropy exchange: the
-// initiator describes every row it holds for the shared tables, so the
-// partner can reply with only the rows the initiator is missing or
-// stale on.
+// initiator sends one bare section per table the two agents share,
+// root-first, so the partner can reply with only what the initiator is
+// missing or stale on.
 type GossipDigest struct {
 	// FromZone is the initiator's leaf zone path, which tells the
 	// receiver which ancestor tables the two agents share.
 	FromZone string
-	Digests  []RowDigest
+	Sections []ZoneSection
 }
 
-// GossipDelta is the transfer leg of a delta exchange. The digest
-// receiver replies with the rows the initiator needs plus Want — refs of
-// rows the initiator advertised fresher copies of; the initiator answers
-// those with a second GossipDelta carrying empty Want, which ends the
-// exchange.
+// GossipDelta is the transfer leg of a delta exchange. The digest receiver
+// answers each section whose Hash matched its own table with the rows the
+// initiator needs, Want refs of the rows the initiator holds fresher, and
+// Stamps; a section whose Hash did not match it answers with its own named
+// section, which the initiator diffs the same way and answers with a delta
+// of its own. A delta that answers a section never carries one, and a
+// non-empty Want is closed by a rows-only delta, so an exchange ends after
+// at most four messages.
 type GossipDelta struct {
 	FromZone string
 	Rows     []RowUpdate
 	Want     []RowRef
-	// Stamps re-issue rows whose attributes the receiver already holds:
-	// the digest proved both sides store the same attribute bytes (equal
-	// Hash) and only the issue time lags. The receiver re-stamps its
-	// stored copy at the newer Issued instead of receiving the full row
-	// again, which removes heartbeat-only row refreshes — the dominant
-	// steady-state gossip traffic — from the wire. Only unsigned rows may
-	// travel as stamps: re-stamping a signed row locally would fabricate
-	// a row state the owner never signed.
-	Stamps []RowDigest
+	Stamps   []ZoneStamps
+	Sections []ZoneSection
 }
 
 // ItemEnvelope wraps a published news item as it travels through the
@@ -438,17 +482,14 @@ func Decode(data []byte) (*Message, error) {
 // realistic gossip exchanges.
 const GossipTableOverhead = 48
 
-// DigestTableOverhead is the same approximation for digest-only frames,
-// whose tables hold just the zone paths — no attribute names.
-const DigestTableOverhead = 8
-
 // EstimateSize returns the on-the-wire size of the message under the
-// binary codec without serializing it. It is exact except for the gossip
-// kinds' interned string table, charged as GossipTableOverhead (or
-// DigestTableOverhead for digest frames),
-// and zone names inside rows/digests/refs, which ride in that table. The
-// simulated network uses it for the byte-load counters behind experiments
-// E4 and E8; the gossip agent mirrors the same model in GossipBytesSent.
+// binary codec without serializing it. It is exact for every kind except
+// frames that carry gossip rows, whose interned string table (zone paths
+// and attribute names) is charged as GossipTableOverhead with one byte per
+// reference into it; a digest has no table and a delta without rows has
+// one of zone paths only, so both are exact. The simulated network uses it
+// for the byte-load counters behind experiments E4 and E8, and the gossip
+// agent charges the same figure to GossipBytesSent.
 func (m *Message) EstimateSize() int {
 	n := 2 + sizeStr(m.From) // magic, kind, sender
 	switch {
@@ -459,14 +500,28 @@ func (m *Message) EstimateSize() int {
 		n += GossipTableOverhead + 1 + uvarintLen(uint64(len(m.GossipReply.Rows))) +
 			rowsSize(m.GossipReply.Rows)
 	case m.GossipDigest != nil:
-		n += DigestTableOverhead + 1 + uvarintLen(uint64(len(m.GossipDigest.Digests))) +
-			DigestsSize(m.GossipDigest.Digests)
+		g := m.GossipDigest
+		n += sizeStr(g.FromZone) + sectionsSize(g.Sections)
 	case m.GossipDelta != nil:
 		g := m.GossipDelta
-		n += GossipTableOverhead + 1 +
-			uvarintLen(uint64(len(g.Rows))) + rowsSize(g.Rows) +
-			uvarintLen(uint64(len(g.Want))) + RefsSize(g.Want) +
-			StampsSize(g.Stamps)
+		if len(g.Rows) > 0 {
+			n += GossipTableOverhead
+		} else {
+			n += zoneTableSize(g.FromZone, g.Want)
+		}
+		n += 1 + uvarintLen(uint64(len(g.Rows))) + rowsSize(g.Rows) +
+			uvarintLen(uint64(len(g.Want))) + refsSize(g.Want)
+		// The stamps and sections are written only when there are any, the
+		// stamp count (zero included) whenever sections follow it.
+		if len(g.Stamps) > 0 || len(g.Sections) > 0 {
+			n += uvarintLen(uint64(len(g.Stamps)))
+			for i := range g.Stamps {
+				n += zoneStampsSize(&g.Stamps[i])
+			}
+		}
+		if len(g.Sections) > 0 {
+			n += sectionsSize(g.Sections)
+		}
 	case m.Multicast != nil:
 		mc := m.Multicast
 		n += sizeStr(mc.TargetZone) + varintLen(int64(mc.Hops)) + 1 +
@@ -495,7 +550,7 @@ func (m *Message) EstimateSize() int {
 	return n
 }
 
-// rowsSize sums RowSize over rows, reading the attribute payload size
+// rowsSize sums rowSize over rows, reading the attribute payload size
 // from the shared row's cache when the update carries one (the gossip
 // send path always does) and computing it alloc-free otherwise.
 func rowsSize(rows []RowUpdate) int {
@@ -508,48 +563,82 @@ func rowsSize(rows []RowUpdate) int {
 		} else {
 			aw = attrsWireSize(r.Attrs)
 		}
-		n += RowSize(r, aw)
+		n += rowSize(r, aw)
 	}
 	return n
 }
 
-// RowSize returns one RowUpdate's wire size given its attribute payload
-// size (SharedRow.WireAttrsSize for cached rows), so callers can account
-// bytes without re-encoding. The zone string is charged one byte — its
-// table reference — because the string itself rides in the message's
-// interned table.
-func RowSize(r *RowUpdate, attrsLen int) int {
+// rowSize returns one RowUpdate's wire size given its attribute payload
+// size. The zone string is charged one byte — its table reference —
+// because the string itself rides in the message's interned table.
+func rowSize(r *RowUpdate, attrsLen int) int {
 	return 1 + sizeStr(r.Name) + sizeTime(r.Issued) + sizeStr(r.Owner) +
 		sizeStr(r.Signer) + sizeBytes(r.Sig) + attrsLen
 }
 
-// DigestsSize returns the wire size of a digest list: per entry a
-// zone-table reference, the name string, the issue time and the 8-byte
-// hash.
-func DigestsSize(digests []RowDigest) int {
+// refsSize returns the wire size of a row-ref list: per ref a zone-table
+// reference and the name string.
+func refsSize(refs []RowRef) int {
 	n := 0
-	for i := range digests {
-		n += 1 + sizeStr(digests[i].Name) + sizeTime(digests[i].Issued) + 8
+	for i := range refs {
+		n += 1 + sizeStr(refs[i].Name)
 	}
 	return n
 }
 
-// StampSize returns the wire size of one re-issue stamp: identical in
-// shape to a digest entry (zone-table reference, name, issue time, 8-byte
-// hash).
-func StampSize(s *RowDigest) int {
-	return 1 + sizeStr(s.Name) + sizeTime(s.Issued) + 8
+// zoneTableSize returns the exact size of the string table of a delta that
+// carries no rows: its entry count, FromZone, and every further distinct
+// zone path among the want refs. Refs arrive grouped by zone, so looking
+// backwards for an earlier use of a ref's zone ends at its neighbour for
+// all but the first ref of each zone.
+func zoneTableSize(fromZone string, want []RowRef) int {
+	entries, n := 1, sizeStr(fromZone)
+	for i := range want {
+		z := want[i].Zone
+		seen := z == fromZone
+		for j := i - 1; j >= 0 && !seen; j-- {
+			seen = want[j].Zone == z
+		}
+		if !seen {
+			entries++
+			n += sizeStr(z)
+		}
+	}
+	return uvarintLen(uint64(entries)) + n
 }
 
-// StampsSize returns the wire size of a delta's stamp section. The
-// section is only present when non-empty (the codec omits it entirely
-// otherwise, keeping stamp-free deltas byte-identical to the previous
-// format), so an empty list costs zero.
-func StampsSize(stamps []RowDigest) int {
-	if len(stamps) == 0 {
-		return 0
+// sectionsSize returns the wire size of a section list with its count.
+func sectionsSize(sections []ZoneSection) int {
+	n := uvarintLen(uint64(len(sections)))
+	for i := range sections {
+		s := &sections[i]
+		n += uvarintLen(sectionHead(s)) + 8 + sizeTime(s.Newest) + uvarintLen(uint64(len(s.Lags)))
+		for _, lag := range s.Lags {
+			n += uvarintLen(uint64(lag))
+		}
+		for j := range s.Named {
+			n += sizeStr(s.Named[j].Name) + 8
+		}
 	}
-	return uvarintLen(uint64(len(stamps))) + DigestsSize(stamps)
+	return n
+}
+
+// sectionHead packs a section's depth and whether it is named into the
+// one integer that opens it on the wire.
+func sectionHead(s *ZoneSection) uint64 {
+	head := uint64(s.Depth) << 1
+	if len(s.Named) > 0 {
+		head |= 1
+	}
+	return head
+}
+
+func zoneStampsSize(z *ZoneStamps) int {
+	n := uvarintLen(uint64(z.Depth)) + 8 + sizeTime(z.Newest) + uvarintLen(uint64(len(z.Rows)))
+	for _, r := range z.Rows {
+		n += uvarintLen(uint64(r.Pos)) + uvarintLen(uint64(r.Lag))
+	}
+	return n
 }
 
 // haveSize returns the wire size of a state request's summary section:
@@ -561,19 +650,6 @@ func haveSize(have []uint64) int {
 		return 0
 	}
 	return 8 + uvarintLen(uint64(len(have))) + 8*len(have)
-}
-
-// RefSize returns the wire size of one row ref (zone-table reference plus
-// name string).
-func RefSize(r *RowRef) int { return 1 + sizeStr(r.Name) }
-
-// RefsSize returns the wire size of a row-ref list.
-func RefsSize(refs []RowRef) int {
-	n := 0
-	for i := range refs {
-		n += RefSize(&refs[i])
-	}
-	return n
 }
 
 func envelopeSize(e *ItemEnvelope) int {

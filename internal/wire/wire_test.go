@@ -334,10 +334,11 @@ func overlongSummaryFrame() []byte {
 	return append(b, make([]byte, 16)...)
 }
 
-// TestEstimateSizeExact pins the byte meter to the codec for every kind
-// whose frame has no interned string table: the simulator's wire bytes (and
+// TestEstimateSizeExact pins the byte meter to the codec for every frame
+// that carries no gossip rows (those intern attribute names in a string
+// table the meter charges as a constant): the simulator's wire bytes (and
 // the benchmark's wire_kb_per_item) are EstimateSize sums, so for these
-// kinds they are what TCP would carry, to the byte.
+// frames they are what TCP would carry, to the byte.
 func TestEstimateSizeExact(t *testing.T) {
 	env := ItemEnvelope{
 		Publisher: "reuters", ItemID: "item-42", Revision: 3,
@@ -378,6 +379,19 @@ func TestEstimateSizeExact(t *testing.T) {
 			MulticastAck: &MulticastAck{Seq: 300, Key: "reuters/item-42#3", TargetZone: "/asia"}}},
 		{"clock pong", &Message{Kind: KindClockPong, From: "n1:9000",
 			ClockSync: &ClockSync{Seq: 42, T1: 1017619200123456789, T2: -5}}},
+		{"digest, bare sections", sampleDigestMessage()},
+		{"digest, no sections", &Message{Kind: KindGossipDigest, GossipDigest: &GossipDigest{FromZone: "/"}}},
+		{"delta, a named section and stamps", sampleSectionDeltaMessage()},
+		{"delta, a named section alone", &Message{Kind: KindGossipDelta, From: "n2:9000",
+			GossipDelta: &GossipDelta{FromZone: "/usa/sf", Sections: []ZoneSection{sampleNamedSection()}}}},
+		{"delta, stamps only", &Message{Kind: KindGossipDelta, From: "n2:9000",
+			GossipDelta: &GossipDelta{FromZone: "/usa/sf", Stamps: sampleStampedDeltaMessage().GossipDelta.Stamps}}},
+		{"delta, wants in three zones", &Message{Kind: KindGossipDelta, From: "n2:9000",
+			GossipDelta: &GossipDelta{FromZone: "/usa/sf", Want: []RowRef{
+				{Zone: "/", Name: "asia"}, {Zone: "/", Name: "europe"}, {Zone: "/usa", Name: "ny"},
+				{Zone: "/usa/sf", Name: "node-7"}, {Zone: "/", Name: "africa"}}}}},
+		{"delta, empty", &Message{Kind: KindGossipDelta, From: "n2:9000",
+			GossipDelta: &GossipDelta{FromZone: "/usa/sf"}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -532,11 +546,11 @@ func sampleDigestMessage() *Message {
 		From: "node-1:9000",
 		GossipDigest: &GossipDigest{
 			FromZone: "/usa/ny",
-			Digests: []RowDigest{
-				{Zone: "/usa/ny", Name: "node-1",
-					Issued: time.Unix(1017619200, 0).UTC(), Hash: 0xdeadbeef},
-				{Zone: "/", Name: "usa",
-					Issued: time.Unix(1017619260, 0).UTC(), Hash: 42},
+			Sections: []ZoneSection{
+				{Depth: 0, Hash: 42, Newest: time.Unix(1017619260, 0).UTC(),
+					Lags: []time.Duration{0, 1500 * time.Millisecond}},
+				{Depth: 2, Hash: 0xdeadbeef, Newest: time.Unix(1017619200, 7).UTC(),
+					Lags: []time.Duration{4 * time.Second, 0, time.Nanosecond}},
 			},
 		},
 	}
@@ -561,13 +575,39 @@ func sampleDeltaMessage() *Message {
 
 func sampleStampedDeltaMessage() *Message {
 	m := sampleDeltaMessage()
-	m.GossipDelta.Stamps = []RowDigest{
-		{Zone: "/usa/sf", Name: "node-3",
-			Issued: time.Unix(1017619300, 12).UTC(), Hash: 0xfeedface},
-		{Zone: "/", Name: "usa",
-			Issued: time.Unix(1017619360, 0).UTC(), Hash: 7},
+	m.GossipDelta.Stamps = []ZoneStamps{
+		{Depth: 2, Hash: 0xfeedface, Newest: time.Unix(1017619300, 12).UTC(),
+			Rows: []RowStamp{{Pos: 0, Lag: 0}, {Pos: 3, Lag: 2 * time.Second}}},
+		{Depth: 0, Hash: 7, Newest: time.Unix(1017619360, 0).UTC(),
+			Rows: []RowStamp{{Pos: 200, Lag: time.Millisecond}}},
 	}
 	return m
+}
+
+// sampleNamedSection is a zone table described to a peer that holds other
+// content: every row's name and attrs hash beside its lag.
+func sampleNamedSection() ZoneSection {
+	return ZoneSection{
+		Depth: 1, Hash: 0xabad1dea, Newest: time.Unix(1017619300, 0).UTC(),
+		Lags: []time.Duration{0, 3 * time.Second, 250 * time.Millisecond},
+		Named: []RowSummary{
+			{Name: "node-1", Hash: 1}, {Name: "node-2", Hash: 1 << 63}, {Name: "node-30", Hash: 0},
+		},
+	}
+}
+
+// sampleSectionDeltaMessage is the answer to a digest that mismatched on
+// one zone and matched on another: a named section and stamps, no rows.
+func sampleSectionDeltaMessage() *Message {
+	return &Message{
+		Kind: KindGossipDelta,
+		From: "node-2:9000",
+		GossipDelta: &GossipDelta{
+			FromZone: "/usa/sf",
+			Stamps:   sampleStampedDeltaMessage().GossipDelta.Stamps[:1],
+			Sections: []ZoneSection{sampleNamedSection()},
+		},
+	}
 }
 
 func TestEncodeDecodeDeltaStamps(t *testing.T) {
@@ -581,19 +621,14 @@ func TestEncodeDecodeDeltaStamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := got.GossipDelta
-	if len(d.Stamps) != 2 {
-		t.Fatalf("stamps lost: %+v", d)
+	if !reflect.DeepEqual(d.Stamps, m.GossipDelta.Stamps) {
+		t.Fatalf("stamps changed in transit:\n got  %+v\n want %+v", d.Stamps, m.GossipDelta.Stamps)
 	}
-	for i := range d.Stamps {
-		if d.Stamps[i] != m.GossipDelta.Stamps[i] {
-			t.Fatalf("stamp %d mismatch: %+v != %+v", i, d.Stamps[i], m.GossipDelta.Stamps[i])
-		}
-	}
-	if len(d.Rows) != 1 || len(d.Want) != 1 {
+	if len(d.Rows) != 1 || len(d.Want) != 1 || len(d.Sections) != 0 {
 		t.Fatalf("rows/want lost alongside stamps: %+v", d)
 	}
-	// A stamp-free delta must stay byte-identical to the pre-stamp format:
-	// no trailing zero count.
+	// A delta without stamps or sections pays for neither: no trailing
+	// zero counts.
 	plain := sampleDeltaMessage()
 	encPlain, err := Encode(plain)
 	if err != nil {
@@ -602,23 +637,47 @@ func TestEncodeDecodeDeltaStamps(t *testing.T) {
 	if len(encPlain) >= len(data) {
 		t.Fatalf("stamp-free delta (%d bytes) not smaller than stamped (%d)", len(encPlain), len(data))
 	}
-	// EstimateSize must model the optional section the same way.
-	stampedEst := m.EstimateSize()
-	plainEst := plain.EstimateSize()
-	if stampedEst-plainEst != StampsSize(m.GossipDelta.Stamps) {
-		t.Fatalf("EstimateSize delta %d != StampsSize %d",
-			stampedEst-plainEst, StampsSize(m.GossipDelta.Stamps))
+	// EstimateSize must model the optional tail the same way.
+	if got, want := m.EstimateSize()-plain.EstimateSize(), len(data)-len(encPlain); got != want {
+		t.Fatalf("EstimateSize charges the stamps %d bytes, the codec wrote %d", got, want)
 	}
-	var sum int
-	for i := range m.GossipDelta.Stamps {
-		sum += StampSize(&m.GossipDelta.Stamps[i])
+
+	// Sections ride behind the stamps, with or without any.
+	for _, stamps := range [][]ZoneStamps{nil, m.GossipDelta.Stamps} {
+		m := sampleSectionDeltaMessage()
+		m.GossipDelta.Stamps = stamps
+		data, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := got.GossipDelta; !reflect.DeepEqual(d.Sections, m.GossipDelta.Sections) ||
+			!reflect.DeepEqual(d.Stamps, stamps) {
+			t.Fatalf("sections/stamps changed in transit:\n got  %+v\n want %+v", d, m.GossipDelta)
+		}
 	}
-	if want := UvarintLen(uint64(len(m.GossipDelta.Stamps))) + sum; StampsSize(m.GossipDelta.Stamps) != want {
-		t.Fatalf("StampsSize %d != count prefix + per-stamp sum %d",
-			StampsSize(m.GossipDelta.Stamps), want)
+}
+
+// TestSectionCodecRejects: the decoder refuses sections an honest encoder
+// never writes, and the encoder refuses one it cannot represent.
+func TestSectionCodecRejects(t *testing.T) {
+	for _, frame := range hostileSectionFrames() {
+		if _, err := Decode(frame.data); err == nil {
+			t.Errorf("%s: decoded", frame.name)
+		}
 	}
-	if StampsSize(nil) != 0 {
-		t.Fatalf("StampsSize(nil) = %d, want 0", StampsSize(nil))
+	for _, frame := range oddSectionFrames() {
+		if _, err := Decode(frame.data); err != nil {
+			t.Errorf("%s: %v", frame.name, err)
+		}
+	}
+	m := sampleDigestMessage()
+	m.GossipDigest.Sections[0].Named = []RowSummary{{Name: "only-one"}}
+	if _, err := Encode(m); err == nil {
+		t.Error("a section naming 1 of its 2 rows encoded")
 	}
 }
 
@@ -692,11 +751,8 @@ func TestEncodeDecodeDeltaGossip(t *testing.T) {
 		switch m.Kind {
 		case KindGossipDigest:
 			d := got.GossipDigest
-			if d.FromZone != m.GossipDigest.FromZone || len(d.Digests) != 2 {
+			if d.FromZone != m.GossipDigest.FromZone || !reflect.DeepEqual(d.Sections, m.GossipDigest.Sections) {
 				t.Fatalf("digest payload mismatch: %+v", d)
-			}
-			if d.Digests[0] != m.GossipDigest.Digests[0] {
-				t.Fatalf("digest entry mismatch: %+v", d.Digests[0])
 			}
 		case KindGossipDelta:
 			d := got.GossipDelta
@@ -731,20 +787,20 @@ func TestDeltaEstimateSizes(t *testing.T) {
 	rows := Message{Kind: KindGossip, Gossip: &Gossip{FromZone: "/usa/ny",
 		Rows: []RowUpdate{heavyRow}}}
 	dig := Message{Kind: KindGossipDigest, GossipDigest: &GossipDigest{FromZone: "/usa/ny",
-		Digests: []RowDigest{{Zone: "/usa/ny", Name: "node-1"}}}}
+		Sections: []ZoneSection{{Depth: 2, Lags: []time.Duration{0}}}}}
 	if dig.EstimateSize() >= rows.EstimateSize() {
 		t.Fatalf("digest (%d) not smaller than full row (%d)",
 			dig.EstimateSize(), rows.EstimateSize())
 	}
 	// Per-entry sizing helpers must scale with content.
-	if DigestsSize(sampleDigestMessage().GossipDigest.Digests) <= DigestsSize(nil) {
-		t.Fatal("DigestsSize insensitive to entries")
+	if sectionsSize(sampleDigestMessage().GossipDigest.Sections) <= sectionsSize(nil) {
+		t.Fatal("sectionsSize insensitive to entries")
 	}
-	if RefsSize([]RowRef{{Zone: "/z", Name: "n"}}) <= RefsSize(nil) {
-		t.Fatal("RefsSize insensitive to refs")
+	if refsSize([]RowRef{{Zone: "/z", Name: "n"}}) <= refsSize(nil) {
+		t.Fatal("refsSize insensitive to refs")
 	}
-	if RowSize(&heavyRow, 130) <= RowSize(&heavyRow, 0) {
-		t.Fatal("RowSize insensitive to encoded attr length")
+	if rowSize(&heavyRow, 130) <= rowSize(&heavyRow, 0) {
+		t.Fatal("rowSize insensitive to encoded attr length")
 	}
 }
 
