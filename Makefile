@@ -8,7 +8,7 @@ SHELL := bash
 
 GO ?= go
 
-.PHONY: all build test vet race fmt-check lint fuzz-smoke smoke bench bench-repo bench-smoke bench-mem bench-compare chaos chaos-smoke e8 e8-smoke e11 e11-smoke e12 obs-smoke tables tables-quick tables-big examples clean
+.PHONY: all build test vet race fmt-check lint fuzz-smoke smoke bench bench-repo churn-seeds bench-smoke bench-mem bench-compare chaos chaos-smoke e8 e8-smoke e11 e11-smoke e12 obs-smoke tables tables-quick tables-big examples clean
 
 all: build vet test
 
@@ -71,6 +71,14 @@ bench-repo:
 	bash bench/run.sh --workload fanout --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 	bash bench/run.sh --workload selective --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 	bash bench/run.sh --workload sim_churn --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
+
+# Failed deliveries of the full sim_churn workload per seed, FROM to TO
+# (about 30 s a seed): run it on two commits to see whether a change moved
+# which seeds lose a delivery.
+FROM ?= 1
+TO ?= 24
+churn-seeds:
+	./scripts/churn_seeds.sh $(FROM) $(TO)
 
 # Parallel-executor smoke: regenerate E1 (largest standard point: 4096
 # nodes) under the parallel executor, gating on the serial-vs-parallel

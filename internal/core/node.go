@@ -153,7 +153,11 @@ type Config struct {
 	// otherwise-identical runs publish different bytes.
 	HealthHeapBytes func() uint64
 
-	// OnItem receives delivered items. Optional.
+	// OnItem receives delivered items. Optional. An Item's strings share
+	// the envelope's payload: keeping any one of them keeps the whole
+	// article, so use strings.Clone to keep a field without it. The
+	// envelope's byte fields are shared and must not be written
+	// (wire.ItemEnvelope).
 	OnItem ItemHandler
 	// OnDeliveryFailure is called when a reliable forward is abandoned
 	// after MaxForwardAttempts: the item's envelope key and trace ID, the

@@ -23,6 +23,7 @@ package multicast
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -798,7 +799,9 @@ func (r *Router) predicate(src string) (*sqlagg.Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.preds[src] = p
+	// src views a decoded envelope's buffer; a cached copy of it must not
+	// keep that item alive.
+	r.preds[strings.Clone(src)] = p
 	return p, nil
 }
 

@@ -358,10 +358,15 @@ func itemsEqual(a, b *Item) bool {
 }
 
 // checkDecode asserts that whatever the decoder accepts, the oracle accepts
-// as the same item. It returns the decoded item, nil when rejected.
+// as the same item, and that the copying and the viewing entry agree. It
+// returns the decoded item, nil when rejected.
 func checkDecode(t *testing.T, doc []byte) *Item {
 	t.Helper()
 	got, err := UnmarshalNITF(doc)
+	viewed, verr := ViewNITF(doc)
+	if (err == nil) != (verr == nil) || err == nil && !itemsEqual(got, viewed) {
+		t.Fatalf("UnmarshalNITF and ViewNITF disagree on %q:\n copy %+v (err %v)\n view %+v (err %v)", doc, got, err, viewed, verr)
+	}
 	if err != nil {
 		return nil
 	}

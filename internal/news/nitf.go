@@ -1,13 +1,14 @@
 package news
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"time"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // The NITF codec: MarshalNITF writes one fixed document shape, after NITF
@@ -149,8 +150,29 @@ func validXMLChar(r rune) bool {
 //
 // Every document this function accepts, encoding/xml decodes to the same
 // item; the reverse does not hold.
-func UnmarshalNITF(data []byte) (*Item, error) {
-	d := nitfDecoder{data: data, it: &Item{}}
+//
+// The item does not alias data: the decoder converts data to a string once
+// and the item's strings are substrings of that copy, except those it had
+// to rewrite.
+func UnmarshalNITF(data []byte) (*Item, error) { return decodeNITF(string(data)) }
+
+// ViewNITF is UnmarshalNITF without the copy: the item's strings view data
+// itself, except those the decoder had to rewrite (an entity, a CR), so
+// data must never be written again. pubsub.DecodeItem uses it on sealed
+// envelope payloads, which nobody writes (wire.ItemEnvelope).
+func ViewNITF(data []byte) (*Item, error) { return decodeNITF(viewString(data)) }
+
+// viewString returns b's bytes as a string without copying them; b must
+// never be written again.
+func viewString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+func decodeNITF(src string) (*Item, error) {
+	d := nitfDecoder{src: src, it: &Item{}}
 	if err := d.document(); err != nil {
 		return nil, fmt.Errorf("news: unmarshal: offset %d: %w", d.pos, err)
 	}
@@ -218,37 +240,37 @@ var nitfSchema = [...]struct {
 // nitfMaxDepth bounds element nesting; the schema needs five levels.
 const nitfMaxDepth = 32
 
+// nitfDecoder scans src; every name, value and text run it hands out is a
+// substring of src unless it had to be rewritten.
 type nitfDecoder struct {
-	data []byte
+	src  string
 	pos  int
 	it   *Item
 	done bool // the root element has closed
-	// buf holds the latest text run that needed rewriting.
-	buf []byte
 	// text accumulates the open text element's character data. One is
 	// enough: anything nested in a text element is nodeOther.
 	text  string
 	depth int
 	open  [nitfMaxDepth]struct {
-		name []byte
+		name string
 		node nitfNode
 	}
 }
 
 func (d *nitfDecoder) document() error {
 	for !d.done {
-		if d.pos+1 >= len(d.data) {
+		if d.pos+1 >= len(d.src) {
 			return io.ErrUnexpectedEOF
 		}
 		var err error
 		switch {
-		case d.data[d.pos] != '<':
+		case d.src[d.pos] != '<':
 			err = d.charData()
-		case d.data[d.pos+1] == '?':
+		case d.src[d.pos+1] == '?':
 			err = d.procInst()
-		case d.data[d.pos+1] == '!':
+		case d.src[d.pos+1] == '!':
 			err = d.comment()
-		case d.data[d.pos+1] == '/':
+		case d.src[d.pos+1] == '/':
 			err = d.endTag()
 		default:
 			err = d.startTag()
@@ -263,20 +285,20 @@ func (d *nitfDecoder) document() error {
 // charData consumes text up to the next tag. It is validated everywhere and
 // kept inside a text element.
 func (d *nitfDecoder) charData() error {
-	end := bytes.IndexByte(d.data[d.pos:], '<')
+	end := strings.IndexByte(d.src[d.pos:], '<')
 	if end < 0 {
 		return io.ErrUnexpectedEOF
 	}
-	run, err := d.unescape(d.data[d.pos:d.pos+end], false)
+	run, err := unescape(d.src[d.pos:d.pos+end], false)
 	if err != nil {
 		return err
 	}
 	d.pos += end
 	if d.depth > 0 && d.open[d.depth-1].node.isText() {
 		if d.text == "" {
-			d.text = string(run)
+			d.text = run
 		} else {
-			d.text += string(run) // a comment or skipped element split the text
+			d.text += run // a comment or skipped element split the text
 		}
 	}
 	return nil
@@ -293,14 +315,14 @@ func (d *nitfDecoder) startTag() error {
 	}
 	node, wanted := nodeOther, "" // wanted: the attribute the schema reads
 	if d.depth == 0 {
-		if string(name) != "nitf" {
+		if name != "nitf" {
 			return fmt.Errorf("root element is <%s>, want <nitf>", name)
 		}
 		node = nodeNITF
 	} else {
 		parent := d.open[d.depth-1].node
 		for i := range nitfSchema {
-			if s := &nitfSchema[i]; s.parent == parent && s.name == string(name) {
+			if s := &nitfSchema[i]; s.parent == parent && s.name == name {
 				node, wanted = s.node, s.attr
 				break
 			}
@@ -316,15 +338,15 @@ func (d *nitfDecoder) startTag() error {
 	}
 	for {
 		d.skipSpace()
-		if d.pos+1 >= len(d.data) { // no document ends within two bytes of here
+		if d.pos+1 >= len(d.src) { // no document ends within two bytes of here
 			return io.ErrUnexpectedEOF
 		}
-		switch d.data[d.pos] {
+		switch d.src[d.pos] {
 		case '>':
 			d.pos++
 			return nil
 		case '/':
-			if d.data[d.pos+1] != '>' {
+			if d.src[d.pos+1] != '>' {
 				return errors.New("expected /> in element")
 			}
 			d.pos += 2
@@ -336,26 +358,26 @@ func (d *nitfDecoder) startTag() error {
 			return err
 		}
 		d.skipSpace()
-		if d.pos >= len(d.data) || d.data[d.pos] != '=' {
+		if d.pos >= len(d.src) || d.src[d.pos] != '=' {
 			return fmt.Errorf("attribute %s without =", attr)
 		}
 		d.pos++
 		d.skipSpace()
-		if d.pos >= len(d.data) || d.data[d.pos] != '"' && d.data[d.pos] != '\'' {
+		if d.pos >= len(d.src) || d.src[d.pos] != '"' && d.src[d.pos] != '\'' {
 			return fmt.Errorf("attribute %s value is not quoted", attr)
 		}
-		quote := d.data[d.pos]
+		quote := d.src[d.pos]
 		d.pos++
-		end := bytes.IndexByte(d.data[d.pos:], quote)
+		end := strings.IndexByte(d.src[d.pos:], quote)
 		if end < 0 {
 			return io.ErrUnexpectedEOF
 		}
-		val, err := d.unescape(d.data[d.pos:d.pos+end], true)
+		val, err := unescape(d.src[d.pos:d.pos+end], true)
 		if err != nil {
 			return err
 		}
 		d.pos += end + 1
-		if wanted == string(attr) {
+		if wanted == attr {
 			if err := d.setAttr(node, val); err != nil {
 				return err
 			}
@@ -364,28 +386,28 @@ func (d *nitfDecoder) startTag() error {
 }
 
 // setAttr stores the one attribute the schema reads from node.
-func (d *nitfDecoder) setAttr(node nitfNode, val []byte) (err error) {
+func (d *nitfDecoder) setAttr(node nitfNode, val string) (err error) {
 	it := d.it
 	switch node {
 	case nodeDocID:
-		it.ID = string(val)
+		it.ID = val
 	case nodeUrgency:
-		it.Urgency, err = strconv.Atoi(string(val))
+		it.Urgency, err = strconv.Atoi(val)
 	case nodeDuKey:
-		it.Revision, err = strconv.Atoi(string(val))
+		it.Revision, err = strconv.Atoi(val)
 	case nodeDateIssue:
 		it.Published = time.Time{}
 		if len(val) > 0 {
-			if it.Published, err = time.Parse(time.RFC3339Nano, string(val)); err != nil {
+			if it.Published, err = time.Parse(time.RFC3339Nano, val); err != nil {
 				err = fmt.Errorf("bad date.issue %q: %w", val, err)
 			}
 		}
 	case nodeKeyword:
-		it.Subjects[len(it.Subjects)-1] = string(val)
+		it.Subjects[len(it.Subjects)-1] = val
 	case nodeLocation:
-		it.Geography = string(val)
+		it.Geography = val
 	case nodePubdata:
-		it.Publisher = string(val)
+		it.Publisher = val
 	}
 	return err
 }
@@ -397,14 +419,14 @@ func (d *nitfDecoder) endTag() error {
 		return err
 	}
 	d.skipSpace()
-	if d.pos >= len(d.data) || d.data[d.pos] != '>' {
+	if d.pos >= len(d.src) || d.src[d.pos] != '>' {
 		return fmt.Errorf("invalid characters between </%s and >", name)
 	}
 	d.pos++
 	if d.depth == 0 {
 		return fmt.Errorf("unexpected end element </%s>", name)
 	}
-	if open := d.open[d.depth-1].name; !bytes.Equal(open, name) {
+	if open := d.open[d.depth-1].name; open != name {
 		return fmt.Errorf("element <%s> closed by </%s>", open, name)
 	}
 	d.closeElement()
@@ -434,23 +456,23 @@ func (d *nitfDecoder) procInst() error {
 	if err != nil {
 		return err
 	}
-	if d.pos < len(d.data) && d.data[d.pos] != '?' && !isXMLSpace(d.data[d.pos]) {
+	if d.pos < len(d.src) && d.src[d.pos] != '?' && !isXMLSpace(d.src[d.pos]) {
 		return fmt.Errorf("invalid character after <?%s", target)
 	}
 	d.skipSpace()
-	end := bytes.Index(d.data[d.pos:], []byte("?>"))
+	end := strings.Index(d.src[d.pos:], "?>")
 	if end < 0 {
 		return io.ErrUnexpectedEOF
 	}
-	content := d.data[d.pos : d.pos+end]
+	content := d.src[d.pos : d.pos+end]
 	d.pos += end + 2
-	if string(target) != "xml" {
+	if target != "xml" {
 		return nil
 	}
-	if v := declParam(content, "version="); len(v) > 0 && string(v) != "1.0" {
+	if v := declParam(content, "version="); len(v) > 0 && v != "1.0" {
 		return fmt.Errorf("unsupported XML version %q", v)
 	}
-	if enc := declParam(content, "encoding="); len(enc) > 0 && !bytes.EqualFold(enc, []byte("utf-8")) {
+	if enc := declParam(content, "encoding="); len(enc) > 0 && !strings.EqualFold(enc, "utf-8") {
 		return fmt.Errorf("unsupported encoding %q", enc)
 	}
 	return nil
@@ -459,34 +481,34 @@ func (d *nitfDecoder) procInst() error {
 // declParam returns the quoted value after param in an XML declaration,
 // located as leniently as encoding/xml locates it, so that no declaration
 // passes here that encoding/xml would refuse.
-func declParam(s []byte, param string) []byte {
+func declParam(s, param string) string {
 	for {
-		k := bytes.Index(s, []byte(param))
+		k := strings.Index(s, param)
 		if k < 0 || k+len(param) >= len(s) {
-			return nil
+			return ""
 		}
 		quote := s[k+len(param)]
 		s = s[k+len(param)+1:]
 		if quote == '"' || quote == '\'' {
-			if end := bytes.IndexByte(s, quote); end >= 0 {
+			if end := strings.IndexByte(s, quote); end >= 0 {
 				return s[:end]
 			}
-			return nil
+			return ""
 		}
 	}
 }
 
 // comment skips <!-- … -->, the only "<!" construct accepted.
 func (d *nitfDecoder) comment() error {
-	if !bytes.HasPrefix(d.data[d.pos:], []byte("<!--")) {
+	if !strings.HasPrefix(d.src[d.pos:], "<!--") {
 		return errors.New("unsupported <! construct (only comments are accepted)")
 	}
 	d.pos += 4
-	end := bytes.Index(d.data[d.pos:], []byte("--"))
-	if end < 0 || d.pos+end+2 >= len(d.data) {
+	end := strings.Index(d.src[d.pos:], "--")
+	if end < 0 || d.pos+end+2 >= len(d.src) {
 		return io.ErrUnexpectedEOF
 	}
-	if d.data[d.pos+end+2] != '>' {
+	if d.src[d.pos+end+2] != '>' {
 		return errors.New(`"--" inside comment`)
 	}
 	d.pos += end + 3
@@ -495,14 +517,14 @@ func (d *nitfDecoder) comment() error {
 
 // name consumes an element, attribute or target name. A ':' or a non-ASCII
 // byte ends it, and then fails whatever the caller expects next.
-func (d *nitfDecoder) name() ([]byte, error) {
+func (d *nitfDecoder) name() (string, error) {
 	start := d.pos
-	for d.pos < len(d.data) && isNameByte(d.data[d.pos]) {
+	for d.pos < len(d.src) && isNameByte(d.src[d.pos]) {
 		d.pos++
 	}
-	name := d.data[start:d.pos]
+	name := d.src[start:d.pos]
 	if len(name) == 0 || name[0] >= '0' && name[0] <= '9' || name[0] == '-' || name[0] == '.' {
-		return nil, errors.New("expected a name")
+		return "", errors.New("expected a name")
 	}
 	return name, nil
 }
@@ -517,25 +539,22 @@ func isXMLSpace(c byte) bool {
 }
 
 func (d *nitfDecoder) skipSpace() {
-	for d.pos < len(d.data) && isXMLSpace(d.data[d.pos]) {
+	for d.pos < len(d.src) && isXMLSpace(d.src[d.pos]) {
 		d.pos++
 	}
 }
 
 // unescape validates one run of character data, or one attribute value, and
 // returns it decoded: run itself when nothing had to be rewritten (the
-// common case), otherwise d.buf, which the next call overwrites.
-func (d *nitfDecoder) unescape(run []byte, quoted bool) ([]byte, error) {
-	last := -1 // start of the bytes not yet copied to d.buf; -1 until the first rewrite
+// common case), otherwise a string of its own.
+func unescape(run string, quoted bool) (string, error) {
+	var out []byte // the rewritten run; nil until the first rewrite
+	last := 0      // start of the bytes of run not yet copied to out
 	rewrite := func(i int) {
-		if last < 0 {
-			last = 0
-			if cap(d.buf) < len(run) { // decoding never lengthens a run
-				d.buf = make([]byte, 0, len(run))
-			}
-			d.buf = d.buf[:0]
+		if out == nil {
+			out = make([]byte, 0, len(run)) // decoding never lengthens a run
 		}
-		d.buf = append(d.buf, run[last:i]...)
+		out = append(out, run[last:i]...)
 	}
 	for i := 0; i < len(run); {
 		c := run[i]
@@ -547,57 +566,58 @@ func (d *nitfDecoder) unescape(run []byte, quoted bool) ([]byte, error) {
 		case c == '&':
 			r, n, err := entity(run[i:])
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			rewrite(i)
-			d.buf = utf8.AppendRune(d.buf, r)
+			out = utf8.AppendRune(out, r)
 			i += n
 			last = i
 		case c == '\r':
 			rewrite(i)
-			d.buf = append(d.buf, '\n')
+			out = append(out, '\n')
 			i++
 			if i < len(run) && run[i] == '\n' {
 				i++
 			}
 			last = i
 		case c == '<':
-			return nil, errors.New("unescaped < inside quoted string")
+			return "", errors.New("unescaped < inside quoted string")
 		case c == '>' && !quoted && i >= 2 && run[i-1] == ']' && run[i-2] == ']':
-			return nil, errors.New("unescaped ]]> in text")
+			return "", errors.New("unescaped ]]> in text")
 		case c < utf8.RuneSelf:
 			if c < 0x20 && c != '\t' && c != '\n' {
-				return nil, fmt.Errorf("illegal character code %U", c)
+				return "", fmt.Errorf("illegal character code %U", c)
 			}
 			i++
 		default:
-			r, size := utf8.DecodeRune(run[i:])
+			r, size := utf8.DecodeRuneInString(run[i:])
 			if r == utf8.RuneError && size == 1 {
-				return nil, errors.New("invalid UTF-8")
+				return "", errors.New("invalid UTF-8")
 			}
 			if !validXMLChar(r) {
-				return nil, fmt.Errorf("illegal character code %U", r)
+				return "", fmt.Errorf("illegal character code %U", r)
 			}
 			i += size
 		}
 	}
-	if last < 0 {
+	if out == nil {
 		return run, nil
 	}
-	return append(d.buf, run[last:]...), nil
+	// out is this run's alone and is never written again.
+	return viewString(append(out, run[last:]...)), nil
 }
 
 var nitfEntities = map[string]rune{"lt": '<', "gt": '>', "amp": '&', "apos": '\'', "quot": '"'}
 
 // entity decodes the reference at the start of s — one of the five
 // predefined entities or a character reference — and returns its length.
-func entity(s []byte) (rune, int, error) {
-	semi := bytes.IndexByte(s, ';')
+func entity(s string) (rune, int, error) {
+	semi := strings.IndexByte(s, ';')
 	if semi < 0 || semi > 16 { // the longest, &#x10FFFF;, is 10 bytes
 		return 0, 0, errors.New("entity without semicolon")
 	}
 	name := s[1:semi]
-	if r, ok := nitfEntities[string(name)]; ok {
+	if r, ok := nitfEntities[name]; ok {
 		return r, semi + 1, nil
 	}
 	if len(name) > 1 && name[0] == '#' {
@@ -605,7 +625,7 @@ func entity(s []byte) (rune, int, error) {
 		if digits[0] == 'x' {
 			digits, base = digits[1:], 16
 		}
-		if n, err := strconv.ParseUint(string(digits), base, 32); err == nil && validXMLChar(rune(n)) {
+		if n, err := strconv.ParseUint(digits, base, 32); err == nil && validXMLChar(rune(n)) {
 			return rune(n), semi + 1, nil
 		}
 	}

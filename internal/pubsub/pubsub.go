@@ -703,9 +703,12 @@ func EncodeItem(it *news.Item, mode Mode, geo Geometry, vocabulary []string) (wi
 
 // DecodeItem parses the envelope payload back into an item and
 // cross-checks the envelope's routing metadata against it, so a forwarder
-// cannot smuggle an item into subjects it does not carry.
+// cannot smuggle an item into subjects it does not carry. The item's
+// strings view the payload, which a sealed envelope never writes
+// (wire.ItemEnvelope): a caller that keeps one field and not the article
+// clones it.
 func DecodeItem(env *wire.ItemEnvelope) (*news.Item, error) {
-	it, err := news.UnmarshalNITF(env.Payload)
+	it, err := news.ViewNITF(env.Payload)
 	if err != nil {
 		return nil, err
 	}

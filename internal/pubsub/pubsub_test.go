@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,43 @@ func TestEncodeDecodeItemBloom(t *testing.T) {
 	}
 	if got.Headline != it.Headline {
 		t.Fatal("payload content lost")
+	}
+}
+
+// TestDecodedItemOutlivesReadBuffer receives an item the way a TCP node
+// does — decode the frame from a read buffer, then the item from the
+// envelope — and overwrites the buffer: neither the envelope nor the
+// delivered item may change, since the transport recycles the buffer
+// before the application sees the item.
+func TestDecodedItemOutlivesReadBuffer(t *testing.T) {
+	it := testItem()
+	it.Body = "kernel news\r\nwith <markup> & a second line" // escaped, so decoding rewrites it
+	env, err := EncodeItem(it, ModeBloom, DefaultGeometry, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.Encode(&wire.Message{Kind: wire.KindMulticast, From: "rep:1",
+		Multicast: &wire.Multicast{TargetZone: "/z", Deliver: true, Envelope: env}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Clone(frame)
+	msg, err := wire.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeItem(&msg.Multicast.Envelope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = '?'
+	}
+	if again, err := wire.Encode(msg); err != nil || !bytes.Equal(again, frame) {
+		t.Errorf("envelope changed with the read buffer (re-encode err %v)", err)
+	}
+	if !reflect.DeepEqual(got, it) {
+		t.Errorf("delivered item changed with the read buffer:\n got %+v\nwant %+v", got, it)
 	}
 }
 

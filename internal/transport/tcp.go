@@ -328,9 +328,13 @@ type peer struct {
 	conn   net.Conn
 	closed bool
 
-	// batch and bufs are writer-goroutine scratch, reused across flushes.
-	batch []wire.Frame
-	bufs  net.Buffers
+	// batch, bufs and unsent are writer-goroutine scratch, reused across
+	// flushes. WriteTo consumes the net.Buffers it is called on, so it
+	// runs on unsent, a copy of bufs' header: bufs keeps its backing
+	// array, and a field, unlike a local, costs no allocation per flush.
+	batch  []wire.Frame
+	bufs   net.Buffers
+	unsent net.Buffers
 }
 
 func newPeer(t *TCP, addr string, conn net.Conn) *peer {
@@ -440,10 +444,9 @@ func (p *peer) writeBatch() error {
 	// the flush.
 	_ = conn.SetWriteDeadline(time.Now().Add(p.t.opts.WriteTimeout))
 	ioSync.Add(1) // release: see ioSync
-	// WriteTo consumes p.bufs; p.batch keeps the frames intact for the
-	// stale retry.
-	bufs := p.bufs
-	if _, err := bufs.WriteTo(conn); err != nil {
+	// p.batch keeps the frames intact for the stale retry.
+	p.unsent = p.bufs
+	if _, err := p.unsent.WriteTo(conn); err != nil {
 		return err
 	}
 	p.t.st.framesSent.Add(int64(len(p.batch)))
@@ -530,15 +533,15 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if size > maxFrame {
 			return
 		}
-		// Pooled receive buffer: Decode copies everything out, so the
-		// buffer is recyclable the moment it returns.
-		data := GetBuf(int(size))
-		if _, err := io.ReadFull(conn, data); err != nil {
-			PutBuf(data)
+		// Pooled receive buffer: Decode copies out everything it keeps, so
+		// the buffer is recyclable the moment it returns.
+		buf := GetBuf(int(size))
+		if _, err := io.ReadFull(conn, *buf); err != nil {
+			PutBuf(buf)
 			return
 		}
-		msg, err := wire.Decode(data)
-		PutBuf(data)
+		msg, err := wire.Decode(*buf)
+		PutBuf(buf)
 		if err != nil {
 			// Malformed frame: drop the connection, not the process.
 			return

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"newswire/internal/value"
 )
@@ -576,15 +577,35 @@ func (d *binDecoder) count(what string) int {
 
 func (d *binDecoder) str() string { return string(d.rawStr()) }
 
-// rawStr returns the next string's bytes in place, a view of the frame.
+// rawStr returns the next string's bytes in place, a view of the input
+// clipped to its own length.
 func (d *binDecoder) rawStr() []byte {
 	n := d.count("string length")
 	if d.err != nil {
 		return nil
 	}
-	b := d.data[d.pos : d.pos+n]
+	b := d.data[d.pos : d.pos+n : d.pos+n]
 	d.pos += n
 	return b
+}
+
+// view returns the next string as a view of the input, which must be a
+// buffer nobody writes again: an envelope's own copy (see envelope).
+func (d *binDecoder) view() string {
+	b := d.rawStr()
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// subSlice returns the next byte array as a view of the input, like view,
+// and nil for an empty one.
+func (d *binDecoder) subSlice() []byte {
+	if b := d.rawStr(); len(b) > 0 {
+		return b
+	}
+	return nil
 }
 
 func (d *binDecoder) byteSlice() []byte {
@@ -906,37 +927,100 @@ func (d *binDecoder) refList() []RowRef {
 	return out
 }
 
+// envelope decodes one ItemEnvelope, of a Multicast or of a StateReply,
+// into a buffer of its own (DESIGN.md §8, "Envelope ownership"): it walks
+// the envelope in the input to find its span, copies exactly that span,
+// and decodes the fields from the copy, every string and byte array a view
+// of it. The input — a pooled read buffer, a whole reply — is never kept,
+// so no envelope pins another's bytes. The key is the one field built
+// apart: dedup logs, ack tables and trace spans keep it after the envelope
+// is gone.
 func (d *binDecoder) envelope(env *ItemEnvelope) {
-	env.Publisher = d.str()
-	env.ItemID = d.str()
+	start := d.pos
+	d.skipEnvelope()
+	if d.err != nil {
+		return
+	}
+	own := binDecoder{data: make([]byte, d.pos-start)}
+	copy(own.data, d.data[start:d.pos])
+	own.envelopeFields(env)
+	d.err = own.err
+}
+
+// skipEnvelope moves past one encoded envelope, bounds-checking every
+// length and count the way envelopeFields reads them.
+func (d *binDecoder) skipEnvelope() {
+	d.rawStr() // publisher
+	d.rawStr() // item ID
+	d.varint() // revision
+	for n := d.count("subject"); n > 0 && d.err == nil; n-- {
+		d.rawStr()
+	}
+	for n := d.count("subject bit"); n > 0 && d.err == nil; n-- {
+		d.uvarint()
+	}
+	d.rawStr() // scope zone
+	d.rawStr() // predicate
+	d.varint() // urgency
+	d.time()   // published
+	d.rawStr() // payload
+	d.rawStr() // signer
+	d.rawStr() // signature
+}
+
+// envelopeFields decodes an envelope from a decoder over its own copy.
+func (d *binDecoder) envelopeFields(env *ItemEnvelope) {
+	env.Publisher = d.view()
+	env.ItemID = d.view()
 	env.Revision = int(d.varint())
-	n := d.count("subject")
-	for i := 0; i < n && d.err == nil; i++ {
-		env.Subjects = append(env.Subjects, d.str())
-	}
-	n = d.count("subject bit")
-	for i := 0; i < n && d.err == nil; i++ {
-		bit := d.uvarint()
-		if bit > math.MaxUint32 {
-			d.fail("subject bit %d out of range", bit)
-			return
+	if n := d.count("subject"); n > 0 {
+		env.Subjects = make([]string, n)
+		for i := range env.Subjects {
+			env.Subjects[i] = d.view()
 		}
-		env.SubjectBits = append(env.SubjectBits, uint32(bit))
 	}
-	env.ScopeZone = d.str()
-	env.Predicate = d.str()
+	if n := d.count("subject bit"); n > 0 {
+		env.SubjectBits = make([]uint32, n)
+		for i := range env.SubjectBits {
+			bit := d.uvarint()
+			if bit > math.MaxUint32 {
+				d.fail("subject bit %d out of range", bit)
+				return
+			}
+			env.SubjectBits[i] = uint32(bit)
+		}
+	}
+	env.ScopeZone = d.view()
+	env.Predicate = d.view()
 	env.Urgency = int(d.varint())
 	env.Published = d.time()
-	env.Payload = d.byteSlice()
-	env.Signer = d.str()
-	env.Sig = d.byteSlice()
+	env.Payload = d.subSlice()
+	env.Signer = d.view()
+	env.Sig = d.subSlice()
 	env.SealKey()
+}
+
+// multicastMessage is a decoded Multicast frame's one allocation for the
+// message and its payload.
+type multicastMessage struct {
+	msg Message
+	mc  Multicast
 }
 
 func decodeBinary(data []byte) (*Message, error) {
 	d := &binDecoder{data: data, pos: 1} // pos 0 is the magic byte
 	kind := Kind(d.u8())
-	m := &Message{Kind: kind, From: d.str()}
+	var m *Message
+	if kind == KindMulticast {
+		blk := new(multicastMessage)
+		blk.msg.Multicast = &blk.mc
+		m = &blk.msg
+	} else {
+		m = new(Message)
+	}
+	// A peer's address heads every frame it sends: interned from the
+	// frame, like zone paths, so a hit allocates nothing.
+	m.Kind, m.From = kind, value.InternBytes(d.rawStr())
 	switch kind {
 	case KindGossip:
 		d.table()
@@ -967,15 +1051,13 @@ func decodeBinary(data []byte) (*Message, error) {
 		}
 		m.GossipDelta = g
 	case KindMulticast:
-		mc := &Multicast{
-			TargetZone: d.str(),
-			Hops:       int(d.varint()),
-			Deliver:    d.bool(),
-			AckSeq:     d.uvarint(),
-			TraceID:    d.uvarint(),
-		}
+		mc := m.Multicast
+		mc.TargetZone = value.InternBytes(d.rawStr())
+		mc.Hops = int(d.varint())
+		mc.Deliver = d.bool()
+		mc.AckSeq = d.uvarint()
+		mc.TraceID = d.uvarint()
 		d.envelope(&mc.Envelope)
-		m.Multicast = mc
 	case KindMulticastAck:
 		m.MulticastAck = &MulticastAck{
 			Seq:        d.uvarint(),

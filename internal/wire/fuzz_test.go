@@ -67,6 +67,16 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 				},
 			},
 		},
+		// An envelope whose payload and signature are empty: the decoder's
+		// views past the subjects are all of zero length.
+		{
+			Kind: KindMulticast,
+			From: "rep-1:9000",
+			Multicast: &Multicast{
+				TargetZone: "/",
+				Envelope:   ItemEnvelope{Publisher: "ap", ItemID: "it-0", Subjects: []string{"tech"}},
+			},
+		},
 		{
 			Kind:         KindMulticastAck,
 			From:         "leaf-3:9000",
@@ -138,8 +148,10 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 	seeds = append(seeds, tableFrame(capNames))
 	// A summary whose count runs past the input.
 	seeds = append(seeds, overlongSummaryFrame())
-	for _, frame := range append(hostileSectionFrames(), oddSectionFrames()...) {
-		seeds = append(seeds, frame.data)
+	for _, frames := range [][]namedFrame{hostileSectionFrames(), oddSectionFrames(), hostileEnvelopeFrames(t)} {
+		for _, frame := range frames {
+			seeds = append(seeds, frame.data)
+		}
 	}
 	return append(seeds, []byte(gobStreamHead))
 }
@@ -202,6 +214,32 @@ func hostileSectionFrames() []namedFrame {
 		{"zone depth beyond 31 bits", stampFrame(1<<31, func(b []byte) []byte {
 			return append(b, 0)
 		})},
+	}
+}
+
+// hostileEnvelopeFrames are envelopes cut short, which the decoder must
+// refuse without copying past the frame: a Multicast whose payload length
+// runs past the frame, and a StateReply whose second envelope stops
+// halfway.
+func hostileEnvelopeFrames(t interface{ Fatal(...any) }) []namedFrame {
+	env := func(id string) ItemEnvelope {
+		return ItemEnvelope{Publisher: "ap", ItemID: id, Subjects: []string{"tech"}, Payload: bytes.Repeat([]byte{'x'}, 32)}
+	}
+	mc, err := Encode(&Message{Kind: KindMulticast, From: "n1", Multicast: &Multicast{TargetZone: "/", Envelope: env("it-1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := env("it-2")
+	reply, err := Encode(&Message{Kind: KindStateReply, From: "n2", StateReply: &StateReply{
+		Envelopes: []ItemEnvelope{env("it-1"), second},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []namedFrame{
+		// Signer, signature and 8 payload bytes gone: the length claims 32.
+		{"multicast payload overruns the frame", mc[:len(mc)-10]},
+		{"state reply with its second envelope truncated", reply[:len(reply)-1-envelopeSize(&second)/2]},
 	}
 }
 

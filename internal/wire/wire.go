@@ -224,6 +224,17 @@ type GossipDelta struct {
 // subjects (§6), the exact subjects for the leaf's final match, an optional
 // publisher predicate over child-zone attributes (§8), and the publisher's
 // signature (§8).
+//
+// The byte fields of a sealed envelope, Payload and Sig, are shared and
+// never written: every recipient of a fan-out frame, the cache and each
+// delivered news.Item read them concurrently, and a decoded envelope's
+// strings and byte arrays all view one buffer (DESIGN.md §8, "Envelope
+// ownership"). They are filled in three places, each with bytes nobody
+// else holds: pubsub.EncodeItem (a fresh NITF encoding, signed by
+// core.Security.signEnvelope with a fresh signature before it is
+// published), the binary decoder (the envelope's own copy) and
+// newswire-loadgen (a fresh buffer per item). To change a byte, build a new
+// envelope.
 type ItemEnvelope struct {
 	Publisher string
 	ItemID    string
@@ -251,7 +262,9 @@ type ItemEnvelope struct {
 
 	// key is Key() computed once, by SealKey; struct copies carry it. A
 	// plain field, never filled lazily: envelopes are read concurrently
-	// (shared fan-out frames, the cache).
+	// (shared fan-out frames, the cache). Its bytes are its own, never a
+	// view of a decoded envelope's buffer: logs that keep a key must not
+	// keep the item.
 	key string
 }
 
