@@ -97,6 +97,7 @@ bench-smoke: bin/newswire-bench
 	$(GO) test . -run TestGossipRoundTraceOverheadGuard -count=1 -v | tee artifacts/trace-guard.txt
 	$(GO) test . -run TestChurnGossipBytesBudget -count=1 -v | tee artifacts/gossip-budget.txt
 	$(GO) test . -run TestChurnRoundAllocationBudget -count=1 -v | tee artifacts/alloc-budget.txt
+	$(GO) test . -run '^$$' -bench LiveGossip -benchtime 1x | tee artifacts/live-gossip.txt
 	bin/newswire-bench -run E6 -quick -trace -json artifacts | tee artifacts/trace-smoke.txt
 
 # Memory smoke: one virtual-leaf E1 row at 65,536 nodes with the heap

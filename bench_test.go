@@ -287,6 +287,58 @@ func BenchmarkNITFUnmarshal(b *testing.B) {
 	}
 }
 
+// liveBenchNodes and liveBenchMembers shape the live benchmarks' cluster:
+// four leaf zones of four under two regions.
+const liveBenchNodes, liveBenchMembers = 16, 4
+
+// startLiveBench starts the live benchmarks' cluster on loopback TCP with
+// 200 ms gossip and product defaults otherwise, every node subscribed to
+// subject and, when secure, holding a member certificate of one realm (so
+// every row is signed and verified). Each node is introduced to the first
+// member of every zone started before it: gossip with one foreign zone
+// never reveals a third.
+func startLiveBench(b *testing.B, subject string, secure bool, onItem func(*news.Item, *wire.ItemEnvelope)) []*newswire.LiveNode {
+	secs := make([]*newswire.Security, liveBenchNodes)
+	if secure {
+		// Every identity is minted before the first node starts: running
+		// nodes read the realm's certificate store without a lock.
+		realm, err := newswire.NewRealm(newswire.RealClock, 24*time.Hour)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range secs {
+			if secs[i], err = realm.Member(fmt.Sprintf("n%02d", i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	cluster := make([]*newswire.LiveNode, liveBenchNodes)
+	for i := range cluster {
+		zone := i / liveBenchMembers
+		cfg := newswire.LiveConfig{Node: newswire.Config{
+			Name:           fmt.Sprintf("n%02d", i),
+			ZonePath:       fmt.Sprintf("/r%d/z%d", zone/2, zone%2),
+			GossipInterval: 200 * time.Millisecond,
+			Rand:           rand.New(rand.NewSource(int64(i + 1))),
+			OnItem:         onItem,
+			Security:       secs[i],
+		}}
+		for first := 0; first < i; first += liveBenchMembers {
+			cfg.Peers = append(cfg.Peers, cluster[first].Addr())
+		}
+		ln, err := newswire.StartLive(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { ln.Close() })
+		if err := ln.Node().Subscribe(subject); err != nil {
+			b.Fatal(err)
+		}
+		cluster[i] = ln
+	}
+	return cluster
+}
+
 // BenchmarkLiveFanout is the delivery side of one item on real sockets: 16
 // live nodes over loopback TCP, four leaf zones of four under two regions,
 // every node subscribed to the subject of every wire-service article (some
@@ -296,39 +348,15 @@ func BenchmarkNITFUnmarshal(b *testing.B) {
 // `go test` name, and with -memprofile it regenerates the fan-out
 // allocation ledger in EXPERIMENTS.md.
 func BenchmarkLiveFanout(b *testing.B) {
-	const nodes, members = 16, 4
+	const nodes, members = liveBenchNodes, liveBenchMembers
 	const subject = "bench/fanout"
 	var delivered atomic.Int64
 	allIn := make(chan struct{}, 1) // the item in flight reached every node
-	cluster := make([]*newswire.LiveNode, nodes)
-	for i := range cluster {
-		zone := i / members
-		cfg := newswire.LiveConfig{Node: newswire.Config{
-			Name:           fmt.Sprintf("n%02d", i),
-			ZonePath:       fmt.Sprintf("/r%d/z%d", zone/2, zone%2),
-			GossipInterval: 200 * time.Millisecond,
-			Rand:           rand.New(rand.NewSource(int64(i + 1))),
-			OnItem: func(*news.Item, *wire.ItemEnvelope) {
-				if delivered.Add(1)%nodes == 0 {
-					allIn <- struct{}{}
-				}
-			},
-		}}
-		// Introduce each node to the first member of every zone so far:
-		// gossip with one foreign zone never reveals a third.
-		for first := 0; first < i; first += members {
-			cfg.Peers = append(cfg.Peers, cluster[first].Addr())
+	cluster := startLiveBench(b, subject, false, func(*news.Item, *wire.ItemEnvelope) {
+		if delivered.Add(1)%nodes == 0 {
+			allIn <- struct{}{}
 		}
-		ln, err := newswire.StartLive(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ln.Close()
-		if err := ln.Node().Subscribe(subject); err != nil {
-			b.Fatal(err)
-		}
-		cluster[i] = ln
-	}
+	})
 	profile := workload.WireServiceProfile("wire")
 	profile.Subjects = []string{subject}
 	gen, err := workload.NewArticleGen(profile, rand.New(rand.NewSource(1)))
@@ -372,6 +400,51 @@ func BenchmarkLiveFanout(b *testing.B) {
 
 // gossipSettle is the pause around a readiness probe of BenchmarkLiveFanout.
 const gossipSettle = 400 * time.Millisecond
+
+// BenchmarkLiveGossip is the live control plane alone: BenchmarkLiveFanout's
+// 16 nodes, idle once every node's root table counts all 16 members. One op
+// is one second of steady gossip — digests, deltas, aggregation, the health
+// plane — so allocs/op is the whole process's heap objects per second. The
+// signed arm signs and verifies every row. With -memprofile (and
+// -memprofilerate 1) it regenerates EXPERIMENTS.md's live control-plane
+// ledger.
+func BenchmarkLiveGossip(b *testing.B) {
+	for _, arm := range []struct {
+		name   string
+		secure bool
+	}{{"plain", false}, {"signed", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			cluster := startLiveBench(b, "bench/gossip", arm.secure, nil)
+			for try := 0; !liveConverged(cluster); try++ {
+				if try == 100 {
+					b.Fatal("cluster never converged")
+				}
+				time.Sleep(gossipSettle)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				time.Sleep(time.Second)
+			}
+		})
+	}
+}
+
+// liveConverged reports whether every node's root table counts every node.
+func liveConverged(cluster []*newswire.LiveNode) bool {
+	for _, ln := range cluster {
+		rows, _ := ln.Node().Agent().Table(newswire.RootZone)
+		var members int64
+		for _, r := range rows {
+			n, _ := r.Attrs[astrolabe.AttrMembers].AsInt()
+			members += n
+		}
+		if members != int64(len(cluster)) {
+			return false
+		}
+	}
+	return true
+}
 
 // BenchmarkGossipRound measures one full gossip round of a 64-node
 // cluster (ticks plus message drain) in the simulator, comparing the

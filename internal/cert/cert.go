@@ -11,6 +11,7 @@
 package cert
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/binary"
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 )
 
@@ -91,13 +93,17 @@ var (
 
 // signedPayload renders the certificate fields that the signature covers.
 func (c *Certificate) signedPayload() []byte {
-	out := make([]byte, 0, 128)
-	out = appendString(out, c.Subject)
-	out = append(out, byte(c.Role))
-	out = appendString(out, string(c.PublicKey))
-	out = appendString(out, c.Issuer)
-	out = binary.AppendVarint(out, c.NotAfter.UnixNano())
-	return out
+	return c.appendSignedPayload(make([]byte, 0, 128))
+}
+
+// appendSignedPayload appends signedPayload's bytes to dst.
+func (c *Certificate) appendSignedPayload(dst []byte) []byte {
+	dst = appendString(dst, c.Subject)
+	dst = append(dst, byte(c.Role))
+	dst = binary.AppendUvarint(dst, uint64(len(c.PublicKey)))
+	dst = append(dst, c.PublicKey...)
+	dst = appendString(dst, c.Issuer)
+	return binary.AppendVarint(dst, c.NotAfter.UnixNano())
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -130,12 +136,20 @@ func SelfSign(name string, key KeyPair, notAfter time.Time) *Certificate {
 // not expired at instant now.
 func (c *Certificate) VerifyWith(issuerPub ed25519.PublicKey, now time.Time) error {
 	if now.After(c.NotAfter) {
-		return fmt.Errorf("%w: %s at %v", ErrExpired, c.Subject, c.NotAfter)
+		return c.expired()
 	}
 	if !ed25519.Verify(issuerPub, c.signedPayload(), c.Signature) {
-		return fmt.Errorf("%w: subject %s issuer %s", ErrBadSignature, c.Subject, c.Issuer)
+		return c.badSignature()
 	}
 	return nil
+}
+
+func (c *Certificate) expired() error {
+	return fmt.Errorf("%w: %s at %v", ErrExpired, c.Subject, c.NotAfter)
+}
+
+func (c *Certificate) badSignature() error {
+	return fmt.Errorf("%w: subject %s issuer %s", ErrBadSignature, c.Subject, c.Issuer)
 }
 
 // Chain is an ordered certificate chain: chain[0] is the root authority
@@ -210,8 +224,49 @@ func Fingerprint(pub ed25519.PublicKey) string {
 
 // Store is an in-memory certificate directory keyed by subject name. It is
 // what an agent consults when verifying gossiped rows and published items.
+// Once filled it may be read by many nodes at once with no lock.
 type Store struct {
 	certs map[string]*Certificate
+	// verified holds, per stored certificate, the exact bytes its
+	// signature check last passed on (verifyCert).
+	verified sync.Map // *Certificate -> *certVerdict
+}
+
+// certVerdict is a certificate signature check that passed: copies of the
+// rendered payload, the signature and the issuer key ed25519.Verify
+// accepted. Copies, because a certificate can be edited in place.
+type certVerdict struct {
+	payload, sig, issuer []byte
+}
+
+func (v *certVerdict) matches(payload, sig, issuer []byte) bool {
+	return bytes.Equal(v.payload, payload) && bytes.Equal(v.sig, sig) && bytes.Equal(v.issuer, issuer)
+}
+
+// verifyCert is c.VerifyWith(issuerPub, now) with the signature check
+// memoized on exactly the bytes ed25519.Verify is a function of: the
+// rendered payload, the signature and the issuer key. A hit is therefore
+// as strong as verifying again, and a certificate that Add replaced or
+// that was edited in place renders other bytes and misses. Expiry is
+// checked on every call. The payload renders into a stack buffer, so a
+// hit allocates nothing.
+func (s *Store) verifyCert(c *Certificate, issuerPub ed25519.PublicKey, now time.Time) error {
+	if now.After(c.NotAfter) {
+		return c.expired()
+	}
+	var scratch [256]byte
+	payload := c.appendSignedPayload(scratch[:0])
+	if v, ok := s.verified.Load(c); ok && v.(*certVerdict).matches(payload, c.Signature, issuerPub) {
+		return nil
+	}
+	// Verified on the verdict's own copy, so the stack buffer never
+	// escapes into the hash.
+	v := &certVerdict{payload: bytes.Clone(payload), sig: bytes.Clone(c.Signature), issuer: bytes.Clone(issuerPub)}
+	if !ed25519.Verify(v.issuer, v.payload, v.sig) {
+		return c.badSignature()
+	}
+	s.verified.Store(c, v)
+	return nil
 }
 
 // NewStore returns an empty certificate store.
@@ -221,6 +276,9 @@ func NewStore() *Store {
 
 // Add records a certificate, replacing any previous one for the subject.
 func (s *Store) Add(c *Certificate) {
+	if old, ok := s.certs[c.Subject]; ok {
+		s.verified.Delete(old)
+	}
 	s.certs[c.Subject] = c
 }
 
@@ -249,7 +307,7 @@ func (s *Store) VerifySigned(sig SignedBlob, payload []byte,
 	if !roleOK {
 		return fmt.Errorf("cert: signer %q has role %s, not accepted", sig.Signer, c.Role)
 	}
-	if err := c.VerifyWith(authorityPub, now); err != nil {
+	if err := s.verifyCert(c, authorityPub, now); err != nil {
 		return fmt.Errorf("cert: signer certificate invalid: %w", err)
 	}
 	return VerifyBlob(sig, c.PublicKey, payload)

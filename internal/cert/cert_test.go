@@ -2,6 +2,8 @@ package cert
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -247,4 +249,134 @@ func TestGenerateKeyPairDeterministicSource(t *testing.T) {
 	if string(a.Public) == string(b.Public) {
 		t.Fatal("two generated keys are identical")
 	}
+}
+
+// memoStore is a store holding one member certificate for "node-1", and a
+// row signature of that member's that verifies.
+func memoStore(t *testing.T) (s *Store, c *Certificate, authority KeyPair, sig SignedBlob, payload []byte) {
+	t.Helper()
+	authority = mustKey(t)
+	member := mustKey(t)
+	c = Issue("root", authority, "node-1", RoleMember, member.Public, testTime.Add(time.Hour))
+	s = NewStore()
+	s.Add(c)
+	payload = []byte("row")
+	sig = SignBlob("node-1", member, payload)
+	if err := s.VerifySigned(sig, payload, authority.Public, testTime, RoleMember); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	return s, c, authority, sig, payload
+}
+
+// TestVerifySignedMemoMissesATamperedCertificate edits the stored
+// certificate in place after a verified call: the memoized verdict is on
+// the bytes it passed on, so the edited certificate is checked again and
+// refused — and passes again once restored.
+func TestVerifySignedMemoMissesATamperedCertificate(t *testing.T) {
+	s, c, authority, sig, payload := memoStore(t)
+	for _, tamper := range []struct {
+		name string
+		edit func(c *Certificate) func()
+	}{
+		{"issuer", func(c *Certificate) func() {
+			old := c.Issuer
+			c.Issuer = "rogue"
+			return func() { c.Issuer = old }
+		}},
+		{"expiry", func(c *Certificate) func() {
+			old := c.NotAfter
+			c.NotAfter = old.Add(time.Hour)
+			return func() { c.NotAfter = old }
+		}},
+		{"key", func(c *Certificate) func() {
+			c.PublicKey[0] ^= 1
+			return func() { c.PublicKey[0] ^= 1 }
+		}},
+		{"signature", func(c *Certificate) func() {
+			c.Signature[0] ^= 1
+			return func() { c.Signature[0] ^= 1 }
+		}},
+	} {
+		restore := tamper.edit(c)
+		err := s.VerifySigned(sig, payload, authority.Public, testTime, RoleMember)
+		restore()
+		if err == nil {
+			t.Errorf("%s edited in place: verified from the memo", tamper.name)
+		}
+		if err := s.VerifySigned(sig, payload, authority.Public, testTime, RoleMember); err != nil {
+			t.Errorf("%s restored: %v", tamper.name, err)
+		}
+	}
+	if err := s.VerifySigned(sig, payload, mustKey(t).Public, testTime, RoleMember); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("another authority key: err = %v, want ErrBadSignature", err)
+	}
+}
+
+// TestVerifySignedMemoMissesAReplacedCertificate replaces a verified
+// certificate through Add with one the authority did not issue.
+func TestVerifySignedMemoMissesAReplacedCertificate(t *testing.T) {
+	s, c, authority, sig, payload := memoStore(t)
+	forged := *c
+	forged.Signature = Issue("root", mustKey(t), c.Subject, c.Role, c.PublicKey, c.NotAfter).Signature
+	s.Add(&forged)
+	if err := s.VerifySigned(sig, payload, authority.Public, testTime, RoleMember); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("replaced by a forged certificate: err = %v, want ErrBadSignature", err)
+	}
+	s.Add(c)
+	if err := s.VerifySigned(sig, payload, authority.Public, testTime, RoleMember); err != nil {
+		t.Errorf("the genuine certificate back: %v", err)
+	}
+}
+
+// TestVerifySignedMemoChecksExpiryEveryCall: a certificate verified while
+// valid is refused once the clock passes its expiry.
+func TestVerifySignedMemoChecksExpiryEveryCall(t *testing.T) {
+	s, _, authority, sig, payload := memoStore(t)
+	if err := s.VerifySigned(sig, payload, authority.Public, testTime.Add(2*time.Hour), RoleMember); !errors.Is(err, ErrExpired) {
+		t.Errorf("after expiry: err = %v, want ErrExpired", err)
+	}
+}
+
+// TestVerifySignedAllocatesNothingWarm: once a signer's certificate has
+// been verified, verifying its signatures costs no heap object.
+func TestVerifySignedAllocatesNothingWarm(t *testing.T) {
+	s, _, authority, sig, payload := memoStore(t)
+	n := testing.AllocsPerRun(100, func() {
+		if err := s.VerifySigned(sig, payload, authority.Public, testTime, RoleMember); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a warm VerifySigned allocates %v objects, want 0", n)
+	}
+}
+
+// TestVerifySignedConcurrentReaders verifies through one store from many
+// goroutines at once, as the nodes of one process sharing a realm do; run
+// it under -race.
+func TestVerifySignedConcurrentReaders(t *testing.T) {
+	authority := mustKey(t)
+	s := NewStore()
+	var sigs []SignedBlob
+	payload := []byte("row")
+	for i := 0; i < 4; i++ {
+		member := mustKey(t)
+		name := fmt.Sprintf("node-%d", i)
+		s.Add(Issue("root", authority, name, RoleMember, member.Public, testTime.Add(time.Hour)))
+		sigs = append(sigs, SignBlob(name, member, payload))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := s.VerifySigned(sigs[(g+i)%len(sigs)], payload, authority.Public, testTime, RoleMember); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -32,6 +32,7 @@ import (
 	"newswire/internal/sqlagg"
 	"newswire/internal/trace"
 	"newswire/internal/transport"
+	"newswire/internal/value"
 	"newswire/internal/vtime"
 	"newswire/internal/wire"
 )
@@ -506,6 +507,10 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 		if !ok {
 			continue
 		}
+		// Interned: the forwarding log, trace spans and pending forwards
+		// outlive the row, and must not keep a gossiped row's buffer
+		// (DESIGN.md §8, "Row ownership").
+		addr = value.Intern(addr)
 		if r.frames != nil {
 			fanAddrs = append(fanAddrs, addr)
 		} else {
@@ -551,6 +556,9 @@ func (r *Router) forwardToRow(zone string, row astrolabe.Row, m *wire.Multicast,
 	// criteria", §5).
 	r.cfg.Rand.Shuffle(len(reps), func(i, j int) { reps[i], reps[j] = reps[j], reps[i] })
 	chosen := reps[:k]
+	for i, addr := range chosen {
+		chosen[i] = value.Intern(addr) // kept, as in fanOutLeafZone
+	}
 	var fanAddrs []string
 	for _, addr := range chosen {
 		if addr == r.view.Addr() {
@@ -703,7 +711,7 @@ func (r *Router) failoverAddr(p *pendingForward) string {
 		if cand == r.view.Addr() || slices.Contains(p.tried, cand) {
 			continue
 		}
-		return cand
+		return value.Intern(cand) // kept, as in fanOutLeafZone
 	}
 	return p.addr
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,6 +217,9 @@ func (t *TCP) peer(to string) (*peer, error) {
 		c.Close()
 		return existing, nil
 	}
+	// The peer outlives the call: to may view a gossiped row's buffer
+	// (DESIGN.md §8, "Row ownership"), which the map must not keep.
+	to = strings.Clone(to)
 	p := newPeer(t, to, c)
 	t.peers[to] = p
 	t.wg.Add(1)

@@ -1,6 +1,9 @@
 package value
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // Attribute-name interning.
 //
@@ -23,26 +26,11 @@ var (
 	interned = make(map[string]string)
 )
 
-// Intern returns the canonical instance of s, registering it if the
-// table has room. The returned string is always equal to s.
-func Intern(s string) string {
-	internMu.RLock()
-	c, ok := interned[s]
-	internMu.RUnlock()
-	if ok {
-		return c
-	}
-	internMu.Lock()
-	defer internMu.Unlock()
-	if c, ok := interned[s]; ok {
-		return c
-	}
-	if len(interned) >= maxInterned {
-		return s
-	}
-	interned[s] = s
-	return s
-}
+// Intern returns the canonical instance of s, registering a copy of it if
+// the table has room — never s itself, which may view a buffer (a decoded
+// row's, DESIGN.md §8 "Row ownership") the table must not keep alive. The
+// returned string is always equal to s; past the cap it is s.
+func Intern(s string) string { return intern(s, false) }
 
 // InternBytes is Intern for a name still sitting in a decode buffer. A hit
 // — every name of every frame once a system has warmed up — allocates
@@ -55,5 +43,33 @@ func InternBytes(b []byte) string {
 	if ok {
 		return c
 	}
-	return Intern(string(b))
+	return intern(string(b), true)
+}
+
+// intern returns the canonical instance of s, registering s itself when
+// the caller owns it and a copy when s may view someone else's bytes.
+func intern(s string, owned bool) string {
+	internMu.RLock()
+	c, ok := interned[s]
+	full := len(interned) >= maxInterned
+	internMu.RUnlock()
+	if ok {
+		return c
+	}
+	if full {
+		return s
+	}
+	internMu.Lock()
+	defer internMu.Unlock()
+	if c, ok := interned[s]; ok {
+		return c
+	}
+	if len(interned) >= maxInterned {
+		return s
+	}
+	if !owned {
+		s = strings.Clone(s)
+	}
+	interned[s] = s
+	return s
 }

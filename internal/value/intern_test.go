@@ -43,6 +43,21 @@ func TestInternBytes(t *testing.T) {
 	}
 }
 
+// TestInternRegistersACopy: what Intern registers is its own copy, so an
+// interned view of a buffer does not keep the buffer.
+func TestInternRegistersACopy(t *testing.T) {
+	buf := []byte("intern-a-view-of-a-buffer")
+	view := unsafe.String(&buf[0], len(buf))
+	got := Intern(view)
+	if got != view || unsafe.StringData(got) == unsafe.StringData(view) {
+		t.Fatalf("Intern(view) = %q at the view's own bytes", got)
+	}
+	buf[0] = 'X'
+	if Intern("intern-a-view-of-a-buffer") != got {
+		t.Fatal("the canonical instance changed with the buffer")
+	}
+}
+
 func TestInternCapStopsGrowth(t *testing.T) {
 	// Saturate the table; strings past the cap must still round-trip by
 	// value even though they are not retained.

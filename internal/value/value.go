@@ -6,7 +6,8 @@
 // (Bloom filters and category masks ride as bytes), timestamps, and string
 // lists (multicast representative addresses). Values have a total order
 // within a kind, a deterministic binary encoding for gossip, and copy
-// semantics that never alias caller-owned slices.
+// semantics that never alias caller-owned slices — except DecodeBinaryView
+// and ViewBytes, which a decoder uses on a buffer nobody writes again.
 package value
 
 import (
@@ -18,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -363,8 +365,48 @@ func (v Value) AppendBinary(dst []byte) []byte {
 }
 
 // DecodeBinary decodes one Value from the front of src, returning the value
-// and the number of bytes consumed.
-func DecodeBinary(src []byte) (Value, int, error) {
+// and the number of bytes consumed. The value holds copies of what it read,
+// so src may be reused at once.
+func DecodeBinary(src []byte) (Value, int, error) { return decodeBinary(src, decodeCopy) }
+
+// DecodeBinaryView is DecodeBinary for a buffer nobody writes again (a
+// decoded gossip row's own copy, DESIGN.md §8 "Row ownership"): a string,
+// a byte array and each element of a string list are views of src, the
+// byte array clipped to its length, so only a string list allocates — its
+// slice, sized from its count. The checks are DecodeBinary's.
+func DecodeBinaryView(src []byte) (Value, int, error) { return decodeBinary(src, decodeView) }
+
+// BinaryLen returns the length of the one value encoded at the front of
+// src, checked as DecodeBinary checks it, without decoding it: a decoder
+// walks a row with it to find the row's span before copying it.
+func BinaryLen(src []byte) (int, error) {
+	_, n, err := decodeBinary(src, decodeSkip)
+	return n, err
+}
+
+// ViewBytes returns a byte-array Value over b itself, not a copy: the
+// caller hands b over and never writes it again.
+func ViewBytes(b []byte) Value { return Value{kind: KindBytes, by: b} }
+
+type decodeMode uint8
+
+const (
+	decodeCopy decodeMode = iota // strings and bytes copied out of src
+	decodeView                   // strings and bytes view src
+	decodeSkip                   // checked and measured, allocating nothing
+)
+
+func (m decodeMode) str(b []byte) string {
+	switch {
+	case m == decodeCopy:
+		return string(b)
+	case len(b) == 0:
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+func decodeBinary(src []byte, mode decodeMode) (Value, int, error) {
 	if len(src) == 0 {
 		return Value{}, 0, fmt.Errorf("value: decode from empty input")
 	}
@@ -395,13 +437,16 @@ func DecodeBinary(src []byte) (Value, int, error) {
 		if err != nil {
 			return Value{}, 0, err
 		}
-		return String(string(s)), pos + n, nil
+		return String(mode.str(s)), pos + n, nil
 	case KindBytes:
 		b, n, err := decodeLenPrefixed(src[pos:], "bytes")
-		if err != nil {
+		switch {
+		case err != nil:
 			return Value{}, 0, err
+		case mode == decodeCopy:
+			return Bytes(b), pos + n, nil
 		}
-		return Bytes(b), pos + n, nil
+		return ViewBytes(b[:len(b):len(b)]), pos + n, nil
 	case KindTime:
 		ns, n := binary.Varint(src[pos:])
 		if n <= 0 {
@@ -417,13 +462,18 @@ func DecodeBinary(src []byte) (Value, int, error) {
 		if count > uint64(len(src)) {
 			return Value{}, 0, fmt.Errorf("value: strings count %d exceeds input", count)
 		}
-		ss := make([]string, 0, count)
+		var ss []string
+		if mode != decodeSkip {
+			ss = make([]string, 0, count)
+		}
 		for i := uint64(0); i < count; i++ {
 			s, n, err := decodeLenPrefixed(src[pos:], "strings element")
 			if err != nil {
 				return Value{}, 0, err
 			}
-			ss = append(ss, string(s))
+			if mode != decodeSkip {
+				ss = append(ss, mode.str(s))
+			}
 			pos += n
 		}
 		return Value{kind: KindStrings, ss: ss}, pos, nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -227,6 +228,46 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if !got.Equal(v) || got.Kind() != v.Kind() {
 			t.Errorf("round trip %v -> %v", v, got)
 		}
+		view, vn, err := DecodeBinaryView(enc)
+		if err != nil || vn != n || !view.Equal(v) || view.Kind() != v.Kind() {
+			t.Errorf("view of %v = %v, %d bytes, %v", v, view, vn, err)
+		}
+		if ln, err := BinaryLen(enc); err != nil || ln != n {
+			t.Errorf("BinaryLen of %v = %d, %v; want %d", v, ln, err, n)
+		}
+	}
+}
+
+// TestBinaryViewAliasesItsInput: a viewed string, byte array or list
+// element lies in the encoding it was decoded from, the byte array clipped
+// to its length, and only a string list allocates.
+func TestBinaryViewAliasesItsInput(t *testing.T) {
+	enc := String("hello").AppendBinary(nil)
+	enc = Bytes([]byte{1, 2, 3}).AppendBinary(enc)
+	enc = Strings([]string{"a", "bc"}).AppendBinary(enc)
+	in := func(p unsafe.Pointer) bool {
+		return uintptr(p) >= uintptr(unsafe.Pointer(&enc[0])) && uintptr(p) < uintptr(unsafe.Pointer(&enc[0]))+uintptr(len(enc))
+	}
+	s, n1, _ := DecodeBinaryView(enc)
+	b, n2, _ := DecodeBinaryView(enc[n1:])
+	l, _, _ := DecodeBinaryView(enc[n1+n2:])
+	str, _ := s.AsString()
+	raw, _ := b.RawBytes()
+	list, _ := l.RawStrings()
+	if !in(unsafe.Pointer(unsafe.StringData(str))) || !in(unsafe.Pointer(&raw[0])) || !in(unsafe.Pointer(unsafe.StringData(list[1]))) {
+		t.Error("a view does not lie in its input")
+	}
+	if cap(raw) != len(raw) {
+		t.Errorf("viewed bytes have capacity %d past their %d", cap(raw), len(raw))
+	}
+	for i, want := range []float64{0, 0, 1} {
+		off := [...]int{0, n1, n1 + n2}[i]
+		if got := testing.AllocsPerRun(100, func() { _, _, _ = DecodeBinaryView(enc[off:]) }); got != want {
+			t.Errorf("viewing value %d allocates %v objects, want %v", i, got, want)
+		}
+		if got := testing.AllocsPerRun(100, func() { _, _ = BinaryLen(enc[off:]) }); got != 0 {
+			t.Errorf("measuring value %d allocates %v objects", i, got)
+		}
 	}
 }
 
@@ -263,6 +304,12 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	for _, b := range bad {
 		if _, _, err := DecodeBinary(b); err == nil {
 			t.Errorf("DecodeBinary(%v) should fail", b)
+		}
+		if _, _, err := DecodeBinaryView(b); err == nil {
+			t.Errorf("DecodeBinaryView(%v) should fail", b)
+		}
+		if _, err := BinaryLen(b); err == nil {
+			t.Errorf("BinaryLen(%v) should fail", b)
 		}
 	}
 }

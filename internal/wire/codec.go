@@ -503,13 +503,31 @@ func (e *binEncoder) envelope(env *ItemEnvelope) {
 // binDecoder cursors over one frame with a sticky error: after the first
 // failure every accessor returns a zero value, so decode call sites stay
 // linear. All counts and lengths are bounds-checked against the remaining
-// input before anything is allocated.
+// input before anything is allocated. A frame's decoder comes from
+// binDecPool, so its string table keeps its capacity from frame to frame.
 type binDecoder struct {
 	data []byte
 	pos  int
 	err  error
 	tbl  []string
 }
+
+var binDecPool = sync.Pool{New: func() any { return new(binDecoder) }}
+
+// release returns d to binDecPool holding neither the frame nor an error.
+// The table's entries are interned strings, so keeping them pins nothing;
+// a table grown by an outsized frame is dropped.
+func (d *binDecoder) release() {
+	tbl := d.tbl[:0]
+	if cap(tbl) > maxPooledTable {
+		tbl = nil
+	}
+	*d = binDecoder{tbl: tbl}
+	binDecPool.Put(d)
+}
+
+// maxPooledTable caps the string table a pooled decoder keeps.
+const maxPooledTable = 1024
 
 func (d *binDecoder) fail(format string, args ...any) {
 	if d.err == nil {
@@ -608,17 +626,6 @@ func (d *binDecoder) subSlice() []byte {
 	return nil
 }
 
-func (d *binDecoder) byteSlice() []byte {
-	n := d.count("bytes length")
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.data[d.pos:])
-	d.pos += n
-	return out
-}
-
 func (d *binDecoder) time() time.Time {
 	sec := d.varint()
 	nsec := d.uvarint()
@@ -667,14 +674,111 @@ func (d *binDecoder) ref() string {
 	return d.tbl[i]
 }
 
-func (d *binDecoder) value() value.Value {
+// rowList reads a row list, each row into a buffer of its own (row).
+func (d *binDecoder) rowList() []RowUpdate {
+	n := d.count("row")
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]RowUpdate, 0, min(n, 1024))
+	for i := 0; i < n; i++ {
+		out = append(out, RowUpdate{})
+		if d.row(&out[i]); d.err != nil {
+			return nil
+		}
+	}
+	return out
+}
+
+// row decodes one gossiped row into a buffer of its own (DESIGN.md §8,
+// "Row ownership"), as envelope does an envelope: it walks the row in the
+// input to find its span and the unpacked size of its packed byte arrays,
+// copies exactly that span into one buffer with room for those arrays
+// after it, and decodes the fields from the copy. The signature and every
+// string and byte-array value view the buffer; the row's name, owner and
+// signer are interned, so what keeps an address never keeps the row.
+func (d *binDecoder) row(r *RowUpdate) {
+	start := d.pos
+	unpacked := d.skipRow()
+	if d.err != nil {
+		return
+	}
+	span := d.pos - start
+	buf := make([]byte, span+unpacked)
+	copy(buf, d.data[start:d.pos])
+	own := binDecoder{data: buf[:span:span], tbl: d.tbl}
+	own.rowFields(r, buf[span:])
+	d.err = own.err
+}
+
+// skipRow moves past one encoded row, checking it the way rowFields reads
+// it, and returns the total unpacked size of its packed byte arrays.
+func (d *binDecoder) skipRow() (unpacked int) {
+	d.ref()    // zone
+	d.rawStr() // name
+	d.time()   // issued
+	d.rawStr() // owner
+	d.rawStr() // signer
+	d.rawStr() // signature
+	for n := d.count("attr"); n > 0 && d.err == nil; n-- {
+		d.ref()
+		if d.err != nil {
+			return 0
+		}
+		if d.pos < len(d.data) && d.data[d.pos] == packedBytesTag {
+			rawLen, _ := d.packedRuns()
+			if unpacked += rawLen; unpacked > maxPackedLen {
+				d.fail("packed bytes: row unpacks past %d bytes", maxPackedLen)
+			}
+			continue
+		}
+		size, err := value.BinaryLen(d.data[d.pos:])
+		if err != nil {
+			d.fail("attr value: %v", err)
+			return 0
+		}
+		d.pos += size
+	}
+	return unpacked
+}
+
+// rowFields decodes a row from a decoder over its own copy; tail is the
+// room after the copy that packed byte arrays unpack into.
+func (d *binDecoder) rowFields(r *RowUpdate, tail []byte) {
+	r.Zone = d.ref()
+	r.Name = value.InternBytes(d.rawStr())
+	r.Issued = d.time()
+	r.Owner = value.InternBytes(d.rawStr())
+	r.Signer = value.InternBytes(d.rawStr())
+	r.Sig = d.subSlice()
+	n := d.count("attr")
+	if d.err != nil {
+		return
+	}
+	r.Attrs = make(value.Map, min(n, 64))
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.ref()
+		r.Attrs[k] = d.value(&tail)
+	}
+}
+
+// value decodes one attribute value as a view of the decoder's input,
+// unpacking a packed byte array into the front of *tail.
+func (d *binDecoder) value(tail *[]byte) value.Value {
 	if d.err != nil {
 		return value.Value{}
 	}
 	if d.pos < len(d.data) && d.data[d.pos] == packedBytesTag {
-		return d.packedBytes()
+		rawLen, runs := d.packedRuns()
+		if d.err != nil {
+			return value.Value{}
+		}
+		out := (*tail)[:rawLen:rawLen]
+		*tail = (*tail)[rawLen:]
+		unpackRuns(out, runs)
+		return value.ViewBytes(out)
 	}
-	v, n, err := value.DecodeBinary(d.data[d.pos:])
+	v, n, err := value.DecodeBinaryView(d.data[d.pos:])
 	if err != nil {
 		d.fail("attr value: %v", err)
 		return value.Value{}
@@ -683,105 +787,62 @@ func (d *binDecoder) value() value.Value {
 	return v
 }
 
-// packedBytes decodes a zero-run-packed byte array. It validates the run
-// structure in a first pass — total coverage must equal the claimed
-// length and every run pair must make progress — before allocating the
-// output, so a malformed frame cannot cost more memory than its own size
-// plus one bounded buffer.
-func (d *binDecoder) packedBytes() value.Value {
+// packedRuns moves past a zero-run-packed byte array and returns its
+// unpacked length and its run pairs. It checks the run structure — total
+// coverage must equal the claimed length and every run pair must make
+// progress — so that unpackRuns cannot fail, and a malformed frame cannot
+// claim more memory than one bounded buffer.
+func (d *binDecoder) packedRuns() (rawLen int, runs []byte) {
 	d.pos++ // tag
 	rawLen64 := d.uvarint()
 	if d.err != nil {
-		return value.Value{}
+		return 0, nil
 	}
 	if rawLen64 > maxPackedLen {
 		d.fail("packed bytes length %d exceeds cap", rawLen64)
-		return value.Value{}
+		return 0, nil
 	}
-	rawLen := int(rawLen64)
+	rawLen = int(rawLen64)
 	start := d.pos
 	covered := 0
 	for covered < rawLen {
 		z := d.uvarint()
 		l := d.uvarint()
 		if d.err != nil {
-			return value.Value{}
+			return 0, nil
 		}
 		if z == 0 && l == 0 {
 			d.fail("packed bytes: zero-progress run")
-			return value.Value{}
+			return 0, nil
 		}
 		if z > maxPackedLen || l > uint64(d.remaining()) {
 			d.fail("packed bytes: run exceeds input")
-			return value.Value{}
+			return 0, nil
 		}
 		d.pos += int(l)
 		covered += int(z) + int(l)
 		if covered > rawLen {
 			d.fail("packed bytes: runs exceed claimed length %d", rawLen)
-			return value.Value{}
+			return 0, nil
 		}
 	}
-	out := make([]byte, rawLen)
-	pos, p := 0, start
-	for pos < rawLen {
-		z, n := binary.Uvarint(d.data[p:])
+	return rawLen, d.data[start:d.pos]
+}
+
+// unpackRuns expands run pairs packedRuns has checked into out, which is
+// exactly their unpacked length and zeroed.
+func unpackRuns(out, runs []byte) {
+	pos, p := 0, 0
+	for pos < len(out) {
+		z, n := binary.Uvarint(runs[p:])
 		p += n
-		l, n := binary.Uvarint(d.data[p:])
+		l, n := binary.Uvarint(runs[p:])
 		p += n
 		pos += int(z)
-		copy(out[pos:], d.data[p:p+int(l)])
+		copy(out[pos:], runs[p:p+int(l)])
 		p += int(l)
 		pos += int(l)
 	}
-	return value.Bytes(out)
-}
-
-func (d *binDecoder) attrs() value.Map {
-	n := d.count("attr")
-	if d.err != nil {
-		return nil
-	}
-	c := n
-	if c > 64 {
-		c = 64
-	}
-	m := make(value.Map, c)
-	for i := 0; i < n; i++ {
-		if d.err != nil {
-			return nil
-		}
-		k := d.ref()
-		m[k] = d.value()
-	}
-	return m
-}
-
-func (d *binDecoder) rowList() []RowUpdate {
-	n := d.count("row")
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	c := n
-	if c > 1024 {
-		c = 1024
-	}
-	out := make([]RowUpdate, 0, c)
-	for i := 0; i < n; i++ {
-		if d.err != nil {
-			return nil
-		}
-		var r RowUpdate
-		r.Zone = d.ref()
-		r.Name = d.str()
-		r.Issued = d.time()
-		r.Owner = d.str()
-		r.Signer = d.str()
-		r.Sig = d.byteSlice()
-		r.Attrs = d.attrs()
-		out = append(out, r)
-	}
-	return out
 }
 
 // lag reads one row's distance behind its section's newest stamp.
@@ -836,7 +897,7 @@ func (d *binDecoder) sectionList() []ZoneSection {
 		for j := 0; j < rows && d.err == nil; j++ {
 			s.Lags = append(s.Lags, d.lag())
 			if named {
-				r := RowSummary{Name: d.str(), Hash: d.u64()}
+				r := RowSummary{Name: value.InternBytes(d.rawStr()), Hash: d.u64()}
 				if j > 0 && r.Name <= s.Named[j-1].Name {
 					d.fail("section names out of order at %q", r.Name)
 				}
@@ -922,7 +983,7 @@ func (d *binDecoder) refList() []RowRef {
 		if d.err != nil {
 			return nil
 		}
-		out = append(out, RowRef{Zone: d.ref(), Name: d.str()})
+		out = append(out, RowRef{Zone: d.ref(), Name: value.InternBytes(d.rawStr())})
 	}
 	return out
 }
@@ -1000,47 +1061,53 @@ func (d *binDecoder) envelopeFields(env *ItemEnvelope) {
 	env.SealKey()
 }
 
-// multicastMessage is a decoded Multicast frame's one allocation for the
-// message and its payload.
-type multicastMessage struct {
-	msg Message
-	mc  Multicast
+// newMessage returns a message and its kind's payload as one allocation.
+func newMessage[P any]() (*Message, *P) {
+	blk := new(struct {
+		msg Message
+		p   P
+	})
+	return &blk.msg, &blk.p
 }
 
 func decodeBinary(data []byte) (*Message, error) {
-	d := &binDecoder{data: data, pos: 1} // pos 0 is the magic byte
+	d := binDecPool.Get().(*binDecoder)
+	defer d.release()
+	d.data, d.pos = data, 1 // pos 0 is the magic byte
 	kind := Kind(d.u8())
-	var m *Message
-	if kind == KindMulticast {
-		blk := new(multicastMessage)
-		blk.msg.Multicast = &blk.mc
-		m = &blk.msg
-	} else {
-		m = new(Message)
-	}
 	// A peer's address heads every frame it sends: interned from the
 	// frame, like zone paths, so a hit allocates nothing.
-	m.Kind, m.From = kind, value.InternBytes(d.rawStr())
+	from := value.InternBytes(d.rawStr())
+	var m *Message
 	switch kind {
 	case KindGossip:
-		d.table()
-		g := &Gossip{FromZone: d.ref()}
-		g.Rows = d.rowList()
+		var g *Gossip
+		m, g = newMessage[Gossip]()
 		m.Gossip = g
-	case KindGossipReply:
 		d.table()
-		g := &GossipReply{FromZone: d.ref()}
+		g.FromZone = d.ref()
 		g.Rows = d.rowList()
+	case KindGossipReply:
+		var g *GossipReply
+		m, g = newMessage[GossipReply]()
 		m.GossipReply = g
+		d.table()
+		g.FromZone = d.ref()
+		g.Rows = d.rowList()
 	case KindGossipDigest:
+		var g *GossipDigest
+		m, g = newMessage[GossipDigest]()
+		m.GossipDigest = g
 		// Interned straight from the frame, as a table entry would be: a
 		// zone path seen on every earlier digest must not allocate.
-		g := &GossipDigest{FromZone: value.InternBytes(d.rawStr())}
+		g.FromZone = value.InternBytes(d.rawStr())
 		g.Sections = d.sectionList()
-		m.GossipDigest = g
 	case KindGossipDelta:
+		var g *GossipDelta
+		m, g = newMessage[GossipDelta]()
+		m.GossipDelta = g
 		d.table()
-		g := &GossipDelta{FromZone: d.ref()}
+		g.FromZone = d.ref()
 		g.Rows = d.rowList()
 		g.Want = d.refList()
 		if d.err == nil && d.remaining() > 0 {
@@ -1049,9 +1116,10 @@ func decodeBinary(data []byte) (*Message, error) {
 		if d.err == nil && d.remaining() > 0 {
 			g.Sections = d.sectionList()
 		}
-		m.GossipDelta = g
 	case KindMulticast:
-		mc := m.Multicast
+		var mc *Multicast
+		m, mc = newMessage[Multicast]()
+		m.Multicast = mc
 		mc.TargetZone = value.InternBytes(d.rawStr())
 		mc.Hops = int(d.varint())
 		mc.Deliver = d.bool()
@@ -1059,22 +1127,25 @@ func decodeBinary(data []byte) (*Message, error) {
 		mc.TraceID = d.uvarint()
 		d.envelope(&mc.Envelope)
 	case KindMulticastAck:
-		m.MulticastAck = &MulticastAck{
-			Seq:        d.uvarint(),
-			Key:        d.str(),
-			TargetZone: d.str(),
-		}
+		var a *MulticastAck
+		m, a = newMessage[MulticastAck]()
+		m.MulticastAck = a
+		a.Seq = d.uvarint()
+		a.Key = d.str()
+		a.TargetZone = d.str()
 	case KindClockPing, KindClockPong:
-		m.ClockSync = &ClockSync{
-			Seq: d.uvarint(),
-			T1:  d.varint(),
-			T2:  d.varint(),
-		}
+		var c *ClockSync
+		m, c = newMessage[ClockSync]()
+		m.ClockSync = c
+		c.Seq = d.uvarint()
+		c.T1 = d.varint()
+		c.T2 = d.varint()
 	case KindStateRequest:
-		r := &StateRequest{
-			Since:    d.time(),
-			MaxItems: int(d.varint()),
-		}
+		var r *StateRequest
+		m, r = newMessage[StateRequest]()
+		m.StateRequest = r
+		r.Since = d.time()
+		r.MaxItems = int(d.varint())
 		n := d.count("subject")
 		for i := 0; i < n && d.err == nil; i++ {
 			r.Subjects = append(r.Subjects, d.str())
@@ -1083,9 +1154,10 @@ func decodeBinary(data []byte) (*Message, error) {
 			r.Salt = d.u64()
 			r.Have = d.hashList()
 		}
-		m.StateRequest = r
 	case KindStateReply:
-		r := &StateReply{}
+		var r *StateReply
+		m, r = newMessage[StateReply]()
+		m.StateReply = r
 		n := d.count("envelope")
 		for i := 0; i < n && d.err == nil; i++ {
 			var env ItemEnvelope
@@ -1093,10 +1165,10 @@ func decodeBinary(data []byte) (*Message, error) {
 			r.Envelopes = append(r.Envelopes, env)
 		}
 		r.Truncated = d.bool()
-		m.StateReply = r
 	default:
 		return nil, fmt.Errorf("wire: decode: unknown message kind %d", kind)
 	}
+	m.Kind, m.From = kind, from
 	if d.err != nil {
 		return nil, fmt.Errorf("wire: decode %s: %w", kind, d.err)
 	}

@@ -148,7 +148,7 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 	seeds = append(seeds, tableFrame(capNames))
 	// A summary whose count runs past the input.
 	seeds = append(seeds, overlongSummaryFrame())
-	for _, frames := range [][]namedFrame{hostileSectionFrames(), oddSectionFrames(), hostileEnvelopeFrames(t)} {
+	for _, frames := range [][]namedFrame{hostileSectionFrames(), oddSectionFrames(), hostileEnvelopeFrames(t), hostileRowFrames(t)} {
 		for _, frame := range frames {
 			seeds = append(seeds, frame.data)
 		}

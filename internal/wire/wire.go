@@ -68,6 +68,13 @@ func (k Kind) String() string {
 // aggregated child zone) exports, stamped with the owner's issue time.
 // Receivers keep whichever copy of a row has the later issue time — the
 // epidemic freshness rule that makes Astrolabe eventually consistent.
+//
+// The byte and string fields of a row — Sig, and the strings, byte arrays
+// and string lists in Attrs — are shared and never written: a merged row is
+// read by every holder of its SharedRow, and a decoded row's are views of
+// the row's own buffer (DESIGN.md §8, "Row ownership"). RawBytes and
+// RawStrings hand out the shared slices themselves; code that edits one
+// copies it first, as BIT_OR does. To change a row, build a new one.
 type RowUpdate struct {
 	// Zone is the path of the table this row lives in, e.g. "/usa/ny".
 	Zone string
