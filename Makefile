@@ -40,14 +40,16 @@ lint: vet
 		echo "staticcheck not installed; skipped"; fi
 
 # Short coverage-guided runs of every fuzz target (one -fuzz per go test
-# invocation): the wire codec, the predicate language, and the NITF codec
-# against its encoding/xml oracle.
+# invocation): the wire codec, the predicate language (and its parser
+# against the old one kept as an oracle), and the NITF codec against its
+# encoding/xml oracle.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParsePredicate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzPredicateRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzPredicateParserDifferential -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/news -run '^$$' -fuzz FuzzNITFDifferential -fuzztime $(FUZZTIME)
 
 # Quick experiment smoke: the scale (E1), robustness/retry (E6), and

@@ -560,8 +560,10 @@ func TestNodeAccessorsAndSubscriptionOps(t *testing.T) {
 	if err := n.SetPredicate("urgency <= 5"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SetPredicate("bad("); err == nil {
-		t.Error("bad predicate accepted")
+	for _, bad := range []string{"bad(", "urgncy <= 5", "urgency = 'high'"} {
+		if err := n.SetPredicate(bad); err == nil {
+			t.Errorf("bad predicate %q accepted", bad)
+		}
 	}
 	n.SetLoad(0.75)
 	if v, _ := n.Agent().Attr(astrolabe.AttrLoad).AsFloat(); v != 0.75 {

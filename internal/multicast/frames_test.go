@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -192,5 +193,28 @@ func TestFramePathDisabledForOverridesAndAcks(t *testing.T) {
 	}
 	if ar.PendingAcks() != len(v.members) {
 		t.Errorf("PendingAcks = %d, want %d", ar.PendingAcks(), len(v.members))
+	}
+}
+
+// TestPredicateCacheBounded feeds the router more distinct dissemination
+// predicates than its cache holds: the cache stays at or under its cap,
+// and every predicate still parses and evaluates.
+func TestPredicateCacheBounded(t *testing.T) {
+	r, err := NewRouter(frameRouterConfig(&frameView{zone: "/z", name: "self", addr: "self:0"}, &frameTransport{addr: "self:0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := value.Map{"load": value.Int(maxCachedPredicates)}
+	for i := 0; i < 3*maxCachedPredicates; i++ {
+		p, err := r.predicate(fmt.Sprintf("load >= %d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := i <= maxCachedPredicates; p.Eval(row) != want {
+			t.Fatalf("load >= %d on load %d = %v, want %v", i, maxCachedPredicates, !want, want)
+		}
+		if n := len(r.preds); n > maxCachedPredicates {
+			t.Fatalf("after %d predicates the cache holds %d, cap %d", i+1, n, maxCachedPredicates)
+		}
 	}
 }

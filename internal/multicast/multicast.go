@@ -813,11 +813,19 @@ func (r *Router) predicate(src string) (*sqlagg.Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(r.preds) >= maxCachedPredicates {
+		clear(r.preds)
+	}
 	// src views a decoded envelope's buffer; a cached copy of it must not
 	// keep that item alive.
 	r.preds[strings.Clone(src)] = p
 	return p, nil
 }
+
+// maxCachedPredicates caps the router's parsed-predicate cache. Predicate
+// strings arrive off the wire, so a full cache is emptied rather than let
+// grow with every distinct string peers send.
+const maxCachedPredicates = 1024
 
 // deliverLocal hands env to the application unless it is a duplicate. tid
 // is the wire-carried trace ID of the forward that brought the item here

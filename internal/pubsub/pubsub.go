@@ -33,7 +33,6 @@ import (
 	"newswire/internal/multicast"
 	"newswire/internal/news"
 	"newswire/internal/query"
-	"newswire/internal/sqlagg"
 	"newswire/internal/value"
 	"newswire/internal/wire"
 )
@@ -183,7 +182,7 @@ type Subscriber struct {
 
 	mu        sync.Mutex
 	subjects  map[string]bool
-	predicate *sqlagg.Predicate
+	predicate *query.Predicate
 	queries   map[string]*query.Predicate // canonical source -> predicate (ModePredicate)
 }
 
@@ -261,13 +260,14 @@ func (s *Subscriber) Unsubscribe(subjects ...string) {
 
 // SetPredicate installs an SQL selection predicate over item metadata, the
 // "more complex selection criteria based on the meta-data associated with
-// the news-items, in the form of an SQL query" (§8). An empty string
-// clears it.
+// the news-items, in the form of an SQL query" (§8). It is typed
+// (query.Parse), so an unknown field or a mistyped literal fails here. An
+// empty string clears it.
 func (s *Subscriber) SetPredicate(expr string) error {
-	var pred *sqlagg.Predicate
+	var pred *query.Predicate
 	if expr != "" {
 		var err error
-		pred, err = sqlagg.ParsePredicate(expr)
+		pred, err = query.Parse(expr)
 		if err != nil {
 			return err
 		}
@@ -415,7 +415,7 @@ func (s *Subscriber) matchesLocked(env *wire.ItemEnvelope) bool {
 		return false
 	}
 	if s.predicate != nil {
-		return s.predicate.Eval(ItemMetadataRow(env))
+		return s.predicate.Match(ItemMetadataRow(env))
 	}
 	return true
 }

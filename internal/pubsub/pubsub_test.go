@@ -301,8 +301,11 @@ func TestShouldDeliverPredicate(t *testing.T) {
 		t.Fatal("predicate-failing item delivered")
 	}
 
-	if err := s.SetPredicate("bad syntax ("); err == nil {
-		t.Fatal("bad predicate accepted")
+	// A misspelled field or a literal of the wrong type fails at the call.
+	for _, bad := range []string{"bad syntax (", "urgncy <= 5", "urgency = 'high'"} {
+		if err := s.SetPredicate(bad); err == nil {
+			t.Fatalf("bad predicate %q accepted", bad)
+		}
 	}
 	if err := s.SetPredicate(""); err != nil {
 		t.Fatal("clearing predicate failed")

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"time"
 
+	"newswire/internal/sqlagg"
 	"newswire/internal/value"
 )
 
@@ -258,7 +259,7 @@ func (e *likeExpr) match(row value.Map) bool {
 			return false
 		}
 		for _, s := range elems {
-			if likeMatch(e.pattern, s) {
+			if sqlagg.LikeMatch(e.pattern, s) {
 				hit = true
 				break
 			}
@@ -268,38 +269,9 @@ func (e *likeExpr) match(row value.Map) bool {
 		if !ok {
 			return false
 		}
-		hit = likeMatch(e.pattern, s)
+		hit = sqlagg.LikeMatch(e.pattern, s)
 	}
 	return hit != e.neg
-}
-
-// likeMatch implements SQL LIKE: % matches any run (including empty), _
-// matches exactly one byte, everything else matches itself. Iterative
-// backtracking over the last %, the classic wildcard algorithm — linear
-// in practice, worst-case O(len(p)·len(s)).
-func likeMatch(pattern, s string) bool {
-	pi, si := 0, 0
-	star, mark := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			pi++
-			si++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star, mark = pi, si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			mark++
-			si = mark
-		default:
-			return false
-		}
-	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
 }
 
 // betweenExpr is field [NOT] BETWEEN lo AND hi (inclusive both ends).

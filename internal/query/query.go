@@ -6,9 +6,10 @@
 // A predicate is a boolean expression over the fixed metadata fields of
 // pubsub.ItemMetadataRow (publisher, item_id, revision, urgency, subjects,
 // published), built from comparisons, IN lists, LIKE patterns, BETWEEN
-// ranges, and AND/OR/NOT. The lexer is sqlagg's (shared string escaping,
-// numbers, operators), with IN/LIKE/BETWEEN grafted on as contextual
-// keywords.
+// ranges, and AND/OR/NOT. It is sqlagg's predicate grammar: Parse runs
+// sqlagg.ParsePredicate and then one type-check pass that turns the
+// untyped syntax tree into this package's typed nodes, so the two dialects
+// cannot drift on syntax, string escaping, numbers or operators.
 //
 // Each predicate supports two evaluations:
 //
@@ -30,19 +31,13 @@ import (
 	"time"
 
 	"newswire/internal/sqlagg"
+	"newswire/internal/value"
 )
 
 // SyntaxError reports a lexical, grammatical, or type failure with its
-// byte position in the source.
-type SyntaxError struct {
-	Pos int
-	Msg string
-	Src string
-}
-
-func (e *SyntaxError) Error() string {
-	return fmt.Sprintf("query: %s at offset %d in %q", e.Msg, e.Pos, e.Src)
-}
+// byte position in the source. It is sqlagg's: Parse is sqlagg's parser
+// followed by a type check.
+type SyntaxError = sqlagg.SyntaxError
 
 // fieldType is the static type of a metadata field or literal.
 type fieldType uint8
@@ -140,20 +135,14 @@ type Predicate struct {
 
 // Parse parses and type-checks one predicate expression.
 func Parse(src string) (*Predicate, error) {
-	toks, err := sqlagg.Tokens(src, "IN", "LIKE", "BETWEEN")
-	if err != nil {
-		if se, ok := err.(*sqlagg.SyntaxError); ok {
-			return nil, &SyntaxError{Pos: se.Pos, Msg: se.Msg, Src: src}
-		}
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
-	e, err := p.parseOr()
+	tree, err := sqlagg.ParsePredicate(src)
 	if err != nil {
 		return nil, err
 	}
-	if tok := p.peek(); tok.Kind != sqlagg.TokEOF {
-		return nil, p.errorf(tok.Pos, "unexpected %s %q after expression", tok.Kind, tok.Text)
+	c := &checker{src: src}
+	e := c.boolean(tree.Expr())
+	if c.err != nil {
+		return nil, c.err
 	}
 	var sb strings.Builder
 	e.append(&sb)
@@ -165,259 +154,122 @@ func Parse(src string) (*Predicate, error) {
 // an identical predicate (FuzzRoundTrip pins this).
 func (p *Predicate) String() string { return p.src }
 
-type parser struct {
-	src  string
-	toks []sqlagg.Token
-	i    int
+// checker is the type-check pass from sqlagg's syntax tree to typed nodes:
+// each atom has a field on its left and literals of the field's type on
+// its right. The first error sticks and later checks only return zero
+// values, so the pass reads straight through.
+type checker struct {
+	src string
+	err error
 }
 
-func (p *parser) peek() sqlagg.Token { return p.toks[p.i] }
-
-func (p *parser) next() sqlagg.Token {
-	tok := p.toks[p.i]
-	if tok.Kind != sqlagg.TokEOF {
-		p.i++
+func (c *checker) fail(at sqlagg.Expr, format string, args ...any) {
+	if c.err == nil {
+		c.err = &SyntaxError{Pos: at.Pos(), Msg: fmt.Sprintf(format, args...), Src: c.src}
 	}
-	return tok
 }
 
-func (p *parser) errorf(pos int, format string, args ...any) error {
-	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...), Src: p.src}
-}
-
-// accept consumes the next token when it is the given keyword.
-func (p *parser) accept(keyword string) bool {
-	if tok := p.peek(); tok.Kind == sqlagg.TokKeyword && tok.Text == keyword {
-		p.next()
-		return true
-	}
-	return false
-}
-
-func (p *parser) expect(keyword string) error {
-	if !p.accept(keyword) {
-		tok := p.peek()
-		return p.errorf(tok.Pos, "expected %s, found %s %q", keyword, tok.Kind, tok.Text)
-	}
-	return nil
-}
-
-func (p *parser) acceptOp(op string) bool {
-	if tok := p.peek(); tok.Kind == sqlagg.TokOp && tok.Text == op {
-		p.next()
-		return true
-	}
-	return false
-}
-
-func (p *parser) parseOr() (expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept("OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
+// boolean checks a node in boolean position: a combinator, an atom, or
+// TRUE/FALSE.
+func (c *checker) boolean(e sqlagg.Expr) expr {
+	switch n := e.(type) {
+	case *sqlagg.Literal:
+		if b, ok := n.Val.AsBool(); ok {
+			return boolLit(b)
 		}
-		left = &binExpr{or: true, l: left, r: right}
+	case *sqlagg.Unary:
+		if n.Op == "NOT" {
+			return &notExpr{x: c.boolean(n.X)}
+		}
+	case *sqlagg.Binary:
+		if n.Op == "AND" || n.Op == "OR" {
+			return &binExpr{or: n.Op == "OR", l: c.boolean(n.L), r: c.boolean(n.R)}
+		}
+		fi, lits := c.atom(n.L, n.Op, n.R)
+		return &cmpExpr{f: fi, op: n.Op, lit: lits[0]}
+	case *sqlagg.In:
+		fi, lits := c.atom(n.X, "IN", n.List...)
+		return &inExpr{f: fi, lits: lits, neg: n.Not}
+	case *sqlagg.Like:
+		fi, _ := c.atom(n.X, "LIKE")
+		return &likeExpr{f: fi, pattern: n.Pattern, neg: n.Not}
+	case *sqlagg.Between:
+		fi, lits := c.atom(n.X, "BETWEEN", n.Lo, n.Hi)
+		return &betweenExpr{f: fi, lo: lits[0], hi: lits[1], neg: n.Not}
 	}
-	return left, nil
+	c.fail(e, "expected a comparison, IN, LIKE, BETWEEN, TRUE, or FALSE, found %s", e)
+	return boolLit(false)
 }
 
-func (p *parser) parseAnd() (expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept("AND") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &binExpr{l: left, r: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseNot() (expr, error) {
-	if p.accept("NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &notExpr{x: x}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *parser) parsePrimary() (expr, error) {
-	tok := p.peek()
-	switch {
-	case tok.Kind == sqlagg.TokOp && tok.Text == "(":
-		p.next()
-		e, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if !p.acceptOp(")") {
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "expected ), found %s %q", t.Kind, t.Text)
-		}
-		return e, nil
-	case tok.Kind == sqlagg.TokKeyword && tok.Text == "TRUE":
-		p.next()
-		return boolLit(true), nil
-	case tok.Kind == sqlagg.TokKeyword && tok.Text == "FALSE":
-		p.next()
-		return boolLit(false), nil
-	case tok.Kind == sqlagg.TokIdent:
-		return p.parseAtom()
-	default:
-		return nil, p.errorf(tok.Pos, "expected a field name, TRUE, FALSE, NOT, or (, found %s %q", tok.Kind, tok.Text)
-	}
-}
-
-// parseAtom parses one field-rooted atom:
-//
-//	field cmpOp literal
-//	field [NOT] IN ( literal {, literal} )
-//	field [NOT] LIKE 'pattern'
-//	field [NOT] BETWEEN literal AND literal
-func (p *parser) parseAtom() (expr, error) {
-	tok := p.next()
-	fi, ok := fields[strings.ToLower(tok.Text)]
+// atom checks an atom: its left side is a field, op applies to the
+// field's type, and every operand is a literal of that type.
+func (c *checker) atom(left sqlagg.Expr, op string, operands ...sqlagg.Expr) (fieldInfo, []literal) {
+	lits := make([]literal, len(operands))
+	col, ok := left.(*sqlagg.ColumnRef)
 	if !ok {
-		return nil, p.errorf(tok.Pos, "unknown field %q (fields: %s)", tok.Text, strings.Join(Fields(), ", "))
+		c.fail(left, "expected a field name, found %s", left)
+		return fieldInfo{}, lits
 	}
-
-	neg := false
-	if p.accept("NOT") {
-		neg = true
-		t := p.peek()
-		if t.Kind != sqlagg.TokKeyword || (t.Text != "IN" && t.Text != "LIKE" && t.Text != "BETWEEN") {
-			return nil, p.errorf(t.Pos, "expected IN, LIKE, or BETWEEN after NOT, found %s %q", t.Kind, t.Text)
-		}
-	}
-
-	switch {
-	case p.accept("IN"):
-		if !p.acceptOp("(") {
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "expected ( after IN, found %s %q", t.Kind, t.Text)
-		}
-		var lits []literal
-		for {
-			lit, err := p.parseLiteral(fi)
-			if err != nil {
-				return nil, err
-			}
-			lits = append(lits, lit)
-			if p.acceptOp(",") {
-				continue
-			}
-			if p.acceptOp(")") {
-				break
-			}
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "expected , or ) in IN list, found %s %q", t.Kind, t.Text)
-		}
-		return &inExpr{f: fi, lits: lits, neg: neg}, nil
-
-	case p.accept("LIKE"):
-		if fi.typ != ftString && fi.typ != ftStrings {
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "LIKE requires a string field, %s is %s", fi.name, fi.typ)
-		}
-		t := p.next()
-		if t.Kind != sqlagg.TokString {
-			return nil, p.errorf(t.Pos, "expected a string pattern after LIKE, found %s %q", t.Kind, t.Text)
-		}
-		return &likeExpr{f: fi, pattern: t.Text, neg: neg}, nil
-
-	case p.accept("BETWEEN"):
-		if fi.typ != ftInt && fi.typ != ftTime {
-			t := p.peek()
-			return nil, p.errorf(t.Pos, "BETWEEN requires an ordered field, %s is %s", fi.name, fi.typ)
-		}
-		lo, err := p.parseLiteral(fi)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseLiteral(fi)
-		if err != nil {
-			return nil, err
-		}
-		return &betweenExpr{f: fi, lo: lo, hi: hi, neg: neg}, nil
-	}
-
-	t := p.next()
-	if t.Kind != sqlagg.TokOp {
-		return nil, p.errorf(t.Pos, "expected a comparison operator after %s, found %s %q", fi.name, t.Kind, t.Text)
-	}
-	op := t.Text
-	if op == "<>" {
-		op = "!="
+	fi, ok := fields[strings.ToLower(col.Name)]
+	if !ok {
+		c.fail(left, "unknown field %q (fields: %s)", col.Name, strings.Join(Fields(), ", "))
+		return fi, lits
 	}
 	switch op {
-	case "=", "!=":
-	case "<", "<=", ">", ">=":
+	case "=", "!=", "IN":
+	case "LIKE":
+		if fi.typ != ftString && fi.typ != ftStrings {
+			c.fail(left, "LIKE requires a string field, %s is %s", fi.name, fi.typ)
+		}
+	case "<", "<=", ">", ">=", "BETWEEN":
 		if fi.typ != ftInt && fi.typ != ftTime {
-			return nil, p.errorf(t.Pos, "ordered comparison %s requires an ordered field, %s is %s", op, fi.name, fi.typ)
+			c.fail(left, "%s requires an ordered field, %s is %s", op, fi.name, fi.typ)
 		}
 	default:
-		return nil, p.errorf(t.Pos, "unsupported operator %q", op)
+		c.fail(left, "unsupported operator %q", op)
 	}
-	lit, err := p.parseLiteral(fi)
-	if err != nil {
-		return nil, err
+	for i, e := range operands {
+		lits[i] = c.literal(fi, e)
 	}
-	return &cmpExpr{f: fi, op: op, lit: lit}, nil
+	return fi, lits
 }
 
-// parseLiteral parses one literal and checks it against the field's type.
-// Integer fields take integer numbers; string fields take string
+// literal checks one literal against the field's type. Integer fields take
+// integer numbers with at most one sign; string fields take string
 // literals; published takes an RFC 3339 (or date-only) string literal.
-func (p *parser) parseLiteral(fi fieldInfo) (literal, error) {
-	tok := p.next()
-	switch fi.typ {
-	case ftInt:
-		neg := false
-		if tok.Kind == sqlagg.TokOp && (tok.Text == "-" || tok.Text == "+") {
-			neg = tok.Text == "-"
-			tok = p.next()
+func (c *checker) literal(fi fieldInfo, e sqlagg.Expr) literal {
+	sign := int64(1)
+	if u, ok := e.(*sqlagg.Unary); ok && fi.typ == ftInt && (u.Op == "-" || u.Op == "+") {
+		if u.Op == "-" {
+			sign = -1
 		}
-		if tok.Kind != sqlagg.TokNumber {
-			return literal{}, p.errorf(tok.Pos, "%s requires an integer literal, found %s %q", fi.name, tok.Kind, tok.Text)
-		}
-		n, err := strconv.ParseInt(tok.Text, 10, 64)
-		if err != nil {
-			return literal{}, p.errorf(tok.Pos, "%s requires an integer literal, %q is not one", fi.name, tok.Text)
-		}
-		if neg {
-			n = -n
-		}
-		return literal{typ: ftInt, i: n}, nil
-
-	case ftTime:
-		if tok.Kind != sqlagg.TokString {
-			return literal{}, p.errorf(tok.Pos, "%s requires a timestamp string literal, found %s %q", fi.name, tok.Kind, tok.Text)
-		}
-		ts, err := parseTimeLiteral(tok.Text)
-		if err != nil {
-			return literal{}, p.errorf(tok.Pos, "%s: %v", fi.name, err)
-		}
-		return literal{typ: ftTime, t: ts}, nil
-
-	default: // ftString, ftStrings
-		if tok.Kind != sqlagg.TokString {
-			return literal{}, p.errorf(tok.Pos, "%s requires a string literal, found %s %q", fi.name, tok.Kind, tok.Text)
-		}
-		return literal{typ: ftString, s: tok.Text}, nil
+		e = u.X
 	}
+	var v value.Value
+	if lit, ok := e.(*sqlagg.Literal); ok {
+		v = lit.Val
+	}
+	s, isStr := v.AsString()
+	switch {
+	case fi.typ == ftInt && v.Kind() == value.KindInt:
+		n, _ := v.AsInt()
+		return literal{typ: ftInt, i: sign * n}
+	case fi.typ == ftInt:
+		c.fail(e, "%s requires an integer literal, found %s", fi.name, e)
+	case !isStr && fi.typ == ftTime:
+		c.fail(e, "%s requires a timestamp string literal, found %s", fi.name, e)
+	case !isStr:
+		c.fail(e, "%s requires a string literal, found %s", fi.name, e)
+	case fi.typ == ftTime:
+		ts, err := parseTimeLiteral(s)
+		if err != nil {
+			c.fail(e, "%s: %v", fi.name, err)
+		}
+		return literal{typ: ftTime, t: ts}
+	default:
+		return literal{typ: ftString, s: s}
+	}
+	return literal{}
 }
 
 func parseTimeLiteral(s string) (time.Time, error) {

@@ -23,46 +23,49 @@ func row(publisher, id string, rev, urg int, subjects []string, published time.T
 	}
 }
 
+// parseAndMatchCases are TestParseAndMatch's predicates and their verdict
+// on its item; FuzzPredicateParserDifferential seeds from them too.
+var parseAndMatchCases = []struct {
+	src  string
+	want bool
+}{
+	{"subject = 'tech/linux'", true},
+	{"subjects = 'tech/linux'", true},
+	{"subject = 'sci/space'", false},
+	{"subject != 'sci/space'", true},
+	{"subject != 'tech/linux'", false}, // negated existential: some subject equals it
+	{"publisher = 'reuters'", true},
+	{"publisher <> 'reuters'", false},
+	{"urgency <= 3", true},
+	{"urgency < 3", false},
+	{"urgency BETWEEN 2 AND 5", true},
+	{"urgency NOT BETWEEN 2 AND 5", false},
+	{"urgency IN (1, 3, 5)", true},
+	{"urgency NOT IN (1, 3, 5)", false},
+	{"revision >= 2", true},
+	{"subject IN ('sci/space', 'world/markets')", true},
+	{"subject NOT IN ('sci/space')", true},
+	{"publisher LIKE 'reu%'", true},
+	{"publisher NOT LIKE 'reu%'", false},
+	{"subject LIKE 'tech/%'", true},
+	{"subject LIKE '%__linux'", true},
+	{"subject LIKE 'tech'", false},
+	{"item_id = 'a1' AND urgency = 3", true},
+	{"urgency = 1 OR publisher = 'reuters'", true},
+	{"NOT (urgency = 1 OR publisher = 'ap')", true},
+	{"published >= '2026-08-01'", true},
+	{"published > '2026-08-01T12:00:00Z'", false},
+	{"published BETWEEN '2026-07-01' AND '2026-09-01'", true},
+	{"TRUE", true},
+	{"FALSE", false},
+	{"subject = 'tech/linux' AND NOT publisher = 'ap' AND urgency <= 4", true},
+}
+
 func TestParseAndMatch(t *testing.T) {
 	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	it := row("reuters", "a1", 2, 3, []string{"tech/linux", "world/markets"}, base)
 
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{"subject = 'tech/linux'", true},
-		{"subjects = 'tech/linux'", true},
-		{"subject = 'sci/space'", false},
-		{"subject != 'sci/space'", true},
-		{"subject != 'tech/linux'", false}, // negated existential: some subject equals it
-		{"publisher = 'reuters'", true},
-		{"publisher <> 'reuters'", false},
-		{"urgency <= 3", true},
-		{"urgency < 3", false},
-		{"urgency BETWEEN 2 AND 5", true},
-		{"urgency NOT BETWEEN 2 AND 5", false},
-		{"urgency IN (1, 3, 5)", true},
-		{"urgency NOT IN (1, 3, 5)", false},
-		{"revision >= 2", true},
-		{"subject IN ('sci/space', 'world/markets')", true},
-		{"subject NOT IN ('sci/space')", true},
-		{"publisher LIKE 'reu%'", true},
-		{"publisher NOT LIKE 'reu%'", false},
-		{"subject LIKE 'tech/%'", true},
-		{"subject LIKE '%__linux'", true},
-		{"subject LIKE 'tech'", false},
-		{"item_id = 'a1' AND urgency = 3", true},
-		{"urgency = 1 OR publisher = 'reuters'", true},
-		{"NOT (urgency = 1 OR publisher = 'ap')", true},
-		{"published >= '2026-08-01'", true},
-		{"published > '2026-08-01T12:00:00Z'", false},
-		{"published BETWEEN '2026-07-01' AND '2026-09-01'", true},
-		{"TRUE", true},
-		{"FALSE", false},
-		{"subject = 'tech/linux' AND NOT publisher = 'ap' AND urgency <= 4", true},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseAndMatchCases {
 		p, err := Parse(tc.src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", tc.src, err)
@@ -73,28 +76,31 @@ func TestParseAndMatch(t *testing.T) {
 	}
 }
 
+// parseErrorInputs are the predicates TestParseErrors expects Parse to
+// reject; FuzzPredicateParserDifferential seeds from them too.
+var parseErrorInputs = []string{
+	"",
+	"bogus = 'x'",
+	"urgency = 'three'",
+	"urgency = 3.5",
+	"publisher = 3",
+	"publisher < 'a'", // ordered compare on a string field
+	"subject BETWEEN 'a' AND 'b'",
+	"urgency LIKE '3'",
+	"published = 'not-a-time'",
+	"subject IN ()",
+	"subject IN ('a',)",
+	"urgency BETWEEN 1 5",
+	"subject = 'a' AND",
+	"subject = 'a' extra",
+	"NOT",
+	"(subject = 'a'",
+	"subject NOT = 'a'",
+	"urgency IN (1, 'two')",
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"bogus = 'x'",
-		"urgency = 'three'",
-		"urgency = 3.5",
-		"publisher = 3",
-		"publisher < 'a'", // ordered compare on a string field
-		"subject BETWEEN 'a' AND 'b'",
-		"urgency LIKE '3'",
-		"published = 'not-a-time'",
-		"subject IN ()",
-		"subject IN ('a',)",
-		"urgency BETWEEN 1 5",
-		"subject = 'a' AND",
-		"subject = 'a' extra",
-		"NOT",
-		"(subject = 'a'",
-		"subject NOT = 'a'",
-		"urgency IN (1, 'two')",
-	}
-	for _, src := range bad {
+	for _, src := range parseErrorInputs {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		} else {
@@ -102,6 +108,64 @@ func TestParseErrors(t *testing.T) {
 			if !errors.As(err, &se) {
 				t.Errorf("Parse(%q) error %T, want *SyntaxError", src, err)
 			}
+		}
+	}
+}
+
+// TestParseParenthesisedOperand pins the one class of input Parse accepts
+// beyond the parser it replaced (DESIGN §13): parentheses around a lone
+// field or literal. sqlagg's tree drops them, so each input means exactly
+// its bare form.
+func TestParseParenthesisedOperand(t *testing.T) {
+	for _, tc := range []struct{ src, bare string }{
+		{"(urgency) = 3", "urgency = 3"},
+		{"urgency = (3)", "urgency = 3"},
+		{"urgency = -(3)", "urgency = -3"},
+		{"urgency = (-3)", "urgency = -3"},
+		{"((subject)) IN (('a'), 'b')", "subject IN ('a', 'b')"},
+		{"(publisher) NOT LIKE 'r%'", "publisher NOT LIKE 'r%'"},
+		{"published BETWEEN ('2026-01-01') AND '2026-02-01'", "published BETWEEN '2026-01-01' AND '2026-02-01'"},
+	} {
+		p, err := Parse(tc.src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.src, err)
+		}
+		bare, err := Parse(tc.bare)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.bare, err)
+		}
+		if p.String() != bare.String() {
+			t.Errorf("Parse(%q) = %q, want %q", tc.src, p, bare)
+		}
+	}
+}
+
+// TestParseSignsAndOperandOrder pins the other spots where sqlagg's
+// grammar could part from the old parser: one sign before an integer is
+// taken, two are not, and the field stands on the left.
+func TestParseSignsAndOperandOrder(t *testing.T) {
+	for _, tc := range []struct {
+		src, want string // want "" = rejected
+	}{
+		{"urgency = +3", "urgency = 3"},
+		{"urgency IN (+1, -1)", "urgency IN (1, -1)"},
+		{"urgency = --3", ""},
+		{"urgency = -+3", ""},
+		{"publisher = -'a'", ""},
+		{"3 = urgency", ""},
+		{"'reuters' = publisher", ""},
+		{"urgency = 3.0", ""},
+		{"urgency + 0 = 3", ""},
+		{"urgency", ""},
+	} {
+		p, err := Parse(tc.src)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("Parse(%q) = %q, want an error", tc.src, p)
+		case tc.want != "" && err != nil:
+			t.Errorf("Parse(%q): %v", tc.src, err)
+		case tc.want != "" && p.String() != tc.want:
+			t.Errorf("Parse(%q) = %q, want %q", tc.src, p, tc.want)
 		}
 	}
 }
@@ -207,6 +271,7 @@ func TestLikeMatch(t *testing.T) {
 		want       bool
 	}{
 		{"", "", true},
+		{"", "a", false},
 		{"%", "", true},
 		{"%", "anything", true},
 		{"a%", "abc", true},
@@ -221,10 +286,15 @@ func TestLikeMatch(t *testing.T) {
 		{"%world/%", "world/politics", true},
 		{"__", "ab", true},
 		{"__", "a", false},
+		{"%a%a", "aab", false},
 	}
 	for _, tc := range cases {
-		if got := likeMatch(tc.pattern, tc.s); got != tc.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", tc.pattern, tc.s, got, tc.want)
+		p, err := Parse("publisher LIKE '" + tc.pattern + "'")
+		if err != nil {
+			t.Fatalf("Parse LIKE %q: %v", tc.pattern, err)
+		}
+		if got := p.Match(value.Map{"publisher": value.String(tc.s)}); got != tc.want {
+			t.Errorf("%q LIKE %q = %v, want %v", tc.s, tc.pattern, got, tc.want)
 		}
 	}
 }

@@ -10,23 +10,32 @@ import (
 type Expr interface {
 	// String renders the expression in (normalized) source form.
 	String() string
+	// Pos is the byte offset in the source of the expression's leftmost
+	// token, grouping parentheses aside, for callers that type-check it.
+	Pos() int
 	exprNode()
 }
+
+// at is embedded in every node: its source offset and the Expr marker.
+type at int
+
+func (a at) Pos() int { return int(a) }
+func (at) exprNode()  {}
 
 // ColumnRef references an attribute of the child-table row being evaluated.
 type ColumnRef struct {
 	Name string
+	at
 }
 
-func (c *ColumnRef) exprNode()      {}
 func (c *ColumnRef) String() string { return c.Name }
 
 // Literal is a constant value (number, string, or boolean).
 type Literal struct {
 	Val value.Value
+	at
 }
 
-func (l *Literal) exprNode() {}
 func (l *Literal) String() string {
 	if s, ok := l.Val.AsString(); ok {
 		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
@@ -34,13 +43,13 @@ func (l *Literal) String() string {
 	return l.Val.String()
 }
 
-// Unary is a prefix operator application: "-x" or "NOT x".
+// Unary is a prefix operator application: "-x", "+x" or "NOT x".
 type Unary struct {
-	Op string // "-" or "NOT"
+	Op string // "-", "+" or "NOT"
 	X  Expr
+	at
 }
 
-func (u *Unary) exprNode() {}
 func (u *Unary) String() string {
 	if u.Op == "NOT" {
 		return "NOT " + u.X.String()
@@ -52,9 +61,9 @@ func (u *Unary) String() string {
 type Binary struct {
 	Op   string // arithmetic, comparison, AND, OR
 	L, R Expr
+	at
 }
 
-func (b *Binary) exprNode() {}
 func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
@@ -64,18 +73,65 @@ type Call struct {
 	Name string // upper-cased
 	Args []Expr
 	Star bool
+	at
 }
 
-func (c *Call) exprNode() {}
 func (c *Call) String() string {
 	if c.Star {
 		return c.Name + "(*)"
 	}
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
+	return c.Name + "(" + joinExprs(c.Args) + ")"
+}
+
+func joinExprs(list []Expr) string {
+	parts := make([]string, len(list))
+	for i, e := range list {
+		parts[i] = e.String()
 	}
-	return c.Name + "(" + strings.Join(parts, ", ") + ")"
+	return strings.Join(parts, ", ")
+}
+
+// In is "x [NOT] IN (a, b, ...)": whether x equals some list element.
+type In struct {
+	X    Expr
+	List []Expr // at least one
+	Not  bool
+	at
+}
+
+func (n *In) String() string {
+	return "(" + n.X.String() + notWord(n.Not) + " IN (" + joinExprs(n.List) + "))"
+}
+
+// Like is "x [NOT] LIKE 'pattern'": % matches any run of bytes, _ one byte.
+type Like struct {
+	X       Expr
+	Pattern string
+	Not     bool
+	at
+}
+
+func (n *Like) String() string {
+	lit := &Literal{Val: value.String(n.Pattern)}
+	return "(" + n.X.String() + notWord(n.Not) + " LIKE " + lit.String() + ")"
+}
+
+// Between is "x [NOT] BETWEEN lo AND hi", inclusive at both ends.
+type Between struct {
+	X, Lo, Hi Expr
+	Not       bool
+	at
+}
+
+func (n *Between) String() string {
+	return "(" + n.X.String() + notWord(n.Not) + " BETWEEN " + n.Lo.String() + " AND " + n.Hi.String() + ")"
+}
+
+func notWord(not bool) string {
+	if not {
+		return " NOT"
+	}
+	return ""
 }
 
 // SelectItem is one output attribute of a program.
@@ -132,6 +188,17 @@ func containsAggregate(e Expr) bool {
 		return containsAggregate(n.X)
 	case *Binary:
 		return containsAggregate(n.L) || containsAggregate(n.R)
+	case *In:
+		for _, e := range n.List {
+			if containsAggregate(e) {
+				return true
+			}
+		}
+		return containsAggregate(n.X)
+	case *Like:
+		return containsAggregate(n.X)
+	case *Between:
+		return containsAggregate(n.X) || containsAggregate(n.Lo) || containsAggregate(n.Hi)
 	case *Call:
 		if _, ok := aggregates[n.Name]; ok {
 			return true

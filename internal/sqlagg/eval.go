@@ -42,30 +42,9 @@ func (p *Program) Eval(rows []value.Map) (value.Map, error) {
 	return out, nil
 }
 
-// EvalWhere reports whether a single row satisfies the program's WHERE
-// clause (true when there is no WHERE clause). Publisher dissemination
-// predicates (§8's "predicates ... evaluated using the attribute values of
-// a child zone") reuse this entry point.
-func (p *Program) EvalWhere(row value.Map) bool {
-	if p.Where == nil {
-		return true
-	}
-	return evalScalar(p.Where, row).Truthy()
-}
-
-// EvalPredicate parses expr as a bare boolean expression and evaluates it
-// against one row. It is the entry point for subscription predicates and
-// publisher delivery predicates, which are expressions rather than full
-// SELECT programs.
-func EvalPredicate(expr string, row value.Map) (bool, error) {
-	pred, err := ParsePredicate(expr)
-	if err != nil {
-		return false, err
-	}
-	return pred.Eval(row), nil
-}
-
-// Predicate is a compiled boolean expression over a single row.
+// Predicate is a compiled boolean expression over a single row: a
+// publisher's forwarding predicate over zone attributes (§8), or the
+// syntax tree internal/query type-checks into a subscription predicate.
 type Predicate struct {
 	expr Expr
 	src  string
@@ -101,6 +80,9 @@ func (p *Predicate) Source() string { return p.src }
 
 // String renders the predicate in normalized form.
 func (p *Predicate) String() string { return p.expr.String() }
+
+// Expr returns the predicate's syntax tree.
+func (p *Predicate) Expr() Expr { return p.expr }
 
 // evalTop evaluates a select-item expression over the whole table.
 func evalTop(e Expr, rows []value.Map) (value.Value, error) {
@@ -152,6 +134,17 @@ func evalTop(e Expr, rows []value.Map) (value.Value, error) {
 		}
 		return spec.call(args), nil
 
+	case *In, *Like, *Between:
+		var err error
+		v := applyForm(n, func(x Expr) value.Value {
+			v, xerr := evalTop(x, rows)
+			if err == nil {
+				err = xerr
+			}
+			return v
+		})
+		return v, err
+
 	default:
 		return value.Invalid(), fmt.Errorf("unknown expression node %T", e)
 	}
@@ -199,13 +192,88 @@ func evalScalar(e Expr, row value.Map) value.Value {
 		}
 		return spec.call(args)
 
+	case *In, *Like, *Between:
+		return applyForm(n, func(x Expr) value.Value { return evalScalar(x, row) })
+
 	default:
 		return value.Invalid()
 	}
 }
 
+// applyForm evaluates an IN, LIKE or BETWEEN node, reading its operands
+// through eval. An operand that is missing or cannot be compared makes the
+// result invalid, so the NOT forms of a missing attribute are not truthy
+// either.
+func applyForm(e Expr, eval func(Expr) value.Value) value.Value {
+	switch n := e.(type) {
+	case *In:
+		// Every item is read, even after a hit, so evalTop reports a bare
+		// column wherever it sits in the list.
+		x := eval(n.X)
+		hit := false
+		for _, item := range n.List {
+			if x.Equal(eval(item)) {
+				hit = true
+			}
+		}
+		if !x.IsValid() {
+			return value.Invalid()
+		}
+		return value.Bool(hit != n.Not)
+	case *Like:
+		s, ok := eval(n.X).AsString()
+		if !ok {
+			return value.Invalid()
+		}
+		return value.Bool(LikeMatch(n.Pattern, s) != n.Not)
+	case *Between:
+		x := eval(n.X)
+		lo, err1 := x.Compare(eval(n.Lo))
+		hi, err2 := x.Compare(eval(n.Hi))
+		if err1 != nil || err2 != nil {
+			return value.Invalid()
+		}
+		return value.Bool((lo >= 0 && hi <= 0) != n.Not)
+	}
+	return value.Invalid()
+}
+
+// LikeMatch implements SQL LIKE: % matches any run (including empty), _
+// matches exactly one byte, everything else matches itself. Iterative
+// backtracking over the last %, the classic wildcard algorithm — linear
+// in practice, worst-case O(len(p)·len(s)).
+func LikeMatch(pattern, s string) bool {
+	pi, si := 0, 0
+	star, mark := -1, 0
+	for si < len(s) {
+		switch {
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			pi++
+			si++
+		case pi < len(pattern) && pattern[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case star >= 0:
+			pi = star + 1
+			mark++
+			si = mark
+		default:
+			return false
+		}
+	}
+	for pi < len(pattern) && pattern[pi] == '%' {
+		pi++
+	}
+	return pi == len(pattern)
+}
+
 func applyUnary(op string, x value.Value) value.Value {
 	switch op {
+	case "+":
+		if !x.IsNumeric() {
+			return value.Invalid()
+		}
+		return x
 	case "-":
 		switch x.Kind() {
 		case value.KindInt:

@@ -386,30 +386,111 @@ func TestPredicateEval(t *testing.T) {
 		{"missing = 1", false},
 	}
 	for _, tt := range tests {
-		got, err := EvalPredicate(tt.give, row)
+		pred, err := ParsePredicate(tt.give)
 		if err != nil {
-			t.Errorf("EvalPredicate(%q): %v", tt.give, err)
+			t.Errorf("ParsePredicate(%q): %v", tt.give, err)
 			continue
 		}
-		if got != tt.want {
-			t.Errorf("EvalPredicate(%q) = %v, want %v", tt.give, got, tt.want)
+		if got := pred.Eval(row); got != tt.want {
+			t.Errorf("ParsePredicate(%q).Eval = %v, want %v", tt.give, got, tt.want)
 		}
 	}
-	if _, err := EvalPredicate("bad syntax here(", row); err == nil {
+	if _, err := ParsePredicate("bad syntax here("); err == nil {
 		t.Error("bad predicate should error")
 	}
 }
 
-func TestEvalWhereSingleRow(t *testing.T) {
-	p := MustParse("SELECT COUNT(*) AS n WHERE load < 0.5")
-	if !p.EvalWhere(value.Map{"load": value.Float(0.1)}) {
-		t.Error("EvalWhere should accept matching row")
+func TestPredicateInLikeBetween(t *testing.T) {
+	row := value.Map{
+		"region": value.String("asia"),
+		"load":   value.Float(0.4),
+		"n":      value.Int(3),
 	}
-	if p.EvalWhere(value.Map{"load": value.Float(0.9)}) {
-		t.Error("EvalWhere should reject non-matching row")
+	tests := []struct {
+		give string
+		want bool
+	}{
+		{"n IN (1, 3, 5)", true},
+		{"n IN (1.0, 3.0)", true}, // numeric equality across int and float
+		{"n NOT IN (1, 3)", false},
+		{"region IN ('europe', 'asia')", true},
+		{"region NOT IN ('europe')", true},
+		{"region LIKE 'as%'", true},
+		{"region LIKE 'a_ia'", true},
+		{"region NOT LIKE '%ia'", false},
+		{"load BETWEEN 0.25 AND 0.5", true},
+		{"load NOT BETWEEN 0.25 AND 0.5", false},
+		{"n BETWEEN 3 AND 3", true},
+		{"n BETWEEN -1 AND +2", false},
+		{"n + 1 BETWEEN 4 AND 4 AND region IN ('asia')", true},
+		// A missing or mistyped operand makes the form invalid, negated
+		// forms included.
+		{"missing IN (1)", false},
+		{"missing NOT IN (1)", false},
+		{"n LIKE '3'", false},
+		{"n NOT LIKE '3'", false},
+		{"region BETWEEN 1 AND 5", false},
+		{"region NOT BETWEEN 1 AND 5", false},
+	}
+	for _, tt := range tests {
+		pred, err := ParsePredicate(tt.give)
+		if err != nil {
+			t.Errorf("ParsePredicate(%q): %v", tt.give, err)
+			continue
+		}
+		if got := pred.Eval(row); got != tt.want {
+			t.Errorf("ParsePredicate(%q).Eval = %v, want %v", tt.give, got, tt.want)
+		}
+		again, err := ParsePredicate(pred.String())
+		if err != nil || again.String() != pred.String() {
+			t.Errorf("rendering %q of %q does not re-parse to itself: %v", pred.String(), tt.give, err)
+		}
+	}
+}
+
+func TestInLikeBetweenInPrograms(t *testing.T) {
+	rows := []value.Map{
+		{"region": value.String("asia"), "load": value.Float(0.2)},
+		{"region": value.String("europe"), "load": value.Float(0.6)},
+		{"region": value.String("americas"), "load": value.Float(0.9)},
+	}
+	out := evalOne(t, "SELECT COUNT(*) AS n WHERE region IN ('asia', 'europe') AND load NOT BETWEEN 0.5 AND 0.7", rows)
+	if n, _ := out.AsInt(); n != 1 {
+		t.Errorf("WHERE IN/BETWEEN count = %v, want 1", out)
+	}
+	out = evalOne(t, "SELECT MAX(load) BETWEEN 0.5 AND 1 AS n", rows)
+	if b, _ := out.AsBool(); !b {
+		t.Errorf("aggregate BETWEEN = %v, want true", out)
+	}
+	if _, err := MustParse("SELECT 1 IN (2, load) AS n").Eval(rows); err == nil {
+		t.Error("bare column in an IN list outside an aggregate should error")
+	}
+	if _, err := ParsePredicate("MIN(load) IN (1)"); err == nil {
+		t.Error("aggregate inside IN should be rejected in a predicate")
+	}
+}
+
+// TestEvalWhereSingleRow runs a program's WHERE clause over a one-row
+// table: COUNT(*) is 1 when the row passes and 0 when it does not.
+func TestEvalWhereSingleRow(t *testing.T) {
+	count := func(p *Program, row value.Map) int64 {
+		t.Helper()
+		out, err := p.Eval([]value.Map{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := out["n"].AsInt()
+		return n
+	}
+	p := MustParse("SELECT COUNT(*) AS n WHERE load < 0.5")
+	if count(p, value.Map{"load": value.Float(0.1)}) != 1 {
+		t.Error("WHERE should accept matching row")
+	}
+	if count(p, value.Map{"load": value.Float(0.9)}) != 0 {
+		t.Error("WHERE should reject non-matching row")
 	}
 	noWhere := MustParse("SELECT COUNT(*) AS n")
-	if !noWhere.EvalWhere(value.Map{}) {
+	if count(noWhere, value.Map{}) != 1 {
 		t.Error("program without WHERE should accept every row")
 	}
 }

@@ -30,7 +30,7 @@ const (
 	tokNumber
 	tokString
 	tokOp      // punctuation and operators
-	tokKeyword // SELECT, AS, WHERE, AND, OR, NOT, TRUE, FALSE
+	tokKeyword // SELECT, AS, WHERE, AND, OR, NOT, TRUE, FALSE, IN, LIKE, BETWEEN
 )
 
 func (k tokenKind) String() string {
@@ -67,6 +67,10 @@ var keywords = map[string]bool{
 	"NOT":    true,
 	"TRUE":   true,
 	"FALSE":  true,
+	// Reserved, so a column cannot be named in, like or between.
+	"IN":      true,
+	"LIKE":    true,
+	"BETWEEN": true,
 }
 
 // SyntaxError describes a lexical or parse failure with its position.

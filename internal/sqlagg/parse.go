@@ -14,11 +14,14 @@ import (
 //	expr       = orExpr
 //	orExpr     = andExpr { "OR" andExpr }
 //	andExpr    = notExpr { "AND" notExpr }
-//	notExpr    = [ "NOT" ] cmpExpr
-//	cmpExpr    = addExpr [ cmpOp addExpr ]
+//	notExpr    = "NOT" notExpr | cmpExpr
+//	cmpExpr    = addExpr [ cmpOp addExpr
+//	                     | [ "NOT" ] "IN" "(" expr { "," expr } ")"
+//	                     | [ "NOT" ] "LIKE" string
+//	                     | [ "NOT" ] "BETWEEN" addExpr "AND" addExpr ]
 //	addExpr    = mulExpr { ("+"|"-") mulExpr }
 //	mulExpr    = unary { ("*"|"/"|"%") unary }
-//	unary      = [ "-" ] primary
+//	unary      = ("-"|"+") unary | primary
 //	primary    = number | string | TRUE | FALSE | ident
 //	           | ident "(" [ "*" | expr { "," expr } ] ")"
 //	           | "(" expr ")"
@@ -165,7 +168,7 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Binary{Op: "OR", L: left, R: right}
+		left = &Binary{Op: "OR", L: left, R: right, at: at(left.Pos())}
 	}
 	return left, nil
 }
@@ -180,18 +183,19 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Binary{Op: "AND", L: left, R: right}
+		left = &Binary{Op: "AND", L: left, R: right, at: at(left.Pos())}
 	}
 	return left, nil
 }
 
 func (p *parser) parseNot() (Expr, error) {
+	t := p.cur()
 	if p.acceptKeyword("NOT") {
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: "NOT", X: x}, nil
+		return &Unary{Op: "NOT", X: x, at: at(t.pos)}, nil
 	}
 	return p.parseCmp()
 }
@@ -214,9 +218,60 @@ func (p *parser) parseCmp() (Expr, error) {
 		if op == "<>" {
 			op = "!="
 		}
-		return &Binary{Op: op, L: left, R: right}, nil
+		return &Binary{Op: op, L: left, R: right, at: at(left.Pos())}, nil
+	}
+	not := p.acceptKeyword("NOT")
+	switch {
+	case p.acceptKeyword("IN"):
+		if err := p.expectOp("("); err != nil {
+			return nil, err
+		}
+		list, err := p.parseList()
+		if err != nil {
+			return nil, err
+		}
+		return &In{X: left, List: list, Not: not, at: at(left.Pos())}, nil
+	case p.acceptKeyword("LIKE"):
+		t := p.cur()
+		if t.kind != tokString {
+			return nil, p.errorf("expected a string pattern after LIKE, found %s %q", t.kind, t.text)
+		}
+		p.advance()
+		return &Like{X: left, Pattern: t.text, Not: not, at: at(left.Pos())}, nil
+	case p.acceptKeyword("BETWEEN"):
+		lo, err := p.parseAdd()
+		if err != nil {
+			return nil, err
+		}
+		if err := p.expectKeyword("AND"); err != nil {
+			return nil, err
+		}
+		hi, err := p.parseAdd()
+		if err != nil {
+			return nil, err
+		}
+		return &Between{X: left, Lo: lo, Hi: hi, Not: not, at: at(left.Pos())}, nil
+	case not:
+		t := p.cur()
+		return nil, p.errorf("expected IN, LIKE, or BETWEEN after NOT, found %s %q", t.kind, t.text)
 	}
 	return left, nil
+}
+
+// parseList parses "expr { , expr } )", a call's arguments or an IN list,
+// after its opening parenthesis.
+func (p *parser) parseList() ([]Expr, error) {
+	var list []Expr
+	for {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, e)
+		if !p.acceptOp(",") {
+			return list, p.expectOp(")")
+		}
+	}
 }
 
 func (p *parser) parseAdd() (Expr, error) {
@@ -234,7 +289,7 @@ func (p *parser) parseAdd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Binary{Op: t.text, L: left, R: right}
+		left = &Binary{Op: t.text, L: left, R: right, at: at(left.Pos())}
 	}
 }
 
@@ -253,17 +308,18 @@ func (p *parser) parseMul() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Binary{Op: t.text, L: left, R: right}
+		left = &Binary{Op: t.text, L: left, R: right, at: at(left.Pos())}
 	}
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.acceptOp("-") {
+	t := p.cur()
+	if p.acceptOp("-") || p.acceptOp("+") {
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: "-", X: x}, nil
+		return &Unary{Op: t.text, X: x, at: at(t.pos)}, nil
 	}
 	return p.parsePrimary()
 }
@@ -278,36 +334,36 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, p.errorf("bad float literal %q", t.text)
 			}
-			return &Literal{Val: value.Float(f)}, nil
+			return &Literal{Val: value.Float(f), at: at(t.pos)}, nil
 		}
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errorf("bad int literal %q", t.text)
 		}
-		return &Literal{Val: value.Int(i)}, nil
+		return &Literal{Val: value.Int(i), at: at(t.pos)}, nil
 
 	case tokString:
 		p.advance()
-		return &Literal{Val: value.String(t.text)}, nil
+		return &Literal{Val: value.String(t.text), at: at(t.pos)}, nil
 
 	case tokKeyword:
 		switch t.text {
 		case "TRUE":
 			p.advance()
-			return &Literal{Val: value.Bool(true)}, nil
+			return &Literal{Val: value.Bool(true), at: at(t.pos)}, nil
 		case "FALSE":
 			p.advance()
-			return &Literal{Val: value.Bool(false)}, nil
+			return &Literal{Val: value.Bool(false), at: at(t.pos)}, nil
 		}
 		return nil, p.errorf("unexpected keyword %q", t.text)
 
 	case tokIdent:
 		p.advance()
 		if !p.acceptOp("(") {
-			return &ColumnRef{Name: t.text}, nil
+			return &ColumnRef{Name: t.text, at: at(t.pos)}, nil
 		}
 		name := strings.ToUpper(t.text)
-		call := &Call{Name: name}
+		call := &Call{Name: name, at: at(t.pos)}
 		if p.acceptOp("*") {
 			call.Star = true
 			if err := p.expectOp(")"); err != nil {
@@ -315,23 +371,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return p.checkCall(call)
 		}
-		if p.acceptOp(")") {
-			return p.checkCall(call)
-		}
-		for {
-			arg, err := p.parseExpr()
-			if err != nil {
+		if !p.acceptOp(")") {
+			var err error
+			if call.Args, err = p.parseList(); err != nil {
 				return nil, err
 			}
-			call.Args = append(call.Args, arg)
-			if p.acceptOp(",") {
-				continue
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return p.checkCall(call)
 		}
+		return p.checkCall(call)
 
 	case tokOp:
 		if t.text == "(" {

@@ -174,6 +174,28 @@ func TestParsePredicate(t *testing.T) {
 	}
 }
 
+func TestParseInLikeBetweenErrors(t *testing.T) {
+	for _, tt := range []struct{ give, wantErr string }{
+		{"x IN ()", "unexpected"},
+		{"x IN 1", `expected "("`},
+		{"x IN (1, 2", `expected ")"`},
+		{"x LIKE y", "string pattern after LIKE"},
+		{"x BETWEEN 1 5", "expected AND"},
+		{"x NOT = 1", "expected IN, LIKE, or BETWEEN after NOT"},
+		// IN, LIKE and BETWEEN are keywords: no column can take their names.
+		{"in = 1", "unexpected keyword"},
+		{"like", "unexpected keyword"},
+		{"between > 0", "unexpected keyword"},
+	} {
+		if _, err := ParsePredicate(tt.give); err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+			t.Errorf("ParsePredicate(%q) error = %v, want substring %q", tt.give, err, tt.wantErr)
+		}
+	}
+	if _, err := Parse("SELECT MIN(between) AS x"); err == nil {
+		t.Error("a column named between should not parse in a program")
+	}
+}
+
 func TestFunctionNameLists(t *testing.T) {
 	aggs := AggregateNames()
 	if len(aggs) == 0 {

@@ -29,9 +29,9 @@ func sampleMulticastMessage() *Message {
 	}
 }
 
-// TestFrameRoundTripBothCodecs keeps the name it had while a gob fallback
-// was the second codec; it checks the one codec there is.
-func TestFrameRoundTripBothCodecs(t *testing.T) {
+// TestFrameRoundTrip frames a multicast message, checks the length prefix
+// and decodes the payload back.
+func TestFrameRoundTrip(t *testing.T) {
 	m := sampleMulticastMessage()
 	f, err := NewFrame(m, "hub:1")
 	if err != nil {
