@@ -447,16 +447,14 @@ func liveConverged(cluster []*newswire.LiveNode) bool {
 }
 
 // BenchmarkGossipRound measures one full gossip round of a 64-node
-// cluster (ticks plus message drain) in the simulator, comparing the
-// full-state anti-entropy fallback against digest-based delta gossip on
-// the paper's 64-row leaf-zone shape. The bytes/round metric is the
-// steady-state network traffic the whole cluster generates per round.
+// cluster (ticks plus message drain) in the simulator on the paper's
+// 64-row leaf-zone shape. The bytes/round metric is the steady-state
+// network traffic the whole cluster generates per round.
 func BenchmarkGossipRound(b *testing.B) {
-	run := func(b *testing.B, fullState, traced bool, healthEvery int) {
+	run := func(b *testing.B, traced bool, healthEvery int) {
 		cluster, err := newswire.NewCluster(newswire.ClusterConfig{
 			N: 64, Branching: 64, Seed: 1, Trace: traced,
 			Customize: func(i int, cfg *newswire.Config) {
-				cfg.DisableDeltaGossip = fullState
 				cfg.HealthEvery = healthEvery
 			},
 		})
@@ -479,16 +477,15 @@ func BenchmarkGossipRound(b *testing.B) {
 		endBytes, _ := cluster.Net.BytesTotals()
 		b.ReportMetric(float64(endBytes-startBytes)/float64(b.N), "bytes/round")
 	}
-	b.Run("full", func(b *testing.B) { run(b, true, false, 0) })
-	b.Run("delta", func(b *testing.B) { run(b, false, false, 0) })
+	b.Run("delta", func(b *testing.B) { run(b, false, 0) })
 	// The traced arm attaches the span collector; gossip traffic emits no
 	// spans, so any delta against the arm above is pure recorder overhead.
-	b.Run("delta-traced", func(b *testing.B) { run(b, false, true, 0) })
+	b.Run("delta-traced", func(b *testing.B) { run(b, true, 0) })
 	// The health arms fold sys$health$* telemetry digests into the MIB
 	// every 2 ticks; their deltas over the arms above are the gossip-borne
 	// cost of the self-monitoring plane (E12 gates them at <= 5%).
-	b.Run("delta-health", func(b *testing.B) { run(b, false, false, 2) })
-	b.Run("delta-health-traced", func(b *testing.B) { run(b, false, true, 2) })
+	b.Run("delta-health", func(b *testing.B) { run(b, false, 2) })
+	b.Run("delta-health-traced", func(b *testing.B) { run(b, true, 2) })
 }
 
 // BenchmarkChurnRound is one gossip interval of the repository benchmark's

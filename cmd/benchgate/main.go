@@ -246,7 +246,7 @@ func gateChaos(baselinePath string, base, cur benchArtifact, maxConv int, minDel
 	for _, b := range base.Chaos {
 		baseBy[b.Scenario] = b
 	}
-	failed := false
+	var failures []string
 	for _, c := range cur.Chaos {
 		bound := maxConv
 		if bound <= 0 {
@@ -272,7 +272,7 @@ func gateChaos(baselinePath string, base, cur benchArtifact, maxConv int, minDel
 		status := "ok"
 		if len(problems) > 0 {
 			status = "FAILED: " + strings.Join(problems, "; ")
-			failed = true
+			failures = append(failures, c.Scenario+" "+strings.Join(problems, ", "))
 		}
 		fmt.Printf("benchgate: %-18s final %.1f%% during %.1f%% (floor %.0f%%) %s %s\n",
 			c.Scenario, c.FinalDelivery*100, c.DeliveryDuringFault*100,
@@ -294,8 +294,8 @@ func gateChaos(baselinePath string, base, cur benchArtifact, maxConv int, minDel
 	if len(cur.Chaos) == 0 {
 		return fmt.Errorf("current artifact has no chaos rows")
 	}
-	if failed {
-		return fmt.Errorf("chaos gate failed (baseline %s)", baselinePath)
+	if len(failures) > 0 {
+		return fmt.Errorf("chaos gate failed: %s (baseline %s)", strings.Join(failures, "; "), baselinePath)
 	}
 	return nil
 }

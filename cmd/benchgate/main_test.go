@@ -21,11 +21,9 @@ func TestGateE11(t *testing.T) {
 			msgs, p99, corrupt)
 	}
 	const verifyOK = `{"codec":"binary","frames":512,"decoded":512,"corrupt":0}`
-	for _, tc := range []struct {
-		name    string
-		current string
-		wantErr string // substring of the error; "" means the gate passes
-	}{
+	runGateCases(t, baseline, func(base, cur benchArtifact) error {
+		return gateE11("baseline.json", base, cur, 30000, 2000)
+	}, []gateCase{
 		{"pass", `{"id":"E11","arms":[` + arm(98000, 250, 0) + `],"verify":[` + verifyOK + `]}`, ""},
 		{"pass without a verify phase", `{"id":"E11","arms":[` + arm(30000, 2000, 0) + `]}`, ""},
 		{"corrupt frame in the arm", `{"id":"E11","arms":[` + arm(98000, 250, 1) + `],"verify":[` + verifyOK + `]}`,
@@ -41,7 +39,20 @@ func TestGateE11(t *testing.T) {
 			`],"verify":[{"codec":"binary","frames":512,"decoded":512,"corrupt":2}]}`,
 			"codec binary saw 2 corrupt frames"},
 		{"no arms", `{"id":"E11","verify":[` + verifyOK + `]}`, "no live-transport arms"},
-	} {
+	})
+}
+
+// gateCase is one artifact a gate is run on and what it must say.
+type gateCase struct {
+	name    string
+	current string
+	wantErr string // substring of the error; "" means the gate passes
+}
+
+// runGateCases runs gate on each case's artifact against baseline.
+func runGateCases(t *testing.T, baseline string, gate func(base, cur benchArtifact) error, cases []gateCase) {
+	t.Helper()
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var base, cur benchArtifact
 			if err := json.Unmarshal([]byte(baseline), &base); err != nil {
@@ -50,7 +61,7 @@ func TestGateE11(t *testing.T) {
 			if err := json.Unmarshal([]byte(tc.current), &cur); err != nil {
 				t.Fatal(err)
 			}
-			err := gateE11("baseline.json", base, cur, 30000, 2000)
+			err := gate(base, cur)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("gate failed: %v", err)
@@ -61,4 +72,59 @@ func TestGateE11(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGateChaos holds the chaos gate (make chaos-smoke, nightly-chaos) to
+// its bounds: each scenario's final delivery, its during-fault floor, its
+// convergence budget and the self-healing verdict each fail on their own,
+// and an artifact without scenarios is an error, not a pass.
+func TestGateChaos(t *testing.T) {
+	const baseline = `{"id":"E10","chaos":[{"scenario":"partition-heal","final_delivery":1,
+		"delivery_during_fault":0.75,"delivery_floor":0.5,"convergence_rounds":1,"max_rounds":8,"self_healed":true}]}`
+	// Field names as newswire-bench writes them.
+	row := func(final, during float64, rounds int, healed string) string {
+		return fmt.Sprintf(`{"id":"E10","chaos":[{"scenario":"partition-heal","final_delivery":%g,`+
+			`"delivery_during_fault":%g,"delivery_floor":0.5,"convergence_rounds":%d,"max_rounds":8%s}]}`,
+			final, during, rounds, healed)
+	}
+	runGateCases(t, baseline, func(base, cur benchArtifact) error {
+		return gateChaos("baseline.json", base, cur, 0, 1.0)
+	}, []gateCase{
+		{"pass", row(1, 0.75, 1, `,"self_healed":true`), ""},
+		{"pass without a self-healing verdict", row(1, 0.5, 8, ""), ""},
+		{"final delivery short", row(0.9999, 0.75, 1, `,"self_healed":true`), "final delivery 0.9999 < 1.0000"},
+		{"during-fault delivery below the floor", row(1, 0.4999, 1, `,"self_healed":true`),
+			"during-fault delivery 0.4999 < floor 0.5000"},
+		{"convergence past the scenario's bound", row(1, 0.75, 9, `,"self_healed":true`), "convergence 9 rounds > bound 8"},
+		{"not self-healed", row(1, 0.75, 1, `,"self_healed":false`), "did not self-heal"},
+		{"no rows", `{"id":"E10"}`, "no chaos rows"},
+	})
+}
+
+// TestGateE8 holds the precision gate (make e8, make e8-smoke) to its
+// bounds: per-arm recall, the predicate/bloom false-positive ratio, the
+// predicate/bloom bytes ratio and each label's bytes drift against the
+// baseline each fail on their own, and an artifact without rows is an
+// error, not a pass.
+func TestGateE8(t *testing.T) {
+	const baseline = `{"id":"E8","precision":[
+		{"label":"16 subs / bloom","mode":"bloom","subscriptions":16,"recall":1,"false_positive_drops":100,"bytes_per_round_per_node":300},
+		{"label":"16 subs / predicate","mode":"predicate","subscriptions":16,"recall":1,"false_positive_drops":0,"bytes_per_round_per_node":310}]}`
+	// Field names as newswire-bench writes them.
+	arms := func(bloomBytes, predRecall float64, predFP int, predBytes float64) string {
+		return fmt.Sprintf(`{"id":"E8","precision":[`+
+			`{"label":"16 subs / bloom","mode":"bloom","subscriptions":16,"recall":1,"false_positive_drops":100,"bytes_per_round_per_node":%g},`+
+			`{"label":"16 subs / predicate","mode":"predicate","subscriptions":16,"recall":%g,"false_positive_drops":%d,"bytes_per_round_per_node":%g}]}`,
+			bloomBytes, predRecall, predFP, predBytes)
+	}
+	runGateCases(t, baseline, func(base, cur benchArtifact) error {
+		return gateE8("baseline.json", base, cur, 0.999, 0.5, 1.10, 0.10)
+	}, []gateCase{
+		{"pass", arms(300, 1, 40, 320), ""},
+		{"recall below the floor", arms(300, 0.998, 40, 320), "16 subs / predicate recall 0.9980 < floor 0.9990"},
+		{"false positives past the ratio", arms(300, 1, 51, 320), "16 subs: predicate fp drops 51 > 50% of bloom's 100"},
+		{"bytes past the ratio", arms(300, 1, 40, 331), "16 subs: predicate bytes 1.10x bloom > 1.10x"},
+		{"bytes drifted from the baseline", arms(331, 1, 40, 320), "16 subs / bloom bytes/round/node +10.3% vs baseline > 10%"},
+		{"no rows", `{"id":"E8"}`, "no precision rows"},
+	})
 }

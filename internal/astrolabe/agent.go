@@ -182,13 +182,6 @@ type Config struct {
 	// VerifyRow, when set, authenticates rows received in gossip; rows
 	// failing verification are discarded.
 	VerifyRow func(r *wire.RowUpdate) error
-	// DisableDeltaGossip makes the agent initiate anti-entropy by pushing
-	// its full shared state (the pre-digest protocol) instead of a row
-	// digest. Delta gossip is the default; the full-state path is kept as
-	// a fallback and for ablation experiments. Agents handle both
-	// protocols on receive regardless of this setting, so mixed clusters
-	// interoperate.
-	DisableDeltaGossip bool
 }
 
 // Row is a snapshot of one MIB row, copied out of the agent's internal
@@ -698,48 +691,29 @@ func (a *Agent) Tick() {
 	// Recompute the aggregate rows along this agent's chain.
 	a.recomputeAggregatesLocked()
 
-	// Choose gossip partners under the lock, send after releasing it. The
-	// partner lists are a few entries long and die with this call, so they
-	// live on the stack (a larger fanout or table spills to the heap).
+	// Choose gossip partners and build their digests under the lock, send
+	// after releasing it. A partner at chain depth i shares the chain's
+	// first i+1 tables with this agent. The partner lists are a few entries
+	// long and die with this call, so they live on the stack (a larger
+	// fanout or table spills to the heap).
 	type dest struct {
-		addr   string
-		shared int // tables the two agents share: the chain down to the gossip level
-		msg    *wire.Message
+		addr string
+		msg  *wire.Message
 	}
 	var destBuf [8]dest
 	var candBuf [64]string
 	dests := destBuf[:0]
 	for i := len(a.chain) - 1; i >= 0; i-- {
 		zone := a.chain[i]
+		var partners []string
 		if zone == a.leaf {
-			for _, addr := range a.pickLeafPartnersLocked(candBuf[:0], a.cfg.Fanout) {
-				dests = append(dests, dest{addr: addr, shared: i + 1})
-			}
-			continue
+			partners = a.pickLeafPartnersLocked(candBuf[:0], a.cfg.Fanout)
+		} else if a.isRepresentativeLocked(zone) {
+			partners = a.pickZonePartnersLocked(candBuf[:0], zone, a.cfg.Fanout)
 		}
-		if !a.isRepresentativeLocked(zone) {
-			continue
+		for _, addr := range partners {
+			dests = append(dests, dest{addr, a.digestLocked(i + 1)})
 		}
-		for _, addr := range a.pickZonePartnersLocked(candBuf[:0], zone, a.cfg.Fanout) {
-			dests = append(dests, dest{addr: addr, shared: i + 1})
-		}
-	}
-
-	for i := range dests {
-		d := &dests[i]
-		if a.cfg.DisableDeltaGossip {
-			rows := a.sharedRowsLocked(d.shared)
-			d.msg = &wire.Message{
-				Kind:   wire.KindGossip,
-				From:   a.addr,
-				Gossip: &wire.Gossip{FromZone: a.leaf, Rows: rows},
-			}
-			a.stats.RowsSent += int64(len(rows))
-		} else {
-			d.msg = a.digestLocked(d.shared)
-		}
-		a.stats.GossipsSent++
-		a.stats.GossipBytesSent += int64(d.msg.EstimateSize())
 	}
 	tr := a.cfg.Transport
 	a.mu.Unlock()
@@ -750,14 +724,29 @@ func (a *Agent) Tick() {
 	}
 }
 
+// Introduce opens a delta exchange with each peer over the agent's whole
+// chain: the join of a new agent. A peer diffs the sections of the tables
+// the two agents share and ignores the rest, so the one exchange leaves
+// each side holding the other's rows of every shared table. Best-effort,
+// like any gossip: a lost leg is repaired by the next Tick.
+func (a *Agent) Introduce(peers ...string) {
+	a.mu.Lock()
+	msgs := make([]*wire.Message, len(peers))
+	for i := range msgs {
+		msgs[i] = a.digestLocked(len(a.chain))
+	}
+	tr := a.cfg.Transport
+	a.mu.Unlock()
+
+	for i, peer := range peers {
+		_ = tr.Send(peer, msgs[i])
+	}
+}
+
 // HandleMessage processes one inbound message. Non-gossip messages are
 // ignored (the pub/sub layer routes those before they get here).
 func (a *Agent) HandleMessage(msg *wire.Message) {
 	switch msg.Kind {
-	case wire.KindGossip:
-		a.handleGossip(msg)
-	case wire.KindGossipReply:
-		a.handleGossipReply(msg)
 	case wire.KindGossipDigest:
 		a.handleGossipDigest(msg)
 	case wire.KindGossipDelta:
@@ -770,42 +759,6 @@ func (a *Agent) HandleMessage(msg *wire.Message) {
 // agent whose leaf zone is fromZone: the chain's first that-many zones.
 func (a *Agent) sharedTablesLocked(fromZone string) int {
 	return ZoneDepth(CommonAncestor(a.leaf, fromZone)) + 1
-}
-
-func (a *Agent) handleGossip(msg *wire.Message) {
-	g := msg.Gossip
-	a.mu.Lock()
-	a.stats.GossipsReceived++
-	// Merged rows take effect in routing immediately; the aggregate rows
-	// they feed are recomputed once per Tick rather than per message —
-	// an eventual-consistency system gains nothing from paying the SQL
-	// evaluation on every gossip exchange, and at 10⁵ nodes that cost
-	// dominates the simulation.
-	a.mergeRowsLocked(g.Rows)
-
-	// Reply with our rows of the tables the two agents share.
-	rows := a.sharedRowsLocked(a.sharedTablesLocked(g.FromZone))
-	reply := &wire.Message{
-		Kind: wire.KindGossipReply,
-		From: a.addr,
-		GossipReply: &wire.GossipReply{
-			FromZone: a.leaf,
-			Rows:     rows,
-		},
-	}
-	a.stats.RowsSent += int64(len(rows))
-	a.stats.GossipBytesSent += int64(reply.EstimateSize())
-	tr := a.cfg.Transport
-	a.mu.Unlock()
-
-	_ = tr.Send(msg.From, reply)
-}
-
-func (a *Agent) handleGossipReply(msg *wire.Message) {
-	a.mu.Lock()
-	a.stats.RepliesReceived++
-	a.mergeRowsLocked(msg.GossipReply.Rows)
-	a.mu.Unlock()
 }
 
 // handleGossipDigest serves the request leg of a delta exchange. A
@@ -856,31 +809,15 @@ func (a *Agent) handleGossipDelta(msg *wire.Message) {
 	_ = tr.Send(msg.From, reply)
 }
 
-// sharedRowsLocked collects every row of the chain's first `shared`
-// tables, root first. When shared is the whole chain everything is sent.
-func (a *Agent) sharedRowsLocked(shared int) []wire.RowUpdate {
-	total := 0
-	for _, zone := range a.chain[:shared] {
-		total += len(a.tables[zone].rows)
-	}
-	out := make([]wire.RowUpdate, 0, total)
-	for _, zone := range a.chain[:shared] {
-		for _, r := range a.tables[zone].rows {
-			out = append(out, r.Update(zone, r.stamp()))
-		}
-	}
-	return out
-}
-
 // inlineZones is how many tables' worth of sections or stamps a gossip
 // message carries in the allocation of the message itself; a deeper chain
 // spills into an array of its own.
 const inlineZones = 4
 
-// digestLocked builds the request leg of a delta exchange: one bare
-// section for each of the chain's first `shared` tables. The message, its
-// payload and the sections are one allocation and the sections' lags share
-// another, so a digest is two heap objects.
+// digestLocked builds the request leg of a delta exchange, one bare
+// section for each of the chain's first `shared` tables, and counts it as
+// sent. The message, its payload and the sections are one allocation and
+// the sections' lags share another, so a digest is two heap objects.
 func (a *Agent) digestLocked(shared int) *wire.Message {
 	rows := 0
 	for _, zone := range a.chain[:shared] {
@@ -901,6 +838,8 @@ func (a *Agent) digestLocked(shared int) *wire.Message {
 	a.stats.DigestsSent += int64(rows)
 	frame.body = wire.GossipDigest{FromZone: a.leaf, Sections: sections}
 	frame.msg = wire.Message{Kind: wire.KindGossipDigest, From: a.addr, GossipDigest: &frame.body}
+	a.stats.GossipsSent++
+	a.stats.GossipBytesSent += int64(frame.msg.EstimateSize())
 	return &frame.msg
 }
 

@@ -204,15 +204,17 @@ func TestDigestDiff(t *testing.T) {
 	}
 }
 
-// TestFullStateFallbackConverges keeps the pre-digest protocol working:
-// clusters running with DisableDeltaGossip still converge.
+// TestFullStateFallbackConverges ties delta gossip to the full-state
+// reference exchange: a cluster gossiping by the oracle converges, with
+// no digest on the wire, to the very tables the same cluster reaches by
+// delta gossip.
 func TestFullStateFallbackConverges(t *testing.T) {
 	zones := []string{"/usa/ny", "/usa/ny", "/asia/jp", "/asia/jp"}
-	c := newTestCluster(t, zones, func(i int, cfg *Config) {
-		cfg.DisableDeltaGossip = true
-	})
-	c.runRounds(10)
-	for i, a := range c.agents {
+	full := newFullStateCluster(t, zones, func(int) bool { return true })
+	full.runRounds(10)
+	delta := newTestCluster(t, zones, nil)
+	delta.runRounds(10)
+	for i, a := range full.agents {
 		usa, ok1 := a.Row("/", "usa")
 		asia, ok2 := a.Row("/", "asia")
 		if !ok1 || !ok2 {
@@ -224,21 +226,32 @@ func TestFullStateFallbackConverges(t *testing.T) {
 		if n, _ := asia.Attrs[AttrMembers].AsInt(); n != 2 {
 			t.Fatalf("agent %d sees asia nmembers=%v", i, asia.Attrs[AttrMembers])
 		}
+		for _, zone := range a.Chain() {
+			frows, _ := a.Table(zone)
+			drows, _ := delta.agents[i].Table(zone)
+			if len(frows) != len(drows) {
+				t.Fatalf("agent %d zone %s: full-state has %d rows, delta %d", i, zone, len(frows), len(drows))
+			}
+			for j := range frows {
+				if frows[j].Name != drows[j].Name || !frows[j].Attrs.Equal(drows[j].Attrs) {
+					t.Fatalf("agent %d zone %s row %d: full-state %s %v, delta %s %v", i, zone, j,
+						frows[j].Name, frows[j].Attrs, drows[j].Name, drows[j].Attrs)
+				}
+			}
+		}
 	}
-	if st := c.agents[0].Stats(); st.DigestsSent != 0 {
-		t.Fatalf("fallback agent sent %d digest entries", st.DigestsSent)
+	if sent := full.net.SentByKind(wire.KindGossipDigest); sent.Msgs != 0 {
+		t.Fatalf("full-state cluster sent %d digests", sent.Msgs)
 	}
 }
 
 // TestMixedModeConverges runs half the agents on delta gossip and half
-// on the full-state fallback: every agent handles both protocols on
-// receive, so a mixed deployment (mid-upgrade, or one side ablated)
-// must still converge.
+// on the full-state exchange: a delta agent merges the rows a full-state
+// exchange pushes, and a full-state agent answers digests as any agent
+// does, so the two must still converge.
 func TestMixedModeConverges(t *testing.T) {
 	zones := []string{"/usa/ny", "/usa/ny", "/asia/jp", "/asia/jp"}
-	c := newTestCluster(t, zones, func(i int, cfg *Config) {
-		cfg.DisableDeltaGossip = i%2 == 0
-	})
+	c := newFullStateCluster(t, zones, func(i int) bool { return i%2 == 0 })
 	c.runRounds(10)
 	for i, a := range c.agents {
 		usa, _ := a.Row("/", "usa")
@@ -252,18 +265,17 @@ func TestMixedModeConverges(t *testing.T) {
 	}
 }
 
-// TestDeltaGossipByteSavings drives two identical leaf zones — one per
-// protocol — and checks the delta variant moves fewer bytes in steady
-// state, per the agents' own accounting.
+// TestDeltaGossipByteSavings drives two identical leaf zones — one by
+// delta gossip, one by the full-state exchange — and checks the delta
+// variant moves fewer bytes in steady state, as the network charges them
+// (wire.Message.EstimateSize of every message sent).
 func TestDeltaGossipByteSavings(t *testing.T) {
-	run := func(disable bool) int64 {
+	run := func(fullState bool) int64 {
 		zones := make([]string, 8)
 		for i := range zones {
 			zones[i] = "/z"
 		}
-		c := newTestCluster(t, zones, func(i int, cfg *Config) {
-			cfg.DisableDeltaGossip = disable
-		})
+		c := newFullStateCluster(t, zones, func(int) bool { return fullState })
 		// Realistic row weight: every member carries a subscription Bloom
 		// filter (the paper's 1024-bit geometry) at its design load —
 		// roughly half the bits set, so the codec's sparse-bytes packing
@@ -279,15 +291,9 @@ func TestDeltaGossipByteSavings(t *testing.T) {
 			a.SetAttr(AttrSubs, value.Bytes(subs))
 		}
 		c.runRounds(5)
-		var start int64
-		for _, a := range c.agents {
-			start += a.Stats().GossipBytesSent
-		}
+		start, _ := c.net.BytesTotals()
 		c.runRounds(10)
-		var end int64
-		for _, a := range c.agents {
-			end += a.Stats().GossipBytesSent
-		}
+		end, _ := c.net.BytesTotals()
 		return end - start
 	}
 	full := run(true)

@@ -56,10 +56,6 @@ type Config struct {
 	FailTimeout time.Duration
 	// Fanout is gossip partners per level per Tick. Default 1.
 	Fanout int
-	// DisableDeltaGossip falls back to full-state anti-entropy exchanges
-	// (see astrolabe.Config.DisableDeltaGossip). Delta gossip is the
-	// default.
-	DisableDeltaGossip bool
 
 	// Mode is the subscription-summary representation. Default ModeBloom.
 	Mode pubsub.Mode
@@ -238,17 +234,16 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 
 	agentCfg := astrolabe.Config{
-		Name:               cfg.Name,
-		ZonePath:           cfg.ZonePath,
-		Transport:          cfg.Transport,
-		Clock:              cfg.Clock,
-		Rand:               cfg.Rand,
-		GossipInterval:     cfg.GossipInterval,
-		FailTimeout:        cfg.FailTimeout,
-		Fanout:             cfg.Fanout,
-		DisableDeltaGossip: cfg.DisableDeltaGossip,
-		Aggregation:        cfg.Aggregation,
-		PrefixRules:        prefixRules,
+		Name:           cfg.Name,
+		ZonePath:       cfg.ZonePath,
+		Transport:      cfg.Transport,
+		Clock:          cfg.Clock,
+		Rand:           cfg.Rand,
+		GossipInterval: cfg.GossipInterval,
+		FailTimeout:    cfg.FailTimeout,
+		Fanout:         cfg.Fanout,
+		Aggregation:    cfg.Aggregation,
+		PrefixRules:    prefixRules,
 	}
 	if cfg.Security != nil {
 		agentCfg.SignRow = cfg.Security.signRow
@@ -595,7 +590,7 @@ func (n *Node) antiEntropyStep() {
 // HandleMessage dispatches one inbound message to the right component.
 func (n *Node) HandleMessage(msg *wire.Message) {
 	switch msg.Kind {
-	case wire.KindGossip, wire.KindGossipReply, wire.KindGossipDigest, wire.KindGossipDelta:
+	case wire.KindGossipDigest, wire.KindGossipDelta:
 		n.agent.HandleMessage(msg)
 	case wire.KindMulticast:
 		if n.admit(msg) {
@@ -760,24 +755,16 @@ func (n *Node) KnownPublishers() []string {
 	return out
 }
 
-// IntroduceTo sends this node's chain rows to the given peers as a
-// gossip request; their replies carry the tables the two sides share,
-// bootstrapping the joiner's replicas. Joining a zone whose members the
-// node does not know yet requires introducing to at least one member (or
-// representative) of that zone — gossip with siblings alone cannot reveal
-// a foreign zone's leaf table. ZoneRepresentatives on a bootstrap peer
-// supplies suitable targets.
+// IntroduceTo opens a delta gossip exchange with each of the given peers
+// over this node's whole zone chain (astrolabe.Agent.Introduce): one
+// exchange leaves the node and each peer holding the other's rows of the
+// tables they share, bootstrapping the joiner's replicas. Joining a zone
+// whose members the node does not know yet requires introducing to at
+// least one member (or representative) of that zone — gossip with
+// siblings alone cannot reveal a foreign zone's leaf table.
+// ZoneRepresentatives on a bootstrap peer supplies suitable targets.
 func (n *Node) IntroduceTo(peers ...string) {
-	msg := &wire.Message{
-		Kind: wire.KindGossip,
-		Gossip: &wire.Gossip{
-			FromZone: n.agent.ZonePath(),
-			Rows:     n.agent.ChainRowUpdates(),
-		},
-	}
-	for _, peer := range peers {
-		_ = n.cfg.Transport.Send(peer, msg)
-	}
+	n.agent.Introduce(peers...)
 }
 
 // ZoneRepresentatives reads the representative addresses this node's

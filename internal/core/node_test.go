@@ -346,9 +346,9 @@ func TestGossipSigningRejectsUncertifiedAgent(t *testing.T) {
 
 	// Rogue row injected as gossip: unsigned.
 	n0.HandleMessage(&wire.Message{
-		Kind: wire.KindGossip,
+		Kind: wire.KindGossipDelta,
 		From: "rogue",
-		Gossip: &wire.Gossip{
+		GossipDelta: &wire.GossipDelta{
 			FromZone: "/z",
 			Rows: []wire.RowUpdate{{
 				Zone: "/z", Name: "intruder",

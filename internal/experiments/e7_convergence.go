@@ -25,26 +25,20 @@ func RunE7(opt Options) *Table {
 		ID:    "E7",
 		Title: "gossip rounds until a new subscription reaches the root everywhere",
 		Claim: "within tens of seconds the root zone has all the information (§6)",
-		Columns: []string{"nodes", "mode", "levels", "rounds", "virtual time",
+		Columns: []string{"nodes", "levels", "rounds", "virtual time",
 			"rounds(all nodes)", "KB/node/round"},
 	}
 	for _, n := range sizes {
-		t.AddRow(runE7Size(n, opt.Seed, false)...)
-		t.AddRow(runE7Size(n, opt.Seed, true)...)
+		t.AddRow(runE7Size(n, opt.Seed)...)
 	}
 	t.Notes = append(t.Notes,
 		"gossip interval 2s; 'rounds' = first round the publisher-side root row shows the bit;",
 		"'rounds(all nodes)' = every node's root table shows it (full dissemination);",
-		"mode 'delta' = digest-based anti-entropy (default), 'full' = full-state fallback;",
 		"KB/node/round = network bytes during the measured rounds / nodes / rounds")
 	return t
 }
 
-func runE7Size(n int, seed int64, fullState bool) []string {
-	mode := "delta"
-	if fullState {
-		mode = "full"
-	}
+func runE7Size(n int, seed int64) []string {
 	// Branching 16 gives the 4096-node point a depth-2 tree, so the
 	// standard table shows multi-level convergence; the huge -big points
 	// use the paper's 64-row tables.
@@ -54,12 +48,9 @@ func runE7Size(n int, seed int64, fullState bool) []string {
 	}
 	cluster, err := core.NewCluster(core.ClusterConfig{
 		N: n, Branching: branching, Seed: seed + int64(n),
-		Customize: func(i int, cfg *core.Config) {
-			cfg.DisableDeltaGossip = fullState
-		},
 	})
 	if err != nil {
-		return []string{fmt.Sprint(n), mode, "error", err.Error(), "", "", ""}
+		return []string{fmt.Sprint(n), "error", err.Error(), "", "", ""}
 	}
 	// Warm up so aggregation/representative state is steady.
 	cluster.RunRounds(8)
@@ -132,7 +123,6 @@ func runE7Size(n int, seed int64, fullState bool) []string {
 	}
 	return []string{
 		fmt.Sprint(n),
-		mode,
 		fmt.Sprint(treeLevels(n, branching)),
 		first,
 		elapsed.String(),

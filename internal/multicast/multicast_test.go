@@ -465,8 +465,8 @@ func TestRouterIgnoresNonMulticast(t *testing.T) {
 	zones := []string{"/a/x"}
 	c := newMCCluster(t, zones, 1, nil)
 	// Must be a no-op, not a panic.
-	c.nodes[0].router.HandleMessage(&wire.Message{Kind: wire.KindGossip,
-		Gossip: &wire.Gossip{}})
+	c.nodes[0].router.HandleMessage(&wire.Message{Kind: wire.KindGossipDigest,
+		GossipDigest: &wire.GossipDigest{}})
 	c.nodes[0].router.HandleMessage(&wire.Message{Kind: wire.KindMulticast})
 	if len(c.nodes[0].deliveredKeys()) != 0 {
 		t.Fatal("bogus messages caused deliveries")

@@ -8,7 +8,7 @@ import (
 )
 
 func gossipMsg() *wire.Message {
-	return &wire.Message{Kind: wire.KindGossip, Gossip: &wire.Gossip{FromZone: "/"}}
+	return &wire.Message{Kind: wire.KindGossipDigest, GossipDigest: &wire.GossipDigest{FromZone: "/"}}
 }
 
 func newTestNet(t *testing.T, link LinkModel) (*Engine, *Network) {
@@ -53,7 +53,7 @@ func TestNetworkSetsFrom(t *testing.T) {
 func TestNetworkRejectsInvalidMessage(t *testing.T) {
 	_, n := newTestNet(t, LinkModel{})
 	a := n.Attach("a", nil)
-	if err := a.Send("b", &wire.Message{Kind: wire.KindGossip}); err == nil {
+	if err := a.Send("b", &wire.Message{Kind: wire.KindGossipDigest}); err == nil {
 		t.Fatal("invalid message should be rejected")
 	}
 }
@@ -222,7 +222,7 @@ func TestNetworkSentByKind(t *testing.T) {
 	e.RunUntilIdle(0)
 
 	// Sizes are read after Send stamped the sender address.
-	gossip, acks := n.SentByKind(wire.KindGossip), n.SentByKind(wire.KindMulticastAck)
+	gossip, acks := n.SentByKind(wire.KindGossipDigest), n.SentByKind(wire.KindMulticastAck)
 	if gossip.Msgs != 1 || gossip.Bytes != int64(gsp.EstimateSize()) {
 		t.Fatalf("gossip ledger = %+v", gossip)
 	}

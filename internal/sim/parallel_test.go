@@ -122,7 +122,7 @@ func TestExecutorRunOwnersCommitsInOwnerOrder(t *testing.T) {
 	}
 
 	x.RunOwners(func(owner int) {
-		msg := &wire.Message{Kind: wire.KindGossip, Gossip: &wire.Gossip{FromZone: "/z"}}
+		msg := &wire.Message{Kind: wire.KindGossipDigest, GossipDigest: &wire.GossipDigest{FromZone: "/z"}}
 		if err := eps[owner].Send("n0", msg); err != nil {
 			t.Errorf("owner %d send: %v", owner, err)
 		}
@@ -132,7 +132,7 @@ func TestExecutorRunOwnersCommitsInOwnerOrder(t *testing.T) {
 		t.Fatalf("sent %d messages, want %d", sent, n)
 	}
 	bytesSent, _ := net.BytesTotals()
-	if got := net.SentByKind(wire.KindGossip); got != (KindStats{Msgs: n, Bytes: bytesSent}) {
+	if got := net.SentByKind(wire.KindGossipDigest); got != (KindStats{Msgs: n, Bytes: bytesSent}) {
 		t.Fatalf("per-kind ledger after a parallel commit = %+v, want %d msgs / %d bytes", got, n, bytesSent)
 	}
 
@@ -149,7 +149,7 @@ func TestExecutorRunOwnersCommitsInOwnerOrder(t *testing.T) {
 			ex.Register(es[i])
 		}
 		ex.RunOwners(func(owner int) {
-			msg := &wire.Message{Kind: wire.KindGossip, Gossip: &wire.Gossip{FromZone: "/z"}}
+			msg := &wire.Message{Kind: wire.KindGossipDigest, GossipDigest: &wire.GossipDigest{FromZone: "/z"}}
 			_ = es[owner].Send("m0", msg)
 		})
 		return e.Rand().Int63()

@@ -55,8 +55,8 @@ func TestClockOffsetHandshake(t *testing.T) {
 
 	// Any send establishes the connection and fires the dial-time probe.
 	if err := a.Send(b.Addr(), &wire.Message{
-		Kind:   wire.KindGossip,
-		Gossip: &wire.Gossip{FromZone: "/x"},
+		Kind:         wire.KindGossipDigest,
+		GossipDigest: &wire.GossipDigest{FromZone: "/x"},
 	}); err != nil {
 		t.Fatal(err)
 	}

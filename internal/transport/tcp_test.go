@@ -11,7 +11,7 @@ import (
 )
 
 func gossipMsg(zone string) *wire.Message {
-	return &wire.Message{Kind: wire.KindGossip, Gossip: &wire.Gossip{FromZone: zone}}
+	return &wire.Message{Kind: wire.KindGossipDigest, GossipDigest: &wire.GossipDigest{FromZone: zone}}
 }
 
 // collector gathers delivered messages for assertions.
@@ -70,8 +70,8 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	msgs := col.waitFor(t, 1)
-	if msgs[0].Gossip.FromZone != "/usa" {
-		t.Fatalf("payload = %+v", msgs[0].Gossip)
+	if msgs[0].GossipDigest.FromZone != "/usa" {
+		t.Fatalf("payload = %+v", msgs[0].GossipDigest)
 	}
 	if msgs[0].From != a.Addr() {
 		t.Fatalf("From = %q, want %q", msgs[0].From, a.Addr())
@@ -124,8 +124,8 @@ func TestTCPBidirectional(t *testing.T) {
 		t.Fatal(err)
 	}
 	msgs := colA.waitFor(t, 1)
-	if msgs[0].Gossip.FromZone != "/b-to-a" {
-		t.Fatalf("wrong direction: %+v", msgs[0].Gossip)
+	if msgs[0].GossipDigest.FromZone != "/b-to-a" {
+		t.Fatalf("wrong direction: %+v", msgs[0].GossipDigest)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestTCPSendInvalidMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Send("127.0.0.1:1", &wire.Message{Kind: wire.KindGossip}); err == nil {
+	if err := a.Send("127.0.0.1:1", &wire.Message{Kind: wire.KindGossipDigest}); err == nil {
 		t.Fatal("invalid message should be rejected before dialing")
 	}
 }
@@ -375,11 +375,13 @@ func TestTCPAckRoundTrip(t *testing.T) {
 	}
 }
 
-// allKindMessages builds one valid message of every wire kind.
+// allKindMessages builds one valid message of every wire kind, the gossip
+// delta in three shapes: rows only, stamps and a named section, and rows
+// with wants.
 func allKindMessages() []*wire.Message {
 	issued := time.Unix(1017619200, 0).UTC()
 	return []*wire.Message{
-		{Kind: wire.KindGossip, Gossip: &wire.Gossip{
+		{Kind: wire.KindGossipDelta, GossipDelta: &wire.GossipDelta{
 			FromZone: "/usa/ny",
 			Rows: []wire.RowUpdate{{
 				Zone: "/usa/ny", Name: "node-1",
@@ -387,12 +389,14 @@ func allKindMessages() []*wire.Message {
 				Issued: issued, Owner: "node-1:9000",
 			}},
 		}},
-		{Kind: wire.KindGossipReply, GossipReply: &wire.GossipReply{
+		{Kind: wire.KindGossipDelta, GossipDelta: &wire.GossipDelta{
 			FromZone: "/usa/ny",
-			Rows: []wire.RowUpdate{{
-				Zone: "/", Name: "usa",
-				Attrs:  value.Map{"nmembers": value.Int(12)},
-				Issued: issued, Owner: "node-2:9000",
+			Stamps: []wire.ZoneStamps{{
+				Depth: 0, Hash: 7, Newest: issued, Rows: []wire.RowStamp{{Pos: 1, Lag: time.Second}},
+			}},
+			Sections: []wire.ZoneSection{{
+				Depth: 1, Hash: 9, Newest: issued, Lags: []time.Duration{0},
+				Named: []wire.RowSummary{{Name: "node-2", Hash: 11}},
 			}},
 		}},
 		{Kind: wire.KindGossipDigest, GossipDigest: &wire.GossipDigest{
@@ -465,9 +469,13 @@ func TestTCPAllKindsBothCodecs(t *testing.T) {
 			}
 		}
 		// Spot-check deep payload fields survived the round trip.
-		if rows := got[0].Gossip.Rows; len(rows) != 1 ||
-			!rows[0].Attrs.Equal(sent[0].Gossip.Rows[0].Attrs) {
+		if rows := got[0].GossipDelta.Rows; len(rows) != 1 ||
+			!rows[0].Attrs.Equal(sent[0].GossipDelta.Rows[0].Attrs) {
 			t.Fatalf("gossip row attrs corrupted: %+v", rows)
+		}
+		if g := got[1].GossipDelta; len(g.Stamps) != 1 || g.Stamps[0].Rows[0].Lag != time.Second ||
+			len(g.Sections) != 1 || g.Sections[0].Named[0].Name != "node-2" {
+			t.Fatalf("delta stamps or section corrupted: %+v", g)
 		}
 		if d := got[2].GossipDigest.Sections[0]; d.Hash != 0xdeadbeef || len(d.Lags) != 2 {
 			t.Fatalf("digest section = %+v", d)
@@ -560,7 +568,7 @@ func TestTCPMalformedInputDropsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	msgs := col.waitFor(t, 1)
-	if len(msgs) != 1 || msgs[0].Gossip.FromZone != "/ok" || msgs[0].From != "raw:1" {
+	if len(msgs) != 1 || msgs[0].GossipDigest.FromZone != "/ok" || msgs[0].From != "raw:1" {
 		t.Fatalf("well-formed connection after the bad ones delivered %+v", msgs)
 	}
 	if st := srv.TransportStats(); st.FramesReceived != 1 {

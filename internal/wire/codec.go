@@ -296,18 +296,6 @@ func encodeBinary(m *Message, from string, prefix int) ([]byte, error) {
 
 	usesTable := false
 	switch m.Kind {
-	case KindGossip:
-		if g := m.Gossip; g != nil {
-			usesTable = true
-			e.body = binary.AppendUvarint(e.body, e.ref(g.FromZone))
-			e.rows(g.Rows)
-		}
-	case KindGossipReply:
-		if g := m.GossipReply; g != nil {
-			usesTable = true
-			e.body = binary.AppendUvarint(e.body, e.ref(g.FromZone))
-			e.rows(g.Rows)
-		}
 	case KindGossipDigest:
 		// A digest names its zones by depth, so it carries no string table.
 		if g := m.GossipDigest; g != nil {
@@ -1080,20 +1068,6 @@ func decodeBinary(data []byte) (*Message, error) {
 	from := value.InternBytes(d.rawStr())
 	var m *Message
 	switch kind {
-	case KindGossip:
-		var g *Gossip
-		m, g = newMessage[Gossip]()
-		m.Gossip = g
-		d.table()
-		g.FromZone = d.ref()
-		g.Rows = d.rowList()
-	case KindGossipReply:
-		var g *GossipReply
-		m, g = newMessage[GossipReply]()
-		m.GossipReply = g
-		d.table()
-		g.FromZone = d.ref()
-		g.Rows = d.rowList()
 	case KindGossipDigest:
 		var g *GossipDigest
 		m, g = newMessage[GossipDigest]()

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"strconv"
 	"testing"
 	"time"
@@ -16,9 +17,10 @@ const gobStreamHead = "\xff\xb8\x7f\x03\x01\x01\aMessage\x01\xff\x80\x00\x01\v\x
 	"\x01\vGossipDelta\x01\xff\x96\x00\x01\tMulticast\x01\xff\x9c\x00\x01\fMulticastAck\x01\xff\xa4\x00" +
 	"\x01\fStateRequest\x01\xff\xa6\x00\x01\nStateReply\x01\xff\xaa\x00\x01\tClockSync\x01\xff\xae\x00\x00\x00"
 
-// fuzzSeeds returns one encoded frame per message kind plus a frame that
-// does not start with the codec magic, so both fuzz targets start from
-// every decoder path and from the rejection path.
+// fuzzSeeds returns one encoded frame per message kind, frames of the
+// retired kinds 1 and 2, and a frame that does not start with the codec
+// magic, so both fuzz targets start from every decoder path and from the
+// rejection paths.
 func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 	msgs := []*Message{
 		sampleGossipMessage(),
@@ -37,11 +39,12 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 			ClockSync: &ClockSync{Seq: 3, T1: 1017619200123456789, T2: 1017619200123459999},
 		},
 		{
-			Kind: KindGossipReply,
+			Kind: KindGossipDelta,
 			From: "n2:9000",
-			GossipReply: &GossipReply{
+			GossipDelta: &GossipDelta{
 				FromZone: "/usa/ny",
-				Rows:     sampleGossipMessage().Gossip.Rows,
+				Rows:     sampleGossipMessage().GossipDelta.Rows,
+				Stamps:   sampleStampedDeltaMessage().GossipDelta.Stamps,
 			},
 		},
 		{
@@ -152,6 +155,13 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 		for _, frame := range frames {
 			seeds = append(seeds, frame.data)
 		}
+	}
+	for _, h := range retiredGossipFrames {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, frame)
 	}
 	return append(seeds, []byte(gobStreamHead))
 }

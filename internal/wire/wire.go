@@ -23,26 +23,25 @@ type Kind uint8
 
 // Message kinds.
 const (
-	KindInvalid      Kind = iota
-	KindGossip            // push-pull anti-entropy exchange, request leg
-	KindGossipReply       // push-pull anti-entropy exchange, reply leg
-	KindMulticast         // SendToZone forward carrying a news item
-	KindStateRequest      // cache state transfer: give me recent items
-	KindStateReply        // cache state transfer: here they are
-	KindGossipDigest      // delta anti-entropy: initiator's row digest
-	KindGossipDelta       // delta anti-entropy: missing/stale rows + wants
-	KindMulticastAck      // per-forward delivery acknowledgment
-	KindClockPing         // clock-offset probe (transport-level, not routed)
-	KindClockPong         // clock-offset reply echoing the probe
+	KindInvalid Kind = iota
+	// Kinds 1 and 2 carried the full-state anti-entropy exchange, retired
+	// for the delta exchange below. They stay reserved so no other kind's
+	// byte moves, and a frame carrying either is rejected as unknown.
+	_
+	_
+	KindMulticast    // SendToZone forward carrying a news item
+	KindStateRequest // cache state transfer: give me recent items
+	KindStateReply   // cache state transfer: here they are
+	KindGossipDigest // delta anti-entropy: initiator's row digest
+	KindGossipDelta  // delta anti-entropy: missing/stale rows + wants
+	KindMulticastAck // per-forward delivery acknowledgment
+	KindClockPing    // clock-offset probe (transport-level, not routed)
+	KindClockPong    // clock-offset reply echoing the probe
 )
 
 // String returns the kind name for logs.
 func (k Kind) String() string {
 	switch k {
-	case KindGossip:
-		return "gossip"
-	case KindGossipReply:
-		return "gossip-reply"
 	case KindMulticast:
 		return "multicast"
 	case KindStateRequest:
@@ -115,21 +114,6 @@ func (r *RowUpdate) AppendSignedPayload(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, r.Issued.UnixNano(), 10)
 	dst = append(dst, 0)
 	return append(dst, r.Owner...)
-}
-
-// Gossip is the request leg of a push-pull anti-entropy exchange: the
-// sender pushes every row it holds for the tables the two agents share.
-type Gossip struct {
-	// FromZone is the sender's leaf zone path, which tells the receiver
-	// which ancestor tables the two agents share.
-	FromZone string
-	Rows     []RowUpdate
-}
-
-// GossipReply is the reply leg, pushing the receiver's rows back.
-type GossipReply struct {
-	FromZone string
-	Rows     []RowUpdate
 }
 
 // RowRef names one row the sender wants the full update for.
@@ -432,8 +416,6 @@ type Message struct {
 	// From is the sender's transport address, so receivers can reply.
 	From string
 
-	Gossip       *Gossip
-	GossipReply  *GossipReply
 	GossipDigest *GossipDigest
 	GossipDelta  *GossipDelta
 	Multicast    *Multicast
@@ -449,10 +431,6 @@ type Message struct {
 func (m *Message) Validate() error {
 	var want bool
 	switch m.Kind {
-	case KindGossip:
-		want = m.Gossip != nil
-	case KindGossipReply:
-		want = m.GossipReply != nil
 	case KindMulticast:
 		want = m.Multicast != nil
 	case KindStateRequest:
@@ -513,12 +491,6 @@ const GossipTableOverhead = 48
 func (m *Message) EstimateSize() int {
 	n := 2 + sizeStr(m.From) // magic, kind, sender
 	switch {
-	case m.Gossip != nil:
-		n += GossipTableOverhead + 1 + uvarintLen(uint64(len(m.Gossip.Rows))) +
-			rowsSize(m.Gossip.Rows)
-	case m.GossipReply != nil:
-		n += GossipTableOverhead + 1 + uvarintLen(uint64(len(m.GossipReply.Rows))) +
-			rowsSize(m.GossipReply.Rows)
 	case m.GossipDigest != nil:
 		g := m.GossipDigest
 		n += sizeStr(g.FromZone) + sectionsSize(g.Sections)

@@ -9,17 +9,20 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"newswire/internal/value"
 )
 
+// sampleGossipMessage is a rows-only delta: rows pushed whole, as the
+// full-state reference exchange ships every row of a shared table.
 func sampleGossipMessage() *Message {
 	return &Message{
-		Kind: KindGossip,
+		Kind: KindGossipDelta,
 		From: "node-1:9000",
-		Gossip: &Gossip{
+		GossipDelta: &GossipDelta{
 			FromZone: "/usa/ny",
 			Rows: []RowUpdate{
 				{
@@ -39,8 +42,8 @@ func TestKindString(t *testing.T) {
 		kind Kind
 		want string
 	}{
-		{KindGossip, "gossip"},
-		{KindGossipReply, "gossip-reply"},
+		{Kind(1), "kind(1)"}, // retired: the full-state exchange
+		{Kind(2), "kind(2)"},
 		{KindMulticast, "multicast"},
 		{KindStateRequest, "state-request"},
 		{KindStateReply, "state-reply"},
@@ -66,20 +69,20 @@ func TestEncodeDecodeGossip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindGossip || got.From != m.From {
+	if got.Kind != KindGossipDelta || got.From != m.From {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if got.Gossip == nil || len(got.Gossip.Rows) != 1 {
-		t.Fatalf("gossip payload lost: %+v", got.Gossip)
+	if got.GossipDelta == nil || len(got.GossipDelta.Rows) != 1 {
+		t.Fatalf("gossip payload lost: %+v", got.GossipDelta)
 	}
-	row := got.Gossip.Rows[0]
+	row := got.GossipDelta.Rows[0]
 	if row.Zone != "/usa/ny" || row.Name != "node-1" {
 		t.Fatalf("row identity lost: %+v", row)
 	}
-	if !row.Attrs.Equal(m.Gossip.Rows[0].Attrs) {
+	if !row.Attrs.Equal(m.GossipDelta.Rows[0].Attrs) {
 		t.Fatalf("attrs lost: %v", row.Attrs)
 	}
-	if !row.Issued.Equal(m.Gossip.Rows[0].Issued) {
+	if !row.Issued.Equal(m.GossipDelta.Rows[0].Issued) {
 		t.Fatalf("issue time lost: %v", row.Issued)
 	}
 }
@@ -413,7 +416,7 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"valid gossip", *sampleGossipMessage(), true},
-		{"gossip missing payload", Message{Kind: KindGossip}, false},
+		{"gossip missing payload", Message{Kind: KindGossipDelta, GossipDigest: &GossipDigest{}}, false},
 		{"multicast missing payload", Message{Kind: KindMulticast}, false},
 		{"unknown kind", Message{Kind: Kind(77)}, false},
 		{"zero message", Message{}, false},
@@ -470,12 +473,35 @@ func TestDecodeGarbage(t *testing.T) {
 			t.Fatalf("first byte %#02x: Decode error = %v, want errBadMagic", b, err)
 		}
 	}
-	data, err = Encode(&Message{Kind: KindGossip}) // missing payload
+	data, err = Encode(&Message{Kind: KindGossipDelta}) // missing payload
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Decode(data); err == nil {
 		t.Fatal("invalid message should fail Validate on decode")
+	}
+}
+
+// retiredGossipFrames are a KindGossip and a KindGossipReply frame, each
+// carrying one row, as the full-state exchange encoded them before kinds 1
+// and 2 were retired.
+var retiredGossipFrames = []string{
+	"b701016102022f7a0161000100016e0a00016f000001010202",
+	"b702016202022f7a0161000100016e0a00016f000001010202",
+}
+
+// TestDecodeRejectsRetiredKinds: a frame of the retired full-state
+// exchange, from a peer that still speaks it, is refused as an unknown kind.
+func TestDecodeRejectsRetiredKinds(t *testing.T) {
+	for _, h := range retiredGossipFrames {
+		data, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Decode(data)
+		if err == nil || !strings.Contains(err.Error(), "unknown message kind") {
+			t.Errorf("kind %d frame: Decode = %+v, %v; want an unknown message kind error", data[1], m, err)
+		}
 	}
 }
 
@@ -784,7 +810,7 @@ func TestDeltaEstimateSizes(t *testing.T) {
 		Zone: "/usa/ny", Name: "node-1",
 		Attrs: value.Map{"subs": value.Bytes(make([]byte, 128))},
 	}
-	rows := Message{Kind: KindGossip, Gossip: &Gossip{FromZone: "/usa/ny",
+	rows := Message{Kind: KindGossipDelta, GossipDelta: &GossipDelta{FromZone: "/usa/ny",
 		Rows: []RowUpdate{heavyRow}}}
 	dig := Message{Kind: KindGossipDigest, GossipDigest: &GossipDigest{FromZone: "/usa/ny",
 		Sections: []ZoneSection{{Depth: 2, Lags: []time.Duration{0}}}}}
@@ -810,8 +836,8 @@ func TestEstimateSizeCoversAllKinds(t *testing.T) {
 		sampleDigestMessage(),
 		sampleDeltaMessage(),
 		{
-			Kind: KindGossipReply,
-			GossipReply: &GossipReply{FromZone: "/z", Rows: []RowUpdate{{
+			Kind: KindGossipDelta,
+			GossipDelta: &GossipDelta{FromZone: "/z", Rows: []RowUpdate{{
 				Zone: "/z", Name: "n", Attrs: value.Map{"a": value.Int(1)},
 			}}},
 		},
@@ -887,8 +913,8 @@ func TestRowUpdateSignedPayloadCoversFields(t *testing.T) {
 	}
 }
 
-// benchGossipMessage builds a gossip message at the paper's 64-row table
-// shape, the dominant steady-state message on the TCP transport.
+// benchGossipMessage builds a rows-only gossip delta at the paper's 64-row
+// table shape: a whole table pushed to a peer that holds none of it.
 func benchGossipMessage() *Message {
 	rows := make([]RowUpdate, 64)
 	for i := range rows {
@@ -905,9 +931,9 @@ func benchGossipMessage() *Message {
 		}
 	}
 	return &Message{
-		Kind:   KindGossip,
-		From:   "n0",
-		Gossip: &Gossip{FromZone: "/z00", Rows: rows},
+		Kind:        KindGossipDelta,
+		From:        "n0",
+		GossipDelta: &GossipDelta{FromZone: "/z00", Rows: rows},
 	}
 }
 

@@ -136,9 +136,9 @@ func StartLive(cfg LiveConfig) (*LiveNode, error) {
 		done: make(chan struct{}),
 	}
 
-	// Introduce ourselves to the seed peers: push our chain rows as a
-	// gossip message; their replies bootstrap our replicas. Best effort;
-	// the ticker keeps retrying through normal gossip.
+	// Introduce ourselves to the seed peers: one delta exchange each
+	// bootstraps our replicas and theirs. Best effort; the ticker keeps
+	// retrying through normal gossip.
 	n.IntroduceTo(cfg.Peers...)
 
 	interval := nodeCfg.GossipInterval
