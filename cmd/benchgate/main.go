@@ -1,26 +1,24 @@
 // Command benchgate guards the perf trajectory without external tooling.
 //
 // Gate mode (CI): compare two BENCH_<ID>.json artifacts and fail when
-// any common configuration's bytes_per_round — or the per-node peak
-// heap, when both artifacts measured the same cluster size — regressed
-// beyond the allowed fraction. Baseline-only configurations (rows CI
+// any common configuration's bytes_per_round regressed beyond 10%, or the
+// per-node peak heap — when both artifacts measured the same cluster
+// size — beyond -max-heap-regress. Baseline-only configurations (rows CI
 // does not regenerate, like the nightly million-node point) are skipped:
 //
 //	benchgate -baseline old/BENCH_E1.json -current artifacts/BENCH_E1.json
-//	benchgate -baseline ... -current ... -max-regress 0.10 -max-heap-regress 0.10
+//	benchgate -baseline ... -current ... -max-heap-regress 0.25
 //
 // Chaos artifacts (BENCH_E10.json) are gated on hard bounds instead of
-// deltas: every scenario's final delivery must reach -min-delivery, its
+// deltas: every scenario's final delivery must reach 100%, its
 // during-fault delivery must stay above the scenario's own floor, and it
-// must converge within -max-convergence-rounds (0 = the scenario's own
-// max_rounds bound):
+// must converge within the scenario's own max_rounds bound:
 //
 //	benchgate -baseline old/BENCH_E10.json -current artifacts/BENCH_E10.json
-//	benchgate -baseline ... -current ... -min-delivery 1.0 -max-convergence-rounds 0
 //
 // Observability artifacts (BENCH_E12.json) are gated intra-artifact: the
-// health+trace arm may cost at most -max-obs-overhead (default 5%) more
-// gossip bytes/round and ns/round than the off arm:
+// health+trace arm may cost at most 5% more gossip bytes/round and
+// ns/round than the off arm:
 //
 //	benchgate -baseline old/BENCH_E12.json -current artifacts/BENCH_E12.json
 //
@@ -48,21 +46,24 @@ func main() {
 	}
 }
 
+// Bounds every make target uses at one value; the ones targets vary are flags.
+const (
+	maxRegress    = 0.10  // allowed fractional bytes_per_round regression (wire, E8 per label)
+	minDeliver    = 1.0   // chaos: required final delivery fraction per scenario
+	maxObs        = 0.05  // E12: allowed bytes/round and ns/round overhead of health+trace over off
+	minRecall     = 0.999 // E8: required delivery recall per arm
+	maxFPRatio    = 0.5   // E8: allowed predicate/bloom false-positive-drop ratio per subscription count
+	maxBytesRatio = 1.10  // E8: allowed predicate/bloom bytes/round/node ratio per subscription count
+)
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	var (
 		baseline   = fs.String("baseline", "", "baseline BENCH_<ID>.json")
 		current    = fs.String("current", "", "current BENCH_<ID>.json")
-		maxRegress = fs.Float64("max-regress", 0.10, "allowed fractional bytes_per_round regression")
 		maxHeap    = fs.Float64("max-heap-regress", 0.10, "allowed fractional peak_heap_bytes_per_node regression")
-		maxConv    = fs.Int("max-convergence-rounds", 0, "chaos: max rounds back to 100% delivery (0 = each scenario's own max_rounds)")
-		minDeliver = fs.Float64("min-delivery", 1.0, "chaos: required final delivery fraction per scenario")
 		minMsgsSec = fs.Float64("min-msgs-per-sec", 0, "live transport: sustained msgs/sec floor per arm (0 = off)")
 		maxP99     = fs.Float64("max-p99-ms", 0, "live transport: clean-p99 latency ceiling in ms per arm (0 = off)")
-		maxObs     = fs.Float64("max-obs-overhead", 0.05, "observability: allowed fractional bytes/round and ns/round overhead of the health+trace arm over off (E12)")
-		minRecall  = fs.Float64("min-recall", 0.999, "precision: required delivery recall per arm (E8)")
-		maxFPRatio = fs.Float64("max-fp-ratio", 0.5, "precision: allowed predicate/bloom false-positive-drop ratio per subscription count (E8)")
-		maxBytes   = fs.Float64("max-bytes-ratio", 1.10, "precision: allowed predicate/bloom gossip bytes/round/node ratio per subscription count (E8)")
 		compare    = fs.Bool("compare", false, "diff two `go test -bench` output files (positional args)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -77,8 +78,7 @@ func run(args []string) error {
 	if *baseline == "" || *current == "" {
 		return fmt.Errorf("need -baseline and -current (or -compare old.txt new.txt)")
 	}
-	return gate(*baseline, *current, *maxRegress, *maxHeap, *maxConv, *minDeliver,
-		*minMsgsSec, *maxP99, *maxObs, *minRecall, *maxFPRatio, *maxBytes)
+	return gate(*baseline, *current, *maxHeap, *minMsgsSec, *maxP99)
 }
 
 // benchArtifact is the slice of the BENCH_<ID>.json schema the gate needs.
@@ -159,7 +159,7 @@ type chaosRow struct {
 	MaxRounds           int     `json:"max_rounds"`
 }
 
-func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv int, minDeliver, minMsgsSec, maxP99, maxObs, minRecall, maxFPRatio, maxBytesRatio float64) error {
+func gate(baselinePath, currentPath string, maxHeap, minMsgsSec, maxP99 float64) error {
 	var base, cur benchArtifact
 	if err := readJSON(baselinePath, &base); err != nil {
 		return err
@@ -168,17 +168,24 @@ func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv
 		return err
 	}
 	if len(cur.Chaos) > 0 || len(base.Chaos) > 0 {
-		return gateChaos(baselinePath, base, cur, maxConv, minDeliver)
+		return gateChaos(baselinePath, base, cur)
 	}
 	if len(cur.Arms) > 0 || len(base.Arms) > 0 {
 		return gateE11(baselinePath, base, cur, minMsgsSec, maxP99)
 	}
 	if len(cur.Obs) > 0 || len(base.Obs) > 0 {
-		return gateObs(baselinePath, base, cur, maxObs)
+		return gateObs(baselinePath, base, cur)
 	}
 	if len(cur.Precision) > 0 || len(base.Precision) > 0 {
-		return gateE8(baselinePath, base, cur, minRecall, maxFPRatio, maxBytesRatio, maxRegress)
+		return gateE8(baselinePath, base, cur)
 	}
+	return gateWire(baselinePath, base, cur, maxHeap)
+}
+
+// gateWire bounds each common configuration's bytes_per_round against the
+// baseline by maxRegress, and the per-node peak heap by maxHeap when both
+// artifacts measured it at the same cluster size.
+func gateWire(baselinePath string, base, cur benchArtifact, maxHeap float64) error {
 	if len(base.Wire) == 0 {
 		// A pre-codec artifact has no wire section: nothing to gate
 		// against yet. Report and pass so the first regenerating commit
@@ -190,7 +197,7 @@ func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv
 	for _, w := range cur.Wire {
 		curByLabel[w.Label] = w.BytesPerRound
 	}
-	failed := false
+	var problems []string
 	compared := 0
 	for _, b := range base.Wire {
 		got, ok := curByLabel[b.Label]
@@ -207,13 +214,13 @@ func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv
 		status := "ok"
 		if delta > maxRegress {
 			status = fmt.Sprintf("REGRESSED beyond %.0f%%", maxRegress*100)
-			failed = true
+			problems = append(problems, fmt.Sprintf("%s bytes/round %+.1f%% > %.0f%%", b.Label, delta*100, maxRegress*100))
 		}
 		fmt.Printf("benchgate: %-22s %.0f -> %.0f B/round (%+.1f%%) %s\n",
 			b.Label, b.BytesPerRound, got, delta*100, status)
 	}
 	if compared == 0 {
-		return fmt.Errorf("no common bytes_on_wire labels between %s and %s", baselinePath, currentPath)
+		return fmt.Errorf("no common bytes_on_wire labels between baseline %s and the current artifact", baselinePath)
 	}
 	if base.PeakHeapBytesPerNode > 0 && cur.PeakHeapBytesPerNode > 0 {
 		if base.HeapNodes != cur.HeapNodes {
@@ -224,14 +231,14 @@ func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv
 			status := "ok"
 			if delta > maxHeap {
 				status = fmt.Sprintf("REGRESSED beyond %.0f%%", maxHeap*100)
-				failed = true
+				problems = append(problems, fmt.Sprintf("heap/node %+.1f%% > %.0f%%", delta*100, maxHeap*100))
 			}
 			fmt.Printf("benchgate: heap/node @%-9d %.0f -> %.0f B (%+.1f%%) %s\n",
 				base.HeapNodes, base.PeakHeapBytesPerNode, cur.PeakHeapBytesPerNode, delta*100, status)
 		}
 	}
-	if failed {
-		return fmt.Errorf("regression gate failed (baseline %s)", baselinePath)
+	if len(problems) > 0 {
+		return fmt.Errorf("regression gate failed: %s (baseline %s)", strings.Join(problems, "; "), baselinePath)
 	}
 	return nil
 }
@@ -241,17 +248,13 @@ func gate(baselinePath, currentPath string, maxRegress, maxHeap float64, maxConv
 // budget, and the self-healing oracle. The baseline supplies the expected
 // scenario set (a scenario that vanishes from the current artifact fails
 // the gate) and convergence deltas for the report.
-func gateChaos(baselinePath string, base, cur benchArtifact, maxConv int, minDeliver float64) error {
+func gateChaos(baselinePath string, base, cur benchArtifact) error {
 	baseBy := map[string]chaosRow{}
 	for _, b := range base.Chaos {
 		baseBy[b.Scenario] = b
 	}
 	var failures []string
 	for _, c := range cur.Chaos {
-		bound := maxConv
-		if bound <= 0 {
-			bound = c.MaxRounds
-		}
 		var problems []string
 		if c.FinalDelivery < minDeliver {
 			problems = append(problems, fmt.Sprintf("final delivery %.4f < %.4f", c.FinalDelivery, minDeliver))
@@ -259,15 +262,15 @@ func gateChaos(baselinePath string, base, cur benchArtifact, maxConv int, minDel
 		if c.DeliveryDuringFault < c.DeliveryFloor {
 			problems = append(problems, fmt.Sprintf("during-fault delivery %.4f < floor %.4f", c.DeliveryDuringFault, c.DeliveryFloor))
 		}
-		if c.ConvergenceRounds > bound {
-			problems = append(problems, fmt.Sprintf("convergence %d rounds > bound %d", c.ConvergenceRounds, bound))
+		if c.ConvergenceRounds > c.MaxRounds {
+			problems = append(problems, fmt.Sprintf("convergence %d rounds > bound %d", c.ConvergenceRounds, c.MaxRounds))
 		}
 		if c.SelfHealed != nil && !*c.SelfHealed {
 			problems = append(problems, "did not self-heal (table fingerprint differs from clean twin)")
 		}
-		convNote := fmt.Sprintf("conv %d/%d", c.ConvergenceRounds, bound)
+		convNote := fmt.Sprintf("conv %d/%d", c.ConvergenceRounds, c.MaxRounds)
 		if b, ok := baseBy[c.Scenario]; ok {
-			convNote = fmt.Sprintf("conv %d -> %d (bound %d)", b.ConvergenceRounds, c.ConvergenceRounds, bound)
+			convNote = fmt.Sprintf("conv %d -> %d (bound %d)", b.ConvergenceRounds, c.ConvergenceRounds, c.MaxRounds)
 		}
 		status := "ok"
 		if len(problems) > 0 {
@@ -307,7 +310,7 @@ func gateChaos(baselinePath string, base, cur benchArtifact, maxConv int, minDel
 // intra-artifact — both arms ran on the same machine in the same process,
 // so the ratio is stable even though the absolute ns figures are not.
 // The baseline supplies context for the report only.
-func gateObs(baselinePath string, base, cur benchArtifact, maxObs float64) error {
+func gateObs(baselinePath string, base, cur benchArtifact) error {
 	if len(cur.Obs) == 0 {
 		return fmt.Errorf("current artifact has no observability arms")
 	}
@@ -372,7 +375,7 @@ func gateObs(baselinePath string, base, cur benchArtifact, maxObs float64) error
 // the wire gate uses. The FP comparison is only meaningful when the bloom
 // arm actually suffered false positives; a zero-FP bloom row passes the
 // ratio vacuously.
-func gateE8(baselinePath string, base, cur benchArtifact, minRecall, maxFPRatio, maxBytesRatio, maxRegress float64) error {
+func gateE8(baselinePath string, base, cur benchArtifact) error {
 	if len(cur.Precision) == 0 {
 		return fmt.Errorf("current artifact has no precision rows")
 	}

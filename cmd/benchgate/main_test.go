@@ -88,7 +88,7 @@ func TestGateChaos(t *testing.T) {
 			final, during, rounds, healed)
 	}
 	runGateCases(t, baseline, func(base, cur benchArtifact) error {
-		return gateChaos("baseline.json", base, cur, 0, 1.0)
+		return gateChaos("baseline.json", base, cur)
 	}, []gateCase{
 		{"pass", row(1, 0.75, 1, `,"self_healed":true`), ""},
 		{"pass without a self-healing verdict", row(1, 0.5, 8, ""), ""},
@@ -118,7 +118,7 @@ func TestGateE8(t *testing.T) {
 			bloomBytes, predRecall, predFP, predBytes)
 	}
 	runGateCases(t, baseline, func(base, cur benchArtifact) error {
-		return gateE8("baseline.json", base, cur, 0.999, 0.5, 1.10, 0.10)
+		return gateE8("baseline.json", base, cur)
 	}, []gateCase{
 		{"pass", arms(300, 1, 40, 320), ""},
 		{"recall below the floor", arms(300, 0.998, 40, 320), "16 subs / predicate recall 0.9980 < floor 0.9990"},
@@ -126,5 +126,68 @@ func TestGateE8(t *testing.T) {
 		{"bytes past the ratio", arms(300, 1, 40, 331), "16 subs: predicate bytes 1.10x bloom > 1.10x"},
 		{"bytes drifted from the baseline", arms(331, 1, 40, 320), "16 subs / bloom bytes/round/node +10.3% vs baseline > 10%"},
 		{"no rows", `{"id":"E8"}`, "no precision rows"},
+	})
+}
+
+// TestGateObs holds the observability gate (make e12) to its 5% budget:
+// the health+trace arm's bytes/round and ns/round overheads over the off
+// arm and a converged health rollup each fail on their own, and an
+// artifact missing either arm is an error, not a pass.
+func TestGateObs(t *testing.T) {
+	const baseline = `{"id":"E12","obs":[
+		{"label":"off","bytes_per_round":1000,"ns_per_round":5000},
+		{"label":"health+trace","health":true,"traced":true,"bytes_per_round":1030,"ns_per_round":5100,"health_nodes":64,"ns_overhead_vs_off":0.02}]}`
+	// Field names as newswire-bench writes them.
+	arms := func(fullBytes, nsOver float64, healthNodes int) string {
+		return fmt.Sprintf(`{"id":"E12","obs":[`+
+			`{"label":"off","health":false,"traced":false,"bytes_per_round":1000,"ns_per_round":5000,"allocs_per_round":40},`+
+			`{"label":"health+trace","health":true,"traced":true,"bytes_per_round":%g,"ns_per_round":5100,"allocs_per_round":45,`+
+			`"health_nodes":%d,"ns_overhead_vs_off":%g}]}`,
+			fullBytes, healthNodes, nsOver)
+	}
+	runGateCases(t, baseline, func(base, cur benchArtifact) error {
+		return gateObs("baseline.json", base, cur)
+	}, []gateCase{
+		{"pass", arms(1049, 0.05, 64), ""},
+		{"bytes overhead over budget", arms(1051, 0.02, 64), "bytes/round overhead +5.1% > 5%"},
+		{"ns overhead over budget", arms(1030, 0.051, 64), "ns/round overhead +5.1% > 5%"},
+		{"no health rollup", arms(1030, 0.02, 0), "health_nodes == 0"},
+		{"off arm missing", `{"id":"E12","obs":[{"label":"health+trace","bytes_per_round":1030,"health_nodes":64}]}`,
+			"missing the off and/or health+trace arm"},
+		{"health+trace arm missing", `{"id":"E12","obs":[{"label":"off","bytes_per_round":1000}]}`,
+			"missing the off and/or health+trace arm"},
+		{"no arms", `{"id":"E12"}`, "no observability arms"},
+	})
+}
+
+// TestGateWire holds the bytes gate (make bench-smoke, make bench-mem) to
+// its bounds: a label's bytes/round past 10% and the per-node peak heap
+// past -max-heap-regress each fail on their own; heap figures taken at
+// different cluster sizes are not compared; an artifact sharing no label
+// with the baseline is an error, and a baseline without a wire section
+// passes.
+func TestGateWire(t *testing.T) {
+	const baseline = `{"id":"E1","bytes_on_wire":[
+		{"label":"n=256","bytes_per_round":1000},
+		{"label":"n=1M nightly","bytes_per_round":9000}],
+		"peak_heap_bytes_per_node":2000,"heap_nodes":256}`
+	// Field names as newswire-bench writes them.
+	wire := func(bytes, heap float64, heapNodes int) string {
+		return fmt.Sprintf(`{"id":"E1","bytes_on_wire":[{"label":"n=256","bytes_per_round":%g}],`+
+			`"peak_heap_bytes_per_node":%g,"heap_nodes":%d}`, bytes, heap, heapNodes)
+	}
+	gate := func(base, cur benchArtifact) error {
+		return gateWire("baseline.json", base, cur, 0.25)
+	}
+	runGateCases(t, baseline, gate, []gateCase{
+		{"pass", wire(1100, 2500, 256), ""},
+		{"bytes regression", wire(1101, 2000, 256), "n=256 bytes/round +10.1% > 10%"},
+		{"heap regression", wire(1000, 2501, 256), "heap/node +25.1% > 25%"},
+		{"heap at a different node count is skipped", wire(1000, 8000, 65536), ""},
+		{"no common labels", `{"id":"E1","bytes_on_wire":[{"label":"n=512","bytes_per_round":1000}]}`,
+			"no common bytes_on_wire labels"},
+	})
+	runGateCases(t, `{"id":"E1"}`, gate, []gateCase{
+		{"baseline without a wire section", wire(5000, 9000, 256), ""},
 	})
 }

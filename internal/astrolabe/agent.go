@@ -140,6 +140,24 @@ type PrefixRule struct {
 	Op     PrefixOp
 }
 
+// DefaultGossipInterval is the Tick cadence assumed when a configuration
+// leaves GossipInterval zero.
+const DefaultGossipInterval = 2 * time.Second
+
+// Failure-detection timeouts, in gossip intervals.
+const (
+	// failRounds is how stale a leaf row may get before it is evicted
+	// (failure detection, §3).
+	failRounds = 10
+	// aggFailRounds is the eviction timeout for aggregated zone rows.
+	// It must exceed failRounds: when a zone's only elected
+	// representative dies, sibling zones stop receiving refreshes until
+	// re-election completes (one leaf timeout later), and evicting the
+	// sibling row in that window would partition the hierarchy
+	// permanently.
+	aggFailRounds = 4 * failRounds
+)
+
 // Config configures an Agent.
 type Config struct {
 	// Name is the agent's row name, unique within its leaf zone.
@@ -156,18 +174,8 @@ type Config struct {
 	// simulations deterministic.
 	Rand *rand.Rand
 	// GossipInterval is the expected time between Tick calls; it scales
-	// the failure timeout. Default 2s.
+	// the failure timeouts. Default 2s.
 	GossipInterval time.Duration
-	// FailTimeout is how stale a leaf row may get before it is evicted
-	// (failure detection, §3). Default 10×GossipInterval.
-	FailTimeout time.Duration
-	// AggFailTimeout is the eviction timeout for aggregated zone rows.
-	// It must exceed FailTimeout: when a zone's only elected
-	// representative dies, sibling zones stop receiving refreshes until
-	// re-election completes (one FailTimeout later), and evicting the
-	// sibling row in that window would partition the hierarchy
-	// permanently. Default 4×FailTimeout.
-	AggFailTimeout time.Duration
 	// Fanout is how many partners to gossip with per level per Tick.
 	// Default 1.
 	Fanout int
@@ -393,7 +401,7 @@ type Agent struct {
 	// stampLag is how stale a hash-equal replica must be before a
 	// heartbeat stamp (or local re-stamp) refreshes it. Propagating
 	// freshness in stampLag jumps rather than every round keeps
-	// steady-state anti-entropy traffic near zero; FailTimeout is 5×
+	// steady-state anti-entropy traffic near zero; the leaf timeout is 5×
 	// this, so the margin before spurious expiry stays wide.
 	stampLag time.Duration
 
@@ -425,13 +433,7 @@ func NewAgent(cfg Config) (*Agent, error) {
 		return nil, fmt.Errorf("astrolabe: rand required")
 	}
 	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 2 * time.Second
-	}
-	if cfg.FailTimeout <= 0 {
-		cfg.FailTimeout = 10 * cfg.GossipInterval
-	}
-	if cfg.AggFailTimeout <= 0 {
-		cfg.AggFailTimeout = 4 * cfg.FailTimeout
+		cfg.GossipInterval = DefaultGossipInterval
 	}
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = 1
@@ -447,7 +449,7 @@ func NewAgent(cfg Config) (*Agent, error) {
 		leaf:     cfg.ZonePath,
 		chain:    AncestorChain(cfg.ZonePath),
 		tables:   make(map[string]*table),
-		stampLag: cfg.FailTimeout / 5,
+		stampLag: failRounds * cfg.GossipInterval / 5,
 	}
 	for _, z := range a.chain {
 		a.tables[z] = &table{rows: make(map[string]entry), dirty: true}
@@ -1194,8 +1196,8 @@ func (a *Agent) mergeRowsLocked(rows []wire.RowUpdate) {
 }
 
 func (a *Agent) expireLocked(now time.Time) {
-	leafCutoff := now.Add(-a.cfg.FailTimeout)
-	aggCutoff := now.Add(-a.cfg.AggFailTimeout)
+	leafCutoff := now.Add(-failRounds * a.cfg.GossipInterval)
+	aggCutoff := now.Add(-aggFailRounds * a.cfg.GossipInterval)
 	for zone, t := range a.tables {
 		cutoff := aggCutoff
 		if zone == a.leaf {

@@ -313,7 +313,7 @@ func TestFailureDetectionEvictsDeadAgent(t *testing.T) {
 	c.agents = c.agents[:2]
 	_ = dead
 
-	// Default FailTimeout is 10×interval; run past it.
+	// The leaf timeout is failRounds intervals; run past it.
 	c.runRounds(13)
 
 	for i, a := range c.agents {
@@ -529,14 +529,12 @@ func TestChainAndAccessors(t *testing.T) {
 
 func TestPartitionHeal(t *testing.T) {
 	// Two zones partitioned from each other evict each other's aggregate
-	// rows after AggFailTimeout, then rediscover and reconverge when the
-	// partition heals (the seed rows are re-exchanged through gossip
-	// replies because each side still replicates the root table).
+	// rows after the aggregate timeout (aggFailRounds gossip intervals),
+	// then rediscover and reconverge when the partition heals (the seed
+	// rows are re-exchanged through gossip replies because each side still
+	// replicates the root table).
 	zones := []string{"/a/x", "/a/x", "/b/y", "/b/y"}
-	c := newTestCluster(t, zones, func(i int, cfg *Config) {
-		cfg.FailTimeout = 6 * time.Second
-		cfg.AggFailTimeout = 12 * time.Second
-	})
+	c := newTestCluster(t, zones, nil)
 	c.runRounds(5)
 
 	// Both sides see both zones.
@@ -547,13 +545,13 @@ func TestPartitionHeal(t *testing.T) {
 	sideA := []string{"n0", "n1"}
 	sideB := []string{"n2", "n3"}
 	c.net.Partition(sideA, sideB)
-	c.runRounds(16) // beyond AggFailTimeout
+	c.runRounds(aggFailRounds + 2) // beyond the aggregate timeout
 
 	if _, ok := c.agents[0].Row("/", "b"); ok {
-		t.Fatal("partitioned zone b not evicted after AggFailTimeout")
+		t.Fatal("partitioned zone b not evicted after the aggregate timeout")
 	}
 	if _, ok := c.agents[2].Row("/", "a"); ok {
-		t.Fatal("partitioned zone a not evicted after AggFailTimeout")
+		t.Fatal("partitioned zone a not evicted after the aggregate timeout")
 	}
 
 	// Heal and re-introduce (a fresh introduction is required once the

@@ -94,7 +94,7 @@ func TestZoneHash(t *testing.T) {
 	if got := zoneHash(a, "/z"); got != base {
 		t.Fatalf("removing the added row did not restore the hash: %x vs %x", got, base)
 	}
-	// Expiry: a row older than FailTimeout goes at the next Tick.
+	// Expiry: a row older than the leaf timeout goes at the next Tick.
 	stale := rows[3]
 	stale.Name, stale.Issued = "peer-stale", a.cfg.Clock.Now().Add(-time.Hour)
 	a.MergeRows([]wire.RowUpdate{stale})

@@ -45,7 +45,7 @@ type ClusterConfig struct {
 	Trace bool
 	// VirtualLeaves packs quiescent leaf members into per-zone template
 	// rows and delivery bitsets instead of full Node instances (see
-	// virtual.go). Only the first MaterializedPerZone members of each
+	// virtual.go). Only the first materializedPerZone members of each
 	// leaf zone get real agents; Nodes holds nil for the rest until
 	// MaterializeNode is called. Requires VirtualSubjects and ModeBloom
 	// (a Customize that sets another Mode is rejected), and assumes the
@@ -55,13 +55,13 @@ type ClusterConfig struct {
 	// members are subscribed during construction, virtual members
 	// advertise the matching Bloom filter in their template rows.
 	VirtualSubjects []string
-	// MaterializedPerZone is how many leading members of each leaf zone
-	// are real agents under VirtualLeaves. Default 4: the default
-	// aggregation elects 3 representatives, which must be able to act,
-	// plus one plain member so delivery latency is sampled at a
-	// non-representative too.
-	MaterializedPerZone int
 }
+
+// materializedPerZone is how many leading members of each leaf zone are
+// real agents under VirtualLeaves: the default aggregation elects 3
+// representatives, which must be able to act, plus one plain member so
+// delivery latency is sampled at a non-representative too.
+const materializedPerZone = 4
 
 // Cluster is a set of simulated nodes arranged in a balanced zone tree.
 type Cluster struct {
@@ -153,14 +153,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.VirtualLeaves && len(cfg.VirtualSubjects) == 0 {
 		return nil, fmt.Errorf("core: VirtualLeaves requires VirtualSubjects")
 	}
-	if cfg.MaterializedPerZone <= 0 {
-		cfg.MaterializedPerZone = 4
-	}
 	if cfg.Link == (sim.LinkModel{}) {
 		cfg.Link = sim.DefaultWAN
 	}
 	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 2 * time.Second
+		cfg.GossipInterval = astrolabe.DefaultGossipInterval
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	net := sim.NewNetwork(eng, cfg.Link)
@@ -181,9 +178,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	issued := eng.Now()
 	for i := 0; i < cfg.N; i++ {
-		if cfg.VirtualLeaves && i%cfg.Branching >= cfg.MaterializedPerZone {
+		if cfg.VirtualLeaves && i%cfg.Branching >= materializedPerZone {
 			// Quiescent member: a template row and a sink endpoint, no
-			// agent (virtual.go). The zone's first MaterializedPerZone
+			// agent (virtual.go). The zone's first materializedPerZone
 			// members took the real-node path below, so the first
 			// virtual member creates the zone's packed state.
 			zone := ZonePathFor(i, cfg.N, cfg.Branching)

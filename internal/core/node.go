@@ -51,9 +51,6 @@ type Config struct {
 
 	// GossipInterval is the expected Tick cadence. Default 2s.
 	GossipInterval time.Duration
-	// FailTimeout is the leaf-row failure-detection timeout. Default
-	// 10×GossipInterval.
-	FailTimeout time.Duration
 	// Fanout is gossip partners per level per Tick. Default 1.
 	Fanout int
 
@@ -61,9 +58,6 @@ type Config struct {
 	Mode pubsub.Mode
 	// Geometry is the Bloom geometry. Default pubsub.DefaultGeometry.
 	Geometry pubsub.Geometry
-	// SubgroupK bounds subgroup filters per zone row (ModePredicate).
-	// Default pubsub.DefaultSubgroupK.
-	SubgroupK int
 
 	// RepCount is the forwarding redundancy k. Default 1.
 	RepCount int
@@ -84,8 +78,6 @@ type Config struct {
 	// time; live nodes may leave it nil to get time.AfterFunc.
 	After func(d time.Duration, fn func())
 
-	// CacheItems bounds the message cache. Default 1024.
-	CacheItems int
 	// CacheTTL ages cache entries out (0 = never).
 	CacheTTL time.Duration
 	// FuseRevisions keeps only the newest revision per item series.
@@ -114,11 +106,6 @@ type Config struct {
 	// router, cache and state-transfer paths. Nil disables tracing; the
 	// disabled path costs one pointer comparison per would-be span.
 	Tracer trace.Recorder
-	// LatencyReservoir caps the delivery-latency histogram's retained
-	// sample buffer (metrics.Histogram.SetReservoir). <= 0 keeps every
-	// sample — exact quantiles, right for bounded experiment runs; live
-	// nodes should set a cap so the histogram cannot grow without bound.
-	LatencyReservoir int
 
 	// ReshareRecovered makes the node re-offer every item it recovers via
 	// state transfer to its own leaf zone (Router.Reinject). A rejoining
@@ -162,6 +149,11 @@ type Config struct {
 	// ID straight from the failure log into /trace.json. Optional.
 	OnDeliveryFailure func(key string, traceID uint64, zone, to string, attempts int)
 }
+
+// latencySamples caps the delivery-latency histogram's retained sample
+// buffer (metrics.Histogram.SetReservoir), so a node that runs for months
+// holds constant memory however many items it delivers.
+const latencySamples = 8192
 
 // Node is one NewsWire participant. It is safe for concurrent use: the
 // live runtime calls HandleMessage from transport goroutines while a
@@ -216,11 +208,15 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Geometry.Bits == 0 {
 		cfg.Geometry = pubsub.DefaultGeometry
 	}
+	if cfg.GossipInterval <= 0 {
+		cfg.GossipInterval = astrolabe.DefaultGossipInterval
+	}
+	if cfg.AntiEntropyWindow <= 0 {
+		cfg.AntiEntropyWindow = 10 * cfg.GossipInterval
+	}
 
 	n := &Node{cfg: cfg, publishers: make(map[string]bool), latency: &metrics.Histogram{}}
-	if cfg.LatencyReservoir > 0 {
-		n.latency.SetReservoir(cfg.LatencyReservoir)
-	}
+	n.latency.SetReservoir(latencySamples)
 
 	// ModeBloom's summary aggregates in the SQL program; ModePredicate's
 	// signature set needs the subgroup-merge prefix rule.
@@ -240,7 +236,6 @@ func NewNode(cfg Config) (*Node, error) {
 		Clock:          cfg.Clock,
 		Rand:           cfg.Rand,
 		GossipInterval: cfg.GossipInterval,
-		FailTimeout:    cfg.FailTimeout,
 		Fanout:         cfg.Fanout,
 		Aggregation:    cfg.Aggregation,
 		PrefixRules:    prefixRules,
@@ -256,11 +251,10 @@ func NewNode(cfg Config) (*Node, error) {
 	n.agent = agent
 
 	sub, err := pubsub.NewSubscriber(pubsub.Config{
-		Agent:     agent,
-		Mode:      cfg.Mode,
-		Geometry:  cfg.Geometry,
-		SubgroupK: cfg.SubgroupK,
-		Counters:  &n.routing,
+		Agent:    agent,
+		Mode:     cfg.Mode,
+		Geometry: cfg.Geometry,
+		Counters: &n.routing,
 	})
 	if err != nil {
 		return nil, err
@@ -269,7 +263,6 @@ func NewNode(cfg Config) (*Node, error) {
 
 	store, err := cache.New(cache.Config{
 		Clock:         cfg.Clock,
-		MaxItems:      cfg.CacheItems,
 		TTL:           cfg.CacheTTL,
 		FuseRevisions: cfg.FuseRevisions,
 		Tracer:        cfg.Tracer,
@@ -285,7 +278,7 @@ func NewNode(cfg Config) (*Node, error) {
 		Transport:   cfg.Transport,
 		RepCount:    cfg.RepCount,
 		Rand:        cfg.Rand,
-		Filter:      n.forwardFilter(),
+		Filter:      pubsub.ForwardFilter(cfg.Mode, cfg.Geometry, &n.routing),
 		Deliver:     n.deliver,
 		AckTimeout:  cfg.AckTimeout,
 		After:       cfg.After,
@@ -316,16 +309,6 @@ func NewNode(cfg Config) (*Node, error) {
 		n.limit = limiter
 	}
 	return n, nil
-}
-
-// forwardFilter combines the mode's subscription-summary test with
-// per-publisher admission control at this forwarding component (§8:
-// forwarders "protect the system from flooding by publishers").
-func (n *Node) forwardFilter() multicast.Filter {
-	base := pubsub.ForwardFilter(n.cfg.Mode, n.cfg.Geometry, &n.routing)
-	return func(zone string, row astrolabe.Row, env *wire.ItemEnvelope) bool {
-		return base(zone, row, env)
-	}
 }
 
 // Agent exposes the Astrolabe agent (experiments read its tables).
@@ -386,8 +369,11 @@ func (n *Node) TransportStats() (transport.Stats, bool) {
 }
 
 // DeliveryLatency exposes the node's publish-to-ingest latency histogram
-// (seconds). Bounded by Config.LatencyReservoir on live nodes.
+// (seconds), its retained samples capped at latencySamples.
 func (n *Node) DeliveryLatency() *metrics.Histogram { return n.latency }
+
+// GossipInterval returns the node's Tick cadence, its default applied.
+func (n *Node) GossipInterval() time.Duration { return n.cfg.GossipInterval }
 
 // Router exposes the multicast router (experiments read its stats).
 func (n *Node) Router() *multicast.Router { return n.router }
@@ -575,15 +561,7 @@ func (n *Node) antiEntropyStep() {
 		return
 	}
 	peer := peers[n.cfg.Rand.Intn(len(peers))]
-	window := n.cfg.AntiEntropyWindow
-	if window <= 0 {
-		interval := n.cfg.GossipInterval
-		if interval <= 0 {
-			interval = 2 * time.Second
-		}
-		window = 10 * interval
-	}
-	since := n.cfg.Clock.Now().Add(-window)
+	since := n.cfg.Clock.Now().Add(-n.cfg.AntiEntropyWindow)
 	_ = n.RequestStateTransfer(peer, since, 256)
 }
 
@@ -605,7 +583,9 @@ func (n *Node) HandleMessage(msg *wire.Message) {
 	}
 }
 
-// admit applies per-publisher flow control to forwarded publications.
+// admit applies per-publisher flow control to forwarded publications,
+// before the router's subscription-summary filter sees them (§8:
+// forwarders "protect the system from flooding by publishers").
 func (n *Node) admit(msg *wire.Message) bool {
 	if n.limit == nil || msg.Multicast == nil {
 		return true

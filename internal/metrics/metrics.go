@@ -129,7 +129,7 @@ func (h *Histogram) Observe(v float64) {
 		// Reservoir replacement keeps each of the count samples retained
 		// with equal probability cap/count. The RNG seed is fixed: the
 		// histogram's statistical behaviour must not depend on ambient
-		// state, and capped histograms are a live-mode feature anyway.
+		// state, so a seeded simulation's histograms repeat exactly.
 		if h.rng == nil {
 			h.rng = rand.New(rand.NewSource(1))
 		}

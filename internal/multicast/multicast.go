@@ -72,16 +72,6 @@ type Config struct {
 	Filter Filter
 	// Deliver receives items for the local application. Required.
 	Deliver Deliver
-	// MaxHops bounds forwarding depth. Default 64.
-	MaxHops int
-	// LogSize bounds the in-memory forwarding log (§9). Default 1024.
-	LogSize int
-	// DedupWindow bounds the duplicate-suppression state: the router
-	// remembers this many recent item keys for forwarding and delivery
-	// dedup, evicting oldest-first. Older items falling out of the
-	// window are instead deduplicated by the end-system cache. Default
-	// 8192.
-	DedupWindow int
 	// VerifyEnvelope, when set, authenticates items before forwarding or
 	// delivery; failing envelopes are dropped.
 	VerifyEnvelope func(env *wire.ItemEnvelope) error
@@ -89,7 +79,7 @@ type Config struct {
 	// AckTimeout, when positive, makes forwarding reliable: every forward
 	// carries an AckSeq, and a forward not acknowledged within the
 	// deadline is retransmitted with exponential backoff (doubling per
-	// attempt, ±RetryJitter), failing over to the next-best
+	// attempt, ±retryJitter), failing over to the next-best
 	// representative from a fresh read of the zone table. 0 keeps the
 	// paper's fire-and-forget forwarding.
 	AckTimeout time.Duration
@@ -101,13 +91,6 @@ type Config struct {
 	// MaxAttempts caps transmissions per reliable forward, the initial
 	// send included. Default 4.
 	MaxAttempts int
-	// RetryJitter is the ± fraction of random spread applied to each
-	// backoff delay. Default 0.2.
-	RetryJitter float64
-	// MaxPendingAcks bounds the retransmit table; forwards beyond it
-	// degrade to fire-and-forget rather than queueing unboundedly.
-	// Default 8192.
-	MaxPendingAcks int
 
 	// OnDeliveryFailure, when set, is called after a reliable forward is
 	// abandoned at MaxAttempts, with the item's key and trace ID, the
@@ -125,6 +108,25 @@ type Config struct {
 	// set.
 	Clock vtime.Clock
 }
+
+// Router limits.
+const (
+	// maxHops bounds forwarding depth.
+	maxHops = 64
+	// logSize bounds the in-memory forwarding log (§9).
+	logSize = 1024
+	// dedupWindow bounds the duplicate-suppression state: the router
+	// remembers this many recent item keys for forwarding and delivery
+	// dedup, evicting oldest-first. Older items falling out of the
+	// window are instead deduplicated by the end-system cache.
+	dedupWindow = 8192
+	// retryJitter is the ± fraction of random spread applied to each
+	// backoff delay.
+	retryJitter = 0.2
+	// maxPendingAcks bounds the retransmit table; forwards beyond it
+	// degrade to fire-and-forget rather than queueing unboundedly.
+	maxPendingAcks = 8192
+)
 
 // Stats counts router activity.
 type Stats struct {
@@ -169,7 +171,8 @@ type Router struct {
 	// one wire.Frame shared by reference across every recipient of a
 	// fan-out. Set only when forwarding is fire-and-forget: acked forwards
 	// carry per-destination AckSeqs, so they cannot share an encoding.
-	frames transport.FrameSender
+	frames      transport.FrameSender
+	dedupWindow int // the dedupWindow constant; a field so a test can shrink it
 
 	mu        sync.Mutex
 	seen      map[string]map[string]bool // item key -> zones handled
@@ -199,23 +202,8 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.RepCount <= 0 {
 		cfg.RepCount = 1
 	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 64
-	}
-	if cfg.LogSize <= 0 {
-		cfg.LogSize = 1024
-	}
-	if cfg.DedupWindow <= 0 {
-		cfg.DedupWindow = 8192
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
-	}
-	if cfg.RetryJitter <= 0 {
-		cfg.RetryJitter = 0.2
-	}
-	if cfg.MaxPendingAcks <= 0 {
-		cfg.MaxPendingAcks = 8192
 	}
 	if cfg.AckTimeout > 0 && cfg.After == nil {
 		cfg.After = func(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
@@ -224,14 +212,15 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg.Clock = vtime.Real{}
 	}
 	r := &Router{
-		cfg:       cfg,
-		view:      cfg.View,
-		seen:      make(map[string]map[string]bool),
-		delivered: make(map[string]bool),
-		preds:     make(map[string]*sqlagg.Predicate),
+		cfg:         cfg,
+		view:        cfg.View,
+		dedupWindow: dedupWindow,
+		seen:        make(map[string]map[string]bool),
+		delivered:   make(map[string]bool),
+		preds:       make(map[string]*sqlagg.Predicate),
 	}
 	if cfg.AckTimeout > 0 {
-		r.rq = newRetransmitQueue(cfg.MaxPendingAcks)
+		r.rq = newRetransmitQueue(maxPendingAcks)
 	} else if fs, ok := cfg.Transport.(transport.FrameSender); ok {
 		// The simulated transport passes messages by reference and does
 		// not implement FrameSender, so this stays nil there and the
@@ -262,7 +251,7 @@ func (r *Router) Log() []LogEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]LogEntry, 0, len(r.log))
-	if len(r.log) == r.cfg.LogSize {
+	if len(r.log) == logSize {
 		out = append(out, r.log[r.logNext:]...)
 	}
 	out = append(out, r.log[:r.logNext]...)
@@ -306,7 +295,7 @@ func (r *Router) HandleMessage(msg *wire.Message) {
 		return
 	}
 	m := msg.Multicast
-	if m.Hops > r.cfg.MaxHops {
+	if m.Hops > maxHops {
 		return
 	}
 	if r.cfg.VerifyEnvelope != nil {
@@ -380,7 +369,7 @@ func (r *Router) route(m *wire.Multicast) {
 		zones = make(map[string]bool)
 		r.seen[key] = zones
 		r.seenOrder = append(r.seenOrder, key)
-		for len(r.seenOrder) > r.cfg.DedupWindow {
+		for len(r.seenOrder) > r.dedupWindow {
 			delete(r.seen, r.seenOrder[0])
 			r.seenOrder = r.seenOrder[1:]
 		}
@@ -620,11 +609,11 @@ func (r *Router) sendTracked(zone, rowName, addr string, m *wire.Multicast) {
 }
 
 // scheduleDeadline arms the ack deadline for attempt n of pending forward
-// seq: AckTimeout doubled per attempt, spread by ±RetryJitter.
+// seq: AckTimeout doubled per attempt, spread by ±retryJitter.
 func (r *Router) scheduleDeadline(seq uint64, attempt int) {
 	d := r.cfg.AckTimeout << (attempt - 1)
 	r.mu.Lock()
-	jitter := 1 + r.cfg.RetryJitter*(2*r.cfg.Rand.Float64()-1)
+	jitter := 1 + retryJitter*(2*r.cfg.Rand.Float64()-1)
 	r.mu.Unlock()
 	d = time.Duration(float64(d) * jitter)
 	r.cfg.After(d, func() { r.onAckDeadline(seq) })
@@ -847,7 +836,7 @@ func (r *Router) deliverLocal(tid uint64, env *wire.ItemEnvelope) {
 	}
 	r.delivered[key] = true
 	r.dlvOrder = append(r.dlvOrder, key)
-	for len(r.dlvOrder) > r.cfg.DedupWindow {
+	for len(r.dlvOrder) > r.dedupWindow {
 		delete(r.delivered, r.dlvOrder[0])
 		r.dlvOrder = r.dlvOrder[1:]
 	}
@@ -918,11 +907,11 @@ func (r *Router) logForward(key, zone string, dests []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	entry := LogEntry{Key: key, Zone: zone, Dests: dests}
-	if len(r.log) < r.cfg.LogSize {
+	if len(r.log) < logSize {
 		r.log = append(r.log, entry)
-		r.logNext = len(r.log) % r.cfg.LogSize
+		r.logNext = len(r.log) % logSize
 		return
 	}
 	r.log[r.logNext] = entry
-	r.logNext = (r.logNext + 1) % r.cfg.LogSize
+	r.logNext = (r.logNext + 1) % logSize
 }

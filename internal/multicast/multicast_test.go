@@ -513,7 +513,6 @@ func TestDedupWindowBoundsMemory(t *testing.T) {
 	}
 	router, err := NewRouter(Config{
 		View: agent, Transport: ep, Rand: rand.New(rand.NewSource(2)),
-		DedupWindow: 4,
 		Deliver: func(env *wire.ItemEnvelope) {
 			node.mu.Lock()
 			node.delivered = append(node.delivered, env.Key())
@@ -523,6 +522,7 @@ func TestDedupWindowBoundsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	router.dedupWindow = 4
 	node.agent, node.router = agent, router
 
 	// Deliver 10 distinct items; the window holds only 4 keys, but every
@@ -534,6 +534,12 @@ func TestDedupWindowBoundsMemory(t *testing.T) {
 	eng.RunUntilIdle(0)
 	if got := len(node.deliveredKeys()); got != 10 {
 		t.Fatalf("delivered %d distinct items, want 10", got)
+	}
+	router.mu.Lock()
+	seen, dlv := len(router.seenOrder), len(router.dlvOrder)
+	router.mu.Unlock()
+	if seen > 4 || dlv > 4 {
+		t.Fatalf("dedup state holds %d forwarded and %d delivered keys, window is 4", seen, dlv)
 	}
 	// A recent duplicate is suppressed.
 	before := len(node.deliveredKeys())

@@ -78,7 +78,7 @@ func ParseMode(name string) (Mode, error) {
 func ModeNames() string { return strings.Join(modeNames[ModeBloom:], ", ") }
 
 // AttrSubGroups is the attribute carrying a zone's subgroup signature set
-// (ModePredicate): an encoded bloom.SignatureSet of up to SubgroupK
+// (ModePredicate): an encoded bloom.SignatureSet of up to DefaultSubgroupK
 // per-cluster filters, merged up the hierarchy by astrolabe's
 // PrefixSubgroup rule.
 const AttrSubGroups = "subg"
@@ -94,12 +94,10 @@ type Geometry struct {
 // hashing of the early prototype.
 var DefaultGeometry = Geometry{Bits: bloom.DefaultBits, Hashes: bloom.DefaultHashes}
 
-// Subgroup-count bounds (ModePredicate). K filters per zone row is a
-// bandwidth/precision dial: each subgroup filter gossips with the row.
-const (
-	DefaultSubgroupK = 4
-	MaxSubgroupK     = 64
-)
+// DefaultSubgroupK bounds the subgroup filters per zone row
+// (ModePredicate). K is a bandwidth/precision dial: each subgroup filter
+// gossips with the row.
+const DefaultSubgroupK = 4
 
 // Geometry bounds enforced at Subscriber construction. Filters gossip in
 // every row, so runaway sizes are configuration errors, not tuning.
@@ -113,7 +111,7 @@ const (
 // typed error so callers can distinguish misconfiguration from runtime
 // failures (errors.As).
 type ConfigError struct {
-	Field string // "Mode", "Geometry", or "SubgroupK"
+	Field string // "Mode" or "Geometry"
 	Msg   string
 }
 
@@ -166,9 +164,6 @@ type Config struct {
 	// Geometry is the Bloom geometry (ModeBloom/ModePredicate). Default
 	// DefaultGeometry.
 	Geometry Geometry
-	// SubgroupK bounds the subgroup filters per zone row (ModePredicate).
-	// Default DefaultSubgroupK.
-	SubgroupK int
 	// Counters, when non-nil, receives leaf delivery telemetry
 	// (exact matches vs false-positive drops).
 	Counters *Counters
@@ -211,15 +206,6 @@ func NewSubscriber(cfg Config) (*Subscriber, error) {
 		return nil, &ConfigError{
 			Field: "Geometry",
 			Msg:   fmt.Sprintf("hashes %d outside [1, %d]", cfg.Geometry.Hashes, MaxGeometryHash),
-		}
-	}
-	if cfg.SubgroupK == 0 {
-		cfg.SubgroupK = DefaultSubgroupK
-	}
-	if cfg.SubgroupK < 1 || cfg.SubgroupK > MaxSubgroupK {
-		return nil, &ConfigError{
-			Field: "SubgroupK",
-			Msg:   fmt.Sprintf("subgroup count %d outside [1, %d]", cfg.SubgroupK, MaxSubgroupK),
 		}
 	}
 	return &Subscriber{
@@ -369,7 +355,7 @@ func (s *Subscriber) advertiseLocked() {
 		}
 		s.cfg.Agent.SetAttrs(value.Map{
 			astrolabe.AttrSubs: value.Invalid(),
-			AttrSubGroups:      value.Bytes(bloom.EncodeSignatureSet(s.cfg.SubgroupK, [][]byte{f.Bytes()})),
+			AttrSubGroups:      value.Bytes(bloom.EncodeSignatureSet(DefaultSubgroupK, [][]byte{f.Bytes()})),
 		})
 	}
 }

@@ -359,8 +359,6 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"huge bits", Config{Agent: a, Geometry: Geometry{Bits: MaxGeometryBits + 1, Hashes: 1}}, "Geometry"},
 		{"zero hashes", Config{Agent: a, Geometry: Geometry{Bits: 1024, Hashes: 0}}, "Geometry"},
 		{"many hashes", Config{Agent: a, Geometry: Geometry{Bits: 1024, Hashes: MaxGeometryHash + 1}}, "Geometry"},
-		{"negative K", Config{Agent: a, Mode: ModePredicate, SubgroupK: -1}, "SubgroupK"},
-		{"huge K", Config{Agent: a, Mode: ModePredicate, SubgroupK: MaxSubgroupK + 1}, "SubgroupK"},
 	}
 	for _, tc := range cases {
 		_, err := NewSubscriber(tc.cfg)

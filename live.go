@@ -15,12 +15,11 @@ import (
 	"newswire/internal/wire"
 )
 
-// Live-node observability defaults: a bounded span ring and a capped
-// delivery-latency reservoir, so a node that runs for months holds
-// constant memory no matter how many items flow through it.
+// Live-node observability defaults: a bounded span ring, so a node that
+// runs for months holds constant memory no matter how many items flow
+// through it, and a health-digest cadence.
 const (
-	defaultLiveTraceCap       = 4096
-	defaultLiveLatencySamples = 8192
+	defaultLiveTraceCap = 4096
 	// defaultLiveHealthEvery publishes the node's health digest every
 	// this-many gossip ticks (10s at the default 2s interval).
 	defaultLiveHealthEvery = 5
@@ -39,11 +38,6 @@ type LiveConfig struct {
 	// membership from: the node requests their gossip by sending its own
 	// chain rows, and normal anti-entropy does the rest.
 	Peers []string
-	// DisableTrace skips the default bounded span ring. By default a live
-	// node records its last few thousand delivery spans (served by the
-	// web interface's /trace.json); set Node.Tracer to override the
-	// recorder instead.
-	DisableTrace bool
 	// DisableHealth turns off the self-monitoring plane. By default a
 	// live node publishes its health digest into the gossip layer every
 	// few ticks (Node.HealthEvery overrides the cadence) and samples its
@@ -60,7 +54,7 @@ type LiveConfig struct {
 type LiveNode struct {
 	node *core.Node
 	tr   *transport.TCP
-	ring *trace.Ring // nil when tracing is disabled or overridden
+	ring *trace.Ring // nil when Node.Tracer overrides it
 
 	stop chan struct{}
 	done chan struct{}
@@ -97,13 +91,12 @@ func StartLive(cfg LiveConfig) (*LiveNode, error) {
 	// and whoever calls PublishItem. The draws of a seeded source are
 	// unchanged.
 	nodeCfg.Rand = rand.New(&lockedSource{src: nodeCfg.Rand})
+	// The default ring keeps the last spans for /trace.json; a Node.Tracer
+	// replaces it.
 	var ring *trace.Ring
-	if nodeCfg.Tracer == nil && !cfg.DisableTrace {
+	if nodeCfg.Tracer == nil {
 		ring = trace.NewRing(defaultLiveTraceCap)
 		nodeCfg.Tracer = ring
-	}
-	if nodeCfg.LatencyReservoir == 0 {
-		nodeCfg.LatencyReservoir = defaultLiveLatencySamples
 	}
 	if cfg.DisableHealth {
 		nodeCfg.HealthEvery = 0
@@ -141,11 +134,7 @@ func StartLive(cfg LiveConfig) (*LiveNode, error) {
 	// retrying through normal gossip.
 	n.IntroduceTo(cfg.Peers...)
 
-	interval := nodeCfg.GossipInterval
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	go ln.run(interval)
+	go ln.run(n.GossipInterval())
 	return ln, nil
 }
 
@@ -202,8 +191,8 @@ func (ln *LiveNode) Node() *Node { return ln.node }
 // stats).
 func (ln *LiveNode) Transport() *transport.TCP { return ln.tr }
 
-// TraceRing returns the node's span ring, or nil when tracing was
-// disabled or replaced through Node.Tracer.
+// TraceRing returns the node's span ring, or nil when Node.Tracer
+// replaced it.
 func (ln *LiveNode) TraceRing() *trace.Ring { return ln.ring }
 
 // WebUI returns the node's web interface with the trace ring attached,

@@ -344,6 +344,52 @@ func TestStartLiveErrors(t *testing.T) {
 	}
 }
 
+// TestStartLiveTracerDefault covers the live node's two recorder
+// choices: with no Node.Tracer a bounded ring records the node's spans
+// and TraceRing serves it; a Node.Tracer replaces that ring, receives
+// the spans itself, and TraceRing is nil.
+func TestStartLiveTracerDefault(t *testing.T) {
+	publish := func(t *testing.T, ln *newswire.LiveNode) {
+		t.Helper()
+		if err := ln.Node().PublishItem(&newswire.Item{
+			Publisher: "reuters", ID: "traced", Headline: "h", Body: "b",
+			Subjects: []string{"tech/linux"}, Published: time.Now(),
+		}, "", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("default ring", func(t *testing.T) {
+		ln, err := newswire.StartLive(newswire.LiveConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		ring := ln.TraceRing()
+		if ring == nil {
+			t.Fatal("no default trace ring")
+		}
+		publish(t, ln)
+		if ring.Recorded() == 0 {
+			t.Fatal("the default ring recorded no spans")
+		}
+	})
+	t.Run("custom recorder", func(t *testing.T) {
+		custom := newswire.NewTraceRing(64)
+		ln, err := newswire.StartLive(newswire.LiveConfig{Node: newswire.Config{Tracer: custom}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		if ln.TraceRing() != nil {
+			t.Fatal("TraceRing is set although Node.Tracer replaced it")
+		}
+		publish(t, ln)
+		if custom.Recorded() == 0 {
+			t.Fatal("the custom recorder received no spans")
+		}
+	})
+}
+
 func TestStartLiveDefaults(t *testing.T) {
 	ln, err := newswire.StartLive(newswire.LiveConfig{})
 	if err != nil {
