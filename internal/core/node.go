@@ -65,10 +65,12 @@ type Config struct {
 	Aggregation *sqlagg.Program
 
 	// AckTimeout, when positive, makes multicast forwarding reliable:
-	// every forward requests an ack and unacknowledged forwards are
-	// retransmitted with exponential backoff, failing over to the
-	// next-best representative from the aggregated zone table. 0 (the
-	// default) keeps fire-and-forget forwarding.
+	// every forward requests an ack — one sequence number per forward,
+	// shared by all of its destinations, so the forward is still encoded
+	// once — and unacknowledged destinations are sent it again with
+	// exponential backoff, failing over to the next-best representative
+	// from the aggregated zone table. 0 (the default) keeps
+	// fire-and-forget forwarding.
 	AckTimeout time.Duration
 	// MaxForwardAttempts caps transmissions per reliable forward
 	// (initial send included). Default 4.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"newswire/internal/astrolabe"
 	"newswire/internal/transport"
@@ -155,44 +154,49 @@ func TestLeafFanOutEncodesOnce(t *testing.T) {
 	}
 }
 
-// TestFramePathDisabledForOverridesAndAcks: reliable (acked) forwarding
-// must bypass the shared-frame path even on a FrameSender transport —
-// acked forwards differ per destination (AckSeq), so they cannot share
-// bytes. Every member gets its own Send with its own sequence number.
+// TestFramePathDisabledForOverridesAndAcks checks that acked forwards
+// share the encode-once frame: an acked leaf fan-out to N members builds
+// one frame carrying one non-zero AckSeq and sends it N times, registers
+// N pending destinations, and each member's ack resolves only its own.
+// (The name predates the shared path and is kept so the test keeps its
+// identity in the suite.)
 func TestFramePathDisabledForOverridesAndAcks(t *testing.T) {
 	v := &frameView{zone: "/z", name: "self", addr: "self:0",
 		members: map[string]string{"m1": "m1:0", "m2": "m2:0", "m3": "m3:0"}}
-
-	tr := &frameTransport{addr: "self:0"}
-	acked := frameRouterConfig(v, tr)
-	acked.AckTimeout = time.Second
-	acked.After = func(time.Duration, func()) {}
-	ar, err := NewRouter(acked)
-	if err != nil {
+	var deadlines []func()
+	ar, tr := ackedRouter(t, v, 4, &deadlines)
+	env := envelope("it-2")
+	if err := ar.Publish(env, "/z"); err != nil {
 		t.Fatal(err)
 	}
-	if ar.frames != nil {
-		t.Error("router with reliable forwarding must not take the frame path")
+	n := len(v.members)
+	if tr.newFrames != 1 || len(tr.sent) != n || len(tr.msgSends) != 0 {
+		t.Fatalf("acked fan-out built %d frames, made %d SendFrame and %d Send calls; want 1, %d, 0",
+			tr.newFrames, len(tr.sent), len(tr.msgSends), n)
 	}
-	if err := ar.Publish(envelope("it-2"), "/z"); err != nil {
-		t.Fatal(err)
-	}
-	if tr.newFrames != 0 || len(tr.sent) != 0 {
-		t.Errorf("acked fan-out built %d frames and sent %d; want none", tr.newFrames, len(tr.sent))
-	}
-	if len(tr.msgSends) != len(v.members) {
-		t.Fatalf("acked fan-out sent to %v, want one Send per member (%d)", tr.msgSends, len(v.members))
-	}
-	seqs := map[uint64]bool{}
-	for _, seq := range tr.ackSeqs {
-		if seq == 0 || seqs[seq] {
-			t.Errorf("AckSeqs %v: want one distinct non-zero sequence per destination", tr.ackSeqs)
-			break
+	var seq uint64
+	for _, s := range tr.sent {
+		msg, err := wire.Decode(s.frame.Payload())
+		if err != nil {
+			t.Fatal(err)
 		}
-		seqs[seq] = true
+		if got := msg.Multicast.AckSeq; got == 0 || seq != 0 && got != seq {
+			t.Fatalf("frame to %s carries AckSeq %d; want one non-zero AckSeq for all (%d)", s.addr, got, seq)
+		}
+		seq = msg.Multicast.AckSeq
 	}
-	if ar.PendingAcks() != len(v.members) {
-		t.Errorf("PendingAcks = %d, want %d", ar.PendingAcks(), len(v.members))
+	if ar.PendingAcks() != n {
+		t.Fatalf("PendingAcks = %d, want %d", ar.PendingAcks(), n)
+	}
+	for i, s := range tr.sent {
+		ar.HandleMessage(ackFrom(s.addr, seq, env))
+		ar.HandleMessage(ackFrom(s.addr, seq, env)) // a duplicate ack resolves nothing more
+		if want := n - i - 1; ar.PendingAcks() != want {
+			t.Fatalf("after %s's ack PendingAcks = %d, want %d", s.addr, ar.PendingAcks(), want)
+		}
+	}
+	if st := ar.Stats(); st.AcksReceived != int64(n) {
+		t.Errorf("AcksReceived = %d, want %d", st.AcksReceived, n)
 	}
 }
 

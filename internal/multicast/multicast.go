@@ -10,18 +10,24 @@
 // suppressed via the items' unique publisher/ID/revision keys (§9).
 // The selective pub/sub forwarding of §6 plugs in through the Filter hook.
 //
-// With Config.AckTimeout set, forwarding is reliable rather than
-// fire-and-forget: every forward requests a MulticastAck, unacknowledged
-// forwards are retransmitted with exponential jittered backoff, and on
-// each retry the sender re-consults the aggregated zone table and fails
-// over to the next-best representative of the child zone (excluding those
-// already tried). Retransmits are idempotent — the duplicate-suppression
-// log absorbs re-sent copies, so reliability never causes duplicate
-// deliveries.
+// Every forward — a leaf fan-out's deliver-copy, or a child row's routed
+// copy — is built once and sent to all of its destinations as the same
+// message; on a transport.FrameSender it is encoded once, at the first
+// destination. With Config.AckTimeout set, forwarding is reliable rather
+// than fire-and-forget: the forward carries one AckSeq for all of its
+// destinations, each destination's MulticastAck is matched by that seq
+// and its sender, unacknowledged destinations are retransmitted the same
+// bytes with exponential jittered backoff, and on each retry the sender
+// re-consults the aggregated zone table and fails over to the next-best
+// representative of the child zone (excluding those already tried).
+// Retransmits are idempotent — the duplicate-suppression log absorbs
+// re-sent copies, so reliability never causes duplicate deliveries.
 package multicast
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -77,11 +83,12 @@ type Config struct {
 	VerifyEnvelope func(env *wire.ItemEnvelope) error
 
 	// AckTimeout, when positive, makes forwarding reliable: every forward
-	// carries an AckSeq, and a forward not acknowledged within the
-	// deadline is retransmitted with exponential backoff (doubling per
-	// attempt, ±retryJitter), failing over to the next-best
-	// representative from a fresh read of the zone table. 0 keeps the
-	// paper's fire-and-forget forwarding.
+	// carries one AckSeq, shared by all of its destinations, and a
+	// destination that does not acknowledge within the deadline is sent
+	// the forward again with exponential backoff (doubling per attempt,
+	// ±retryJitter, saturating rather than overflowing), failing over to
+	// the next-best representative from a fresh read of the zone table.
+	// 0 keeps the paper's fire-and-forget forwarding.
 	AckTimeout time.Duration
 	// After schedules a callback after a delay, driving retransmit
 	// deadlines. Simulated deployments wire the event engine (so retries
@@ -123,7 +130,7 @@ const (
 	// retryJitter is the ± fraction of random spread applied to each
 	// backoff delay.
 	retryJitter = 0.2
-	// maxPendingAcks bounds the retransmit table; forwards beyond it
+	// maxPendingAcks bounds the retransmit table; destinations beyond it
 	// degrade to fire-and-forget rather than queueing unboundedly.
 	maxPendingAcks = 8192
 )
@@ -166,11 +173,9 @@ type LogEntry struct {
 type Router struct {
 	cfg  Config
 	view View
-	rq   *retransmitQueue // nil when AckTimeout is off
-	// frames, when non-nil, is the transport's encode-once fan-out path:
-	// one wire.Frame shared by reference across every recipient of a
-	// fan-out. Set only when forwarding is fire-and-forget: acked forwards
-	// carry per-destination AckSeqs, so they cannot share an encoding.
+	// frames, when non-nil, is the transport's encode-once path: one
+	// wire.Frame per forward, shared by reference across its recipients
+	// and its retries.
 	frames      transport.FrameSender
 	dedupWindow int // the dedupWindow constant; a field so a test can shrink it
 
@@ -183,6 +188,51 @@ type Router struct {
 	logNext   int
 	stats     Stats
 	preds     map[string]*sqlagg.Predicate
+
+	// The retransmit table (reliable forwarding). pending indexes each
+	// unacknowledged destination under every address it has been sent
+	// to. An ack answers the latest copy sent to its sender, so when two
+	// entries of one forward were sent to the same address the latest
+	// sender holds the key, and waiting stacks the earlier holders: the
+	// latest one still pending takes the key back when its holder
+	// resolves.
+	pending    map[ackKey]*pendingForward
+	waiting    map[ackKey][]*pendingForward
+	numPending int    // entries not yet done, bounded by maxPendingAcks
+	lastSeq    uint64 // the last AckSeq given to a forward
+	lastReg    uint64 // the last pendingForward.reg
+}
+
+// ackKey is what an ack is matched by: the forward's AckSeq and the
+// address of the destination that sends it.
+type ackKey struct {
+	seq  uint64
+	addr string
+}
+
+// forward is one forwarding decision's message, built once and sent to
+// every destination as the same bytes. Its pending entries keep it until
+// they resolve, so a retry resends what the first transmission sent.
+type forward struct {
+	msg   wire.Message
+	mc    wire.Multicast
+	frame wire.Frame // the encoding, when the transport is a FrameSender
+}
+
+// pendingForward is one destination of a reliable forward awaiting its
+// ack: the routing context (the parent table zone and child row name)
+// needed to fail over to an alternate representative when the current
+// destination stays silent, and the addresses tried so far.
+type pendingForward struct {
+	fwd     *forward
+	reg     uint64 // registration order, for ScrambleState
+	addr    string // current destination
+	zone    string // table consulted for the forward (failover re-reads it)
+	rowName string // row within zone the destination came from
+	attempt int    // transmissions so far (1 = the initial send)
+	done    bool   // acked, abandoned or scrambled
+	tried   []string
+	tryBuf  [4]string // tried's first array: MaxAttempts defaults to 4
 }
 
 // NewRouter validates cfg and returns a router.
@@ -218,15 +268,13 @@ func NewRouter(cfg Config) (*Router, error) {
 		seen:        make(map[string]map[string]bool),
 		delivered:   make(map[string]bool),
 		preds:       make(map[string]*sqlagg.Predicate),
+		pending:     make(map[ackKey]*pendingForward),
+		waiting:     make(map[ackKey][]*pendingForward),
 	}
-	if cfg.AckTimeout > 0 {
-		r.rq = newRetransmitQueue(maxPendingAcks)
-	} else if fs, ok := cfg.Transport.(transport.FrameSender); ok {
-		// The simulated transport passes messages by reference and does
-		// not implement FrameSender, so this stays nil there and the
-		// deterministic scheduler sees the exact same Send sequence.
-		r.frames = fs
-	}
+	// The simulated transport passes messages by reference and does not
+	// implement FrameSender, so this stays nil there and the deterministic
+	// scheduler sees one Send per destination.
+	r.frames, _ = cfg.Transport.(transport.FrameSender)
 	return r, nil
 }
 
@@ -288,7 +336,7 @@ func (r *Router) Publish(env wire.ItemEnvelope, scope string) error {
 // message kinds are ignored.
 func (r *Router) HandleMessage(msg *wire.Message) {
 	if msg.Kind == wire.KindMulticastAck && msg.MulticastAck != nil {
-		r.handleAck(msg.MulticastAck)
+		r.handleAck(msg.From, msg.MulticastAck)
 		return
 	}
 	if msg.Kind != wire.KindMulticast || msg.Multicast == nil {
@@ -337,22 +385,24 @@ type ackMessage struct {
 	ack wire.MulticastAck
 }
 
-// handleAck resolves the pending forward the ack confirms; late, stale or
-// mismatched acks are ignored.
-func (r *Router) handleAck(a *wire.MulticastAck) {
-	if r.rq == nil {
+// handleAck resolves the pending destination the ack confirms, matched by
+// the ack's seq and its sender; late, stale or mismatched acks are ignored.
+func (r *Router) handleAck(from string, a *wire.MulticastAck) {
+	r.mu.Lock()
+	p := r.pending[ackKey{a.Seq, from}]
+	if p == nil || p.fwd.mc.Envelope.Key() != a.Key {
+		r.mu.Unlock()
 		return
 	}
-	if p := r.rq.ack(a.Seq, a.Key); p != nil {
-		r.mu.Lock()
-		r.stats.AcksReceived++
-		r.mu.Unlock()
-		if r.cfg.Tracer != nil {
-			r.traceSpan(trace.Span{
-				Kind: trace.KindAck, Key: a.Key, TraceID: p.msg.TraceID,
-				Zone: a.TargetZone, To: p.addr, Attempt: p.attempt,
-			})
-		}
+	r.dropLocked(p)
+	r.stats.AcksReceived++
+	to, attempt := p.addr, p.attempt
+	r.mu.Unlock()
+	if r.cfg.Tracer != nil {
+		r.traceSpan(trace.Span{
+			Kind: trace.KindAck, Key: a.Key, TraceID: p.fwd.mc.TraceID,
+			Zone: a.TargetZone, To: to, Attempt: attempt,
+		})
 	}
 }
 
@@ -477,9 +527,7 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 	if !ok {
 		return
 	}
-	// With a frame-capable transport the deliver-copies are identical for
-	// every member, so collect the recipients and encode once.
-	var fanAddrs []string
+	var f *forward // the deliver-copy, built at the first member
 	for _, row := range rows {
 		if !r.passesFilter(m.TargetZone, row, &m.Envelope) {
 			r.mu.Lock()
@@ -500,10 +548,8 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 		// outlive the row, and must not keep a gossiped row's buffer
 		// (DESIGN.md §8, "Row ownership").
 		addr = value.Intern(addr)
-		if r.frames != nil {
-			fanAddrs = append(fanAddrs, addr)
-		} else {
-			r.sendTracked(m.TargetZone, row.Name, addr, &wire.Multicast{
+		if f == nil {
+			f = r.newForward(wire.Multicast{
 				TargetZone: m.TargetZone,
 				Hops:       m.Hops + 1,
 				Deliver:    true,
@@ -511,16 +557,8 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 				Envelope:   m.Envelope,
 			})
 		}
+		r.forwardTo(f, m.TargetZone, row.Name, addr)
 		r.logForward(m.Envelope.Key(), m.TargetZone, []string{addr})
-	}
-	if len(fanAddrs) > 0 {
-		r.sendShared(fanAddrs, &wire.Multicast{
-			TargetZone: m.TargetZone,
-			Hops:       m.Hops + 1,
-			Deliver:    true,
-			TraceID:    m.TraceID,
-			Envelope:   m.Envelope,
-		})
 	}
 }
 
@@ -548,7 +586,7 @@ func (r *Router) forwardToRow(zone string, row astrolabe.Row, m *wire.Multicast,
 	for i, addr := range chosen {
 		chosen[i] = value.Intern(addr) // kept, as in fanOutLeafZone
 	}
-	var fanAddrs []string
+	var f *forward // built at the first remote representative
 	for _, addr := range chosen {
 		if addr == r.view.Addr() {
 			// We happen to be a representative of the child: recurse
@@ -556,125 +594,191 @@ func (r *Router) forwardToRow(zone string, row astrolabe.Row, m *wire.Multicast,
 			r.route(&wire.Multicast{TargetZone: nextTarget, Hops: m.Hops, TraceID: m.TraceID, Envelope: m.Envelope})
 			continue
 		}
-		if r.frames != nil {
-			fanAddrs = append(fanAddrs, addr)
-		} else {
-			r.sendTracked(zone, row.Name, addr, &wire.Multicast{
+		if f == nil {
+			f = r.newForward(wire.Multicast{
 				TargetZone: nextTarget,
 				Hops:       m.Hops + 1,
 				TraceID:    m.TraceID,
 				Envelope:   m.Envelope,
 			})
 		}
-	}
-	if len(fanAddrs) > 0 {
-		r.sendShared(fanAddrs, &wire.Multicast{
-			TargetZone: nextTarget,
-			Hops:       m.Hops + 1,
-			TraceID:    m.TraceID,
-			Envelope:   m.Envelope,
-		})
+		r.forwardTo(f, zone, row.Name, addr)
 	}
 	r.logForward(m.Envelope.Key(), nextTarget, chosen)
 }
 
-// sendTracked transmits m to addr, registering it for ack tracking and
-// retransmission when reliable forwarding is on. zone and rowName record
-// where the destination came from, so a retry can re-consult the (possibly
-// fresher) table and fail over to an alternate representative.
-func (r *Router) sendTracked(zone, rowName, addr string, m *wire.Multicast) {
-	if r.rq == nil {
-		r.send(addr, m)
-		return
+// newForward builds the forward every destination of one fan-out
+// receives: with reliable forwarding on it takes the forward's AckSeq,
+// and on a FrameSender it encodes the message, once.
+func (r *Router) newForward(mc wire.Multicast) *forward {
+	f := &forward{mc: mc}
+	f.msg = wire.Message{Kind: wire.KindMulticast, Multicast: &f.mc}
+	if r.cfg.AckTimeout > 0 {
+		r.mu.Lock()
+		r.lastSeq++
+		f.mc.AckSeq = r.lastSeq
+		r.mu.Unlock()
 	}
-	p := &pendingForward{
-		addr:    addr,
-		zone:    zone,
-		rowName: rowName,
-		msg:     *m,
-		attempt: 1,
+	if r.frames != nil {
+		f.frame, _ = r.frames.NewFrame(&f.msg)
 	}
-	p.tried = append(p.tryBuf[:0], addr)
-	seq, ok := r.rq.register(p)
-	if !ok {
-		// Retransmit table full: degrade to fire-and-forget rather than
-		// queueing unboundedly (the end-to-end cache recovery still backs
-		// this forward up).
-		r.send(addr, m)
-		return
-	}
-	m.AckSeq = seq
-	r.send(addr, m)
-	r.scheduleDeadline(seq, 1)
+	return f
 }
 
-// scheduleDeadline arms the ack deadline for attempt n of pending forward
-// seq: AckTimeout doubled per attempt, spread by ±retryJitter.
-func (r *Router) scheduleDeadline(seq uint64, attempt int) {
-	d := r.cfg.AckTimeout << (attempt - 1)
+// forwardTo sends f to addr, registering the destination for ack tracking
+// and retransmission when reliable forwarding is on. zone and rowName
+// record where the destination came from, so a retry can re-consult the
+// (possibly fresher) table and fail over to an alternate representative.
+// Past maxPendingAcks a destination degrades to fire-and-forget (its ack
+// is ignored, and the end-to-end cache recovery still backs it up).
+func (r *Router) forwardTo(f *forward, zone, rowName, addr string) {
+	var p *pendingForward
+	r.mu.Lock()
+	r.stats.Forwarded++
+	if f.mc.AckSeq != 0 && r.numPending < maxPendingAcks {
+		r.lastReg++
+		p = &pendingForward{fwd: f, reg: r.lastReg, addr: addr, zone: zone, rowName: rowName, attempt: 1}
+		p.tried = append(p.tryBuf[:0], addr)
+		r.claimLocked(p, addr)
+		r.numPending++
+	}
+	r.mu.Unlock()
+	r.transmit(f, addr)
+	if p != nil {
+		r.scheduleDeadline(p)
+	}
+}
+
+// claimLocked makes p, which is about to transmit to addr, the holder of
+// its forward's key for addr.
+func (r *Router) claimLocked(p *pendingForward, addr string) {
+	k := ackKey{p.fwd.mc.AckSeq, addr}
+	if q := r.pending[k]; q != nil && q != p {
+		r.waiting[k] = append(r.waiting[k], q)
+	}
+	r.pending[k] = p
+}
+
+// dropLocked removes p from the table, handing each key it holds back to
+// the latest earlier holder still pending.
+func (r *Router) dropLocked(p *pendingForward) {
+	p.done = true
+	r.numPending--
+	for _, addr := range p.tried {
+		k := ackKey{p.fwd.mc.AckSeq, addr}
+		if r.pending[k] != p {
+			continue
+		}
+		q := r.waiting[k]
+		for len(q) > 0 && q[len(q)-1].done {
+			q = q[:len(q)-1]
+		}
+		if len(q) == 0 {
+			delete(r.pending, k)
+			delete(r.waiting, k)
+			continue
+		}
+		r.pending[k], r.waiting[k] = q[len(q)-1], q[:len(q)-1]
+	}
+}
+
+// transmit sends f to addr: every forward's first transmission to each
+// destination, and every retry. Callers count it in stats.Forwarded.
+func (r *Router) transmit(f *forward, addr string) {
+	if r.cfg.Tracer != nil {
+		span := trace.Span{
+			Kind: trace.KindForward, Key: f.mc.Envelope.Key(), TraceID: f.mc.TraceID,
+			Zone: f.mc.TargetZone, Hop: f.mc.Hops, To: addr,
+		}
+		if f.mc.Deliver {
+			span.Note = "deliver-copy"
+		}
+		r.traceSpan(span)
+	}
+	if r.frames == nil {
+		_ = r.cfg.Transport.Send(addr, &f.msg)
+	} else if !f.frame.IsZero() {
+		_ = r.frames.SendFrame(addr, f.frame)
+	}
+}
+
+// scheduleDeadline arms the ack deadline for p's current attempt:
+// AckTimeout doubled per attempt after the first, spread by ±retryJitter,
+// and saturating at the largest Duration rather than wrapping, as nothing
+// bounds MaxAttempts.
+func (r *Router) scheduleDeadline(p *pendingForward) {
 	r.mu.Lock()
 	jitter := 1 + retryJitter*(2*r.cfg.Rand.Float64()-1)
 	r.mu.Unlock()
-	d = time.Duration(float64(d) * jitter)
-	r.cfg.After(d, func() { r.onAckDeadline(seq) })
+	// Scaling by 2^(attempt-1) is exact in float64, so below the cap this
+	// is time.Duration(float64(AckTimeout<<(attempt-1)) * jitter).
+	d := time.Duration(math.MaxInt64)
+	if f := math.Ldexp(float64(r.cfg.AckTimeout)*jitter, p.attempt-1); f < math.MaxInt64 {
+		d = time.Duration(f)
+	}
+	r.cfg.After(d, func() { r.onAckDeadline(p) })
 }
 
-// onAckDeadline fires when a reliable forward's ack deadline passes: if
-// the forward is still pending it is retransmitted — to the next-best
-// representative the zone table lists when one remains untried, otherwise
-// to the same address — until MaxAttempts is exhausted.
-func (r *Router) onAckDeadline(seq uint64) {
-	p := r.rq.take(seq)
-	if p == nil {
+// onAckDeadline fires when p's ack deadline passes: if p is still pending
+// the forward is retransmitted — to the next-best representative the zone
+// table lists when one remains untried, otherwise to the same address —
+// until MaxAttempts is exhausted.
+func (r *Router) onAckDeadline(p *pendingForward) {
+	r.mu.Lock()
+	if p.done {
+		r.mu.Unlock()
 		return // acked in time
 	}
 	if p.attempt >= r.cfg.MaxAttempts {
-		r.mu.Lock()
+		r.dropLocked(p)
 		r.stats.DeliveryFailures++
 		r.mu.Unlock()
+		m := &p.fwd.mc
 		if r.cfg.Tracer != nil {
 			r.traceSpan(trace.Span{
-				Kind: trace.KindDeliveryFail, Key: p.msg.Envelope.Key(),
-				TraceID: p.msg.TraceID,
-				Zone:    p.msg.TargetZone, To: p.addr, Attempt: p.attempt,
+				Kind: trace.KindDeliveryFail, Key: m.Envelope.Key(), TraceID: m.TraceID,
+				Zone: m.TargetZone, To: p.addr, Attempt: p.attempt,
 			})
 		}
 		if r.cfg.OnDeliveryFailure != nil {
-			r.cfg.OnDeliveryFailure(p.msg.Envelope.Key(), p.msg.TraceID,
-				p.msg.TargetZone, p.addr, p.attempt)
+			r.cfg.OnDeliveryFailure(m.Envelope.Key(), m.TraceID, m.TargetZone, p.addr, p.attempt)
 		}
 		return
 	}
+	r.mu.Unlock()
 	addr := r.failoverAddr(p)
-	p.attempt++
 	r.mu.Lock()
+	if p.done {
+		r.mu.Unlock()
+		return // acked while the table was re-read
+	}
+	prev := p.addr
+	p.attempt++
+	p.addr = addr
+	p.tried = append(p.tried, addr)
+	r.claimLocked(p, addr)
+	r.stats.Forwarded++
 	r.stats.RetriesSent++
-	if addr != p.addr {
+	if addr != prev {
 		r.stats.FailoversTotal++
 	}
 	r.mu.Unlock()
+	m := &p.fwd.mc
 	if r.cfg.Tracer != nil {
 		r.traceSpan(trace.Span{
-			Kind: trace.KindRetry, Key: p.msg.Envelope.Key(),
-			TraceID: p.msg.TraceID,
-			Zone:    p.msg.TargetZone, To: addr, Attempt: p.attempt,
+			Kind: trace.KindRetry, Key: m.Envelope.Key(), TraceID: m.TraceID,
+			Zone: m.TargetZone, To: addr, Attempt: p.attempt,
 		})
-		if addr != p.addr {
+		if addr != prev {
 			r.traceSpan(trace.Span{
-				Kind: trace.KindFailover, Key: p.msg.Envelope.Key(),
-				TraceID: p.msg.TraceID,
-				Zone:    p.msg.TargetZone, To: addr, Attempt: p.attempt,
-				Note: "from " + p.addr,
+				Kind: trace.KindFailover, Key: m.Envelope.Key(), TraceID: m.TraceID,
+				Zone: m.TargetZone, To: addr, Attempt: p.attempt, Note: "from " + prev,
 			})
 		}
 	}
-	p.addr = addr
-	p.tried = append(p.tried, addr)
-	r.rq.reinsert(p)
-	m := p.msg // fresh copy per transmission; AckSeq is already seq
-	r.send(addr, &m)
-	r.logForward(p.msg.Envelope.Key(), p.msg.TargetZone, []string{addr})
-	r.scheduleDeadline(seq, p.attempt)
+	r.transmit(p.fwd, addr)
+	r.logForward(m.Envelope.Key(), m.TargetZone, []string{addr})
+	r.scheduleDeadline(p)
 }
 
 // failoverAddr re-consults the zone table the original forward was routed
@@ -711,7 +815,7 @@ func (r *Router) failoverAddr(p *pendingForward) string {
 // whose in-memory bookkeeping was damaged or lost. Dropping dedup entries
 // is safe-but-wasteful (the end-system cache still dedups deliveries;
 // re-forwards burn bytes). Dropping a pending forward silently abandons
-// its retransmits — its deadline callback finds nothing to take — which is
+// its retransmits — its deadline callback finds it done — which is
 // exactly the hole §9 cache recovery exists to fill.
 //
 // rng must be owned by the caller; entries are visited in their canonical
@@ -720,36 +824,43 @@ func (r *Router) failoverAddr(p *pendingForward) string {
 // dropped.
 func (r *Router) ScrambleState(rng *rand.Rand, frac float64) (dedupDropped, pendingDropped int) {
 	r.mu.Lock()
-	keepSeen := r.seenOrder[:0]
-	for _, key := range r.seenOrder {
-		if rng.Float64() < frac {
-			delete(r.seen, key)
-			dedupDropped++
-			continue
-		}
-		keepSeen = append(keepSeen, key)
-	}
-	r.seenOrder = keepSeen
-	keepDlv := r.dlvOrder[:0]
-	for _, key := range r.dlvOrder {
-		if rng.Float64() < frac {
-			delete(r.delivered, key)
-			dedupDropped++
-			continue
-		}
-		keepDlv = append(keepDlv, key)
-	}
-	r.dlvOrder = keepDlv
+	r.seenOrder = scrambleKeys(rng, frac, r.seenOrder, r.seen, &dedupDropped)
+	r.dlvOrder = scrambleKeys(rng, frac, r.dlvOrder, r.delivered, &dedupDropped)
 	r.stats.DedupScrambled += int64(dedupDropped)
-	r.mu.Unlock()
 
-	if r.rq != nil {
-		pendingDropped = r.rq.scramble(rng, frac)
-		r.mu.Lock()
-		r.stats.PendingScrambled += int64(pendingDropped)
-		r.mu.Unlock()
+	var entries []*pendingForward
+	for _, p := range r.pending {
+		entries = append(entries, p)
 	}
+	for _, q := range r.waiting {
+		entries = append(entries, q...)
+	}
+	slices.SortFunc(entries, func(a, b *pendingForward) int { return cmp.Compare(a.reg, b.reg) })
+	for i, p := range entries {
+		if p.done || i > 0 && p == entries[i-1] {
+			continue
+		}
+		if rng.Float64() < frac {
+			r.dropLocked(p)
+			pendingDropped++
+		}
+	}
+	r.stats.PendingScrambled += int64(pendingDropped)
+	r.mu.Unlock()
 	return dedupDropped, pendingDropped
+}
+
+// scrambleKeys drops each key of order from m with probability frac,
+// counting the drops in *dropped, and returns the keys kept, in order.
+func scrambleKeys[V any](rng *rand.Rand, frac float64, order []string, m map[string]V, dropped *int) []string {
+	return slices.DeleteFunc(order, func(key string) bool {
+		if rng.Float64() >= frac {
+			return false
+		}
+		delete(m, key)
+		*dropped++
+		return true
+	})
 }
 
 // Reinject re-fans env into this node's own leaf zone, as if a forward for
@@ -769,12 +880,12 @@ func (r *Router) Reinject(env *wire.ItemEnvelope) {
 	})
 }
 
-// PendingAcks reports how many reliable forwards await acknowledgment.
+// PendingAcks reports how many destinations of reliable forwards await
+// acknowledgment.
 func (r *Router) PendingAcks() int {
-	if r.rq == nil {
-		return 0
-	}
-	return r.rq.Len()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.numPending
 }
 
 // passesFilter applies the pub/sub filter hook and the publisher's
@@ -849,58 +960,6 @@ func (r *Router) deliverLocal(tid uint64, env *wire.ItemEnvelope) {
 		})
 	}
 	r.cfg.Deliver(env)
-}
-
-func (r *Router) send(addr string, m *wire.Multicast) {
-	r.mu.Lock()
-	r.stats.Forwarded++
-	r.mu.Unlock()
-	if r.cfg.Tracer != nil {
-		span := forwardSpan(m)
-		span.To = addr
-		r.traceSpan(span)
-	}
-	_ = r.cfg.Transport.Send(addr, &wire.Message{Kind: wire.KindMulticast, Multicast: m})
-}
-
-// forwardSpan is the forward span of m less its destination: everything a
-// fan-out's recipients share.
-func forwardSpan(m *wire.Multicast) trace.Span {
-	span := trace.Span{
-		Kind: trace.KindForward, Key: m.Envelope.Key(), TraceID: m.TraceID,
-		Zone: m.TargetZone, Hop: m.Hops,
-	}
-	if m.Deliver {
-		span.Note = "deliver-copy"
-	}
-	return span
-}
-
-// sendShared transmits one message to every addr via the transport's
-// frame path: the message is encoded once and the same immutable bytes
-// are enqueued to every peer, instead of re-serializing per recipient.
-// Per-destination stats and trace spans match send exactly. Only called
-// when r.frames is set (fire-and-forget forwarding on a FrameSender
-// transport).
-func (r *Router) sendShared(addrs []string, m *wire.Multicast) {
-	f, err := r.frames.NewFrame(&wire.Message{Kind: wire.KindMulticast, Multicast: m})
-	if err != nil {
-		return
-	}
-	r.mu.Lock()
-	r.stats.Forwarded += int64(len(addrs))
-	r.mu.Unlock()
-	var span trace.Span
-	if r.cfg.Tracer != nil {
-		span = forwardSpan(m)
-	}
-	for _, addr := range addrs {
-		if r.cfg.Tracer != nil {
-			span.To = addr
-			r.traceSpan(span)
-		}
-		_ = r.frames.SendFrame(addr, f)
-	}
 }
 
 func (r *Router) logForward(key, zone string, dests []string) {

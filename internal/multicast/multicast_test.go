@@ -791,3 +791,47 @@ func TestRoutingLeavesSharedRepListsIntact(t *testing.T) {
 		}
 	}
 }
+
+// TestRetryBackoffSaturates drives one forward through 40 attempts with a
+// 1 s AckTimeout: the doubling delay passes the largest Duration at the
+// 35th, and must saturate there rather than wrap negative (which would
+// fire every later retry at once).
+func TestRetryBackoffSaturates(t *testing.T) {
+	const attempts = 40
+	var delays []time.Duration
+	var deadlines []func()
+	v := &frameView{zone: "/z", name: "self", addr: "self:0", members: map[string]string{"m1": "m1:0"}}
+	r, err := NewRouter(Config{
+		View:        v,
+		Transport:   &frameTransport{addr: "self:0"},
+		Rand:        rand.New(rand.NewSource(1)),
+		Deliver:     func(*wire.ItemEnvelope) {},
+		AckTimeout:  time.Second,
+		MaxAttempts: attempts,
+		After: func(d time.Duration, fn func()) {
+			delays = append(delays, d)
+			deadlines = append(deadlines, fn)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Publish(envelope("backoff"), "/z"); err != nil {
+		t.Fatal(err)
+	}
+	for len(deadlines) < attempts {
+		n := len(deadlines)
+		deadlines[n-1]()
+		if len(deadlines) == n {
+			t.Fatalf("attempt %d armed no deadline", n+1)
+		}
+	}
+	for i, d := range delays {
+		if d <= 0 {
+			t.Fatalf("attempt %d scheduled delay %v, want positive", i+1, d)
+		}
+		if i > 0 && d < delays[i-1] {
+			t.Fatalf("attempt %d scheduled delay %v, shorter than attempt %d's %v", i+1, d, i, delays[i-1])
+		}
+	}
+}

@@ -2,8 +2,6 @@ package multicast
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 
 	"newswire/internal/transport"
@@ -267,116 +265,4 @@ func (q *ForwardQueue) removeHeadLocked(dest string) {
 	items[len(items)-1] = nil
 	q.perDest[dest] = items[:len(items)-1]
 	q.size--
-}
-
-// pendingForward is one unacknowledged reliable forward in the retransmit
-// queue: everything needed to resend it, plus the routing context (the
-// parent table zone and child row name) needed to fail over to an
-// alternate representative when the current destination stays silent.
-type pendingForward struct {
-	seq     uint64
-	addr    string         // current destination
-	zone    string         // table consulted for the forward (failover re-reads it)
-	rowName string         // row within zone the destination came from
-	msg     wire.Multicast // the forward, resent verbatim (AckSeq = seq)
-	attempt int            // transmissions so far (1 = the initial send)
-	tried   []string       // addresses transmitted to, for failoverAddr
-	tryBuf  [4]string      // tried's first array: MaxAttempts defaults to 4
-}
-
-// retransmitQueue tracks unacknowledged reliable forwards by sequence
-// number. It is a passive table: the Router registers entries, schedules
-// deadline callbacks, and either an ack (ack) or a deadline (take) removes
-// each entry exactly once — whichever arrives first wins, which keeps
-// retransmits and acks race-free under concurrent transports.
-type retransmitQueue struct {
-	mu      sync.Mutex
-	limit   int
-	seq     uint64
-	pending map[uint64]*pendingForward
-}
-
-func newRetransmitQueue(limit int) *retransmitQueue {
-	return &retransmitQueue{limit: limit, pending: make(map[uint64]*pendingForward)}
-}
-
-// register assigns a sequence number to p and inserts it, unless the table
-// is full (the forward then degrades to fire-and-forget).
-func (q *retransmitQueue) register(p *pendingForward) (uint64, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.pending) >= q.limit {
-		return 0, false
-	}
-	q.seq++
-	p.seq = q.seq
-	p.msg.AckSeq = p.seq
-	q.pending[p.seq] = p
-	return p.seq, true
-}
-
-// ack resolves seq if it is still pending and the ack's key matches the
-// registered forward (a stale or misdirected ack must not clear someone
-// else's entry). It returns the matched entry, or nil.
-func (q *retransmitQueue) ack(seq uint64, key string) *pendingForward {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	p, ok := q.pending[seq]
-	if !ok || p.msg.Envelope.Key() != key {
-		return nil
-	}
-	delete(q.pending, seq)
-	return p
-}
-
-// take removes and returns the entry for seq so the caller can retransmit
-// it (re-registering under the same seq via reinsert), or nil if an ack
-// already resolved it.
-func (q *retransmitQueue) take(seq uint64) *pendingForward {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	p, ok := q.pending[seq]
-	if !ok {
-		return nil
-	}
-	delete(q.pending, seq)
-	return p
-}
-
-// reinsert puts a taken entry back under its existing seq, for the next
-// attempt's deadline. Acks arriving for any earlier attempt still resolve
-// it — the seq is stable across retries.
-func (q *retransmitQueue) reinsert(p *pendingForward) {
-	q.mu.Lock()
-	q.pending[p.seq] = p
-	q.mu.Unlock()
-}
-
-// scramble drops a fraction of the pending forwards (chaos injection).
-// Entries are visited in ascending sequence order so identically seeded
-// runs drop identically; a dropped entry's deadline callback finds nothing
-// to take and becomes a no-op.
-func (q *retransmitQueue) scramble(rng *rand.Rand, frac float64) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	seqs := make([]uint64, 0, len(q.pending))
-	for seq := range q.pending {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	dropped := 0
-	for _, seq := range seqs {
-		if rng.Float64() < frac {
-			delete(q.pending, seq)
-			dropped++
-		}
-	}
-	return dropped
-}
-
-// Len returns the number of in-flight reliable forwards.
-func (q *retransmitQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
 }

@@ -370,7 +370,7 @@ func checkEngineAgainstOracle(t *testing.T, seed int64) {
 		if err := from.Send(to.Addr(), m); err != nil {
 			t.Fatal(err)
 		}
-		// transmit's draws: loss, then latency.
+		// commitSend's draws: loss, then latency.
 		if o.rng.Float64() < link.LossRate {
 			return
 		}

@@ -143,82 +143,69 @@ func (ep *Endpoint) Close() error {
 // drops it, either side is crashed, or the link is blocked by a partition.
 //
 // When the sending node is executing inside a parallel window (see
-// parallel.go), the send is buffered as an effect and replayed through
-// transmit at commit, in canonical event order; loss and latency are
+// parallel.go), the send is buffered as an effect and committed through
+// commitSend at commit, in canonical event order; loss and latency are
 // sampled only then, keeping the engine RNG stream serial-identical.
 func (ep *Endpoint) Send(to string, msg *wire.Message) error {
-	if en := ep.exec; en != nil {
-		if sink := en.sink; sink != nil {
-			if ep.closed {
-				return errClosed
-			}
-			if err := msg.Validate(); err != nil {
-				return fmt.Errorf("sim: send: %w", err)
-			}
-			n := ep.net
-			msg.From = ep.addr
-			// Precompute the pure parts of transmit here, on the worker:
-			// the wire-size estimate dominates commit cost, and the fault
-			// maps are frozen while a window is in flight (they are only
-			// mutated by unowned events, which never share a window), so
-			// reading them without the lock is race-free and yields the
-			// value the serial engine would have read at commit time.
-			eff := effect{
-				ep:         ep,
-				to:         to,
-				msg:        msg,
-				size:       int64(msg.EstimateSize()),
-				lossRate:   n.link.LossRate,
-				preDropped: n.crashed[ep.addr] || n.crashed[to] || n.blocked[linkKey{ep.addr, to}],
-			}
-			if ovr, ok := n.lossOvr[linkKey{ep.addr, to}]; ok {
-				eff.lossRate = ovr
-			}
-			*sink = append(*sink, eff)
-			return nil
-		}
-	}
 	n := ep.net
-	n.mu.Lock()
+	var sink *[]effect
+	if ep.exec != nil {
+		sink = ep.exec.sink
+	}
+	if sink == nil {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+	}
 	if ep.closed {
-		n.mu.Unlock()
 		return errClosed
 	}
 	if err := msg.Validate(); err != nil {
-		n.mu.Unlock()
 		return fmt.Errorf("sim: send: %w", err)
 	}
-	msg.From = ep.addr
-	ep.transmit(to, msg)
+	// A message may be sent again — a retry resends its forward's message
+	// — while a receiver of an earlier copy reads it: stamp only when the
+	// stamp changes, so a resend does not write.
+	if msg.From != ep.addr {
+		msg.From = ep.addr
+	}
+	// Inside a window this runs on the worker, without the lock: the
+	// wire-size estimate dominates commit cost, and the fault maps are
+	// frozen while a window is in flight (they are only mutated by
+	// unowned events, which never share a window), so reading them
+	// unlocked is race-free and yields the value commit time would read.
+	eff := effect{
+		ep:         ep,
+		to:         to,
+		msg:        msg,
+		size:       int64(msg.EstimateSize()),
+		lossRate:   n.link.LossRate,
+		preDropped: n.crashed[ep.addr] || n.crashed[to] || n.blocked[linkKey{ep.addr, to}],
+	}
+	if ovr, ok := n.lossOvr[linkKey{ep.addr, to}]; ok {
+		eff.lossRate = ovr
+	}
+	if sink != nil {
+		*sink = append(*sink, eff)
+		return nil
+	}
+	n.commitSend(&eff, n.eng.clock.Now())
 	return nil
 }
 
-// transmit counts, samples loss and latency, and schedules delivery of a
-// validated, From-stamped message. Called with n.mu held; releases it.
-// The delivery event is tagged with the destination's executor owner (if
-// registered), making it eligible for parallel windows.
-func (ep *Endpoint) transmit(to string, msg *wire.Message) {
-	n := ep.net
-	size := int64(msg.EstimateSize())
-
-	st := n.stats[ep.addr]
+// commitSend counts a send effect sent at virtual time at, samples its
+// loss and latency from the engine RNG, and schedules its delivery, tagged
+// with the destination's executor owner (if registered) so it is eligible
+// for parallel windows. Both the serial Send and the parallel executor's
+// commit go through here, with n.mu held.
+func (n *Network) commitSend(eff *effect, at time.Time) {
+	st := n.stats[eff.ep.addr]
 	st.MsgsSent++
-	st.BytesSent += size
+	st.BytesSent += eff.size
 	n.totalSent++
-	n.totalBytesSent += size
-	n.sentByKind[msg.Kind].add(size)
-
-	dropped := n.crashed[ep.addr] || n.crashed[to] || n.blocked[linkKey{ep.addr, to}]
-	loss := n.link.LossRate
-	if ovr, ok := n.lossOvr[linkKey{ep.addr, to}]; ok {
-		loss = ovr
-	}
-	if !dropped && loss > 0 && n.eng.rng.Float64() < loss {
-		dropped = true
-	}
-	if dropped {
+	n.totalBytesSent += eff.size
+	n.sentByKind[eff.msg.Kind].add(eff.size)
+	if eff.preDropped || eff.lossRate > 0 && n.eng.rng.Float64() < eff.lossRate {
 		n.totalDropped++
-		n.mu.Unlock()
 		return
 	}
 	latency := n.link.LatencyMin
@@ -226,17 +213,15 @@ func (ep *Endpoint) transmit(to string, msg *wire.Message) {
 		latency += time.Duration(n.eng.rng.Int63n(int64(span)))
 	}
 	dstOwner := noOwner
-	if dst, ok := n.endpoints[to]; ok {
+	if dst, ok := n.endpoints[eff.to]; ok {
 		dstOwner = dst.owner
 	}
-	n.mu.Unlock()
-
-	n.eng.scheduleDelivery(dstOwner, n.eng.clock.Now().Add(latency), n, to, msg, size)
+	n.eng.scheduleDelivery(dstOwner, at.Add(latency), n, eff.to, eff.msg, eff.size)
 }
 
 // deliver is the work of a delivery event (event.run): receiver stats,
-// then handler dispatch. The serial transmit path and the parallel
-// executor's commit schedule the same typed event.
+// then handler dispatch. commitSend schedules it, for the serial and the
+// parallel path alike.
 func (n *Network) deliver(to string, msg *wire.Message, size int64) {
 	n.mu.Lock()
 	dst, ok := n.endpoints[to]

@@ -335,16 +335,14 @@ func (x *Executor) runWindow(batch []*event) {
 }
 
 // commitWindow applies every buffered effect of one window (or one tick
-// phase) in canonical order, on the calling goroutine: a send is counted,
-// loses or wins its loss draw and draws its latency exactly as transmit
-// does, and deliveries and timers are scheduled as the serial engine would
-// have scheduled them. each iterates the window's (event time, owner,
-// effects) triples in canonical order; lastAt is the latest event
-// timestamp already executed (the timer short-delay guard).
+// phase) in canonical order, on the calling goroutine: a send goes through
+// commitSend, as a serial Send does, and timers are scheduled as the
+// serial engine would have scheduled them. each iterates the window's
+// (event time, owner, effects) triples in canonical order; lastAt is the
+// latest event timestamp already executed (the timer short-delay guard).
 func (x *Executor) commitWindow(each func(func(at time.Time, owner int, effs []effect)), lastAt time.Time) {
 	e := x.eng
 	n := x.net
-	span := int64(n.link.LatencyMax - n.link.LatencyMin)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	each(func(at time.Time, owner int, effs []effect) {
@@ -352,30 +350,11 @@ func (x *Executor) commitWindow(each func(func(at time.Time, owner int, effs []e
 		for j := range effs {
 			eff := &effs[j]
 			if eff.msg != nil {
-				if eff.ep.closed {
-					// Serial Send would have returned errClosed without
-					// touching stats; senders treat gossip as best-effort.
-					continue
+				// Serial Send would have returned errClosed without
+				// touching stats; senders treat gossip as best-effort.
+				if !eff.ep.closed {
+					n.commitSend(eff, at)
 				}
-				st := n.stats[eff.ep.addr]
-				st.MsgsSent++
-				st.BytesSent += eff.size
-				n.totalSent++
-				n.totalBytesSent += eff.size
-				n.sentByKind[eff.msg.Kind].add(eff.size)
-				if eff.preDropped || eff.lossRate > 0 && e.rng.Float64() < eff.lossRate {
-					n.totalDropped++
-					continue
-				}
-				latency := n.link.LatencyMin
-				if span > 0 {
-					latency += time.Duration(e.rng.Int63n(span))
-				}
-				dstOwner := noOwner
-				if dst, ok := n.endpoints[eff.to]; ok {
-					dstOwner = dst.owner
-				}
-				e.scheduleDelivery(dstOwner, at.Add(latency), n, eff.to, eff.msg, eff.size)
 				continue
 			}
 			// A timer firing strictly before the window's last executed

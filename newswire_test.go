@@ -135,6 +135,138 @@ func TestLiveClusterOverTCP(t *testing.T) {
 	}
 }
 
+// TestLiveAckedFanOutOverTCP runs reliable forwarding on four live nodes
+// in two zones over loopback TCP: acked forwards share one encoded frame
+// per fan-out, acks arrive on transport goroutines and deadlines fire on
+// timer goroutines. Every subscriber must deliver each item exactly once,
+// every retransmit table must drain, and loopback must need no retry.
+func TestLiveAckedFanOutOverTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP test")
+	}
+	const items = 5
+	var mu sync.Mutex
+	got := map[string]map[string]int{} // node -> item ID -> deliveries
+	var nodes []*newswire.LiveNode
+	mk := func(name, zone string, peers []string, subscribe bool) *newswire.LiveNode {
+		t.Helper()
+		cfg := newswire.LiveConfig{
+			Node: newswire.Config{
+				Name:           name,
+				ZonePath:       zone,
+				GossipInterval: 100 * time.Millisecond,
+				AckTimeout:     time.Second,
+			},
+			Peers: peers,
+		}
+		if subscribe {
+			got[name] = map[string]int{}
+			cfg.Node.OnItem = func(it *news.Item, _ *wire.ItemEnvelope) {
+				mu.Lock()
+				got[name][it.ID]++
+				mu.Unlock()
+			}
+		}
+		ln, err := newswire.StartLive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		if subscribe {
+			if err := ln.Node().Subscribe("tech/linux"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes = append(nodes, ln)
+		return ln
+	}
+	pub := mk("pub", "/east", nil, false)
+	mk("east-sub", "/east", []string{pub.Addr()}, true)
+	west := mk("west-1", "/west", []string{pub.Addr()}, true)
+	mk("west-2", "/west", []string{west.Addr()}, true)
+
+	// Wait until every node sees both zones and its whole leaf zone, then
+	// give the subscription summaries a few rounds to aggregate.
+	deadline := time.Now().Add(15 * time.Second)
+	for _, ln := range nodes {
+		for {
+			root, _ := ln.Node().Agent().Table("/")
+			leaf, _ := ln.Node().Agent().Table(ln.Node().Agent().ZonePath())
+			if len(root) == 2 && len(leaf) == 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("membership never converged at %s: %d zones, %d leaf rows",
+					ln.Node().Agent().Name(), len(root), len(leaf))
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	time.Sleep(time.Second)
+
+	for i := 0; i < items; i++ {
+		item := &newswire.Item{
+			Publisher: "slashdot", ID: fmt.Sprintf("acked-%d", i),
+			Headline: "acked over real sockets", Body: "body",
+			Subjects:  []string{"tech/linux"},
+			Published: time.Now(),
+		}
+		if err := pub.Node().PublishItem(item, "", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	complete := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, ids := range got {
+			if len(ids) < items {
+				return false
+			}
+		}
+		return true
+	}
+	drained := func() bool {
+		for _, ln := range nodes {
+			if ln.Node().Router().PendingAcks() != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for !complete() || !drained() {
+		if time.Now().After(deadline) {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("deliveries %v, tables drained %v", got, drained())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for name, ids := range got {
+		for id, n := range ids {
+			if n != 1 {
+				t.Errorf("%s delivered %s %d times, want once", name, id, n)
+			}
+		}
+	}
+	// Each item is three acked destinations: the east subscriber's
+	// deliver-copy, the west representative, and its deliver-copy to the
+	// other west member.
+	var acks int64
+	for _, ln := range nodes {
+		st := ln.Node().Router().Stats()
+		if st.RetriesSent != 0 {
+			t.Errorf("%s retried %d forwards on loopback", ln.Node().Agent().Name(), st.RetriesSent)
+		}
+		acks += st.AcksReceived
+	}
+	if acks != 3*items {
+		t.Errorf("routers received %d acks, want %d", acks, 3*items)
+	}
+}
+
 // TestLiveNodeSharesRandAcrossGoroutines publishes through three live nodes
 // in two zones while gossip ticks every few milliseconds: representative
 // choice on the publishing goroutines and partner choice on the tickers
