@@ -29,10 +29,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Vet plus staticcheck when available (CI installs it; local runs skip
-# silently if absent, keeping lint dependency-free). The wire has one
+# The repository checker (internal/lint: determinism and export rules,
+# DESIGN.md §10), uncached so a cached pass never hides a new finding;
+# then vet, and staticcheck when available (CI installs it; local runs
+# skip silently if absent, keeping lint dependency-free). The wire has one
 # codec: no command may link encoding/gob again.
-lint: vet
+lint:
+	$(GO) test ./internal/lint -count=1
+	$(GO) vet ./...
 	@! $(GO) list -deps ./cmd/... | grep -x encoding/gob
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

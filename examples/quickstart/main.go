@@ -113,10 +113,3 @@ func run() error {
 	fmt.Printf("soccer subscribers who received the Linux item: %d (want 0)\n", missed)
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -86,10 +86,6 @@ func HealthRules() []PrefixRule {
 	}
 }
 
-// DefaultRepCount is how many multicast representatives the default
-// aggregation program elects per zone.
-const DefaultRepCount = 3
-
 // DefaultAggregationSource is the SQL aggregation program installed when
 // Config.Aggregation is nil. It computes exactly the summaries the paper
 // needs: member counts, the k least-loaded representatives with a primary

@@ -193,16 +193,10 @@ func ExpandSparseFilter(dst, enc []byte) SparseExpandResult {
 // materialized. A malformed encoding returns ok=false (gossip can deliver
 // scrambled rows; decoding must never panic).
 func DecodeSignatureSet(enc []byte) (k int, filters [][]byte, ok bool) {
-	kk, n := binary.Uvarint(enc)
-	if n <= 0 || kk < 1 || kk > 1<<16 {
+	kk, cnt, enc, ok := signatureSetHeader(enc)
+	if !ok || kk < 1 || kk > 1<<16 {
 		return 0, nil, false
 	}
-	enc = enc[n:]
-	cnt, n := binary.Uvarint(enc)
-	if n <= 0 || cnt > 1<<16 {
-		return 0, nil, false
-	}
-	enc = enc[n:]
 	filters = make([][]byte, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		l, n := binary.Uvarint(enc)
@@ -222,17 +216,28 @@ func DecodeSignatureSet(enc []byte) (k int, filters [][]byte, ok bool) {
 // SignatureSetLen returns the number of subgroup filters in an encoded
 // set, 0 when malformed.
 func SignatureSetLen(enc []byte) int {
-	var skip int
-	if _, n := binary.Uvarint(enc); n <= 0 {
-		return 0
-	} else {
-		skip = n
-	}
-	cnt, n := binary.Uvarint(enc[skip:])
-	if n <= 0 || cnt > 1<<16 {
+	_, cnt, _, ok := signatureSetHeader(enc)
+	if !ok {
 		return 0
 	}
 	return int(cnt)
+}
+
+// signatureSetHeader reads an encoded set's K and filter count and returns
+// the entries after them. Every entry takes at least two bytes (a length
+// varint and a non-empty tagged blob), so a count the rest cannot hold is
+// malformed, and is rejected before anything is sized by it.
+func signatureSetHeader(enc []byte) (k, cnt uint64, rest []byte, ok bool) {
+	k, n := binary.Uvarint(enc)
+	if n <= 0 {
+		return 0, 0, nil, false
+	}
+	enc = enc[n:]
+	cnt, n = binary.Uvarint(enc)
+	if n <= 0 || cnt > 1<<16 || cnt > uint64(len(enc)-n)/2 {
+		return 0, 0, nil, false
+	}
+	return k, cnt, enc[n:], true
 }
 
 // IterSignatureSet walks an encoded set's filters as raw bitmaps, calling
@@ -240,16 +245,10 @@ func SignatureSetLen(enc []byte) int {
 // call). It reports whether any call returned true; a malformed encoding
 // reports false.
 func IterSignatureSet(enc []byte, fn func(filter []byte) bool) bool {
-	if _, n := binary.Uvarint(enc); n <= 0 {
-		return false
-	} else {
-		enc = enc[n:]
-	}
-	cnt, n := binary.Uvarint(enc)
-	if n <= 0 || cnt > 1<<16 {
+	_, cnt, enc, ok := signatureSetHeader(enc)
+	if !ok {
 		return false
 	}
-	enc = enc[n:]
 	for i := uint64(0); i < cnt; i++ {
 		l, n := binary.Uvarint(enc)
 		if n <= 0 || uint64(len(enc)-n) < l {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -32,6 +33,7 @@ func TestSignatureSetMalformed(t *testing.T) {
 		{0x01, 0x02, 0x05}, // filter length runs past the buffer
 		{0x01, 0x01, 0x10, 0xaa},
 		bytes.Repeat([]byte{0xff}, 12), // giant uvarints
+		{0x01, 0x80, 0x80, 0x04},       // 65,536 entries claimed in no bytes
 	}
 	for _, enc := range cases {
 		if _, _, ok := DecodeSignatureSet(enc); ok {
@@ -47,6 +49,24 @@ func TestSignatureSetMalformed(t *testing.T) {
 			k, _, ok := DecodeSignatureSet(enc)
 			t.Errorf("IterSignatureSet(%x) hit on malformed input (k=%d ok=%v)", enc, k, ok)
 		}
+	}
+}
+
+// A count the encoding cannot hold is rejected before it sizes anything:
+// a 4-byte gossiped value claiming 65,536 entries once made a 1.5 MB
+// slice per decode.
+func TestDecodeSignatureSetBoundsCountByLength(t *testing.T) {
+	enc := []byte{0x01, 0x80, 0x80, 0x04}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		if _, _, ok := DecodeSignatureSet(enc); ok {
+			t.Fatal("decoded a set whose count exceeds its bytes")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+		t.Fatalf("100 decodes allocated %d bytes, want < 4 KB", got)
 	}
 }
 

@@ -73,7 +73,8 @@ func (kp KeyPair) Sign(msg []byte) []byte {
 }
 
 // Certificate binds a subject name and public key to a role, signed by an
-// issuer. Certificates form chains rooted at a self-signed authority.
+// issuer. Trust is one level deep: the zone authority's key signs every
+// member and publisher certificate, and Store.VerifySigned checks that.
 type Certificate struct {
 	Subject   string
 	Role      Role
@@ -87,16 +88,10 @@ type Certificate struct {
 var (
 	ErrBadSignature = errors.New("cert: signature verification failed")
 	ErrExpired      = errors.New("cert: certificate expired")
-	ErrNotAuthority = errors.New("cert: issuer is not an authority")
-	ErrBrokenChain  = errors.New("cert: broken certificate chain")
 )
 
-// signedPayload renders the certificate fields that the signature covers.
-func (c *Certificate) signedPayload() []byte {
-	return c.appendSignedPayload(make([]byte, 0, 128))
-}
-
-// appendSignedPayload appends signedPayload's bytes to dst.
+// appendSignedPayload appends the certificate fields that the signature
+// covers to dst.
 func (c *Certificate) appendSignedPayload(dst []byte) []byte {
 	dst = appendString(dst, c.Subject)
 	dst = append(dst, byte(c.Role))
@@ -122,7 +117,7 @@ func Issue(issuerName string, issuerKey KeyPair, subject string, role Role,
 		Issuer:    issuerName,
 		NotAfter:  notAfter,
 	}
-	c.Signature = issuerKey.Sign(c.signedPayload())
+	c.Signature = issuerKey.Sign(c.appendSignedPayload(make([]byte, 0, 128)))
 	return c
 }
 
@@ -130,67 +125,6 @@ func Issue(issuerName string, issuerKey KeyPair, subject string, role Role,
 // RoleAuthority, signed with its own key.
 func SelfSign(name string, key KeyPair, notAfter time.Time) *Certificate {
 	return Issue(name, key, name, RoleAuthority, key.Public, notAfter)
-}
-
-// VerifyWith checks that the certificate was signed by issuerPub and has
-// not expired at instant now.
-func (c *Certificate) VerifyWith(issuerPub ed25519.PublicKey, now time.Time) error {
-	if now.After(c.NotAfter) {
-		return c.expired()
-	}
-	if !ed25519.Verify(issuerPub, c.signedPayload(), c.Signature) {
-		return c.badSignature()
-	}
-	return nil
-}
-
-func (c *Certificate) expired() error {
-	return fmt.Errorf("%w: %s at %v", ErrExpired, c.Subject, c.NotAfter)
-}
-
-func (c *Certificate) badSignature() error {
-	return fmt.Errorf("%w: subject %s issuer %s", ErrBadSignature, c.Subject, c.Issuer)
-}
-
-// Chain is an ordered certificate chain: chain[0] is the root authority
-// (self-signed) and each subsequent certificate is signed by its
-// predecessor.
-type Chain []*Certificate
-
-// Verify walks the chain at instant now: the root must be a valid
-// self-signed authority, every link must verify against its predecessor's
-// key, and every intermediate must hold RoleAuthority. It returns the leaf
-// certificate on success.
-func (ch Chain) Verify(now time.Time) (*Certificate, error) {
-	if len(ch) == 0 {
-		return nil, fmt.Errorf("%w: empty chain", ErrBrokenChain)
-	}
-	root := ch[0]
-	if root.Role != RoleAuthority {
-		return nil, fmt.Errorf("%w: root %s", ErrNotAuthority, root.Subject)
-	}
-	if root.Subject != root.Issuer {
-		return nil, fmt.Errorf("%w: root not self-signed", ErrBrokenChain)
-	}
-	if err := root.VerifyWith(root.PublicKey, now); err != nil {
-		return nil, err
-	}
-	prev := root
-	for _, c := range ch[1:] {
-		if prev.Role != RoleAuthority {
-			return nil, fmt.Errorf("%w: %s signed by non-authority %s",
-				ErrNotAuthority, c.Subject, prev.Subject)
-		}
-		if c.Issuer != prev.Subject {
-			return nil, fmt.Errorf("%w: %s issued by %s, expected %s",
-				ErrBrokenChain, c.Subject, c.Issuer, prev.Subject)
-		}
-		if err := c.VerifyWith(prev.PublicKey, now); err != nil {
-			return nil, err
-		}
-		prev = c
-	}
-	return prev, nil
 }
 
 // SignedBlob is a detached signature over an arbitrary payload, carrying the
@@ -243,16 +177,16 @@ func (v *certVerdict) matches(payload, sig, issuer []byte) bool {
 	return bytes.Equal(v.payload, payload) && bytes.Equal(v.sig, sig) && bytes.Equal(v.issuer, issuer)
 }
 
-// verifyCert is c.VerifyWith(issuerPub, now) with the signature check
-// memoized on exactly the bytes ed25519.Verify is a function of: the
-// rendered payload, the signature and the issuer key. A hit is therefore
-// as strong as verifying again, and a certificate that Add replaced or
-// that was edited in place renders other bytes and misses. Expiry is
-// checked on every call. The payload renders into a stack buffer, so a
-// hit allocates nothing.
+// verifyCert checks that c has not expired at instant now and was signed
+// by issuerPub, with the signature check memoized on exactly the bytes
+// ed25519.Verify is a function of: the rendered payload, the signature and
+// the issuer key. A hit is therefore as strong as verifying again, and a
+// certificate that Add replaced or that was edited in place renders other
+// bytes and misses. Expiry is checked on every call. The payload renders
+// into a stack buffer, so a hit allocates nothing.
 func (s *Store) verifyCert(c *Certificate, issuerPub ed25519.PublicKey, now time.Time) error {
 	if now.After(c.NotAfter) {
-		return c.expired()
+		return fmt.Errorf("%w: %s at %v", ErrExpired, c.Subject, c.NotAfter)
 	}
 	var scratch [256]byte
 	payload := c.appendSignedPayload(scratch[:0])
@@ -263,7 +197,7 @@ func (s *Store) verifyCert(c *Certificate, issuerPub ed25519.PublicKey, now time
 	// escapes into the hash.
 	v := &certVerdict{payload: bytes.Clone(payload), sig: bytes.Clone(c.Signature), issuer: bytes.Clone(issuerPub)}
 	if !ed25519.Verify(v.issuer, v.payload, v.sig) {
-		return c.badSignature()
+		return fmt.Errorf("%w: subject %s issuer %s", ErrBadSignature, c.Subject, c.Issuer)
 	}
 	s.verified.Store(c, v)
 	return nil

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"sync"
@@ -55,11 +56,20 @@ func TestSignVerifyBlob(t *testing.T) {
 	}
 }
 
+// verifyVia checks c against the authority key the way the product does:
+// a store holding c verifies a blob its subject signed, accepting role.
+func verifyVia(c *Certificate, subject KeyPair, authorityPub ed25519.PublicKey, role Role) error {
+	s := NewStore()
+	s.Add(c)
+	payload := []byte("row")
+	return s.VerifySigned(SignBlob(c.Subject, subject, payload), payload, authorityPub, testTime, role)
+}
+
 func TestIssueAndVerify(t *testing.T) {
 	authority := mustKey(t)
 	member := mustKey(t)
 	c := Issue("root", authority, "node-1", RoleMember, member.Public, testTime.Add(time.Hour))
-	if err := c.VerifyWith(authority.Public, testTime); err != nil {
+	if err := verifyVia(c, member, authority.Public, RoleMember); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 }
@@ -68,7 +78,7 @@ func TestVerifyExpired(t *testing.T) {
 	authority := mustKey(t)
 	member := mustKey(t)
 	c := Issue("root", authority, "node-1", RoleMember, member.Public, testTime.Add(-time.Second))
-	err := c.VerifyWith(authority.Public, testTime)
+	err := verifyVia(c, member, authority.Public, RoleMember)
 	if !errors.Is(err, ErrExpired) {
 		t.Fatalf("err = %v, want ErrExpired", err)
 	}
@@ -81,13 +91,13 @@ func TestVerifyTamperedFields(t *testing.T) {
 
 	tampered := *c
 	tampered.Subject = "node-evil"
-	if err := tampered.VerifyWith(authority.Public, testTime); !errors.Is(err, ErrBadSignature) {
+	if err := verifyVia(&tampered, member, authority.Public, RoleMember); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("tampered subject: err = %v, want ErrBadSignature", err)
 	}
 
 	tampered = *c
 	tampered.Role = RoleAuthority
-	if err := tampered.VerifyWith(authority.Public, testTime); !errors.Is(err, ErrBadSignature) {
+	if err := verifyVia(&tampered, member, authority.Public, RoleAuthority); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("tampered role: err = %v, want ErrBadSignature", err)
 	}
 }
@@ -98,74 +108,69 @@ func TestSelfSign(t *testing.T) {
 	if root.Subject != root.Issuer {
 		t.Fatal("self-signed cert must have subject == issuer")
 	}
-	if err := root.VerifyWith(authority.Public, testTime); err != nil {
+	if err := verifyVia(root, authority, authority.Public, RoleAuthority); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 }
 
+// The four TestChain* tests keep the names of the chain verifier that
+// left the package: trust is one level, so they hold Store.VerifySigned to
+// the same accept and reject cases.
+
 func TestChainVerify(t *testing.T) {
-	rootKey := mustKey(t)
-	zoneKey := mustKey(t)
-	nodeKey := mustKey(t)
-	exp := testTime.Add(time.Hour)
-
-	root := SelfSign("root", rootKey, exp)
-	zone := Issue("root", rootKey, "zone-usa", RoleAuthority, zoneKey.Public, exp)
-	node := Issue("zone-usa", zoneKey, "node-1", RoleMember, nodeKey.Public, exp)
-
-	leaf, err := Chain{root, zone, node}.Verify(testTime)
-	if err != nil {
-		t.Fatalf("chain verify: %v", err)
-	}
-	if leaf.Subject != "node-1" {
-		t.Fatalf("leaf = %q, want node-1", leaf.Subject)
+	authority := mustKey(t)
+	node := mustKey(t)
+	c := Issue("zone-usa", authority, "node-1", RoleMember, node.Public, testTime.Add(time.Hour))
+	if err := verifyVia(c, node, authority.Public, RoleMember); err != nil {
+		t.Fatalf("valid member: %v", err)
 	}
 }
 
 func TestChainRejectsNonAuthorityIntermediate(t *testing.T) {
-	rootKey := mustKey(t)
-	midKey := mustKey(t)
-	leafKey := mustKey(t)
+	authority := mustKey(t)
+	mid := mustKey(t)
+	leaf := mustKey(t)
 	exp := testTime.Add(time.Hour)
 
-	root := SelfSign("root", rootKey, exp)
-	mid := Issue("root", rootKey, "mid", RoleMember, midKey.Public, exp) // not an authority
-	leaf := Issue("mid", midKey, "leaf", RoleMember, leafKey.Public, exp)
-
-	_, err := Chain{root, mid, leaf}.Verify(testTime)
-	if !errors.Is(err, ErrNotAuthority) {
-		t.Fatalf("err = %v, want ErrNotAuthority", err)
+	// A member may not issue certificates: one it signed does not verify
+	// against the authority key.
+	c := Issue("mid", mid, "leaf", RoleMember, leaf.Public, exp)
+	if err := verifyVia(c, leaf, authority.Public, RoleMember); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("member-issued certificate: err = %v, want ErrBadSignature", err)
+	}
+	// A valid signer whose role is not accepted.
+	c = Issue("zone-usa", authority, "mid", RoleMember, mid.Public, exp)
+	if err := verifyVia(c, mid, authority.Public, RolePublisher); err == nil {
+		t.Fatal("member accepted where only publishers are")
 	}
 }
 
 func TestChainRejectsWrongIssuer(t *testing.T) {
-	rootKey := mustKey(t)
-	zoneKey := mustKey(t)
-	leafKey := mustKey(t)
-	exp := testTime.Add(time.Hour)
-
-	root := SelfSign("root", rootKey, exp)
-	leaf := Issue("someone-else", zoneKey, "leaf", RoleMember, leafKey.Public, exp)
-
-	_, err := Chain{root, leaf}.Verify(testTime)
-	if !errors.Is(err, ErrBrokenChain) {
-		t.Fatalf("err = %v, want ErrBrokenChain", err)
+	authority := mustKey(t)
+	other := mustKey(t)
+	leaf := mustKey(t)
+	c := Issue("someone-else", other, "leaf", RoleMember, leaf.Public, testTime.Add(time.Hour))
+	if err := verifyVia(c, leaf, authority.Public, RoleMember); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("certificate from another key: err = %v, want ErrBadSignature", err)
 	}
 }
 
 func TestChainRejectsEmptyAndBadRoot(t *testing.T) {
-	if _, err := (Chain{}).Verify(testTime); !errors.Is(err, ErrBrokenChain) {
-		t.Errorf("empty chain: err = %v, want ErrBrokenChain", err)
+	authority := mustKey(t)
+	node := mustKey(t)
+	payload := []byte("row")
+	sig := SignBlob("node-1", node, payload)
+	if err := NewStore().VerifySigned(sig, payload, authority.Public, testTime, RoleMember); err == nil {
+		t.Error("empty store: signer accepted")
 	}
-	rootKey := mustKey(t)
-	notSelf := Issue("other", rootKey, "root", RoleAuthority, rootKey.Public, testTime.Add(time.Hour))
-	if _, err := (Chain{notSelf}).Verify(testTime); !errors.Is(err, ErrBrokenChain) {
-		t.Errorf("non-self-signed root: err = %v, want ErrBrokenChain", err)
+	expired := Issue("zone-usa", authority, "node-1", RoleMember, node.Public, testTime.Add(-time.Second))
+	if err := verifyVia(expired, node, authority.Public, RoleMember); !errors.Is(err, ErrExpired) {
+		t.Errorf("expired certificate: err = %v, want ErrExpired", err)
 	}
-	memberRoot := SelfSign("root", rootKey, testTime.Add(time.Hour))
-	memberRoot.Role = RoleMember
-	if _, err := (Chain{memberRoot}).Verify(testTime); !errors.Is(err, ErrNotAuthority) {
-		t.Errorf("member root: err = %v, want ErrNotAuthority", err)
+	// A self-signed authority certificate is not trusted by itself.
+	root := SelfSign("node-1", node, testTime.Add(time.Hour))
+	if err := verifyVia(root, node, authority.Public, RoleAuthority); !errors.Is(err, ErrBadSignature) {
+		t.Errorf("self-signed root: err = %v, want ErrBadSignature", err)
 	}
 }
 

@@ -104,9 +104,6 @@ func (c *Cluster) TraceSpans() []trace.Span {
 	return c.tracer.Spans()
 }
 
-// Parallel reports whether the cluster runs under the parallel executor.
-func (c *Cluster) Parallel() bool { return c.exec != nil }
-
 // ZonePathFor computes node i's leaf zone in a balanced tree with the
 // given branching: nodes fill leaf zones of up to b members; leaf zones
 // fill parents of up to b children; and so on until one root level

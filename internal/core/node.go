@@ -370,10 +370,6 @@ func (n *Node) TransportStats() (transport.Stats, bool) {
 	return transport.Stats{}, false
 }
 
-// DeliveryLatency exposes the node's publish-to-ingest latency histogram
-// (seconds), its retained samples capped at latencySamples.
-func (n *Node) DeliveryLatency() *metrics.Histogram { return n.latency }
-
 // GossipInterval returns the node's Tick cadence, its default applied.
 func (n *Node) GossipInterval() time.Duration { return n.cfg.GossipInterval }
 
@@ -442,11 +438,6 @@ func (n *Node) SetPredicate(expr string) error {
 // and returns its canonical form.
 func (n *Node) SubscribeQuery(src string) (string, error) {
 	return n.sub.SubscribeQuery(src)
-}
-
-// UnsubscribeQuery removes a predicate subscription.
-func (n *Node) UnsubscribeQuery(src string) error {
-	return n.sub.UnsubscribeQuery(src)
 }
 
 // Queries returns the node's predicate subscriptions in canonical form.
@@ -743,31 +734,10 @@ func (n *Node) KnownPublishers() []string {
 // tables they share, bootstrapping the joiner's replicas. Joining a zone
 // whose members the node does not know yet requires introducing to at
 // least one member (or representative) of that zone — gossip with
-// siblings alone cannot reveal a foreign zone's leaf table.
-// ZoneRepresentatives on a bootstrap peer supplies suitable targets.
+// siblings alone cannot reveal a foreign zone's leaf table. The zone's
+// row in a bootstrap peer's tables lists suitable targets (its reps).
 func (n *Node) IntroduceTo(peers ...string) {
 	n.agent.Introduce(peers...)
-}
-
-// ZoneRepresentatives reads the representative addresses this node's
-// tables list for an arbitrary zone, walking down from the root. Used by
-// join flows to find introduction targets inside a placement zone.
-func (n *Node) ZoneRepresentatives(zone string) []string {
-	parent, ok := astrolabe.ParentZone(zone)
-	if !ok {
-		return nil
-	}
-	row, ok := n.agent.Row(parent, astrolabe.ZoneName(zone))
-	if !ok {
-		return nil
-	}
-	if reps, ok := row.Attrs[astrolabe.AttrReps].AsStrings(); ok {
-		return reps
-	}
-	if addr, ok := row.Attrs[astrolabe.AttrAddr].AsString(); ok {
-		return []string{addr}
-	}
-	return nil
 }
 
 // RequestStateTransfer asks a peer's cache for the items published since t

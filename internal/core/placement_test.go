@@ -93,9 +93,10 @@ func TestChooseZonePlacementIsJoinable(t *testing.T) {
 	joiner = j
 	joiner.Agent().MergeRows(c.Nodes[0].Agent().ChainRowUpdates())
 	// Introduce to the placement zone's current representatives (if the
-	// zone already exists) so its leaf table arrives before the joiner's
-	// own partial aggregates can circulate.
-	joiner.IntroduceTo(c.Nodes[0].ZoneRepresentatives(zone)...)
+	// zone already exists), read from its row in a member's tables, so its
+	// leaf table arrives before the joiner's own partial aggregates can
+	// circulate.
+	joiner.IntroduceTo(zoneRepresentatives(c.Nodes[0], zone)...)
 	c.Eng.RunFor(time.Second)
 
 	for round := 0; round < 8; round++ {
@@ -115,4 +116,24 @@ func TestChooseZonePlacementIsJoinable(t *testing.T) {
 	if total != 7 {
 		t.Fatalf("root member count = %d, want 7 after join", total)
 	}
+}
+
+// zoneRepresentatives reads the representative addresses n's tables list
+// for zone: the zone's row in its parent's table.
+func zoneRepresentatives(n *Node, zone string) []string {
+	parent, ok := astrolabe.ParentZone(zone)
+	if !ok {
+		return nil
+	}
+	row, ok := n.Agent().Row(parent, astrolabe.ZoneName(zone))
+	if !ok {
+		return nil
+	}
+	if reps, ok := row.Attrs[astrolabe.AttrReps].AsStrings(); ok {
+		return reps
+	}
+	if addr, ok := row.Attrs[astrolabe.AttrAddr].AsString(); ok {
+		return []string{addr}
+	}
+	return nil
 }

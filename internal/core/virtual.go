@@ -223,19 +223,6 @@ func (c *Cluster) VirtualDelivered() int64 {
 	return n
 }
 
-// VirtualMembers returns how many members are currently virtual.
-func (c *Cluster) VirtualMembers() int {
-	n := 0
-	for _, vz := range c.vzones {
-		for _, t := range vz.templates {
-			if t != nil {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // NodeDelivered returns how many items member i has accepted, whether
 // it is a real node or a virtual leaf. For a member materialized
 // mid-run the two phases sum.

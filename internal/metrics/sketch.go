@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -76,15 +77,28 @@ func (s *Sketch) Observe(v float64) {
 	s.mu.Unlock()
 }
 
-// Count returns the number of observations.
+// Count returns the number of observations, saturating at MaxUint64.
 func (s *Sketch) Count() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.countLocked()
+}
+
+func (s *Sketch) countLocked() uint64 {
 	var n uint64
 	for _, c := range s.counts {
-		n += c
+		n = addSat(n, c)
 	}
 	return n
+}
+
+// addSat adds two counts, saturating at MaxUint64: a gossiped sketch is
+// outside input, and a wrapped sum would empty the cluster's summary.
+func addSat(a, b uint64) uint64 {
+	if a+b < a {
+		return math.MaxUint64
+	}
+	return a + b
 }
 
 // Sum returns the exact sum of all observations (merges included).
@@ -99,10 +113,7 @@ func (s *Sketch) Sum() float64 {
 func (s *Sketch) Quantile(q float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var total uint64
-	for _, c := range s.counts {
-		total += c
-	}
+	total := s.countLocked()
 	if total == 0 {
 		return 0
 	}
@@ -112,13 +123,18 @@ func (s *Sketch) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(math.Ceil(q * float64(total)))
+	// float64(total) rounds up near MaxUint64, where the conversion back
+	// would overflow.
+	rank := total
+	if r := math.Ceil(q * float64(total)); r < float64(total) {
+		rank = uint64(r)
+	}
 	if rank == 0 {
 		rank = 1
 	}
 	var seen uint64
 	for b, c := range s.counts {
-		seen += c
+		seen = addSat(seen, c)
 		if seen >= rank {
 			return sketchValue(b)
 		}
@@ -137,17 +153,9 @@ func (s *Sketch) Merge(other *Sketch) {
 	other.mu.Unlock()
 	s.mu.Lock()
 	for i, c := range counts {
-		s.counts[i] += c
+		s.counts[i] = addSat(s.counts[i], c)
 	}
 	s.sum += sum
-	s.mu.Unlock()
-}
-
-// Reset discards all state.
-func (s *Sketch) Reset() {
-	s.mu.Lock()
-	s.counts = [SketchBuckets]uint64{}
-	s.sum = 0
 	s.mu.Unlock()
 }
 
@@ -163,12 +171,9 @@ func (s *Sketch) AppendBinary(dst []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dst = append(dst, sketchVersion)
-	bits := math.Float64bits(s.sum)
-	for i := 7; i >= 0; i-- {
-		dst = append(dst, byte(bits>>(8*i)))
-	}
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.sum))
 	for _, c := range s.counts {
-		dst = appendUvarint(dst, c)
+		dst = binary.AppendUvarint(dst, c)
 	}
 	return dst
 }
@@ -184,16 +189,12 @@ func DecodeSketch(data []byte) (*Sketch, error) {
 	if data[0] != sketchVersion {
 		return nil, fmt.Errorf("metrics: unknown sketch version %d", data[0])
 	}
-	var bits uint64
-	for _, b := range data[1:9] {
-		bits = bits<<8 | uint64(b)
-	}
-	s := &Sketch{sum: math.Float64frombits(bits)}
+	s := &Sketch{sum: math.Float64frombits(binary.BigEndian.Uint64(data[1:9]))}
 	pos := 9
 	for i := 0; i < SketchBuckets; i++ {
-		v, n := uvarint(data[pos:])
+		v, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
-			return nil, fmt.Errorf("metrics: truncated sketch bucket %d", i)
+			return nil, fmt.Errorf("metrics: truncated or overflowing sketch bucket %d", i)
 		}
 		s.counts[i] = v
 		pos += n
@@ -225,30 +226,4 @@ func MergeEncoded(a, b []byte) ([]byte, error) {
 	}
 	sa.Merge(sb)
 	return sa.Encode(), nil
-}
-
-// appendUvarint / uvarint are the standard varint routines, local so the
-// package stays dependency-free beyond the standard library.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-func uvarint(src []byte) (uint64, int) {
-	var v uint64
-	var shift uint
-	for i, b := range src {
-		if i == 10 {
-			return 0, -1
-		}
-		if b < 0x80 {
-			return v | uint64(b)<<shift, i + 1
-		}
-		v |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	return 0, 0
 }

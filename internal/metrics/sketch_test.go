@@ -132,6 +132,37 @@ func TestSketchDecodeErrors(t *testing.T) {
 	if _, err := DecodeSketch(append(append([]byte{}, enc...), 0)); err == nil {
 		t.Error("DecodeSketch(trailing bytes) succeeded")
 	}
+	// A 10-byte bucket varint whose last byte carries past 64 bits.
+	overflow := append([]byte{}, enc[:9]...)
+	overflow = append(overflow, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02)
+	overflow = append(overflow, enc[10:]...)
+	if _, err := DecodeSketch(overflow); err == nil {
+		t.Error("DecodeSketch(overflowing varint) succeeded")
+	}
+}
+
+// Counts saturate: one gossiped sketch with a bucket at MaxUint64 once
+// wrapped a merge, Count and Quantile to zero.
+func TestSketchMergeSaturates(t *testing.T) {
+	var huge, one Sketch
+	huge.counts[10] = math.MaxUint64
+	one.Observe(0.01)
+	enc, err := MergeEncoded(huge.Encode(), one.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := DecodeSketch(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.Count(); got != math.MaxUint64 {
+		t.Errorf("Count() = %d, want MaxUint64", got)
+	}
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := merged.Quantile(q); got == 0 {
+			t.Errorf("Quantile(%v) = 0 on a saturated sketch", q)
+		}
+	}
 }
 
 func TestMergeEncoded(t *testing.T) {

@@ -338,7 +338,7 @@ type runState struct {
 func (st *runState) runFaultWindow() error {
 	lastActive := 0
 	for _, ev := range st.sc.Events {
-		end := ev.Round + maxInt(ev.Rounds, 1)
+		end := ev.Round + max(ev.Rounds, 1)
 		if ev.Kind == LinkLossRamp {
 			end++ // the round after the ramp restores the base loss
 		}
@@ -380,7 +380,7 @@ func (st *runState) restoreDue(r int) {
 }
 
 func (st *runState) applyEvent(ev Event, r int) error {
-	dur := maxInt(ev.Rounds, 1)
+	dur := max(ev.Rounds, 1)
 	step := r - ev.Round
 	if ev.Kind == LinkLossRamp && step == dur {
 		st.cluster.Net.SetLossRate(st.baseLoss)
@@ -454,7 +454,7 @@ func (st *runState) applyChurn(ev Event, r int) error {
 		}
 		delay := time.Duration(1 + st.eventRng.Int63n(int64(500*time.Millisecond)))
 		st.cluster.Net.CrashAfter(fmt.Sprintf("n%d", idx), delay)
-		st.downUntil[idx] = r + maxInt(ev.DownRounds, 1)
+		st.downUntil[idx] = r + max(ev.DownRounds, 1)
 		st.crashes++
 	}
 	return nil
@@ -633,7 +633,7 @@ func (st *runState) recoveryPass(round int) {
 	b := st.branching
 	for z := 0; z*b < st.sc.Nodes; z++ {
 		first := z * b
-		size := minInt(b, st.sc.Nodes-first)
+		size := min(b, st.sc.Nodes-first)
 		var got int64
 		for i := first; i < first+size; i++ {
 			got += st.cluster.NodeDelivered(i)
@@ -694,18 +694,4 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		k++
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
