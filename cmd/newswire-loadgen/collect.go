@@ -230,51 +230,17 @@ func collectMain(o collectOptions) error {
 
 	// Phase 4: slowest delivery paths across every joined trace, by
 	// corrected publish-to-deliver latency.
-	type delivery struct {
-		key, dst string
-		lat      time.Duration
-	}
-	publishAt := make(map[string]time.Time)
-	for _, s := range spans {
-		if s.Kind == trace.KindPublish {
-			if _, ok := publishAt[s.Key]; !ok {
-				publishAt[s.Key] = s.At
-			}
-		}
-	}
-	var dels []delivery
-	for _, s := range spans {
-		if s.Kind != trace.KindDeliver {
-			continue
-		}
-		pub, ok := publishAt[s.Key]
-		if !ok {
-			continue
-		}
-		dels = append(dels, delivery{key: s.Key, dst: s.Node, lat: s.At.Sub(pub)})
-	}
-	sort.Slice(dels, func(i, j int) bool { return dels[i].lat > dels[j].lat })
-	if len(dels) > o.top {
-		dels = dels[:o.top]
-	}
-	for rank, d := range dels {
+	for rank, d := range trace.Slowest(spans, o.top) {
 		o.log.Info("slow path",
 			"rank", rank+1,
-			"key", d.key,
-			"dst", d.dst,
-			"latency_ms", fmt.Sprintf("%.3f", d.lat.Seconds()*1000))
-		path := trace.PathTo(spans, d.key, d.dst)
-		prev := time.Time{}
-		for hop, s := range path {
-			dt := 0.0
-			if !prev.IsZero() {
-				dt = s.At.Sub(prev).Seconds() * 1000
-			}
-			prev = s.At
+			"key", d.Key,
+			"dst", d.Node,
+			"latency_ms", fmt.Sprintf("%.3f", d.Latency.Seconds()*1000))
+		for hop, h := range d.Hops {
 			o.log.Info("hop",
 				"rank", rank+1, "hop", hop,
-				"kind", s.Kind.String(), "node", s.Node, "to", s.To,
-				"dt_ms", fmt.Sprintf("%.3f", dt))
+				"kind", h.Span.Kind.String(), "node", h.Span.Node, "to", h.Span.To,
+				"dt_ms", fmt.Sprintf("%.3f", h.Delta.Seconds()*1000))
 		}
 	}
 	return nil

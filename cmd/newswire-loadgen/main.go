@@ -23,9 +23,9 @@
 // the zero-corruption figure comes from.
 //
 // Latency percentiles are clock-offset corrected: before the load arm the
-// sink runs the transport's NTP-style ping/pong handshake against the
-// hub and adds the estimated offset to every delivery-latency sample, so
-// the reported p50/p99 survive publisher/subscriber clock skew (the two
+// sink measures the hub's clock with the transport's NTP-style ping/pong
+// estimator and adds the offset to every delivery-latency sample, so the
+// reported p50/p99 survive publisher/subscriber clock skew (the two
 // processes share a host here, so the correction is near zero — the
 // mechanism is what E11 exercises).
 //
@@ -53,7 +53,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -121,7 +120,7 @@ func run(args []string) error {
 		expect    = fs.Int("expect-nodes", 0, "collect: health digests the rollup must reach (0 = number of -nodes)")
 		colWait   = fs.Duration("collect-timeout", 60*time.Second, "collect: how long to wait for health convergence and a joined trace")
 		traceKey  = fs.String("key", "", "collect: item envelope key to trace (default: the trace spanning the most processes)")
-		slowPaths = fs.Int("top", 3, "collect: slowest delivery paths to report")
+		slowPaths = fs.Int("top", 3, "collect: slowest delivery paths to report (0 = all)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -315,7 +314,7 @@ func runArm(o options, sink *sinkProc, addrs []string) (armResult, error) {
 		QueueLen: o.queue,
 		// The periodic re-probe must not fire mid-step: its frames would
 		// pollute the delivered-frame accounting. Dial-time probes land in
-		// the warm-up window; the sink runs its own handshake below.
+		// the warm-up window; the sink measures the hub's clock below.
 		ClockSyncInterval: time.Hour,
 	})
 	if err != nil {
@@ -657,80 +656,47 @@ type sinkState struct {
 	decodeEvery                            int64
 	lat                                    metrics.Histogram
 
-	// Clock-offset handshake state: offsetNs (hub clock minus sink clock)
-	// is added to every latency sample; clockBest holds the lowest-RTT
-	// probe of the current CLOCK round.
-	offsetNs   atomic.Int64
-	listenAddr string
-	clockMu    struct {
-		sync.Mutex
-		offset, rtt time.Duration
-		samples     int
-	}
+	// offsetNs (hub clock minus sink clock) is added to every latency
+	// sample.
+	offsetNs atomic.Int64
 }
 
-// handleClockPong folds one pong into the current handshake round,
-// keeping the sample with the lowest round trip (the NTP rule: less time
-// in flight, less room for asymmetry error).
-func (s *sinkState) handleClockPong(cs *wire.ClockSync) {
-	if cs == nil || cs.T1 == 0 || cs.T2 == 0 {
-		return
-	}
-	t1, t2, t3 := time.Unix(0, cs.T1), time.Unix(0, cs.T2), time.Now()
-	rtt := t3.Sub(t1)
-	if rtt <= 0 || rtt > 5*time.Second {
-		return
-	}
-	offset := t2.Sub(t1) - rtt/2
-	s.clockMu.Lock()
-	if s.clockMu.samples == 0 || rtt < s.clockMu.rtt {
-		s.clockMu.offset, s.clockMu.rtt = offset, rtt
-	}
-	s.clockMu.samples++
-	s.clockMu.Unlock()
-}
-
-// clockHandshake probes the hub with a burst of clock pings (stamped with
-// this sink's listener as the reply address) and waits for the pongs the
-// hub sends back, returning the lowest-RTT offset estimate.
-func (s *sinkState) clockHandshake(hub string) (offsetNs, rttNs int64, err error) {
-	s.clockMu.Lock()
-	s.clockMu.offset, s.clockMu.rtt, s.clockMu.samples = 0, 0, 0
-	s.clockMu.Unlock()
-
-	c, err := net.DialTimeout("tcp", hub, 5*time.Second)
+// measureHubClock measures the hub's clock offset with the transport's
+// own estimator: a short-lived endpoint sends the hub one frame, which
+// dials it and fires the dial-time clock probe, re-probes every
+// clockProbeInterval and keeps the lowest-RTT sample. The endpoint is
+// closed before the load is timed, so its probes stay out of the frame
+// counts.
+func measureHubClock(hub string) (transport.ClockOffset, error) {
+	tr, err := transport.ListenTCPWith("127.0.0.1:0", func(*wire.Message) {}, transport.TCPOptions{
+		ClockSyncInterval: clockProbeInterval,
+	})
 	if err != nil {
-		return 0, 0, err
+		return transport.ClockOffset{}, err
 	}
-	defer c.Close()
-	const probes = 5
-	for i := 0; i < probes; i++ {
-		f, err := wire.NewFrame(&wire.Message{
-			Kind:      wire.KindClockPing,
-			ClockSync: &wire.ClockSync{Seq: uint64(i + 1), T1: time.Now().UnixNano()},
-		}, s.listenAddr)
-		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := c.Write(f.Bytes()); err != nil {
-			return 0, 0, err
-		}
-		time.Sleep(20 * time.Millisecond)
+	defer tr.Close()
+	// The hub ignores the ack; sending it is what opens the connection.
+	if err := tr.Send(hub, &wire.Message{Kind: wire.KindMulticastAck, MulticastAck: &wire.MulticastAck{}}); err != nil {
+		return transport.ClockOffset{}, err
 	}
+	// The dial-time probe plus four re-probes; the estimate keeps the
+	// fastest round trip among them.
+	time.Sleep(5 * clockProbeInterval)
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		s.clockMu.Lock()
-		off, rtt, n := s.clockMu.offset, s.clockMu.rtt, s.clockMu.samples
-		s.clockMu.Unlock()
-		if n >= probes || (n > 0 && time.Now().After(deadline)) {
-			return off.Nanoseconds(), rtt.Nanoseconds(), nil
+		if e, ok := tr.ClockOffset(hub); ok {
+			return e, nil
 		}
 		if time.Now().After(deadline) {
-			return 0, 0, fmt.Errorf("no pong from %s within deadline", hub)
+			return transport.ClockOffset{}, fmt.Errorf("no clock offset for %s within deadline", hub)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// clockProbeInterval is how often measureHubClock's endpoint re-probes
+// the hub.
+const clockProbeInterval = 20 * time.Millisecond
 
 func sinkMain(decodeEvery int) error {
 	raiseFDLimit()
@@ -745,7 +711,6 @@ func sinkMain(decodeEvery int) error {
 		return err
 	}
 	defer ln.Close()
-	s.listenAddr = fmt.Sprintf("127.0.0.1:%d", ln.Addr().(*net.TCPAddr).Port)
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -788,12 +753,12 @@ func sinkMain(decodeEvery int) error {
 			fmt.Fprintln(out, "OK")
 			out.Flush()
 		case strings.HasPrefix(line, "CLOCK "):
-			off, rtt, err := s.clockHandshake(strings.TrimPrefix(line, "CLOCK "))
+			e, err := measureHubClock(strings.TrimPrefix(line, "CLOCK "))
 			if err != nil {
 				fmt.Fprintf(out, "ERR %v\n", err)
 			} else {
-				s.offsetNs.Store(off)
-				fmt.Fprintf(out, "CLOCK %d %d\n", off, rtt)
+				s.offsetNs.Store(int64(e.Offset))
+				fmt.Fprintf(out, "CLOCK %d %d\n", int64(e.Offset), int64(e.RTT))
 			}
 			out.Flush()
 		case line == "QUIT":
@@ -826,14 +791,9 @@ func (s *sinkState) readConn(c net.Conn) {
 		if _, err := io.ReadFull(br, b); err != nil {
 			return
 		}
-		// Transport-internal clock-sync frames ride the same sockets; keep
+		// The hub's dial-time clock probes ride the same sockets; keep
 		// them out of the delivery accounting.
-		if k, ok := wire.SniffKind(b); ok && (k == wire.KindClockPing || k == wire.KindClockPong) {
-			if k == wire.KindClockPong {
-				if msg, err := wire.Decode(b); err == nil {
-					s.handleClockPong(msg.ClockSync)
-				}
-			}
+		if k, ok := wire.SniffKind(b); ok && k == wire.KindClockPing {
 			continue
 		}
 		n := s.frames.Add(1)

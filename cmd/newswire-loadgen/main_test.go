@@ -58,6 +58,9 @@ func TestLoadgenEndToEnd(t *testing.T) {
 		if arm.SustainedMsgsPerSec <= 0 {
 			t.Errorf("arm %s: no sustained throughput recorded", arm.Label)
 		}
+		if arm.ClockRTTMs <= 0 {
+			t.Errorf("arm %s: clock_rtt_ms %v, want the hub's clock measured", arm.Label, arm.ClockRTTMs)
+		}
 		for _, st := range arm.Steps {
 			if st.DeliveredFrames != st.OfferedFrames {
 				t.Errorf("arm %s rate %d: delivered %d of %d frames",

@@ -43,22 +43,24 @@ type ClusterConfig struct {
 	// canonical span order is identical between serial and parallel
 	// execution of the same seed.
 	Trace bool
-	// VirtualLeaves packs quiescent leaf members into per-zone template
-	// rows and delivery bitsets instead of full Node instances (see
+	// VirtualSubjects, when non-empty, turns on virtual leaves and is the
+	// subscription set of every member. Quiescent leaf members are packed
+	// into per-zone template rows advertising the matching Bloom filter
+	// and delivery bitsets instead of full Node instances (see
 	// virtual.go). Only the first materializedPerZone members of each
-	// leaf zone get real agents; Nodes holds nil for the rest until
-	// MaterializeNode is called. Requires VirtualSubjects and ModeBloom
-	// (a Customize that sets another Mode is rejected), and assumes the
-	// default pub/sub geometry.
-	VirtualLeaves bool
-	// VirtualSubjects is the subscription set of every member — real
-	// members are subscribed during construction, virtual members
-	// advertise the matching Bloom filter in their template rows.
+	// leaf zone get real agents, subscribed during construction; Nodes
+	// holds nil for the rest until MaterializeNode is called. Requires
+	// ModeBloom (a Customize that sets another Mode is rejected), and
+	// assumes the default pub/sub geometry.
 	VirtualSubjects []string
 }
 
+// virtualLeaves reports whether the cluster packs quiescent members
+// (ClusterConfig.VirtualSubjects).
+func (cfg *ClusterConfig) virtualLeaves() bool { return len(cfg.VirtualSubjects) > 0 }
+
 // materializedPerZone is how many leading members of each leaf zone are
-// real agents under VirtualLeaves: the default aggregation elects 3
+// real agents under virtual leaves: the default aggregation elects 3
 // representatives, which must be able to act, plus one plain member so
 // delivery latency is sampled at a non-representative too.
 const materializedPerZone = 4
@@ -85,7 +87,7 @@ type Cluster struct {
 	// index position, breaking serial≡parallel. Rebuilt lazily when
 	// owners were added.
 	tickOrder []int
-	// Virtual-leaf bookkeeping (virtual.go); empty without VirtualLeaves.
+	// Virtual-leaf bookkeeping (virtual.go); empty without VirtualSubjects.
 	vzones      []*virtualZone
 	vzoneByPath map[string]*virtualZone
 	rounds      int
@@ -147,9 +149,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Branching < 2 {
 		cfg.Branching = 2 // ZonePathFor's own floor; keep zone math aligned
 	}
-	if cfg.VirtualLeaves && len(cfg.VirtualSubjects) == 0 {
-		return nil, fmt.Errorf("core: VirtualLeaves requires VirtualSubjects")
-	}
 	if cfg.Link == (sim.LinkModel{}) {
 		cfg.Link = sim.DefaultWAN
 	}
@@ -167,7 +166,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	var subsVal, loadVal, virtVal value.Value
-	if cfg.VirtualLeaves {
+	if cfg.virtualLeaves() {
 		subsVal = virtualSubsBloom(cfg.VirtualSubjects)
 		loadVal = value.Float(1)
 		virtVal = value.Bool(true)
@@ -175,7 +174,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	issued := eng.Now()
 	for i := 0; i < cfg.N; i++ {
-		if cfg.VirtualLeaves && i%cfg.Branching >= materializedPerZone {
+		if cfg.virtualLeaves() && i%cfg.Branching >= materializedPerZone {
 			// Quiescent member: a template row and a sink endpoint, no
 			// agent (virtual.go). The zone's first materializedPerZone
 			// members took the real-node path below, so the first
@@ -217,7 +216,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, err
 		}
 		c.Nodes = append(c.Nodes, n)
-		if cfg.VirtualLeaves {
+		if cfg.virtualLeaves() {
 			if err := n.Subscribe(cfg.VirtualSubjects...); err != nil {
 				return nil, fmt.Errorf("core: node %d: %w", i, err)
 			}
@@ -266,10 +265,10 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 	if cfg.Customize != nil {
 		cfg.Customize(i, &nodeCfg)
 	}
-	if cfg.VirtualLeaves && nodeCfg.Mode != 0 && nodeCfg.Mode != pubsub.ModeBloom {
+	if cfg.virtualLeaves() && nodeCfg.Mode != 0 && nodeCfg.Mode != pubsub.ModeBloom {
 		// Template rows advertise a raw Bloom subs filter (virtual.go),
 		// which only ModeBloom's forwarding test reads.
-		return nil, fmt.Errorf("core: node %d: ClusterConfig.VirtualLeaves requires Config.Mode bloom, Customize set %s",
+		return nil, fmt.Errorf("core: node %d: virtual leaves (ClusterConfig.VirtualSubjects) require Config.Mode bloom, Customize set %s",
 			i, nodeCfg.Mode)
 	}
 	n, err := NewNode(nodeCfg)

@@ -9,7 +9,7 @@ package core
 // quiescent subscriber contributes exactly two things to a run: a leaf
 // row (address, load, subscription summary) that shapes aggregation and
 // fan-out, and a delivery endpoint that accepts final Deliver copies.
-// Neither needs a full Node: a ClusterConfig with VirtualLeaves packs
+// Neither needs a full Node: a ClusterConfig with VirtualSubjects packs
 // every quiescent member into one shared template row plus one bit in a
 // per-zone delivery bitset, and materializes a real agent lazily only
 // when an experiment needs the member to act (publish, crash, be

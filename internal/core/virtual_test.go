@@ -50,7 +50,6 @@ func TestVirtualLeavesDeliveryEquivalence(t *testing.T) {
 				Customize: func(i int, nc *Config) { nc.RepCount = 2 },
 			}
 			if virtual {
-				cfg.VirtualLeaves = true
 				cfg.VirtualSubjects = []string{"tech/linux"}
 			}
 			c, err := NewCluster(cfg)
@@ -94,7 +93,6 @@ func TestVirtualLeavesSerialParallelIdentical(t *testing.T) {
 	run := func(workers int) ([]int64, int64) {
 		c, err := NewCluster(ClusterConfig{
 			N: 256, Branching: 64, Seed: 9, Workers: workers,
-			VirtualLeaves:   true,
 			VirtualSubjects: []string{"tech/linux"},
 			Customize:       func(i int, nc *Config) { nc.RepCount = 2 },
 		})
@@ -130,7 +128,6 @@ func TestVirtualLeavesSerialParallelIdentical(t *testing.T) {
 func TestMaterializeNode(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		N: 64, Branching: 16, Seed: 5, Link: losslessLink,
-		VirtualLeaves:   true,
 		VirtualSubjects: []string{"tech/linux"},
 	})
 	if err != nil {
@@ -178,13 +175,13 @@ func TestMaterializeNode(t *testing.T) {
 func TestVirtualLeavesRejectPredicateMode(t *testing.T) {
 	_, err := NewCluster(ClusterConfig{
 		N: 16, Branching: 8, Seed: 1,
-		VirtualLeaves: true, VirtualSubjects: []string{"tech/linux"},
-		Customize: func(i int, nc *Config) { nc.Mode = pubsub.ModePredicate },
+		VirtualSubjects: []string{"tech/linux"},
+		Customize:       func(i int, nc *Config) { nc.Mode = pubsub.ModePredicate },
 	})
 	if err == nil {
-		t.Fatal("VirtualLeaves with ModePredicate accepted")
+		t.Fatal("VirtualSubjects with ModePredicate accepted")
 	}
-	for _, field := range []string{"VirtualLeaves", "Mode"} {
+	for _, field := range []string{"VirtualSubjects", "Mode"} {
 		if !strings.Contains(err.Error(), field) {
 			t.Errorf("error %q does not name %s", err, field)
 		}

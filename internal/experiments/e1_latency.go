@@ -61,10 +61,11 @@ func RunE1(opt Options) *Table {
 	return t
 }
 
-// runE1Virtual measures one E1 row with core.ClusterConfig.VirtualLeaves:
-// quiescent members are packed template rows plus delivery bitsets, so
-// heap stays O(real agents + zones) while the delivered column still
-// counts every one of the n members exactly.
+// runE1Virtual measures one E1 row with virtual leaves
+// (core.ClusterConfig.VirtualSubjects): quiescent members are packed
+// template rows plus delivery bitsets, so heap stays O(real agents +
+// zones) while the delivered column still counts every one of the n
+// members exactly.
 func runE1Virtual(n int, seed int64, workers int) ([]string, *WireUsage) {
 	branching := 64
 	if n < 256 {
@@ -77,7 +78,6 @@ func runE1Virtual(n int, seed int64, workers int) ([]string, *WireUsage) {
 		Branching:       branching,
 		Seed:            seed,
 		Workers:         workers,
-		VirtualLeaves:   true,
 		VirtualSubjects: []string{"tech/linux"},
 		Customize: func(i int, cfg *core.Config) {
 			cfg.RepCount = 2

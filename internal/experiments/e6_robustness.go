@@ -6,6 +6,7 @@ import (
 
 	"newswire/internal/core"
 	"newswire/internal/news"
+	"newswire/internal/trace"
 )
 
 // e6AckTimeout is the retry arm's ack deadline. Virtual link latency
@@ -125,7 +126,9 @@ func runE6Case(seed int64, n int, phi float64, k, itemCount int, retry bool) []s
 // representative of the same zone.
 func runE6ForwarderCrash(seed int64, n, itemCount int, retry, traced bool) ([]string, *TraceReport) {
 	const k = 1
-	cluster, err := newE6Cluster(seed+9001, n, k, retry, traced)
+	// Always traced: the victims come from the publisher's spans, and
+	// tracing moves no message or random draw.
+	cluster, err := newE6Cluster(seed+9001, n, k, retry, true)
 	if err != nil {
 		return []string{"error", err.Error(), "", "", "", "", "", ""}, nil
 	}
@@ -146,23 +149,22 @@ func runE6ForwarderCrash(seed int64, n, itemCount int, retry, traced bool) ([]st
 		_ = pub.PublishItem(it, "", "")
 	}
 
-	// Publishing routes synchronously, so the forwarding log already
-	// names the first item's zone-level destinations (leaf-zone deliver
-	// copies log under the publisher's own zone path and are excluded —
-	// crashing plain subscribers tests nothing about forwarding).
+	// Publishing routes synchronously, so the publisher's forward spans
+	// already name the first item's zone-level destinations. Spans are
+	// recorded only for remote transmissions, and leaf-zone deliver
+	// copies carry the publisher's own zone path and are excluded —
+	// crashing plain subscribers tests nothing about forwarding.
 	firstKey := ""
 	victims := make(map[string]bool)
-	for _, e := range pub.Router().Log() {
-		if firstKey == "" && e.Zone != pub.ZonePath() {
-			firstKey = e.Key
-		}
-		if e.Key != firstKey || e.Zone == pub.ZonePath() {
+	for _, s := range cluster.TraceSpans() {
+		if s.Kind != trace.KindForward || s.Node != pub.Addr() || s.Zone == pub.ZonePath() {
 			continue
 		}
-		for _, d := range e.Dests {
-			if d != pub.Addr() {
-				victims[d] = true
-			}
+		if firstKey == "" {
+			firstKey = s.Key
+		}
+		if s.Key == firstKey {
+			victims[s.To] = true
 		}
 	}
 	for v := range victims {

@@ -35,7 +35,7 @@ type Options struct {
 	Trace bool
 	// Nodes, when positive, replaces E1's standard size sweep with a
 	// single row at exactly this size, run with virtual quiescent
-	// leaves (core.ClusterConfig.VirtualLeaves): only 4 members per
+	// leaves (core.ClusterConfig.VirtualSubjects): only 4 members per
 	// leaf zone are full agents, the rest are template rows plus
 	// delivery bitsets. Delivery accounting stays exact; latency
 	// quantiles are sampled at the real members. This is what makes

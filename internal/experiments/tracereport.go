@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
-	"time"
 
 	"newswire/internal/trace"
 )
@@ -18,80 +16,24 @@ type TraceReport struct {
 	Label       string           `json:"label"`
 	SpanCount   int              `json:"span_count"`
 	Fingerprint string           `json:"fingerprint"`
-	Slowest     []TracedDelivery `json:"slowest,omitempty"`
+	Slowest     []trace.Delivery `json:"slowest,omitempty"`
 	Failed      []trace.Span     `json:"failed,omitempty"`
 }
 
-// TracedDelivery is one application delivery explained hop by hop.
-type TracedDelivery struct {
-	Key     string        `json:"key"`
-	Node    string        `json:"node"`
-	Latency time.Duration `json:"latency"`
-	Hops    []TraceHop    `json:"hops"`
-}
-
-// TraceHop is one span on a delivery path plus the time spent since the
-// previous hop.
-type TraceHop struct {
-	Span  trace.Span    `json:"span"`
-	Delta time.Duration `json:"delta"`
-}
-
-// BuildTraceReport digests a canonical span slice: delivery latency is
-// each deliver span's offset from its item's publish span, the topN
-// slowest deliveries get their hop paths reconstructed with trace.PathTo,
-// and delivery-fail spans are carried verbatim.
+// BuildTraceReport digests a canonical span slice: the topN slowest
+// deliveries explained by trace.Slowest, and delivery-fail spans carried
+// verbatim.
 func BuildTraceReport(label string, spans []trace.Span, topN int) *TraceReport {
 	r := &TraceReport{
 		Label:       label,
 		SpanCount:   len(spans),
 		Fingerprint: trace.Fingerprint(spans),
+		Slowest:     trace.Slowest(spans, topN),
 	}
-	publishAt := make(map[string]time.Time)
-	for i := range spans {
-		s := &spans[i]
-		switch s.Kind {
-		case trace.KindPublish:
-			if _, ok := publishAt[s.Key]; !ok {
-				publishAt[s.Key] = s.At
-			}
-		case trace.KindDeliveryFail:
-			r.Failed = append(r.Failed, *s)
+	for _, s := range spans {
+		if s.Kind == trace.KindDeliveryFail {
+			r.Failed = append(r.Failed, s)
 		}
-	}
-	type deliv struct {
-		key, node string
-		lat       time.Duration
-	}
-	var delivs []deliv
-	for i := range spans {
-		s := &spans[i]
-		if s.Kind != trace.KindDeliver {
-			continue
-		}
-		pub, ok := publishAt[s.Key]
-		if !ok {
-			continue
-		}
-		delivs = append(delivs, deliv{key: s.Key, node: s.Node, lat: s.At.Sub(pub)})
-	}
-	sort.SliceStable(delivs, func(i, j int) bool { return delivs[i].lat > delivs[j].lat })
-	if topN > 0 && len(delivs) > topN {
-		delivs = delivs[:topN]
-	}
-	for _, d := range delivs {
-		td := TracedDelivery{Key: d.key, Node: d.node, Latency: d.lat}
-		path := trace.PathTo(spans, d.key, d.node)
-		prev := time.Time{}
-		for _, s := range path {
-			hop := TraceHop{Span: s}
-			if !prev.IsZero() {
-				hop.Delta = s.At.Sub(prev)
-			}
-			prev = s.At
-			td.Hops = append(td.Hops, hop)
-		}
-		r.Slowest = append(r.Slowest, td)
 	}
 	return r
 }

@@ -53,7 +53,6 @@ var allowed = map[string]string{
 	"sqlagg.(*Program).OutputNames":         "floor: TestParseValidPrograms",
 	"sqlagg.AggregateNames":                 "floor: TestFunctionNameLists",
 	"sqlagg.ScalarNames":                    "floor: TestFunctionNameLists",
-	"transport.(*TCP).ClockOffset":          "floor: TestClockOffsetHandshake",
 	"value.DecodeMap":                       "oracle: TestMapRoundTrip, TestQuickMapRoundTrip: the inverse that proves the signed canonical form unambiguous",
 	"value.Map.Keys":                        "floor: TestGossipDeltaDecodeAllocationBudget",
 	"vtime.NewVirtualAt":                    "floor: TestNewVirtualAt",

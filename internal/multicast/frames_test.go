@@ -88,7 +88,7 @@ func (tr *frameTransport) SendFrame(to string, f wire.Frame) error {
 
 var _ transport.FrameSender = (*frameTransport)(nil)
 
-func frameRouterConfig(v *frameView, tr transport.Transport) Config {
+func frameRouterConfig(v View, tr transport.Transport) Config {
 	return Config{
 		View:      v,
 		Transport: tr,
@@ -220,5 +220,51 @@ func TestPredicateCacheBounded(t *testing.T) {
 		if n := len(r.preds); n > maxCachedPredicates {
 			t.Fatalf("after %d predicates the cache holds %d, cap %d", i+1, n, maxCachedPredicates)
 		}
+	}
+}
+
+// nopTransport is a Transport whose Send does nothing and allocates
+// nothing, so a test can count the router's own allocations.
+type nopTransport struct{ addr string }
+
+func (tr nopTransport) Addr() string                     { return tr.addr }
+func (tr nopTransport) Send(string, *wire.Message) error { return nil }
+func (tr nopTransport) Close() error                     { return nil }
+
+// staticLeafView is a frameView whose leaf table is built once, so
+// reading it allocates nothing.
+type staticLeafView struct {
+	*frameView
+	rows []astrolabe.Row
+}
+
+func (v staticLeafView) Table(zone string) ([]astrolabe.Row, bool) {
+	if zone != v.zone {
+		return nil, false
+	}
+	return v.rows, true
+}
+
+// TestLeafFanOutAllocationsFlatInMembers checks that one leaf fan-out's
+// allocations do not grow with the member count: the forward is built
+// once, and no per-destination record is kept beside the dedup state.
+func TestLeafFanOutAllocationsFlatInMembers(t *testing.T) {
+	allocs := func(members int) float64 {
+		fv := &frameView{zone: "/z", name: "self", addr: "self:0", members: map[string]string{}}
+		for i := 0; i < members; i++ {
+			fv.members[fmt.Sprintf("m%d", i)] = fmt.Sprintf("m%d:0", i)
+		}
+		rows, _ := fv.Table("/z")
+		r, err := NewRouter(frameRouterConfig(staticLeafView{fv, rows}, nopTransport{addr: fv.addr}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := envelope("flat")
+		r.Reinject(&env) // interns every member address
+		return testing.AllocsPerRun(50, func() { r.Reinject(&env) })
+	}
+	few, many := allocs(4), allocs(64)
+	if many > few {
+		t.Fatalf("a leaf fan-out allocates %.0f objects to 64 members and %.0f to 4; want no growth", many, few)
 	}
 }

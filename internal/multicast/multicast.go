@@ -120,8 +120,6 @@ type Config struct {
 const (
 	// maxHops bounds forwarding depth.
 	maxHops = 64
-	// logSize bounds the in-memory forwarding log (§9).
-	logSize = 1024
 	// dedupWindow bounds the duplicate-suppression state: the router
 	// remembers this many recent item keys for forwarding and delivery
 	// dedup, evicting oldest-first. Older items falling out of the
@@ -162,13 +160,6 @@ type Stats struct {
 	PendingScrambled int64 // pending reliable forwards dropped by scrambling
 }
 
-// LogEntry records one forwarding decision (§9's forwarder log).
-type LogEntry struct {
-	Key   string
-	Zone  string
-	Dests []string
-}
-
 // Router implements SendToZone and the forwarding component of a node.
 type Router struct {
 	cfg  Config
@@ -184,8 +175,6 @@ type Router struct {
 	seenOrder []string                   // insertion order for eviction
 	delivered map[string]bool            // item key -> delivered locally
 	dlvOrder  []string
-	log       []LogEntry
-	logNext   int
 	stats     Stats
 	preds     map[string]*sqlagg.Predicate
 
@@ -292,18 +281,6 @@ func (r *Router) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// Log returns a copy of the forwarding log, oldest first.
-func (r *Router) Log() []LogEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]LogEntry, 0, len(r.log))
-	if len(r.log) == logSize {
-		out = append(out, r.log[r.logNext:]...)
-	}
-	out = append(out, r.log[:r.logNext]...)
-	return out
 }
 
 // Publish injects an item at this node, disseminating it to every
@@ -544,9 +521,9 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 		if !ok {
 			continue
 		}
-		// Interned: the forwarding log, trace spans and pending forwards
-		// outlive the row, and must not keep a gossiped row's buffer
-		// (DESIGN.md §8, "Row ownership").
+		// Interned: trace spans and pending forwards outlive the row, and
+		// must not keep a gossiped row's buffer (DESIGN.md §8, "Row
+		// ownership").
 		addr = value.Intern(addr)
 		if f == nil {
 			f = r.newForward(wire.Multicast{
@@ -558,7 +535,6 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 			})
 		}
 		r.forwardTo(f, m.TargetZone, row.Name, addr)
-		r.logForward(m.Envelope.Key(), m.TargetZone, []string{addr})
 	}
 }
 
@@ -604,7 +580,6 @@ func (r *Router) forwardToRow(zone string, row astrolabe.Row, m *wire.Multicast,
 		}
 		r.forwardTo(f, zone, row.Name, addr)
 	}
-	r.logForward(m.Envelope.Key(), nextTarget, chosen)
 }
 
 // newForward builds the forward every destination of one fan-out
@@ -777,7 +752,6 @@ func (r *Router) onAckDeadline(p *pendingForward) {
 		}
 	}
 	r.transmit(p.fwd, addr)
-	r.logForward(m.Envelope.Key(), m.TargetZone, []string{addr})
 	r.scheduleDeadline(p)
 }
 
@@ -960,17 +934,4 @@ func (r *Router) deliverLocal(tid uint64, env *wire.ItemEnvelope) {
 		})
 	}
 	r.cfg.Deliver(env)
-}
-
-func (r *Router) logForward(key, zone string, dests []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	entry := LogEntry{Key: key, Zone: zone, Dests: dests}
-	if len(r.log) < logSize {
-		r.log = append(r.log, entry)
-		r.logNext = len(r.log) % logSize
-		return
-	}
-	r.log[r.logNext] = entry
-	r.logNext = (r.logNext + 1) % logSize
 }

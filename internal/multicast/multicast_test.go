@@ -9,6 +9,7 @@ import (
 
 	"newswire/internal/astrolabe"
 	"newswire/internal/sim"
+	"newswire/internal/trace"
 	"newswire/internal/wire"
 )
 
@@ -400,25 +401,45 @@ func TestPublishValidatesScope(t *testing.T) {
 	}
 }
 
+// TestForwardingLogRecords checks that a router's forward spans, the one
+// record of its forwarding decisions, name the published item's
+// destinations. The name predates the spans and stays for the suite.
 func TestForwardingLogRecords(t *testing.T) {
 	zones := []string{"/a/x", "/b/y"}
-	c := newMCCluster(t, zones, 1, nil)
+	rec := trace.NewRing(0)
+	c := newMCCluster(t, zones, 1, nil, traceHook(0, rec))
 	c.nodes[0].router.Publish(envelope("logged"), "/")
 	c.eng.RunFor(3 * time.Second)
 
-	log := c.nodes[0].router.Log()
-	if len(log) == 0 {
-		t.Fatal("forwarding log empty after publish")
+	dests := forwardDests(rec, "test/logged#0", "")
+	if len(dests) == 0 {
+		t.Fatalf("no forward span names the published item: %+v", rec.Spans())
 	}
-	found := false
-	for _, e := range log {
-		if e.Key == "test/logged#0" && len(e.Dests) > 0 {
-			found = true
+	if dests[0] != c.nodes[1].agent.Addr() {
+		t.Fatalf("forward went to %v, want %s", dests, c.nodes[1].agent.Addr())
+	}
+}
+
+// traceHook records node i's spans into rec.
+func traceHook(i int, rec trace.Recorder) func(int, *Config) {
+	return func(j int, cfg *Config) {
+		if j == i {
+			cfg.Tracer = rec
 		}
 	}
-	if !found {
-		t.Fatalf("log lacks the published item: %+v", log)
+}
+
+// forwardDests lists the destinations of rec's forward spans for key,
+// in the order they were sent, keeping only those toward zone unless
+// zone is "".
+func forwardDests(rec *trace.Ring, key, zone string) []string {
+	var out []string
+	for _, s := range rec.Spans() {
+		if s.Kind == trace.KindForward && s.Key == key && (zone == "" || s.Zone == zone) {
+			out = append(out, s.To)
+		}
 	}
+	return out
 }
 
 func TestRouterStats(t *testing.T) {
@@ -556,13 +577,16 @@ func reliableHook(timeout time.Duration) func(i int, cfg *Config) {
 	return func(i int, cfg *Config) { cfg.AckTimeout = timeout }
 }
 
+// TestReliableMulticastSurvivesForwarderCrash takes its victim from the
+// publisher's forward spans; the name stays for the suite.
 func TestReliableMulticastSurvivesForwarderCrash(t *testing.T) {
 	// k=1: a single representative forwards into /a. Crash it while its
 	// row is still in every table — without retries the zone goes dark
 	// (TestMulticastSingleRepFailureLosesDelivery); with ack/retry the
 	// publisher times out and fails over to the next listed rep.
 	zones := []string{"/a/x", "/a/x", "/a/x", "/b/y"}
-	c := newMCCluster(t, zones, 1, nil, reliableHook(200*time.Millisecond))
+	rec := trace.NewRing(0)
+	c := newMCCluster(t, zones, 1, nil, reliableHook(200*time.Millisecond), traceHook(3, rec))
 
 	row, ok := c.nodes[3].agent.Row("/", "a")
 	if !ok {
@@ -574,21 +598,16 @@ func TestReliableMulticastSurvivesForwarderCrash(t *testing.T) {
 
 	// Publish, then crash the representative the forward actually chose
 	// before the (≥5ms) link latency delivers it: a crash mid-forward.
-	// Publish routes synchronously, so the forwarding log already names
-	// the destination.
+	// Publish routes synchronously, so the publisher's forward spans
+	// already name the destination.
 	if err := c.nodes[3].router.Publish(envelope("failover"), "/"); err != nil {
 		t.Fatal(err)
 	}
-	var victim string
-	for _, e := range c.nodes[3].router.Log() {
-		if e.Key == "test/failover#0" && e.Zone == "/a" && len(e.Dests) > 0 {
-			victim = e.Dests[0]
-		}
+	victims := forwardDests(rec, "test/failover#0", "/a")
+	if len(victims) != 1 {
+		t.Fatalf("publisher's spans name %v as /a forwarders, want one", victims)
 	}
-	if victim == "" {
-		t.Fatal("publisher's log lacks the /a forward")
-	}
-	c.net.Crash(victim)
+	c.net.Crash(victims[0])
 	c.eng.RunFor(10 * time.Second)
 
 	for i, n := range c.nodes {

@@ -259,7 +259,6 @@ func runOnce(sc Scenario, opt Options, skipScramble bool) (*Result, uint64, erro
 		},
 	}
 	if sc.VirtualLeaves {
-		cfg.VirtualLeaves = true
 		cfg.VirtualSubjects = sc.Subjects
 	}
 	cluster, err := core.NewCluster(cfg)

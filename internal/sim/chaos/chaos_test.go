@@ -159,7 +159,7 @@ func TestMaterializedCrashAccounting(t *testing.T) {
 	subjects := []string{"tech/security"}
 	cluster, err := core.NewCluster(core.ClusterConfig{
 		N: 32, Branching: 16, Seed: 5,
-		VirtualLeaves: true, VirtualSubjects: subjects,
+		VirtualSubjects: subjects,
 		Customize: func(i int, cfg *core.Config) {
 			cfg.AckTimeout = time.Second
 			cfg.ReshareRecovered = true

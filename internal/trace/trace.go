@@ -6,6 +6,10 @@
 // delivery the p99 outlier, which forwarder a retry failed over from,
 // where a duplicate was suppressed, which peer's cache served a recovery.
 //
+// Forward spans are the one record of where an item went; PathTo walks
+// them back from a delivery, and Slowest explains the slowest deliveries
+// with those paths.
+//
 // Recording is opt-in per component through the Recorder interface; a nil
 // recorder costs one pointer comparison on each would-be span, so the
 // disabled path adds no allocation and no measurable time to the hot
@@ -51,8 +55,8 @@ const (
 	KindRetry
 	// KindFailover is a retry that switched to an alternate representative.
 	KindFailover
-	// KindDedupDrop is a duplicate suppressed by the forwarding log, the
-	// delivery log, or the message cache.
+	// KindDedupDrop is a duplicate suppressed by the router's forwarding
+	// or delivery dedup, or by the message cache.
 	KindDedupDrop
 	// KindCacheServe is a cache answering a peer's state-transfer request.
 	KindCacheServe
@@ -342,4 +346,67 @@ func PathTo(spans []Span, key, dst string) []Span {
 		path[i], path[j] = path[j], path[i]
 	}
 	return path
+}
+
+// Delivery is one application delivery explained hop by hop: the item
+// key, the delivering node, the publish-to-deliver latency and the hop
+// path that brought it there.
+type Delivery struct {
+	Key     string        `json:"key"`
+	Node    string        `json:"node"`
+	Latency time.Duration `json:"latency"`
+	Hops    []Hop         `json:"hops"`
+}
+
+// Hop is one span on a delivery path plus the time spent since the
+// previous hop (zero on the first).
+type Hop struct {
+	Span  Span          `json:"span"`
+	Delta time.Duration `json:"delta"`
+}
+
+// Slowest answers "where did the slow items go": each deliver span's
+// latency is its offset from the first publish span of its key, the n
+// slowest deliveries (all of them when n <= 0; ties keep span order) get
+// their hop paths from PathTo. spans must be in canonical order, as
+// Collector.Spans returns them; deliveries of items whose publish span
+// is absent are skipped.
+func Slowest(spans []Span, n int) []Delivery {
+	publishAt := make(map[string]time.Time)
+	for i := range spans {
+		s := &spans[i]
+		if s.Kind != KindPublish {
+			continue
+		}
+		if _, ok := publishAt[s.Key]; !ok {
+			publishAt[s.Key] = s.At
+		}
+	}
+	var out []Delivery
+	for i := range spans {
+		s := &spans[i]
+		if s.Kind != KindDeliver {
+			continue
+		}
+		if pub, ok := publishAt[s.Key]; ok {
+			out = append(out, Delivery{Key: s.Key, Node: s.Node, Latency: s.At.Sub(pub)})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Latency > out[j].Latency })
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	for i := range out {
+		d := &out[i]
+		var prev time.Time
+		for _, s := range PathTo(spans, d.Key, d.Node) {
+			hop := Hop{Span: s}
+			if !prev.IsZero() {
+				hop.Delta = s.At.Sub(prev)
+			}
+			prev = s.At
+			d.Hops = append(d.Hops, hop)
+		}
+	}
+	return out
 }

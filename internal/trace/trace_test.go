@@ -144,3 +144,45 @@ func TestPathTo(t *testing.T) {
 		t.Errorf("PathTo to an undelivered node = %+v, want nil", got)
 	}
 }
+
+// TestSlowest pins the explainer's selection: latency from the first
+// publish span of the key, slowest first with ties in span order, the
+// top n (all when n <= 0), deliveries of unpublished items skipped, and
+// hop deltas from PathTo's path.
+func TestSlowest(t *testing.T) {
+	spans := []Span{
+		{Kind: KindPublish, Key: "a", Node: "n0", At: at(0)},
+		{Kind: KindPublish, Key: "b", Node: "n0", At: at(10)},
+		{Kind: KindPublish, Key: "a", Node: "n3", At: at(20)}, // not the first: ignored
+		{Kind: KindForward, Key: "a", Node: "n0", To: "n1", Hop: 1, At: at(0)},
+		{Kind: KindDeliver, Key: "a", Node: "n1", At: at(30)},
+		{Kind: KindDeliver, Key: "b", Node: "n2", At: at(40)},
+		{Kind: KindDeliver, Key: "a", Node: "n4", At: at(50)},
+		{Kind: KindDeliver, Key: "lost", Node: "n5", At: at(90)}, // no publish span
+	}
+	got := Slowest(spans, 2)
+	if len(got) != 2 {
+		t.Fatalf("Slowest(2) returned %d deliveries: %+v", len(got), got)
+	}
+	// a@n4 (50ms) first; a@n1 and b@n2 tie at 30ms and keep span order.
+	want := []struct {
+		key, node string
+		lat       time.Duration
+	}{{"a", "n4", 50 * time.Millisecond}, {"a", "n1", 30 * time.Millisecond}}
+	for i, w := range want {
+		if got[i].Key != w.key || got[i].Node != w.node || got[i].Latency != w.lat {
+			t.Errorf("slowest[%d] = %s@%s %v, want %s@%s %v",
+				i, got[i].Key, got[i].Node, got[i].Latency, w.key, w.node, w.lat)
+		}
+	}
+	hops := got[1].Hops
+	if len(hops) != 3 || hops[0].Span.Kind != KindPublish || hops[2].Span.Kind != KindDeliver {
+		t.Fatalf("a@n1 hops = %+v, want publish, forward, deliver", hops)
+	}
+	if hops[0].Delta != 0 || hops[2].Delta != 30*time.Millisecond {
+		t.Errorf("a@n1 deltas = %v, %v, %v; want 0, 0, 30ms", hops[0].Delta, hops[1].Delta, hops[2].Delta)
+	}
+	if all := Slowest(spans, 0); len(all) != 3 {
+		t.Errorf("Slowest(0) returned %d deliveries, want all 3 with a publish span", len(all))
+	}
+}

@@ -12,6 +12,10 @@ import (
 // so a fresh cluster has usable offsets within one round trip.
 const defaultClockSyncInterval = 30 * time.Second
 
+// clockSampleTTL is how many probe intervals a kept lowest-RTT sample
+// outranks slower ones before any newer sample replaces it.
+const clockSampleTTL = 4
+
 // maxClockRTT discards offset samples whose round trip was too slow to
 // trust: a 5-second RTT puts ±2.5s of asymmetry noise on the estimate,
 // worse than no correction at all.
@@ -57,11 +61,7 @@ func (t *TCP) sendClockPing(to string) {
 // interval, so drifting clocks do not fossilize a connect-time estimate.
 func (t *TCP) clockLoop() {
 	defer t.wg.Done()
-	interval := t.opts.ClockSyncInterval
-	if interval <= 0 {
-		interval = defaultClockSyncInterval
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(t.opts.ClockSyncInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -93,7 +93,11 @@ func (t *TCP) handleClockPing(from string, cs *wire.ClockSync) {
 }
 
 // handleClockPong folds a probe reply into the peer's offset estimate,
-// discarding samples whose round trip is too noisy to improve it.
+// discarding samples whose round trip is too noisy to improve it. The
+// estimate keeps the lowest-RTT sample (the NTP rule: less time in
+// flight, less room for asymmetry error); a sample older than
+// clockSampleTTL intervals is replaced by the next one, so drift is
+// still tracked.
 func (t *TCP) handleClockPong(from string, cs *wire.ClockSync, now time.Time) {
 	if from == "" || cs.T1 == 0 || cs.T2 == 0 {
 		return
@@ -106,7 +110,10 @@ func (t *TCP) handleClockPong(from string, cs *wire.ClockSync, now time.Time) {
 	if t.clockOffsets == nil {
 		t.clockOffsets = make(map[string]ClockOffset)
 	}
-	t.clockOffsets[from] = ClockOffset{Offset: offset, RTT: rtt, At: now}
+	old, ok := t.clockOffsets[from]
+	if !ok || rtt <= old.RTT || now.Sub(old.At) > clockSampleTTL*t.opts.ClockSyncInterval {
+		t.clockOffsets[from] = ClockOffset{Offset: offset, RTT: rtt, At: now}
+	}
 	t.clockMu.Unlock()
 }
 

@@ -90,3 +90,33 @@ func TestClockOffsetHandshake(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestClockOffsetKeepsLowestRTT feeds two pongs from one peer, a fast
+// one and then a slow one with a different offset: the estimate keeps
+// the fast sample's offset until it is older than clockSampleTTL probe
+// intervals.
+func TestClockOffsetKeepsLowestRTT(t *testing.T) {
+	tr, err := ListenTCPWith("127.0.0.1:0", func(*wire.Message) {}, TCPOptions{ClockSyncInterval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	base := time.Unix(1000, 0)
+	// pong is a reply sent at t1 and received rtt later, from a peer whose
+	// clock runs skew ahead and stamped it halfway.
+	pong := func(t1 time.Time, rtt, skew time.Duration) {
+		cs := &wire.ClockSync{T1: t1.UnixNano(), T2: t1.Add(rtt / 2).Add(skew).UnixNano()}
+		tr.handleClockPong("peer:1", cs, t1.Add(rtt))
+	}
+	pong(base, 2*time.Millisecond, 100*time.Millisecond)
+	pong(base.Add(time.Second), 40*time.Millisecond, 300*time.Millisecond)
+	e, ok := tr.ClockOffset("peer:1")
+	if !ok || e.Offset != 100*time.Millisecond || e.RTT != 2*time.Millisecond {
+		t.Fatalf("estimate %+v (ok %v), want the 2ms sample's 100ms offset", e, ok)
+	}
+	// Past clockSampleTTL intervals the kept sample yields to a newer one.
+	pong(base.Add(5*time.Second), 40*time.Millisecond, 300*time.Millisecond)
+	if e, _ := tr.ClockOffset("peer:1"); e.Offset != 300*time.Millisecond {
+		t.Fatalf("estimate %+v after the kept sample aged out, want the 300ms offset", e)
+	}
+}

@@ -112,6 +112,9 @@ func ListenTCPWith(addr string, h Handler, opts TCPOptions) (*TCP, error) {
 	if opts.WriteTimeout <= 0 {
 		opts.WriteTimeout = defaultWriteTimeout
 	}
+	if opts.ClockSyncInterval <= 0 {
+		opts.ClockSyncInterval = defaultClockSyncInterval
+	}
 	t := &TCP{
 		ln:        ln,
 		handler:   h,
