@@ -98,10 +98,14 @@ const DefaultAggregationSource = `SELECT
 	BIT_OR(subs) AS subs,
 	UNION(pubs) AS pubs`
 
-// DefaultAggregation parses DefaultAggregationSource.
-func DefaultAggregation() *sqlagg.Program {
+// DefaultAggregation returns DefaultAggregationSource, parsed once. Every
+// agent without a program of its own shares it, and so shares its pool of
+// evaluators (Program.Eval is safe for concurrent use).
+func DefaultAggregation() *sqlagg.Program { return defaultAggregation() }
+
+var defaultAggregation = sync.OnceValue(func() *sqlagg.Program {
 	return sqlagg.MustParse(DefaultAggregationSource)
-}
+})
 
 // PrefixOp is the merge operator a PrefixRule applies.
 type PrefixOp int
@@ -405,6 +409,13 @@ type Agent struct {
 	tables map[string]*table
 	ownRow *wire.SharedRow // content of the agent's own leaf row
 	stats  Stats
+
+	// Scratch of recomputeAggregatesLocked, cleared before it returns so
+	// no row stays reachable from it: a zone's rows in input order, their
+	// attribute maps, and the merge of one PrefixRule.
+	aggRows   []*wire.SharedRow
+	aggInputs []value.Map
+	merged    map[string]value.Value
 }
 
 // NewAgent validates cfg and returns an agent with its own row issued
@@ -1267,7 +1278,7 @@ func (a *Agent) recomputeAggregatesLocked() {
 			// path.
 		}
 
-		rows := make([]*wire.SharedRow, 0, len(ct.rows))
+		rows := a.aggRows[:0]
 		for _, r := range ct.rows {
 			rows = append(rows, r.SharedRow)
 		}
@@ -1281,16 +1292,17 @@ func (a *Agent) recomputeAggregatesLocked() {
 			}
 			return bytes.Compare(x.Encoding(), y.Encoding())
 		})
-		inputs := make([]value.Map, len(rows))
-		for x, r := range rows {
-			inputs[x] = r.Attrs
+		inputs := a.aggInputs[:0]
+		for _, r := range rows {
+			inputs = append(inputs, r.Attrs)
 		}
+		a.aggRows, a.aggInputs = rows, inputs
 		a.stats.AggEvals++
 		out, err := a.cfg.Aggregation.Eval(inputs)
 		if err != nil {
 			continue // a broken program must not kill the agent
 		}
-		applyPrefixRules(a.cfg.PrefixRules, inputs, out)
+		a.applyPrefixRulesLocked(inputs, out)
 
 		// The zone stays dirty until the stored aggregate row actually
 		// reflects this output: a skip below (peer's copy fresher, or a
@@ -1320,12 +1332,17 @@ func (a *Agent) recomputeAggregatesLocked() {
 		pt.dirty = true
 		pt.put(newEntry(candidate, latest))
 	}
+	clear(a.aggRows[:cap(a.aggRows)])
+	clear(a.aggInputs[:cap(a.aggInputs)])
 }
 
-// applyPrefixRules aggregates dynamically named attributes into out.
-func applyPrefixRules(rules []PrefixRule, inputs []value.Map, out value.Map) {
-	for _, rule := range rules {
-		merged := make(map[string]value.Value)
+// applyPrefixRulesLocked aggregates dynamically named attributes into out.
+func (a *Agent) applyPrefixRulesLocked(inputs []value.Map, out value.Map) {
+	for _, rule := range a.cfg.PrefixRules {
+		if a.merged == nil {
+			a.merged = make(map[string]value.Value)
+		}
+		merged := a.merged
 		for _, row := range inputs {
 			for name, v := range row {
 				if len(name) < len(rule.Prefix) || name[:len(rule.Prefix)] != rule.Prefix {
@@ -1344,6 +1361,7 @@ func applyPrefixRules(rules []PrefixRule, inputs []value.Map, out value.Map) {
 				out[name] = v
 			}
 		}
+		clear(merged)
 	}
 }
 

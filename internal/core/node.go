@@ -714,7 +714,7 @@ func (n *Node) KnownPublishers() []string {
 	}
 	seen := make(map[string]bool)
 	for _, r := range rows {
-		if pubs, ok := r.Attrs[astrolabe.AttrPubs].AsStrings(); ok {
+		if pubs, ok := r.Attrs[astrolabe.AttrPubs].RawStrings(); ok {
 			for _, p := range pubs {
 				seen[p] = true
 			}

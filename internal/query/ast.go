@@ -84,7 +84,7 @@ func (e *cmpExpr) append(sb *strings.Builder) {
 func (e *cmpExpr) match(row value.Map) bool {
 	switch e.f.typ {
 	case ftStrings:
-		elems, ok := row[e.f.name].AsStrings()
+		elems, ok := row[e.f.name].RawStrings()
 		if !ok {
 			return false
 		}
@@ -185,7 +185,7 @@ func (e *inExpr) match(row value.Map) bool {
 	hit := false
 	switch e.f.typ {
 	case ftStrings:
-		elems, ok := row[e.f.name].AsStrings()
+		elems, ok := row[e.f.name].RawStrings()
 		if !ok {
 			return false
 		}
@@ -254,7 +254,7 @@ func (e *likeExpr) append(sb *strings.Builder) {
 func (e *likeExpr) match(row value.Map) bool {
 	hit := false
 	if e.f.typ == ftStrings {
-		elems, ok := row[e.f.name].AsStrings()
+		elems, ok := row[e.f.name].RawStrings()
 		if !ok {
 			return false
 		}

@@ -2,6 +2,7 @@ package sqlagg
 
 import (
 	"strings"
+	"sync"
 
 	"newswire/internal/value"
 )
@@ -74,6 +75,12 @@ type Call struct {
 	Args []Expr
 	Star bool
 	at
+
+	// Resolved by the parser, so evaluation looks nothing up by name: fn
+	// is a scalar function, nil for an aggregate, and slot indexes an
+	// aggregate's aggregator in its program's evaluators.
+	fn   func(args []value.Value) value.Value
+	slot int
 }
 
 func (c *Call) String() string {
@@ -145,6 +152,9 @@ type Program struct {
 	Items []SelectItem
 	Where Expr // nil when absent
 	src   string
+
+	sites []*Call   // the select list's aggregate calls, by Call.slot
+	pool  sync.Pool // of *evaluator, one per concurrent Eval
 }
 
 // Source returns the original program text.
@@ -178,38 +188,31 @@ func (p *Program) String() string {
 	return sb.String()
 }
 
-// containsAggregate reports whether any Call to an aggregate function
-// appears in the expression.
-func containsAggregate(e Expr) bool {
+// aggregateCalls appends to calls every aggregate call that evaluating e
+// over a table reaches, which are all of them but those nested in another
+// aggregate's arguments.
+func aggregateCalls(e Expr, calls []*Call) []*Call {
 	switch n := e.(type) {
-	case *ColumnRef, *Literal:
-		return false
 	case *Unary:
-		return containsAggregate(n.X)
+		return aggregateCalls(n.X, calls)
 	case *Binary:
-		return containsAggregate(n.L) || containsAggregate(n.R)
+		return aggregateCalls(n.R, aggregateCalls(n.L, calls))
 	case *In:
-		for _, e := range n.List {
-			if containsAggregate(e) {
-				return true
-			}
+		calls = aggregateCalls(n.X, calls)
+		for _, x := range n.List {
+			calls = aggregateCalls(x, calls)
 		}
-		return containsAggregate(n.X)
 	case *Like:
-		return containsAggregate(n.X)
+		return aggregateCalls(n.X, calls)
 	case *Between:
-		return containsAggregate(n.X) || containsAggregate(n.Lo) || containsAggregate(n.Hi)
+		return aggregateCalls(n.Hi, aggregateCalls(n.Lo, aggregateCalls(n.X, calls)))
 	case *Call:
-		if _, ok := aggregates[n.Name]; ok {
-			return true
+		if n.fn == nil {
+			return append(calls, n)
 		}
 		for _, a := range n.Args {
-			if containsAggregate(a) {
-				return true
-			}
+			calls = aggregateCalls(a, calls)
 		}
-		return false
-	default:
-		return false
 	}
+	return calls
 }

@@ -19,19 +19,49 @@ import (
 // error for structural problems: a select item that references a column
 // outside any aggregate (there is no GROUP BY, so bare columns have no
 // meaning in a summary row).
+//
+// Eval is safe for concurrent use. It runs on an evaluator taken from the
+// program's pool, so steady-state evaluation allocates only its output:
+// the map and the lists and byte arrays that value.Strings and value.Bytes
+// copy out of evaluator scratch. No Value that leaves Eval aliases that
+// scratch, and none of the rows stays reachable from it afterwards.
 func (p *Program) Eval(rows []value.Map) (value.Map, error) {
-	filtered := rows
+	ev, _ := p.pool.Get().(*evaluator)
+	if ev == nil {
+		ev = &evaluator{aggs: make([]aggregator, len(p.sites))}
+		for i, c := range p.sites {
+			ev.aggs[i] = aggregates[c.Name].new(c.Star)
+		}
+	}
+	out, err := ev.run(p, rows)
+	ev.release()
+	p.pool.Put(ev)
+	return out, err
+}
+
+// evaluator is the scratch of one Eval call. A Program pools its
+// evaluators: one per goroutine evaluating it at a time.
+type evaluator struct {
+	// stack holds call arguments. A call pushes its arguments, hands them
+	// to the function as one sub-slice and pops them, so the stack is only
+	// as deep as the program's deepest nesting of calls.
+	stack []value.Value
+	rows  []value.Map  // the rows the WHERE clause kept
+	aggs  []aggregator // one per aggregate call site, indexed by Call.slot
+}
+
+func (ev *evaluator) run(p *Program, rows []value.Map) (value.Map, error) {
 	if p.Where != nil {
-		filtered = make([]value.Map, 0, len(rows))
 		for _, row := range rows {
-			if evalScalar(p.Where, row).Truthy() {
-				filtered = append(filtered, row)
+			if ev.scalar(p.Where, row).Truthy() {
+				ev.rows = append(ev.rows, row)
 			}
 		}
+		rows = ev.rows
 	}
 	out := make(value.Map, len(p.Items))
 	for _, item := range p.Items {
-		v, err := evalTop(item.Expr, filtered)
+		v, err := ev.top(item.Expr, rows)
 		if err != nil {
 			return nil, fmt.Errorf("sqlagg: item %q: %w", item.Name, err)
 		}
@@ -41,6 +71,23 @@ func (p *Program) Eval(rows []value.Map) (value.Map, error) {
 	}
 	return out, nil
 }
+
+// release readies the evaluator for its next Eval: every aggregator is
+// reset, and no scratch slot keeps a row or a row's value reachable.
+func (ev *evaluator) release() {
+	clear(ev.stack[:cap(ev.stack)])
+	ev.stack = ev.stack[:0]
+	clear(ev.rows)
+	ev.rows = ev.rows[:0]
+	for _, a := range ev.aggs {
+		a.reset()
+	}
+}
+
+// push appends a call argument to the stack. Taking the value as a
+// parameter makes the caller compute it before the stack is read:
+// computing it may push, pop and grow the stack itself.
+func (ev *evaluator) push(v value.Value) { ev.stack = append(ev.stack, v) }
 
 // Predicate is a compiled boolean expression over a single row: a
 // publisher's forwarding predicate over zone attributes (§8), or the
@@ -64,7 +111,7 @@ func ParsePredicate(src string) (*Predicate, error) {
 	if t := p.cur(); t.kind != tokEOF {
 		return nil, p.errorf("unexpected trailing input %q", t.text)
 	}
-	if containsAggregate(e) {
+	if len(aggregateCalls(e, nil)) > 0 {
 		return nil, &SyntaxError{Pos: 0, Msg: "aggregate function in predicate", Src: src}
 	}
 	return &Predicate{expr: e, src: src}, nil
@@ -72,7 +119,8 @@ func ParsePredicate(src string) (*Predicate, error) {
 
 // Eval evaluates the predicate against one row.
 func (p *Predicate) Eval(row value.Map) bool {
-	return evalScalar(p.expr, row).Truthy()
+	var ev evaluator
+	return ev.scalar(p.expr, row).Truthy()
 }
 
 // Source returns the original predicate text.
@@ -84,8 +132,8 @@ func (p *Predicate) String() string { return p.expr.String() }
 // Expr returns the predicate's syntax tree.
 func (p *Predicate) Expr() Expr { return p.expr }
 
-// evalTop evaluates a select-item expression over the whole table.
-func evalTop(e Expr, rows []value.Map) (value.Value, error) {
+// top evaluates a select-item expression over the whole table.
+func (ev *evaluator) top(e Expr, rows []value.Map) (value.Value, error) {
 	switch n := e.(type) {
 	case *Literal:
 		return n.Val, nil
@@ -94,50 +142,51 @@ func evalTop(e Expr, rows []value.Map) (value.Value, error) {
 		return value.Invalid(), fmt.Errorf("column %q referenced outside an aggregate", n.Name)
 
 	case *Unary:
-		x, err := evalTop(n.X, rows)
+		x, err := ev.top(n.X, rows)
 		if err != nil {
 			return value.Invalid(), err
 		}
 		return applyUnary(n.Op, x), nil
 
 	case *Binary:
-		l, err := evalTop(n.L, rows)
+		l, err := ev.top(n.L, rows)
 		if err != nil {
 			return value.Invalid(), err
 		}
-		r, err := evalTop(n.R, rows)
+		r, err := ev.top(n.R, rows)
 		if err != nil {
 			return value.Invalid(), err
 		}
 		return applyBinary(n.Op, l, r), nil
 
 	case *Call:
-		if spec, ok := aggregates[n.Name]; ok {
-			agg := spec.new(n.Star)
-			args := make([]value.Value, len(n.Args))
+		base := len(ev.stack)
+		if n.fn == nil {
+			agg := ev.aggs[n.slot]
 			for _, row := range rows {
-				for i, a := range n.Args {
-					args[i] = evalScalar(a, row)
+				for _, a := range n.Args {
+					ev.push(ev.scalar(a, row))
 				}
-				agg.add(args)
+				agg.add(ev.stack[base:])
+				ev.stack = ev.stack[:base]
 			}
 			return agg.result(), nil
 		}
-		spec := scalarFuncs[n.Name] // existence checked at parse time
-		args := make([]value.Value, len(n.Args))
-		for i, a := range n.Args {
-			v, err := evalTop(a, rows)
+		for _, a := range n.Args {
+			v, err := ev.top(a, rows)
 			if err != nil {
 				return value.Invalid(), err
 			}
-			args[i] = v
+			ev.push(v)
 		}
-		return spec.call(args), nil
+		v := n.fn(ev.stack[base:])
+		ev.stack = ev.stack[:base]
+		return v, nil
 
 	case *In, *Like, *Between:
 		var err error
 		v := applyForm(n, func(x Expr) value.Value {
-			v, xerr := evalTop(x, rows)
+			v, xerr := ev.top(x, rows)
 			if err == nil {
 				err = xerr
 			}
@@ -150,9 +199,9 @@ func evalTop(e Expr, rows []value.Map) (value.Value, error) {
 	}
 }
 
-// evalScalar evaluates an expression against a single row. It never fails;
+// scalar evaluates an expression against a single row. It never fails;
 // unusable inputs produce the invalid value.
-func evalScalar(e Expr, row value.Map) value.Value {
+func (ev *evaluator) scalar(e Expr, row value.Map) value.Value {
 	switch n := e.(type) {
 	case *Literal:
 		return n.Val
@@ -161,39 +210,40 @@ func evalScalar(e Expr, row value.Map) value.Value {
 		return row[n.Name]
 
 	case *Unary:
-		return applyUnary(n.Op, evalScalar(n.X, row))
+		return applyUnary(n.Op, ev.scalar(n.X, row))
 
 	case *Binary:
 		switch n.Op {
 		case "AND":
 			// Short-circuit.
-			if !evalScalar(n.L, row).Truthy() {
+			if !ev.scalar(n.L, row).Truthy() {
 				return value.Bool(false)
 			}
-			return value.Bool(evalScalar(n.R, row).Truthy())
+			return value.Bool(ev.scalar(n.R, row).Truthy())
 		case "OR":
-			if evalScalar(n.L, row).Truthy() {
+			if ev.scalar(n.L, row).Truthy() {
 				return value.Bool(true)
 			}
-			return value.Bool(evalScalar(n.R, row).Truthy())
+			return value.Bool(ev.scalar(n.R, row).Truthy())
 		}
-		return applyBinary(n.Op, evalScalar(n.L, row), evalScalar(n.R, row))
+		return applyBinary(n.Op, ev.scalar(n.L, row), ev.scalar(n.R, row))
 
 	case *Call:
-		spec, ok := scalarFuncs[n.Name]
-		if !ok {
-			// Aggregate inside scalar context: rejected at parse time for
-			// predicates; unreachable for well-formed programs.
+		if n.fn == nil {
+			// An aggregate in row context: rejected at parse time for
+			// predicates, invalid in a program's WHERE clause.
 			return value.Invalid()
 		}
-		args := make([]value.Value, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = evalScalar(a, row)
+		base := len(ev.stack)
+		for _, a := range n.Args {
+			ev.push(ev.scalar(a, row))
 		}
-		return spec.call(args)
+		v := n.fn(ev.stack[base:])
+		ev.stack = ev.stack[:base]
+		return v
 
 	case *In, *Like, *Between:
-		return applyForm(n, func(x Expr) value.Value { return evalScalar(x, row) })
+		return applyForm(n, func(x Expr) value.Value { return ev.scalar(x, row) })
 
 	default:
 		return value.Invalid()
@@ -207,7 +257,7 @@ func evalScalar(e Expr, row value.Map) value.Value {
 func applyForm(e Expr, eval func(Expr) value.Value) value.Value {
 	switch n := e.(type) {
 	case *In:
-		// Every item is read, even after a hit, so evalTop reports a bare
+		// Every item is read, even after a hit, so top reports a bare
 		// column wherever it sits in the list.
 		x := eval(n.X)
 		hit := false
@@ -347,18 +397,15 @@ func applyBinary(op string, l, r value.Value) value.Value {
 	}
 }
 
-// arith implements +, -, * with int preservation when both sides are ints.
+// arith implements +, -, * with int preservation when both sides are ints
+// and the result fits in int64; a result that would overflow is computed
+// in float instead of wrapping.
 func arith(op string, l, r value.Value) value.Value {
 	if l.Kind() == value.KindInt && r.Kind() == value.KindInt {
 		a, _ := l.AsInt()
 		b, _ := r.AsInt()
-		switch op {
-		case "+":
-			return value.Int(a + b)
-		case "-":
-			return value.Int(a - b)
-		default:
-			return value.Int(a * b)
+		if v, ok := intArith(op, a, b); ok {
+			return value.Int(v)
 		}
 	}
 	a, ok1 := l.AsFloat()
@@ -382,4 +429,20 @@ func arith(op string, l, r value.Value) value.Value {
 	default:
 		return value.Float(a * b)
 	}
+}
+
+// intArith returns a op b for op +, - or *, and whether the exact result
+// fits in int64. A product that fits divides back exactly; MinInt64 / -1
+// is the one quotient that itself wraps.
+func intArith(op string, a, b int64) (int64, bool) {
+	switch op {
+	case "+":
+		s := a + b
+		return s, (s > a) == (b > 0)
+	case "-":
+		s := a - b
+		return s, (s < a) == (b > 0)
+	}
+	p := a * b
+	return p, a == 0 || (p/a == b && !(a == -1 && b == math.MinInt64))
 }

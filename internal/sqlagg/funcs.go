@@ -1,7 +1,6 @@
 package sqlagg
 
 import (
-	"hash/fnv"
 	"math"
 	"slices"
 	"sort"
@@ -13,9 +12,17 @@ import (
 // aggregator accumulates per-row argument values and produces the final
 // aggregate. Implementations skip rows whose arguments are invalid or of an
 // unusable kind — heterogeneous tables must not poison the whole summary.
+//
+// An aggregator lives in a pooled evaluator and serves one Eval after
+// another. add's args are evaluator scratch, valid only during the call;
+// result may not return a Value that aliases the aggregator's own buffers
+// (value.Strings and value.Bytes copy); reset empties the aggregator for
+// the next Eval, keeping the capacity of its buffers but no reference to
+// the rows it read.
 type aggregator interface {
 	add(args []value.Value)
 	result() value.Value
+	reset()
 }
 
 type aggSpec struct {
@@ -39,7 +46,7 @@ var aggregates = map[string]aggSpec{
 	"MINV":     {minArgs: 2, maxArgs: 2, new: func(bool) aggregator { return &argBestAgg{wantLess: true} }},
 	"MAXV":     {minArgs: 2, maxArgs: 2, new: func(bool) aggregator { return &argBestAgg{wantLess: false} }},
 	"REPS":     {minArgs: 3, maxArgs: 3, new: func(bool) aggregator { return &repsAgg{} }},
-	"UNION":    {minArgs: 1, maxArgs: 1, new: func(bool) aggregator { return &unionAgg{seen: map[string]bool{}} }},
+	"UNION":    {minArgs: 1, maxArgs: 1, new: func(bool) aggregator { return &unionAgg{} }},
 }
 
 // countAgg implements COUNT(*) and COUNT(expr).
@@ -54,6 +61,7 @@ func (a *countAgg) add(args []value.Value) {
 	}
 }
 func (a *countAgg) result() value.Value { return value.Int(a.n) }
+func (a *countAgg) reset()              { a.n = 0 }
 
 // extremeAgg implements MIN and MAX over any ordered kind.
 type extremeAgg struct {
@@ -79,9 +87,11 @@ func (a *extremeAgg) add(args []value.Value) {
 	}
 }
 func (a *extremeAgg) result() value.Value { return a.best }
+func (a *extremeAgg) reset()              { a.best = value.Invalid() }
 
 // sumAgg implements SUM over numeric attributes, preserving int-ness when
-// every input is an int.
+// every input is an int and the sum fits in int64: from the first float
+// input, or the first int that would overflow the sum, it sums floats.
 type sumAgg struct {
 	any     bool
 	isFloat bool
@@ -96,8 +106,10 @@ func (a *sumAgg) add(args []value.Value) {
 	}
 	a.any = true
 	if i, ok := v.AsInt(); ok && v.Kind() == value.KindInt && !a.isFloat {
-		a.iSum += i
-		return
+		if s, ok := intArith("+", a.iSum, i); ok {
+			a.iSum = s
+			return
+		}
 	}
 	if !a.isFloat {
 		a.isFloat = true
@@ -116,6 +128,8 @@ func (a *sumAgg) result() value.Value {
 	}
 	return value.Int(a.iSum)
 }
+
+func (a *sumAgg) reset() { *a = sumAgg{} }
 
 // avgAgg implements AVG over numeric attributes.
 type avgAgg struct {
@@ -137,6 +151,8 @@ func (a *avgAgg) result() value.Value {
 	return value.Float(a.sum / float64(a.n))
 }
 
+func (a *avgAgg) reset() { *a = avgAgg{} }
+
 // firstAgg implements FIRST: the first valid value in table order.
 type firstAgg struct {
 	v value.Value
@@ -148,6 +164,7 @@ func (a *firstAgg) add(args []value.Value) {
 	}
 }
 func (a *firstAgg) result() value.Value { return a.v }
+func (a *firstAgg) reset()              { a.v = value.Invalid() }
 
 // bitOrAgg implements BIT_OR over bytes attributes — the aggregation the
 // paper uses for Bloom filters and category masks ("aggregated into parent
@@ -164,10 +181,10 @@ func (a *bitOrAgg) add(args []value.Value) {
 		return
 	}
 	a.any = true
-	if len(b) > len(a.acc) {
-		grown := make([]byte, len(b))
-		copy(grown, a.acc)
-		a.acc = grown
+	if n := len(a.acc); len(b) > n {
+		// Capacity kept from an earlier Eval holds old bits: zero it.
+		a.acc = slices.Grow(a.acc, len(b)-n)[:len(b)]
+		clear(a.acc[n:])
 	}
 	for i, x := range b {
 		a.acc[i] |= x
@@ -179,6 +196,11 @@ func (a *bitOrAgg) result() value.Value {
 		return value.Invalid()
 	}
 	return value.Bytes(a.acc)
+}
+
+func (a *bitOrAgg) reset() {
+	a.acc = a.acc[:0]
+	a.any = false
 }
 
 // boolAgg implements BOOL_OR / BOOL_AND.
@@ -212,6 +234,8 @@ func (a *boolAgg) result() value.Value {
 	return value.Bool(a.acc)
 }
 
+func (a *boolAgg) reset() { a.any = false }
+
 // kBestAgg implements MINK(k, order, val) / MAXK(k, order, val): the string
 // values of the k rows with the smallest (largest) order attribute. This is
 // the representative-election aggregate of §5: e.g.
@@ -221,6 +245,7 @@ type kBestAgg struct {
 	wantLess bool
 	k        int
 	rows     []kBestRow
+	out      []string // result scratch, copied out by value.Strings
 }
 
 type kBestRow struct {
@@ -244,26 +269,28 @@ func (a *kBestAgg) result() value.Value {
 	if a.k <= 0 || len(a.rows) == 0 {
 		return value.Invalid()
 	}
-	rows := a.rows
-	sort.SliceStable(rows, func(i, j int) bool {
-		c, err := rows[i].order.Compare(rows[j].order)
+	slices.SortStableFunc(a.rows, func(x, y kBestRow) int {
+		c, err := x.order.Compare(y.order)
 		if err != nil || c == 0 {
-			return rows[i].val < rows[j].val
+			return strings.Compare(x.val, y.val)
 		}
-		if a.wantLess {
-			return c < 0
+		if !a.wantLess {
+			c = -c
 		}
-		return c > 0
+		return c
 	})
-	n := a.k
-	if n > len(rows) {
-		n = len(rows)
+	for _, r := range a.rows[:min(a.k, len(a.rows))] {
+		a.out = append(a.out, r.val)
 	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = rows[i].val
-	}
-	return value.Strings(out)
+	return value.Strings(a.out)
+}
+
+func (a *kBestAgg) reset() {
+	clear(a.rows)
+	a.rows = a.rows[:0]
+	clear(a.out)
+	a.out = a.out[:0]
+	a.k = 0
 }
 
 // repsAgg implements REPS(k, order, vals): the representative-election
@@ -277,11 +304,29 @@ func (a *kBestAgg) result() value.Value {
 type repsAgg struct {
 	k    int
 	rows []repsRow
+	out  []string // result scratch, copied out by value.Strings
 }
 
+// repsRow is one row's candidates: its string list, read in place, or a
+// lone string (many is nil; a list is only kept when it is not empty).
 type repsRow struct {
 	order value.Value
-	vals  []string
+	one   string
+	many  []string
+}
+
+func (r *repsRow) len() int {
+	if r.many == nil {
+		return 1
+	}
+	return len(r.many)
+}
+
+func (r *repsRow) val(i int) string {
+	if r.many == nil {
+		return r.one
+	}
+	return r.many[i]
 }
 
 func (a *repsAgg) add(args []value.Value) {
@@ -292,49 +337,45 @@ func (a *repsAgg) add(args []value.Value) {
 	if !order.IsValid() {
 		return
 	}
-	var vals []string
+	row := repsRow{order: order}
 	switch args[2].Kind() {
 	case value.KindString:
-		s, _ := args[2].AsString()
-		vals = []string{s}
+		row.one, _ = args[2].AsString()
 	case value.KindStrings:
-		vals, _ = args[2].RawStrings() // only read: result copies what it picks
+		row.many, _ = args[2].RawStrings() // only read: result copies what it picks
+		if len(row.many) == 0 {
+			return
+		}
 	default:
 		return
 	}
-	if len(vals) == 0 {
-		return
-	}
-	a.rows = append(a.rows, repsRow{order: order, vals: vals})
+	a.rows = append(a.rows, row)
 }
 
 func (a *repsAgg) result() value.Value {
 	if a.k <= 0 || len(a.rows) == 0 {
 		return value.Invalid()
 	}
-	rows := a.rows
-	slices.SortStableFunc(rows, func(x, y repsRow) int {
+	slices.SortStableFunc(a.rows, func(x, y repsRow) int {
 		if c, err := x.order.Compare(y.order); err == nil && c != 0 {
 			return c
 		}
-		return strings.Compare(x.vals[0], y.vals[0])
+		return strings.Compare(x.val(0), y.val(0))
 	})
-	seen := make(map[string]bool, a.k)
-	out := make([]string, 0, a.k)
 	// Round-robin across rows so redundancy spreads over child zones
-	// rather than exhausting one child's rep list first.
-	for depth := 0; len(out) < a.k; depth++ {
+	// rather than exhausting one child's rep list first. The duplicate
+	// check scans the at most k picks so far: k is a handful.
+	for depth := 0; len(a.out) < a.k; depth++ {
 		advanced := false
-		for _, r := range rows {
-			if depth >= len(r.vals) {
+		for i := range a.rows {
+			r := &a.rows[i]
+			if depth >= r.len() {
 				continue
 			}
 			advanced = true
-			v := r.vals[depth]
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-				if len(out) == a.k {
+			if v := r.val(depth); !slices.Contains(a.out, v) {
+				a.out = append(a.out, v)
+				if len(a.out) == a.k {
 					break
 				}
 			}
@@ -343,10 +384,18 @@ func (a *repsAgg) result() value.Value {
 			break
 		}
 	}
-	if len(out) == 0 {
+	if len(a.out) == 0 {
 		return value.Invalid()
 	}
-	return value.Strings(out)
+	return value.Strings(a.out)
+}
+
+func (a *repsAgg) reset() {
+	clear(a.rows)
+	a.rows = a.rows[:0]
+	clear(a.out)
+	a.out = a.out[:0]
+	a.k = 0
 }
 
 // argBestAgg implements MINV(order, val) / MAXV(order, val): the val of the
@@ -387,25 +436,25 @@ func (a *argBestAgg) add(args []value.Value) {
 
 func (a *argBestAgg) result() value.Value { return a.bestVal }
 
+func (a *argBestAgg) reset() { a.bestOrder, a.bestVal = value.Invalid(), value.Invalid() }
+
 // unionAgg implements UNION over string-list attributes: the deduplicated,
 // sorted union of all child lists. Used to aggregate publisher rosters.
 type unionAgg struct {
-	seen map[string]bool
+	vals []string // every input string, sorted and deduplicated by result
 	any  bool
 }
 
 func (a *unionAgg) add(args []value.Value) {
 	switch args[0].Kind() {
 	case value.KindStrings:
-		ss, _ := args[0].AsStrings()
+		ss, _ := args[0].RawStrings()
 		a.any = true
-		for _, s := range ss {
-			a.seen[s] = true
-		}
+		a.vals = append(a.vals, ss...)
 	case value.KindString:
 		s, _ := args[0].AsString()
 		a.any = true
-		a.seen[s] = true
+		a.vals = append(a.vals, s)
 	}
 }
 
@@ -413,12 +462,15 @@ func (a *unionAgg) result() value.Value {
 	if !a.any {
 		return value.Invalid()
 	}
-	out := make([]string, 0, len(a.seen))
-	for s := range a.seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return value.Strings(out)
+	slices.Sort(a.vals)
+	a.vals = slices.Compact(a.vals) // zeroes the strings it drops
+	return value.Strings(a.vals)
+}
+
+func (a *unionAgg) reset() {
+	clear(a.vals)
+	a.vals = a.vals[:0]
+	a.any = false
 }
 
 // scalarSpec describes a scalar (per-row) function. maxArgs < 0 means
@@ -441,17 +493,20 @@ var scalarFuncs = map[string]scalarSpec{
 }
 
 // scalarHash hashes its arguments' canonical encodings to a non-negative
-// int64. It gives aggregation programs a deterministic pseudo-random order,
-// e.g. for the random representative-election ablation:
-// MINK(3, HASH(addr, epoch), addr).
+// int64 (64-bit FNV-1a over their concatenation). It gives aggregation
+// programs a deterministic pseudo-random order, e.g. for the random
+// representative-election ablation: MINK(3, HASH(addr, epoch), addr).
 func scalarHash(args []value.Value) value.Value {
-	h := fnv.New64a()
-	var buf []byte
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	var buf [64]byte // encodings up to 64 bytes stay on the stack
+	h := uint64(offset64)
 	for _, a := range args {
-		buf = a.AppendBinary(buf[:0])
-		h.Write(buf)
+		for _, c := range a.AppendBinary(buf[:0]) {
+			h ^= uint64(c)
+			h *= prime64
+		}
 	}
-	return value.Int(int64(h.Sum64() & math.MaxInt64))
+	return value.Int(int64(h & math.MaxInt64))
 }
 
 func scalarLen(args []value.Value) value.Value {
@@ -463,7 +518,7 @@ func scalarLen(args []value.Value) value.Value {
 		b, _ := args[0].RawBytes()
 		return value.Int(int64(len(b)))
 	case value.KindStrings:
-		ss, _ := args[0].AsStrings()
+		ss, _ := args[0].RawStrings()
 		return value.Int(int64(len(ss)))
 	default:
 		return value.Invalid()
@@ -534,7 +589,7 @@ func scalarConcat(args []value.Value) value.Value {
 
 // scalarContains tests membership of a string in a string-list attribute.
 func scalarContains(args []value.Value) value.Value {
-	ss, ok := args[0].AsStrings()
+	ss, ok := args[0].RawStrings()
 	if !ok {
 		return value.Invalid()
 	}

@@ -130,6 +130,12 @@ func (p *parser) parseProgram() (*Program, error) {
 	if t := p.cur(); t.kind != tokEOF {
 		return nil, p.errorf("unexpected trailing input %q", t.text)
 	}
+	for _, item := range prog.Items {
+		prog.sites = aggregateCalls(item.Expr, prog.sites)
+	}
+	for i, c := range prog.sites {
+		c.slot = i
+	}
 	return prog, nil
 }
 
@@ -413,7 +419,7 @@ func (p *parser) checkCall(c *Call) (Expr, error) {
 				c.Name, agg.minArgs, agg.maxArgs, len(c.Args))
 		}
 		for _, a := range c.Args {
-			if containsAggregate(a) {
+			if len(aggregateCalls(a, nil)) > 0 {
 				return nil, p.errorf("nested aggregate in %s", c.Name)
 			}
 		}
@@ -427,6 +433,7 @@ func (p *parser) checkCall(c *Call) (Expr, error) {
 			return nil, p.errorf("%s takes %d..%d arguments, got %d",
 				c.Name, fn.minArgs, fn.maxArgs, len(c.Args))
 		}
+		c.fn = fn.call
 		return c, nil
 	}
 	return nil, p.errorf("unknown function %s", c.Name)
