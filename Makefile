@@ -75,6 +75,7 @@ bench:
 bench-repo:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload fanout --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
+	bash bench/run.sh --workload signed --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 	bash bench/run.sh --workload selective --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 	bash bench/run.sh --workload sim_churn --seconds 5 | tail -n 1 | grep '"correct":true.*"failed":0,'
 

@@ -3,12 +3,14 @@
 // cache management garbage-collects and fuses revisions based on item
 // metadata; and the same cache serves end-to-end reliability (replay after
 // forwarding-node failures) and limited state transfer to joining
-// participants.
+// participants. It is also the node's one record of the items it has seen:
+// the multicast router's dedup marks and the node's delivery count.
 package cache
 
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strconv"
 	"sync"
@@ -19,14 +21,18 @@ import (
 	"newswire/internal/wire"
 )
 
+// keyWindow bounds the keys remembered: the last keyWindow keys touched. A
+// key whose envelope is held outlives it, without its routing marks.
+const keyWindow = 8192
+
 // Config configures a Cache.
 type Config struct {
 	// Clock supplies time for TTL decisions. Required.
 	Clock vtime.Clock
-	// MaxItems bounds the cache; the oldest-received entries are evicted
-	// first. Default 1024.
+	// MaxItems bounds the envelopes held; the oldest-received are evicted
+	// first. Default 1024. Keys have their own, larger bound.
 	MaxItems int
-	// TTL expires entries by age since receipt (0 disables age expiry).
+	// TTL expires envelopes by age since receipt (0 disables age expiry).
 	TTL time.Duration
 	// FuseRevisions keeps only the newest revision of each item series,
 	// fusing superseded revisions away on arrival (§9's "fused or
@@ -48,21 +54,44 @@ type Stats struct {
 	Evicted    int64
 }
 
+// entry is what the node knows about one item key, held by value.
 type entry struct {
+	zones []string // the zones the router routed the item for
+	marks mark
+	held  *held // the envelope, until evicted, expired or fused away
+}
+
+type mark uint8
+
+const (
+	handed  mark = 1 << iota // the router passed the item to its Deliver callback
+	stored                   // ingested once; a later copy is a duplicate
+	counted                  // counted as delivered
+	out                      // pushed out of the key window; goes with its envelope
+)
+
+// held is one stored envelope; gone marks it released.
+type held struct {
+	key      string
 	env      wire.ItemEnvelope
 	received time.Time
 	seq      int64
+	gone     bool
 }
 
-// Cache is a bounded store of item envelopes keyed by their unique
-// publisher/ID/revision key. It is safe for concurrent use.
+// Cache is a node's item table: an entry per item key touched, with its
+// marks and, while held, its envelope. Keys outlive envelopes, so a copy
+// of an evicted item is still a duplicate; the item lookups see only held
+// envelopes. It is safe for concurrent use.
 type Cache struct {
 	cfg Config
 
 	mu      sync.Mutex
-	entries map[string]*entry // key -> entry
-	series  map[string]int    // series key -> newest revision present
-	order   []string          // insertion order, for O(1) amortized eviction
+	entries map[string]entry // item key -> entry
+	series  map[string]int   // series key -> newest revision present
+	window  []string         // the last keyWindow keys touched, oldest first
+	order   []*held          // envelope insertion order, for eviction
+	held    int              // envelopes held
 	stats   Stats
 	seq     int64
 }
@@ -80,15 +109,80 @@ func New(cfg Config) (*Cache, error) {
 	}
 	return &Cache{
 		cfg:     cfg,
-		entries: make(map[string]*entry),
+		entries: make(map[string]entry),
 		series:  make(map[string]int),
 	}, nil
 }
 
+// getLocked returns key's entry; a new key, which the caller stores, takes
+// the window's end.
+func (c *Cache) getLocked(key string) entry {
+	if e, ok := c.entries[key]; ok {
+		return e
+	}
+	c.window = append(c.window, key)
+	for len(c.window) > keyWindow {
+		old := c.window[0]
+		c.window[0], c.window = "", c.window[1:]
+		if e := c.entries[old]; e.held == nil {
+			delete(c.entries, old)
+		} else {
+			c.entries[old] = entry{marks: e.marks&(stored|counted) | out, held: e.held}
+		}
+	}
+	return entry{}
+}
+
+// dropLocked releases h, and its key when the key is out of the window.
+func (c *Cache) dropLocked(h *held) {
+	if e := c.entries[h.key]; e.marks&out != 0 {
+		delete(c.entries, h.key)
+	} else {
+		e.held = nil
+		c.entries[h.key] = e
+	}
+	h.env, h.gone = wire.ItemEnvelope{}, true
+	c.held--
+}
+
+// MarkRouted records that the node routes key for zone and reports whether
+// it had not before: each (item, zone) pair is routed once.
+func (c *Cache) MarkRouted(key, zone string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.getLocked(key)
+	if slices.Contains(e.zones, zone) {
+		return false
+	}
+	e.zones = append(e.zones, zone)
+	c.entries[key] = e
+	return true
+}
+
+// MarkHanded records that the router hands key to the application and
+// reports whether it had not before.
+func (c *Cache) MarkHanded(key string) bool { return c.mark(key, handed) }
+
+// Count records that the node counted key as delivered and reports whether
+// it had not before.
+func (c *Cache) Count(key string) bool { return c.mark(key, counted) }
+
+func (c *Cache) mark(key string, m mark) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.getLocked(key)
+	if e.marks&m != 0 {
+		return false
+	}
+	e.marks |= m
+	c.entries[key] = e
+	return true
+}
+
 // Put stores an envelope. It returns false when the envelope is a
-// duplicate (already present, or — with revision fusion on — already
-// superseded by a newer revision); true means the item is new to this
-// node. Put enforces MaxItems immediately.
+// duplicate (stored before, even if since evicted, or — with revision
+// fusion — superseded); true means the item is new to this node. Put
+// enforces MaxItems immediately.
 func (c *Cache) Put(env wire.ItemEnvelope) bool {
 	key := env.Key()
 	seriesKey := key[:lastHash(key)] // the key is the series key, '#', the revision
@@ -97,32 +191,38 @@ func (c *Cache) Put(env wire.ItemEnvelope) bool {
 	defer c.mu.Unlock()
 	c.stats.Puts++
 
-	if _, dup := c.entries[key]; dup {
+	e, known := c.entries[key]
+	newest, inSeries := c.series[seriesKey]
+	superseded := c.cfg.FuseRevisions && inSeries && env.Revision <= newest
+	if e.held != nil || superseded || e.marks&stored != 0 {
 		c.stats.Duplicates++
-		c.traceDropLocked(key, "cache-dup")
+		if superseded && e.held == nil {
+			c.traceDropLocked(key, "cache-superseded") // fused away
+		} else {
+			c.traceDropLocked(key, "cache-dup")
+		}
 		return false
 	}
 	if c.cfg.FuseRevisions {
-		if newest, ok := c.series[seriesKey]; ok {
-			if env.Revision <= newest {
-				// Superseded revision arriving late: fused away.
-				c.stats.Duplicates++
-				c.traceDropLocked(key, "cache-superseded")
-				return false
-			}
+		if inSeries {
 			// Newer revision: fuse the older one out.
-			oldKey := seriesKey + "#" + strconv.Itoa(newest)
-			if _, ok := c.entries[oldKey]; ok {
-				delete(c.entries, oldKey)
+			if old := c.entries[seriesKey+"#"+strconv.Itoa(newest)]; old.held != nil {
+				c.dropLocked(old.held)
 				c.stats.Fused++
 			}
 		}
 		c.series[seriesKey] = env.Revision
 	}
 
+	if !known {
+		e = c.getLocked(key)
+	}
 	c.seq++
-	c.entries[key] = &entry{env: env, received: c.cfg.Clock.Now(), seq: c.seq}
-	c.order = append(c.order, key)
+	e.marks |= stored
+	e.held = &held{key: key, env: env, received: c.cfg.Clock.Now(), seq: c.seq}
+	c.entries[key] = e
+	c.held++
+	c.order = append(c.order, e.held)
 	c.enforceCapLocked()
 	return true
 }
@@ -145,15 +245,13 @@ func (c *Cache) traceDropLocked(key, note string) {
 func (c *Cache) Has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
+	if c.entries[key].held != nil {
 		return true
 	}
 	if c.cfg.FuseRevisions {
 		if i := lastHash(key); i >= 0 {
-			series := key[:i]
-			var rev int
-			if _, err := fmt.Sscanf(key[i+1:], "%d", &rev); err == nil {
-				if newest, ok := c.series[series]; ok && rev <= newest {
+			if rev, err := strconv.Atoi(key[i+1:]); err == nil {
+				if newest, ok := c.series[key[:i]]; ok && rev <= newest {
 					return true
 				}
 			}
@@ -175,8 +273,8 @@ func lastHash(s string) int {
 func (c *Cache) Get(key string) (wire.ItemEnvelope, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e.env, true
+	if h := c.entries[key].held; h != nil {
+		return h.env, true
 	}
 	return wire.ItemEnvelope{}, false
 }
@@ -186,13 +284,13 @@ func (c *Cache) Get(key string) (wire.ItemEnvelope, bool) {
 func (c *Cache) Latest(seriesKey string) (wire.ItemEnvelope, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var best *entry
-	for _, e := range c.entries {
-		if e.env.Publisher+"/"+e.env.ItemID != seriesKey {
+	var best *held
+	for _, h := range c.order {
+		if h.gone || h.env.Publisher+"/"+h.env.ItemID != seriesKey {
 			continue
 		}
-		if best == nil || e.env.Revision > best.env.Revision {
-			best = e
+		if best == nil || h.env.Revision > best.env.Revision {
+			best = h
 		}
 	}
 	if best == nil {
@@ -201,8 +299,16 @@ func (c *Cache) Latest(seriesKey string) (wire.ItemEnvelope, bool) {
 	return best.env, true
 }
 
-// Len returns the number of cached entries.
+// Len returns the number of cached envelopes.
 func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.held
+}
+
+// Keys returns the number of item keys the table remembers, with or
+// without an envelope.
+func (c *Cache) Keys() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
@@ -230,8 +336,8 @@ func (c *Cache) Since(t time.Time, subjects []string, max int) (envs []wire.Item
 func (c *Cache) Have(t time.Time, salt uint64) []uint64 {
 	c.mu.Lock()
 	n := 0
-	for _, e := range c.entries {
-		if !e.env.Published.Before(t) {
+	for _, h := range c.order {
+		if !h.gone && !h.env.Published.Before(t) {
 			n++
 		}
 	}
@@ -240,9 +346,9 @@ func (c *Cache) Have(t time.Time, salt uint64) []uint64 {
 		return nil
 	}
 	have := make([]uint64, 0, n)
-	for key, e := range c.entries {
-		if !e.env.Published.Before(t) {
-			have = append(have, wire.ItemHash(salt, key))
+	for _, h := range c.order {
+		if !h.gone && !h.env.Published.Before(t) {
+			have = append(have, wire.ItemHash(salt, h.key))
 		}
 	}
 	c.mu.Unlock()
@@ -260,27 +366,27 @@ func (c *Cache) Have(t time.Time, salt uint64) []uint64 {
 // entries, which sends an envelope the requester has and never hides one.
 func (c *Cache) SinceExcept(t time.Time, subjects []string, salt uint64, have []uint64, max int) (envs []wire.ItemEnvelope, truncated bool) {
 	c.mu.Lock()
-	var matched []*entry
-	for key, e := range c.entries {
-		if e.env.Published.Before(t) {
+	defer c.mu.Unlock() // a released envelope is cleared under the lock
+	var matched []*held
+	for _, h := range c.order {
+		if h.gone || h.env.Published.Before(t) {
 			continue
 		}
-		if len(subjects) > 0 && !matchesAny(e.env.Subjects, subjects) {
+		if len(subjects) > 0 && !matchesAny(h.env.Subjects, subjects) {
 			continue
 		}
 		if len(have) > 0 {
-			if _, held := slices.BinarySearch(have, wire.ItemHash(salt, key)); held {
+			if _, found := slices.BinarySearch(have, wire.ItemHash(salt, h.key)); found {
 				continue
 			}
 		}
-		matched = append(matched, e)
+		matched = append(matched, h)
 	}
-	c.mu.Unlock()
 	if len(matched) == 0 {
 		return nil, false
 	}
 
-	slices.SortFunc(matched, func(a, b *entry) int {
+	slices.SortFunc(matched, func(a, b *held) int {
 		if byTime := a.env.Published.Compare(b.env.Published); byTime != 0 {
 			return byTime
 		}
@@ -291,8 +397,8 @@ func (c *Cache) SinceExcept(t time.Time, subjects []string, salt uint64, have []
 		truncated = true
 	}
 	envs = make([]wire.ItemEnvelope, len(matched))
-	for i, e := range matched {
-		envs[i] = e.env
+	for i, h := range matched {
+		envs[i] = h.env
 	}
 	return envs, truncated
 }
@@ -308,7 +414,7 @@ func matchesAny(have, want []string) bool {
 	return false
 }
 
-// GC expires entries older than TTL (if configured) and returns how many
+// GC expires envelopes older than TTL (if configured) and returns how many
 // were removed. Capacity is enforced on Put, not here.
 func (c *Cache) GC() int {
 	if c.cfg.TTL <= 0 {
@@ -318,9 +424,9 @@ func (c *Cache) GC() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	removed := 0
-	for key, e := range c.entries {
-		if e.received.Before(cutoff) {
-			delete(c.entries, key)
+	for _, h := range c.order {
+		if !h.gone && h.received.Before(cutoff) {
+			c.dropLocked(h)
 			removed++
 			c.stats.Expired++
 		}
@@ -328,27 +434,41 @@ func (c *Cache) GC() int {
 	return removed
 }
 
-// enforceCapLocked evicts oldest-inserted entries beyond MaxItems by
-// draining the insertion-order queue, skipping keys that fusion or GC
+// enforceCapLocked evicts oldest-inserted envelopes beyond MaxItems by
+// draining the insertion-order queue, skipping envelopes fusion or GC
 // already removed.
 func (c *Cache) enforceCapLocked() {
-	for len(c.entries) > c.cfg.MaxItems && len(c.order) > 0 {
-		key := c.order[0]
+	for c.held > c.cfg.MaxItems && len(c.order) > 0 {
+		h := c.order[0]
+		c.order[0] = nil
 		c.order = c.order[1:]
-		if _, ok := c.entries[key]; !ok {
+		if h.gone {
 			continue // already fused or expired
 		}
-		delete(c.entries, key)
+		c.dropLocked(h)
 		c.stats.Evicted++
 	}
 	// Keep the queue from accumulating tombstones indefinitely.
-	if len(c.order) > 2*len(c.entries)+16 {
-		live := make([]string, 0, len(c.entries))
-		for _, key := range c.order {
-			if _, ok := c.entries[key]; ok {
-				live = append(live, key)
-			}
-		}
-		c.order = live
+	if len(c.order) > 2*c.held+16 {
+		c.order = slices.DeleteFunc(c.order, func(h *held) bool { return h.gone })
 	}
+}
+
+// Scramble is the chaos hook: one draw per key in the window, oldest first,
+// and a hit drops the key's routed and handed marks (envelopes and the
+// other marks survive). Returns how many keys lost a mark.
+func (c *Cache) Scramble(rng *rand.Rand, frac float64) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	dropped := 0
+	for _, key := range c.window {
+		if rng.Float64() >= frac {
+			continue
+		}
+		if e := c.entries[key]; len(e.zones) > 0 || e.marks&handed != 0 {
+			dropped++
+			c.entries[key] = entry{marks: e.marks &^ handed, held: e.held}
+		}
+	}
+	return dropped
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -481,4 +482,116 @@ func TestConcurrentPutAndStateTransfer(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+}
+
+// TestEvictedKeyStaysADuplicate: an envelope evicted by the cap leaves its
+// key, with the stored mark, for the key window; so a later copy is a
+// duplicate, while the item lookups answer as if it were gone.
+func TestEvictedKeyStaysADuplicate(t *testing.T) {
+	c, clock := newTestCache(t, Config{MaxItems: 2})
+	for _, id := range []string{"a", "b", "c"} {
+		c.Put(env("p", id, 0, clock.Now()))
+	}
+	if c.Has("p/a#0") || c.Len() != 2 || c.Keys() != 3 {
+		t.Fatalf("Has(a)=%v Len=%d Keys=%d, want false 2 3", c.Has("p/a#0"), c.Len(), c.Keys())
+	}
+	if envs, _ := c.Since(time.Time{}, nil, 0); len(envs) != 2 {
+		t.Fatalf("Since lists %d envelopes, want 2", len(envs))
+	}
+	if c.Put(env("p", "a", 0, clock.Now())) {
+		t.Fatal("an evicted item was stored again")
+	}
+	if st := c.Stats(); st.Duplicates != 1 || st.Evicted != 1 {
+		t.Fatalf("stats = %+v, want 1 duplicate and 1 eviction", st)
+	}
+}
+
+// TestKeyWindowBoundsKeys drives the real 8,192-key window: the oldest
+// key-only entries leave with their marks, while a key whose envelope is
+// still held outlives the window without its routing marks, until the
+// envelope goes.
+func TestKeyWindowBoundsKeys(t *testing.T) {
+	c, clock := newTestCache(t, Config{MaxItems: 1})
+	c.Put(env("p", "kept", 0, clock.Now()))
+	c.MarkRouted("p/kept#0", "/")
+	c.MarkRouted("p/old#0", "/")
+	for i := 0; i < keyWindow; i++ {
+		if !c.MarkRouted(fmt.Sprintf("p/r%d#0", i), "/") {
+			t.Fatalf("fresh key %d reported routed", i)
+		}
+	}
+	if got := c.Keys(); got != keyWindow+1 {
+		t.Fatalf("Keys = %d, want the window plus the held envelope's key", got)
+	}
+	if !c.MarkRouted("p/old#0", "/") {
+		t.Fatal("a key past the window kept its routing mark")
+	}
+	if !c.MarkRouted("p/kept#0", "/") {
+		t.Fatal("a held key past the window kept its routing mark")
+	}
+	if c.Put(env("p", "kept", 0, clock.Now())) || !c.Has("p/kept#0") {
+		t.Fatal("the held envelope was lost with its key's window slot")
+	}
+	c.Put(env("p", "new", 0, clock.Now())) // evicts kept's envelope
+	if c.Has("p/kept#0") || c.Keys() != keyWindow {
+		t.Fatalf("Has(kept)=%v Keys=%d after eviction; want false and the window, %d", c.Has("p/kept#0"), c.Keys(), keyWindow)
+	}
+}
+
+// TestCountIsIndependentOfStorage: a key counted before it was stored (a
+// member's virtual-leaf phase) is stored once and not counted again.
+func TestCountIsIndependentOfStorage(t *testing.T) {
+	c, clock := newTestCache(t, Config{})
+	if !c.Count("p/a#0") || c.Count("p/a#0") {
+		t.Fatal("Count did not report the first count only")
+	}
+	if !c.Put(env("p", "a", 0, clock.Now())) || c.Put(env("p", "a", 0, clock.Now())) {
+		t.Fatal("a counted key was not stored exactly once")
+	}
+	if c.Count("p/a#0") {
+		t.Fatal("storing a counted key uncounted it")
+	}
+}
+
+// TestScrambleDropsOnlyRoutingMarks: a scramble hit forgets the zones
+// routed and the handed mark, and nothing else; identically seeded
+// scrambles drop as many.
+func TestScrambleDropsOnlyRoutingMarks(t *testing.T) {
+	build := func() *Cache {
+		c, clock := newTestCache(t, Config{})
+		for i := 0; i < 64; i++ {
+			key := fmt.Sprintf("p/i%d#0", i)
+			c.MarkRouted(key, "/")
+			c.MarkHanded(key)
+			c.Put(env("p", fmt.Sprintf("i%d", i), 0, clock.Now()))
+		}
+		return c
+	}
+	c, twin := build(), build()
+	dropped := c.Scramble(rand.New(rand.NewSource(7)), 0.5)
+	if twinDropped := twin.Scramble(rand.New(rand.NewSource(7)), 0.5); dropped != twinDropped {
+		t.Fatalf("same seed dropped %d and %d", dropped, twinDropped)
+	}
+	if dropped == 0 || dropped == 64 {
+		t.Fatalf("dropped %d of 64 at frac 0.5", dropped)
+	}
+	routed, handed := 0, 0
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("p/i%d#0", i)
+		if c.MarkRouted(key, "/") {
+			routed++
+		}
+		if c.MarkHanded(key) {
+			handed++
+		}
+		if c.Put(env("p", fmt.Sprintf("i%d", i), 0, time.Time{})) {
+			t.Fatalf("%s stored again after a scramble", key)
+		}
+	}
+	if routed != dropped || handed != dropped {
+		t.Fatalf("%d routed and %d handed marks gone, want %d each", routed, handed, dropped)
+	}
+	if c.Len() != 64 {
+		t.Fatalf("Len = %d after a scramble, want 64", c.Len())
+	}
 }

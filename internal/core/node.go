@@ -113,7 +113,7 @@ type Config struct {
 	// state transfer to its own leaf zone (Router.Reinject). A rejoining
 	// node is often the only real agent in front of quiescent (virtual)
 	// members; without resharing, items it recovers for itself would never
-	// reach them. Idempotent — dedup logs absorb re-offers of items the
+	// reach them. Idempotent — item tables absorb re-offers of items the
 	// zone already handled.
 	ReshareRecovered bool
 
@@ -189,11 +189,6 @@ type Node struct {
 	gcCounter  int
 	exchanges  uint64          // state-transfer exchanges begun (stateRequest's salt)
 	publishers map[string]bool // publishers this node announced
-	// preDelivered marks item keys already counted as delivered before
-	// this node existed as a real agent (its virtual-leaf phase, tracked
-	// by bitset — core/virtual.go). Ingesting such an item again, e.g.
-	// through post-materialization recovery, must not count it twice.
-	preDelivered map[string]bool
 }
 
 // NewNode validates cfg and assembles a node.
@@ -282,6 +277,7 @@ func NewNode(cfg Config) (*Node, error) {
 		Rand:        cfg.Rand,
 		Filter:      pubsub.ForwardFilter(cfg.Mode, cfg.Geometry, &n.routing),
 		Deliver:     n.deliver,
+		Items:       store,
 		AckTimeout:  cfg.AckTimeout,
 		After:       cfg.After,
 		MaxAttempts: cfg.MaxForwardAttempts,
@@ -352,6 +348,7 @@ func (n *Node) FillMetrics(reg *metrics.Registry) {
 	reg.Counter("cache_expired").SyncTo(cst.Expired)
 	reg.Counter("cache_evicted").SyncTo(cst.Evicted)
 	reg.Gauge("cache_items").Set(float64(n.cache.Len()))
+	reg.Gauge("cache_keys").Set(float64(n.cache.Keys()))
 	reg.Gauge("newswire_delivered_items").Set(float64(n.Delivered()))
 	reg.RegisterHistogram("newswire_delivery_latency_seconds", n.latency)
 	if mf, ok := n.cfg.Transport.(transport.MetricsFiller); ok {
@@ -376,7 +373,7 @@ func (n *Node) GossipInterval() time.Duration { return n.cfg.GossipInterval }
 // Router exposes the multicast router (experiments read its stats).
 func (n *Node) Router() *multicast.Router { return n.router }
 
-// Cache exposes the message cache.
+// Cache exposes the node's item table, the message cache.
 func (n *Node) Cache() *cache.Cache { return n.cache }
 
 // Addr returns the node's transport address.
@@ -409,13 +406,8 @@ func (n *Node) Recovered() int64 {
 // item — a recovery pass after a crash, say — does not double-count in
 // delivery accounting.
 func (n *Node) SeedDeliveredKeys(keys []string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.preDelivered == nil {
-		n.preDelivered = make(map[string]bool, len(keys))
-	}
-	for _, k := range keys {
-		n.preDelivered[k] = true
+	for _, key := range keys {
+		n.cache.Count(key)
 	}
 }
 
@@ -443,8 +435,8 @@ func (n *Node) SubscribeQuery(src string) (string, error) {
 // Queries returns the node's predicate subscriptions in canonical form.
 func (n *Node) Queries() []string { return n.sub.Queries() }
 
-// Subjects returns the node's current subscriptions.
-func (n *Node) Subjects() []string { return n.sub.Subjects() }
+// Subjects returns a copy of the node's sorted subscriptions.
+func (n *Node) Subjects() []string { return append([]string{}, n.sub.Subjects()...) }
 
 // RoutingStats snapshots the node's routing-precision counters.
 func (n *Node) RoutingStats() pubsub.CounterSnapshot { return n.routing.Snapshot() }
@@ -595,8 +587,8 @@ func (n *Node) DeniedPublications(publisher string) int64 {
 	return n.limit.Denied(publisher)
 }
 
-// deliver is the router's local-delivery callback: exact-match test,
-// cache dedup, decode, hand to the application.
+// deliver is the router's local-delivery callback (after the router's
+// delivery dedup): exact-match test, then ingest.
 func (n *Node) deliver(env *wire.ItemEnvelope) {
 	if !n.sub.ShouldDeliver(env) {
 		return
@@ -608,31 +600,27 @@ func (n *Node) deliver(env *wire.ItemEnvelope) {
 // item was new to this node.
 func (n *Node) ingest(env *wire.ItemEnvelope) bool {
 	if !n.cache.Put(*env) {
-		return false // duplicate or superseded
+		return false // stored before, or superseded
 	}
+	counted := n.cache.Count(env.Key())
 	n.mu.Lock()
-	if n.preDelivered != nil && n.preDelivered[env.Key()] {
-		// Already counted during this member's virtual-leaf phase: keep
-		// the cached copy (it can serve recovery) but skip the delivery
-		// count, latency sample, and application callback.
-		if env.Published.After(n.lastSeen) {
-			n.lastSeen = env.Published
-		}
-		n.mu.Unlock()
-		return true
+	if counted {
+		n.delivered++
+	}
+	if env.Published.After(n.lastSeen) {
+		n.lastSeen = env.Published
 	}
 	n.mu.Unlock()
+	if !counted {
+		// Counted during this member's virtual-leaf phase: the cached copy
+		// can serve recovery, but there is no latency sample or callback.
+		return true
+	}
 	lat := n.cfg.Clock.Now().Sub(env.Published).Seconds()
 	n.latency.Observe(lat)
 	if n.cfg.HealthEvery > 0 {
 		n.hsketch.Observe(lat)
 	}
-	n.mu.Lock()
-	n.delivered++
-	if env.Published.After(n.lastSeen) {
-		n.lastSeen = env.Published
-	}
-	n.mu.Unlock()
 	if n.cfg.OnItem == nil {
 		return true
 	}
@@ -969,17 +957,19 @@ func (n *Node) handleStateReply(msg *wire.Message) {
 // ScrambleReport tallies what one ScrambleState call damaged.
 type ScrambleReport struct {
 	Rows    int // zone-table rows corrupted/permuted
-	Dedup   int // dedup-log entries dropped
+	Dedup   int // item keys whose routing marks were dropped
 	Pending int // pending reliable forwards dropped
 }
 
-// ScrambleState is the chaos hook: it corrupts a fraction frac of this
-// node's replicated zone-table rows (astrolabe.Agent.ScrambleRows) and
-// drops the same fraction of its multicast dedup and retransmit state
-// (multicast.Router.ScrambleState). rng must be owned by the caller and is
-// drawn in canonical order, keeping identically seeded runs bit-identical.
+// ScrambleState is the chaos hook: it damages a fraction frac of this
+// node's zone-table rows (astrolabe.Agent.ScrambleRows), of its item
+// table's routing marks (cache.Cache.Scramble) and of its pending reliable
+// forwards (multicast.Router.ScrambleState). rng must be owned by the
+// caller and is drawn in canonical order, keeping identically seeded runs
+// bit-identical.
 func (n *Node) ScrambleState(rng *rand.Rand, frac float64) ScrambleReport {
 	rows := n.agent.ScrambleRows(rng, frac)
-	dedup, pending := n.router.ScrambleState(rng, frac)
+	dedup := n.cache.Scramble(rng, frac)
+	pending := n.router.ScrambleState(rng, frac)
 	return ScrambleReport{Rows: rows, Dedup: dedup, Pending: pending}
 }

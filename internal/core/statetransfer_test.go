@@ -275,3 +275,97 @@ func TestResyncMakesProgressPastTruncation(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictedItemIsNotDeliveredAgain holds a node to one delivery per item
+// after the cache evicted the item's envelope: the item table keeps the
+// key's stored mark for its 8,192-key window, longer than the 1,024
+// envelopes it holds, so a copy that comes back — in a state reply, or as
+// a tree deliver copy the router has not handed before — is a duplicate.
+func TestEvictedItemIsNotDeliveredAgain(t *testing.T) {
+	const n = 1100 // past the cache's 1,024 envelopes
+	fill := func(t *testing.T) (*sim.Engine, *statePeer, *statePeer) {
+		eng, a, b := newStatePair(t)
+		for k := 0; k < n; k++ {
+			env := stateEnv(t, k)
+			a.ingest(&env)
+			if k < 100 {
+				b.ingest(&env)
+			}
+		}
+		if got := a.Cache().Len(); got != 1024 {
+			t.Fatalf("a caches %d envelopes, want 1024", got)
+		}
+		return eng, a, b
+	}
+	check := func(t *testing.T, a *statePeer) {
+		t.Helper()
+		if got := a.Delivered(); got != n {
+			t.Errorf("Delivered = %d, want %d", got, n)
+		}
+		if got := len(a.items); got != n {
+			t.Errorf("OnItem ran %d times, want %d", got, n)
+		}
+		if got := a.Recovered(); got != 0 {
+			t.Errorf("Recovered = %d, want 0", got)
+		}
+	}
+
+	t.Run("state reply", func(t *testing.T) {
+		eng, a, b := fill(t)
+		if err := a.RequestStateTransfer(b.Addr(), time.Time{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntilIdle(0)
+		if len(a.replies) != 1 || len(a.replies[0].Envelopes) == 0 {
+			t.Fatal("b sent no evicted item back; the case tests nothing")
+		}
+		check(t, a)
+	})
+
+	t.Run("tree deliver copy", func(t *testing.T) {
+		eng, a, b := fill(t)
+		env := stateEnv(t, 0)
+		msg := &wire.Message{Kind: wire.KindMulticast, Multicast: &wire.Multicast{
+			TargetZone: a.ZonePath(), Hops: 1, Deliver: true, Envelope: env,
+		}}
+		if err := b.cfg.Transport.Send(a.Addr(), msg); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntilIdle(0)
+		if got := a.Router().Stats().Delivered; got != 1 {
+			t.Fatalf("router handed %d copies to the node, want 1", got)
+		}
+		check(t, a)
+	})
+}
+
+// TestStateRequestKeepsItsSubjects: a request shares the subscriber's
+// subject list rather than copying it, so a Subscribe or Unsubscribe
+// after the request was built — while the simulated network still holds
+// it — must replace the list, not write into it.
+func TestStateRequestKeepsItsSubjects(t *testing.T) {
+	_, a, _ := newStatePair(t)
+	if err := a.Subscribe("tech/apple"); err != nil {
+		t.Fatal(err)
+	}
+	req := a.stateRequest(time.Time{}, 0)
+	want := []string{"tech/apple", "tech/linux"}
+	if !slices.Equal(req.Subjects, want) {
+		t.Fatalf("request subjects %v, want %v", req.Subjects, want)
+	}
+	if err := a.Subscribe("tech/amiga", "tech/zx"); err != nil {
+		t.Fatal(err)
+	}
+	a.Unsubscribe("tech/apple")
+	if !slices.Equal(req.Subjects, want) {
+		t.Fatalf("a later Subscribe changed a built request's subjects to %v", req.Subjects)
+	}
+	got := a.Subjects()
+	if !slices.Equal(got, []string{"tech/amiga", "tech/linux", "tech/zx"}) {
+		t.Fatalf("Subjects = %v", got)
+	}
+	got[0] = "overwritten"
+	if a.sub.Subjects()[0] != "tech/amiga" {
+		t.Fatal("writing the slice Node.Subjects returned changed the subscription set")
+	}
+}

@@ -20,8 +20,8 @@
 // bytes with exponential jittered backoff, and on each retry the sender
 // re-consults the aggregated zone table and fails over to the next-best
 // representative of the child zone (excluding those already tried).
-// Retransmits are idempotent — the duplicate-suppression log absorbs
-// re-sent copies, so reliability never causes duplicate deliveries.
+// Retransmits are idempotent — the node's item table (internal/cache)
+// absorbs re-sent copies, so reliability never causes duplicate deliveries.
 package multicast
 
 import (
@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"newswire/internal/astrolabe"
+	"newswire/internal/cache"
 	"newswire/internal/sqlagg"
 	"newswire/internal/trace"
 	"newswire/internal/transport"
@@ -78,6 +79,9 @@ type Config struct {
 	Filter Filter
 	// Deliver receives items for the local application. Required.
 	Deliver Deliver
+	// Items is the node's item table, where the router marks its dedup
+	// decisions. Nil gives the router a private one.
+	Items *cache.Cache
 	// VerifyEnvelope, when set, authenticates items before forwarding or
 	// delivery; failing envelopes are dropped.
 	VerifyEnvelope func(env *wire.ItemEnvelope) error
@@ -120,11 +124,6 @@ type Config struct {
 const (
 	// maxHops bounds forwarding depth.
 	maxHops = 64
-	// dedupWindow bounds the duplicate-suppression state: the router
-	// remembers this many recent item keys for forwarding and delivery
-	// dedup, evicting oldest-first. Older items falling out of the
-	// window are instead deduplicated by the end-system cache.
-	dedupWindow = 8192
 	// retryJitter is the ± fraction of random spread applied to each
 	// backoff delay.
 	retryJitter = 0.2
@@ -155,8 +154,7 @@ type Stats struct {
 	FailoversTotal   int64 // retries that switched representative
 	DeliveryFailures int64 // forwards abandoned after MaxAttempts
 
-	// Chaos-injection counters (ScrambleState).
-	DedupScrambled   int64 // dedup-log entries dropped by state scrambling
+	// Chaos-injection counter (ScrambleState).
 	PendingScrambled int64 // pending reliable forwards dropped by scrambling
 }
 
@@ -167,16 +165,12 @@ type Router struct {
 	// frames, when non-nil, is the transport's encode-once path: one
 	// wire.Frame per forward, shared by reference across its recipients
 	// and its retries.
-	frames      transport.FrameSender
-	dedupWindow int // the dedupWindow constant; a field so a test can shrink it
+	frames transport.FrameSender
+	items  *cache.Cache
 
-	mu        sync.Mutex
-	seen      map[string]map[string]bool // item key -> zones handled
-	seenOrder []string                   // insertion order for eviction
-	delivered map[string]bool            // item key -> delivered locally
-	dlvOrder  []string
-	stats     Stats
-	preds     map[string]*sqlagg.Predicate
+	mu    sync.Mutex
+	stats Stats
+	preds map[string]*sqlagg.Predicate
 
 	// The retransmit table (reliable forwarding). pending indexes each
 	// unacknowledged destination under every address it has been sent
@@ -250,15 +244,16 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = vtime.Real{}
 	}
+	if cfg.Items == nil {
+		cfg.Items, _ = cache.New(cache.Config{Clock: cfg.Clock}) // fails only without a clock
+	}
 	r := &Router{
-		cfg:         cfg,
-		view:        cfg.View,
-		dedupWindow: dedupWindow,
-		seen:        make(map[string]map[string]bool),
-		delivered:   make(map[string]bool),
-		preds:       make(map[string]*sqlagg.Predicate),
-		pending:     make(map[ackKey]*pendingForward),
-		waiting:     make(map[ackKey][]*pendingForward),
+		cfg:     cfg,
+		view:    cfg.View,
+		items:   cfg.Items,
+		preds:   make(map[string]*sqlagg.Predicate),
+		pending: make(map[ackKey]*pendingForward),
+		waiting: make(map[ackKey][]*pendingForward),
 	}
 	// The simulated transport passes messages by reference and does not
 	// implement FrameSender, so this stays nil there and the deterministic
@@ -335,8 +330,8 @@ func (r *Router) HandleMessage(msg *wire.Message) {
 	}
 	// Acknowledge before the dedup check: a retransmitted copy of an
 	// already-handled forward still needs its ack (the first one may have
-	// been lost), and the duplicate-suppression log below keeps the
-	// retransmit idempotent.
+	// been lost), and the item table's dedup marks keep the retransmit
+	// idempotent.
 	if m.AckSeq != 0 && msg.From != "" {
 		r.mu.Lock()
 		r.stats.AcksSent++
@@ -390,18 +385,8 @@ func (r *Router) route(m *wire.Multicast) {
 
 	// Forwarding dedup: handle each (item, zone) pair once per node, so
 	// k-redundant parents don't multiply traffic exponentially.
-	r.mu.Lock()
-	zones := r.seen[key]
-	if zones == nil {
-		zones = make(map[string]bool)
-		r.seen[key] = zones
-		r.seenOrder = append(r.seenOrder, key)
-		for len(r.seenOrder) > r.dedupWindow {
-			delete(r.seen, r.seenOrder[0])
-			r.seenOrder = r.seenOrder[1:]
-		}
-	}
-	if zones[target] {
+	if !r.items.MarkRouted(key, target) {
+		r.mu.Lock()
 		r.stats.Duplicates++
 		r.mu.Unlock()
 		if r.cfg.Tracer != nil {
@@ -412,8 +397,6 @@ func (r *Router) route(m *wire.Multicast) {
 		}
 		return
 	}
-	zones[target] = true
-	r.mu.Unlock()
 
 	chain := r.view.Chain()
 	onChain := false
@@ -783,25 +766,16 @@ func (r *Router) failoverAddr(p *pendingForward) string {
 	return p.addr
 }
 
-// ScrambleState is the chaos-injection hook for the router's soft state:
-// it drops a fraction of the duplicate-suppression log (forwarding and
-// delivery dedup) and of the pending reliable forwards, modeling a node
-// whose in-memory bookkeeping was damaged or lost. Dropping dedup entries
-// is safe-but-wasteful (the end-system cache still dedups deliveries;
-// re-forwards burn bytes). Dropping a pending forward silently abandons
-// its retransmits — its deadline callback finds it done — which is
-// exactly the hole §9 cache recovery exists to fill.
-//
-// rng must be owned by the caller; entries are visited in their canonical
-// insertion/sequence order, so identically seeded runs scramble
-// identically. Returns how many dedup entries and pending forwards were
-// dropped.
-func (r *Router) ScrambleState(rng *rand.Rand, frac float64) (dedupDropped, pendingDropped int) {
+// ScrambleState is the chaos-injection hook for the router's retransmit
+// table: it drops a fraction of the pending reliable forwards, modeling a
+// node whose in-memory bookkeeping was damaged or lost. Dropping a pending
+// forward silently abandons its retransmits — its deadline callback finds
+// it done — which is exactly the hole §9 cache recovery exists to fill.
+// rng must be owned by the caller; entries are visited in registration
+// order, so identically seeded runs scramble identically. Returns how many
+// pending forwards were dropped.
+func (r *Router) ScrambleState(rng *rand.Rand, frac float64) (pendingDropped int) {
 	r.mu.Lock()
-	r.seenOrder = scrambleKeys(rng, frac, r.seenOrder, r.seen, &dedupDropped)
-	r.dlvOrder = scrambleKeys(rng, frac, r.dlvOrder, r.delivered, &dedupDropped)
-	r.stats.DedupScrambled += int64(dedupDropped)
-
 	var entries []*pendingForward
 	for _, p := range r.pending {
 		entries = append(entries, p)
@@ -821,20 +795,7 @@ func (r *Router) ScrambleState(rng *rand.Rand, frac float64) (dedupDropped, pend
 	}
 	r.stats.PendingScrambled += int64(pendingDropped)
 	r.mu.Unlock()
-	return dedupDropped, pendingDropped
-}
-
-// scrambleKeys drops each key of order from m with probability frac,
-// counting the drops in *dropped, and returns the keys kept, in order.
-func scrambleKeys[V any](rng *rand.Rand, frac float64, order []string, m map[string]V, dropped *int) []string {
-	return slices.DeleteFunc(order, func(key string) bool {
-		if rng.Float64() >= frac {
-			return false
-		}
-		delete(m, key)
-		*dropped++
-		return true
-	})
+	return pendingDropped
 }
 
 // Reinject re-fans env into this node's own leaf zone, as if a forward for
@@ -907,8 +868,9 @@ const maxCachedPredicates = 1024
 // recorded span proves cross-process propagation).
 func (r *Router) deliverLocal(tid uint64, env *wire.ItemEnvelope) {
 	key := env.Key()
+	fresh := r.items.MarkHanded(key)
 	r.mu.Lock()
-	if r.delivered[key] {
+	if !fresh {
 		r.stats.Duplicates++
 		r.mu.Unlock()
 		if r.cfg.Tracer != nil {
@@ -918,12 +880,6 @@ func (r *Router) deliverLocal(tid uint64, env *wire.ItemEnvelope) {
 			})
 		}
 		return
-	}
-	r.delivered[key] = true
-	r.dlvOrder = append(r.dlvOrder, key)
-	for len(r.dlvOrder) > r.dedupWindow {
-		delete(r.delivered, r.dlvOrder[0])
-		r.dlvOrder = r.dlvOrder[1:]
 	}
 	r.stats.Delivered++
 	r.mu.Unlock()

@@ -543,28 +543,25 @@ func TestDedupWindowBoundsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router.dedupWindow = 4
 	node.agent, node.router = agent, router
 
-	// Deliver 10 distinct items; the window holds only 4 keys, but every
-	// distinct item is still delivered exactly once (recent duplicates
-	// suppressed; ancient ones fall to the cache layer above).
-	for i := 0; i < 10; i++ {
+	// Deliver 10 more distinct items than the item table's 8,192-key
+	// window holds: every distinct item is still delivered exactly once,
+	// and the table stays inside its window.
+	const window, n = 8192, 8192 + 10
+	for i := 0; i < n; i++ {
 		router.Publish(envelope(fmt.Sprintf("w-%d", i)), "/")
 	}
 	eng.RunUntilIdle(0)
-	if got := len(node.deliveredKeys()); got != 10 {
-		t.Fatalf("delivered %d distinct items, want 10", got)
+	if got := len(node.deliveredKeys()); got != n {
+		t.Fatalf("delivered %d distinct items, want %d", got, n)
 	}
-	router.mu.Lock()
-	seen, dlv := len(router.seenOrder), len(router.dlvOrder)
-	router.mu.Unlock()
-	if seen > 4 || dlv > 4 {
-		t.Fatalf("dedup state holds %d forwarded and %d delivered keys, window is 4", seen, dlv)
+	if keys := router.items.Keys(); keys > window {
+		t.Fatalf("dedup state holds %d keys, window is %d", keys, window)
 	}
 	// A recent duplicate is suppressed.
 	before := len(node.deliveredKeys())
-	router.Publish(envelope("w-9"), "/")
+	router.Publish(envelope(fmt.Sprintf("w-%d", n-1)), "/")
 	eng.RunUntilIdle(0)
 	if got := len(node.deliveredKeys()); got != before {
 		t.Fatalf("recent duplicate re-delivered (%d -> %d)", before, got)

@@ -23,6 +23,7 @@ package pubsub
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -175,8 +176,11 @@ type Config struct {
 type Subscriber struct {
 	cfg Config
 
-	mu        sync.Mutex
-	subjects  map[string]bool
+	mu sync.Mutex
+	// subjects is the subscription set, sorted. It is replaced, never
+	// written: Subjects hands it out, and a state request in flight keeps
+	// it.
+	subjects  []string
 	predicate *query.Predicate
 	queries   map[string]*query.Predicate // canonical source -> predicate (ModePredicate)
 }
@@ -209,9 +213,8 @@ func NewSubscriber(cfg Config) (*Subscriber, error) {
 		}
 	}
 	return &Subscriber{
-		cfg:      cfg,
-		subjects: make(map[string]bool),
-		queries:  make(map[string]*query.Predicate),
+		cfg:     cfg,
+		queries: make(map[string]*query.Predicate),
 	}, nil
 }
 
@@ -222,12 +225,16 @@ func (s *Subscriber) Mode() Mode { return s.cfg.Mode }
 func (s *Subscriber) Subscribe(subjects ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	next := slices.Clone(s.subjects)
 	for _, subj := range subjects {
 		if subj == "" {
 			return fmt.Errorf("pubsub: empty subject")
 		}
-		s.subjects[subj] = true
+		if i, found := slices.BinarySearch(next, subj); !found {
+			next = slices.Insert(next, i, subj)
+		}
 	}
+	s.subjects = next
 	s.advertiseLocked()
 	return nil
 }
@@ -238,9 +245,9 @@ func (s *Subscriber) Subscribe(subjects ...string) error {
 func (s *Subscriber) Unsubscribe(subjects ...string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, subj := range subjects {
-		delete(s.subjects, subj)
-	}
+	s.subjects = slices.DeleteFunc(slices.Clone(s.subjects), func(subj string) bool {
+		return slices.Contains(subjects, subj)
+	})
 	s.advertiseLocked()
 }
 
@@ -311,16 +318,13 @@ func (s *Subscriber) Queries() []string {
 	return out
 }
 
-// Subjects returns the sorted current subscription set.
+// Subjects returns the sorted current subscription set. The slice is
+// shared and must not be written; a later Subscribe or Unsubscribe leaves
+// it as it is.
 func (s *Subscriber) Subjects() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.subjects))
-	for subj := range s.subjects {
-		out = append(out, subj)
-	}
-	sort.Strings(out)
-	return out
+	return s.subjects
 }
 
 // advertiseLocked pushes the subscription summary into the agent's row.
@@ -328,7 +332,7 @@ func (s *Subscriber) advertiseLocked() {
 	switch s.cfg.Mode {
 	case ModeBloom:
 		f := bloom.New(s.cfg.Geometry.Bits, s.cfg.Geometry.Hashes)
-		for subj := range s.subjects {
+		for _, subj := range s.subjects {
 			f.Add(subj)
 		}
 		s.cfg.Agent.SetAttr(astrolabe.AttrSubs, value.Bytes(f.Bytes()))
@@ -344,11 +348,7 @@ func (s *Subscriber) advertiseLocked() {
 		// forwarding test never reads it.
 		f := bloom.New(s.cfg.Geometry.Bits, s.cfg.Geometry.Hashes)
 		if len(s.subjects) > 0 {
-			subs := make([]string, 0, len(s.subjects))
-			for subj := range s.subjects {
-				subs = append(subs, subj)
-			}
-			query.SubjectsSignature(subs).Fill(f)
+			query.SubjectsSignature(s.subjects).Fill(f)
 		}
 		for _, p := range s.queries {
 			p.Compile().Fill(f)
@@ -383,7 +383,7 @@ func (s *Subscriber) ShouldDeliver(env *wire.ItemEnvelope) bool {
 func (s *Subscriber) matchesLocked(env *wire.ItemEnvelope) bool {
 	matched := false
 	for _, subj := range env.Subjects {
-		if s.subjects[subj] {
+		if _, ok := slices.BinarySearch(s.subjects, subj); ok {
 			matched = true
 			break
 		}

@@ -2,10 +2,11 @@
 // driver for the newswire simulation. A Scenario is a schedule of typed
 // events — region partitions, Poisson churn storms with §9 rejoin
 // recovery, zipf-skewed publish bursts, link-loss ramps, and state
-// scrambling that corrupts zone-table rows and dedup/retransmit queues
-// mid-run — applied between gossip rounds of a core.Cluster. The driver
-// measures delivery during the fault window, counts the rounds needed to
-// converge back to 100% delivery, and reports the bytes spent recovering.
+// scrambling that corrupts zone-table rows, dedup marks and retransmit
+// queues mid-run — applied between gossip rounds of a core.Cluster. The
+// driver measures delivery during the fault window, counts the rounds
+// needed to converge back to 100% delivery, and reports the bytes spent
+// recovering.
 //
 // Every random draw comes from one of three owned streams (event schedule,
 // scramble victims, key entropy), consumed in canonical order between
@@ -57,8 +58,8 @@ const (
 	LinkLossRamp
 	// ScrambleState corrupts a Frac fraction of every live node's zone-
 	// table rows (stale-stamped, stale-signed mutations plus attribute
-	// permutations) and drops a Frac fraction of its dedup and
-	// retransmit-queue entries. Corrupted rows must lose to fresh owner
+	// permutations) and drops a Frac fraction of its item table's routing
+	// marks and of its retransmit-queue entries. Corrupted rows must lose to fresh owner
 	// heartbeats (open mode) or be rejected by certificate verification
 	// (secure mode); the run must still converge to 100% delivery.
 	ScrambleState

@@ -56,7 +56,7 @@ const (
 	// KindFailover is a retry that switched to an alternate representative.
 	KindFailover
 	// KindDedupDrop is a duplicate suppressed by the router's forwarding
-	// or delivery dedup, or by the message cache.
+	// or delivery dedup, or by the message cache's stored mark.
 	KindDedupDrop
 	// KindCacheServe is a cache answering a peer's state-transfer request.
 	KindCacheServe

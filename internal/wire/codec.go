@@ -982,8 +982,8 @@ func (d *binDecoder) refList() []RowRef {
 // and decodes the fields from the copy, every string and byte array a view
 // of it. The input — a pooled read buffer, a whole reply — is never kept,
 // so no envelope pins another's bytes. The key is the one field built
-// apart: dedup logs, ack tables and trace spans keep it after the envelope
-// is gone.
+// apart: item tables, ack tables and trace spans keep it after the
+// envelope is gone.
 func (d *binDecoder) envelope(env *ItemEnvelope) {
 	start := d.pos
 	d.skipEnvelope()

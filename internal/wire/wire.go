@@ -321,7 +321,7 @@ type Multicast struct {
 	// AckSeq, when non-zero, asks the receiver to confirm this forward
 	// with a MulticastAck echoing the value. The sender retransmits
 	// unacknowledged forwards; receivers must treat re-sent copies as
-	// idempotent (the duplicate-suppression log already does).
+	// idempotent (the node's item table already does).
 	AckSeq uint64
 	// TraceID joins this forward's trace spans across process boundaries:
 	// every hop of one published item carries the same ID (derived
