@@ -231,7 +231,7 @@ func BenchmarkForwardFilterBloom(b *testing.B) {
 }
 
 func BenchmarkCachePut(b *testing.B) {
-	c, err := cache.New(cache.Config{Clock: vtime.NewVirtual(), MaxItems: 4096})
+	c, err := cache.New(cache.Config{Clock: vtime.NewVirtual()})
 	if err != nil {
 		b.Fatal(err)
 	}

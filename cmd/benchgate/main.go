@@ -12,7 +12,11 @@
 // Chaos artifacts (BENCH_E10.json) are gated on hard bounds instead of
 // deltas: every scenario's final delivery must reach 100%, its
 // during-fault delivery must stay above the scenario's own floor, and it
-// must converge within the scenario's own max_rounds bound:
+// must converge within the scenario's own max_rounds bound. When both
+// artifacts ran at the same seed and size, each scenario's deterministic
+// counts (recovery bytes, steady bytes/round, rows rejected and
+// scrambled, queue drops, recovered items, materialized nodes, crashes)
+// must also equal the baseline's:
 //
 //	benchgate -baseline old/BENCH_E10.json -current artifacts/BENCH_E10.json
 //
@@ -83,7 +87,13 @@ func run(args []string) error {
 
 // benchArtifact is the slice of the BENCH_<ID>.json schema the gate needs.
 type benchArtifact struct {
-	ID   string `json:"id"`
+	ID string `json:"id"`
+	// The run's seed and size: chaos counts repeat exactly only between
+	// artifacts that agree on all three.
+	Seed  int64 `json:"seed"`
+	Quick bool  `json:"quick"`
+	Big   bool  `json:"big"`
+
 	Wire []struct {
 		Label         string  `json:"label"`
 		BytesPerRound float64 `json:"bytes_per_round"`
@@ -157,6 +167,24 @@ type chaosRow struct {
 	SelfHealed          *bool   `json:"self_healed"`
 	DeliveryFloor       float64 `json:"delivery_floor"`
 	MaxRounds           int     `json:"max_rounds"`
+	// Counts the simulator reproduces exactly at one seed and size.
+	RecoveryBytes       float64 `json:"recovery_bytes"`
+	SteadyBytesPerRound float64 `json:"steady_bytes_per_round"`
+	RowsRejected        float64 `json:"rows_rejected"`
+	RowsScrambled       float64 `json:"rows_scrambled"`
+	QueueDropped        float64 `json:"queue_dropped"`
+	RecoveredItems      float64 `json:"recovered_items"`
+	Materialized        float64 `json:"materialized"`
+	Crashes             float64 `json:"crashes"`
+}
+
+// chaosCountNames names chaosRow.counts' entries as the artifact does.
+var chaosCountNames = [...]string{"recovery_bytes", "steady_bytes_per_round", "rows_rejected",
+	"rows_scrambled", "queue_dropped", "recovered_items", "materialized", "crashes"}
+
+func (r chaosRow) counts() [len(chaosCountNames)]float64 {
+	return [...]float64{r.RecoveryBytes, r.SteadyBytesPerRound, r.RowsRejected,
+		r.RowsScrambled, r.QueueDropped, r.RecoveredItems, r.Materialized, r.Crashes}
 }
 
 func gate(baselinePath, currentPath string, maxHeap, minMsgsSec, maxP99 float64) error {
@@ -253,6 +281,11 @@ func gateChaos(baselinePath string, base, cur benchArtifact) error {
 	for _, b := range base.Chaos {
 		baseBy[b.Scenario] = b
 	}
+	sameRun := base.Seed == cur.Seed && base.Quick == cur.Quick && base.Big == cur.Big
+	if !sameRun {
+		fmt.Printf("benchgate: chaos counts not compared: baseline ran seed %d quick=%v big=%v, current seed %d quick=%v big=%v\n",
+			base.Seed, base.Quick, base.Big, cur.Seed, cur.Quick, cur.Big)
+	}
 	var failures []string
 	for _, c := range cur.Chaos {
 		var problems []string
@@ -271,6 +304,14 @@ func gateChaos(baselinePath string, base, cur benchArtifact) error {
 		convNote := fmt.Sprintf("conv %d/%d", c.ConvergenceRounds, c.MaxRounds)
 		if b, ok := baseBy[c.Scenario]; ok {
 			convNote = fmt.Sprintf("conv %d -> %d (bound %d)", b.ConvergenceRounds, c.ConvergenceRounds, c.MaxRounds)
+			if sameRun {
+				bc, cc := b.counts(), c.counts()
+				for i, name := range chaosCountNames {
+					if bc[i] != cc[i] {
+						problems = append(problems, fmt.Sprintf("%s %g != baseline %g", name, cc[i], bc[i]))
+					}
+				}
+			}
 		}
 		status := "ok"
 		if len(problems) > 0 {

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -76,29 +78,72 @@ func runGateCases(t *testing.T, baseline string, gate func(base, cur benchArtifa
 
 // TestGateChaos holds the chaos gate (make chaos-smoke, nightly-chaos) to
 // its bounds: each scenario's final delivery, its during-fault floor, its
-// convergence budget and the self-healing verdict each fail on their own,
-// and an artifact without scenarios is an error, not a pass.
+// convergence budget, the self-healing verdict and, at the baseline's seed
+// and size, its deterministic counts each fail on their own, and an
+// artifact without scenarios is an error, not a pass.
 func TestGateChaos(t *testing.T) {
-	const baseline = `{"id":"E10","chaos":[{"scenario":"partition-heal","final_delivery":1,
-		"delivery_during_fault":0.75,"delivery_floor":0.5,"convergence_rounds":1,"max_rounds":8,"self_healed":true}]}`
 	// Field names as newswire-bench writes them.
+	const counts = `"recovery_bytes":81835,"steady_bytes_per_round":82596.375,"rows_rejected":0,"rows_scrambled":0,` +
+		`"queue_dropped":0,"recovered_items":2,"materialized":0,"crashes":0`
+	const baseline = `{"id":"E10","seed":1,"quick":false,"big":false,"chaos":[{"scenario":"partition-heal","final_delivery":1,
+		"delivery_during_fault":0.75,"delivery_floor":0.5,"convergence_rounds":1,"max_rounds":8,"self_healed":true,` + counts + `}]}`
 	row := func(final, during float64, rounds int, healed string) string {
-		return fmt.Sprintf(`{"id":"E10","chaos":[{"scenario":"partition-heal","final_delivery":%g,`+
-			`"delivery_during_fault":%g,"delivery_floor":0.5,"convergence_rounds":%d,"max_rounds":8%s}]}`,
-			final, during, rounds, healed)
+		return fmt.Sprintf(`{"id":"E10","seed":1,"quick":false,"big":false,"chaos":[{"scenario":"partition-heal","final_delivery":%g,`+
+			`"delivery_during_fault":%g,"delivery_floor":0.5,"convergence_rounds":%d,"max_rounds":8%s,%s}]}`,
+			final, during, rounds, healed, counts)
 	}
-	runGateCases(t, baseline, func(base, cur benchArtifact) error {
-		return gateChaos("baseline.json", base, cur)
-	}, []gateCase{
-		{"pass", row(1, 0.75, 1, `,"self_healed":true`), ""},
+	healthy := row(1, 0.75, 1, `,"self_healed":true`)
+	moreRecovery := strings.Replace(healthy, `"recovery_bytes":81835`, `"recovery_bytes":81836`, 1)
+	atSeed2 := strings.Replace(moreRecovery, `"seed":1`, `"seed":2`, 1)
+	gate := func(base, cur benchArtifact) error { return gateChaos("baseline.json", base, cur) }
+	runGateCases(t, baseline, gate, []gateCase{
+		{"pass", healthy, ""},
 		{"pass without a self-healing verdict", row(1, 0.5, 8, ""), ""},
 		{"final delivery short", row(0.9999, 0.75, 1, `,"self_healed":true`), "final delivery 0.9999 < 1.0000"},
 		{"during-fault delivery below the floor", row(1, 0.4999, 1, `,"self_healed":true`),
 			"during-fault delivery 0.4999 < floor 0.5000"},
 		{"convergence past the scenario's bound", row(1, 0.75, 9, `,"self_healed":true`), "convergence 9 rounds > bound 8"},
 		{"not self-healed", row(1, 0.75, 1, `,"self_healed":false`), "did not self-heal"},
+		{"recovery bytes changed", moreRecovery, "recovery_bytes 81836 != baseline 81835"},
 		{"no rows", `{"id":"E10"}`, "no chaos rows"},
 	})
+	t.Run("counts at another seed skipped", func(t *testing.T) {
+		var base, cur benchArtifact
+		if err := json.Unmarshal([]byte(baseline), &base); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(atSeed2), &cur); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		out := captureStdout(t, func() { err = gate(base, cur) })
+		if err != nil {
+			t.Fatalf("gate failed on counts from another seed: %v", err)
+		}
+		if want := "chaos counts not compared: baseline ran seed 1 quick=false big=false, current seed 2"; !strings.Contains(out, want) {
+			t.Fatalf("gate printed %q, want it to contain %q", out, want)
+		}
+	})
+}
+
+// captureStdout returns what fn prints to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	fn()
+	w.Close()
+	return string(<-done)
 }
 
 // TestGateE8 holds the precision gate (make e8, make e8-smoke) to its

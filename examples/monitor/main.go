@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 
 	"newswire"
 	"newswire/internal/astrolabe"
@@ -149,7 +150,10 @@ func run() error {
 	// registry an operator would scrape.
 	reg := metrics.NewRegistry()
 	observer.FillMetrics(reg)
-	fmt.Printf("\nnode 23 metrics registry:\n%s\n", reg.Snapshot())
+	fmt.Println("\nnode 23 metrics registry:")
+	if _, err := reg.WriteTo(os.Stdout); err != nil {
+		return err
+	}
 
 	// The monitoring state keeps converging as metrics change: idle
 	// machine 16 gets busy, and within a few rounds every root table

@@ -21,19 +21,19 @@ import (
 	"newswire/internal/wire"
 )
 
-// keyWindow bounds the keys remembered: the last keyWindow keys touched. A
-// key whose envelope is held outlives it, without its routing marks.
-const keyWindow = 8192
+// The table's two lifetimes. keyWindow bounds the keys remembered: the
+// last keyWindow keys touched. A key whose envelope is held outlives it,
+// without its routing marks. envelopeCap bounds the envelopes held; the
+// oldest-received are evicted first.
+const (
+	keyWindow   = 8192
+	envelopeCap = 1024
+)
 
 // Config configures a Cache.
 type Config struct {
-	// Clock supplies time for TTL decisions. Required.
+	// Clock stamps the cache's dedup spans. Required.
 	Clock vtime.Clock
-	// MaxItems bounds the envelopes held; the oldest-received are evicted
-	// first. Default 1024. Keys have their own, larger bound.
-	MaxItems int
-	// TTL expires envelopes by age since receipt (0 disables age expiry).
-	TTL time.Duration
 	// FuseRevisions keeps only the newest revision of each item series,
 	// fusing superseded revisions away on arrival (§9's "fused or
 	// aggregated into a more compact form").
@@ -50,7 +50,6 @@ type Stats struct {
 	Puts       int64
 	Duplicates int64
 	Fused      int64
-	Expired    int64
 	Evicted    int64
 }
 
@@ -58,7 +57,7 @@ type Stats struct {
 type entry struct {
 	zones []string // the zones the router routed the item for
 	marks mark
-	held  *held // the envelope, until evicted, expired or fused away
+	held  *held // the envelope, until evicted or fused away
 }
 
 type mark uint8
@@ -72,11 +71,10 @@ const (
 
 // held is one stored envelope; gone marks it released.
 type held struct {
-	key      string
-	env      wire.ItemEnvelope
-	received time.Time
-	seq      int64
-	gone     bool
+	key  string
+	env  wire.ItemEnvelope
+	seq  int64
+	gone bool
 }
 
 // Cache is a node's item table: an entry per item key touched, with its
@@ -84,16 +82,20 @@ type held struct {
 // of an evicted item is still a duplicate; the item lookups see only held
 // envelopes. It is safe for concurrent use.
 type Cache struct {
-	cfg Config
+	cfg      Config
+	capacity int // envelopeCap; package tests lower it
 
 	mu      sync.Mutex
 	entries map[string]entry // item key -> entry
-	series  map[string]int   // series key -> newest revision present
-	window  []string         // the last keyWindow keys touched, oldest first
-	order   []*held          // envelope insertion order, for eviction
-	held    int              // envelopes held
-	stats   Stats
-	seq     int64
+	// series maps a series key to its newest revision, for as long as that
+	// revision's entry is in entries; with fusion on, an older revision is
+	// a duplicate while the record lives.
+	series map[string]int
+	window []string // the last keyWindow keys touched, oldest first
+	order  []*held  // envelope insertion order, for eviction
+	held   int      // envelopes held
+	stats  Stats
+	seq    int64
 }
 
 // New validates cfg and returns an empty cache.
@@ -101,16 +103,11 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("cache: clock required")
 	}
-	if cfg.MaxItems == 0 {
-		cfg.MaxItems = 1024
-	}
-	if cfg.MaxItems < 0 {
-		return nil, fmt.Errorf("cache: negative MaxItems")
-	}
 	return &Cache{
-		cfg:     cfg,
-		entries: make(map[string]entry),
-		series:  make(map[string]int),
+		cfg:      cfg,
+		capacity: envelopeCap,
+		entries:  make(map[string]entry),
+		series:   make(map[string]int),
 	}, nil
 }
 
@@ -125,7 +122,7 @@ func (c *Cache) getLocked(key string) entry {
 		old := c.window[0]
 		c.window[0], c.window = "", c.window[1:]
 		if e := c.entries[old]; e.held == nil {
-			delete(c.entries, old)
+			c.forgetLocked(old)
 		} else {
 			c.entries[old] = entry{marks: e.marks&(stored|counted) | out, held: e.held}
 		}
@@ -133,10 +130,23 @@ func (c *Cache) getLocked(key string) entry {
 	return entry{}
 }
 
+// forgetLocked deletes key's entry, and the series record that names it.
+func (c *Cache) forgetLocked(key string) {
+	delete(c.entries, key)
+	if !c.cfg.FuseRevisions {
+		return
+	}
+	if i := lastHash(key); i >= 0 {
+		if rev, err := strconv.Atoi(key[i+1:]); err == nil && c.series[key[:i]] == rev {
+			delete(c.series, key[:i])
+		}
+	}
+}
+
 // dropLocked releases h, and its key when the key is out of the window.
 func (c *Cache) dropLocked(h *held) {
 	if e := c.entries[h.key]; e.marks&out != 0 {
-		delete(c.entries, h.key)
+		c.forgetLocked(h.key)
 	} else {
 		e.held = nil
 		c.entries[h.key] = e
@@ -181,8 +191,9 @@ func (c *Cache) mark(key string, m mark) bool {
 
 // Put stores an envelope. It returns false when the envelope is a
 // duplicate (stored before, even if since evicted, or — with revision
-// fusion — superseded); true means the item is new to this node. Put
-// enforces MaxItems immediately.
+// fusion — superseded by a revision whose entry the table still holds);
+// true means the item is new to this node. Put enforces the envelope cap
+// immediately.
 func (c *Cache) Put(env wire.ItemEnvelope) bool {
 	key := env.Key()
 	seriesKey := key[:lastHash(key)] // the key is the series key, '#', the revision
@@ -203,23 +214,23 @@ func (c *Cache) Put(env wire.ItemEnvelope) bool {
 		}
 		return false
 	}
-	if c.cfg.FuseRevisions {
-		if inSeries {
-			// Newer revision: fuse the older one out.
-			if old := c.entries[seriesKey+"#"+strconv.Itoa(newest)]; old.held != nil {
-				c.dropLocked(old.held)
-				c.stats.Fused++
-			}
+	if c.cfg.FuseRevisions && inSeries {
+		// Newer revision: fuse the older one out.
+		if old := c.entries[seriesKey+"#"+strconv.Itoa(newest)]; old.held != nil {
+			c.dropLocked(old.held)
+			c.stats.Fused++
 		}
-		c.series[seriesKey] = env.Revision
 	}
 
 	if !known {
 		e = c.getLocked(key)
 	}
+	if c.cfg.FuseRevisions {
+		c.series[seriesKey] = env.Revision
+	}
 	c.seq++
 	e.marks |= stored
-	e.held = &held{key: key, env: env, received: c.cfg.Clock.Now(), seq: c.seq}
+	e.held = &held{key: key, env: env, seq: c.seq}
 	c.entries[key] = e
 	c.held++
 	c.order = append(c.order, e.held)
@@ -241,7 +252,8 @@ func (c *Cache) traceDropLocked(key, note string) {
 }
 
 // Has reports whether the exact envelope key is cached. With revision
-// fusion, a superseded revision also counts as present (it was fused).
+// fusion, a superseded revision also counts as present (it was fused)
+// while the series record lives.
 func (c *Cache) Has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -414,36 +426,16 @@ func matchesAny(have, want []string) bool {
 	return false
 }
 
-// GC expires envelopes older than TTL (if configured) and returns how many
-// were removed. Capacity is enforced on Put, not here.
-func (c *Cache) GC() int {
-	if c.cfg.TTL <= 0 {
-		return 0
-	}
-	cutoff := c.cfg.Clock.Now().Add(-c.cfg.TTL)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	removed := 0
-	for _, h := range c.order {
-		if !h.gone && h.received.Before(cutoff) {
-			c.dropLocked(h)
-			removed++
-			c.stats.Expired++
-		}
-	}
-	return removed
-}
-
-// enforceCapLocked evicts oldest-inserted envelopes beyond MaxItems by
-// draining the insertion-order queue, skipping envelopes fusion or GC
-// already removed.
+// enforceCapLocked evicts oldest-inserted envelopes beyond the cap by
+// draining the insertion-order queue, skipping envelopes fusion already
+// removed.
 func (c *Cache) enforceCapLocked() {
-	for c.held > c.cfg.MaxItems && len(c.order) > 0 {
+	for c.held > c.capacity && len(c.order) > 0 {
 		h := c.order[0]
 		c.order[0] = nil
 		c.order = c.order[1:]
 		if h.gone {
-			continue // already fused or expired
+			continue // already fused
 		}
 		c.dropLocked(h)
 		c.stats.Evicted++

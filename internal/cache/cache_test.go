@@ -37,12 +37,23 @@ func newTestCache(t *testing.T, cfg Config) (*Cache, *vtime.Virtual) {
 	return c, clock
 }
 
+// TestNewValidation: a clock is the one required field, and a new cache
+// holds envelopeCap envelopes however far its clock advances; the next one
+// evicts the oldest.
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil clock accepted")
 	}
-	if _, err := New(Config{Clock: vtime.Real{}, MaxItems: -1}); err == nil {
-		t.Error("negative MaxItems accepted")
+	c, clock := newTestCache(t, Config{})
+	for i := 0; i <= envelopeCap; i++ {
+		c.Put(env("p", fmt.Sprintf("i%d", i), 0, clock.Now()))
+		clock.Advance(time.Hour)
+	}
+	if c.Len() != envelopeCap || c.Has("p/i0#0") || !c.Has("p/i1#0") {
+		t.Fatalf("Len=%d Has(i0)=%v Has(i1)=%v, want %d false true", c.Len(), c.Has("p/i0#0"), c.Has("p/i1#0"), envelopeCap)
+	}
+	if st := c.Stats(); st.Evicted != 1 {
+		t.Fatalf("Evicted = %d, want 1", st.Evicted)
 	}
 }
 
@@ -133,10 +144,11 @@ func TestLatest(t *testing.T) {
 }
 
 func TestCapacityEvictsOldest(t *testing.T) {
-	c, clock := newTestCache(t, Config{MaxItems: 3})
+	c, clock := newTestCache(t, Config{})
+	c.capacity = 3
 	for i := 0; i < 5; i++ {
 		c.Put(env("p", fmt.Sprintf("i%d", i), 0, clock.Now()))
-		clock.Advance(time.Second)
+		clock.Advance(24 * time.Hour)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
@@ -153,31 +165,42 @@ func TestCapacityEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestGCExpiresByTTL: the cache has no age expiry. An envelope outlives
+// any clock advance and leaves only by the cap.
 func TestGCExpiresByTTL(t *testing.T) {
-	c, clock := newTestCache(t, Config{TTL: 10 * time.Second})
+	c, clock := newTestCache(t, Config{})
+	c.capacity = 2
 	c.Put(env("p", "old", 0, clock.Now()))
-	clock.Advance(11 * time.Second)
+	clock.Advance(365 * 24 * time.Hour)
 	c.Put(env("p", "new", 0, clock.Now()))
-	if n := c.GC(); n != 1 {
-		t.Fatalf("GC removed %d, want 1", n)
+	clock.Advance(365 * 24 * time.Hour)
+	if !c.Has("p/old#0") || !c.Has("p/new#0") || c.Len() != 2 {
+		t.Fatalf("Has(old)=%v Has(new)=%v Len=%d after two years, want both held", c.Has("p/old#0"), c.Has("p/new#0"), c.Len())
 	}
-	if c.Has("p/old#0") {
-		t.Fatal("expired entry still present")
+	c.Put(env("p", "newest", 0, clock.Now()))
+	if c.Has("p/old#0") || !c.Has("p/new#0") {
+		t.Fatal("the cap did not evict the oldest envelope")
 	}
-	if !c.Has("p/new#0") {
-		t.Fatal("fresh entry expired")
-	}
-	if st := c.Stats(); st.Expired != 1 {
-		t.Fatalf("Expired = %d", st.Expired)
+	if st := c.Stats(); st.Evicted != 1 || st.Fused != 0 {
+		t.Fatalf("stats = %+v, want 1 eviction and nothing else gone", st)
 	}
 }
 
+// TestGCDisabledWithoutTTL: with fusion on, an envelope outlives any clock
+// advance and leaves only when a newer revision fuses it.
 func TestGCDisabledWithoutTTL(t *testing.T) {
-	c, clock := newTestCache(t, Config{})
+	c, clock := newTestCache(t, Config{FuseRevisions: true})
 	c.Put(env("p", "a", 0, clock.Now()))
-	clock.Advance(time.Hour)
-	if n := c.GC(); n != 0 {
-		t.Fatalf("GC without TTL removed %d", n)
+	clock.Advance(365 * 24 * time.Hour)
+	if _, ok := c.Get("p/a#0"); !ok || c.Len() != 1 {
+		t.Fatalf("Get(a#0)=%v Len=%d after a year, want the envelope held", ok, c.Len())
+	}
+	c.Put(env("p", "a", 1, clock.Now()))
+	if _, ok := c.Get("p/a#0"); ok || c.Len() != 1 {
+		t.Fatalf("Get(a#0)=%v Len=%d after revision 1, want a#0 fused away", ok, c.Len())
+	}
+	if st := c.Stats(); st.Fused != 1 || st.Evicted != 0 {
+		t.Fatalf("stats = %+v, want 1 fusion and no eviction", st)
 	}
 }
 
@@ -223,15 +246,16 @@ func TestSinceEmpty(t *testing.T) {
 }
 
 // Property: after Put(env) returns true, Has(env.Key()) is true and Len
-// never exceeds MaxItems.
+// never exceeds the cap.
 func TestQuickPutHasAndCapInvariant(t *testing.T) {
 	f := func(ids []uint8, maxItems uint8) bool {
 		cap := int(maxItems%32) + 1
 		clock := vtime.NewVirtual()
-		c, err := New(Config{Clock: clock, MaxItems: cap})
+		c, err := New(Config{Clock: clock})
 		if err != nil {
 			return false
 		}
+		c.capacity = cap
 		for _, id := range ids {
 			e := env("p", fmt.Sprintf("i%d", id), 0, clock.Now())
 			stored := c.Put(e)
@@ -272,7 +296,8 @@ func TestQuickFusionKeepsOneRevision(t *testing.T) {
 func TestEvictionSkipsFusedTombstones(t *testing.T) {
 	// Fusion removes entries out of insertion order; eviction must skip
 	// those tombstones and still evict the right (oldest live) entries.
-	c, clock := newTestCache(t, Config{MaxItems: 3, FuseRevisions: true})
+	c, clock := newTestCache(t, Config{FuseRevisions: true})
+	c.capacity = 3
 	c.Put(env("p", "a", 0, clock.Now())) // will be fused by rev 1
 	c.Put(env("p", "b", 0, clock.Now()))
 	c.Put(env("p", "a", 1, clock.Now())) // fuses a#0
@@ -298,7 +323,8 @@ func TestEvictionSkipsFusedTombstones(t *testing.T) {
 
 func TestEvictionQueueCompaction(t *testing.T) {
 	// Heavy fusion must not leave the order queue growing unboundedly.
-	c, clock := newTestCache(t, Config{MaxItems: 100, FuseRevisions: true})
+	c, clock := newTestCache(t, Config{FuseRevisions: true})
+	c.capacity = 100
 	for rev := 0; rev < 10000; rev++ {
 		c.Put(env("p", "hot", rev, clock.Now()))
 	}
@@ -448,7 +474,8 @@ func TestQuickSinceExceptNeverServesMore(t *testing.T) {
 // a cache that is being filled, the way live nodes do (transport goroutines
 // serve requests while deliveries arrive). Meaningful under -race.
 func TestConcurrentPutAndStateTransfer(t *testing.T) {
-	c, clock := newTestCache(t, Config{MaxItems: 64})
+	c, clock := newTestCache(t, Config{})
+	c.capacity = 64
 	t0 := clock.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -488,7 +515,8 @@ func TestConcurrentPutAndStateTransfer(t *testing.T) {
 // key, with the stored mark, for the key window; so a later copy is a
 // duplicate, while the item lookups answer as if it were gone.
 func TestEvictedKeyStaysADuplicate(t *testing.T) {
-	c, clock := newTestCache(t, Config{MaxItems: 2})
+	c, clock := newTestCache(t, Config{})
+	c.capacity = 2
 	for _, id := range []string{"a", "b", "c"} {
 		c.Put(env("p", id, 0, clock.Now()))
 	}
@@ -511,7 +539,8 @@ func TestEvictedKeyStaysADuplicate(t *testing.T) {
 // still held outlives the window without its routing marks, until the
 // envelope goes.
 func TestKeyWindowBoundsKeys(t *testing.T) {
-	c, clock := newTestCache(t, Config{MaxItems: 1})
+	c, clock := newTestCache(t, Config{})
+	c.capacity = 1
 	c.Put(env("p", "kept", 0, clock.Now()))
 	c.MarkRouted("p/kept#0", "/")
 	c.MarkRouted("p/old#0", "/")
@@ -535,6 +564,56 @@ func TestKeyWindowBoundsKeys(t *testing.T) {
 	c.Put(env("p", "new", 0, clock.Now())) // evicts kept's envelope
 	if c.Has("p/kept#0") || c.Keys() != keyWindow {
 		t.Fatalf("Has(kept)=%v Keys=%d after eviction; want false and the window, %d", c.Has("p/kept#0"), c.Keys(), keyWindow)
+	}
+}
+
+// TestFusionIndexBoundedByTable: every series record names a table entry,
+// so a fusing cache that sees more series than its key window holds no
+// more series records than entries.
+func TestFusionIndexBoundedByTable(t *testing.T) {
+	c, clock := newTestCache(t, Config{FuseRevisions: true})
+	for i := 0; i < 20000; i++ {
+		c.Put(env("p", fmt.Sprintf("s%d", i), 0, clock.Now()))
+	}
+	if len(c.series) > c.Keys() || c.Keys() > keyWindow+envelopeCap {
+		t.Fatalf("%d series records, %d entries; want records <= entries <= %d", len(c.series), c.Keys(), keyWindow+envelopeCap)
+	}
+	for s, rev := range c.series {
+		if _, ok := c.entries[s+"#"+fmt.Sprint(rev)]; !ok {
+			t.Fatalf("series record %s#%d names no entry", s, rev)
+		}
+	}
+}
+
+// TestSupersededStaysDuplicateWhileSeriesEntryLives: with fusion on, an
+// older revision is a duplicate while the entry of the newest revision
+// lives, in the window or held past it, even after the older revision's
+// own entry left the window; once the newest revision's entry goes, the
+// older one is a key older than the window, new again.
+func TestSupersededStaysDuplicateWhileSeriesEntryLives(t *testing.T) {
+	c, clock := newTestCache(t, Config{FuseRevisions: true})
+	c.capacity = 1
+	c.Put(env("p", "a", 0, clock.Now()))
+	c.Put(env("p", "a", 1, clock.Now())) // fuses a#0 away
+	for i := 0; i < keyWindow-1; i++ {
+		c.MarkRouted(fmt.Sprintf("p/r%d#0", i), "/") // a#0's entry leaves the window
+	}
+	if _, ok := c.entries["p/a#0"]; ok {
+		t.Fatal("a#0's entry outlived the window")
+	}
+	if c.Put(env("p", "a", 0, clock.Now())) || !c.Has("p/a#0") {
+		t.Fatal("a superseded revision was stored while its series entry is in the window")
+	}
+	c.MarkRouted("p/last#0", "/") // a#1's key leaves the window; its envelope is held
+	if c.Put(env("p", "a", 0, clock.Now())) {
+		t.Fatal("a superseded revision was stored while its series entry is held")
+	}
+	c.Put(env("p", "b", 0, clock.Now())) // evicts a#1, and its entry with it
+	if c.Has("p/a#0") || c.Has("p/a#1") {
+		t.Fatal("the series record outlived the entry it names")
+	}
+	if !c.Put(env("p", "a", 0, clock.Now())) {
+		t.Fatal("a revision older than the window was not stored")
 	}
 }
 

@@ -80,8 +80,6 @@ type Config struct {
 	// time; live nodes may leave it nil to get time.AfterFunc.
 	After func(d time.Duration, fn func())
 
-	// CacheTTL ages cache entries out (0 = never).
-	CacheTTL time.Duration
 	// FuseRevisions keeps only the newest revision per item series.
 	FuseRevisions bool
 
@@ -184,9 +182,9 @@ type Node struct {
 
 	mu         sync.Mutex
 	delivered  int64
-	recovered  int64     // items obtained via state transfer, not multicast
-	lastSeen   time.Time // newest Published among delivered items
-	gcCounter  int
+	recovered  int64           // items obtained via state transfer, not multicast
+	lastSeen   time.Time       // newest Published among delivered items
+	ticks      int             // Ticks run; anti-entropy and health run on multiples of it
 	exchanges  uint64          // state-transfer exchanges begun (stateRequest's salt)
 	publishers map[string]bool // publishers this node announced
 }
@@ -260,7 +258,6 @@ func NewNode(cfg Config) (*Node, error) {
 
 	store, err := cache.New(cache.Config{
 		Clock:         cfg.Clock,
-		TTL:           cfg.CacheTTL,
 		FuseRevisions: cfg.FuseRevisions,
 		Tracer:        cfg.Tracer,
 		TraceNode:     agent.Addr(),
@@ -345,7 +342,6 @@ func (n *Node) FillMetrics(reg *metrics.Registry) {
 	reg.Counter("cache_puts").SyncTo(cst.Puts)
 	reg.Counter("cache_duplicates").SyncTo(cst.Duplicates)
 	reg.Counter("cache_fused").SyncTo(cst.Fused)
-	reg.Counter("cache_expired").SyncTo(cst.Expired)
 	reg.Counter("cache_evicted").SyncTo(cst.Evicted)
 	reg.Gauge("cache_items").Set(float64(n.cache.Len()))
 	reg.Gauge("cache_keys").Set(float64(n.cache.Keys()))
@@ -466,19 +462,15 @@ func (n *Node) SetLoad(load float64) {
 	n.agent.SetAttr(astrolabe.AttrLoad, value.Float(load))
 }
 
-// Tick advances the node one gossip round, runs periodic cache GC and —
-// when configured — one step of item anti-entropy.
+// Tick advances the node one gossip round and — when configured — runs
+// one step of item anti-entropy and publishes health.
 func (n *Node) Tick() {
 	n.agent.Tick()
 	n.mu.Lock()
-	n.gcCounter++
-	runGC := n.gcCounter%10 == 0
-	runAE := n.cfg.AntiEntropyEvery > 0 && n.gcCounter%n.cfg.AntiEntropyEvery == 0
-	runHealth := n.cfg.HealthEvery > 0 && n.gcCounter%n.cfg.HealthEvery == 0
+	n.ticks++
+	runAE := n.cfg.AntiEntropyEvery > 0 && n.ticks%n.cfg.AntiEntropyEvery == 0
+	runHealth := n.cfg.HealthEvery > 0 && n.ticks%n.cfg.HealthEvery == 0
 	n.mu.Unlock()
-	if runGC {
-		n.cache.GC()
-	}
 	if runAE {
 		n.antiEntropyStep()
 	}

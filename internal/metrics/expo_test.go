@@ -151,8 +151,16 @@ func TestRegisterHistogram(t *testing.T) {
 	if !strings.Contains(sb.String(), "delivery_latency_seconds_count 1") {
 		t.Errorf("registered histogram missing from exposition:\n%s", sb.String())
 	}
-	if !strings.Contains(r.Snapshot(), "histogram delivery_latency_seconds count=1") {
-		t.Errorf("registered histogram missing from snapshot:\n%s", r.Snapshot())
+	if !strings.Contains(sb.String(), "delivery_latency_seconds_sum 2.5") {
+		t.Errorf("registered histogram's sum missing from exposition:\n%s", sb.String())
+	}
+	h.Observe(1)
+	sb.Reset()
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "delivery_latency_seconds_count 2") {
+		t.Errorf("registry copied the histogram instead of adopting it:\n%s", sb.String())
 	}
 }
 
@@ -161,8 +169,8 @@ func TestSnapshotMinMax(t *testing.T) {
 	h := r.Histogram("lat")
 	h.Observe(2)
 	h.Observe(8)
-	snap := r.Snapshot()
-	if !strings.Contains(snap, "min=2") || !strings.Contains(snap, "max=8") {
-		t.Errorf("snapshot missing min/max: %s", snap)
+	h.Observe(5)
+	if h.Min() != 2 || h.Max() != 8 {
+		t.Errorf("min/max = %g/%g, want 2/8", h.Min(), h.Max())
 	}
 }

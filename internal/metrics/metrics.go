@@ -7,11 +7,9 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -237,28 +235,14 @@ func (h *Histogram) Reset() {
 	h.mu.Unlock()
 }
 
-// snapshot returns the fields a renderer needs in one critical section.
-func (h *Histogram) snapshot() (count int64, mean, p50, p99, min, max float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	count = h.count
-	if count > 0 {
-		mean = h.sum / float64(count)
-		min, max = h.min, h.max
-	}
-	p50 = h.quantileLocked(0.5)
-	p99 = h.quantileLocked(0.99)
-	return
-}
-
 // Registry is a named collection of metrics. The zero value is unusable;
 // construct with NewRegistry.
 //
 // Series may carry labels (CounterWith and friends); the plain accessors
 // are the empty-label special case. The registry lock only guards the
 // series maps — per-metric work (quantile sorts in particular) happens
-// under the individual metric's lock, so a Snapshot or exposition render
-// in flight never stalls a concurrent Counter() lookup on a hot path.
+// under the individual metric's lock, so an exposition render in flight
+// never stalls a concurrent Counter() lookup on a hot path.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -310,61 +294,4 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.histograms[key] = h
 	r.meta[key] = meta
 	r.mu.Unlock()
-}
-
-// Snapshot renders every metric as "name value" lines sorted by name, for
-// debugging experiment runs. Values are read under each metric's own
-// lock, after the registry lock is released.
-func (r *Registry) Snapshot() string {
-	type namedCounter struct {
-		name string
-		c    *Counter
-	}
-	type namedGauge struct {
-		name string
-		g    *Gauge
-	}
-	type namedHistogram struct {
-		name string
-		h    *Histogram
-	}
-	r.mu.Lock()
-	counters := make([]namedCounter, 0, len(r.counters))
-	for key, c := range r.counters {
-		counters = append(counters, namedCounter{r.displayName(key), c})
-	}
-	gauges := make([]namedGauge, 0, len(r.gauges))
-	for key, g := range r.gauges {
-		gauges = append(gauges, namedGauge{r.displayName(key), g})
-	}
-	histograms := make([]namedHistogram, 0, len(r.histograms))
-	for key, h := range r.histograms {
-		histograms = append(histograms, namedHistogram{r.displayName(key), h})
-	}
-	r.mu.Unlock()
-
-	var lines []string
-	for _, nc := range counters {
-		lines = append(lines, fmt.Sprintf("counter %s %d", nc.name, nc.c.Value()))
-	}
-	for _, ng := range gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %g", ng.name, ng.g.Value()))
-	}
-	for _, nh := range histograms {
-		count, mean, p50, p99, min, max := nh.h.snapshot()
-		lines = append(lines, fmt.Sprintf(
-			"histogram %s count=%d mean=%g min=%g p50=%g p99=%g max=%g",
-			nh.name, count, mean, min, p50, p99, max))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
-// displayName renders a series key for Snapshot. Called with r.mu held.
-func (r *Registry) displayName(key string) string {
-	m := r.meta[key]
-	if m.labels == "" {
-		return m.family
-	}
-	return m.family + "{" + m.labels + "}"
 }

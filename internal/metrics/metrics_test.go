@@ -136,10 +136,13 @@ func TestRegistrySnapshot(t *testing.T) {
 	r.Counter("msgs").Add(3)
 	r.Gauge("load").Set(0.5)
 	r.Histogram("latency").Observe(2)
-	snap := r.Snapshot()
-	for _, want := range []string{"counter msgs 3", "gauge load 0.5", "histogram latency count=1"} {
-		if !strings.Contains(snap, want) {
-			t.Errorf("snapshot missing %q:\n%s", want, snap)
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nmsgs 3\n", "\nload 0.5\n", "\nlatency_count 1\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
 		}
 	}
 }

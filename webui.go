@@ -6,7 +6,6 @@ import (
 	"html"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"time"
 
@@ -229,10 +228,12 @@ type itemDoc struct {
 	Published time.Time `json:"published"`
 }
 
-func (ui *WebUI) recentItems(max int) []itemDoc {
-	envs, _ := ui.node.Cache().Since(time.Time{}, nil, max)
+// recentItems returns the newest n cached items, newest first.
+func (ui *WebUI) recentItems(n int) []itemDoc {
+	envs, _ := ui.node.Cache().Since(time.Time{}, nil, 0) // oldest first
+	envs = envs[max(0, len(envs)-n):]
 	docs := make([]itemDoc, 0, len(envs))
-	for i := range envs {
+	for i := len(envs) - 1; i >= 0; i-- {
 		env := &envs[i]
 		doc := itemDoc{
 			Key:       env.Key(),
@@ -246,8 +247,6 @@ func (ui *WebUI) recentItems(max int) []itemDoc {
 		}
 		docs = append(docs, doc)
 	}
-	// Newest first for display.
-	sort.Slice(docs, func(i, j int) bool { return docs[i].Published.After(docs[j].Published) })
 	return docs
 }
 

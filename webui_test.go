@@ -200,6 +200,49 @@ func TestWebUIItemsJSON(t *testing.T) {
 	}
 }
 
+// TestWebUIItemsJSONServesNewest: a node holding more items than the page
+// lists serves the newest ones, newest first.
+func TestWebUIItemsJSONServesNewest(t *testing.T) {
+	cluster, ui := webUICluster(t) // holds ui-item, the oldest
+	const extra = 147
+	for i := 0; i < extra; i++ {
+		item := &newswire.Item{
+			Publisher: "slashdot", ID: fmt.Sprintf("s%03d", i),
+			Headline: "story", Body: "body",
+			Subjects:  []string{"tech/linux"},
+			Published: cluster.Eng.Now().Add(time.Duration(i) * time.Millisecond),
+		}
+		if err := cluster.Nodes[1].PublishItem(item, "", ""); err != nil { // the node served
+			t.Fatal(err)
+		}
+	}
+	cluster.RunFor(5 * time.Second)
+	if n := cluster.Nodes[1].Cache().Len(); n != extra+1 {
+		t.Fatalf("node holds %d items, want %d", n, extra+1)
+	}
+	srv := httptest.NewServer(ui.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/items.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var items []struct {
+		Key string `json:"key"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&items); err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 100 {
+		t.Fatalf("served %d items, want 100", len(items))
+	}
+	for i, it := range items {
+		if want := fmt.Sprintf("slashdot/s%03d#0", extra-1-i); it.Key != want {
+			t.Fatalf("item %d is %s, want %s", i, it.Key, want)
+		}
+	}
+}
+
 func TestWebUIZonesJSON(t *testing.T) {
 	_, ui := webUICluster(t)
 	srv := httptest.NewServer(ui.Handler())
