@@ -285,15 +285,21 @@ func newEntry(r *wire.SharedRow, issued time.Time) entry {
 // stamp returns the time this replica holds the row as issued at.
 func (e entry) stamp() time.Time { return time.Unix(e.sec, int64(e.nsec)).UTC() }
 
+// after reports whether e's stamp is later than o's.
+func (e entry) after(o entry) bool { return e.sec > o.sec || e.sec == o.sec && e.nsec > o.nsec }
+
 // table is one replicated zone table. Row content is immutable and shared
 // (wire.SharedRow): merging a gossiped row installs the sender's pointer,
 // so the table is copy-on-write — writers never modify a stored row, they
 // replace the map entry.
 //
 // Content changes go through put and del, which keep names and hash true
-// to rows; a write that only moves a stamp stores into rows directly.
+// to rows; a write that only moves a stamp goes through set.
 type table struct {
 	rows map[string]entry
+	// top is the row with the latest issue stamp, while there are rows;
+	// set and del keep it so.
+	top entry
 	// names lists the row names in ascending order. A row's index in it is
 	// its position in every zone section and stamp this agent exchanges.
 	names []string
@@ -362,7 +368,19 @@ func (t *table) put(e entry) {
 			t.hash += rowHash(e.Name, is) - rowHash(e.Name, was)
 		}
 	}
+	t.set(e)
+}
+
+// set stores e, a row whose content the table already accounts for (put
+// has done so, or only its stamp moves).
+func (t *table) set(e entry) {
 	t.rows[e.Name] = e
+	switch {
+	case len(t.rows) == 1 || !t.top.after(e):
+		t.top = e
+	case e.Name == t.top.Name:
+		t.rescan() // the newest row moved back
+	}
 }
 
 // del removes the row called name, if there is one.
@@ -375,17 +393,27 @@ func (t *table) del(name string) {
 	t.names = slices.Delete(t.names, i, i+1)
 	t.hash -= rowHash(name, old.AttrsHash())
 	delete(t.rows, name)
+	if name == t.top.Name {
+		t.rescan()
+	}
+}
+
+// rescan finds top again, after the row holding it left or moved back.
+func (t *table) rescan() {
+	t.top = entry{}
+	for _, r := range t.rows {
+		if t.top.SharedRow == nil || r.after(t.top) {
+			t.top = r
+		}
+	}
 }
 
 // newest returns the latest issue stamp in the table.
 func (t *table) newest() time.Time {
-	var latest time.Time
-	for _, r := range t.rows {
-		if at := r.stamp(); at.After(latest) {
-			latest = at
-		}
+	if len(t.rows) == 0 {
+		return time.Time{}
 	}
-	return latest
+	return t.top.stamp()
 }
 
 // Agent is one Astrolabe participant: it owns a row in its leaf zone,
@@ -556,7 +584,7 @@ func (a *Agent) reissueLocked(t *table, zone string, r *wire.SharedRow, at time.
 		t.put(newEntry(r, at))
 		return r
 	}
-	t.rows[r.Name] = newEntry(r, at)
+	t.set(newEntry(r, at))
 	return r
 }
 
@@ -776,14 +804,13 @@ func (a *Agent) sharedTablesLocked(fromZone string) int {
 // section for the zone, names attached, for the initiator to diff.
 func (a *Agent) handleGossipDigest(msg *wire.Message) {
 	g := msg.GossipDigest
+	out := scratch.Get().(*delta)
+	defer scratch.Put(out)
 	a.mu.Lock()
 	a.stats.GossipsReceived++
-	// The answer is sent whatever the diff finds, so its stamps collect in
-	// the message from the start.
-	frame := &deltaFrame{}
-	out := delta{stamps: frame.zones[:0]}
-	a.diffSectionsLocked(&out, g.FromZone, g.Sections, true)
-	reply := a.deltaLocked(frame, &out)
+	// The answer is sent whatever the diff finds.
+	a.diffSectionsLocked(out, g.FromZone, g.Sections, true)
+	reply := a.deltaLocked(out)
 	tr := a.cfg.Transport
 	a.mu.Unlock()
 
@@ -798,50 +825,78 @@ func (a *Agent) handleGossipDigest(msg *wire.Message) {
 // exchange ends with that answer or the rows-only delta that serves it.
 func (a *Agent) handleGossipDelta(msg *wire.Message) {
 	g := msg.GossipDelta
+	out := scratch.Get().(*delta)
+	defer scratch.Put(out)
 	a.mu.Lock()
 	a.stats.RepliesReceived++
 	// Stamps first: they refer to the tables as this agent described
 	// them, before the rows of the same delta change any.
 	a.applyStampsLocked(g.Stamps)
 	a.mergeRowsLocked(g.Rows)
-	var out delta
-	a.rowsForRefsLocked(&out, g.Want)
-	a.diffSectionsLocked(&out, g.FromZone, g.Sections, false)
+	a.rowsForRefsLocked(out, g.Want)
+	a.diffSectionsLocked(out, g.FromZone, g.Sections, false)
 	if len(out.rows)+len(out.want)+len(out.stamps) == 0 {
 		a.mu.Unlock()
 		return
 	}
-	reply := a.deltaLocked(&deltaFrame{}, &out)
+	reply := a.deltaLocked(out)
 	tr := a.cfg.Transport
 	a.mu.Unlock()
 
 	_ = tr.Send(msg.From, reply)
 }
 
-// inlineZones is how many tables' worth of sections or stamps a gossip
-// message carries in the allocation of the message itself; a deeper chain
-// spills into an array of its own.
-const inlineZones = 4
+// slabs hold every part of every gossip message this process sends
+// (DESIGN §8, "Gossip message ownership"). A slab never hands a region out
+// twice, so a sent message is never written again, however long a
+// transport holds it, and a slab is freed by the collector with the last
+// message that points into it. A part whose size is known when the message
+// is built is taken at that size; one that is not is collected in a
+// scratch delta and copied here at its exact length.
+var slabs struct {
+	digests  wire.Slab[digestFrame]
+	deltas   wire.Slab[deltaFrame]
+	sections wire.Slab[wire.ZoneSection]
+	lags     wire.Slab[time.Duration]
+	named    wire.Slab[wire.RowSummary]
+	rows     wire.Slab[wire.RowUpdate]
+	want     wire.Slab[wire.RowRef]
+	zones    wire.Slab[wire.ZoneStamps]
+	stamps   wire.Slab[wire.RowStamp]
+}
+
+// scratch holds the deltas gossip handlers diff into. It is pooled rather
+// than kept per agent: a thousand agents' grown lists would outweigh what
+// they save. A handler empties its scratch (deltaLocked) before putting it
+// back, so none of it outlives the handler's locked call.
+var scratch = sync.Pool{New: func() any { return new(delta) }}
+
+// digestFrame is a digest message and its payload.
+type digestFrame struct {
+	msg  wire.Message
+	body wire.GossipDigest
+}
+
+// deltaFrame is a delta message and its payload.
+type deltaFrame struct {
+	msg  wire.Message
+	body wire.GossipDelta
+}
 
 // digestLocked builds the request leg of a delta exchange, one bare
 // section for each of the chain's first `shared` tables, and counts it as
-// sent. The message, its payload and the sections are one allocation and
-// the sections' lags share another, so a digest is two heap objects.
+// sent.
 func (a *Agent) digestLocked(shared int) *wire.Message {
 	rows := 0
 	for _, zone := range a.chain[:shared] {
 		rows += len(a.tables[zone].names)
 	}
-	frame := &struct {
-		msg      wire.Message
-		body     wire.GossipDigest
-		sections [inlineZones]wire.ZoneSection
-	}{}
-	lags := make([]time.Duration, rows)
-	sections := frame.sections[:0]
-	for depth := 0; depth < shared; depth++ {
+	frame := &slabs.digests.Take(1)[0]
+	lags := slabs.lags.Take(rows)
+	sections := slabs.sections.Take(shared)
+	for depth := range sections {
 		n := len(a.tables[a.chain[depth]].names)
-		sections = append(sections, a.sectionLocked(depth, lags[:n:n], false))
+		sections[depth] = a.sectionLocked(depth, lags[:n:n], false)
 		lags = lags[n:]
 	}
 	a.stats.DigestsSent += int64(rows)
@@ -859,11 +914,11 @@ func (a *Agent) digestLocked(shared int) *wire.Message {
 func (a *Agent) sectionLocked(depth int, lags []time.Duration, named bool) wire.ZoneSection {
 	t := a.tables[a.chain[depth]]
 	if lags == nil {
-		lags = make([]time.Duration, len(t.names))
+		lags = slabs.lags.Take(len(t.names))
 	}
 	s := wire.ZoneSection{Depth: depth, Hash: t.hash, Newest: t.newest(), Lags: lags}
 	if named {
-		s.Named = make([]wire.RowSummary, len(t.names))
+		s.Named = slabs.named.Take(len(t.names))
 	}
 	for i, name := range t.names {
 		r := t.rows[name]
@@ -881,32 +936,44 @@ type delta struct {
 	want     []wire.RowRef
 	stamps   []wire.ZoneStamps
 	sections []wire.ZoneSection
-	// rowStamps backs the Rows of every entry of stamps.
+	// rowStamps backs the Rows of every entry of stamps, in order.
 	rowStamps []wire.RowStamp
 }
 
-// deltaFrame is a delta message, its payload and room for its stamped
-// zones in one allocation.
-type deltaFrame struct {
-	msg   wire.Message
-	body  wire.GossipDelta
-	zones [inlineZones]wire.ZoneStamps
-}
-
-// deltaLocked fills frame with out and counts it as sent.
-func (a *Agent) deltaLocked(frame *deltaFrame, out *delta) *wire.Message {
+// deltaLocked builds a delta message holding an exact copy of out, counts
+// it as sent and empties out.
+func (a *Agent) deltaLocked(out *delta) *wire.Message {
+	frame := &slabs.deltas.Take(1)[0]
+	zones := slabs.zones.Copy(out.stamps)
+	rowStamps := slabs.stamps.Copy(out.rowStamps)
+	for i := range zones {
+		n := len(zones[i].Rows)
+		zones[i].Rows, rowStamps = rowStamps[:n:n], rowStamps[n:]
+	}
 	frame.body = wire.GossipDelta{
 		FromZone: a.leaf,
-		Rows:     out.rows,
-		Want:     out.want,
-		Stamps:   out.stamps,
-		Sections: out.sections,
+		Rows:     slabs.rows.Copy(out.rows),
+		Want:     slabs.want.Copy(out.want),
+		Stamps:   zones,
+		Sections: slabs.sections.Copy(out.sections),
 	}
 	frame.msg = wire.Message{Kind: wire.KindGossipDelta, From: a.addr, GossipDelta: &frame.body}
 	a.stats.RowsSent += int64(len(out.rows))
 	a.stats.StampsSent += int64(len(out.rowStamps))
 	a.stats.GossipBytesSent += int64(frame.msg.EstimateSize())
+	out.reset()
 	return &frame.msg
+}
+
+// reset empties d for reuse. It clears what d held rather than only
+// truncating, so an idle scratch keeps no row or slab reachable.
+func (d *delta) reset() {
+	clear(d.rows)
+	clear(d.want)
+	clear(d.stamps)
+	clear(d.sections)
+	d.rows, d.want, d.stamps = d.rows[:0], d.want[:0], d.stamps[:0]
+	d.sections, d.rowStamps = d.sections[:0], d.rowStamps[:0]
 }
 
 // diffSectionsLocked diffs each of the sections an agent of fromZone sent
@@ -915,18 +982,13 @@ func (a *Agent) deltaLocked(frame *deltaFrame, out *delta) *wire.Message {
 // out with its own section for the zone, names attached.
 func (a *Agent) diffSectionsLocked(out *delta, fromZone string, sections []wire.ZoneSection, answer bool) {
 	shared := a.sharedTablesLocked(fromZone)
-	left := 0
-	for i := range sections {
-		left += len(sections[i].Lags)
-	}
 	for i := range sections {
 		s := &sections[i]
-		if s.Depth < shared && !a.diffSectionLocked(out, s, left) && answer {
+		if s.Depth < shared && !a.diffSectionLocked(out, s) && answer {
 			named := a.sectionLocked(s.Depth, nil, true)
 			a.stats.DigestsSent += int64(len(named.Lags))
 			out.sections = append(out.sections, named)
 		}
-		left -= len(s.Lags)
 	}
 }
 
@@ -936,9 +998,7 @@ func (a *Agent) diffSectionsLocked(out *delta, fromZone string, sections []wire.
 // that this agent lacks), both at once for a row whose two copies share a
 // stamp but not their bytes (each side then runs the encoded tie-break on
 // the full rows), and a stamp for each row this agent holds fresher whose
-// bytes the peer already stores. left is how many rows the sections still
-// to be diffed summarize, this one included; each result is sized once, at
-// its first entry, for that many.
+// bytes the peer already stores.
 //
 // A named section is walked against the table's own sorted names. A bare
 // one can only be read by an agent that holds the same names with the same
@@ -953,7 +1013,7 @@ func (a *Agent) diffSectionsLocked(out *delta, fromZone string, sections []wire.
 // all) instead of the full row removes the dominant share of anti-entropy
 // bytes. Signed rows are excluded: a re-stamped row carries an issue time
 // its owner never signed, so they always travel whole.
-func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection, left int) bool {
+func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection) bool {
 	zone := a.chain[s.Depth]
 	t := a.tables[zone]
 	named := len(s.Named) > 0
@@ -966,25 +1026,16 @@ func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection, left int) boo
 	}
 
 	sendRow := func(r entry) {
-		if out.rows == nil {
-			out.rows = make([]wire.RowUpdate, 0, left)
-		}
 		out.rows = append(out.rows, r.Update(zone, r.stamp()))
 	}
 	wantRow := func(name string) {
-		if out.want == nil {
-			out.want = make([]wire.RowRef, 0, left)
-		}
 		out.want = append(out.want, wire.RowRef{Zone: zone, Name: name})
 	}
-	// Stamps count back from this table's newest stamp, found when the
-	// first one is written.
+	// Stamps count back from this table's newest stamp, read when the
+	// first one is written: re-stamps earlier in the walk may have moved it.
 	firstStamp := len(out.rowStamps)
 	var newest time.Time
 	stampRow := func(pos int, held time.Time) {
-		if out.rowStamps == nil {
-			out.rowStamps = make([]wire.RowStamp, 0, left)
-		}
 		if len(out.rowStamps) == firstStamp {
 			newest = t.newest()
 		}
@@ -1081,7 +1132,7 @@ func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection, left int) boo
 // the wire-free equivalent of a heartbeat re-delivery.
 func (a *Agent) restampLocked(t *table, r entry, at time.Time) {
 	r.sec, r.nsec = at.Unix(), int32(at.Nanosecond())
-	t.rows[r.Name] = r
+	t.set(r)
 	a.stats.StampsApplied++
 }
 
@@ -1131,9 +1182,6 @@ func (a *Agent) rowsForRefsLocked(out *delta, refs []wire.RowRef) {
 		r, ok := t.rows[ref.Name]
 		if !ok {
 			continue
-		}
-		if out.rows == nil {
-			out.rows = make([]wire.RowUpdate, 0, len(refs)-i)
 		}
 		out.rows = append(out.rows, r.Update(ref.Zone, r.stamp()))
 	}

@@ -12,8 +12,8 @@ import (
 	"newswire/internal/wire"
 )
 
-// checkTables recomputes every table's sorted names and content hash from
-// its rows and fails if the maintained ones have drifted.
+// checkTables recomputes every table's sorted names, content hash and
+// newest stamp from its rows and fails if the maintained ones have drifted.
 func checkTables(t *testing.T, a *Agent) {
 	t.Helper()
 	a.mu.Lock()
@@ -34,6 +34,9 @@ func checkTables(t *testing.T, a *Agent) {
 		}
 		if hash != tbl.hash {
 			t.Fatalf("%s %s: content hash %x, rows hash to %x", a.name, zone, tbl.hash, hash)
+		}
+		if got, want := tbl.newest(), scanNewest(tbl); !got.Equal(want) {
+			t.Fatalf("%s %s: newest %v, rows say %v", a.name, zone, got, want)
 		}
 	}
 }

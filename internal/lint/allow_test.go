@@ -56,7 +56,7 @@ var allowed = map[string]string{
 	"value.DecodeMap":                       "oracle: TestMapRoundTrip, TestQuickMapRoundTrip: the inverse that proves the signed canonical form unambiguous",
 	"value.Map.Keys":                        "floor: TestGossipDeltaDecodeAllocationBudget",
 	"vtime.NewVirtualAt":                    "floor: TestNewVirtualAt",
-	"wire.(*Arena).Stats":                   "floor: TestSharedRowEncodingInArena",
+	"wire.(*Slab).Stats":                    "floor: TestSharedRowEncodingInArena",
 	"wire.(*RowUpdate).SignedPayload":       "oracle: TestSignedPayloadGolden, TestRowUpdateSignedPayloadCoversFields pin the bytes a row signature covers",
 	"wire.Encode":                           "oracle: FuzzDecode, FuzzRoundTrip and the codec round-trip tests encode through it",
 }

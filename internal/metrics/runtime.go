@@ -59,14 +59,14 @@ func pauseP99(ms *runtime.MemStats) float64 {
 
 // CollectRuntime samples the runtime and mirrors the snapshot into reg's
 // gauges (heap_inuse_bytes, heap_alloc_bytes, num_goroutine,
-// gc_pause_p99_seconds, gc_cycles_total), returning the snapshot so
-// callers can also embed it in status documents.
+// gc_pause_p99_seconds) and its counter gc_cycles_total, returning the
+// snapshot so callers can also embed it in status documents.
 func CollectRuntime(reg *Registry) RuntimeStats {
 	rs := ReadRuntime()
 	reg.Gauge("heap_inuse_bytes").Set(float64(rs.HeapInuseBytes))
 	reg.Gauge("heap_alloc_bytes").Set(float64(rs.HeapAllocBytes))
 	reg.Gauge("num_goroutine").Set(float64(rs.NumGoroutine))
 	reg.Gauge("gc_pause_p99_seconds").Set(rs.GCPauseP99Seconds)
-	reg.Gauge("gc_cycles_total").Set(float64(rs.NumGC))
+	reg.Counter("gc_cycles_total").SyncTo(int64(rs.NumGC))
 	return rs
 }

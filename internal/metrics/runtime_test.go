@@ -37,4 +37,8 @@ func TestCollectRuntimeExposition(t *testing.T) {
 			t.Errorf("exposition lacks %s:\n%s", name, out)
 		}
 	}
+	// A _total suffix names a counter in the text format.
+	if !strings.Contains(out, "# TYPE gc_cycles_total counter\n") {
+		t.Errorf("gc_cycles_total is not typed as a counter:\n%s", out)
+	}
 }

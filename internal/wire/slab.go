@@ -1,108 +1,131 @@
 package wire
 
-// Slab-backed allocation for row payloads.
+// Slab allocation for values that are written once and then only read.
 //
 // A million-node simulation holds millions of SharedRow cached encodings
-// — one small []byte per distinct row content. Allocated individually
-// they are millions of separate GC objects: every cycle scans every one,
-// and the mark phase cost grows O(rows). An Arena packs them into
-// megabyte slabs instead, so the collector sees thousands of large
-// objects rather than millions of small ones — O(zones), in effect,
-// since steady-state row content is shared per zone.
+// — one small []byte per distinct row content — and every gossip round
+// builds a digest and a reply per exchange. Allocated individually they
+// are millions of separate GC objects: every cycle scans every one, and
+// the mark phase cost grows with their count. A Slab packs them into
+// large shared arrays instead, so the collector sees a few large objects
+// rather than many small ones.
 //
-// The discipline mirrors the copy-on-write row rules (row.go): slab
-// bytes are written exactly once, inside Copy, before the returned slice
-// escapes; afterwards the slab region is immutable for as long as any
-// row references it. Slabs are append-only while reachable. Reclamation
-// is by epoch: SealEpoch detaches the arena from its current slab, so a
-// slab's lifetime ends with the last row pointing into it — when a zone
-// table drops its last reference to an epoch's rows, the garbage
-// collector frees the whole slab at once.
+// The discipline mirrors the copy-on-write row rules (row.go): a region
+// is handed out once, zeroed, and written only by the caller it was handed
+// to, before the value it backs escapes; afterwards it is immutable for as
+// long as anything references it. Slabs are append-only: no region is ever
+// handed out twice, so nothing is reused and nothing is freed by hand. A
+// slab's lifetime ends with the last value pointing into it, and the
+// garbage collector then frees the whole slab at once. SealEpoch detaches
+// the slab being filled, so values made after it never share a slab with
+// values made before (a simulation's row arena is sealed between table
+// generations, so short-lived rows do not pin a slab of long-lived ones).
 //
-// An Arena never hands out aliased regions, so the race detector sees
-// each byte written once; concurrent Copy calls (parallel digest/encode
+// A Slab never hands out aliased regions, so the race detector sees each
+// element written once; concurrent callers (parallel digest and encode
 // workers) serialize on one short critical section.
 
-import "sync"
+import (
+	"slices"
+	"sync"
+	"unsafe"
+)
 
-// arenaSlabSize is the slab granule. Big enough that slab count stays in
-// the thousands at 10^6 rows, small enough that a mostly-dead epoch pins
-// little memory.
+// slabBytes is the default slab granule: the largest Go size class, so a
+// slab is one small-object allocation with no rounding waste beyond its
+// last partial element.
+const slabBytes = 32 << 10
+
+// arenaSlabSize is the row arena's slab granule. Big enough that slab
+// count stays in the thousands at 10^6 rows, small enough that a
+// mostly-dead epoch pins little memory.
 const arenaSlabSize = 1 << 20
 
-// arenaMaxCopy bounds payloads worth packing: anything larger than a
-// quarter slab gets its own allocation (it is its own GC object either
-// way at that size, and it would fragment slabs).
+// arenaMaxCopy bounds the row arena's payloads worth packing: anything
+// larger than a quarter slab gets its own allocation (it is its own GC
+// object either way at that size, and it would fragment slabs). Every
+// slab applies the same quarter-slab rule.
 const arenaMaxCopy = arenaSlabSize / 4
 
-// Arena packs small immutable byte payloads into shared slabs.
-// The zero value is ready to use.
-type Arena struct {
+// Slab hands out fresh regions of shared arrays of T. The zero value is
+// ready to use and fills slabs of 32 KB.
+type Slab[T any] struct {
 	mu    sync.Mutex
-	cur   []byte
+	bytes int // slab granule in bytes; 0 means slabBytes
+	cur   []T
 	stats ArenaStats
 }
 
-// ArenaStats counts an arena's lifetime activity.
+// Arena packs small immutable byte payloads into shared slabs: the
+// byte-sized Slab that SharedRow encodings live in.
+type Arena = Slab[byte]
+
+// ArenaStats counts a slab's lifetime activity.
 type ArenaStats struct {
 	Slabs  int64  // slabs ever started
-	Bytes  int64  // payload bytes copied in
-	Copies int64  // payloads copied in
+	Bytes  int64  // bytes handed out
+	Copies int64  // regions handed out
 	Epochs uint64 // times SealEpoch was called
 }
 
-// Copy stores a private, immutable copy of b in the arena's current slab
-// and returns it. The result must be treated as read-only, like every
-// shared row encoding.
-func (a *Arena) Copy(b []byte) []byte {
-	if len(b) == 0 {
+// Take returns a fresh, zeroed region of n elements that no other caller
+// ever sees. Its capacity is clipped to n, so an append to it copies
+// rather than growing into a neighbour's region. Take(0) returns nil.
+func (s *Slab[T]) Take(n int) []T {
+	if n <= 0 {
 		return nil
 	}
-	if len(b) > arenaMaxCopy {
-		out := make([]byte, len(b))
-		copy(out, b)
-		return out
+	size := int(unsafe.Sizeof(*new(T)))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Bytes += int64(n * size)
+	s.stats.Copies++
+	granule := s.bytes
+	if granule == 0 {
+		granule = slabBytes
 	}
-	a.mu.Lock()
-	if len(a.cur)+len(b) > cap(a.cur) {
-		a.cur = make([]byte, 0, arenaSlabSize)
-		a.stats.Slabs++
+	per := max(granule/max(size, 1), 1)
+	if n > per/4 {
+		return make([]T, n)
 	}
-	off := len(a.cur)
-	a.cur = a.cur[:off+len(b)]
-	// Full-capacity three-index slice: the region can never be grown
-	// into by a later append, even if the arena's own reference races
-	// ahead.
-	out := a.cur[off : off+len(b) : off+len(b)]
-	copy(out, b)
-	a.stats.Bytes += int64(len(b))
-	a.stats.Copies++
-	a.mu.Unlock()
+	if len(s.cur)+n > cap(s.cur) {
+		// Grow rounds the capacity up to the allocation's size class,
+		// so the slab uses every byte the allocator hands it.
+		s.cur = slices.Grow([]T(nil), per)
+		s.stats.Slabs++
+	}
+	off := len(s.cur)
+	s.cur = s.cur[:off+n]
+	return s.cur[off : off+n : off+n]
+}
+
+// Copy returns a copy of src in a fresh region (see Take). Like every
+// shared row encoding, the copy is read-only once it escapes.
+func (s *Slab[T]) Copy(src []T) []T {
+	out := s.Take(len(src))
+	copy(out, src)
 	return out
 }
 
-// SealEpoch detaches the arena from its current slab: subsequent copies
-// start a fresh slab, and the sealed slab is freed by the collector as
-// soon as the last row encoding pointing into it is dropped. Callers
-// with generational row churn (a simulation's periodic table turnover)
-// seal between generations so short-lived rows don't pin a slab that
-// mostly holds long-lived ones.
-func (a *Arena) SealEpoch() {
-	a.mu.Lock()
-	a.cur = nil
-	a.stats.Epochs++
-	a.mu.Unlock()
+// SealEpoch detaches the slab from its current array: later regions come
+// from a fresh one, and the sealed array is freed by the collector as
+// soon as the last value pointing into it is dropped.
+func (s *Slab[T]) SealEpoch() {
+	s.mu.Lock()
+	s.cur = nil
+	s.stats.Epochs++
+	s.mu.Unlock()
 }
 
-// Stats returns the arena's lifetime counters.
-func (a *Arena) Stats() ArenaStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stats
+// Stats returns the slab's lifetime counters.
+func (s *Slab[T]) Stats() ArenaStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // rowArena is the process arena backing SharedRow cached encodings.
-var rowArena Arena
+var rowArena = Arena{bytes: arenaSlabSize}
 
 // RowArena returns the arena that SharedRow encodings are packed into.
 // Simulations seal it between table generations (core.Cluster does this
