@@ -51,6 +51,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzRelay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParsePredicate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzPredicateRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzPredicateParserDifferential -fuzztime $(FUZZTIME)

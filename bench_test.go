@@ -664,6 +664,80 @@ func TestChurnRoundAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestLeafReceiveAllocationBudget holds what a leaf pays for one received
+// item: a deliver-copy frame decoded, handed to the node, dedup-marked,
+// matched and kept in the item table, with no OnItem reader. The decoded
+// block, its envelope's span and its key are the three objects; the item
+// table keeps the envelope as it was decoded. The item table is first
+// filled past both its lifetimes, so its maps and its eviction order are in
+// their steady state.
+func TestLeafReceiveAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const budget = 3
+	node, err := newswire.NewNode(newswire.Config{
+		Name: "leaf", ZonePath: "/z", Transport: nullTransport{}, Clock: newswire.RealClock,
+		Rand: rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Subscribe("tech/linux"); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(i int) []byte {
+		env, err := pubsub.EncodeItem(&news.Item{
+			Publisher: "wire", ID: fmt.Sprintf("it-%d", i), Headline: "h", Body: strings.Repeat("x", 1800),
+			Subjects: []string{"tech/linux"}, Published: time.Now(),
+		}, pubsub.ModeBloom, pubsub.DefaultGeometry, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := wire.Encode(&wire.Message{Kind: wire.KindMulticast, From: "rep:1", Multicast: &wire.Multicast{
+			TargetZone: "/z", Hops: 2, Deliver: true, TraceID: uint64(i), Envelope: env,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	receive := func(data []byte) {
+		msg, err := wire.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.HandleMessage(msg)
+	}
+	const warm, runs = 9000, 200
+	for i := 0; i < warm; i++ {
+		receive(frame(i))
+	}
+	frames := make([][]byte, runs+1)
+	for i := range frames {
+		frames[i] = frame(warm + i)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		receive(frames[next])
+		next++
+	})
+	if delivered := node.Delivered(); delivered != warm+runs+1 {
+		t.Fatalf("the leaf delivered %d of %d items", delivered, warm+runs+1)
+	}
+	t.Logf("%.0f objects per received item (budget %d)", got, budget)
+	if got > budget {
+		t.Errorf("a leaf's received item allocates %.0f objects, budget %d", got, budget)
+	}
+}
+
+// nullTransport swallows every send.
+type nullTransport struct{}
+
+func (nullTransport) Addr() string                     { return "leaf:1" }
+func (nullTransport) Send(string, *wire.Message) error { return nil }
+func (nullTransport) Close() error                     { return nil }
+
 // TestGossipRoundTraceOverheadGuard is the CI gate on the disabled-tracing
 // hot path: a steady-state gossip round with a nil recorder must stay near
 // the pre-observability baseline, and attaching a recorder must not change

@@ -107,7 +107,7 @@ func run(args []string) error {
 			GossipInterval: *interval,
 			OnItem: func(it *news.Item, env *wire.ItemEnvelope) {
 				logger.Info("item delivered",
-					"key", it.Key(),
+					"key", env.Key(),
 					"revision", it.Revision,
 					"subjects", strings.Join(it.Subjects, ","),
 					"headline", it.Headline,

@@ -72,6 +72,16 @@ func JoinZone(parent, child string) string {
 	return parent + "/" + child
 }
 
+// AppendJoinZone appends JoinZone(parent, child) to b, for a caller that
+// builds the path without allocating it.
+func AppendJoinZone(b []byte, parent, child string) []byte {
+	b = append(b, parent...)
+	if parent != RootZone {
+		b = append(b, '/')
+	}
+	return append(b, child...)
+}
+
 // AncestorChain returns the zones from the root down to and including
 // path: AncestorChain("/usa/ny") = ["/", "/usa", "/usa/ny"].
 func AncestorChain(path string) []string {

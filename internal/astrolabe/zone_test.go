@@ -55,11 +55,13 @@ func TestZoneName(t *testing.T) {
 }
 
 func TestJoinZone(t *testing.T) {
-	if got := JoinZone("/", "usa"); got != "/usa" {
-		t.Errorf("JoinZone(/, usa) = %q", got)
-	}
-	if got := JoinZone("/usa", "ny"); got != "/usa/ny" {
-		t.Errorf("JoinZone(/usa, ny) = %q", got)
+	for _, c := range []struct{ parent, child, want string }{{"/", "usa", "/usa"}, {"/usa", "ny", "/usa/ny"}} {
+		if got := JoinZone(c.parent, c.child); got != c.want {
+			t.Errorf("JoinZone(%s, %s) = %q", c.parent, c.child, got)
+		}
+		if got := string(AppendJoinZone([]byte("x"), c.parent, c.child)); got != "x"+c.want {
+			t.Errorf("AppendJoinZone(x, %s, %s) = %q", c.parent, c.child, got)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ type Stats struct {
 type entry struct {
 	zones []string // the zones the router routed the item for
 	marks mark
-	held  *held // the envelope, until evicted or fused away
+	env   *wire.ItemEnvelope // the kept envelope, until evicted or fused away
 }
 
 type mark uint8
@@ -69,18 +69,19 @@ const (
 	out                      // pushed out of the key window; goes with its envelope
 )
 
-// held is one stored envelope; gone marks it released.
-type held struct {
-	key  string
-	env  wire.ItemEnvelope
-	seq  int64
-	gone bool
+// slot is one kept envelope in the eviction order, by insertion; a slot
+// whose envelope was fused away has a nil env.
+type slot struct {
+	seq int64
+	env *wire.ItemEnvelope
 }
 
 // Cache is a node's item table: an entry per item key touched, with its
 // marks and, while held, its envelope. Keys outlive envelopes, so a copy
 // of an evicted item is still a duplicate; the item lookups see only held
-// envelopes. It is safe for concurrent use.
+// envelopes. The table keeps the envelope it is given, shared read-only
+// (wire.ItemEnvelope): a received item is stored as it was decoded. It is
+// safe for concurrent use.
 type Cache struct {
 	cfg      Config
 	capacity int // envelopeCap; package tests lower it
@@ -92,7 +93,7 @@ type Cache struct {
 	// a duplicate while the record lives.
 	series map[string]int
 	window []string // the last keyWindow keys touched, oldest first
-	order  []*held  // envelope insertion order, for eviction
+	order  []slot   // envelope insertion order, for eviction
 	held   int      // envelopes held
 	stats  Stats
 	seq    int64
@@ -121,10 +122,10 @@ func (c *Cache) getLocked(key string) entry {
 	for len(c.window) > keyWindow {
 		old := c.window[0]
 		c.window[0], c.window = "", c.window[1:]
-		if e := c.entries[old]; e.held == nil {
+		if e := c.entries[old]; e.env == nil {
 			c.forgetLocked(old)
 		} else {
-			c.entries[old] = entry{marks: e.marks&(stored|counted) | out, held: e.held}
+			c.entries[old] = entry{marks: e.marks&(stored|counted) | out, env: e.env}
 		}
 	}
 	return entry{}
@@ -143,15 +144,15 @@ func (c *Cache) forgetLocked(key string) {
 	}
 }
 
-// dropLocked releases h, and its key when the key is out of the window.
-func (c *Cache) dropLocked(h *held) {
-	if e := c.entries[h.key]; e.marks&out != 0 {
-		c.forgetLocked(h.key)
+// dropLocked releases key's envelope, and the key when it is out of the
+// window. The caller clears the envelope's slot.
+func (c *Cache) dropLocked(key string, e entry) {
+	if e.marks&out != 0 {
+		c.forgetLocked(key)
 	} else {
-		e.held = nil
-		c.entries[h.key] = e
+		e.env = nil
+		c.entries[key] = e
 	}
-	h.env, h.gone = wire.ItemEnvelope{}, true
 	c.held--
 }
 
@@ -189,12 +190,15 @@ func (c *Cache) mark(key string, m mark) bool {
 	return true
 }
 
-// Put stores an envelope. It returns false when the envelope is a
-// duplicate (stored before, even if since evicted, or — with revision
-// fusion — superseded by a revision whose entry the table still holds);
-// true means the item is new to this node. Put enforces the envelope cap
-// immediately.
-func (c *Cache) Put(env wire.ItemEnvelope) bool {
+// Put stores a copy of env; see Keep.
+func (c *Cache) Put(env wire.ItemEnvelope) bool { return c.Keep(&env) }
+
+// Keep stores env itself, which from then on nobody writes. It returns
+// false when the envelope is a duplicate (stored before, even if since
+// evicted, or — with revision fusion — superseded by a revision whose entry
+// the table still holds); true means the item is new to this node. Keep
+// enforces the envelope cap immediately.
+func (c *Cache) Keep(env *wire.ItemEnvelope) bool {
 	key := env.Key()
 	seriesKey := key[:lastHash(key)] // the key is the series key, '#', the revision
 
@@ -205,9 +209,9 @@ func (c *Cache) Put(env wire.ItemEnvelope) bool {
 	e, known := c.entries[key]
 	newest, inSeries := c.series[seriesKey]
 	superseded := c.cfg.FuseRevisions && inSeries && env.Revision <= newest
-	if e.held != nil || superseded || e.marks&stored != 0 {
+	if e.env != nil || superseded || e.marks&stored != 0 {
 		c.stats.Duplicates++
-		if superseded && e.held == nil {
+		if superseded && e.env == nil {
 			c.traceDropLocked(key, "cache-superseded") // fused away
 		} else {
 			c.traceDropLocked(key, "cache-dup")
@@ -216,8 +220,12 @@ func (c *Cache) Put(env wire.ItemEnvelope) bool {
 	}
 	if c.cfg.FuseRevisions && inSeries {
 		// Newer revision: fuse the older one out.
-		if old := c.entries[seriesKey+"#"+strconv.Itoa(newest)]; old.held != nil {
-			c.dropLocked(old.held)
+		oldKey := seriesKey + "#" + strconv.Itoa(newest)
+		if old := c.entries[oldKey]; old.env != nil {
+			if i := slices.IndexFunc(c.order, func(s slot) bool { return s.env == old.env }); i >= 0 {
+				c.order[i].env = nil
+			}
+			c.dropLocked(oldKey, old)
 			c.stats.Fused++
 		}
 	}
@@ -230,10 +238,10 @@ func (c *Cache) Put(env wire.ItemEnvelope) bool {
 	}
 	c.seq++
 	e.marks |= stored
-	e.held = &held{key: key, env: env, seq: c.seq}
+	e.env = env
 	c.entries[key] = e
 	c.held++
-	c.order = append(c.order, e.held)
+	c.order = append(c.order, slot{seq: c.seq, env: env})
 	c.enforceCapLocked()
 	return true
 }
@@ -257,7 +265,7 @@ func (c *Cache) traceDropLocked(key, note string) {
 func (c *Cache) Has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries[key].held != nil {
+	if c.entries[key].env != nil {
 		return true
 	}
 	if c.cfg.FuseRevisions {
@@ -285,8 +293,8 @@ func lastHash(s string) int {
 func (c *Cache) Get(key string) (wire.ItemEnvelope, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if h := c.entries[key].held; h != nil {
-		return h.env, true
+	if env := c.entries[key].env; env != nil {
+		return *env, true
 	}
 	return wire.ItemEnvelope{}, false
 }
@@ -296,19 +304,19 @@ func (c *Cache) Get(key string) (wire.ItemEnvelope, bool) {
 func (c *Cache) Latest(seriesKey string) (wire.ItemEnvelope, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var best *held
-	for _, h := range c.order {
-		if h.gone || h.env.Publisher+"/"+h.env.ItemID != seriesKey {
+	var best *wire.ItemEnvelope
+	for _, s := range c.order {
+		if s.env == nil || s.env.Publisher+"/"+s.env.ItemID != seriesKey {
 			continue
 		}
-		if best == nil || h.env.Revision > best.env.Revision {
-			best = h
+		if best == nil || s.env.Revision > best.Revision {
+			best = s.env
 		}
 	}
 	if best == nil {
 		return wire.ItemEnvelope{}, false
 	}
-	return best.env, true
+	return *best, true
 }
 
 // Len returns the number of cached envelopes.
@@ -348,8 +356,8 @@ func (c *Cache) Since(t time.Time, subjects []string, max int) (envs []wire.Item
 func (c *Cache) Have(t time.Time, salt uint64) []uint64 {
 	c.mu.Lock()
 	n := 0
-	for _, h := range c.order {
-		if !h.gone && !h.env.Published.Before(t) {
+	for _, s := range c.order {
+		if s.env != nil && !s.env.Published.Before(t) {
 			n++
 		}
 	}
@@ -358,9 +366,9 @@ func (c *Cache) Have(t time.Time, salt uint64) []uint64 {
 		return nil
 	}
 	have := make([]uint64, 0, n)
-	for _, h := range c.order {
-		if !h.gone && !h.env.Published.Before(t) {
-			have = append(have, wire.ItemHash(salt, h.key))
+	for _, s := range c.order {
+		if s.env != nil && !s.env.Published.Before(t) {
+			have = append(have, wire.ItemHash(salt, s.env.Key()))
 		}
 	}
 	c.mu.Unlock()
@@ -378,27 +386,27 @@ func (c *Cache) Have(t time.Time, salt uint64) []uint64 {
 // entries, which sends an envelope the requester has and never hides one.
 func (c *Cache) SinceExcept(t time.Time, subjects []string, salt uint64, have []uint64, max int) (envs []wire.ItemEnvelope, truncated bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock() // a released envelope is cleared under the lock
-	var matched []*held
-	for _, h := range c.order {
-		if h.gone || h.env.Published.Before(t) {
+	defer c.mu.Unlock() // a released slot is cleared under the lock
+	var matched []slot
+	for _, s := range c.order {
+		if s.env == nil || s.env.Published.Before(t) {
 			continue
 		}
-		if len(subjects) > 0 && !matchesAny(h.env.Subjects, subjects) {
+		if len(subjects) > 0 && !matchesAny(s.env.Subjects, subjects) {
 			continue
 		}
 		if len(have) > 0 {
-			if _, found := slices.BinarySearch(have, wire.ItemHash(salt, h.key)); found {
+			if _, found := slices.BinarySearch(have, wire.ItemHash(salt, s.env.Key())); found {
 				continue
 			}
 		}
-		matched = append(matched, h)
+		matched = append(matched, s)
 	}
 	if len(matched) == 0 {
 		return nil, false
 	}
 
-	slices.SortFunc(matched, func(a, b *held) int {
+	slices.SortFunc(matched, func(a, b slot) int {
 		if byTime := a.env.Published.Compare(b.env.Published); byTime != 0 {
 			return byTime
 		}
@@ -409,8 +417,8 @@ func (c *Cache) SinceExcept(t time.Time, subjects []string, salt uint64, have []
 		truncated = true
 	}
 	envs = make([]wire.ItemEnvelope, len(matched))
-	for i, h := range matched {
-		envs[i] = h.env
+	for i, s := range matched {
+		envs[i] = *s.env
 	}
 	return envs, truncated
 }
@@ -431,18 +439,19 @@ func matchesAny(have, want []string) bool {
 // removed.
 func (c *Cache) enforceCapLocked() {
 	for c.held > c.capacity && len(c.order) > 0 {
-		h := c.order[0]
-		c.order[0] = nil
+		s := c.order[0]
+		c.order[0] = slot{}
 		c.order = c.order[1:]
-		if h.gone {
+		if s.env == nil {
 			continue // already fused
 		}
-		c.dropLocked(h)
+		key := s.env.Key()
+		c.dropLocked(key, c.entries[key])
 		c.stats.Evicted++
 	}
 	// Keep the queue from accumulating tombstones indefinitely.
 	if len(c.order) > 2*c.held+16 {
-		c.order = slices.DeleteFunc(c.order, func(h *held) bool { return h.gone })
+		c.order = slices.DeleteFunc(c.order, func(s slot) bool { return s.env == nil })
 	}
 }
 
@@ -459,7 +468,7 @@ func (c *Cache) Scramble(rng *rand.Rand, frac float64) int {
 		}
 		if e := c.entries[key]; len(e.zones) > 0 || e.marks&handed != 0 {
 			dropped++
-			c.entries[key] = entry{marks: e.marks &^ handed, held: e.held}
+			c.entries[key] = entry{marks: e.marks &^ handed, env: e.env}
 		}
 	}
 	return dropped

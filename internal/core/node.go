@@ -136,11 +136,14 @@ type Config struct {
 	// otherwise-identical runs publish different bytes.
 	HealthHeapBytes func() uint64
 
-	// OnItem receives delivered items. Optional. An Item's strings share
+	// OnItem receives delivered items. Optional. env is the envelope the
+	// node's item table keeps — for a received item, the one the decoder
+	// built — and is shared read-only as a whole: the table, the forwards
+	// relaying its encoded span and other readers hold it at once, so no
+	// field of it is written (wire.ItemEnvelope). It may be kept; it costs
+	// nothing more than the table already holds. An Item's strings share
 	// the envelope's payload: keeping any one of them keeps the whole
-	// article, so use strings.Clone to keep a field without it. The
-	// envelope's byte fields are shared and must not be written
-	// (wire.ItemEnvelope).
+	// article, so use strings.Clone to keep a field without it.
 	OnItem ItemHandler
 	// OnDeliveryFailure is called when a reliable forward is abandoned
 	// after MaxForwardAttempts: the item's envelope key and trace ID, the
@@ -589,9 +592,9 @@ func (n *Node) deliver(env *wire.ItemEnvelope) {
 }
 
 // ingest stores and (if new) surfaces one envelope, reporting whether the
-// item was new to this node.
+// item was new to this node. The item table keeps env itself.
 func (n *Node) ingest(env *wire.ItemEnvelope) bool {
-	if !n.cache.Put(*env) {
+	if !n.cache.Keep(env) {
 		return false // stored before, or superseded
 	}
 	counted := n.cache.Count(env.Key())
@@ -925,6 +928,10 @@ func (n *Node) handleStateReply(msg *wire.Message) {
 		if !n.sub.ShouldDeliver(env) {
 			continue
 		}
+		// The item table keeps what it is given: a copy of its own, so no
+		// kept envelope pins the reply's whole array.
+		kept := *env
+		env = &kept
 		if !n.ingest(env) {
 			continue
 		}

@@ -88,6 +88,10 @@ func (tr *frameTransport) SendFrame(to string, f wire.Frame) error {
 
 var _ transport.FrameSender = (*frameTransport)(nil)
 
+// frameHead returns where f's first buffer starts: two frames that share
+// it are one frame.
+func frameHead(f wire.Frame) *byte { return &f.AppendParts(nil)[0][0] }
+
 func frameRouterConfig(v View, tr transport.Transport) Config {
 	return Config{
 		View:      v,
@@ -124,12 +128,12 @@ func TestLeafFanOutEncodesOnce(t *testing.T) {
 	if len(tr.sent) != len(v.members) {
 		t.Fatalf("sent %d frames, want one per member (%d)", len(tr.sent), len(v.members))
 	}
-	first := tr.sent[0].frame.Bytes()
+	first := frameHead(tr.sent[0].frame)
 	seen := map[string]bool{}
 	for _, s := range tr.sent {
 		seen[s.addr] = true
 		// Same frame by reference, not a re-encoded copy.
-		if b := s.frame.Bytes(); &b[0] != &first[0] {
+		if frameHead(s.frame) != first {
 			t.Errorf("frame to %s is a different allocation; fan-out should share one frame", s.addr)
 		}
 		msg, err := wire.Decode(s.frame.Payload())

@@ -12,14 +12,18 @@
 //
 // Every forward — a leaf fan-out's deliver-copy, or a child row's routed
 // copy — is built once and sent to all of its destinations as the same
-// message; on a transport.FrameSender it is encoded once, at the first
-// destination. With Config.AckTimeout set, forwarding is reliable rather
-// than fire-and-forget: the forward carries one AckSeq for all of its
-// destinations, each destination's MulticastAck is matched by that seq
-// and its sender, unacknowledged destinations are retransmitted the same
-// bytes with exponential jittered backoff, and on each retry the sender
-// re-consults the aggregated zone table and fails over to the next-best
-// representative of the child zone (excluding those already tried).
+// message; on a transport.FrameSender it is framed once, at the first
+// destination, as a fresh header in front of the envelope's sealed span.
+// An item's envelope is never rebuilt on its way: Publish seals it once,
+// a receiver routes and keeps the envelope it decoded, and local routing
+// levels pass it along by pointer. With Config.AckTimeout set, forwarding
+// is reliable rather than fire-and-forget: the forward carries one AckSeq
+// for all of its destinations, each destination's MulticastAck is matched
+// by that seq and its sender, unacknowledged destinations are retransmitted
+// the same bytes with exponential jittered backoff, and on each retry the
+// sender re-consults the aggregated zone table and fails over to the
+// next-best representative of the child zone (excluding those already
+// tried).
 // Retransmits are idempotent — the node's item table (internal/cache)
 // absorbs re-sent copies, so reliability never causes duplicate deliveries.
 package multicast
@@ -288,7 +292,10 @@ func (r *Router) Publish(env wire.ItemEnvelope, scope string) error {
 	if err := astrolabe.ValidateZonePath(scope); err != nil {
 		return err
 	}
+	// env is the item's one copy from here on: the item table keeps it and
+	// every forward relays its span, so it is sealed after its last write.
 	env.ScopeZone = scope
+	env.Seal()
 	r.mu.Lock()
 	r.stats.Published++
 	r.mu.Unlock()
@@ -300,8 +307,19 @@ func (r *Router) Publish(env wire.ItemEnvelope, scope string) error {
 	if r.cfg.Tracer != nil {
 		r.traceSpan(trace.Span{Kind: trace.KindPublish, Key: key, TraceID: tid, Zone: scope})
 	}
-	r.route(&wire.Multicast{TargetZone: scope, TraceID: tid, Envelope: env})
+	r.route(hop{target: scope, tid: tid, env: &env})
 	return nil
+}
+
+// hop is one routing step: the subtree an item is routed for at this node,
+// the forwarding hops it took to get here, its trace ID and its envelope,
+// shared read-only (the received one, or the one Publish sealed). Local
+// recursion passes it by value, so no level builds a message.
+type hop struct {
+	target string
+	hops   int
+	tid    uint64
+	env    *wire.ItemEnvelope
 }
 
 // HandleMessage processes an inbound multicast forward or ack. Other
@@ -348,7 +366,7 @@ func (r *Router) HandleMessage(msg *wire.Message) {
 		r.deliverLocal(m.TraceID, &m.Envelope)
 		return
 	}
-	r.route(m)
+	r.route(hop{target: m.TargetZone, hops: m.Hops, tid: m.TraceID, env: &m.Envelope})
 }
 
 // ackMessage is an ack's one allocation: the message and its payload.
@@ -378,10 +396,10 @@ func (r *Router) handleAck(from string, a *wire.MulticastAck) {
 	}
 }
 
-// route fans the item out for the subtree rooted at m.TargetZone.
-func (r *Router) route(m *wire.Multicast) {
-	key := m.Envelope.Key()
-	target := m.TargetZone
+// route fans the item out for the subtree rooted at h.target.
+func (r *Router) route(h hop) {
+	key := h.env.Key()
+	target := h.target
 
 	// Forwarding dedup: handle each (item, zone) pair once per node, so
 	// k-redundant parents don't multiply traffic exponentially.
@@ -391,8 +409,8 @@ func (r *Router) route(m *wire.Multicast) {
 		r.mu.Unlock()
 		if r.cfg.Tracer != nil {
 			r.traceSpan(trace.Span{
-				Kind: trace.KindDedupDrop, Key: key, TraceID: m.TraceID,
-				Zone: target, Hop: m.Hops, Note: "forward-dup",
+				Kind: trace.KindDedupDrop, Key: key, TraceID: h.tid,
+				Zone: target, Hop: h.hops, Note: "forward-dup",
 			})
 		}
 		return
@@ -410,32 +428,32 @@ func (r *Router) route(m *wire.Multicast) {
 		// The target is not on our chain: route toward it through the
 		// deepest chain zone that contains it (publishing into a remote
 		// zone, §8).
-		r.routeToward(m)
+		r.routeToward(h)
 		return
 	}
 
 	if target == r.view.ZonePath() {
-		r.fanOutLeafZone(m)
+		r.fanOutLeafZone(h)
 		return
 	}
-	r.fanOutChildZones(m)
+	r.fanOutChildZones(h)
 }
 
-// routeToward sends m to representatives of the remote subtree containing
-// TargetZone.
-func (r *Router) routeToward(m *wire.Multicast) {
+// routeToward sends h's item to representatives of the remote subtree
+// containing its target.
+func (r *Router) routeToward(h hop) {
 	chain := r.view.Chain()
 	// Deepest chain zone that contains the target.
 	var anchor string
 	for _, z := range chain {
-		if astrolabe.ZoneContains(z, m.TargetZone) {
+		if astrolabe.ZoneContains(z, h.target) {
 			anchor = z
 		}
 	}
 	if anchor == "" {
 		return
 	}
-	child, ok := astrolabe.ChildToward(anchor, m.TargetZone)
+	child, ok := astrolabe.ChildToward(anchor, h.target)
 	if !ok {
 		return
 	}
@@ -443,53 +461,51 @@ func (r *Router) routeToward(m *wire.Multicast) {
 	if !ok {
 		return
 	}
-	r.forwardToRow(anchor, row, m, m.TargetZone)
+	r.forwardToRow(anchor, row, h, h.target)
 }
 
 // fanOutChildZones handles a target that is a proper ancestor of this
 // node's leaf zone: consult the target's table and forward per child.
-func (r *Router) fanOutChildZones(m *wire.Multicast) {
-	rows, ok := r.view.Table(m.TargetZone)
+func (r *Router) fanOutChildZones(h hop) {
+	rows, ok := r.view.Table(h.target)
 	if !ok {
 		return
 	}
-	ownChild, _ := astrolabe.ChildToward(m.TargetZone, r.view.ZonePath())
+	ownChild, _ := astrolabe.ChildToward(h.target, r.view.ZonePath())
 	ownName := astrolabe.ZoneName(ownChild)
 
 	for _, row := range rows {
-		childZone := astrolabe.JoinZone(m.TargetZone, row.Name)
-		if !r.passesFilter(m.TargetZone, row, &m.Envelope) {
+		if !r.passesFilter(h.target, row, h.env) {
 			r.mu.Lock()
 			r.stats.FilteredOut++
 			r.stats.FilteredZone++
 			r.mu.Unlock()
 			continue
 		}
+		// The child's path, joined on the stack and interned: zone paths
+		// are few, and a forward and its spans keep the path.
+		var buf [64]byte
+		childZone := value.InternBytes(astrolabe.AppendJoinZone(buf[:0], h.target, row.Name))
 		if row.Name == ownName {
 			// We are inside this child: recurse locally instead of
 			// taking a network hop.
-			r.route(&wire.Multicast{
-				TargetZone: childZone,
-				Hops:       m.Hops,
-				TraceID:    m.TraceID,
-				Envelope:   m.Envelope,
-			})
+			r.route(hop{target: childZone, hops: h.hops, tid: h.tid, env: h.env})
 			continue
 		}
-		r.forwardToRow(m.TargetZone, row, m, childZone)
+		r.forwardToRow(h.target, row, h, childZone)
 	}
 }
 
 // fanOutLeafZone handles a target equal to this node's leaf zone: deliver
 // locally and send final-delivery copies to the other subscribed members.
-func (r *Router) fanOutLeafZone(m *wire.Multicast) {
-	rows, ok := r.view.Table(m.TargetZone)
+func (r *Router) fanOutLeafZone(h hop) {
+	rows, ok := r.view.Table(h.target)
 	if !ok {
 		return
 	}
 	var f *forward // the deliver-copy, built at the first member
 	for _, row := range rows {
-		if !r.passesFilter(m.TargetZone, row, &m.Envelope) {
+		if !r.passesFilter(h.target, row, h.env) {
 			r.mu.Lock()
 			r.stats.FilteredOut++
 			r.stats.FilteredLeaf++
@@ -497,7 +513,7 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 			continue
 		}
 		if row.Name == r.view.Name() {
-			r.deliverLocal(m.TraceID, &m.Envelope)
+			r.deliverLocal(h.tid, h.env)
 			continue
 		}
 		addr, ok := row.Attrs[astrolabe.AttrAddr].AsString()
@@ -509,30 +525,25 @@ func (r *Router) fanOutLeafZone(m *wire.Multicast) {
 		// ownership").
 		addr = value.Intern(addr)
 		if f == nil {
-			f = r.newForward(wire.Multicast{
-				TargetZone: m.TargetZone,
-				Hops:       m.Hops + 1,
-				Deliver:    true,
-				TraceID:    m.TraceID,
-				Envelope:   m.Envelope,
-			})
+			f = r.newForward(h, h.target, true)
 		}
-		r.forwardTo(f, m.TargetZone, row.Name, addr)
+		r.forwardTo(f, h.target, row.Name, addr)
 	}
 }
 
-// forwardToRow sends m toward the zone summarized by row, via up to
+// forwardToRow sends h's item toward the zone summarized by row, via up to
 // RepCount of its representatives.
-func (r *Router) forwardToRow(zone string, row astrolabe.Row, m *wire.Multicast, nextTarget string) {
-	// A copy: the list is shuffled below, and the row's own is shared with
-	// every replica of the row.
-	reps, ok := row.Attrs[astrolabe.AttrReps].AsStrings()
-	if !ok || len(reps) == 0 {
-		if addr, ok := row.Attrs[astrolabe.AttrAddr].AsString(); ok {
-			reps = []string{addr}
-		} else {
-			return
-		}
+func (r *Router) forwardToRow(zone string, row astrolabe.Row, h hop, nextTarget string) {
+	// A copy on the stack: the list is shuffled below, and the row's own is
+	// shared with every replica of the row.
+	var scratch [8]string
+	reps := scratch[:0]
+	if list, ok := row.Attrs[astrolabe.AttrReps].RawStrings(); ok && len(list) > 0 {
+		reps = append(reps, list...)
+	} else if addr, ok := row.Attrs[astrolabe.AttrAddr].AsString(); ok {
+		reps = append(reps, addr)
+	} else {
+		return
 	}
 	k := r.cfg.RepCount
 	if k > len(reps) {
@@ -550,26 +561,28 @@ func (r *Router) forwardToRow(zone string, row astrolabe.Row, m *wire.Multicast,
 		if addr == r.view.Addr() {
 			// We happen to be a representative of the child: recurse
 			// locally.
-			r.route(&wire.Multicast{TargetZone: nextTarget, Hops: m.Hops, TraceID: m.TraceID, Envelope: m.Envelope})
+			r.route(hop{target: nextTarget, hops: h.hops, tid: h.tid, env: h.env})
 			continue
 		}
 		if f == nil {
-			f = r.newForward(wire.Multicast{
-				TargetZone: nextTarget,
-				Hops:       m.Hops + 1,
-				TraceID:    m.TraceID,
-				Envelope:   m.Envelope,
-			})
+			f = r.newForward(h, nextTarget, false)
 		}
 		r.forwardTo(f, zone, row.Name, addr)
 	}
 }
 
 // newForward builds the forward every destination of one fan-out
-// receives: with reliable forwarding on it takes the forward's AckSeq,
-// and on a FrameSender it encodes the message, once.
-func (r *Router) newForward(mc wire.Multicast) *forward {
-	f := &forward{mc: mc}
+// receives, one hop further than h: with reliable forwarding on it takes
+// the forward's AckSeq, and on a FrameSender it frames the message, once —
+// a fresh header in front of the envelope's sealed span.
+func (r *Router) newForward(h hop, target string, deliver bool) *forward {
+	f := &forward{mc: wire.Multicast{
+		TargetZone: target,
+		Hops:       h.hops + 1,
+		Deliver:    deliver,
+		TraceID:    h.tid,
+		Envelope:   *h.env,
+	}}
 	f.msg = wire.Message{Kind: wire.KindMulticast, Multicast: &f.mc}
 	if r.cfg.AckTimeout > 0 {
 		r.mu.Lock()
@@ -808,11 +821,7 @@ func (r *Router) ScrambleState(rng *rand.Rand, frac float64) (pendingDropped int
 // final-delivery copies themselves, which keeps repeated re-offers
 // idempotent.
 func (r *Router) Reinject(env *wire.ItemEnvelope) {
-	r.fanOutLeafZone(&wire.Multicast{
-		TargetZone: r.view.ZonePath(),
-		TraceID:    trace.DeriveTraceID(env.Key()),
-		Envelope:   *env,
-	})
+	r.fanOutLeafZone(hop{target: r.view.ZonePath(), tid: trace.DeriveTraceID(env.Key()), env: env})
 }
 
 // PendingAcks reports how many destinations of reliable forwards await

@@ -400,7 +400,7 @@ func TestRetransmitQueueAckValidation(t *testing.T) {
 	if len(tr.sent) != 2 || tr.sent[1].addr != "m1b:0" {
 		t.Fatalf("retry went to %v, want a failover to m1b:0", tr.sent)
 	}
-	if tr.newFrames != 1 || &tr.sent[1].frame.Bytes()[0] != &tr.sent[0].frame.Bytes()[0] {
+	if tr.newFrames != 1 || frameHead(tr.sent[1].frame) != frameHead(tr.sent[0].frame) {
 		t.Errorf("retry built %d frames; want it to resend the first one", tr.newFrames)
 	}
 	r.HandleMessage(ackFrom("m1:0", seq, env))
@@ -415,7 +415,7 @@ func TestRetransmitQueueAckValidation(t *testing.T) {
 
 	// Capacity: past maxPendingAcks a destination is not registered, and
 	// its ack changes nothing.
-	f := r.newForward(wire.Multicast{TargetZone: "/z", Envelope: env})
+	f := r.newForward(hop{target: "/z", env: &env}, "/z", false)
 	for i := 0; i < maxPendingAcks; i++ {
 		r.forwardTo(f, "/z", "m", fmt.Sprintf("a%d", i))
 	}

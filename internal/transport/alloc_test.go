@@ -2,6 +2,8 @@ package transport
 
 import (
 	"net"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,4 +51,48 @@ func TestLoopsAllocateNothingPerFrame(t *testing.T) {
 			t.Errorf("a flush of %d frames allocates %v objects, want 0", len(p.batch), n)
 		}
 	})
+}
+
+// TestWriterKeepsNoSentFrame: once a peer's frames are on the wire, neither
+// the queue's array nor the writer's batch still holds one. A relayed
+// forward's header would pin the slab of headers it was carved from, and
+// its span an envelope the item table may have evicted.
+func TestWriterKeepsNoSentFrame(t *testing.T) {
+	var got atomic.Int64
+	rx, err := ListenTCP("127.0.0.1:0", func(*wire.Message) { got.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := ListenTCP("127.0.0.1:0", func(*wire.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	const frames = 300
+	for i := 0; i < frames; i++ {
+		if err := tx.Send(rx.Addr(), gossipMsg("/usa")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.mu.Lock()
+	p := tx.peers[rx.Addr()]
+	tx.mu.Unlock()
+	held := -1
+	for deadline := time.Now().Add(5 * time.Second); held != 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if got.Load() < frames {
+			continue
+		}
+		p.mu.Lock() // the writer clears its batch and the queue under the lock
+		held = 0
+		for _, f := range slices.Concat(p.queue[:cap(p.queue)], p.batch[:cap(p.batch)]) {
+			if !f.IsZero() {
+				held++
+			}
+		}
+		p.mu.Unlock()
+	}
+	if got.Load() != frames || held != 0 {
+		t.Errorf("%d of %d frames arrived; the sender's writer still holds %d", got.Load(), frames, held)
+	}
 }

@@ -373,11 +373,15 @@ func (p *peer) enqueue(f wire.Frame) enqueueResult {
 // writeLoop drains the queue: wait for frames, take up to maxFlushBatch,
 // flush them in one writev, repeat. There is no idle buffering — every
 // drained batch goes straight to the socket, so the last frame of a burst
-// is flushed as promptly as the first.
+// is flushed as promptly as the first. Neither the queue's array nor the
+// batch keeps a frame once it is taken and sent: a relayed forward's
+// header pins the slab it was carved from, and its span an envelope the
+// item table may have evicted since.
 func (p *peer) writeLoop() {
 	defer p.t.wg.Done()
 	for {
 		p.mu.Lock()
+		clear(p.batch)
 		for len(p.queue) == p.head && !p.closed {
 			p.cond.Wait()
 		}
@@ -390,6 +394,7 @@ func (p *peer) writeLoop() {
 			n = maxFlushBatch
 		}
 		p.batch = append(p.batch[:0], p.queue[p.head:p.head+n]...)
+		clear(p.queue[p.head : p.head+n])
 		p.head += n
 		if p.head == len(p.queue) {
 			// Fully drained: reset so the backing array is reused.
@@ -443,9 +448,8 @@ func (p *peer) writeBatch() error {
 	p.bufs = p.bufs[:0]
 	total := 0
 	for _, f := range p.batch {
-		b := f.Bytes()
-		p.bufs = append(p.bufs, b)
-		total += len(b)
+		p.bufs = f.AppendParts(p.bufs) // a relayed forward is two parts
+		total += f.Len()
 	}
 	// A peer that stops reading must not pin this writer forever: bound
 	// the flush.
@@ -453,7 +457,9 @@ func (p *peer) writeBatch() error {
 	ioSync.Add(1) // release: see ioSync
 	// p.batch keeps the frames intact for the stale retry.
 	p.unsent = p.bufs
-	if _, err := p.unsent.WriteTo(conn); err != nil {
+	_, err := p.unsent.WriteTo(conn)
+	clear(p.bufs) // a retry rebuilds them from p.batch
+	if err != nil {
 		return err
 	}
 	p.t.st.framesSent.Add(int64(len(p.batch)))

@@ -335,11 +335,7 @@ func encodeBinary(m *Message, from string, prefix int) ([]byte, error) {
 		}
 	case KindMulticast:
 		if mc := m.Multicast; mc != nil {
-			e.body = appendString(e.body, mc.TargetZone)
-			e.body = binary.AppendVarint(e.body, int64(mc.Hops))
-			e.body = appendBool(e.body, mc.Deliver)
-			e.body = binary.AppendUvarint(e.body, mc.AckSeq)
-			e.body = binary.AppendUvarint(e.body, mc.TraceID)
+			e.body = appendMulticastHead(e.body, mc)
 			e.envelope(&mc.Envelope)
 		}
 	case KindMulticastAck:
@@ -400,6 +396,20 @@ func encodeBinary(m *Message, from string, prefix int) ([]byte, error) {
 	out = append(out, e.head...)
 	out = append(out, e.body...)
 	return out, nil
+}
+
+// appendMulticastHead appends what a Multicast carries before its
+// envelope; multicastHeadSize is its length.
+func appendMulticastHead(b []byte, mc *Multicast) []byte {
+	b = appendString(b, mc.TargetZone)
+	b = binary.AppendVarint(b, int64(mc.Hops))
+	b = appendBool(b, mc.Deliver)
+	b = binary.AppendUvarint(b, mc.AckSeq)
+	return binary.AppendUvarint(b, mc.TraceID)
+}
+
+func multicastHeadSize(mc *Multicast) int {
+	return sizeStr(mc.TargetZone) + varintLen(int64(mc.Hops)) + 1 + uvarintLen(mc.AckSeq) + uvarintLen(mc.TraceID)
 }
 
 func appendBool(b []byte, v bool) []byte {
@@ -463,8 +473,18 @@ func (e *binEncoder) attrs(m value.Map) {
 	}
 }
 
+// envelope writes a sealed envelope's kept span as it is, and encodes any
+// other envelope's fields.
 func (e *binEncoder) envelope(env *ItemEnvelope) {
-	b := e.body
+	if env.span != nil {
+		e.body = append(e.body, env.span...)
+		return
+	}
+	e.body = appendEnvelope(e.body, env)
+}
+
+// appendEnvelope appends the encoding of env's fields to b.
+func appendEnvelope(b []byte, env *ItemEnvelope) []byte {
 	b = appendString(b, env.Publisher)
 	b = appendString(b, env.ItemID)
 	b = binary.AppendVarint(b, int64(env.Revision))
@@ -482,8 +502,7 @@ func (e *binEncoder) envelope(env *ItemEnvelope) {
 	b = appendTime(b, env.Published)
 	b = appendByteSlice(b, env.Payload)
 	b = appendString(b, env.Signer)
-	b = appendByteSlice(b, env.Sig)
-	e.body = b
+	return appendByteSlice(b, env.Sig)
 }
 
 // --- decoder ---
@@ -980,11 +999,13 @@ func (d *binDecoder) refList() []RowRef {
 // into a buffer of its own (DESIGN.md §8, "Envelope ownership"): it walks
 // the envelope in the input to find its span, copies exactly that span,
 // and decodes the fields from the copy, every string and byte array a view
-// of it. The input — a pooled read buffer, a whole reply — is never kept,
-// so no envelope pins another's bytes. The key is the one field built
-// apart: item tables, ack tables and trace spans keep it after the
-// envelope is gone.
-func (d *binDecoder) envelope(env *ItemEnvelope) {
+// of it. The copy is kept as the envelope's span, the bytes every frame
+// that relays it sends. The input — a pooled read buffer, a whole reply —
+// is never kept, so no envelope pins another's bytes. The key is the one
+// field built apart: item tables, ack tables and trace spans keep it after
+// the envelope is gone. subjects and bits, when long enough, back the
+// envelope's Subjects and SubjectBits.
+func (d *binDecoder) envelope(env *ItemEnvelope, subjects []string, bits []uint32) {
 	start := d.pos
 	d.skipEnvelope()
 	if d.err != nil {
@@ -992,7 +1013,8 @@ func (d *binDecoder) envelope(env *ItemEnvelope) {
 	}
 	own := binDecoder{data: make([]byte, d.pos-start)}
 	copy(own.data, d.data[start:d.pos])
-	own.envelopeFields(env)
+	own.envelopeFields(env, subjects, bits)
+	env.span = own.data
 	d.err = own.err
 }
 
@@ -1018,18 +1040,18 @@ func (d *binDecoder) skipEnvelope() {
 }
 
 // envelopeFields decodes an envelope from a decoder over its own copy.
-func (d *binDecoder) envelopeFields(env *ItemEnvelope) {
+func (d *binDecoder) envelopeFields(env *ItemEnvelope, subjects []string, bits []uint32) {
 	env.Publisher = d.view()
 	env.ItemID = d.view()
 	env.Revision = int(d.varint())
 	if n := d.count("subject"); n > 0 {
-		env.Subjects = make([]string, n)
+		env.Subjects = backing(subjects, n)
 		for i := range env.Subjects {
 			env.Subjects[i] = d.view()
 		}
 	}
 	if n := d.count("subject bit"); n > 0 {
-		env.SubjectBits = make([]uint32, n)
+		env.SubjectBits = backing(bits, n)
 		for i := range env.SubjectBits {
 			bit := d.uvarint()
 			if bit > math.MaxUint32 {
@@ -1047,6 +1069,33 @@ func (d *binDecoder) envelopeFields(env *ItemEnvelope) {
 	env.Signer = d.view()
 	env.Sig = d.subSlice()
 	env.SealKey()
+}
+
+// backing returns buf's first n elements, capacity clipped so an append
+// copies, or a fresh slice when buf is too short.
+func backing[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n:n]
+	}
+	return make([]T, n)
+}
+
+// Room a received forward's block keeps for its envelope's subjects and
+// Bloom positions: an item of one or two subjects needs no other slice.
+const (
+	inlineSubjects = 2
+	inlineBits     = 4
+)
+
+// multicastBlock is a received forward's one allocation besides its
+// envelope's span and key: the message, its Multicast and inline backing
+// for the envelope's first subjects and bits. A node's item table keeps
+// the envelope, and with it the block.
+type multicastBlock struct {
+	msg      Message
+	mc       Multicast
+	subjects [inlineSubjects]string
+	bits     [inlineBits]uint32
 }
 
 // newMessage returns a message and its kind's payload as one allocation.
@@ -1091,15 +1140,16 @@ func decodeBinary(data []byte) (*Message, error) {
 			g.Sections = d.sectionList()
 		}
 	case KindMulticast:
-		var mc *Multicast
-		m, mc = newMessage[Multicast]()
+		blk := new(multicastBlock)
+		mc := &blk.mc
+		m = &blk.msg
 		m.Multicast = mc
 		mc.TargetZone = value.InternBytes(d.rawStr())
 		mc.Hops = int(d.varint())
 		mc.Deliver = d.bool()
 		mc.AckSeq = d.uvarint()
 		mc.TraceID = d.uvarint()
-		d.envelope(&mc.Envelope)
+		d.envelope(&mc.Envelope, blk.subjects[:], blk.bits[:])
 	case KindMulticastAck:
 		var a *MulticastAck
 		m, a = newMessage[MulticastAck]()
@@ -1135,7 +1185,7 @@ func decodeBinary(data []byte) (*Message, error) {
 		n := d.count("envelope")
 		for i := 0; i < n && d.err == nil; i++ {
 			var env ItemEnvelope
-			d.envelope(&env)
+			d.envelope(&env, nil, nil)
 			r.Envelopes = append(r.Envelopes, env)
 		}
 		r.Truncated = d.bool()

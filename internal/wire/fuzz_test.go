@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -151,7 +152,7 @@ func fuzzSeeds(t interface{ Fatal(...any) }) [][]byte {
 	seeds = append(seeds, tableFrame(capNames))
 	// A summary whose count runs past the input.
 	seeds = append(seeds, overlongSummaryFrame())
-	for _, frames := range [][]namedFrame{hostileSectionFrames(), oddSectionFrames(), hostileEnvelopeFrames(t), hostileRowFrames(t)} {
+	for _, frames := range [][]namedFrame{hostileSectionFrames(), oddSectionFrames(), hostileEnvelopeFrames(t), hostileRowFrames(t), sealedEnvelopeFrames(t)} {
 		for _, frame := range frames {
 			seeds = append(seeds, frame.data)
 		}
@@ -253,6 +254,88 @@ func hostileEnvelopeFrames(t interface{ Fatal(...any) }) []namedFrame {
 	}
 }
 
+// sealedEnvelopeFrames are forwards as a relay sends them — a header in
+// front of a kept span — and one the decoder must refuse:
+//   - a publisher's sealed envelope, framed;
+//   - a decoded envelope relayed behind another header, with more subjects
+//     and bits than a forward's block holds inline;
+//   - a span with an overlong varint, which decodes and is relayed as it
+//     came, though a re-encode would be shorter;
+//   - a size bomb: a sealed span whose declared payload length runs past
+//     the frame.
+func sealedEnvelopeFrames(t interface{ Fatal(...any) }) []namedFrame {
+	frame := func(mc *Multicast) []byte {
+		f, err := NewFrame(&Message{Kind: KindMulticast, Multicast: mc}, "relay:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Payload()
+	}
+	env := ItemEnvelope{
+		Publisher: "ap", ItemID: "it-7", Revision: 2,
+		Subjects:    []string{"tech", "world", "sport"},
+		SubjectBits: []uint32{1, 2, 3, 4, 5, 1 << 20},
+		ScopeZone:   "/", Urgency: 2,
+		Published: time.Unix(1017619200, 5).UTC(),
+		Payload:   bytes.Repeat([]byte("y"), 40),
+		Signer:    "ap", Sig: []byte{4, 5, 6},
+	}
+	env.Seal()
+	sealed := frame(&Multicast{TargetZone: "/", Hops: 1, AckSeq: 9, TraceID: 77, Envelope: env})
+	got, err := Decode(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayed := frame(&Multicast{TargetZone: "/eu", Hops: 2, Deliver: true, Envelope: got.Multicast.Envelope})
+
+	// The span's revision (2) as a two-byte varint.
+	head := sealed[:len(sealed)-len(env.span)]
+	span := env.span[:0:0]
+	span = appendString(span, env.Publisher)
+	span = appendString(span, env.ItemID)
+	span = append(span, 0x84, 0x00)
+	overlong := append(append(bytes.Clone(head), span...), env.span[len(span)-1:]...)
+
+	bomb := append([]byte(nil), head...)
+	bomb = appendString(bomb, "ap")
+	bomb = appendString(bomb, "it-8")
+	bomb = append(bomb, 2, 0, 0)                      // revision, no subjects, no bits
+	bomb = append(bomb, 0, 0, 0)                      // scope, predicate, urgency
+	bomb = appendTime(bomb, time.Unix(1017619200, 0)) // published
+	bomb = binary.AppendUvarint(bomb, 1<<31)          // payload length
+	bomb = append(bomb, bytes.Repeat([]byte("z"), 8)...)
+	return []namedFrame{
+		{"sealed envelope", sealed},
+		{"relayed decoded envelope", relayed},
+		{"overlong revision varint", overlong},
+		{"size bomb", bomb},
+	}
+}
+
+// TestSealedEnvelopeFrames decodes the sealed seeds: the size bomb is
+// refused; the others decode, and the overlong span keeps its bytes.
+func TestSealedEnvelopeFrames(t *testing.T) {
+	for _, f := range sealedEnvelopeFrames(t) {
+		m, err := Decode(f.data)
+		if f.name == "size bomb" {
+			if err == nil {
+				t.Errorf("%s: decoded", f.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		env := &m.Multicast.Envelope
+		if env.Key() != "ap/it-7#2" || len(env.Subjects) != 3 || len(env.SubjectBits) != 6 {
+			t.Errorf("%s: decoded %q with %d subjects and %d bits", f.name, env.Key(), len(env.Subjects), len(env.SubjectBits))
+		}
+		if !bytes.HasSuffix(f.data, env.span) {
+			t.Errorf("%s: the kept span is not the frame's envelope bytes", f.name)
+		}
+	}
+}
+
 // oddSectionFrames decode, and it is the agent that must make nothing of
 // them: a stamp older than the epoch, a position past any table, a zone
 // nobody replicates.
@@ -291,6 +374,73 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("decoded message fails to re-encode: %v", err)
 		}
 	})
+}
+
+// FuzzRelay checks the relay path on every Multicast Decode accepts: framed
+// again as a forwarder frames it — a fresh header in front of the
+// envelope's kept span — it decodes to the same envelope under the new
+// header, and when the input was canonical the relayed bytes equal a
+// re-encode from the fields.
+func FuzzRelay(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			t.Skip("oversized input")
+		}
+		m, err := Decode(data)
+		if err != nil || m.Kind != KindMulticast {
+			return
+		}
+		in := m.Multicast
+		out := Multicast{TargetZone: "/relay", Hops: in.Hops + 1, Deliver: !in.Deliver,
+			AckSeq: in.AckSeq + 1, TraceID: in.TraceID, Envelope: in.Envelope}
+		fr, err := NewFrame(&Message{Kind: KindMulticast, Multicast: &out}, "relay:1")
+		if err != nil {
+			t.Fatalf("relay frame: %v", err)
+		}
+		if fr.span == nil {
+			t.Fatal("a decoded envelope was framed without its kept span")
+		}
+		if size := binary.BigEndian.Uint32(fr.Bytes()); int(size) != fr.PayloadLen() {
+			t.Fatalf("prefix says %d bytes, payload is %d", size, fr.PayloadLen())
+		}
+		got, err := Decode(fr.Payload())
+		if err != nil {
+			t.Fatalf("relayed frame does not decode: %v\nframe: %x", err, fr.Payload())
+		}
+		g := got.Multicast
+		if got.From != "relay:1" || g.TargetZone != out.TargetZone || g.Hops != out.Hops ||
+			g.Deliver != out.Deliver || g.AckSeq != out.AckSeq || g.TraceID != out.TraceID {
+			t.Fatalf("relayed header decodes to %+v from %q, want %+v", *g, got.From, out)
+		}
+		if !sameEnvelope(&g.Envelope, &in.Envelope) {
+			t.Fatalf("relayed envelope decodes to\n %+v\nwant\n %+v", g.Envelope, in.Envelope)
+		}
+		fields := func(mc Multicast, from string) []byte {
+			mc.Envelope.span = nil
+			b, err := encodeBinary(&Message{Kind: KindMulticast, Multicast: &mc}, from, 0)
+			if err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			return b
+		}
+		if bytes.Equal(fields(*in, m.From), data) && !bytes.Equal(fr.Payload(), fields(out, "relay:1")) {
+			t.Fatalf("relay of canonical input differs from a re-encode:\n got %x\nwant %x", fr.Payload(), fields(out, "relay:1"))
+		}
+	})
+}
+
+// sameEnvelope reports whether two decoded envelopes have equal fields,
+// kept spans included.
+func sameEnvelope(a, b *ItemEnvelope) bool {
+	return a.Publisher == b.Publisher && a.ItemID == b.ItemID && a.Revision == b.Revision &&
+		slices.Equal(a.Subjects, b.Subjects) && slices.Equal(a.SubjectBits, b.SubjectBits) &&
+		a.ScopeZone == b.ScopeZone && a.Predicate == b.Predicate && a.Urgency == b.Urgency &&
+		a.Published.Equal(b.Published) && bytes.Equal(a.Payload, b.Payload) &&
+		a.Signer == b.Signer && bytes.Equal(a.Sig, b.Sig) && a.Key() == b.Key() &&
+		bytes.Equal(a.span, b.span)
 }
 
 // FuzzRoundTrip checks the codec is canonical on everything it accepts:

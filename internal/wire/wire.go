@@ -216,16 +216,19 @@ type GossipDelta struct {
 // publisher predicate over child-zone attributes (§8), and the publisher's
 // signature (§8).
 //
-// The byte fields of a sealed envelope, Payload and Sig, are shared and
-// never written: every recipient of a fan-out frame, the cache and each
-// delivered news.Item read them concurrently, and a decoded envelope's
-// strings and byte arrays all view one buffer (DESIGN.md §8, "Envelope
-// ownership"). They are filled in three places, each with bytes nobody
-// else holds: pubsub.EncodeItem (a fresh NITF encoding, signed by
+// An envelope is shared read-only as a whole once it is sealed (by Seal,
+// or by the binary decoder): the node's item table keeps it, every fan-out
+// frame relays its encoded span, and each delivered news.Item views its
+// Payload, all concurrently (DESIGN.md §8, "Envelope ownership"). No field
+// of a sealed envelope is written, through any copy of it: struct copies
+// share its slices and its span, and a span that disagreed with the fields
+// would relay one item under another's routing data. The byte fields are
+// filled in three places, each with bytes nobody else holds:
+// pubsub.EncodeItem (a fresh NITF encoding, signed by
 // core.Security.signEnvelope with a fresh signature before it is
 // published), the binary decoder (the envelope's own copy) and
-// newswire-loadgen (a fresh buffer per item). To change a byte, build a new
-// envelope.
+// newswire-loadgen (a fresh buffer per item). To change a field, build a
+// new envelope.
 type ItemEnvelope struct {
 	Publisher string
 	ItemID    string
@@ -257,6 +260,11 @@ type ItemEnvelope struct {
 	// view of a decoded envelope's buffer: logs that keep a key must not
 	// keep the item.
 	key string
+	// span is the envelope's encoding, kept by Seal or by the decoder (the
+	// envelope's own copy, which its strings and byte arrays view). A frame
+	// that carries the envelope sends these bytes after its header instead
+	// of encoding the fields again. Nil until sealed.
+	span []byte
 }
 
 // Key returns the deduplication key for the envelope: publisher, item and
@@ -280,6 +288,33 @@ func (e *ItemEnvelope) buildKey() string {
 // pubsub.EncodeItem — after which Publisher, ItemID and Revision must not
 // change: to edit an identity, build a new envelope.
 func (e *ItemEnvelope) SealKey() { e.key = e.buildKey() }
+
+// Seal encodes the envelope once and keeps the encoding, and seals the key
+// if SealKey has not. Router.Publish calls it after its last field write;
+// from then on the envelope is shared read-only and every frame that
+// carries it sends the kept encoding.
+func (e *ItemEnvelope) Seal() {
+	e.span = nil // envelopeSize reads a kept span
+	span := appendEnvelope(make([]byte, 0, envelopeSize(e)), e)
+	// Payload and Sig view the span, as a decoded envelope's do, so the
+	// sealed envelope holds its bytes once. The span ends with the payload,
+	// the signer and the signature.
+	end := len(span) - sizeBytes(e.Sig) - sizeStr(e.Signer)
+	e.Payload = viewTail(span[:end], len(e.Payload))
+	e.Sig = viewTail(span, len(e.Sig))
+	e.span = span
+	if e.key == "" {
+		e.SealKey()
+	}
+}
+
+// viewTail returns b's last n bytes, capacity clipped, or nil when n is 0.
+func viewTail(b []byte, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	return b[len(b)-n : len(b) : len(b)]
+}
 
 // SignedPayload renders the envelope fields covered by the publisher
 // signature.
@@ -515,10 +550,7 @@ func (m *Message) EstimateSize() int {
 			n += sectionsSize(g.Sections)
 		}
 	case m.Multicast != nil:
-		mc := m.Multicast
-		n += sizeStr(mc.TargetZone) + varintLen(int64(mc.Hops)) + 1 +
-			uvarintLen(mc.AckSeq) + uvarintLen(mc.TraceID) +
-			envelopeSize(&mc.Envelope)
+		n += multicastHeadSize(m.Multicast) + envelopeSize(&m.Multicast.Envelope)
 	case m.MulticastAck != nil:
 		a := m.MulticastAck
 		n += uvarintLen(a.Seq) + sizeStr(a.Key) + sizeStr(a.TargetZone)
@@ -645,6 +677,9 @@ func haveSize(have []uint64) int {
 }
 
 func envelopeSize(e *ItemEnvelope) int {
+	if e.span != nil {
+		return len(e.span) // what a frame sends
+	}
 	n := sizeStr(e.Publisher) + sizeStr(e.ItemID) + varintLen(int64(e.Revision)) +
 		uvarintLen(uint64(len(e.Subjects)))
 	for _, s := range e.Subjects {
