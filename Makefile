@@ -123,17 +123,19 @@ bench-mem: bin/newswire-bench
 	cp artifacts/memsmoke/BENCH_E1.json artifacts/BENCH_E1_N65536.json
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_E1_N65536.baseline.json -current artifacts/BENCH_E1_N65536.json -max-heap-regress 0.25 | tee artifacts/heap-gate.txt
 
-# Compare the gossip-round micro-benchmarks between the last commit on
-# main (origin/main when a remote exists) and the working tree. Uses
+# Compare the gossip-round (BenchmarkGossipRound*) and churn-round
+# (BenchmarkChurnRound, sim_churn as a go test) micro-benchmarks between
+# HEAD, exported with git archive, and the working tree. A churn round is
+# not a steady state, so both sides run the same fixed 40 rounds. Uses
 # benchstat when installed; otherwise falls back to the dependency-free
 # comparer built into this repo (cmd/benchgate -compare).
 bench-compare:
 	mkdir -p artifacts
-	rm -rf .benchbase && git worktree prune
-	git worktree add --detach .benchbase origin/main 2>/dev/null || git worktree add --detach .benchbase main
-	cd .benchbase && $(GO) test . -run '^$$' -bench BenchmarkGossipRound -benchmem -count 3 > ../artifacts/bench-base.txt
-	$(GO) test . -run '^$$' -bench BenchmarkGossipRound -benchmem -count 3 > artifacts/bench-head.txt
-	git worktree remove --force .benchbase
+	rm -rf .benchbase && mkdir .benchbase
+	git archive HEAD | tar -x -C .benchbase
+	cd .benchbase && $(GO) test . -run '^$$' -bench 'BenchmarkGossipRound|BenchmarkChurnRound' -benchtime 40x -benchmem -count 3 > ../artifacts/bench-base.txt
+	$(GO) test . -run '^$$' -bench 'BenchmarkGossipRound|BenchmarkChurnRound' -benchtime 40x -benchmem -count 3 > artifacts/bench-head.txt
+	rm -rf .benchbase
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat artifacts/bench-base.txt artifacts/bench-head.txt; \
 	else \

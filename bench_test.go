@@ -640,7 +640,7 @@ func TestChurnGossipBytesBudget(t *testing.T) {
 // than 5 %. A change that allocates on purpose records the new figure here
 // with its reason. While every message and every tick allocated an event
 // and a closure it read 28.0; while every gossip message part was its own
-// allocation, 15.4.
+// allocation, 15.4; while a received item was rebuilt at every hop, 5.5.
 func TestChurnRoundAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots 1,024 simulated nodes")
@@ -648,7 +648,7 @@ func TestChurnRoundAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const rounds, recorded = 10, 5.5 // objects per node-round
+	const rounds, recorded = 10, 4.7 // objects per node-round
 	c := newChurnCluster(t)
 	defer c.StopTicking()
 	var before, after runtime.MemStats

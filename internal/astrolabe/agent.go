@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -291,18 +290,17 @@ func (e entry) after(o entry) bool { return e.sec > o.sec || e.sec == o.sec && e
 // table is one replicated zone table. Row content is immutable and shared
 // (wire.SharedRow): merging a gossiped row installs the sender's pointer,
 // so the table is copy-on-write — writers never modify a stored row, they
-// replace the map entry.
+// replace the entry that points at it.
 //
-// Content changes go through put and del, which keep names and hash true
-// to rows; a write that only moves a stamp goes through set.
+// Content changes go through put and del, which keep rows in order and
+// hash true to them; a write that only moves a stamp goes through set.
 type table struct {
-	rows map[string]entry
+	// rows holds the rows in ascending name order. A row's index is its
+	// position in every zone section and stamp this agent exchanges.
+	rows []entry
 	// top is the row with the latest issue stamp, while there are rows;
 	// set and del keep it so.
 	top entry
-	// names lists the row names in ascending order. A row's index in it is
-	// its position in every zone section and stamp this agent exchanges.
-	names []string
 	// hash is the table's content hash: the sum of rowHash over its rows.
 	// Two tables with equal hash and row count hold the same names with
 	// the same attribute bytes, so a peer can read either from its own.
@@ -322,6 +320,12 @@ type table struct {
 	aggHash uint64
 }
 
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
 // rowHash is one row's term of a table's content hash: FNV-1a over the
 // name, a separator and the attrs hash, put through a 64-bit finalizer so
 // that the terms of a table add up without structure. The sum does not
@@ -331,10 +335,6 @@ type table struct {
 // terms to cancel, which for mixed 64-bit terms is as likely as two
 // attribute encodings sharing an FNV hash.
 func rowHash(name string, attrs uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
@@ -353,28 +353,44 @@ func rowHash(name string, attrs uint64) uint64 {
 	return h ^ h>>31
 }
 
+// find returns the position of the row called name, or the position it
+// would take, and whether it is there.
+func (t *table) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(t.rows, name, func(e entry, name string) int {
+		return strings.Compare(e.Name, name)
+	})
+}
+
+// get returns the row called name.
+func (t *table) get(name string) (entry, bool) {
+	if i, ok := t.find(name); ok {
+		return t.rows[i], true
+	}
+	return entry{}, false
+}
+
 // put stores e, a row that is new to the table or whose content may differ
 // from the stored one.
 func (t *table) put(e entry) {
-	old, ok := t.rows[e.Name]
+	i, ok := t.find(e.Name)
 	switch {
 	case !ok:
-		i, _ := slices.BinarySearch(t.names, e.Name)
-		t.names = slices.Insert(t.names, i, e.Name)
+		t.rows = slices.Insert(t.rows, i, e)
 		t.hash += rowHash(e.Name, e.AttrsHash())
-	case old.SharedRow != e.SharedRow:
+	case t.rows[i].SharedRow != e.SharedRow:
 		// A signed row re-issued with the attributes it had hashes alike.
-		if was, is := old.AttrsHash(), e.AttrsHash(); was != is {
+		if was, is := t.rows[i].AttrsHash(), e.AttrsHash(); was != is {
 			t.hash += rowHash(e.Name, is) - rowHash(e.Name, was)
 		}
 	}
-	t.set(e)
+	t.set(i, e)
 }
 
-// set stores e, a row whose content the table already accounts for (put
-// has done so, or only its stamp moves).
-func (t *table) set(e entry) {
-	t.rows[e.Name] = e
+// set stores e at position i, which holds the row of that name and whose
+// content the table already accounts for (put has done so, or only its
+// stamp moves).
+func (t *table) set(i int, e entry) {
+	t.rows[i] = e
 	switch {
 	case len(t.rows) == 1 || !t.top.after(e):
 		t.top = e
@@ -383,16 +399,11 @@ func (t *table) set(e entry) {
 	}
 }
 
-// del removes the row called name, if there is one.
-func (t *table) del(name string) {
-	old, ok := t.rows[name]
-	if !ok {
-		return
-	}
-	i, _ := slices.BinarySearch(t.names, name)
-	t.names = slices.Delete(t.names, i, i+1)
-	t.hash -= rowHash(name, old.AttrsHash())
-	delete(t.rows, name)
+// del removes the row at position i.
+func (t *table) del(i int) {
+	name := t.rows[i].Name
+	t.hash -= rowHash(name, t.rows[i].AttrsHash())
+	t.rows = slices.Delete(t.rows, i, i+1)
 	if name == t.top.Name {
 		t.rescan()
 	}
@@ -433,8 +444,10 @@ type Agent struct {
 	// this, so the margin before spurious expiry stays wide.
 	stampLag time.Duration
 
-	mu     sync.Mutex
-	tables map[string]*table
+	mu sync.Mutex
+	// tables holds the replicated zone tables by chain depth: tables[i] is
+	// chain[i]'s, the table a section or stamp list of depth i names.
+	tables []table
 	ownRow *wire.SharedRow // content of the agent's own leaf row
 	stats  Stats
 
@@ -483,11 +496,11 @@ func NewAgent(cfg Config) (*Agent, error) {
 		addr:     cfg.Transport.Addr(),
 		leaf:     cfg.ZonePath,
 		chain:    AncestorChain(cfg.ZonePath),
-		tables:   make(map[string]*table),
 		stampLag: failRounds * cfg.GossipInterval / 5,
 	}
-	for _, z := range a.chain {
-		a.tables[z] = &table{rows: make(map[string]entry), dirty: true}
+	a.tables = make([]table, len(a.chain))
+	for i := range a.tables {
+		a.tables[i].dirty = true
 	}
 	a.setOwnAttrsLocked(value.Map{
 		AttrAddr: value.String(a.addr),
@@ -564,7 +577,7 @@ func (a *Agent) setOwnAttrsLocked(attrs value.Map) {
 	row := &wire.SharedRow{Name: a.name, Attrs: attrs, Owner: a.addr}
 	a.signRowLocked(row, a.leaf, now)
 	a.ownRow = row
-	t := a.tables[a.leaf]
+	t := a.tableLocked(a.leaf)
 	t.put(newEntry(row, now))
 	t.dirty = true
 }
@@ -581,10 +594,8 @@ func (a *Agent) reissueLocked(t *table, zone string, r *wire.SharedRow, at time.
 		r = &wire.SharedRow{Name: old.Name, Attrs: old.Attrs, Owner: old.Owner}
 		r.AdoptCache(old)
 		a.signRowLocked(r, zone, at)
-		t.put(newEntry(r, at))
-		return r
 	}
-	t.set(newEntry(r, at))
+	t.put(newEntry(r, at))
 	return r
 }
 
@@ -604,6 +615,16 @@ func (a *Agent) signRowLocked(r *wire.SharedRow, zone string, issued time.Time) 
 	r.Sig = u.Sig
 }
 
+// tableLocked returns the table of zone, or nil if the agent does not
+// replicate it. A zone's depth is its table's index, so the lookup is a
+// count of the path's separators and one comparison with the chain.
+func (a *Agent) tableLocked(zone string) *table {
+	if d := ZoneDepth(zone); d < len(a.chain) && a.chain[d] == zone {
+		return &a.tables[d]
+	}
+	return nil
+}
+
 // Table returns a snapshot of the rows of one replicated zone table,
 // sorted by row name. Attrs maps are shared and must be treated as
 // read-only. The second result reports whether the agent replicates the
@@ -617,13 +638,13 @@ func (a *Agent) Table(zone string) ([]Row, bool) {
 func (a *Agent) AppendTable(dst []Row, zone string) ([]Row, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	t, ok := a.tables[zone]
-	if !ok {
+	t := a.tableLocked(zone)
+	if t == nil {
 		return dst, false
 	}
-	dst = slices.Grow(dst, len(t.names))
-	for _, name := range t.names {
-		dst = append(dst, snapshotRow(t.rows[name]))
+	dst = slices.Grow(dst, len(t.rows))
+	for _, r := range t.rows {
+		dst = append(dst, snapshotRow(r))
 	}
 	return dst, true
 }
@@ -632,15 +653,12 @@ func (a *Agent) AppendTable(dst []Row, zone string) ([]Row, bool) {
 func (a *Agent) Row(zone, name string) (Row, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	t, ok := a.tables[zone]
-	if !ok {
-		return Row{}, false
+	if t := a.tableLocked(zone); t != nil {
+		if r, ok := t.get(name); ok {
+			return snapshotRow(r), true
+		}
 	}
-	r, ok := t.rows[name]
-	if !ok {
-		return Row{}, false
-	}
-	return snapshotRow(r), true
+	return Row{}, false
 }
 
 // IsRepresentative reports whether this agent is currently an elected
@@ -650,20 +668,15 @@ func (a *Agent) Row(zone, name string) (Row, bool) {
 func (a *Agent) IsRepresentative(zone string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.isRepresentativeLocked(zone)
+	return a.tableLocked(zone) != nil && a.isRepresentativeLocked(ZoneDepth(zone))
 }
 
-func (a *Agent) isRepresentativeLocked(zone string) bool {
-	child, ok := ChildToward(zone, a.leaf)
-	if !ok {
-		// zone == leaf: every member participates at leaf level.
-		return zone == a.leaf
+// isRepresentativeLocked is IsRepresentative for the zone at chain depth.
+func (a *Agent) isRepresentativeLocked(depth int) bool {
+	if depth == len(a.chain)-1 {
+		return true // every member participates at leaf level
 	}
-	t, ok := a.tables[zone]
-	if !ok {
-		return false
-	}
-	row, ok := t.rows[ZoneName(child)]
+	row, ok := a.tables[depth].get(ZoneName(a.chain[depth+1]))
 	if !ok {
 		return false
 	}
@@ -680,7 +693,8 @@ func (a *Agent) OwnRowUpdate() wire.RowUpdate {
 }
 
 func (a *Agent) ownUpdateLocked() wire.RowUpdate {
-	return a.ownRow.Update(a.leaf, a.tables[a.leaf].rows[a.name].stamp())
+	own, _ := a.tableLocked(a.leaf).get(a.name)
+	return a.ownRow.Update(a.leaf, own.stamp())
 }
 
 // ChainRowUpdates returns the agent's own leaf row plus the aggregate row
@@ -694,10 +708,8 @@ func (a *Agent) ChainRowUpdates() []wire.RowUpdate {
 	defer a.mu.Unlock()
 	out := []wire.RowUpdate{a.ownUpdateLocked()}
 	for i := len(a.chain) - 1; i >= 1; i-- {
-		child := a.chain[i]
-		parent := a.chain[i-1]
-		if r, ok := a.tables[parent].rows[ZoneName(child)]; ok {
-			out = append(out, r.Update(parent, r.stamp()))
+		if r, ok := a.tables[i-1].get(ZoneName(a.chain[i])); ok {
+			out = append(out, r.Update(a.chain[i-1], r.stamp()))
 		}
 	}
 	return out
@@ -720,7 +732,7 @@ func (a *Agent) Tick() {
 	now := a.cfg.Clock.Now()
 
 	// Heartbeat: re-issue own row so peers' failure detectors stay quiet.
-	a.ownRow = a.reissueLocked(a.tables[a.leaf], a.leaf, a.ownRow, now)
+	a.ownRow = a.reissueLocked(a.tableLocked(a.leaf), a.leaf, a.ownRow, now)
 
 	// Failure detection: evict rows that have not been refreshed.
 	a.expireLocked(now)
@@ -741,12 +753,11 @@ func (a *Agent) Tick() {
 	var candBuf [64]string
 	dests := destBuf[:0]
 	for i := len(a.chain) - 1; i >= 0; i-- {
-		zone := a.chain[i]
 		var partners []string
-		if zone == a.leaf {
+		if i == len(a.chain)-1 {
 			partners = a.pickLeafPartnersLocked(candBuf[:0], a.cfg.Fanout)
-		} else if a.isRepresentativeLocked(zone) {
-			partners = a.pickZonePartnersLocked(candBuf[:0], zone, a.cfg.Fanout)
+		} else if a.isRepresentativeLocked(i) {
+			partners = a.pickZonePartnersLocked(candBuf[:0], i, a.cfg.Fanout)
 		}
 		for _, addr := range partners {
 			dests = append(dests, dest{addr, a.digestLocked(i + 1)})
@@ -888,14 +899,14 @@ type deltaFrame struct {
 // sent.
 func (a *Agent) digestLocked(shared int) *wire.Message {
 	rows := 0
-	for _, zone := range a.chain[:shared] {
-		rows += len(a.tables[zone].names)
+	for i := range shared {
+		rows += len(a.tables[i].rows)
 	}
 	frame := &slabs.digests.Take(1)[0]
 	lags := slabs.lags.Take(rows)
 	sections := slabs.sections.Take(shared)
 	for depth := range sections {
-		n := len(a.tables[a.chain[depth]].names)
+		n := len(a.tables[depth].rows)
 		sections[depth] = a.sectionLocked(depth, lags[:n:n], false)
 		lags = lags[n:]
 	}
@@ -912,19 +923,18 @@ func (a *Agent) digestLocked(shared int) *wire.Message {
 // into lags when the caller brings room for them. A named section also
 // lists every row's name and attrs hash, from the per-row cache.
 func (a *Agent) sectionLocked(depth int, lags []time.Duration, named bool) wire.ZoneSection {
-	t := a.tables[a.chain[depth]]
+	t := &a.tables[depth]
 	if lags == nil {
-		lags = slabs.lags.Take(len(t.names))
+		lags = slabs.lags.Take(len(t.rows))
 	}
 	s := wire.ZoneSection{Depth: depth, Hash: t.hash, Newest: t.newest(), Lags: lags}
 	if named {
-		s.Named = slabs.named.Take(len(t.names))
+		s.Named = slabs.named.Take(len(t.rows))
 	}
-	for i, name := range t.names {
-		r := t.rows[name]
+	for i, r := range t.rows {
 		lags[i] = s.Newest.Sub(r.stamp())
 		if named {
-			s.Named[i] = wire.RowSummary{Name: name, Hash: r.AttrsHash()}
+			s.Named[i] = wire.RowSummary{Name: r.Name, Hash: r.AttrsHash()}
 		}
 	}
 	return s
@@ -1000,11 +1010,11 @@ func (a *Agent) diffSectionsLocked(out *delta, fromZone string, sections []wire.
 // the full rows), and a stamp for each row this agent holds fresher whose
 // bytes the peer already stores.
 //
-// A named section is walked against the table's own sorted names. A bare
-// one can only be read by an agent that holds the same names with the same
-// attribute bytes — equal content hash and row count — which takes names
-// and hashes from its own table by position; otherwise nothing is diffed
-// and the result is false.
+// A named section is walked against the table's rows, both in name order.
+// A bare one can only be read by an agent that holds the same names with
+// the same attribute bytes — equal content hash and row count — which
+// takes names and hashes from its own rows by position; otherwise nothing
+// is diffed and the result is false.
 //
 // The stamp paths are the steady-state optimization: once a cluster
 // converges, nearly every row differs between peers only by its heartbeat
@@ -1015,13 +1025,13 @@ func (a *Agent) diffSectionsLocked(out *delta, fromZone string, sections []wire.
 // its owner never signed, so they always travel whole.
 func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection) bool {
 	zone := a.chain[s.Depth]
-	t := a.tables[zone]
+	t := &a.tables[s.Depth]
 	named := len(s.Named) > 0
 	if named {
 		if len(s.Named) != len(s.Lags) {
 			return false // no codec writes or reads this
 		}
-	} else if len(s.Lags) != len(t.names) || s.Hash != t.hash {
+	} else if len(s.Lags) != len(t.rows) || s.Hash != t.hash {
 		return false
 	}
 
@@ -1057,24 +1067,23 @@ func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection) bool {
 		lag = 0
 	}
 
-	ours := 0 // next of our names the section has not passed yet
+	ours := 0 // next of our rows the section has not passed yet
 	for pos := range s.Lags {
-		name := ""
+		i := pos // our row for the section's row at pos
 		if named {
-			name = s.Named[pos].Name
+			name := s.Named[pos].Name
 			// Push the rows of ours that sort before it: the peer lacks them.
-			for ; ours < len(t.names) && t.names[ours] < name; ours++ {
-				sendRow(t.rows[t.names[ours]])
+			for ; ours < len(t.rows) && t.rows[ours].Name < name; ours++ {
+				sendRow(t.rows[ours])
 			}
-			if ours == len(t.names) || t.names[ours] != name {
+			if ours == len(t.rows) || t.rows[ours].Name != name {
 				wantRow(name) // the peer has a row we lack: ask for it
 				continue
 			}
+			i = ours
 			ours++
-		} else {
-			name = t.names[pos]
 		}
-		r := t.rows[name]
+		r := t.rows[i]
 		same := !named || r.AttrsHash() == s.Named[pos].Hash
 		issued := s.Newest.Add(-s.Lags[pos])
 		held := r.stamp()
@@ -1095,27 +1104,27 @@ func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection) bool {
 				sendRow(r)
 			}
 		case issued.After(held):
-			if len(r.Sig) == 0 && same && !(zone == a.leaf && name == a.name) {
+			if len(r.Sig) == 0 && same && !(zone == a.leaf && r.Name == a.name) {
 				// The peer is fresher but holds the very bytes we store:
 				// re-issue our copy locally at its stamp. No want ref, no
 				// reply bytes, no row on a later leg. Below the stamp lag
 				// our copy is fresh enough as-is.
 				if issued.Sub(held) >= lag {
-					a.restampLocked(t, r, issued)
+					a.restampLocked(t, i, issued)
 				}
 			} else {
-				wantRow(name)
+				wantRow(r.Name)
 			}
 		case !same:
 			// Same issue time, different content: both sides need the
 			// full rows to run the deterministic encoded tie-break.
 			sendRow(r)
-			wantRow(name)
+			wantRow(r.Name)
 		}
 	}
 	if named {
-		for ; ours < len(t.names); ours++ {
-			sendRow(t.rows[t.names[ours]])
+		for ; ours < len(t.rows); ours++ {
+			sendRow(t.rows[ours])
 		}
 	}
 	if n := len(out.rowStamps); n > firstStamp {
@@ -1126,13 +1135,14 @@ func (a *Agent) diffSectionLocked(out *delta, s *wire.ZoneSection) bool {
 	return true
 }
 
-// restampLocked moves a stored row's stamp to `at`, leaving the shared
-// content where it is. The caller has proven the content identical on both
-// sides and the row unsigned; re-stamping never marks a zone dirty — it is
-// the wire-free equivalent of a heartbeat re-delivery.
-func (a *Agent) restampLocked(t *table, r entry, at time.Time) {
+// restampLocked moves the stamp of the row at position i to `at`, leaving
+// the shared content where it is. The caller has proven the content
+// identical on both sides and the row unsigned; re-stamping never marks a
+// zone dirty — it is the wire-free equivalent of a heartbeat re-delivery.
+func (a *Agent) restampLocked(t *table, i int, at time.Time) {
+	r := t.rows[i]
 	r.sec, r.nsec = at.Unix(), int32(at.Nanosecond())
-	t.set(r)
+	t.set(i, r)
 	a.stats.StampsApplied++
 }
 
@@ -1149,22 +1159,21 @@ func (a *Agent) applyStampsLocked(stamps []wire.ZoneStamps) {
 		if z.Depth >= len(a.chain) {
 			continue // we do not replicate that table
 		}
-		zone := a.chain[z.Depth]
-		t := a.tables[zone]
+		t := &a.tables[z.Depth]
 		if t.hash != z.Hash {
 			continue
 		}
+		leaf := z.Depth == len(a.tables)-1
 		for _, s := range z.Rows {
-			if int(s.Pos) >= len(t.names) {
+			if int(s.Pos) >= len(t.rows) {
 				continue
 			}
-			name := t.names[s.Pos]
-			if zone == a.leaf && name == a.name {
+			r := t.rows[s.Pos]
+			if leaf && r.Name == a.name {
 				continue // authoritative for our own row
 			}
-			r := t.rows[name]
 			if at := z.Newest.Add(-s.Lag); len(r.Sig) == 0 && at.After(r.stamp()) {
-				a.restampLocked(t, r, at)
+				a.restampLocked(t, int(s.Pos), at)
 			}
 		}
 	}
@@ -1175,29 +1184,25 @@ func (a *Agent) applyStampsLocked(stamps []wire.ZoneStamps) {
 func (a *Agent) rowsForRefsLocked(out *delta, refs []wire.RowRef) {
 	for i := range refs {
 		ref := &refs[i]
-		t, ok := a.tables[ref.Zone]
-		if !ok {
-			continue
+		if t := a.tableLocked(ref.Zone); t != nil {
+			if r, ok := t.get(ref.Name); ok {
+				out.rows = append(out.rows, r.Update(ref.Zone, r.stamp()))
+			}
 		}
-		r, ok := t.rows[ref.Name]
-		if !ok {
-			continue
-		}
-		out.rows = append(out.rows, r.Update(ref.Zone, r.stamp()))
 	}
 }
 
 func (a *Agent) mergeRowsLocked(rows []wire.RowUpdate) {
 	for i := range rows {
 		u := &rows[i]
-		t, ok := a.tables[u.Zone]
-		if !ok {
+		t := a.tableLocked(u.Zone)
+		if t == nil {
 			continue // we do not replicate that table
 		}
 		if u.Zone == a.leaf && u.Name == a.name {
 			continue // we are authoritative for our own row
 		}
-		existing, exists := t.rows[u.Name]
+		existing, exists := t.get(u.Name)
 		held := existing.stamp()
 		if exists && existing.SharedRow == u.Shared() && held.Equal(u.Issued) {
 			// Re-delivery of the very row we store, at the stamp we store
@@ -1253,13 +1258,17 @@ func (a *Agent) mergeRowsLocked(rows []wire.RowUpdate) {
 func (a *Agent) expireLocked(now time.Time) {
 	leafCutoff := now.Add(-failRounds * a.cfg.GossipInterval)
 	aggCutoff := now.Add(-aggFailRounds * a.cfg.GossipInterval)
-	for zone, t := range a.tables {
+	for depth := range a.tables {
+		t := &a.tables[depth]
+		leaf := depth == len(a.tables)-1
 		cutoff := aggCutoff
-		if zone == a.leaf {
+		if leaf {
 			cutoff = leafCutoff
 		}
-		for name, r := range t.rows {
-			if zone == a.leaf && name == a.name {
+		// Back to front, so a deletion moves only rows already visited.
+		for i := len(t.rows) - 1; i >= 0; i-- {
+			r := t.rows[i]
+			if leaf && r.Name == a.name {
 				continue
 			}
 			if r.stamp().Before(cutoff) {
@@ -1268,7 +1277,7 @@ func (a *Agent) expireLocked(now time.Time) {
 					// the template is live for the whole run.
 					continue
 				}
-				t.del(name)
+				t.del(i)
 				t.dirty = true
 				a.stats.RowsExpired++
 			}
@@ -1291,19 +1300,17 @@ func (a *Agent) expireLocked(now time.Time) {
 // the chain marks each ancestor dirty before the ancestor is visited.
 func (a *Agent) recomputeAggregatesLocked() {
 	for i := len(a.chain) - 1; i >= 1; i-- {
-		child := a.chain[i]
 		parent := a.chain[i-1]
-		ct := a.tables[child]
+		ct, pt := &a.tables[i], &a.tables[i-1]
 		if len(ct.rows) == 0 {
 			continue
 		}
-		name := ZoneName(child)
-		pt := a.tables[parent]
+		name := ZoneName(a.chain[i])
 
 		latest := ct.newest()
 
 		if !ct.dirty {
-			existing, exists := pt.rows[name]
+			existing, exists := pt.get(name)
 			switch {
 			case exists && existing.Owner == a.addr && existing.AttrsHash() == ct.aggHash:
 				// Same content, fresher inputs: re-issue our aggregate
@@ -1330,8 +1337,10 @@ func (a *Agent) recomputeAggregatesLocked() {
 		for _, r := range ct.rows {
 			rows = append(rows, r.SharedRow)
 		}
-		// Deterministic input order (map iteration is random), compared
-		// on cached encodings so no map is re-encoded per comparison.
+		// Inputs go in by address, not by row name: REPS keeps input order
+		// among rows it cannot rank and prefix rules merge in input order,
+		// so the order is part of the aggregate. Ties compare on cached
+		// encodings, so no map is re-encoded per comparison.
 		slices.SortFunc(rows, func(x, y *wire.SharedRow) int {
 			ax, _ := x.Attrs[AttrAddr].AsString()
 			ay, _ := y.Attrs[AttrAddr].AsString()
@@ -1358,7 +1367,7 @@ func (a *Agent) recomputeAggregatesLocked() {
 		// heartbeats advance `latest` past the stored copy — otherwise
 		// the losing content would be re-stamped forever by its owner's
 		// clean path and never corrected.
-		existing, exists := pt.rows[name]
+		existing, exists := pt.get(name)
 		if exists && existing.Attrs.Equal(out) {
 			// Whoever stamped the stored copy, it matches the current
 			// content: the zone is clean, and the owner keeps it fresh.
@@ -1468,10 +1477,9 @@ func mergePrefixValue(op PrefixOp, acc, v value.Value) value.Value {
 // parent-table replica lists for the zone, whose gossip replies then carry
 // the full leaf table (the join path of §8).
 func (a *Agent) pickLeafPartnersLocked(buf []string, n int) []string {
-	t := a.tables[a.leaf]
 	candidates := buf[:0]
-	for name, r := range t.rows {
-		if name == a.name {
+	for _, r := range a.tableLocked(a.leaf).rows {
+		if r.Name == a.name {
 			continue
 		}
 		if _, virt := r.Attrs[AttrVirtual]; virt {
@@ -1482,15 +1490,12 @@ func (a *Agent) pickLeafPartnersLocked(buf []string, n int) []string {
 		}
 	}
 	if len(candidates) == 0 {
-		if parent, ok := ParentZone(a.leaf); ok {
-			if pt, ok := a.tables[parent]; ok {
-				if row, ok := pt.rows[ZoneName(a.leaf)]; ok {
-					reps, _ := row.Attrs[AttrReps].RawStrings()
-					for _, rep := range reps {
-						if rep != a.addr {
-							candidates = append(candidates, rep)
-						}
-					}
+		// An agent lives below the root, so its leaf has a parent table.
+		if row, ok := a.tables[len(a.tables)-2].get(ZoneName(a.leaf)); ok {
+			reps, _ := row.Attrs[AttrReps].RawStrings()
+			for _, rep := range reps {
+				if rep != a.addr {
+					candidates = append(candidates, rep)
 				}
 			}
 		}
@@ -1499,21 +1504,15 @@ func (a *Agent) pickLeafPartnersLocked(buf []string, n int) []string {
 }
 
 // pickZonePartnersLocked selects up to n partner addresses among the
-// representatives of sibling child zones in `zone`'s table, building the
-// list in buf.
-func (a *Agent) pickZonePartnersLocked(buf []string, zone string, n int) []string {
-	child, _ := ChildToward(zone, a.leaf)
-	ownName := ZoneName(child)
-	t := a.tables[zone]
-	// Visit rows in sorted name order: the rep draw below consumes the
-	// seeded rand stream, and pairing draws with rows in map order would
-	// make identically-seeded runs diverge.
+// representatives of sibling child zones in the table at chain depth,
+// building the list in buf. The rep draws pair with rows in name order.
+func (a *Agent) pickZonePartnersLocked(buf []string, depth, n int) []string {
+	ownName := ZoneName(a.chain[depth+1])
 	candidates := buf[:0]
-	for _, name := range t.names {
-		if name == ownName {
+	for _, r := range a.tables[depth].rows {
+		if r.Name == ownName {
 			continue
 		}
-		r := t.rows[name]
 		if reps, ok := r.Attrs[AttrReps].RawStrings(); ok && len(reps) > 0 {
 			candidates = append(candidates, reps[a.cfg.Rand.Intn(len(reps))])
 		} else if addr, ok := r.Attrs[AttrAddr].AsString(); ok {
@@ -1541,19 +1540,19 @@ func (a *Agent) pickZonePartnersLocked(buf []string, zone string, n int) []strin
 // reissued every Tick regardless) and neither are virtual-leaf template
 // rows (nothing reissues those, so damage to them could never heal).
 //
-// rng must be owned by the caller and drawn in canonical order; zones and
-// rows are visited in sorted order so identically seeded runs scramble
-// identically. Returns the number of rows scrambled.
+// rng must be owned by the caller and drawn in canonical order; zones are
+// visited root first and rows in name order, so identically seeded runs
+// scramble identically. Returns the number of rows scrambled.
 func (a *Agent) ScrambleRows(rng *rand.Rand, frac float64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	total := 0
-	for _, zone := range a.chain {
-		t := a.tables[zone]
+	for depth := range a.tables {
+		t := &a.tables[depth]
+		leaf := depth == len(a.tables)-1
 		var victims []entry
-		for _, name := range t.names {
-			r := t.rows[name]
-			if zone == a.leaf && name == a.name {
+		for _, r := range t.rows {
+			if leaf && r.Name == a.name {
 				continue
 			}
 			if _, virt := r.Attrs[AttrVirtual]; virt {
@@ -1567,7 +1566,7 @@ func (a *Agent) ScrambleRows(rng *rand.Rand, frac float64) int {
 			for k := range attrs {
 				keys = append(keys, k)
 			}
-			sort.Strings(keys)
+			slices.Sort(keys)
 			if len(keys) > 0 {
 				k := keys[rng.Intn(len(keys))]
 				attrs[k] = value.String(fmt.Sprintf("scrambled-%d", rng.Int63()))
@@ -1613,10 +1612,6 @@ func (a *Agent) ScrambleRows(rng *rand.Rand, frac float64) int {
 func (a *Agent) FingerprintTables() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
 	mixByte := func(b byte) { h ^= uint64(b); h *= prime64 }
 	mixUint64 := func(v uint64) {
@@ -1624,12 +1619,12 @@ func (a *Agent) FingerprintTables() uint64 {
 			mixByte(byte(v >> (8 * i)))
 		}
 	}
-	for _, zone := range a.chain {
-		t := a.tables[zone]
+	for depth, zone := range a.chain {
+		t := &a.tables[depth]
 		content := t.hash
-		for name, r := range t.rows {
+		for _, r := range t.rows {
 			if all, clean := r.AttrsHash(), fingerprintAttrsHash(r.SharedRow); clean != all {
-				content += rowHash(name, clean) - rowHash(name, all)
+				content += rowHash(r.Name, clean) - rowHash(r.Name, all)
 			}
 		}
 		for i := 0; i < len(zone); i++ {
@@ -1670,10 +1665,6 @@ func fingerprintAttrsHash(r *wire.SharedRow) uint64 {
 	// FNV-64a over the canonical encoding, mirroring SharedRow.AttrsHash
 	// so a row that merely lacks health attrs hashes identically through
 	// either path.
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
 	for _, b := range filtered.AppendBinary(nil) {
 		h ^= uint64(b)
@@ -1682,13 +1673,14 @@ func fingerprintAttrsHash(r *wire.SharedRow) uint64 {
 	return h
 }
 
-// samplePartners picks up to n distinct elements of candidates, sorted
-// first for determinism (map iteration order is random).
+// samplePartners picks up to n distinct elements of candidates. It sorts
+// them by address first: the shuffle's draws pair with positions, so the
+// pick depends on the seed and the addresses, not on the rows' order.
 func samplePartners(rng *rand.Rand, candidates []string, n int) []string {
 	if len(candidates) == 0 {
 		return nil
 	}
-	sort.Strings(candidates)
+	slices.Sort(candidates)
 	if n >= len(candidates) {
 		return candidates
 	}

@@ -509,7 +509,7 @@ func TestApplyStamps(t *testing.T) {
 	newest := later.Add(time.Hour)
 	lagTo := func(at time.Time) time.Duration { return newest.Sub(at) }
 	a.mu.Lock()
-	echo := a.tables["/z"].hash
+	echo := a.tableLocked("/z").hash
 	a.applyStampsLocked([]wire.ZoneStamps{
 		{Depth: 1, Hash: echo, Newest: newest, Rows: []wire.RowStamp{
 			{Pos: peer, Lag: lagTo(later)}, // applies
@@ -554,7 +554,9 @@ func TestStampsDroppedWhenTableChangedBetweenLegs(t *testing.T) {
 	row, _ := b.Row("/z", "node-2")
 	fresh := row.Issued.Add(time.Minute)
 	b.mu.Lock()
-	b.restampLocked(b.tables["/z"], b.tables["/z"].rows["node-2"], fresh)
+	tb := b.tableLocked("/z")
+	i, _ := tb.find("node-2")
+	b.restampLocked(tb, i, fresh)
 	b.mu.Unlock()
 	// Leg 2: b's answer, captured in flight.
 	var answer *wire.Message
@@ -591,7 +593,9 @@ func TestStampsDroppedWhenTableChangedBetweenLegs(t *testing.T) {
 
 	// Unchanged, the same answer applies.
 	a.mu.Lock()
-	a.tables["/z"].del("node-15")
+	ta := a.tableLocked("/z")
+	i, _ = ta.find("node-15")
+	ta.del(i)
 	a.mu.Unlock()
 	a.HandleMessage(answer)
 	if got, _ := a.Row("/z", "node-2"); !got.Issued.Equal(fresh) {

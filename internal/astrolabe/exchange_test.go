@@ -48,7 +48,7 @@ func TestExchangeLeavesBothSidesWithEveryWinner(t *testing.T) {
 						Attrs:  value.Map{AttrAddr: value.String("o"), "x": value.Int(int64(rng.Intn(2)))},
 					}
 					ag.mu.Lock()
-					ag.tables[zone].put(newEntry(u.AsShared(), u.Issued))
+					ag.tableLocked(zone).put(newEntry(u.AsShared(), u.Issued))
 					ag.mu.Unlock()
 				}
 			}

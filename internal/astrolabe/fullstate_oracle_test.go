@@ -81,11 +81,11 @@ func pushSharedRows(from *Agent, to string, shared int) {
 func (a *Agent) sharedRowsLocked(shared int) []wire.RowUpdate {
 	total := 0
 	for _, zone := range a.chain[:shared] {
-		total += len(a.tables[zone].rows)
+		total += len(a.tableLocked(zone).rows)
 	}
 	out := make([]wire.RowUpdate, 0, total)
 	for _, zone := range a.chain[:shared] {
-		for _, r := range a.tables[zone].rows {
+		for _, r := range a.tableLocked(zone).rows {
 			out = append(out, r.Update(zone, r.stamp()))
 		}
 	}

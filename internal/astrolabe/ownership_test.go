@@ -151,7 +151,7 @@ func TestGossipExchangeAllocationBudget(t *testing.T) {
 		clock.Advance(time.Hour)
 		for _, ag := range []*Agent{a, b} {
 			ag.mu.Lock()
-			ag.ownRow = ag.reissueLocked(ag.tables[ag.leaf], ag.leaf, ag.ownRow, clock.Now())
+			ag.ownRow = ag.reissueLocked(ag.tableLocked(ag.leaf), ag.leaf, ag.ownRow, clock.Now())
 			ag.mu.Unlock()
 		}
 		b.mu.Lock()
@@ -211,14 +211,14 @@ func TestTableNewestTracksWrites(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			zone := a.chain[rng.Intn(len(a.chain))]
 			a.mu.Lock()
-			tbl := a.tables[zone]
+			tbl := a.tableLocked(zone)
 			name := fmt.Sprintf("row-%d", rng.Intn(8))
 			// The newest row, unless it is the agent's own (which only
 			// heartbeats write).
 			var newest entry
 			hasNewest := len(tbl.rows) > 0
 			if hasNewest {
-				newest = tbl.rows[tbl.top.Name]
+				newest, _ = tbl.get(tbl.top.Name)
 				hasNewest = zone != a.leaf || newest.Name != a.name
 			}
 			at := base.Add(time.Duration(rng.Intn(40)-20) * time.Second)
@@ -234,21 +234,24 @@ func TestTableNewestTracksWrites(t *testing.T) {
 				if hasNewest && rng.Intn(2) == 0 {
 					name = newest.Name
 				}
-				tbl.del(name)
+				if i, ok := tbl.find(name); ok {
+					tbl.del(i)
+				}
 			case k == 2:
 				op = "restamp"
-				if r, ok := tbl.rows[name]; ok {
-					a.restampLocked(tbl, r, at) // forward or back
+				if i, ok := tbl.find(name); ok {
+					a.restampLocked(tbl, i, at) // forward or back
 				}
 			case k == 3:
 				op = "restamp newest back"
 				if hasNewest {
-					a.restampLocked(tbl, newest, at.Add(-time.Minute))
+					i, _ := tbl.find(newest.Name)
+					a.restampLocked(tbl, i, at.Add(-time.Minute))
 				}
 			case k == 4:
 				op = "heartbeat"
 				clock.Advance(time.Second)
-				a.ownRow = a.reissueLocked(a.tables[a.leaf], a.leaf, a.ownRow, clock.Now())
+				a.ownRow = a.reissueLocked(a.tableLocked(a.leaf), a.leaf, a.ownRow, clock.Now())
 			case k == 5:
 				op = "expire"
 				a.expireLocked(base.Add(time.Duration(rng.Intn(30)) * time.Second))

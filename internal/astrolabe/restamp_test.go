@@ -32,7 +32,8 @@ func sharedPeerRow(at, later time.Time) (old, fresh wire.RowUpdate) {
 func contentOf(a *Agent, zone, name string) *wire.SharedRow {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.tables[zone].rows[name].SharedRow
+	r, _ := a.tableLocked(zone).get(name)
+	return r.SharedRow
 }
 
 // setDirty overwrites a table's content-changed flag and returns what it
@@ -40,7 +41,7 @@ func contentOf(a *Agent, zone, name string) *wire.SharedRow {
 func setDirty(a *Agent, zone string, dirty bool) (was bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	was, a.tables[zone].dirty = a.tables[zone].dirty, dirty
+	was, a.tableLocked(zone).dirty = a.tableLocked(zone).dirty, dirty
 	return was
 }
 
@@ -154,9 +155,10 @@ func TestHeartbeatMovesStampUnlessSigned(t *testing.T) {
 	own := s.OwnRowUpdate()
 	hash := own.AsShared().AttrsHash()
 	peer.mu.Lock()
-	pos := uint32(slices.Index(peer.tables["/z"].names, s.Name()))
+	i, _ := peer.tableLocked("/z").find(s.Name())
+	pos := uint32(i)
 	peer.applyStampsLocked([]wire.ZoneStamps{{
-		Depth: 1, Hash: peer.tables["/z"].hash, Newest: own.Issued, Rows: []wire.RowStamp{{Pos: pos}},
+		Depth: 1, Hash: peer.tableLocked("/z").hash, Newest: own.Issued, Rows: []wire.RowStamp{{Pos: pos}},
 	}})
 	peer.mu.Unlock()
 	want := diffSections(peer, "/z", namedSection(1, digestRow{name: s.Name(), issued: own.Issued, hash: hash})).want
@@ -202,7 +204,7 @@ func TestSharedRowConcurrentRestamps(t *testing.T) {
 				switch i % 3 {
 				case 0: // a peer's stamp
 					a.mu.Lock()
-					echo := a.tables["/z"].hash
+					echo := a.tableLocked("/z").hash
 					a.mu.Unlock()
 					a.HandleMessage(&wire.Message{Kind: wire.KindGossipDelta, GossipDelta: &wire.GossipDelta{
 						FromZone: "/z", Stamps: []wire.ZoneStamps{{
@@ -241,7 +243,7 @@ func TestSharedRowConcurrentRestamps(t *testing.T) {
 }
 
 // TestDigestDiffExactUnderRepeatedNames: the diff walks a named section
-// against the table's own sorted names and pushes every row of ours the
+// against the table's own rows in name order and pushes every row of ours the
 // section passes over. A section that names one row twice in place of
 // another (the decoder refuses it; an in-process sender could build it)
 // must not hide the row it left out — that row still has to be pushed.
@@ -309,7 +311,7 @@ func TestHeartbeatPathsAllocateNothing(t *testing.T) {
 	}
 	a.mu.Unlock()
 	leaf := &digest.Sections[len(digest.Sections)-1]
-	own := slices.Index(a.tables[a.leaf].names, a.name)
+	own, _ := a.tableLocked(a.leaf).find(a.name)
 	advance := func() {
 		for i := range stamps {
 			stamps[i].Newest = stamps[i].Newest.Add(time.Hour)

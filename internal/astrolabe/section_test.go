@@ -12,25 +12,27 @@ import (
 	"newswire/internal/wire"
 )
 
-// checkTables recomputes every table's sorted names, content hash and
-// newest stamp from its rows and fails if the maintained ones have drifted.
+// checkTables checks the invariant of an agent's table state: table i is
+// chain[i]'s, its rows are strictly ascending by name, and its content hash
+// and newest stamp equal what a scan of the rows gives.
 func checkTables(t *testing.T, a *Agent) {
 	t.Helper()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for zone, tbl := range a.tables {
-		var names []string
-		var hash uint64
-		for name, r := range tbl.rows {
-			if name != r.Name {
-				t.Fatalf("%s %s: row %q stored under %q", a.name, zone, r.Name, name)
-			}
-			names = append(names, name)
-			hash += rowHash(name, r.AttrsHash())
+	if len(a.tables) != len(a.chain) {
+		t.Fatalf("%s: %d tables for a chain of %d zones", a.name, len(a.tables), len(a.chain))
+	}
+	for depth, zone := range a.chain {
+		tbl := &a.tables[depth]
+		if a.tableLocked(zone) != tbl {
+			t.Fatalf("%s: zone %s does not find table %d", a.name, zone, depth)
 		}
-		slices.Sort(names)
-		if !slices.Equal(names, tbl.names) {
-			t.Fatalf("%s %s: names %v, rows hold %v", a.name, zone, tbl.names, names)
+		var hash uint64
+		for i, r := range tbl.rows {
+			if i > 0 && tbl.rows[i-1].Name >= r.Name {
+				t.Fatalf("%s %s: row %q at %d follows %q", a.name, zone, r.Name, i, tbl.rows[i-1].Name)
+			}
+			hash += rowHash(r.Name, r.AttrsHash())
 		}
 		if hash != tbl.hash {
 			t.Fatalf("%s %s: content hash %x, rows hash to %x", a.name, zone, tbl.hash, hash)
@@ -44,7 +46,7 @@ func checkTables(t *testing.T, a *Agent) {
 func zoneHash(a *Agent, zone string) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.tables[zone].hash
+	return a.tableLocked(zone).hash
 }
 
 // TestZoneHash: a table's content hash is a function of its (name, attrs)
@@ -92,7 +94,9 @@ func TestZoneHash(t *testing.T) {
 	a.MergeRows([]wire.RowUpdate{extra})
 	changed("adding a row")
 	a.mu.Lock()
-	a.tables["/z"].del("peer-new")
+	ta := a.tableLocked("/z")
+	i, _ := ta.find("peer-new")
+	ta.del(i)
 	a.mu.Unlock()
 	if got := zoneHash(a, "/z"); got != base {
 		t.Fatalf("removing the added row did not restore the hash: %x vs %x", got, base)
@@ -111,9 +115,10 @@ func TestZoneHash(t *testing.T) {
 	}
 	// Rename: the same attributes under another name.
 	a.mu.Lock()
-	tbl := a.tables["/z"]
-	old := tbl.rows["peer-4"]
-	tbl.del("peer-4")
+	tbl := a.tableLocked("/z")
+	i, _ = tbl.find("peer-4")
+	old := tbl.rows[i]
+	tbl.del(i)
 	tbl.put(newEntry(&wire.SharedRow{Name: "peer-four", Attrs: old.Attrs, Owner: old.Owner}, at))
 	a.mu.Unlock()
 	changed("renaming a row")
@@ -134,8 +139,9 @@ func TestZoneHash(t *testing.T) {
 	later.Issued = at.Add(time.Minute)
 	b.MergeRows([]wire.RowUpdate{later}) // the same attributes, re-delivered fresher
 	b.mu.Lock()
-	tb := b.tables["/z"]
-	b.restampLocked(tb, tb.rows["peer-7"], at.Add(time.Hour))
+	tb := b.tableLocked("/z")
+	i, _ = tb.find("peer-7")
+	b.restampLocked(tb, i, at.Add(time.Hour))
 	b.mu.Unlock()
 	b.Tick() // the unsigned heartbeat on its own row
 	checkTables(t, b)
@@ -162,7 +168,8 @@ func TestZoneHash(t *testing.T) {
 
 // TestTablesStayConsistentUnderChurn runs a cluster through a crash, the
 // expiry that follows it and a scramble, checking after every round that
-// each table's maintained names and hash equal what its rows say.
+// each table's rows stay in name order and its hash and newest stamp
+// equal what its rows say.
 func TestTablesStayConsistentUnderChurn(t *testing.T) {
 	c := newTestCluster(t, convergenceZones, nil)
 	rng := rand.New(rand.NewSource(11))
@@ -225,7 +232,7 @@ func TestBareAndNamedSectionsDiffAlike(t *testing.T) {
 			for _, u := range rows {
 				u := u
 				u.Attrs = u.Attrs.Clone()
-				a.tables[u.Zone].put(newEntry(u.AsShared(), u.Issued))
+				a.tableLocked(u.Zone).put(newEntry(u.AsShared(), u.Issued))
 			}
 			a.mu.Unlock()
 			checkTables(t, a)
@@ -236,12 +243,12 @@ func TestBareAndNamedSectionsDiffAlike(t *testing.T) {
 		var bare, named []wire.ZoneSection
 		byBare.mu.Lock()
 		for depth := 1; depth <= 2; depth++ {
-			tbl := byBare.tables[byBare.chain[depth]]
+			tbl := &byBare.tables[depth]
 			s := wire.ZoneSection{Depth: depth, Hash: tbl.hash}
-			issued := make([]time.Time, len(tbl.names))
-			for i, name := range tbl.names {
+			issued := make([]time.Time, len(tbl.rows))
+			for i, r := range tbl.rows {
 				shift := []time.Duration{0, time.Millisecond, -time.Millisecond, time.Minute, -time.Minute}[rng.Intn(5)]
-				issued[i] = tbl.rows[name].stamp().Add(shift)
+				issued[i] = r.stamp().Add(shift)
 				if issued[i].After(s.Newest) {
 					s.Newest = issued[i]
 				}
@@ -250,8 +257,8 @@ func TestBareAndNamedSectionsDiffAlike(t *testing.T) {
 				s.Lags = append(s.Lags, s.Newest.Sub(at))
 			}
 			bare = append(bare, s)
-			for _, name := range tbl.names {
-				s.Named = append(s.Named, wire.RowSummary{Name: name, Hash: tbl.rows[name].AttrsHash()})
+			for _, r := range tbl.rows {
+				s.Named = append(s.Named, wire.RowSummary{Name: r.Name, Hash: r.AttrsHash()})
 			}
 			named = append(named, s)
 		}
@@ -267,9 +274,9 @@ func TestBareAndNamedSectionsDiffAlike(t *testing.T) {
 			}
 			held = map[string]time.Time{}
 			a.mu.Lock()
-			for zone, tbl := range a.tables {
-				for name, r := range tbl.rows {
-					held[zone+"|"+name] = r.stamp()
+			for depth, zone := range a.chain {
+				for _, r := range a.tables[depth].rows {
+					held[zone+"|"+r.Name] = r.stamp()
 				}
 			}
 			a.mu.Unlock()

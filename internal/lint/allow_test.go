@@ -17,6 +17,7 @@ var allowed = map[string]string{
 	// Rule 2.
 	"astrolabe.(*Agent).Attr":               "floor: TestAgentSetAttrReissues, TestAgentSetAttrsBatch",
 	"astrolabe.(*Agent).IsRepresentative":   "floor: TestIsRepresentativeNonChainZone, TestAgentBootstrapAggregation",
+	"astrolabe.ParentZone":                  "floor: TestParentZone, TestQuickZonePathAlgebra",
 	"bloom.(*Filter).Bits":                  "floor: TestNewGeometry",
 	"bloom.(*Filter).Hashes":                "floor: TestNewGeometry",
 	"bloom.(*Filter).Clear":                 "floor: TestClearAndCounts",
