@@ -123,10 +123,12 @@ bench-mem: bin/newswire-bench
 	cp artifacts/memsmoke/BENCH_E1.json artifacts/BENCH_E1_N65536.json
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_E1_N65536.baseline.json -current artifacts/BENCH_E1_N65536.json -max-heap-regress 0.25 | tee artifacts/heap-gate.txt
 
-# Compare the gossip-round (BenchmarkGossipRound*) and churn-round
-# (BenchmarkChurnRound, sim_churn as a go test) micro-benchmarks between
-# HEAD, exported with git archive, and the working tree. A churn round is
-# not a steady state, so both sides run the same fixed 40 rounds. Uses
+# Compare the gossip-round (BenchmarkGossipRound*), churn-round
+# (BenchmarkChurnRound, sim_churn as a go test) and live fan-out
+# (BenchmarkLiveFanout, whose allocs/op are heap objects per item)
+# micro-benchmarks between HEAD, exported with git archive, and the working
+# tree. A churn round is not a steady state, so both sides run the same
+# fixed 40 rounds; both fan-outs route the same 2,400 items. Uses
 # benchstat when installed; otherwise falls back to the dependency-free
 # comparer built into this repo (cmd/benchgate -compare).
 bench-compare:
@@ -134,7 +136,9 @@ bench-compare:
 	rm -rf .benchbase && mkdir .benchbase
 	git archive HEAD | tar -x -C .benchbase
 	cd .benchbase && $(GO) test . -run '^$$' -bench 'BenchmarkGossipRound|BenchmarkChurnRound' -benchtime 40x -benchmem -count 3 > ../artifacts/bench-base.txt
+	cd .benchbase && $(GO) test . -run '^$$' -bench 'BenchmarkLiveFanout$$' -benchtime 2400x -benchmem -count 3 >> ../artifacts/bench-base.txt
 	$(GO) test . -run '^$$' -bench 'BenchmarkGossipRound|BenchmarkChurnRound' -benchtime 40x -benchmem -count 3 > artifacts/bench-head.txt
+	$(GO) test . -run '^$$' -bench 'BenchmarkLiveFanout$$' -benchtime 2400x -benchmem -count 3 >> artifacts/bench-head.txt
 	rm -rf .benchbase
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat artifacts/bench-base.txt artifacts/bench-head.txt; \

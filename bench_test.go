@@ -667,17 +667,17 @@ func TestChurnRoundAllocationBudget(t *testing.T) {
 // TestLeafReceiveAllocationBudget holds what a leaf pays for one received
 // item: a deliver-copy frame decoded, handed to the node, dedup-marked,
 // matched and kept in the item table, with no OnItem reader. The decoded
-// block, its envelope's span and its key are the three objects; the item
-// table keeps the envelope as it was decoded. The item table is first
-// filled past both its lifetimes, so its maps and its eviction order are in
-// their steady state.
+// block and its envelope's span are the two objects; the key is a region
+// of the key slab, and the item table keeps the envelope as it was
+// decoded. The item table is first filled past both its lifetimes, so its
+// maps and its eviction order are in their steady state.
 func TestLeafReceiveAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const budget = 3
+	const budget = 2
 	node, err := newswire.NewNode(newswire.Config{
-		Name: "leaf", ZonePath: "/z", Transport: nullTransport{}, Clock: newswire.RealClock,
+		Name: "leaf", ZonePath: "/z", Transport: sinkTransport{addr: "leaf:1", sent: new(int)}, Clock: newswire.RealClock,
 		Rand: rand.New(rand.NewSource(1)),
 	})
 	if err != nil {
@@ -687,20 +687,7 @@ func TestLeafReceiveAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := func(i int) []byte {
-		env, err := pubsub.EncodeItem(&news.Item{
-			Publisher: "wire", ID: fmt.Sprintf("it-%d", i), Headline: "h", Body: strings.Repeat("x", 1800),
-			Subjects: []string{"tech/linux"}, Published: time.Now(),
-		}, pubsub.ModeBloom, pubsub.DefaultGeometry, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := wire.Encode(&wire.Message{Kind: wire.KindMulticast, From: "rep:1", Multicast: &wire.Multicast{
-			TargetZone: "/z", Hops: 2, Deliver: true, TraceID: uint64(i), Envelope: env,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return itemFrame(t, i, &wire.Multicast{TargetZone: "/z", Hops: 2, Deliver: true})
 	}
 	receive := func(data []byte) {
 		msg, err := wire.Decode(data)
@@ -731,12 +718,107 @@ func TestLeafReceiveAllocationBudget(t *testing.T) {
 	}
 }
 
-// nullTransport swallows every send.
-type nullTransport struct{}
+// itemFrame encodes item i, a 1.8 KB tech/linux article, as the forward
+// mc sent by rep:1, with trace ID i.
+func itemFrame(t *testing.T, i int, mc *wire.Multicast) []byte {
+	t.Helper()
+	env, err := pubsub.EncodeItem(&news.Item{
+		Publisher: "wire", ID: fmt.Sprintf("it-%d", i), Headline: "h", Body: strings.Repeat("x", 1800),
+		Subjects: []string{"tech/linux"}, Published: time.Now(),
+	}, pubsub.ModeBloom, pubsub.DefaultGeometry, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.TraceID, mc.Envelope = uint64(i), env
+	data, err := wire.Encode(&wire.Message{Kind: wire.KindMulticast, From: "rep:1", Multicast: mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
-func (nullTransport) Addr() string                     { return "leaf:1" }
-func (nullTransport) Send(string, *wire.Message) error { return nil }
-func (nullTransport) Close() error                     { return nil }
+// TestRouteAllocationBudget holds what an interior representative pays to
+// route a received item: a forward for the root zone, handed to the node
+// of /a/x, is routed into the root's child zones (/b remote, /a its own),
+// then /a's (/a/y remote, /a/x its own), then fanned out in its leaf (a
+// deliver-copy to its sibling, and the item delivered and kept here). Each
+// of the three fan-outs builds one forward, and only those may allocate:
+// the three table reads, the three routed marks, the delivery and the
+// item table's keep cost nothing amortized. The forwards are decoded
+// beforehand, and the item table is first filled past both its lifetimes.
+func TestRouteAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const fanOuts = 3 // the forwards per item: to /b, to /a/y, the deliver-copy in /a/x
+	sent := 0
+	var nodes []*newswire.Node
+	for _, m := range []struct{ name, zone string }{{"rep", "/a/x"}, {"sib", "/a/x"}, {"y", "/a/y"}, {"z", "/b/z"}} {
+		node, err := newswire.NewNode(newswire.Config{
+			Name: m.name, ZonePath: m.zone, Transport: sinkTransport{addr: m.name + ":1", sent: &sent},
+			Clock: newswire.RealClock, Rand: rand.New(rand.NewSource(1)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Subscribe("tech/linux"); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, node)
+	}
+	for range 2 { // the second pass carries the aggregates the first one built
+		for _, from := range nodes {
+			rows := from.Agent().ChainRowUpdates()
+			for _, to := range nodes {
+				if to != from {
+					to.Agent().MergeRows(rows)
+				}
+			}
+		}
+	}
+	rep := nodes[0]
+	forward := func(i int) *wire.Message {
+		msg, err := wire.Decode(itemFrame(t, i, &wire.Multicast{TargetZone: newswire.RootZone, Hops: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	const warm, runs = 9000, 200
+	for i := 0; i < warm; i++ {
+		rep.HandleMessage(forward(i))
+	}
+	if sent != warm*fanOuts || rep.Delivered() != warm {
+		t.Fatalf("%d items made %d sends and %d deliveries; want %d forwards each and every item delivered",
+			warm, sent, rep.Delivered(), fanOuts)
+	}
+	msgs := make([]*wire.Message, runs+1)
+	for i := range msgs {
+		msgs[i] = forward(warm + i)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		rep.HandleMessage(msgs[next])
+		next++
+	})
+	if sent != (warm+runs+1)*fanOuts {
+		t.Fatalf("%d sends for %d items, want %d each", sent, warm+runs+1, fanOuts)
+	}
+	t.Logf("%.0f objects per routed item (budget %d, one per forward)", got, fanOuts)
+	if got > fanOuts {
+		t.Errorf("routing a received item allocates %.0f objects, budget %d: one per fan-out's forward", got, fanOuts)
+	}
+}
+
+// sinkTransport counts the sends of the node at addr and swallows them.
+type sinkTransport struct {
+	addr string
+	sent *int
+}
+
+func (t sinkTransport) Addr() string                     { return t.addr }
+func (t sinkTransport) Send(string, *wire.Message) error { *t.sent++; return nil }
+func (sinkTransport) Close() error                       { return nil }
 
 // TestGossipRoundTraceOverheadGuard is the CI gate on the disabled-tracing
 // hot path: a steady-state gossip round with a nil recorder must stay near

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -235,4 +237,72 @@ func TestGateWire(t *testing.T) {
 	runGateCases(t, `{"id":"E1"}`, gate, []gateCase{
 		{"baseline without a wire section", wire(5000, 9000, 256), ""},
 	})
+}
+
+// TestParseBenchFile holds the benchstat fallback's reader (make
+// bench-compare): the -N GOMAXPROCS suffix is stripped, so runs on hosts of
+// different sizes align; repeated runs of a benchmark are averaged per
+// unit; and lines that are not benchmark results are skipped.
+func TestParseBenchFile(t *testing.T) {
+	path := writeBenchFile(t, "old.txt", `goos: linux
+goarch: amd64
+pkg: newswire
+BenchmarkChurnRound-8   	      40	  30000000 ns/op	  4.5 objects/node-round	  100 B/op	  10 allocs/op
+BenchmarkChurnRound-8   	      40	  50000000 ns/op	  5.5 objects/node-round	  300 B/op	  14 allocs/op
+BenchmarkGossipRound/plain-16	  40	  1000 ns/op
+BenchmarkLiveFanout	2400	  944742 ns/op	  100 allocs/op
+    bench_test.go:412: 16 nodes converged
+Benchmark results follow
+--- BENCH: BenchmarkChurnRound-8
+PASS
+ok  	newswire	12.3s
+`)
+	got, err := parseBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := benchMetrics{
+		"BenchmarkChurnRound":        {"ns/op": 40000000, "objects/node-round": 5, "B/op": 200, "allocs/op": 12},
+		"BenchmarkGossipRound/plain": {"ns/op": 1000},
+		"BenchmarkLiveFanout":        {"ns/op": 944742, "allocs/op": 100},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed\n %v\nwant\n %v", got, want)
+	}
+}
+
+// TestCompareBenchFiles: the comparison prints each benchmark and unit the
+// two files share, with the change in per cent, and refuses two files
+// with no benchmark in common rather than printing an empty table.
+func TestCompareBenchFiles(t *testing.T) {
+	old := writeBenchFile(t, "old.txt", "BenchmarkLiveFanout-2\t2400\t1000000 ns/op\t130 allocs/op\nBenchmarkOnlyOld-2\t1\t5 ns/op\n")
+	cur := writeBenchFile(t, "new.txt", "BenchmarkLiveFanout-4\t2400\t900000 ns/op\t100 allocs/op\n")
+	var err error
+	out := captureStdout(t, func() { err = compareBenchFiles(old, cur) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"allocs/op", "130.0", "100.0", "-23.1%", "ns/op", "-10.0%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("comparison lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "OnlyOld") {
+		t.Errorf("comparison lists a benchmark only one file has:\n%s", out)
+	}
+	other := writeBenchFile(t, "other.txt", "BenchmarkChurnRound-2\t40\t1 ns/op\n")
+	out = captureStdout(t, func() { err = compareBenchFiles(old, other) })
+	if err == nil || !strings.Contains(err.Error(), "no common benchmarks") {
+		t.Fatalf("files with no common benchmark: err = %v, output %q", err, out)
+	}
+}
+
+// writeBenchFile writes a `go test -bench` output file for the comparison.
+func writeBenchFile(t *testing.T, name, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

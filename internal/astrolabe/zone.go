@@ -19,8 +19,15 @@ import (
 // RootZone is the path of the root zone.
 const RootZone = "/"
 
-// ValidateZonePath checks a zone path: "/" or "/"-separated non-empty
-// segments without whitespace, e.g. "/usa/ny/ithaca".
+// MaxZoneDepth is the deepest zone a path may name: fifteen levels below
+// the root, so a chain is at most sixteen zones, each a bit of a node's
+// routed marks (cache.RoutedDepths). A million nodes at branching 16 are
+// five levels deep.
+const MaxZoneDepth = 15
+
+// ValidateZonePath checks a zone path: "/" or at most MaxZoneDepth
+// "/"-separated non-empty segments without whitespace, e.g.
+// "/usa/ny/ithaca".
 func ValidateZonePath(path string) error {
 	if path == RootZone {
 		return nil
@@ -30,6 +37,9 @@ func ValidateZonePath(path string) error {
 	}
 	if strings.HasSuffix(path, "/") {
 		return fmt.Errorf("astrolabe: zone path %q must not end with /", path)
+	}
+	if d := ZoneDepth(path); d > MaxZoneDepth {
+		return fmt.Errorf("astrolabe: zone path %q is %d levels deep, deeper than %d", path, d, MaxZoneDepth)
 	}
 	for _, seg := range strings.Split(path[1:], "/") {
 		if seg == "" {

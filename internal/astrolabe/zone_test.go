@@ -1,6 +1,7 @@
 package astrolabe
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +18,18 @@ func TestValidateZonePath(t *testing.T) {
 		if err := ValidateZonePath(p); err == nil {
 			t.Errorf("ValidateZonePath(%q) = nil, want error", p)
 		}
+	}
+}
+
+// TestValidateZonePathBoundsDepth: a path is at most MaxZoneDepth levels
+// deep, so every zone on a node's chain is a bit of its routed marks.
+func TestValidateZonePathBoundsDepth(t *testing.T) {
+	deepest := strings.Repeat("/z", MaxZoneDepth)
+	if err := ValidateZonePath(deepest); err != nil {
+		t.Errorf("a %d-level path was refused: %v", MaxZoneDepth, err)
+	}
+	if err := ValidateZonePath(deepest + "/z"); err == nil {
+		t.Errorf("a %d-level path was accepted", MaxZoneDepth+1)
 	}
 }
 

@@ -53,12 +53,19 @@ type Stats struct {
 	Evicted    int64
 }
 
-// entry is what the node knows about one item key, held by value.
+// entry is what the node knows about one item key, held by value. It
+// holds no slice: a zone the router routed the item for is a bit of routed
+// when it is on the node's chain, and a string in Cache.toward otherwise.
 type entry struct {
-	zones []string // the zones the router routed the item for
-	marks mark
-	env   *wire.ItemEnvelope // the kept envelope, until evicted or fused away
+	routed uint16 // the chain depths routed, bit d for depth d
+	marks  mark
+	env    *wire.ItemEnvelope // the kept envelope, until evicted or fused away
 }
+
+// RoutedDepths is how many chain depths an entry's routed bits hold: the
+// root and fifteen levels below it (astrolabe.MaxZoneDepth). A zone deeper
+// than that is marked as an off-chain one is, by name.
+const RoutedDepths = 16
 
 type mark uint8
 
@@ -92,6 +99,10 @@ type Cache struct {
 	// revision's entry is in entries; with fusion on, an older revision is
 	// a duplicate while the record lives.
 	series map[string]int
+	// toward holds the routed marks of zones off the node's chain: the
+	// targets of scoped publishes routed toward a remote zone, which are
+	// rare. An item key is here only while its entry is, with its marks.
+	toward map[string][]string
 	window []string // the last keyWindow keys touched, oldest first
 	order  []slot   // envelope insertion order, for eviction
 	held   int      // envelopes held
@@ -109,6 +120,7 @@ func New(cfg Config) (*Cache, error) {
 		capacity: envelopeCap,
 		entries:  make(map[string]entry),
 		series:   make(map[string]int),
+		toward:   make(map[string][]string),
 	}, nil
 }
 
@@ -126,14 +138,17 @@ func (c *Cache) getLocked(key string) entry {
 			c.forgetLocked(old)
 		} else {
 			c.entries[old] = entry{marks: e.marks&(stored|counted) | out, env: e.env}
+			delete(c.toward, old)
 		}
 	}
 	return entry{}
 }
 
-// forgetLocked deletes key's entry, and the series record that names it.
+// forgetLocked deletes key's entry, its off-chain marks and the series
+// record that names it.
 func (c *Cache) forgetLocked(key string) {
 	delete(c.entries, key)
+	delete(c.toward, key)
 	if !c.cfg.FuseRevisions {
 		return
 	}
@@ -157,15 +172,26 @@ func (c *Cache) dropLocked(key string, e entry) {
 }
 
 // MarkRouted records that the node routes key for zone and reports whether
-// it had not before: each (item, zone) pair is routed once.
-func (c *Cache) MarkRouted(key, zone string) bool {
+// it had not before: each (item, zone) pair is routed once. depth is zone's
+// depth on the node's chain (the root is 0), which sets a bit of the entry;
+// a zone off the chain, depth -1, is recorded by name in toward.
+func (c *Cache) MarkRouted(key, zone string, depth int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.getLocked(key)
-	if slices.Contains(e.zones, zone) {
-		return false
+	if depth >= 0 && depth < RoutedDepths {
+		bit := uint16(1) << depth
+		if e.routed&bit != 0 {
+			return false
+		}
+		e.routed |= bit
+	} else {
+		zones := c.toward[key]
+		if slices.Contains(zones, zone) {
+			return false
+		}
+		c.toward[key] = append(zones, zone)
 	}
-	e.zones = append(e.zones, zone)
 	c.entries[key] = e
 	return true
 }
@@ -456,8 +482,9 @@ func (c *Cache) enforceCapLocked() {
 }
 
 // Scramble is the chaos hook: one draw per key in the window, oldest first,
-// and a hit drops the key's routed and handed marks (envelopes and the
-// other marks survive). Returns how many keys lost a mark.
+// and a hit drops the key's routed and handed marks, on the chain and off
+// it (envelopes and the other marks survive). Returns how many keys lost a
+// mark.
 func (c *Cache) Scramble(rng *rand.Rand, frac float64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -466,9 +493,11 @@ func (c *Cache) Scramble(rng *rand.Rand, frac float64) int {
 		if rng.Float64() >= frac {
 			continue
 		}
-		if e := c.entries[key]; len(e.zones) > 0 || e.marks&handed != 0 {
+		_, off := c.toward[key]
+		if e := c.entries[key]; e.routed != 0 || off || e.marks&handed != 0 {
 			dropped++
 			c.entries[key] = entry{marks: e.marks &^ handed, env: e.env}
+			delete(c.toward, key)
 		}
 	}
 	return dropped

@@ -3,7 +3,9 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -542,20 +544,20 @@ func TestKeyWindowBoundsKeys(t *testing.T) {
 	c, clock := newTestCache(t, Config{})
 	c.capacity = 1
 	c.Put(env("p", "kept", 0, clock.Now()))
-	c.MarkRouted("p/kept#0", "/")
-	c.MarkRouted("p/old#0", "/")
+	c.MarkRouted("p/kept#0", "/", 0)
+	c.MarkRouted("p/old#0", "/", 0)
 	for i := 0; i < keyWindow; i++ {
-		if !c.MarkRouted(fmt.Sprintf("p/r%d#0", i), "/") {
+		if !c.MarkRouted(fmt.Sprintf("p/r%d#0", i), "/", 0) {
 			t.Fatalf("fresh key %d reported routed", i)
 		}
 	}
 	if got := c.Keys(); got != keyWindow+1 {
 		t.Fatalf("Keys = %d, want the window plus the held envelope's key", got)
 	}
-	if !c.MarkRouted("p/old#0", "/") {
+	if !c.MarkRouted("p/old#0", "/", 0) {
 		t.Fatal("a key past the window kept its routing mark")
 	}
-	if !c.MarkRouted("p/kept#0", "/") {
+	if !c.MarkRouted("p/kept#0", "/", 0) {
 		t.Fatal("a held key past the window kept its routing mark")
 	}
 	if c.Put(env("p", "kept", 0, clock.Now())) || !c.Has("p/kept#0") {
@@ -596,7 +598,7 @@ func TestSupersededStaysDuplicateWhileSeriesEntryLives(t *testing.T) {
 	c.Put(env("p", "a", 0, clock.Now()))
 	c.Put(env("p", "a", 1, clock.Now())) // fuses a#0 away
 	for i := 0; i < keyWindow-1; i++ {
-		c.MarkRouted(fmt.Sprintf("p/r%d#0", i), "/") // a#0's entry leaves the window
+		c.MarkRouted(fmt.Sprintf("p/r%d#0", i), "/", 0) // a#0's entry leaves the window
 	}
 	if _, ok := c.entries["p/a#0"]; ok {
 		t.Fatal("a#0's entry outlived the window")
@@ -604,7 +606,7 @@ func TestSupersededStaysDuplicateWhileSeriesEntryLives(t *testing.T) {
 	if c.Put(env("p", "a", 0, clock.Now())) || !c.Has("p/a#0") {
 		t.Fatal("a superseded revision was stored while its series entry is in the window")
 	}
-	c.MarkRouted("p/last#0", "/") // a#1's key leaves the window; its envelope is held
+	c.MarkRouted("p/last#0", "/", 0) // a#1's key leaves the window; its envelope is held
 	if c.Put(env("p", "a", 0, clock.Now())) {
 		t.Fatal("a superseded revision was stored while its series entry is held")
 	}
@@ -633,14 +635,15 @@ func TestCountIsIndependentOfStorage(t *testing.T) {
 }
 
 // TestScrambleDropsOnlyRoutingMarks: a scramble hit forgets the zones
-// routed and the handed mark, and nothing else; identically seeded
-// scrambles drop as many.
+// routed, on the chain and off it, and the handed mark, and nothing else;
+// identically seeded scrambles drop as many.
 func TestScrambleDropsOnlyRoutingMarks(t *testing.T) {
 	build := func() *Cache {
 		c, clock := newTestCache(t, Config{})
 		for i := 0; i < 64; i++ {
 			key := fmt.Sprintf("p/i%d#0", i)
-			c.MarkRouted(key, "/")
+			c.MarkRouted(key, "/", 0)
+			c.MarkRouted(key, "/r", -1)
 			c.MarkHanded(key)
 			c.Put(env("p", fmt.Sprintf("i%d", i), 0, clock.Now()))
 		}
@@ -654,11 +657,15 @@ func TestScrambleDropsOnlyRoutingMarks(t *testing.T) {
 	if dropped == 0 || dropped == 64 {
 		t.Fatalf("dropped %d of 64 at frac 0.5", dropped)
 	}
-	routed, handed := 0, 0
+	checkEntries(t, c)
+	routed, toward, handed := 0, 0, 0
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("p/i%d#0", i)
-		if c.MarkRouted(key, "/") {
+		if c.MarkRouted(key, "/", 0) {
 			routed++
+		}
+		if c.MarkRouted(key, "/r", -1) {
+			toward++
 		}
 		if c.MarkHanded(key) {
 			handed++
@@ -667,10 +674,135 @@ func TestScrambleDropsOnlyRoutingMarks(t *testing.T) {
 			t.Fatalf("%s stored again after a scramble", key)
 		}
 	}
-	if routed != dropped || handed != dropped {
-		t.Fatalf("%d routed and %d handed marks gone, want %d each", routed, handed, dropped)
+	if routed != dropped || toward != dropped || handed != dropped {
+		t.Fatalf("%d routed, %d off-chain and %d handed marks gone, want %d each", routed, toward, handed, dropped)
 	}
 	if c.Len() != 64 {
 		t.Fatalf("Len = %d after a scramble, want 64", c.Len())
+	}
+}
+
+// checkEntries checks the invariant of the table's routed marks: a scan of
+// the entries finds none holding a slice, a map or a string (a routed zone
+// is a bit, or a name in toward), and every key in toward names an entry,
+// each of its off-chain zones once.
+func checkEntries(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, e := range c.entries {
+		v := reflect.ValueOf(e)
+		for i := range v.NumField() {
+			switch k := v.Field(i).Kind(); k {
+			case reflect.Slice, reflect.Map, reflect.String:
+				t.Fatalf("%s's entry holds a %s, %s", key, k, v.Type().Field(i).Name)
+			}
+		}
+	}
+	for key, zones := range c.toward {
+		if _, ok := c.entries[key]; !ok {
+			t.Fatalf("off-chain marks of %s outlived its entry", key)
+		}
+		for i, z := range zones {
+			if slices.Contains(zones[:i], z) {
+				t.Fatalf("%s is marked routed toward %s twice", key, z)
+			}
+		}
+	}
+}
+
+// TestRoutedDepthsMarkedOnce: every depth of a chain as deep as zone paths
+// go is routed once per key, independently of the other depths and of
+// other keys, and none of it is kept beside the entry.
+func TestRoutedDepthsMarkedOnce(t *testing.T) {
+	c, _ := newTestCache(t, Config{})
+	chain := []string{"/"}
+	for d := 1; d < RoutedDepths; d++ {
+		chain = append(chain, strings.Repeat("/z", d))
+	}
+	for _, key := range []string{"p/a#0", "p/b#0"} {
+		for d, zone := range chain {
+			if !c.MarkRouted(key, zone, d) {
+				t.Fatalf("%s: depth %d reported routed before it was", key, d)
+			}
+			if c.MarkRouted(key, zone, d) {
+				t.Fatalf("%s: depth %d routed twice", key, d)
+			}
+		}
+	}
+	if len(c.toward) != 0 {
+		t.Fatalf("on-chain marks were kept by name for %d keys", len(c.toward))
+	}
+	checkEntries(t, c)
+}
+
+// TestOffChainTargetsRoutedOnceEach: two remote targets of one key (scoped
+// publishes routed toward them) are each routed once, apart from the key's
+// chain depths and from other keys. A depth beyond the routed bits is
+// marked by name, like an off-chain zone.
+func TestOffChainTargetsRoutedOnceEach(t *testing.T) {
+	c, _ := newTestCache(t, Config{})
+	for _, zone := range []string{"/b/x", "/b/y"} {
+		if !c.MarkRouted("p/a#0", zone, -1) {
+			t.Fatalf("%s reported routed before it was", zone)
+		}
+		if c.MarkRouted("p/a#0", zone, -1) {
+			t.Fatalf("%s routed twice", zone)
+		}
+	}
+	if !c.MarkRouted("p/a#0", "/", 0) || !c.MarkRouted("p/b#0", "/b/x", -1) {
+		t.Fatal("an off-chain mark hid the key's root or another key's target")
+	}
+	if !c.MarkRouted("p/a#0", "/deep", RoutedDepths) || c.MarkRouted("p/a#0", "/deep", RoutedDepths) {
+		t.Fatal("a depth beyond the routed bits was not routed exactly once")
+	}
+	if got := c.toward["p/a#0"]; !slices.Equal(got, []string{"/b/x", "/b/y", "/deep"}) {
+		t.Fatalf("off-chain marks of p/a#0 = %q", got)
+	}
+	checkEntries(t, c)
+}
+
+// TestRoutedMarksSurviveEvictionAndRollover: a key's routed marks, on the
+// chain and off it, outlive its envelope's eviction and the window rolling
+// on until the key is its oldest. They go with the key as it leaves the
+// window, and a key whose envelope is still held leaves them behind there.
+func TestRoutedMarksSurviveEvictionAndRollover(t *testing.T) {
+	c, clock := newTestCache(t, Config{})
+	c.capacity = 1
+	routed := func(key string) (onChain, offChain bool) {
+		return !c.MarkRouted(key, "/", 0), !c.MarkRouted(key, "/r", -1)
+	}
+	for _, id := range []string{"a", "b"} {
+		key := "p/" + id + "#0"
+		c.Put(env("p", id, 0, clock.Now())) // b's evicts a's
+		c.MarkRouted(key, "/", 0)
+		c.MarkRouted(key, "/r", -1)
+	}
+	if c.Has("p/a#0") {
+		t.Fatal("a's envelope was not evicted")
+	}
+	if on, off := routed("p/a#0"); !on || !off {
+		t.Fatalf("after eviction a's marks: on the chain %v, off it %v; want both", on, off)
+	}
+	for i := 0; i < keyWindow-2; i++ {
+		c.Count(fmt.Sprintf("p/r%d#0", i)) // a is the window's oldest key
+	}
+	checkEntries(t, c)
+	if on, off := routed("p/a#0"); !on || !off {
+		t.Fatalf("after the window rolled on, a's marks: on the chain %v, off it %v; want both", on, off)
+	}
+	c.Count("p/last#0") // a leaves the window
+	if _, ok := c.toward["p/a#0"]; ok {
+		t.Fatal("a's off-chain marks outlived its entry")
+	}
+	c.Count("p/last2#0") // b leaves the window; its envelope is held
+	if _, ok := c.toward["p/b#0"]; ok || !c.Has("p/b#0") {
+		t.Fatal("b's off-chain marks outlived its window slot, or its envelope went with them")
+	}
+	checkEntries(t, c)
+	for _, key := range []string{"p/a#0", "p/b#0"} {
+		if on, off := routed(key); on || off {
+			t.Fatalf("%s past the window kept its marks: on the chain %v, off it %v", key, on, off)
+		}
 	}
 }

@@ -29,19 +29,18 @@ func (v leafView) Name() string     { return v.name }
 func (v leafView) ZonePath() string { return "/z" }
 func (v leafView) Chain() []string  { return []string{astrolabe.RootZone, "/z"} }
 
-func (v leafView) Table(zone string) ([]astrolabe.Row, bool) {
+func (v leafView) AppendTable(dst []astrolabe.Row, zone string) ([]astrolabe.Row, bool) {
 	if zone != "/z" {
-		return nil, false
+		return dst, false
 	}
-	rows := make([]astrolabe.Row, 0, len(leafMembers))
 	for _, m := range leafMembers {
-		rows = append(rows, astrolabe.Row{Name: m, Attrs: value.Map{astrolabe.AttrAddr: value.String(m + ":1")}})
+		dst = append(dst, astrolabe.Row{Name: m, Attrs: value.Map{astrolabe.AttrAddr: value.String(m + ":1")}})
 	}
-	return rows, true
+	return dst, true
 }
 
 func (v leafView) Row(zone, name string) (astrolabe.Row, bool) {
-	rows, _ := v.Table(zone)
+	rows, _ := v.AppendTable(nil, zone)
 	for _, r := range rows {
 		if r.Name == name {
 			return r, true

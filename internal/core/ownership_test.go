@@ -32,10 +32,11 @@ type keptEnvelope struct {
 	env  *wire.ItemEnvelope
 }
 
-// keptSnapshot is a deep copy of an envelope's fields, and the bytes a
-// frame carrying it sends.
+// keptSnapshot is a deep copy of an envelope's fields and its sealed key,
+// and the bytes a frame carrying it sends.
 type keptSnapshot struct {
 	fields wire.ItemEnvelope
+	key    string
 	bytes  []byte
 }
 
@@ -49,7 +50,7 @@ func snapshotEnvelope(t *testing.T, env *wire.ItemEnvelope) keptSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := keptSnapshot{bytes: data}
+	s := keptSnapshot{bytes: data, key: strings.Clone(env.Key())}
 	s.fields = wire.ItemEnvelope{
 		Publisher: strings.Clone(env.Publisher), ItemID: strings.Clone(env.ItemID),
 		Revision: env.Revision, SubjectBits: slices.Clone(env.SubjectBits),
@@ -89,32 +90,39 @@ func diffEnvelope(a, b *wire.ItemEnvelope) string {
 }
 
 // check compares env with its item's first snapshot, which it becomes
-// when there is none; the frame bytes must also decode to env's fields.
+// when there is none; the frame bytes must also decode to env's fields,
+// and its sealed key must be the one its fields name.
 func (l *keptLedger) check(t *testing.T, node string, env *wire.ItemEnvelope, when string) {
 	t.Helper()
 	now := snapshotEnvelope(t, env)
+	if want := now.fields.Key(); now.key != want {
+		t.Errorf("%s: %s's copy of %s has the key %q", when, node, want, now.key)
+	}
 	msg, err := wire.Decode(now.bytes)
 	if err != nil {
-		t.Errorf("%s: %s's copy of %s does not decode: %v", when, node, env.Key(), err)
+		t.Errorf("%s: %s's copy of %s does not decode: %v", when, node, now.key, err)
 		return
 	}
 	if d := diffEnvelope(&msg.StateReply.Envelopes[0], &now.fields); d != "" {
-		t.Errorf("%s: %s's copy of %s sends bytes whose %s differs from its fields", when, node, env.Key(), d)
+		t.Errorf("%s: %s's copy of %s sends bytes whose %s differs from its fields", when, node, now.key, d)
 	}
 	l.mu.Lock()
-	first, seen := l.first[env.Key()]
+	first, seen := l.first[now.fields.Key()]
 	if !seen {
-		l.first[env.Key()] = now
+		l.first[now.fields.Key()] = now
 	}
 	l.mu.Unlock()
 	if !seen {
 		return
 	}
 	if d := diffEnvelope(&now.fields, &first.fields); d != "" {
-		t.Errorf("%s: %s's copy of %s changed its %s", when, node, env.Key(), d)
+		t.Errorf("%s: %s's copy of %s changed its %s", when, node, first.key, d)
+	}
+	if now.key != first.key {
+		t.Errorf("%s: %s's copy of %s changed its key to %q", when, node, first.key, now.key)
 	}
 	if !bytes.Equal(now.bytes, first.bytes) {
-		t.Errorf("%s: %s's copy of %s changed its bytes", when, node, env.Key())
+		t.Errorf("%s: %s's copy of %s changed its bytes", when, node, first.key)
 	}
 }
 

@@ -25,19 +25,19 @@ func (v *frameView) Name() string     { return v.name }
 func (v *frameView) ZonePath() string { return v.zone }
 func (v *frameView) Chain() []string  { return []string{astrolabe.RootZone, v.zone} }
 
-func (v *frameView) Table(zone string) ([]astrolabe.Row, bool) {
+func (v *frameView) AppendTable(dst []astrolabe.Row, zone string) ([]astrolabe.Row, bool) {
 	if zone != v.zone {
-		return nil, false
+		return dst, false
 	}
-	rows := []astrolabe.Row{{Name: v.name, Attrs: value.Map{astrolabe.AttrAddr: value.String(v.addr)}}}
+	dst = append(dst, astrolabe.Row{Name: v.name, Attrs: value.Map{astrolabe.AttrAddr: value.String(v.addr)}})
 	for name, addr := range v.members {
-		rows = append(rows, astrolabe.Row{Name: name, Attrs: value.Map{astrolabe.AttrAddr: value.String(addr)}})
+		dst = append(dst, astrolabe.Row{Name: name, Attrs: value.Map{astrolabe.AttrAddr: value.String(addr)}})
 	}
-	return rows, true
+	return dst, true
 }
 
 func (v *frameView) Row(zone, name string) (astrolabe.Row, bool) {
-	rows, ok := v.Table(zone)
+	rows, ok := v.AppendTable(nil, zone)
 	if !ok {
 		return astrolabe.Row{}, false
 	}
@@ -236,17 +236,17 @@ func (tr nopTransport) Send(string, *wire.Message) error { return nil }
 func (tr nopTransport) Close() error                     { return nil }
 
 // staticLeafView is a frameView whose leaf table is built once, so
-// reading it allocates nothing.
+// reading it into a buffer with room allocates nothing.
 type staticLeafView struct {
 	*frameView
 	rows []astrolabe.Row
 }
 
-func (v staticLeafView) Table(zone string) ([]astrolabe.Row, bool) {
+func (v staticLeafView) AppendTable(dst []astrolabe.Row, zone string) ([]astrolabe.Row, bool) {
 	if zone != v.zone {
-		return nil, false
+		return dst, false
 	}
-	return v.rows, true
+	return append(dst, v.rows...), true
 }
 
 // TestLeafFanOutAllocationsFlatInMembers checks that one leaf fan-out's
@@ -258,7 +258,7 @@ func TestLeafFanOutAllocationsFlatInMembers(t *testing.T) {
 		for i := 0; i < members; i++ {
 			fv.members[fmt.Sprintf("m%d", i)] = fmt.Sprintf("m%d:0", i)
 		}
-		rows, _ := fv.Table("/z")
+		rows, _ := fv.AppendTable(nil, "/z")
 		r, err := NewRouter(frameRouterConfig(staticLeafView{fv, rows}, nopTransport{addr: fv.addr}))
 		if err != nil {
 			t.Fatal(err)

@@ -50,16 +50,41 @@ import (
 
 // View is the slice of an Astrolabe agent the router needs: the replicated
 // zone tables and the agent's own placement. *astrolabe.Agent implements it.
+// AppendTable appends zone's rows to dst, so a fan-out reads a table into a
+// buffer it reuses (rowBufs).
 type View interface {
 	Addr() string
 	Name() string
 	ZonePath() string
 	Chain() []string
-	Table(zone string) ([]astrolabe.Row, bool)
+	AppendTable(dst []astrolabe.Row, zone string) ([]astrolabe.Row, bool)
 	Row(zone, name string) (astrolabe.Row, bool)
 }
 
 var _ View = (*astrolabe.Agent)(nil)
+
+// Every depth a zone path may have is a bit of the item table's routed
+// marks: the constant overflows, and the package does not build, otherwise.
+const _ = uint(cache.RoutedDepths - 1 - astrolabe.MaxZoneDepth)
+
+// rowBufs holds the fan-outs' table buffers. A buffer is cleared before it
+// is put back, so no idle buffer keeps a row's Attrs alive.
+var rowBufs = sync.Pool{New: func() any { return new([]astrolabe.Row) }}
+
+// tableRows reads zone's table into a buffer from rowBufs. The caller
+// hands the buffer back with releaseRows when it is done with the rows.
+func (r *Router) tableRows(zone string) (*[]astrolabe.Row, bool) {
+	buf := rowBufs.Get().(*[]astrolabe.Row)
+	var ok bool
+	*buf, ok = r.view.AppendTable((*buf)[:0], zone)
+	return buf, ok
+}
+
+func releaseRows(buf *[]astrolabe.Row) {
+	clear(*buf)
+	*buf = (*buf)[:0]
+	rowBufs.Put(buf)
+}
 
 // Filter decides whether an item should be forwarded toward the subtree
 // or member described by row (the pub/sub Bloom test of §6). zone is the
@@ -400,10 +425,11 @@ func (r *Router) handleAck(from string, a *wire.MulticastAck) {
 func (r *Router) route(h hop) {
 	key := h.env.Key()
 	target := h.target
+	depth := slices.Index(r.view.Chain(), target) // -1 off the chain
 
 	// Forwarding dedup: handle each (item, zone) pair once per node, so
 	// k-redundant parents don't multiply traffic exponentially.
-	if !r.items.MarkRouted(key, target) {
+	if !r.items.MarkRouted(key, target, depth) {
 		r.mu.Lock()
 		r.stats.Duplicates++
 		r.mu.Unlock()
@@ -416,15 +442,7 @@ func (r *Router) route(h hop) {
 		return
 	}
 
-	chain := r.view.Chain()
-	onChain := false
-	for _, z := range chain {
-		if z == target {
-			onChain = true
-			break
-		}
-	}
-	if !onChain {
+	if depth < 0 {
 		// The target is not on our chain: route toward it through the
 		// deepest chain zone that contains it (publishing into a remote
 		// zone, §8).
@@ -467,14 +485,15 @@ func (r *Router) routeToward(h hop) {
 // fanOutChildZones handles a target that is a proper ancestor of this
 // node's leaf zone: consult the target's table and forward per child.
 func (r *Router) fanOutChildZones(h hop) {
-	rows, ok := r.view.Table(h.target)
+	rows, ok := r.tableRows(h.target)
+	defer releaseRows(rows)
 	if !ok {
 		return
 	}
 	ownChild, _ := astrolabe.ChildToward(h.target, r.view.ZonePath())
 	ownName := astrolabe.ZoneName(ownChild)
 
-	for _, row := range rows {
+	for _, row := range *rows {
 		if !r.passesFilter(h.target, row, h.env) {
 			r.mu.Lock()
 			r.stats.FilteredOut++
@@ -499,12 +518,13 @@ func (r *Router) fanOutChildZones(h hop) {
 // fanOutLeafZone handles a target equal to this node's leaf zone: deliver
 // locally and send final-delivery copies to the other subscribed members.
 func (r *Router) fanOutLeafZone(h hop) {
-	rows, ok := r.view.Table(h.target)
+	rows, ok := r.tableRows(h.target)
+	defer releaseRows(rows)
 	if !ok {
 		return
 	}
 	var f *forward // the deliver-copy, built at the first member
-	for _, row := range rows {
+	for _, row := range *rows {
 		if !r.passesFilter(h.target, row, h.env) {
 			r.mu.Lock()
 			r.stats.FilteredOut++

@@ -1002,9 +1002,9 @@ func (d *binDecoder) refList() []RowRef {
 // of it. The copy is kept as the envelope's span, the bytes every frame
 // that relays it sends. The input — a pooled read buffer, a whole reply —
 // is never kept, so no envelope pins another's bytes. The key is the one
-// field built apart: item tables, ack tables and trace spans keep it after
-// the envelope is gone. subjects and bits, when long enough, back the
-// envelope's Subjects and SubjectBits.
+// field built apart, in the key slab: item tables, ack tables and trace
+// spans keep it after the envelope is gone. subjects and bits, when long
+// enough, back the envelope's Subjects and SubjectBits.
 func (d *binDecoder) envelope(env *ItemEnvelope, subjects []string, bits []uint32) {
 	start := d.pos
 	d.skipEnvelope()
@@ -1088,9 +1088,9 @@ const (
 )
 
 // multicastBlock is a received forward's one allocation besides its
-// envelope's span and key: the message, its Multicast and inline backing
-// for the envelope's first subjects and bits. A node's item table keeps
-// the envelope, and with it the block.
+// envelope's span: the message, its Multicast and inline backing for the
+// envelope's first subjects and bits. A node's item table keeps the
+// envelope, and with it the block.
 type multicastBlock struct {
 	msg      Message
 	mc       Multicast

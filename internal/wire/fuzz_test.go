@@ -380,17 +380,28 @@ func FuzzDecode(f *testing.F) {
 // again as a forwarder frames it — a fresh header in front of the
 // envelope's kept span — it decodes to the same envelope under the new
 // header, and when the input was canonical the relayed bytes equal a
-// re-encode from the fields.
+// re-encode from the fields. Every envelope Decode accepts has the key its
+// fields name, and keeps it while later inputs are decoded: the previous
+// input's envelopes are checked again.
 func FuzzRelay(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
+	var prev *Message
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
 		m, err := Decode(data)
-		if err != nil || m.Kind != KindMulticast {
+		if prev != nil {
+			checkKeys(t, prev)
+		}
+		if err != nil {
+			return
+		}
+		checkKeys(t, m)
+		prev = m
+		if m.Kind != KindMulticast {
 			return
 		}
 		in := m.Multicast
@@ -430,6 +441,24 @@ func FuzzRelay(f *testing.F) {
 			t.Fatalf("relay of canonical input differs from a re-encode:\n got %x\nwant %x", fr.Payload(), fields(out, "relay:1"))
 		}
 	})
+}
+
+// checkKeys fails t unless every envelope m carries has the sealed key its
+// fields name, Publisher/ItemID#Revision.
+func checkKeys(t *testing.T, m *Message) {
+	t.Helper()
+	var envs []ItemEnvelope
+	switch {
+	case m.Multicast != nil:
+		envs = []ItemEnvelope{m.Multicast.Envelope}
+	case m.StateReply != nil:
+		envs = m.StateReply.Envelopes
+	}
+	for i := range envs {
+		if e := &envs[i]; e.key != e.buildKey() {
+			t.Fatalf("envelope %q has the key %q", e.buildKey(), e.key)
+		}
+	}
 }
 
 // sameEnvelope reports whether two decoded envelopes have equal fields,

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"newswire/internal/value"
 )
@@ -256,9 +257,9 @@ type ItemEnvelope struct {
 
 	// key is Key() computed once, by SealKey; struct copies carry it. A
 	// plain field, never filled lazily: envelopes are read concurrently
-	// (shared fan-out frames, the cache). Its bytes are its own, never a
-	// view of a decoded envelope's buffer: logs that keep a key must not
-	// keep the item.
+	// (shared fan-out frames, the cache). Its bytes are a region of the key
+	// slab, never a view of a decoded envelope's buffer: tables that keep a
+	// key must not keep the item.
 	key string
 	// span is the envelope's encoding, kept by Seal or by the decoder (the
 	// envelope's own copy, which its strings and byte arrays view). A frame
@@ -279,15 +280,35 @@ func (e *ItemEnvelope) Key() string {
 }
 
 func (e *ItemEnvelope) buildKey() string {
-	var rev [20]byte
-	return e.Publisher + "/" + e.ItemID + "#" + string(strconv.AppendInt(rev[:0], int64(e.Revision), 10))
+	var buf [64]byte
+	return string(e.appendKey(buf[:0]))
 }
 
-// SealKey computes the key once and stores it in the envelope. The two
-// places that create envelopes call it — the binary decoder and
-// pubsub.EncodeItem — after which Publisher, ItemID and Revision must not
-// change: to edit an identity, build a new envelope.
-func (e *ItemEnvelope) SealKey() { e.key = e.buildKey() }
+// appendKey appends the key, Publisher/ItemID#Revision, to dst.
+func (e *ItemEnvelope) appendKey(dst []byte) []byte {
+	dst = append(dst, e.Publisher...)
+	dst = append(dst, '/')
+	dst = append(dst, e.ItemID...)
+	dst = append(dst, '#')
+	return strconv.AppendInt(dst, int64(e.Revision), 10)
+}
+
+// keySlab is the slab sealed keys are carved from (DESIGN.md §8, "Envelope
+// ownership"). An item table keeps a key long after its envelope, so a key
+// lives in neither the envelope's span nor a decode buffer; and a region,
+// written once by SealKey before the key escapes, is never handed out
+// again.
+var keySlab Slab[byte]
+
+// SealKey computes the key once, into a region of the key slab, and stores
+// it in the envelope. The two places that create envelopes call it — the
+// binary decoder and pubsub.EncodeItem — after which Publisher, ItemID and
+// Revision must not change: to edit an identity, build a new envelope.
+func (e *ItemEnvelope) SealKey() {
+	var buf [64]byte
+	b := keySlab.Copy(e.appendKey(buf[:0]))
+	e.key = unsafe.String(unsafe.SliceData(b), len(b))
+}
 
 // Seal encodes the envelope once and keeps the encoding, and seals the key
 // if SealKey has not. Router.Publish calls it after its last field write;
