@@ -103,14 +103,6 @@ func BenchmarkE8FilterScalability(b *testing.B) {
 	}
 }
 
-func BenchmarkA1QueueStrategy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.RunA1(benchOpts(i)); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
 func BenchmarkA2RepElection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if tab := experiments.RunA2(benchOpts(i)); len(tab.Rows) == 0 {
@@ -122,14 +114,6 @@ func BenchmarkA2RepElection(b *testing.B) {
 func BenchmarkA3ZoneScoping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if tab := experiments.RunA3(benchOpts(i)); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkA4GossipParams(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.RunA4(benchOpts(i)); len(tab.Rows) == 0 {
 			b.Fatal("empty table")
 		}
 	}

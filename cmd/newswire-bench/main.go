@@ -1,5 +1,5 @@
-// Command newswire-bench regenerates every experiment table in
-// EXPERIMENTS.md (E1–E8 and ablations A1–A4).
+// Command newswire-bench regenerates the simulated experiment tables in
+// EXPERIMENTS.md; -list prints the runners.
 //
 // Usage:
 //
@@ -140,9 +140,10 @@ func (s *heapSampler) Peak() uint64 {
 }
 
 func run(args []string) error {
+	all := experiments.All()
 	fs := flag.NewFlagSet("newswire-bench", flag.ContinueOnError)
 	var (
-		runList    = fs.String("run", "all", "comma-separated experiment IDs (E1..E8, E10, A1..A4) or 'all'")
+		runList    = fs.String("run", "all", "comma-separated experiment IDs ("+strings.Join(experimentIDs(all), ",")+") or 'all'")
 		quick      = fs.Bool("quick", false, "run reduced-size configurations")
 		big        = fs.Bool("big", false, "include the largest configurations (slow, memory-hungry)")
 		seed       = fs.Int64("seed", 1, "deterministic random seed")
@@ -161,7 +162,6 @@ func run(args []string) error {
 		return err
 	}
 
-	all := experiments.All()
 	if *list {
 		for _, r := range all {
 			fmt.Printf("%-4s %s\n", r.ID, r.Name)
@@ -322,6 +322,14 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+func experimentIDs(runners []experiments.Runner) []string {
+	ids := make([]string, len(runners))
+	for i, r := range runners {
+		ids[i] = r.ID
+	}
+	return ids
 }
 
 func chaosNames() []string {

@@ -143,6 +143,10 @@ type PrefixRule struct {
 // leaves GossipInterval zero.
 const DefaultGossipInterval = 2 * time.Second
 
+// gossipFanout is how many partners an agent gossips with per level per
+// Tick: one, as in §3; EXPERIMENTS.md "A4" records what more would buy.
+const gossipFanout = 1
+
 // Failure-detection timeouts, in gossip intervals.
 const (
 	// failRounds is how stale a leaf row may get before it is evicted
@@ -175,9 +179,6 @@ type Config struct {
 	// GossipInterval is the expected time between Tick calls; it scales
 	// the failure timeouts. Default 2s.
 	GossipInterval time.Duration
-	// Fanout is how many partners to gossip with per level per Tick.
-	// Default 1.
-	Fanout int
 	// Aggregation is the zone aggregation program. Default
 	// DefaultAggregation().
 	Aggregation *sqlagg.Program
@@ -483,9 +484,6 @@ func NewAgent(cfg Config) (*Agent, error) {
 	if cfg.GossipInterval <= 0 {
 		cfg.GossipInterval = DefaultGossipInterval
 	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 1
-	}
 	if cfg.Aggregation == nil {
 		cfg.Aggregation = DefaultAggregation()
 	}
@@ -743,8 +741,8 @@ func (a *Agent) Tick() {
 	// Choose gossip partners and build their digests under the lock, send
 	// after releasing it. A partner at chain depth i shares the chain's
 	// first i+1 tables with this agent. The partner lists are a few entries
-	// long and die with this call, so they live on the stack (a larger
-	// fanout or table spills to the heap).
+	// long and die with this call, so they live on the stack (a table
+	// larger than candBuf spills to the heap).
 	type dest struct {
 		addr string
 		msg  *wire.Message
@@ -755,9 +753,9 @@ func (a *Agent) Tick() {
 	for i := len(a.chain) - 1; i >= 0; i-- {
 		var partners []string
 		if i == len(a.chain)-1 {
-			partners = a.pickLeafPartnersLocked(candBuf[:0], a.cfg.Fanout)
+			partners = a.pickLeafPartnersLocked(candBuf[:0], gossipFanout)
 		} else if a.isRepresentativeLocked(i) {
-			partners = a.pickZonePartnersLocked(candBuf[:0], i, a.cfg.Fanout)
+			partners = a.pickZonePartnersLocked(candBuf[:0], i, gossipFanout)
 		}
 		for _, addr := range partners {
 			dests = append(dests, dest{addr, a.digestLocked(i + 1)})

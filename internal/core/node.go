@@ -51,8 +51,6 @@ type Config struct {
 
 	// GossipInterval is the expected Tick cadence. Default 2s.
 	GossipInterval time.Duration
-	// Fanout is gossip partners per level per Tick. Default 1.
-	Fanout int
 
 	// Mode is the subscription-summary representation. Default ModeBloom.
 	Mode pubsub.Mode
@@ -234,7 +232,6 @@ func NewNode(cfg Config) (*Node, error) {
 		Clock:          cfg.Clock,
 		Rand:           cfg.Rand,
 		GossipInterval: cfg.GossipInterval,
-		Fanout:         cfg.Fanout,
 		Aggregation:    cfg.Aggregation,
 		PrefixRules:    prefixRules,
 	}

@@ -2,119 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"newswire/internal/core"
-	"newswire/internal/metrics"
-	"newswire/internal/multicast"
 	"newswire/internal/news"
-	"newswire/internal/sim"
 	"newswire/internal/sqlagg"
-	"newswire/internal/wire"
 )
-
-// RunA1 compares forwarding-queue drain strategies (§9: "The best strategy
-// to fill queues is still under research. We are experimenting with
-// weighted round-robin strategies, as well as some more aggressive
-// techniques").
-func RunA1(opt Options) *Table {
-	t := &Table{
-		ID:    "A1",
-		Title: "forwarding queue strategies under constrained egress",
-		Claim: "queue strategy choice is an open design question (§9)",
-		Columns: []string{"strategy", "urgent p50 wait", "urgent p99 wait",
-			"routine p50 wait", "drops"},
-	}
-	for _, strategy := range []multicast.Strategy{
-		multicast.FIFO, multicast.WeightedRoundRobin, multicast.UrgencyFirst,
-	} {
-		t.AddRow(runA1Strategy(opt.Seed, strategy)...)
-	}
-	t.Notes = append(t.Notes,
-		"one forwarder, 3 child destinations, 600 items (10% urgent), egress 20 msgs/s, offered 60 msgs/s burst")
-	return t
-}
-
-func runA1Strategy(seed int64, strategy multicast.Strategy) []string {
-	eng := sim.NewEngine(seed + int64(strategy))
-	net := sim.NewNetwork(eng, sim.LinkModel{})
-	ep := net.Attach("fwd", nil)
-
-	type pending struct {
-		urgent   bool
-		enqueued time.Time
-	}
-	inflight := make(map[string]pending)
-	urgentWait := &metrics.Histogram{}
-	routineWait := &metrics.Histogram{}
-	for _, dest := range []string{"d1", "d2", "d3"} {
-		dest := dest
-		net.Attach(dest, func(m *wire.Message) {
-			key := m.Multicast.Envelope.Key()
-			p, ok := inflight[key]
-			if !ok {
-				return
-			}
-			wait := eng.Now().Sub(p.enqueued).Seconds()
-			if p.urgent {
-				urgentWait.Observe(wait)
-			} else {
-				routineWait.Observe(wait)
-			}
-		})
-	}
-
-	q, err := multicast.NewForwardQueue(ep, strategy, 1000)
-	if err != nil {
-		return []string{"error", err.Error(), "", "", ""}
-	}
-
-	// Offered load: bursts of 3 items every 50ms (60/s) for 10s; egress
-	// drains 1 item every 50ms (20/s).
-	rng := rand.New(rand.NewSource(seed + 5))
-	seq := 0
-	producer := eng.Every(50*time.Millisecond, 0, func() {
-		for b := 0; b < 3; b++ {
-			seq++
-			urgent := rng.Float64() < 0.1
-			urg := 8
-			if urgent {
-				urg = 1
-			}
-			dest := []string{"d1", "d2", "d3"}[seq%3]
-			msg := &wire.Message{
-				Kind: wire.KindMulticast,
-				Multicast: &wire.Multicast{
-					TargetZone: "/x",
-					Envelope: wire.ItemEnvelope{
-						Publisher: "p", ItemID: fmt.Sprintf("i%d", seq),
-						Urgency: urg,
-					},
-				},
-			}
-			inflight[msg.Multicast.Envelope.Key()] = pending{urgent: urgent, enqueued: eng.Now()}
-			_ = q.Enqueue(dest, msg)
-		}
-	})
-	drainer := eng.Every(50*time.Millisecond, 0, func() { q.Drain(1) })
-
-	eng.RunFor(10 * time.Second)
-	producer.Stop()
-	// Keep draining until empty.
-	eng.RunFor(30 * time.Second)
-	drainer.Stop()
-	eng.RunUntilIdle(0)
-
-	_, drops := q.Counters()
-	return []string{
-		strategy.String(),
-		fmtMS(urgentWait.Quantile(0.5)),
-		fmtMS(urgentWait.Quantile(0.99)),
-		fmtMS(routineWait.Quantile(0.5)),
-		fmtI(drops),
-	}
-}
 
 // RunA2 compares representative-election policies (§5: representatives
 // are elected by "an aggregation function that combines the local
@@ -251,52 +144,4 @@ func runA3Scope(seed int64, n int, scope string) []string {
 		per = fmtF(float64(forwarded) / float64(delivered))
 	}
 	return []string{scope, fmtI(delivered), fmtI(forwarded), per}
-}
-
-// RunA4 sweeps gossip fanout — the robustness/traffic trade-off of the
-// epidemic substrate.
-func RunA4(opt Options) *Table {
-	t := &Table{
-		ID:      "A4",
-		Title:   "gossip fanout vs. convergence and traffic",
-		Claim:   "epidemic parameters trade bandwidth for convergence speed (§3)",
-		Columns: []string{"fanout", "rounds to converge", "msgs/node/round"},
-	}
-	for _, fanout := range []int{1, 2, 3} {
-		t.AddRow(runA4Fanout(opt.Seed, fanout)...)
-	}
-	t.Notes = append(t.Notes, "128 nodes, branching 16; convergence = new subscription visible in every node's root table")
-	return t
-}
-
-func runA4Fanout(seed int64, fanout int) []string {
-	const n = 128
-	cluster, err := core.NewCluster(core.ClusterConfig{
-		N: n, Branching: 16, Seed: seed + int64(fanout)*13,
-		Customize: func(i int, cfg *core.Config) {
-			cfg.Fanout = fanout
-		},
-	})
-	if err != nil {
-		return []string{fmt.Sprint(fanout), "error", err.Error()}
-	}
-	cluster.RunRounds(6)
-
-	sent0, _, _ := cluster.Net.Totals()
-	subject := "culture/film"
-	_ = cluster.Nodes[n/3].Subscribe(subject)
-
-	rounds := convergenceRounds(cluster, subject, 200)
-	sent1, _, _ := cluster.Net.Totals()
-	roundsRun := rounds
-	if roundsRun <= 0 {
-		roundsRun = 200
-	}
-	msgsPerNodeRound := float64(sent1-sent0) / float64(n) / float64(roundsRun)
-
-	r := "never"
-	if rounds > 0 {
-		r = fmt.Sprint(rounds)
-	}
-	return []string{fmt.Sprint(fanout), r, fmtF(msgsPerNodeRound)}
 }

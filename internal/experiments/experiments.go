@@ -1,7 +1,8 @@
-// Package experiments implements one runner per experiment in DESIGN.md's
-// experiment index (E1–E8 and ablations A1–A4). The paper is a position
-// paper with no numbered tables or figures, so each experiment reproduces
-// one quantitative claim; EXPERIMENTS.md records claim vs. measurement.
+// Package experiments implements one runner per simulated experiment in
+// DESIGN.md's experiment index (E1–E8, E10, E12 and ablations A2–A3; All
+// lists them). The paper is a position paper with no numbered tables or
+// figures, so each experiment reproduces one quantitative claim;
+// EXPERIMENTS.md records claim vs. measurement.
 //
 // Runners are deterministic given Options.Seed and are shared by the
 // cmd/newswire-bench binary and the root-level testing.B benchmarks.
@@ -256,10 +257,8 @@ func All() []Runner {
 		{ID: "E6", Name: "robustness under forwarder failure", Run: RunE6},
 		{ID: "E7", Name: "gossip convergence to the root", Run: RunE7},
 		{ID: "E8", Name: "subscription-summary precision (predicate vs. Bloom vs. attributes)", Run: RunE8},
-		{ID: "A1", Name: "forwarding queue strategies", Run: RunA1},
 		{ID: "A2", Name: "representative election policies", Run: RunA2},
 		{ID: "A3", Name: "publication zone scoping", Run: RunA3},
-		{ID: "A4", Name: "gossip fanout/interval trade-off", Run: RunA4},
 		{ID: "E10", Name: "adversarial chaos scenarios", Run: RunE10},
 		{ID: "E12", Name: "observability overhead (health + tracing)", Run: RunE12},
 	}

@@ -34,8 +34,8 @@ func parseMS(t *testing.T, s string) float64 {
 
 func TestAllRegistered(t *testing.T) {
 	runners := All()
-	if len(runners) != 14 {
-		t.Fatalf("got %d runners, want 14", len(runners))
+	if len(runners) != 12 {
+		t.Fatalf("got %d runners, want 12", len(runners))
 	}
 	seen := map[string]bool{}
 	for _, r := range runners {
@@ -431,20 +431,6 @@ func TestE8PredicatePrecision(t *testing.T) {
 	}
 }
 
-func TestA1UrgencyStrategyPrioritizes(t *testing.T) {
-	tab := RunA1(quick)
-	byStrategy := map[string][]string{}
-	for _, row := range tab.Rows {
-		byStrategy[row[0]] = row
-	}
-	fifoUrgent := parseMS(t, byStrategy["fifo"][2])
-	urgUrgent := parseMS(t, byStrategy["urgency"][2])
-	if !(urgUrgent < fifoUrgent) {
-		t.Errorf("urgency-first p99 urgent wait (%v) should beat FIFO (%v)",
-			urgUrgent, fifoUrgent)
-	}
-}
-
 func TestA2LoadAwareElectionShiftsWork(t *testing.T) {
 	tab := RunA2(quick)
 	byPolicy := map[string][]string{}
@@ -474,25 +460,5 @@ func TestA3ScopingContainsTraffic(t *testing.T) {
 	regDel, _ := strconv.ParseInt(byScope["regional"][1], 10, 64)
 	if !(regDel < rootDel) {
 		t.Errorf("regional deliveries %d should be below root %d", regDel, rootDel)
-	}
-}
-
-func TestA4FanoutSpeedsConvergence(t *testing.T) {
-	tab := RunA4(quick)
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	r1, _ := strconv.Atoi(tab.Rows[0][1])
-	r3, _ := strconv.Atoi(tab.Rows[2][1])
-	if r1 == 0 || r3 == 0 {
-		t.Fatalf("convergence failed: %v", tab.Rows)
-	}
-	if r3 > r1 {
-		t.Errorf("fanout 3 (%d rounds) should not converge slower than fanout 1 (%d)", r3, r1)
-	}
-	m1, _ := strconv.ParseFloat(tab.Rows[0][2], 64)
-	m3, _ := strconv.ParseFloat(tab.Rows[2][2], 64)
-	if !(m3 > m1) {
-		t.Errorf("fanout 3 should cost more messages: %v vs %v", m3, m1)
 	}
 }

@@ -43,8 +43,6 @@ var allowed = map[string]string{
 	"metrics.(*Histogram).Min":              "floor: TestHistogramStats, TestHistogramReservoir",
 	"metrics.(*Histogram).ObserveDuration":  "floor: TestHistogramObserveDuration",
 	"metrics.(*Registry).Histogram":         "floor: TestRegistryReturnsSameInstance, TestWriteToGolden",
-	"multicast.(*ForwardQueue).Len":         "floor: TestFIFOOrder, TestDrainPartial, TestQueueCapacityDrops",
-	"multicast.(*ForwardQueue).SetWeight":   "floor: TestWRRWeights",
 	"multicast.(*Router).PendingAcks":       "floor: TestReliableMulticastAcksClearPending, TestLiveAckedFanOutOverTCP",
 	"news.MetadataFields":                   "oracle: TestFieldsMatchNewsMetadata holds query's field table to the item metadata",
 	"pubsub.(*Subscriber).Mode":             "floor: TestNewSubscriberValidation",
