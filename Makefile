@@ -112,10 +112,9 @@ bench-smoke: bin/newswire-bench
 # profile snapshotted at the run's peak tick, gated on the per-node peak
 # heap (peak_heap_bytes_per_node) against the committed baseline for the
 # same size. This is the guard for the million-node memory architecture
-# (slab rows, virtual leaves, timer wheel — DESIGN.md §9): losing any of
-# it shows up as a multiple, not a percentage. The wider 25% bound
-# absorbs allocator/runner variance that the deterministic byte gate
-# does not have.
+# (slab rows, virtual leaves — DESIGN.md §9). The wider 25% bound absorbs
+# allocator/runner variance that the deterministic byte gate does not
+# have.
 bench-mem: bin/newswire-bench
 	mkdir -p artifacts
 	git show HEAD:artifacts/BENCH_E1_N65536.json > artifacts/BENCH_E1_N65536.baseline.json 2>/dev/null || echo '{}' > artifacts/BENCH_E1_N65536.baseline.json
@@ -124,8 +123,9 @@ bench-mem: bin/newswire-bench
 	$(GO) run ./cmd/benchgate -baseline artifacts/BENCH_E1_N65536.baseline.json -current artifacts/BENCH_E1_N65536.json -max-heap-regress 0.25 | tee artifacts/heap-gate.txt
 
 # Compare the gossip-round (BenchmarkGossipRound*), churn-round
-# (BenchmarkChurnRound, sim_churn as a go test) and live fan-out
-# (BenchmarkLiveFanout, whose allocs/op are heap objects per item)
+# (BenchmarkChurnRound, sim_churn as a go test), live fan-out
+# (BenchmarkLiveFanout, whose allocs/op are heap objects per item) and
+# simulator event-queue (BenchmarkEngineQueue, ns and allocs per event)
 # micro-benchmarks between HEAD, exported with git archive, and the working
 # tree. A churn round is not a steady state, so both sides run the same
 # fixed 40 rounds; both fan-outs route the same 2,400 items. Uses
@@ -137,8 +137,10 @@ bench-compare:
 	git archive HEAD | tar -x -C .benchbase
 	cd .benchbase && $(GO) test . -run '^$$' -bench 'BenchmarkGossipRound|BenchmarkChurnRound' -benchtime 40x -benchmem -count 3 > ../artifacts/bench-base.txt
 	cd .benchbase && $(GO) test . -run '^$$' -bench 'BenchmarkLiveFanout$$' -benchtime 2400x -benchmem -count 3 >> ../artifacts/bench-base.txt
+	cd .benchbase && $(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngineQueue' -benchmem -count 3 >> ../artifacts/bench-base.txt
 	$(GO) test . -run '^$$' -bench 'BenchmarkGossipRound|BenchmarkChurnRound' -benchtime 40x -benchmem -count 3 > artifacts/bench-head.txt
 	$(GO) test . -run '^$$' -bench 'BenchmarkLiveFanout$$' -benchtime 2400x -benchmem -count 3 >> artifacts/bench-head.txt
+	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngineQueue' -benchmem -count 3 >> artifacts/bench-head.txt
 	rm -rf .benchbase
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat artifacts/bench-base.txt artifacts/bench-head.txt; \

@@ -105,6 +105,7 @@ func run(args []string) error {
 			ZonePath:       *zone,
 			Mode:           summaryMode,
 			GossipInterval: *interval,
+			HealthEvery:    *healthEv,
 			OnItem: func(it *news.Item, env *wire.ItemEnvelope) {
 				logger.Info("item delivered",
 					"key", env.Key(),
@@ -125,11 +126,6 @@ func run(args []string) error {
 					"attempts", attempts)
 			},
 		},
-	}
-	if *healthEv > 0 {
-		cfg.Node.HealthEvery = *healthEv
-	} else if *healthEv < 0 {
-		cfg.DisableHealth = true
 	}
 	if *peers != "" {
 		cfg.Peers = strings.Split(*peers, ",")

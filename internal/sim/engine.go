@@ -18,14 +18,15 @@ import (
 )
 
 // Engine is a deterministic discrete-event scheduler over virtual time.
-// Events are kept in a hierarchical timer wheel (see wheel.go) ordered by
-// (time, insertion sequence), exactly as the original binary heap ordered
-// them. Event shells come from the wheel's free list (see event), so in
-// steady state a message, a timer or a tick allocates nothing here.
+// Events fire in (time, insertion sequence) order from one binary heap
+// (see queue.go). Event shells come from the engine's free list (see
+// event), so in steady state a message, a timer or a tick allocates
+// nothing here.
 type Engine struct {
 	clock *vtime.Virtual
 	rng   *rand.Rand
-	wheel timerWheel
+	queue eventQueue
+	free  freeList
 	seq   uint64
 }
 
@@ -86,7 +87,7 @@ func (e *Engine) AtOwned(owner int, t time.Time, fn func()) {
 func (e *Engine) schedule(owner int, t time.Time, fn func()) *event {
 	ev := e.newEvent(owner, t)
 	ev.fn = fn
-	e.wheel.Push(ev)
+	e.queue.Push(ev)
 	return ev
 }
 
@@ -96,7 +97,7 @@ func (e *Engine) schedule(owner int, t time.Time, fn func()) *event {
 func (e *Engine) scheduleDelivery(owner int, t time.Time, n *Network, to string, msg *wire.Message, size int64) {
 	ev := e.newEvent(owner, t)
 	ev.net, ev.to, ev.msg, ev.size = n, to, msg, size
-	e.wheel.Push(ev)
+	e.queue.Push(ev)
 }
 
 // newEvent takes a shell from the free list, clamps t to now and assigns
@@ -107,22 +108,22 @@ func (e *Engine) newEvent(owner int, t time.Time) *event {
 		t = now
 	}
 	e.seq++
-	ev := e.wheel.free.get()
+	ev := e.free.get()
 	ev.at, ev.seq, ev.owner = t, e.seq, owner
 	return ev
 }
 
 // peek returns the earliest pending event without running it, or nil.
-func (e *Engine) peek() *event { return e.wheel.Peek() }
+func (e *Engine) peek() *event { return e.queue.Peek(&e.free) }
 
 // pop removes and returns the earliest pending event, or nil.
-func (e *Engine) pop() *event { return e.wheel.Pop() }
+func (e *Engine) pop() *event { return e.queue.Pop(&e.free) }
 
 // fire runs a popped event at its time and recycles its shell.
 func (e *Engine) fire(ev *event) {
 	e.clock.SetNow(ev.at)
 	ev.run()
-	e.wheel.free.put(ev)
+	e.free.put(ev)
 }
 
 // Ticker is a recurring scheduled callback. Stop cancels future firings.
@@ -138,11 +139,11 @@ type Ticker struct {
 
 // Stop cancels the ticker, including the already-scheduled next firing:
 // its closure is released immediately (O(1), no queue search), and the
-// queue drops the cancelled shell lazily when its slot drains.
+// queue drops the cancelled shell lazily when it reaches the top.
 func (t *Ticker) Stop() {
 	t.stopped = true
 	if t.pending != nil {
-		t.eng.wheel.cancel(t.pending)
+		t.eng.queue.cancel(t.pending)
 		t.pending = nil
 	}
 }
@@ -229,7 +230,7 @@ func (e *Engine) RunUntilIdle(maxEvents int) int {
 }
 
 // Pending returns the number of queued (non-cancelled) events.
-func (e *Engine) Pending() int { return e.wheel.Len() }
+func (e *Engine) Pending() int { return e.queue.Len() }
 
 // EngineStats is a snapshot of the event queue's lifetime counters,
 // exposed on /status.json for live memory diagnostics.
@@ -243,10 +244,10 @@ type EngineStats struct {
 // Stats returns the engine's queue counters.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Pending:   e.wheel.Len(),
-		HighWater: e.wheel.highWater,
-		Fired:     e.wheel.fired,
-		Cancelled: e.wheel.stopped,
+		Pending:   e.queue.Len(),
+		HighWater: e.queue.highWater,
+		Fired:     e.queue.fired,
+		Cancelled: e.queue.stopped,
 	}
 }
 
@@ -254,12 +255,12 @@ func (e *Engine) Stats() EngineStats {
 // (fn), or a message delivery (net, to, msg, size), which needs no
 // closure.
 //
-// Shells are recycled through the wheel's free list, so a pointer to an
+// Shells are recycled through the engine's free list, so a pointer to an
 // event is valid only while the event is queued. The handle rule: whoever
 // keeps an *event — only Ticker does — lets go of it when the event fires,
 // before doing anything else, and when it cancels it. The engine returns a
 // shell to the free list only once nothing can reach it: after it was
-// popped and fired, or when the wheel discards a cancelled one.
+// popped and fired, or when the queue drops a cancelled one.
 type event struct {
 	at    time.Time
 	seq   uint64
@@ -282,10 +283,10 @@ func (ev *event) run() {
 }
 
 // cancelled reports whether a queued event has no work left to do: the
-// wheel's one test for a shell to discard (see timerWheel.cancel).
+// queue's one test for a shell to drop (see eventQueue.cancel).
 func (ev *event) cancelled() bool { return ev.fn == nil && ev.net == nil }
 
-// freeList holds the wheel's spare event shells. Only the goroutine
+// freeList holds the engine's spare event shells. Only the goroutine
 // driving the engine touches it (the parallel executor's serial phases
 // included), so it takes no lock.
 type freeList []*event

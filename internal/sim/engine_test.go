@@ -179,8 +179,8 @@ func TestEngineEventsAllocateNothing(t *testing.T) {
 		}
 	})
 	t.Run("ticker", func(t *testing.T) {
-		// A 100 ms period stays inside the wheel's first level, whose slot
-		// buckets are kept once grown; 30 s of warm-up visits every slot.
+		// 30 s of warm-up grows the heap and the free list to their
+		// steady size; a firing then reuses its shell and heap entry.
 		e := NewEngine(1)
 		fires := 0
 		e.Every(100*time.Millisecond, 0, func() { fires++ })

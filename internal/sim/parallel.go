@@ -324,7 +324,7 @@ func (x *Executor) runWindow(batch []*event) {
 	// recycle the shells, here on the serial goroutine.
 	for i, ev := range batch {
 		x.effects[i] = x.effects[i][:0]
-		x.eng.wheel.free.put(ev)
+		x.eng.free.put(ev)
 	}
 
 	// Reset per-owner scratch.

@@ -30,7 +30,12 @@ const (
 type LiveConfig struct {
 	// Node is the node configuration. Transport and Clock are filled in
 	// by StartLive; Rand defaults to a time-seeded source if nil, and is
-	// wrapped so that the node's goroutines can share it.
+	// wrapped so that the node's goroutines can share it. A live node
+	// publishes its health digest into the gossip layer and samples its
+	// heap, so any member can serve /cluster-health.json for the whole
+	// cluster: Node.HealthEvery 0 picks the default cadence, a positive
+	// value sets it, and a negative one turns the self-monitoring plane
+	// off.
 	Node Config
 	// ListenAddr is the TCP address to listen on, e.g. "127.0.0.1:0".
 	ListenAddr string
@@ -38,12 +43,6 @@ type LiveConfig struct {
 	// membership from: the node requests their gossip by sending its own
 	// chain rows, and normal anti-entropy does the rest.
 	Peers []string
-	// DisableHealth turns off the self-monitoring plane. By default a
-	// live node publishes its health digest into the gossip layer every
-	// few ticks (Node.HealthEvery overrides the cadence) and samples its
-	// heap, so any member can serve /cluster-health.json for the whole
-	// cluster.
-	DisableHealth bool
 	// Transport tunes the TCP data path (per-peer queue length, write
 	// timeout, clock-probe interval). The zero value is the recommended
 	// default.
@@ -98,15 +97,11 @@ func StartLive(cfg LiveConfig) (*LiveNode, error) {
 		ring = trace.NewRing(defaultLiveTraceCap)
 		nodeCfg.Tracer = ring
 	}
-	if cfg.DisableHealth {
-		nodeCfg.HealthEvery = 0
-	} else {
-		if nodeCfg.HealthEvery <= 0 {
-			nodeCfg.HealthEvery = defaultLiveHealthEvery
-		}
-		if nodeCfg.HealthHeapBytes == nil {
-			nodeCfg.HealthHeapBytes = liveHeapInUse
-		}
+	if nodeCfg.HealthEvery == 0 {
+		nodeCfg.HealthEvery = defaultLiveHealthEvery
+	}
+	if nodeCfg.HealthEvery > 0 && nodeCfg.HealthHeapBytes == nil {
+		nodeCfg.HealthHeapBytes = liveHeapInUse
 	}
 	if nodeCfg.Name == "" {
 		nodeCfg.Name = fmt.Sprintf("node-%s", tr.Addr())

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"newswire"
+	"newswire/internal/astrolabe"
 	"newswire/internal/news"
+	"newswire/internal/value"
 	"newswire/internal/wire"
 )
 
@@ -537,4 +540,69 @@ func TestStartLiveDefaults(t *testing.T) {
 	if ln.Addr() == "" {
 		t.Fatal("no resolved address")
 	}
+}
+
+// TestStartLiveHealthOff: a negative Node.HealthEvery turns a live node's
+// self-monitoring plane off. Its row never carries a health digest, and no
+// health rule is installed, so even a hand-set sys$health$ attribute is not
+// aggregated into its zone's row. HealthEvery 1 is the control.
+func TestStartLiveHealthOff(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	probe := astrolabe.HealthSumPrefix + "probe"
+	start := func(t *testing.T, every int) *astrolabe.Agent {
+		t.Helper()
+		ln, err := newswire.StartLive(newswire.LiveConfig{Node: newswire.Config{
+			ZonePath: "/z", GossipInterval: interval, HealthEvery: every,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		a := ln.Node().Agent()
+		a.SetAttr(probe, value.Int(1))
+		return a
+	}
+	aggregated := func(a *astrolabe.Agent) bool {
+		rows, _ := a.Table(astrolabe.RootZone)
+		for _, r := range rows {
+			if r.Attrs[probe].IsValid() {
+				return true
+			}
+		}
+		return false
+	}
+	digest := func(a *astrolabe.Agent) []string {
+		row, ok := a.Row(a.ZonePath(), a.Name())
+		if !ok {
+			t.Fatal("no own row")
+		}
+		var names []string
+		for name := range row.Attrs {
+			if strings.HasPrefix(name, astrolabe.HealthPrefix) && name != probe {
+				names = append(names, name)
+			}
+		}
+		return names
+	}
+	t.Run("control", func(t *testing.T) {
+		a := start(t, 1)
+		if !aggregated(a) {
+			t.Fatal("the health rules did not aggregate a sys$health$ attribute")
+		}
+		for deadline := time.Now().Add(5 * time.Second); len(digest(a)) == 0; time.Sleep(interval) {
+			if time.Now().After(deadline) {
+				t.Fatal("no health digest published")
+			}
+		}
+	})
+	t.Run("off", func(t *testing.T) {
+		a := start(t, -1)
+		if aggregated(a) {
+			t.Fatal("health rules are installed")
+		}
+		time.Sleep(20 * interval)
+		if names := digest(a); len(names) > 0 {
+			t.Fatalf("health digest published: %v", names)
+		}
+	})
 }
