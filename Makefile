@@ -124,10 +124,11 @@ bench-mem: bin/newswire-bench
 
 # Compare the gossip-round (BenchmarkGossipRound*), churn-round
 # (BenchmarkChurnRound, sim_churn as a go test), live fan-out
-# (BenchmarkLiveFanout, whose allocs/op are heap objects per item) and
-# simulator event-queue (BenchmarkEngineQueue, ns and allocs per event)
-# micro-benchmarks between HEAD, exported with git archive, and the working
-# tree. A churn round is not a steady state, so both sides run the same
+# (BenchmarkLiveFanout, whose allocs/op are heap objects per item),
+# simulator event-queue (BenchmarkEngineQueue, ns and allocs per event) and
+# leaf exact-match (BenchmarkSubscriberMatch, ns and allocs per received
+# copy on a selective-shaped node) micro-benchmarks between HEAD, exported
+# with git archive, and the working tree. A churn round is not a steady state, so both sides run the same
 # fixed 40 rounds; both fan-outs route the same 2,400 items. Uses
 # benchstat when installed; otherwise falls back to the dependency-free
 # comparer built into this repo (cmd/benchgate -compare).
@@ -138,9 +139,11 @@ bench-compare:
 	cd .benchbase && $(GO) test . -run '^$$' -bench 'BenchmarkGossipRound|BenchmarkChurnRound' -benchtime 40x -benchmem -count 3 > ../artifacts/bench-base.txt
 	cd .benchbase && $(GO) test . -run '^$$' -bench 'BenchmarkLiveFanout$$' -benchtime 2400x -benchmem -count 3 >> ../artifacts/bench-base.txt
 	cd .benchbase && $(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngineQueue' -benchmem -count 3 >> ../artifacts/bench-base.txt
+	cd .benchbase && $(GO) test ./internal/pubsub -run '^$$' -bench 'BenchmarkSubscriberMatch$$' -benchmem -count 3 >> ../artifacts/bench-base.txt
 	$(GO) test . -run '^$$' -bench 'BenchmarkGossipRound|BenchmarkChurnRound' -benchtime 40x -benchmem -count 3 > artifacts/bench-head.txt
 	$(GO) test . -run '^$$' -bench 'BenchmarkLiveFanout$$' -benchtime 2400x -benchmem -count 3 >> artifacts/bench-head.txt
 	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngineQueue' -benchmem -count 3 >> artifacts/bench-head.txt
+	$(GO) test ./internal/pubsub -run '^$$' -bench 'BenchmarkSubscriberMatch$$' -benchmem -count 3 >> artifacts/bench-head.txt
 	rm -rf .benchbase
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat artifacts/bench-base.txt artifacts/bench-head.txt; \

@@ -912,7 +912,7 @@ func (a *Agent) digestLocked(shared int) *wire.Message {
 	frame.body = wire.GossipDigest{FromZone: a.leaf, Sections: sections}
 	frame.msg = wire.Message{Kind: wire.KindGossipDigest, From: a.addr, GossipDigest: &frame.body}
 	a.stats.GossipsSent++
-	a.stats.GossipBytesSent += int64(frame.msg.EstimateSize())
+	a.stats.GossipBytesSent += int64(frame.msg.SealSize())
 	return &frame.msg
 }
 
@@ -968,7 +968,7 @@ func (a *Agent) deltaLocked(out *delta) *wire.Message {
 	frame.msg = wire.Message{Kind: wire.KindGossipDelta, From: a.addr, GossipDelta: &frame.body}
 	a.stats.RowsSent += int64(len(out.rows))
 	a.stats.StampsSent += int64(len(out.rowStamps))
-	a.stats.GossipBytesSent += int64(frame.msg.EstimateSize())
+	a.stats.GossipBytesSent += int64(frame.msg.SealSize())
 	out.reset()
 	return &frame.msg
 }

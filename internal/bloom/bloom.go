@@ -13,7 +13,6 @@ package bloom
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -73,23 +72,37 @@ func (f *Filter) Bits() int { return int(f.nbits) }
 // Hashes returns the number of hash functions.
 func (f *Filter) Hashes() int { return f.hashes }
 
-// Positions returns the k bit positions key hashes to. Positions are
-// derived with Kirsch–Mitzenmacher double hashing over a 64-bit FNV-1a
-// digest, so they are stable across processes and architectures — a
-// requirement, since publishers and subscribers hash independently.
-func (f *Filter) Positions(key string) []uint32 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	digest := mix64(h.Sum64())
+// FNV-1a's 64-bit offset basis and prime (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// AppendPositions appends to dst the k bit positions, in a filter of nbits
+// bits, of the key prefix+key, and returns the extended slice. The key is
+// hashed in its two parts, so a caller with a namespaced key never builds
+// it, and nothing is allocated while dst has room. It is the one hash:
+// positions are derived with Kirsch–Mitzenmacher double hashing over a
+// 64-bit FNV-1a digest, so they are stable across processes and
+// architectures — a requirement, since publishers and subscribers hash
+// independently.
+func AppendPositions(dst []uint32, nbits, k int, prefix, key string) []uint32 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(prefix); i++ {
+		h = (h ^ uint64(prefix[i])) * fnvPrime64
+	}
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime64
+	}
+	digest := mix64(h)
 	h1 := uint32(digest)
 	h2 := uint32(digest >> 32)
 	// Ensure h2 is odd so the probe sequence cycles through all positions.
 	h2 |= 1
-	out := make([]uint32, f.hashes)
-	for i := range out {
-		out[i] = (h1 + uint32(i)*h2) % f.nbits
+	for i := 0; i < k; i++ {
+		dst = append(dst, (h1+uint32(i)*h2)%uint32(nbits))
 	}
-	return out
+	return dst
 }
 
 // mix64 is the murmur3 avalanche finalizer. FNV-1a is multiplicative and
@@ -108,7 +121,8 @@ func mix64(x uint64) uint64 {
 
 // Add inserts key into the filter.
 func (f *Filter) Add(key string) {
-	for _, p := range f.Positions(key) {
+	var buf [8]uint32
+	for _, p := range AppendPositions(buf[:0], int(f.nbits), f.hashes, "", key) {
 		f.bits[p/8] |= 1 << (p % 8)
 	}
 }
@@ -116,7 +130,8 @@ func (f *Filter) Add(key string) {
 // Test reports whether key is possibly in the filter. False positives are
 // possible; false negatives are not.
 func (f *Filter) Test(key string) bool {
-	for _, p := range f.Positions(key) {
+	var buf [8]uint32
+	for _, p := range AppendPositions(buf[:0], int(f.nbits), f.hashes, "", key) {
 		if f.bits[p/8]&(1<<(p%8)) == 0 {
 			return false
 		}
@@ -229,11 +244,9 @@ func ExpectedFalsePositiveRate(m, k, n int) float64 {
 }
 
 // PositionsFor computes the bit positions for key under the given geometry
-// without allocating a filter. Publishers use this to stamp items with the
-// bit positions of the publication subject.
+// without a filter (AppendPositions into a fresh slice).
 func PositionsFor(key string, nbits, k int) []uint32 {
-	f := Filter{nbits: uint32(nbits), hashes: k}
-	return f.Positions(key)
+	return AppendPositions(make([]uint32, 0, k), nbits, k, "", key)
 }
 
 // EncodePositions packs bit positions into a compact byte slice for the

@@ -63,9 +63,8 @@ func TestNoFalseNegativesEver(t *testing.T) {
 }
 
 func TestPositionsStableAndInRange(t *testing.T) {
-	f := New(1000, 5)
-	p1 := f.Positions("subject")
-	p2 := f.Positions("subject")
+	p1 := PositionsFor("subject", 1000, 5)
+	p2 := PositionsFor("subject", 1000, 5)
 	if len(p1) != 5 {
 		t.Fatalf("got %d positions, want 5", len(p1))
 	}
@@ -77,41 +76,95 @@ func TestPositionsStableAndInRange(t *testing.T) {
 			t.Fatalf("position %d out of range", p1[i])
 		}
 	}
-	// Same key, independent filter object with same geometry: identical.
-	g := New(1000, 5)
-	p3 := g.Positions("subject")
+	// Same key appended after other positions: identical.
+	p3 := AppendPositions([]uint32{7}, 1000, 5, "", "subject")[1:]
 	for i := range p1 {
 		if p1[i] != p3[i] {
-			t.Fatal("Positions differ across filter instances")
+			t.Fatal("positions differ between PositionsFor and AppendPositions")
 		}
 	}
 }
 
 func TestPositionsForMatchesFilter(t *testing.T) {
 	f := New(DefaultBits, 2)
-	want := f.Positions("topic/x")
-	got := PositionsFor("topic/x", DefaultBits, 2)
-	if len(got) != len(want) {
-		t.Fatalf("length mismatch %d vs %d", len(got), len(want))
+	f.Add("topic/x")
+	want := PositionsFor("topic/x", DefaultBits, 2)
+	if !f.TestPositions(want) || f.PopCount() > len(want) {
+		t.Fatalf("Add set %d bits, PositionsFor says %v", f.PopCount(), want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("PositionsFor disagrees with Filter.Positions")
+}
+
+// TestAppendPositionsParts: hashing a key in two parts is hashing their
+// concatenation (PositionsFor of the whole key), wherever the split falls,
+// and appends after what dst already holds.
+func TestAppendPositionsParts(t *testing.T) {
+	prop := func(prefix, key string, lead uint32) bool {
+		want := PositionsFor(prefix+key, DefaultBits, 3)
+		got := AppendPositions([]uint32{lead}, DefaultBits, 3, prefix, key)
+		if len(got) != 1+len(want) || got[0] != lead {
+			return false
 		}
+		for i := range want {
+			if got[1+i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPositionsKnownAnswers pins the hash: positions of a subject,
+// publisher and urgency signature key (internal/query's "s:", "p:" and
+// "u:" keys) and of a bare subject, as the FNV-1a + mix64 derivation has
+// always computed them. A change here re-routes every deployed filter.
+func TestPositionsKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		prefix, key string
+		want1       uint32
+		want3       [3]uint32
+	}{
+		{"s:", "tech/linux", 647, [3]uint32{647, 912, 153}},
+		{"p:", "reuters", 137, [3]uint32{137, 474, 811}},
+		{"u:", "5", 791, [3]uint32{791, 764, 737}},
+		{"", "tech/linux", 871, [3]uint32{871, 240, 633}},
+	} {
+		if got := AppendPositions(nil, 1024, 1, c.prefix, c.key); len(got) != 1 || got[0] != c.want1 {
+			t.Errorf("%q+%q k=1: positions %v, want [%d]", c.prefix, c.key, got, c.want1)
+		}
+		if got := PositionsFor(c.prefix+c.key, 1024, 3); [3]uint32(got) != c.want3 {
+			t.Errorf("%q k=3: positions %v, want %v", c.prefix+c.key, got, c.want3)
+		}
+	}
+}
+
+// TestAppendPositionsAllocationBudget: with room in dst the routine
+// allocates nothing, and neither do Add and Test.
+func TestAppendPositionsAllocationBudget(t *testing.T) {
+	f := New(DefaultBits, 4)
+	dst := make([]uint32, 0, 8)
+	if n := testing.AllocsPerRun(100, func() {
+		dst = AppendPositions(dst[:0], DefaultBits, 4, "s:", "tech/linux")
+		f.Add("tech/linux")
+		f.Test("tech/linux")
+	}); n != 0 {
+		t.Errorf("AppendPositions, Add and Test allocate %v objects, budget 0", n)
 	}
 }
 
 func TestTestPositions(t *testing.T) {
 	f := New(256, 2)
 	f.Add("present")
-	if !f.TestPositions(f.Positions("present")) {
+	if !f.TestPositions(PositionsFor("present", f.Bits(), f.Hashes())) {
 		t.Error("TestPositions false for present key")
 	}
 	if f.TestPositions([]uint32{9999}) {
 		t.Error("out-of-range position should test false")
 	}
 	empty := New(256, 2)
-	if empty.TestPositions(empty.Positions("anything")) {
+	if empty.TestPositions(PositionsFor("anything", empty.Bits(), empty.Hashes())) {
 		t.Error("empty filter should test false")
 	}
 }

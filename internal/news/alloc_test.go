@@ -33,9 +33,13 @@ func wireServiceSamples(t testing.TB) (first, revision *news.Item) {
 
 // TestNITFAllocationBudget guards the codec's place in the fan-out budget:
 // every subscribed node decodes every item, so objects per decode multiply
-// by the fan-out. A decode is the item, its subject slice and one string
-// per rewritten run (the revision's body); the copying entry adds the copy.
+// by the fan-out. A decode is the item with inline room for its one
+// subject, and one string per rewritten run (the revision's body); the
+// copying entry adds the copy.
 func TestNITFAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
 	first, revision := wireServiceSamples(t)
 	for _, it := range []*news.Item{first, revision} {
 		data, err := news.MarshalNITF(it)
@@ -45,11 +49,11 @@ func TestNITFAllocationBudget(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _, _ = news.MarshalNITF(it) }); n > 4 {
 			t.Errorf("MarshalNITF(revision %d) allocates %v objects, budget 4", it.Revision, n)
 		}
-		if n := testing.AllocsPerRun(100, func() { _, _ = news.UnmarshalNITF(data) }); n > 4 {
-			t.Errorf("UnmarshalNITF(revision %d) allocates %v objects, budget 4", it.Revision, n)
+		if n := testing.AllocsPerRun(100, func() { _, _ = news.UnmarshalNITF(data) }); n > 3 {
+			t.Errorf("UnmarshalNITF(revision %d) allocates %v objects, budget 3", it.Revision, n)
 		}
-		if n := testing.AllocsPerRun(100, func() { _, _ = news.ViewNITF(data) }); n > 3 {
-			t.Errorf("ViewNITF(revision %d) allocates %v objects, budget 3", it.Revision, n)
+		if n := testing.AllocsPerRun(100, func() { _, _ = news.ViewNITF(data) }); n > 2 {
+			t.Errorf("ViewNITF(revision %d) allocates %v objects, budget 2", it.Revision, n)
 		}
 	}
 }

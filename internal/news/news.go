@@ -46,8 +46,8 @@ type Item struct {
 const UrgencyMax = 8
 
 // MetadataFields lists the item-metadata fields exposed to subscription
-// predicates, matching the attribute row pubsub.ItemMetadataRow builds
-// for each envelope. Sorted.
+// predicates, matching the attribute row pubsub fills for each envelope.
+// Sorted.
 func MetadataFields() []string {
 	return []string{"item_id", "published", "publisher", "revision", "subjects", "urgency"}
 }

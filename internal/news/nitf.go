@@ -171,8 +171,20 @@ func viewString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
+// itemBlock is a decoded item with inline room for its first subjects, so
+// a decode allocates one object for both. The room holds one subject: an
+// item (192 B) and its room fill the 208-byte size class that the item and
+// a separate one-subject slice used to take as two objects. A longer list
+// grows past the room.
+type itemBlock struct {
+	it   Item
+	room [1]string
+}
+
 func decodeNITF(src string) (*Item, error) {
-	d := nitfDecoder{src: src, it: &Item{}}
+	b := &itemBlock{}
+	b.it.Subjects = b.room[:0]
+	d := nitfDecoder{src: src, it: &b.it}
 	if err := d.document(); err != nil {
 		return nil, fmt.Errorf("news: unmarshal: offset %d: %w", d.pos, err)
 	}

@@ -183,6 +183,10 @@ type Subscriber struct {
 	subjects  []string
 	predicate *query.Predicate
 	queries   map[string]*query.Predicate // canonical source -> predicate (ModePredicate)
+	// row is the one item-metadata row predicates read (itemMetadata). It
+	// is filled for one exact test and emptied before s.mu is released,
+	// so it never keeps an envelope alive.
+	row value.Map
 }
 
 // NewSubscriber validates cfg and returns an empty-subscription
@@ -380,6 +384,8 @@ func (s *Subscriber) ShouldDeliver(env *wire.ItemEnvelope) bool {
 	return ok
 }
 
+// matchesLocked runs the exact test. A predicate reads the subscriber's
+// row, filled at most once per call and emptied before the call returns.
 func (s *Subscriber) matchesLocked(env *wire.ItemEnvelope) bool {
 	matched := false
 	for _, subj := range env.Subjects {
@@ -388,8 +394,9 @@ func (s *Subscriber) matchesLocked(env *wire.ItemEnvelope) bool {
 			break
 		}
 	}
+	var row value.Map
 	if !matched && s.cfg.Mode == ModePredicate && len(s.queries) > 0 {
-		row := ItemMetadataRow(env)
+		row = s.metadataLocked(env)
 		for _, p := range s.queries {
 			if p.Match(row) {
 				matched = true
@@ -397,26 +404,35 @@ func (s *Subscriber) matchesLocked(env *wire.ItemEnvelope) bool {
 			}
 		}
 	}
-	if !matched {
-		return false
+	if matched && s.predicate != nil {
+		if row == nil {
+			row = s.metadataLocked(env)
+		}
+		matched = s.predicate.Match(row)
 	}
-	if s.predicate != nil {
-		return s.predicate.Match(ItemMetadataRow(env))
-	}
-	return true
+	clear(row)
+	return matched
 }
 
-// ItemMetadataRow renders an envelope's metadata as an attribute row for
-// SQL predicate evaluation.
-func ItemMetadataRow(env *wire.ItemEnvelope) value.Map {
-	return value.Map{
-		"publisher": value.String(env.Publisher),
-		"item_id":   value.String(env.ItemID),
-		"revision":  value.Int(int64(env.Revision)),
-		"urgency":   value.Int(int64(env.Urgency)),
-		"subjects":  value.Strings(env.Subjects),
-		"published": value.Time(env.Published),
+// metadataLocked fills the subscriber's row with env's metadata.
+func (s *Subscriber) metadataLocked(env *wire.ItemEnvelope) value.Map {
+	if s.row == nil {
+		s.row = make(value.Map)
 	}
+	return itemMetadata(s.row, env)
+}
+
+// itemMetadata writes an envelope's metadata into row, the attribute row
+// SQL predicates evaluate (query.Predicate.Match), and returns it. The
+// subject list views env.Subjects, which predicates only read.
+func itemMetadata(row value.Map, env *wire.ItemEnvelope) value.Map {
+	row["publisher"] = value.String(env.Publisher)
+	row["item_id"] = value.String(env.ItemID)
+	row["revision"] = value.Int(int64(env.Revision))
+	row["urgency"] = value.Int(int64(env.Urgency))
+	row["subjects"] = value.ViewStrings(env.Subjects)
+	row["published"] = value.Time(env.Published)
+	return row
 }
 
 // ForwardFilter builds the multicast filter that consults a child row's
@@ -503,7 +519,7 @@ func predicateForward(row astrolabe.Row, env *wire.ItemEnvelope, geo Geometry, c
 	if len(sb) != (len(env.Subjects)+2)*k {
 		// The envelope was encoded under a different mode or geometry;
 		// recompute the position groups (allocates — correctness path).
-		sb = predicatePositions(env, geo)
+		sb = appendPredicatePositions(nil, env, geo)
 	}
 	for i := uint64(0); i < cnt; i++ {
 		l, n := binary.Uvarint(enc)
@@ -640,20 +656,22 @@ func testPositions(f []byte, bits int, pos []uint32) bool {
 	return true
 }
 
-// predicatePositions computes an envelope's predicate-mode position
-// groups from scratch — the layout EncodeItem emits in ModePredicate.
-func predicatePositions(env *wire.ItemEnvelope, geo Geometry) []uint32 {
-	out := make([]uint32, 0, (len(env.Subjects)+2)*geo.Hashes)
+// appendPredicatePositions appends an envelope's predicate-mode position
+// groups in the layout predicateAdmits reads: one group per subject, then
+// the publisher's, then the urgency's, each hashed under its dimension's
+// key (query.SubjectPrefix, PublisherPrefix, UrgencyPrefix) without
+// building the key.
+func appendPredicatePositions(dst []uint32, env *wire.ItemEnvelope, geo Geometry) []uint32 {
 	for _, subj := range env.Subjects {
-		out = append(out, bloom.PositionsFor(query.SubjectKey(subj), geo.Bits, geo.Hashes)...)
+		dst = bloom.AppendPositions(dst, geo.Bits, geo.Hashes, query.SubjectPrefix, subj)
 	}
-	out = append(out, bloom.PositionsFor(query.PublisherKey(env.Publisher), geo.Bits, geo.Hashes)...)
-	out = append(out, bloom.PositionsFor(query.UrgencyKey(env.Urgency), geo.Bits, geo.Hashes)...)
-	return out
+	dst = bloom.AppendPositions(dst, geo.Bits, geo.Hashes, query.PublisherPrefix, env.Publisher)
+	return bloom.AppendPositions(dst, geo.Bits, geo.Hashes, query.UrgencyPrefix, query.UrgencyText(env.Urgency))
 }
 
 // EncodeItem builds the wire envelope for an item: NITF payload, subject
 // bit positions for the configured mode, and mirrored routing metadata.
+// It allocates only what the envelope keeps.
 func EncodeItem(it *news.Item, mode Mode, geo Geometry, vocabulary []string) (wire.ItemEnvelope, error) {
 	if geo.Bits == 0 {
 		geo = DefaultGeometry
@@ -674,15 +692,16 @@ func EncodeItem(it *news.Item, mode Mode, geo Geometry, vocabulary []string) (wi
 	env.SealKey()
 	switch mode {
 	case ModePredicate:
-		// One position group per dimension value under its namespaced
-		// signature key, in the layout predicateAdmits expects: subjects,
-		// then publisher, then urgency.
-		env.SubjectBits = predicatePositions(&env, geo)
+		// One position group per dimension value, in the layout
+		// predicateAdmits expects.
+		bits := make([]uint32, 0, (len(env.Subjects)+2)*geo.Hashes)
+		env.SubjectBits = appendPredicatePositions(bits, &env, geo)
 	default: // ModeBloom
-		for _, subj := range it.Subjects {
-			env.SubjectBits = append(env.SubjectBits,
-				bloom.PositionsFor(subj, geo.Bits, geo.Hashes)...)
+		bits := make([]uint32, 0, len(env.Subjects)*geo.Hashes)
+		for _, subj := range env.Subjects {
+			bits = bloom.AppendPositions(bits, geo.Bits, geo.Hashes, "", subj)
 		}
+		env.SubjectBits = bits
 	}
 	return env, nil
 }

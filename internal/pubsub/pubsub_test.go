@@ -317,7 +317,10 @@ func TestShouldDeliverPredicate(t *testing.T) {
 
 func TestItemMetadataRow(t *testing.T) {
 	env, _ := EncodeItem(testItem(), ModeBloom, DefaultGeometry, nil)
-	row := ItemMetadataRow(&env)
+	row := itemMetadata(value.Map{}, &env)
+	if len(row) != len(news.MetadataFields()) {
+		t.Errorf("row has %d fields, want %v", len(row), news.MetadataFields())
+	}
 	if p, _ := row["publisher"].AsString(); p != "slashdot" {
 		t.Errorf("publisher = %v", row["publisher"])
 	}
@@ -329,7 +332,7 @@ func TestItemMetadataRow(t *testing.T) {
 	}
 }
 
-func predicateAgent(t *testing.T) *astrolabe.Agent {
+func predicateAgent(t testing.TB) *astrolabe.Agent {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	net := sim.NewNetwork(eng, sim.LinkModel{})

@@ -311,6 +311,6 @@ func (e *betweenExpr) match(row value.Map) bool {
 }
 
 // Match evaluates the predicate exactly against an item-metadata row
-// (pubsub.ItemMetadataRow's shape). A missing or mistyped field makes the
+// (the shape of pubsub's item-metadata row). A missing or mistyped field makes the
 // atom reading it false, negated forms included.
 func (p *Predicate) Match(row value.Map) bool { return p.expr.match(row) }

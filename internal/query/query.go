@@ -4,9 +4,9 @@
 // form of an SQL query" of paper §7–8.
 //
 // A predicate is a boolean expression over the fixed metadata fields of
-// pubsub.ItemMetadataRow (publisher, item_id, revision, urgency, subjects,
-// published), built from comparisons, IN lists, LIKE patterns, BETWEEN
-// ranges, and AND/OR/NOT. It is sqlagg's predicate grammar: Parse runs
+// pubsub's item-metadata row (publisher, item_id, revision, urgency,
+// subjects, published), built from comparisons, IN lists, LIKE patterns,
+// BETWEEN ranges, and AND/OR/NOT. It is sqlagg's predicate grammar: Parse runs
 // sqlagg.ParsePredicate and then one type-check pass that turns the
 // untyped syntax tree into this package's typed nodes, so the two dialects
 // cannot drift on syntax, string escaping, numbers or operators.
@@ -84,7 +84,7 @@ var fields = map[string]fieldInfo{
 }
 
 // Fields returns the canonical queryable field names, sorted. It must
-// stay in lockstep with pubsub.ItemMetadataRow; a test pins it to
+// stay in lockstep with pubsub's item-metadata row; a test pins it to
 // news.MetadataFields.
 func Fields() []string {
 	seen := make(map[string]bool)

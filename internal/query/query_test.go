@@ -11,7 +11,7 @@ import (
 	"newswire/internal/value"
 )
 
-// row builds a metadata row the way pubsub.ItemMetadataRow does.
+// row builds a metadata row the way pubsub's item-metadata row is built.
 func row(publisher, id string, rev, urg int, subjects []string, published time.Time) value.Map {
 	return value.Map{
 		"publisher": value.String(publisher),

@@ -26,14 +26,29 @@ const (
 	WildUrgency   = "*u"
 )
 
+// Key prefixes: the Bloom key of a dimension value is its dimension's
+// prefix followed by the value's text — an urgency's is UrgencyText. A
+// hasher that takes a key in parts (bloom.AppendPositions) hashes the
+// prefix and the text without building the key.
+const (
+	SubjectPrefix   = "s:"
+	PublisherPrefix = "p:"
+	UrgencyPrefix   = "u:"
+)
+
+// UrgencyText is an urgency value's text in its Bloom key: decimal.
+// strconv.Itoa returns a constant below 100, so the urgency scale
+// allocates nothing.
+func UrgencyText(urgency int) string { return strconv.Itoa(urgency) }
+
 // SubjectKey is the Bloom key of one subject value.
-func SubjectKey(subject string) string { return "s:" + subject }
+func SubjectKey(subject string) string { return SubjectPrefix + subject }
 
 // PublisherKey is the Bloom key of one publisher value.
-func PublisherKey(publisher string) string { return "p:" + publisher }
+func PublisherKey(publisher string) string { return PublisherPrefix + publisher }
 
 // UrgencyKey is the Bloom key of one urgency value.
-func UrgencyKey(urgency int) string { return "u:" + strconv.Itoa(urgency) }
+func UrgencyKey(urgency int) string { return UrgencyPrefix + UrgencyText(urgency) }
 
 // strCover is a string dimension's cover: Top (unconstrained) or a
 // finite set of values that can satisfy the predicate.

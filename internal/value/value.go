@@ -6,8 +6,8 @@
 // (Bloom filters and category masks ride as bytes), timestamps, and string
 // lists (multicast representative addresses). Values have a total order
 // within a kind, a deterministic binary encoding for gossip, and copy
-// semantics that never alias caller-owned slices — except DecodeBinaryView
-// and ViewBytes, which a decoder uses on a buffer nobody writes again.
+// semantics that never alias caller-owned slices — except DecodeBinaryView,
+// ViewBytes and ViewStrings, which view a buffer nobody writes again.
 package value
 
 import (
@@ -387,6 +387,10 @@ func BinaryLen(src []byte) (int, error) {
 // ViewBytes returns a byte-array Value over b itself, not a copy: the
 // caller hands b over and never writes it again.
 func ViewBytes(b []byte) Value { return Value{kind: KindBytes, by: b} }
+
+// ViewStrings returns a string-list Value over ss itself, not a copy: the
+// caller hands ss over, or keeps the Value only while nobody writes ss.
+func ViewStrings(ss []string) Value { return Value{kind: KindStrings, ss: ss} }
 
 type decodeMode uint8
 

@@ -12,6 +12,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 	"unsafe"
@@ -469,6 +470,10 @@ type StateReply struct {
 // Message is the transport-level envelope.
 type Message struct {
 	Kind Kind
+	// bodySize is EstimateSize less the header (magic, kind, From), as
+	// SealSize recorded it; 0 when it was not recorded. It sits in the
+	// padding after Kind, so the message is no larger for it.
+	bodySize uint32
 	// From is the sender's transport address, so receivers can reply.
 	From string
 
@@ -543,9 +548,31 @@ const GossipTableOverhead = 48
 // reference into it; a digest has no table and a delta without rows has
 // one of zone paths only, so both are exact. The simulated network uses it
 // for the byte-load counters behind experiments E4 and E8, and the gossip
-// agent charges the same figure to GossipBytesSent.
+// agent charges the same figure to GossipBytesSent (SealSize).
 func (m *Message) EstimateSize() int {
-	n := 2 + sizeStr(m.From) // magic, kind, sender
+	body := int(m.bodySize)
+	if body == 0 {
+		body = m.estimateBody()
+	}
+	return 2 + sizeStr(m.From) + body // magic, kind, sender, payload
+}
+
+// SealSize records the message's size on it and returns EstimateSize, so
+// that later calls read the record instead of walking the payload again.
+// It is for a builder that never writes the payload after it: a gossip
+// frame, whose size the agent counts and the simulated network charges.
+// The sender is not in the record, so a transport that stamps From still
+// reads the right size.
+func (m *Message) SealSize() int {
+	if n := m.estimateBody(); n <= math.MaxUint32 {
+		m.bodySize = uint32(n)
+	}
+	return m.EstimateSize()
+}
+
+// estimateBody is EstimateSize's payload part.
+func (m *Message) estimateBody() int {
+	n := 0
 	switch {
 	case m.GossipDigest != nil:
 		g := m.GossipDigest

@@ -409,6 +409,31 @@ func TestEstimateSizeExact(t *testing.T) {
 	}
 }
 
+// TestSealSizeRecords: a sealed message's size is recorded once and read
+// back by EstimateSize, and a sender stamped after sealing is still
+// charged at its own length.
+func TestSealSizeRecords(t *testing.T) {
+	for _, m := range []*Message{sampleDigestMessage(), sampleSectionDeltaMessage()} {
+		want := m.EstimateSize()
+		if got := m.SealSize(); got != want {
+			t.Fatalf("%s: SealSize = %d, EstimateSize before it %d", m.Kind, got, want)
+		}
+		body := m.bodySize
+		m.From = "a-much-longer-sender-address:9000"
+		data, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est := m.EstimateSize(); est != len(data) || m.bodySize != body {
+			t.Errorf("%s: EstimateSize = %d after From changed, Encode wrote %d bytes", m.Kind, est, len(data))
+		}
+		m.bodySize++
+		if est := m.EstimateSize(); est != len(data)+1 {
+			t.Errorf("%s: EstimateSize = %d does not read the recorded size", m.Kind, est)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	tests := []struct {
 		name string
